@@ -100,6 +100,36 @@ pub(crate) enum Frame {
     RequestKill { rank: u64, op: u64 },
 }
 
+/// Wire discriminant of [`Frame::Msg`].
+const MSG: u8 = 1;
+
+/// If `payload` is the encoding of a [`Frame::Msg`], check everything
+/// [`Frame::decode`] would check of it and return its `(src, dst)`,
+/// without reading the message data: the five `u64` fields accept any
+/// value and so does every data byte, so what is left to go wrong is
+/// the data's length prefix, which must account for exactly the bytes
+/// that remain. `None` for any other frame kind. This is what lets a
+/// router forward the frame bytes it received instead of rebuilding
+/// them.
+pub(crate) fn msg_route(payload: &[u8]) -> Option<Result<(u64, u64), WireError>> {
+    let (&MSG, fields) = payload.split_first()? else {
+        return None;
+    };
+    let mut r = WireReader::new(fields);
+    let mut route = || {
+        let (src, dst) = (u64::decode(&mut r)?, u64::decode(&mut r)?);
+        for _tag_type_bytes in 0..3 {
+            u64::decode(&mut r)?;
+        }
+        let data_len = r.seq_len()?; // at most what remains
+        match r.remaining() - data_len {
+            0 => Ok((src, dst)),
+            extra => Err(WireError::Trailing { extra }),
+        }
+    };
+    Some(route())
+}
+
 impl Wire for Frame {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -115,7 +145,7 @@ impl Wire for Frame {
                 bytes,
                 data,
             } => {
-                out.push(1);
+                out.push(MSG);
                 src.encode(out);
                 dst.encode(out);
                 tag.encode(out);
@@ -170,7 +200,7 @@ impl Wire for Frame {
             0 => Ok(Frame::Hello {
                 rank: u64::decode(r)?,
             }),
-            1 => Ok(Frame::Msg {
+            MSG => Ok(Frame::Msg {
                 src: u64::decode(r)?,
                 dst: u64::decode(r)?,
                 tag: u64::decode(r)?,
@@ -273,18 +303,33 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Encode any Wire value as `[len][guard][crc][payload]` ready to
-/// write.
-pub(crate) fn encode_wire<T: Wire>(value: &T) -> Vec<u8> {
-    let payload = value.to_wire();
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// Frame whatever `body` appends as `[len][guard][crc][payload]` ready
+/// to write. The payload is encoded straight behind the reserved
+/// header, which is patched in place once the length is known.
+///
+/// Panics when the payload exceeds [`MAX_FRAME_LEN`]: no peer accepts
+/// such a frame, so the sending rank fails here, by name and size,
+/// through the abort protocol — not later as a "corrupt" frame.
+pub(crate) fn encode_with(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0u8; HEADER_LEN];
+    body(&mut out);
+    let payload_len = out.len() - HEADER_LEN;
+    let len = u32::try_from(payload_len)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_LEN)
+        .unwrap_or_else(|| {
+            panic!("message of {payload_len} bytes exceeds the frame cap of {MAX_FRAME_LEN} bytes")
+        });
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[0..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Encode any Wire value as one frame. See [`encode_with`].
+pub(crate) fn encode_wire<T: Wire>(value: &T) -> Vec<u8> {
+    encode_with(|out| value.encode(out))
 }
 
 /// Encode `frame` as `[len][guard][crc][payload]` ready to write.
@@ -292,59 +337,37 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
     encode_wire(frame)
 }
 
-/// Fill `buf` from `stream`, tolerating read timeouts (the socket has
-/// a short `read_timeout` so readers can poll `stop`). Returns the
-/// byte count actually read when EOF arrives early.
-fn read_full(
-    stream: &mut impl Read,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<(), (usize, FrameErrorKind)> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Err((filled, FrameErrorKind::Stopped));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err((filled, FrameErrorKind::Eof)),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err((filled, FrameErrorKind::Io(e.to_string()))),
-        }
-    }
-    Ok(())
-}
-
-enum FrameErrorKind {
+/// Why [`fill`] stopped early.
+enum FillError {
     Eof,
     Io(String),
     Stopped,
     Stalled,
 }
 
-/// Like [`read_full`], but gives up when the read makes no progress
-/// for `idle_limit`. With `armed = false` the clock only starts once
-/// the first byte arrives (an idle link between frames is normal);
-/// with `armed = true` it runs from the first poll (a frame header
-/// just arrived, so its payload must be right behind it).
-fn read_full_idle(
+/// Fill `buf` from `stream`, tolerating read timeouts (the socket has
+/// a short `read_timeout` so readers can poll `stop`). With an
+/// `idle_limit`, gives up when the read makes no progress for that
+/// long: with `armed = false` the clock only starts once the first
+/// byte arrives (an idle link between frames is normal); with
+/// `armed = true` it runs from the first poll (a frame header just
+/// arrived, so its payload must be right behind it). On failure
+/// returns the byte count read so far.
+fn fill(
     stream: &mut impl Read,
     buf: &mut [u8],
     stop: &AtomicBool,
-    idle_limit: Duration,
+    idle_limit: Option<Duration>,
     armed: bool,
-) -> Result<(), (usize, FrameErrorKind)> {
+) -> Result<(), (usize, FillError)> {
     let mut filled = 0;
     let mut last_progress = Instant::now();
     while filled < buf.len() {
         if stop.load(Ordering::Relaxed) {
-            return Err((filled, FrameErrorKind::Stopped));
+            return Err((filled, FillError::Stopped));
         }
         match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err((filled, FrameErrorKind::Eof)),
+            Ok(0) => return Err((filled, FillError::Eof)),
             Ok(n) => {
                 filled += n;
                 last_progress = Instant::now();
@@ -354,11 +377,13 @@ fn read_full_idle(
                     || e.kind() == std::io::ErrorKind::TimedOut
                     || e.kind() == std::io::ErrorKind::Interrupted =>
             {
-                if (armed || filled > 0) && last_progress.elapsed() > idle_limit {
-                    return Err((filled, FrameErrorKind::Stalled));
+                if idle_limit
+                    .is_some_and(|limit| (armed || filled > 0) && last_progress.elapsed() > limit)
+                {
+                    return Err((filled, FillError::Stalled));
                 }
             }
-            Err(e) => return Err((filled, FrameErrorKind::Io(e.to_string()))),
+            Err(e) => return Err((filled, FillError::Io(e.to_string()))),
         }
     }
     Ok(())
@@ -381,63 +406,75 @@ fn parse_header(header: &[u8; HEADER_LEN], cap: u32) -> Result<(u32, u32), Frame
     Ok((len, expected_crc))
 }
 
-/// Read and decode one `[len][guard][crc][payload]` message whose
-/// payload is any Wire type, enforcing `cap` on the length prefix
-/// *before* the payload buffer is allocated. `stop` lets the owner
+/// Read one `[len][guard][crc][payload]` frame and return its bytes,
+/// header included, once the header guard, the `cap` on the length
+/// prefix (enforced *before* the buffer is allocated) and the payload
+/// CRC have all checked out. The payload is not decoded: a router
+/// forwards the returned bytes as they are. `stop` lets the owner
 /// retire the reader thread without closing the socket.
-pub(crate) fn read_wire<T: Wire>(
+///
+/// With an `idle_limit`, once any byte of a frame has arrived the rest
+/// must keep arriving with gaps no longer than that, or the read fails
+/// with [`FrameError::Stalled`]. A frame's bytes are written
+/// back-to-back, so a silent mid-frame gap means the connection itself
+/// went dark (e.g. a network partition opened between two segments) —
+/// the header guard cannot see that, only the clock can. Waiting
+/// *between* frames is unlimited — an idle link is healthy. The clock
+/// is sampled on read polls, so the stream needs a short
+/// `read_timeout`.
+pub(crate) fn read_raw(
     stream: &mut impl Read,
     stop: &AtomicBool,
     cap: u32,
-) -> Result<T, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_full(stream, &mut header, stop) {
-        Ok(()) => {}
+    idle_limit: Option<Duration>,
+) -> Result<Vec<u8>, FrameError> {
+    // `before` bytes of the frame preceded the buffer that fell short
+    let fail = |before: usize, wanted: usize, (got, why): (usize, FillError)| match why {
         // EOF before any header byte is a clean close; anything later
         // is a mid-frame death
-        Err((0, FrameErrorKind::Eof)) => return Err(FrameError::Eof),
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
+        FillError::Eof if before + got == 0 => FrameError::Eof,
+        FillError::Eof => FrameError::TruncatedEof {
+            got: before + got,
+            wanted,
+        },
+        FillError::Stalled => FrameError::Stalled {
+            got: before + got,
+            wanted,
+        },
+        FillError::Stopped => FrameError::Stopped,
+        FillError::Io(e) => FrameError::Io(e),
+    };
+    let mut header = [0u8; HEADER_LEN];
+    fill(stream, &mut header, stop, idle_limit, false).map_err(|e| fail(0, HEADER_LEN, e))?;
     let (len, expected_crc) = parse_header(&header, cap)?;
-    let mut payload = vec![0u8; len as usize];
-    match read_full(stream, &mut payload, stop) {
-        Ok(()) => {}
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
-    let got_crc = crc32(&payload);
+    let wanted = HEADER_LEN + len as usize;
+    let mut frame = vec![0u8; wanted];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    fill(stream, &mut frame[HEADER_LEN..], stop, idle_limit, true)
+        .map_err(|e| fail(HEADER_LEN, wanted, e))?;
+    let got_crc = crc32(&frame[HEADER_LEN..]);
     if got_crc != expected_crc {
         return Err(FrameError::Crc {
             expected: expected_crc,
             got: got_crc,
         });
     }
-    T::from_wire(&payload).map_err(|e| FrameError::Decode(e.to_string()))
+    Ok(frame)
+}
+
+/// Decode the payload of a frame [`read_raw`] returned.
+pub(crate) fn decode_raw<T: Wire>(frame: &[u8]) -> Result<T, FrameError> {
+    T::from_wire(&frame[HEADER_LEN..]).map_err(|e| FrameError::Decode(e.to_string()))
+}
+
+/// Read and decode one frame whose payload is any Wire type, with no
+/// mid-frame deadline. See [`read_raw`].
+pub(crate) fn read_wire<T: Wire>(
+    stream: &mut impl Read,
+    stop: &AtomicBool,
+    cap: u32,
+) -> Result<T, FrameError> {
+    decode_raw(&read_raw(stream, stop, cap, None)?)
 }
 
 /// Read and decode one [`Frame`] under the default cap.
@@ -445,69 +482,15 @@ pub(crate) fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Fr
     read_wire(stream, stop, MAX_FRAME_LEN)
 }
 
-/// Like [`read_wire`], but with a mid-frame progress deadline: once
-/// any byte of a message has arrived, the rest must keep arriving with
-/// gaps no longer than `idle_limit`, or the read fails with
-/// [`FrameError::Stalled`]. A frame's bytes are written back-to-back,
-/// so a silent mid-frame gap means the connection itself went dark
-/// (e.g. a network partition opened between two segments) — the
-/// header guard cannot see that, only the clock can. Waiting
-/// *between* messages is unlimited — an idle link is healthy.
-///
-/// Requires the stream to have a short `read_timeout` (the poll is
-/// what samples the clock).
+/// Like [`read_wire`], but with [`read_raw`]'s mid-frame progress
+/// deadline.
 pub(crate) fn read_wire_stalling<T: Wire>(
     stream: &mut impl Read,
     stop: &AtomicBool,
     cap: u32,
     idle_limit: Duration,
 ) -> Result<T, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_full_idle(stream, &mut header, stop, idle_limit, false) {
-        Ok(()) => {}
-        Err((0, FrameErrorKind::Eof)) => return Err(FrameError::Eof),
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
-    let (len, expected_crc) = parse_header(&header, cap)?;
-    let mut payload = vec![0u8; len as usize];
-    match read_full_idle(stream, &mut payload, stop, idle_limit, true) {
-        Ok(()) => {}
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
-    let got_crc = crc32(&payload);
-    if got_crc != expected_crc {
-        return Err(FrameError::Crc {
-            expected: expected_crc,
-            got: got_crc,
-        });
-    }
-    T::from_wire(&payload).map_err(|e| FrameError::Decode(e.to_string()))
+    decode_raw(&read_raw(stream, stop, cap, Some(idle_limit))?)
 }
 
 /// Blocking wrapper used during connection handshakes: read one Wire
@@ -707,6 +690,14 @@ mod tests {
             read_wire::<Frame>(&mut cur, &no_stop(), payload_len).expect("decode at cap"),
             frame
         );
+    }
+
+    /// A payload over the cap fails the sender, naming size and cap: it
+    /// used to be truncated to `u32` and reach the peer as corruption.
+    #[test]
+    #[should_panic(expected = "268435457 bytes exceeds the frame cap of 268435456 bytes")]
+    fn oversized_payload_panics_in_the_sender() {
+        encode_with(|out| out.resize(out.len() + MAX_FRAME_LEN as usize + 1, 0));
     }
 
     #[test]

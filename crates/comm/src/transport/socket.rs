@@ -19,7 +19,10 @@
 //! [`run_with_recovery_program`](crate::run_with_recovery_program)
 //! rather than a wedged job.
 
-use super::frame::{encode_frame, read_frame, read_frame_timeout, Frame, FrameError};
+use super::frame::{
+    decode_raw, encode_frame, msg_route, read_frame, read_frame_timeout, read_raw, Frame,
+    FrameError, HEADER_LEN, MAX_FRAME_LEN,
+};
 use super::{ProgramCtx, ProgramRegistry, SocketOptions};
 use crate::{
     plock, AbortInfo, Attempt, Comm, CommError, Mailbox, Msg, Payload, RankError, RankFailure,
@@ -51,9 +54,11 @@ const ENV_FAULTS: &str = "QF_SOCKET_FAULTS";
 const READ_POLL: Duration = Duration::from_millis(25);
 
 pub(crate) fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(DIGITS[(b >> 4) as usize] as char);
+        s.push(DIGITS[(b & 0xF) as usize] as char);
     }
     s
 }
@@ -225,40 +230,35 @@ impl Router {
 /// Reader loop for one child connection: routes messages, tracks
 /// heartbeats, converts Done/Failed frames into results, and turns an
 /// unexpected EOF or corrupt frame into a peer-death abort.
+///
+/// A `Msg` frame is forwarded as the bytes that arrived, not decoded
+/// and rebuilt: the CRC has been verified over them, and
+/// [`msg_route`] checks the rest of what a decode would. The header
+/// CRC the destination verifies is therefore still the sender's.
 fn reader_loop(router: &Router, rank: usize, stream: &mut UnixStream) {
     loop {
-        match read_frame(stream, &router.stop) {
-            Ok(Frame::Msg {
-                src,
-                dst,
-                tag,
-                type_tag,
-                bytes,
-                data,
-            }) => {
-                let dst_usize = dst as usize;
-                if src as usize != rank || dst_usize >= router.size {
-                    router.declare_dead(
-                        rank,
-                        format!(
-                            "rank {rank} sent a corrupt route (src={src} dst={dst}, size {})",
-                            router.size
-                        ),
-                    );
-                    return;
+        let frame = match read_raw(stream, &router.stop, MAX_FRAME_LEN, None) {
+            Ok(raw) => match msg_route(&raw[HEADER_LEN..]) {
+                Some(Ok((src, dst))) => {
+                    if src != rank as u64 || dst >= router.size as u64 {
+                        router.declare_dead(
+                            rank,
+                            format!(
+                                "rank {rank} sent a corrupt route (src={src} dst={dst}, size {})",
+                                router.size
+                            ),
+                        );
+                        return;
+                    }
+                    router.send_to(dst as usize, raw);
+                    continue;
                 }
-                router.send_to(
-                    dst_usize,
-                    encode_frame(&Frame::Msg {
-                        src,
-                        dst,
-                        tag,
-                        type_tag,
-                        bytes,
-                        data,
-                    }),
-                );
-            }
+                Some(Err(e)) => Err(FrameError::Decode(e.to_string())),
+                None => decode_raw(&raw),
+            },
+            Err(e) => Err(e),
+        };
+        match frame {
             Ok(Frame::Heartbeat { op, phase, .. }) => {
                 telemetry::counter_add("comm.heartbeat.received", 1);
                 *plock(&router.last_beat[rank]) = Instant::now();
@@ -297,8 +297,9 @@ fn reader_loop(router: &Router, rank: usize, stream: &mut UnixStream) {
                 );
                 router.kill_child(rank);
             }
-            Ok(Frame::Hello { .. }) => {
+            Ok(Frame::Hello { .. } | Frame::Msg { .. }) => {
                 // late Hello is a protocol violation; harmless, ignore
+                // (every Msg was forwarded above)
             }
             Err(FrameError::Stopped) => return,
             Err(e) => {
@@ -977,6 +978,7 @@ pub(crate) fn maybe_run_socket_child(registry: &ProgramRegistry) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame::encode_with;
     use super::*;
 
     #[test]
@@ -984,7 +986,165 @@ mod tests {
         for data in [vec![], vec![0u8], vec![0xFF, 0x00, 0x7A, 13]] {
             assert_eq!(hex_decode(&hex_encode(&data)), Some(data));
         }
+        assert_eq!(hex_encode(&[0xFF, 0x00, 0x7A, 13]), "ff007a0d");
         assert_eq!(hex_decode("zz"), None);
         assert_eq!(hex_decode("abc"), None);
+    }
+
+    fn msg(src: u64, dst: u64) -> Frame {
+        Frame::Msg {
+            src,
+            dst,
+            tag: 0x77,
+            type_tag: 0xABCD,
+            bytes: 4,
+            data: vec![1, 2, 3, 4],
+        }
+    }
+
+    /// `msg(0, 1)` as the element-wise encoder framed it: header CRC
+    /// from zlib, every field little-endian.
+    const MSG_0_TO_1: [u8; 65] = [
+        53, 0, 0, 0, 0xEB, 0xC0, 0xFE, 0x5A, 0x2D, 0xD8, 0xAC, 0xEE, // len, guard, crc
+        1,    // Msg
+        0, 0, 0, 0, 0, 0, 0, 0, // src
+        1, 0, 0, 0, 0, 0, 0, 0, // dst
+        0x77, 0, 0, 0, 0, 0, 0, 0, // tag
+        0xCD, 0xAB, 0, 0, 0, 0, 0, 0, // type_tag
+        4, 0, 0, 0, 0, 0, 0, 0, // bytes
+        4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, // data
+    ];
+
+    #[test]
+    fn msg_frame_encoding_is_pinned_byte_for_byte() {
+        assert_eq!(encode_frame(&msg(0, 1)), MSG_0_TO_1);
+    }
+
+    /// Rank 0 of a two-rank world writes `stream` and hangs up; run the
+    /// supervisor's reader over it. Returns the router and every frame
+    /// it queued for rank 1's writer thread.
+    fn route(stream: &[u8]) -> (Router, Vec<Vec<u8>>) {
+        let router = Router::new(2);
+        let (tx, rx) = mpsc::channel();
+        *plock(&router.writers[1]) = Some(tx);
+        let (mut ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        theirs.write_all(stream).expect("fits the socket buffer");
+        drop(theirs);
+        reader_loop(&router, 0, &mut ours);
+        plock(&router.writers[1]).take();
+        (router, rx.iter().collect())
+    }
+
+    /// The reader declared rank 0 dead for `reason`, and rank 1 was sent
+    /// the abort and nothing else.
+    fn assert_dead_unforwarded(stream: &[u8], reason: &str) {
+        let (router, queued) = route(stream);
+        let abort = plock(&router.abort).clone().expect("world aborted");
+        assert_eq!((abort.origin, abort.reason.as_str()), (0, reason));
+        match &plock(&router.results)[0] {
+            Some(Err(RankError::Failed(CommError::PeerFailed { rank: 0, reason: r }))) => {
+                assert_eq!(r, reason)
+            }
+            other => panic!("rank 0 outcome: {other:?}"),
+        }
+        for bytes in queued {
+            let frame = read_frame(&mut bytes.as_slice(), &AtomicBool::new(false));
+            assert!(
+                matches!(frame, Ok(Frame::Abort { origin: 0, .. })),
+                "{frame:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn router_forwards_the_senders_bytes_verbatim() {
+        let other = encode_frame(&Frame::Msg {
+            src: 0,
+            dst: 1,
+            tag: 9,
+            type_tag: 1,
+            bytes: 0,
+            data: vec![0xA5; 3000],
+        });
+        let done = encode_frame(&Frame::Done {
+            rank: 0,
+            result: vec![7],
+        });
+        let (router, queued) = route(&[&MSG_0_TO_1[..], &other, &done].concat());
+        assert_eq!(queued, [MSG_0_TO_1.to_vec(), other]);
+        assert!(plock(&router.abort).is_none());
+        assert!(matches!(&plock(&router.results)[0], Some(Ok(r)) if r == &[7]));
+    }
+
+    #[test]
+    fn router_rejects_corrupt_routes_without_forwarding() {
+        assert_dead_unforwarded(
+            &encode_frame(&msg(1, 1)),
+            "rank 0 sent a corrupt route (src=1 dst=1, size 2)",
+        );
+        assert_dead_unforwarded(
+            &encode_frame(&msg(0, 2)),
+            "rank 0 sent a corrupt route (src=0 dst=2, size 2)",
+        );
+    }
+
+    #[test]
+    fn router_rejects_a_data_length_that_disagrees_with_the_frame() {
+        // correctly framed and summed, so only the route check can object
+        let reframed = |data_len: u8| {
+            let mut payload = MSG_0_TO_1[HEADER_LEN..].to_vec();
+            payload[41] = data_len;
+            encode_with(|out| out.extend_from_slice(&payload))
+        };
+        assert_dead_unforwarded(
+            &reframed(3),
+            "rank 0 transport corrupted: frame payload decode failed: \
+             1 trailing byte(s) after a complete value",
+        );
+        assert_dead_unforwarded(
+            &reframed(5),
+            "rank 0 transport corrupted: frame payload decode failed: \
+             invalid encoding: sequence claims 5 elements but only 4 bytes remain",
+        );
+    }
+
+    #[test]
+    fn router_catches_a_payload_bit_flipped_on_the_way_in() {
+        let mut bytes = MSG_0_TO_1;
+        bytes[64] ^= 0x10;
+        assert_dead_unforwarded(
+            &bytes,
+            "rank 0 transport corrupted: \
+             frame CRC mismatch (header 0xeeacd82d, payload 0xf31bc849)",
+        );
+    }
+
+    // What the router checks of a `Msg` must equal a full decode: same
+    // verdict, same route, same error, on any damage to the payload.
+    proptest::proptest! {
+        #[test]
+        fn msg_route_agrees_with_a_full_decode(
+            pos in 0usize..53,
+            xor in 0u8..=255,
+            cut in 0usize..=53,
+            extra in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4),
+        ) {
+            let mut payload = MSG_0_TO_1[HEADER_LEN..].to_vec();
+            payload[pos] ^= xor;
+            payload.truncate(cut.max(pos + 1));
+            payload.extend_from_slice(&extra);
+            let full = Frame::from_wire(&payload);
+            match msg_route(&payload) {
+                None => {
+                    let is_msg = matches!(full, Ok(Frame::Msg { .. }));
+                    proptest::prop_assert!(!is_msg);
+                }
+                Some(Err(e)) => proptest::prop_assert_eq!(full, Err(e)),
+                Some(Ok(route)) => match full {
+                    Ok(Frame::Msg { src, dst, .. }) => proptest::prop_assert_eq!(route, (src, dst)),
+                    other => proptest::prop_assert!(false, "decode says {:?}", other),
+                },
+            }
+        }
     }
 }

@@ -44,7 +44,9 @@
 //! [`FaultPlan::with_net_corruption`]: crate::FaultPlan::with_net_corruption
 //! [`RecoveryPolicy`]: crate::RecoveryPolicy
 
-use super::frame::{encode_wire, read_wire_stalling, read_wire_timeout, Frame, FrameError};
+use super::frame::{
+    encode_wire, encode_with, read_wire_stalling, read_wire_timeout, Frame, FrameError,
+};
 use super::socket::{hex_decode, hex_encode};
 use super::{ProgramCtx, ProgramRegistry, TcpOptions};
 use crate::fault::{NetFaults, WriteFault};
@@ -113,6 +115,16 @@ enum TcpPacket {
     Ping { ack: u64, sent: u64 },
 }
 
+/// The encoding of [`TcpPacket::Data`], from a borrowed frame: the send
+/// and replay paths frame what sits in the retransmit queue without
+/// cloning it into a packet first.
+fn encode_data(seq: u64, ack: u64, frame: &Frame, out: &mut Vec<u8>) {
+    out.push(2);
+    seq.encode(out);
+    ack.encode(out);
+    frame.encode(out);
+}
+
 impl Wire for TcpPacket {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -125,12 +137,7 @@ impl Wire for TcpPacket {
                 out.push(1);
                 resume.encode(out);
             }
-            TcpPacket::Data { seq, ack, frame } => {
-                out.push(2);
-                seq.encode(out);
-                ack.encode(out);
-                frame.encode(out);
-            }
+            TcpPacket::Data { seq, ack, frame } => encode_data(*seq, *ack, frame, out),
             TcpPacket::Ping { ack, sent } => {
                 out.push(3);
                 ack.encode(out);
@@ -240,14 +247,11 @@ impl Link {
             return;
         }
         let seq = st.send_seq;
+        // encode before any state moves: an over-cap frame panics here
+        let bytes = encode_with(|out| encode_data(seq, st.recv_next, &frame, out));
         st.send_seq += 1;
         let is_data = !matches!(frame, Frame::Heartbeat { .. });
-        st.sent.push_back((seq, frame.clone()));
-        let bytes = encode_wire(&TcpPacket::Data {
-            seq,
-            ack: st.recv_next,
-            frame,
-        });
+        st.sent.push_back((seq, frame));
         let fault = chaos
             .map(|c| c.plan_write(bytes.len(), is_data))
             .unwrap_or_default();
@@ -633,11 +637,7 @@ fn handshake_accept(router: &Arc<TcpRouter>, mut stream: TcpStream, opts: &TcpOp
         let recv_next = st.recv_next;
         let mut replay_failed = false;
         for (seq, frame) in st.sent.iter() {
-            let bytes = encode_wire(&TcpPacket::Data {
-                seq: *seq,
-                ack: recv_next,
-                frame: frame.clone(),
-            });
+            let bytes = encode_with(|out| encode_data(*seq, recv_next, frame, out));
             if (&stream).write_all(&bytes).is_err() {
                 replay_failed = true;
                 break;
@@ -1022,11 +1022,7 @@ impl TcpChildLink {
         let recv_next = st.recv_next;
         let mut replay_failed = false;
         for (seq, frame) in st.sent.iter() {
-            let bytes = encode_wire(&TcpPacket::Data {
-                seq: *seq,
-                ack: recv_next,
-                frame: frame.clone(),
-            });
+            let bytes = encode_with(|out| encode_data(*seq, recv_next, frame, out));
             let fault = self
                 .chaos
                 .as_ref()

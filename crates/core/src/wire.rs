@@ -139,6 +139,25 @@ pub trait Wire: Sized {
         out
     }
 
+    /// Append the encodings of `items`, back to back (no length
+    /// prefix). Sequences go through this, so a type whose slice already
+    /// *is* its encoding (`u8`) overrides it with one bulk copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for v in items {
+            v.encode(out);
+        }
+    }
+
+    /// Decode `len` values, back to back. `len` must already be bounded
+    /// by the input ([`WireReader::seq_len`]): it sizes the allocation.
+    fn decode_vec(r: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
+
     /// Decode a complete value from `bytes`, rejecting trailing input.
     fn from_wire(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
@@ -165,7 +184,24 @@ macro_rules! impl_wire_int {
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+impl_wire_int!(u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+
+/// A byte slice is its own encoding: byte buffers (message payloads,
+/// program results, strings) move with one bulk copy each way.
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(1)?[0])
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn decode_vec(r: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 /// `usize` travels as `u64` so 32- and 64-bit peers agree on layout.
 impl Wire for usize {
@@ -221,12 +257,11 @@ impl Wire for () {
 impl Wire for String {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        u8::encode_slice(self.as_bytes(), out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.seq_len()?;
-        let bytes = r.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(u8::decode_vec(r, len)?)
             .map_err(|e| WireError::Invalid(format!("string is not UTF-8: {e}")))
     }
 }
@@ -234,17 +269,11 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.seq_len()?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r, len)
     }
 }
 
@@ -291,17 +320,12 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
 
 impl<T: Wire, const N: usize> Wire for [T; N] {
     fn encode(&self, out: &mut Vec<u8>) {
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         // build through a Vec to avoid requiring T: Default/Copy
-        let mut vals = Vec::with_capacity(N);
-        for _ in 0..N {
-            vals.push(T::decode(r)?);
-        }
-        vals.try_into()
+        T::decode_vec(r, N)?
+            .try_into()
             .map_err(|_| WireError::Invalid("array length".into()))
     }
 }
@@ -475,6 +499,74 @@ mod tests {
             Err(WireError::Invalid(_)) => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The bulk byte path must write exactly what the element loop
+    /// wrote: expected bytes are pinned literally, not round-tripped.
+    #[test]
+    fn sequence_encodings_are_pinned_byte_for_byte() {
+        assert_eq!(
+            vec![0xAAu8, 0x00, 0xFF].to_wire(),
+            [3, 0, 0, 0, 0, 0, 0, 0, 0xAA, 0x00, 0xFF]
+        );
+        assert_eq!(Vec::<u8>::new().to_wire(), [0; 8]);
+        assert_eq!(
+            "hé".to_string().to_wire(),
+            [3, 0, 0, 0, 0, 0, 0, 0, b'h', 0xC3, 0xA9]
+        );
+        assert_eq!(
+            vec![vec![1u8, 2], vec![], vec![3]].to_wire(),
+            [
+                3, 0, 0, 0, 0, 0, 0, 0, // outer length
+                2, 0, 0, 0, 0, 0, 0, 0, 1, 2, // [1, 2]
+                0, 0, 0, 0, 0, 0, 0, 0, // []
+                1, 0, 0, 0, 0, 0, 0, 0, 3, // [3]
+            ]
+        );
+        assert_eq!(
+            vec![1u64, 0x0102_0304_0506_0708].to_wire(),
+            [
+                2, 0, 0, 0, 0, 0, 0, 0, // length
+                1, 0, 0, 0, 0, 0, 0, 0, // 1, little-endian
+                8, 7, 6, 5, 4, 3, 2, 1,
+            ]
+        );
+        assert_eq!([7u8, 8, 9].to_wire(), [7, 8, 9]);
+        assert_eq!([0x0102u16, 3].to_wire(), [2, 1, 3, 0]);
+    }
+
+    #[test]
+    fn bulk_bytes_reject_hostile_lengths_and_every_truncation() {
+        // u64::MAX bytes claimed, three present: rejected by `seq_len`
+        // before the bulk path sizes anything
+        let mut hostile = u64::MAX.to_wire();
+        hostile.extend_from_slice(&[1, 2, 3]);
+        match Vec::<u8>::from_wire(&hostile) {
+            Err(WireError::Invalid(why)) => assert!(why.contains("claims"), "{why}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            String::from_wire(&hostile),
+            Err(WireError::Invalid(_))
+        ));
+        let data: Vec<u8> = (0..200).collect();
+        let bytes = data.to_wire();
+        assert_eq!(Vec::<u8>::from_wire(&bytes).unwrap(), data);
+        for cut in 0..bytes.len() {
+            match Vec::<u8>::from_wire(&bytes[..cut]) {
+                // inside the length prefix the integer is short; past
+                // it the prefix claims more than what is left
+                Err(WireError::Truncated { .. }) if cut < 8 => {}
+                Err(WireError::Invalid(_)) if cut >= 8 => {}
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+        // a fixed-size array has no prefix to check: the bulk take is
+        // what reports the shortfall
+        assert_eq!(
+            <[u8; 4]>::from_wire(&[1, 2, 3]),
+            Err(WireError::Truncated { needed: 4, have: 3 })
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! partition markers rebuilt — repartition-on-load, the property the
 //! restartable-campaign workflow in Isaac et al. relies on.
 
-use crate::crc::crc32;
+use crate::crc32;
 use crate::io::Cursor;
 use crate::{end_position, Forest, IoError, PortableForest, SfcPosition};
 use bytes::{Buf, BufMut, BytesMut};

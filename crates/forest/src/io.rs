@@ -12,7 +12,7 @@
 //! payload of the on-disk checkpoint format (see
 //! [`checkpoint`](crate::Forest::save_checkpoint)).
 
-use crate::crc::crc32;
+use crate::crc32;
 use crate::{Forest, IoError, SfcPosition};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use quadforest_comm::Comm;

@@ -55,7 +55,6 @@
 
 mod balance;
 mod checkpoint;
-mod crc;
 mod data;
 pub mod directions;
 mod error;
@@ -70,10 +69,10 @@ mod search;
 mod validate;
 
 pub use checkpoint::{list_generations, CheckpointInfo, CheckpointManifest, ShardMeta};
-pub use crc::crc32;
 pub use data::{map_adapted, DataMapper, LeafData};
 pub use error::{InvariantError, IoError};
 pub use io::PortableForest;
+pub use quadforest_core::crc::crc32;
 
 pub use balance::BalanceKind;
 pub use ghost::{GhostLayer, GhostQuad};
