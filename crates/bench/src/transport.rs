@@ -31,6 +31,9 @@ pub const CHAOS_PIPELINE: &str = "chaos-pipeline";
 pub const RECOVERY_PIPELINE: &str = "recovery-pipeline";
 /// Name of the data-bearing advection benchmark program (`repro --pde`).
 pub const PDE_ADVECTION: &str = "pde-advection";
+/// Name of the program that keeps a healthy world talking for a given
+/// time (the long-lived-world regression test).
+pub const CHATTER: &str = "chatter";
 
 /// The registry shared by supervisors, workers, and tests. Both sides
 /// of a socket world MUST build it from this one function — a worker
@@ -40,6 +43,7 @@ pub fn registry() -> ProgramRegistry {
         .register(CHAOS_PIPELINE, chaos_pipeline)
         .register(RECOVERY_PIPELINE, recovery_pipeline)
         .register(PDE_ADVECTION, pde_advection)
+        .register(CHATTER, chatter)
 }
 
 /// Collective digest of one pipeline run: `(forest checksum, global
@@ -70,6 +74,25 @@ pub fn pipeline(comm: &Comm) -> PipelineDigest {
 
 fn chaos_pipeline(comm: &Comm, _ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
     Ok(pipeline(comm).to_wire())
+}
+
+/// One small allreduce every few milliseconds until rank 0's clock has
+/// run for the `u64` milliseconds in the arguments. Returns the number
+/// of rounds — the same on every rank, rank 0 decides when to stop.
+fn chatter(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
+    let millis = u64::from_wire(&ctx.args).map_err(|e| CommError::Frame {
+        detail: format!("chatter args: {e}"),
+    })?;
+    let t0 = std::time::Instant::now();
+    let mut rounds = 0u64;
+    loop {
+        let go_on = comm.rank() == 0 && t0.elapsed().as_millis() < millis as u128;
+        if comm.try_allreduce_sum(go_on as u64)? == 0 {
+            return Ok(rounds.to_wire());
+        }
+        rounds += 1;
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
 }
 
 /// Rank-independent refine selector (callbacks must not depend on the

@@ -1,0 +1,112 @@
+//! What the one process-world supervisor owes both of its link kinds,
+//! Unix sockets and TCP alike: a healthy world may run for as long as
+//! it keeps communicating, and what the supervisor sees — heartbeats,
+//! deaths, injected kills — is counted where the supervising process
+//! can read it.
+
+use quadforest_bench::transport::{self, CHAOS_PIPELINE, CHATTER};
+use quadforest_comm::{
+    try_run_program, Attempt, Backend, FaultPlan, RunOptions, SocketOptions, TcpOptions,
+};
+use quadforest_core::Wire;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+/// The repro binary doubles as the worker of both process backends.
+fn worker() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_repro"))
+}
+
+/// Both process backends with 25 ms heartbeats and the given grace.
+fn process_backends(grace: u32) -> [Backend; 2] {
+    let mut sock = SocketOptions::new(worker());
+    sock.heartbeat_interval = Duration::from_millis(25);
+    sock.heartbeat_grace = grace;
+    let mut tcp = TcpOptions::new(worker());
+    tcp.heartbeat_interval = Duration::from_millis(25);
+    tcp.heartbeat_grace = grace;
+    [Backend::Sockets(sock), Backend::Tcp(tcp)]
+}
+
+/// Regression: the supervisor's backstop of 2·recv_timeout + death
+/// window used to be a deadline on the world's *lifetime*, armed once at
+/// startup — with the defaults, any healthy world was killed after
+/// 122 s. It bounds silence: a world whose ranks keep exchanging
+/// messages outlives it by any factor. Here the backstop is 1.5 s and
+/// the world talks for 3.5 s.
+#[test]
+fn a_world_that_keeps_talking_outlives_the_backstop() {
+    const TALK_MS: u64 = 3500;
+    let opts = RunOptions {
+        recv_timeout: Duration::from_millis(500),
+        ..RunOptions::default()
+    };
+    // 500 ms death window: backstop = 2 × 500 ms + 500 ms
+    let worlds: Vec<_> = process_backends(20)
+        .into_iter()
+        .map(|backend| {
+            let opts = opts.clone();
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                let result = try_run_program(
+                    &backend,
+                    2,
+                    &opts,
+                    &transport::registry(),
+                    CHATTER,
+                    &TALK_MS.to_wire(),
+                    Attempt::first(),
+                );
+                (backend.name(), result, t0.elapsed())
+            })
+        })
+        .collect();
+    for world in worlds {
+        let (name, result, ran) = world.join().expect("world thread");
+        let rounds = result.unwrap_or_else(|e| panic!("{name}: a healthy world was failed: {e}"));
+        assert!(ran >= Duration::from_millis(TALK_MS), "{name}: ran {ran:?}");
+        let rounds: Vec<u64> = (rounds.iter())
+            .map(|bytes| u64::from_wire(bytes).expect("round count"))
+            .collect();
+        assert!(
+            rounds[0] > 10 && rounds[0] == rounds[1],
+            "{name}: {rounds:?}"
+        );
+    }
+}
+
+/// The supervisor's liveness counters land in the process-global
+/// registry of the supervising process (its threads have no per-rank
+/// recorder): after a world whose rank 2 is SIGKILLed, the heartbeats it
+/// received, the kill it injected and the peer failure it declared are
+/// all there to read.
+#[test]
+fn supervisor_counters_reach_the_global_registry() {
+    let count = |name| quadforest_telemetry::global().counter(name).get();
+    for backend in process_backends(40) {
+        let before = (
+            count("comm.heartbeat.received"),
+            count("comm.sigkill.injected"),
+            count("comm.peer_failures"),
+        );
+        let opts = RunOptions {
+            faults: Some(FaultPlan::new(7).with_sigkill_at(2, 9)),
+            ..RunOptions::default()
+        };
+        let err = try_run_program(
+            &backend,
+            4,
+            &opts,
+            &transport::registry(),
+            CHAOS_PIPELINE,
+            &[],
+            Attempt::first(),
+        )
+        .expect_err("the SIGKILL must fail the world");
+        let name = backend.name();
+        assert_eq!(err.origin, 2, "wrong origin on {name}");
+        assert!(count("comm.heartbeat.received") > before.0, "{name}");
+        assert!(count("comm.sigkill.injected") > before.1, "{name}");
+        assert!(count("comm.peer_failures") > before.2, "{name}");
+    }
+}

@@ -208,21 +208,88 @@ pub(crate) struct AbortInfo {
     pub(crate) reason: String,
 }
 
-/// Shared per-world state: mailboxes, abort flag, per-rank status.
+/// The abort record of one address space — a thread world, a worker
+/// process, or a process-world supervisor. The first failure wins;
+/// later ones are collateral and keep the original origin.
+#[derive(Default)]
+pub(crate) struct AbortRecord {
+    /// Fast-path flag; the authoritative record is `info`.
+    flag: AtomicBool,
+    info: Mutex<Option<AbortInfo>>,
+}
+
+impl AbortRecord {
+    /// Fast-path abort check.
+    pub(crate) fn is_set(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+
+    /// Record a failure unless an earlier one already did. Returns
+    /// true when this call was the first, i.e. `origin` is now the
+    /// world's abort origin.
+    pub(crate) fn record(&self, origin: usize, reason: String) -> bool {
+        let mut info = plock(&self.info);
+        let first = info.is_none();
+        if first {
+            *info = Some(AbortInfo { origin, reason });
+        }
+        self.flag.store(true, Ordering::Release);
+        first
+    }
+
+    /// The recorded origin and reason, if any rank has failed.
+    pub(crate) fn get(&self) -> Option<AbortInfo> {
+        plock(&self.info).clone()
+    }
+
+    /// The `CommError` a rank unwinds with once the world is aborted.
+    pub(crate) fn error(&self) -> CommError {
+        match self.get() {
+            Some(AbortInfo { origin, reason }) => CommError::Aborted { origin, reason },
+            // The flag can only be set through `record`, but stay safe.
+            None => CommError::Aborted {
+                origin: usize::MAX,
+                reason: "world aborted".into(),
+            },
+        }
+    }
+}
+
+/// Collective sequence number → telemetry span name open when that
+/// collective was issued. Populated only while telemetry records, so
+/// diagnostics print `coll:5(balance)` instead of a bare tag number.
+#[derive(Default)]
+pub(crate) struct CollectiveNames(Mutex<HashMap<u64, &'static str>>);
+
+impl CollectiveNames {
+    /// Remember which telemetry span issued collective `seq` (first rank
+    /// to issue it wins; all ranks agree on call order anyway).
+    pub(crate) fn name(&self, seq: u64, phase: &'static str) {
+        plock(&self.0).entry(seq).or_insert(phase);
+    }
+
+    /// [`tag_display`] plus the registered span name, when one is known:
+    /// `coll:5(balance)` / `coll:5#2(balance)` / `user:7`.
+    pub(crate) fn label(&self, tag: u64) -> String {
+        let base = tag_display(tag);
+        if tag >= COLL_TAG_BASE {
+            let seq = (tag - COLL_TAG_BASE) & 0xFFFF_FFFF;
+            if let Some(name) = plock(&self.0).get(&seq) {
+                return format!("{base}({name})");
+            }
+        }
+        base
+    }
+}
+
+/// Shared per-world state: mailboxes, abort record, per-rank status.
 struct World {
     size: usize,
     recv_timeout: Duration,
     mailboxes: Vec<Mailbox>,
-    /// Fast-path flag; the authoritative record is `abort`.
-    aborted: AtomicBool,
-    /// First failure wins; later aborts keep the original origin.
-    abort: Mutex<Option<AbortInfo>>,
+    aborts: AbortRecord,
     status: Vec<Mutex<RankState>>,
-    /// Collective sequence number → telemetry span name open when that
-    /// collective was issued. Populated only while telemetry records, and
-    /// read by [`World::tag_label`] so diagnostics print
-    /// `coll:5(balance)` instead of a bare tag number.
-    tag_names: Mutex<HashMap<u64, &'static str>>,
+    collectives: CollectiveNames,
 }
 
 impl World {
@@ -231,126 +298,10 @@ impl World {
             size,
             recv_timeout,
             mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
-            aborted: AtomicBool::new(false),
-            abort: Mutex::new(None),
+            aborts: AbortRecord::default(),
             status: (0..size).map(|_| Mutex::new(RankState::Running)).collect(),
-            tag_names: Mutex::new(HashMap::new()),
+            collectives: CollectiveNames::default(),
         }
-    }
-
-    /// Remember which telemetry span issued collective `seq` (first rank
-    /// to issue it wins; all ranks agree on call order anyway).
-    fn name_collective(&self, seq: u64, phase: &'static str) {
-        plock(&self.tag_names).entry(seq).or_insert(phase);
-    }
-
-    /// [`tag_display`] plus the registered span name, when one is known:
-    /// `coll:5(balance)` / `coll:5#2(balance)` / `user:7`.
-    fn tag_label(&self, tag: u64) -> String {
-        let base = tag_display(tag);
-        if tag >= COLL_TAG_BASE {
-            let seq = (tag - COLL_TAG_BASE) & 0xFFFF_FFFF;
-            if let Some(name) = plock(&self.tag_names).get(&seq) {
-                return format!("{base}({name})");
-            }
-        }
-        base
-    }
-
-    fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
-    fn set_status(&self, rank: usize, state: RankState) {
-        *plock(&self.status[rank]) = state;
-    }
-
-    /// Record a failure and wake every blocked rank. The first caller
-    /// becomes the abort origin; later callers are collateral and do
-    /// not overwrite it. Notifying under each queue lock guarantees no
-    /// receiver misses the wakeup: it either sees the flag before
-    /// sleeping or is woken after.
-    fn abort(&self, origin: usize, reason: String) {
-        {
-            let mut info = plock(&self.abort);
-            if info.is_none() {
-                *info = Some(AbortInfo { origin, reason });
-            }
-        }
-        self.aborted.store(true, Ordering::Release);
-        for mb in &self.mailboxes {
-            let _guard = plock(&mb.queue);
-            mb.cv.notify_all();
-        }
-    }
-
-    /// The `CommError` a rank unwinds with once the world is aborted.
-    fn abort_error(&self) -> CommError {
-        let info = plock(&self.abort).clone();
-        match info {
-            Some(AbortInfo { origin, reason }) => CommError::Aborted { origin, reason },
-            // The flag can only be set through `abort`, but stay safe.
-            None => CommError::Aborted {
-                origin: usize::MAX,
-                reason: "world aborted".into(),
-            },
-        }
-    }
-
-    fn abort_info(&self) -> Option<(usize, String)> {
-        plock(&self.abort).clone().map(|i| (i.origin, i.reason))
-    }
-
-    /// Per-rank world-state dump used by the timeout path: what every
-    /// rank is blocked on, its parked messages, its collective
-    /// sequence number.
-    fn diagnostic(&self) -> String {
-        let mut s = format!(
-            "deadlock diagnostic (size {}, recv timeout {:?}):\n",
-            self.size, self.recv_timeout
-        );
-        for (rank, cell) in self.status.iter().enumerate() {
-            let state = plock(cell).clone();
-            match state {
-                RankState::Running => {
-                    s.push_str(&format!("  rank {rank}: running (not blocked in comm)\n"));
-                }
-                RankState::Waiting {
-                    src,
-                    tag,
-                    parked,
-                    coll_seq,
-                    phase,
-                } => {
-                    let parked_s = if parked.is_empty() {
-                        "-".to_string()
-                    } else {
-                        parked
-                            .iter()
-                            .map(|(ps, pt)| format!("{}@src{}", self.tag_label(*pt), ps))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    };
-                    let phase_s = phase.map(|p| format!(" phase='{p}'")).unwrap_or_default();
-                    s.push_str(&format!(
-                        "  rank {rank}: waiting on src={src} tag={} coll_seq={coll_seq} parked=[{parked_s}]{phase_s}\n",
-                        self.tag_label(tag)
-                    ));
-                }
-                RankState::Finished => {
-                    s.push_str(&format!("  rank {rank}: finished\n"));
-                }
-                RankState::Failed(why) => {
-                    s.push_str(&format!("  rank {rank}: failed ({why})\n"));
-                }
-            }
-        }
-        s
-    }
-
-    /// Enqueue a message and wake the destination if it is blocked.
-    fn deliver(&self, dest: usize, msg: Msg) {
-        self.mailboxes[dest].push(msg);
     }
 }
 
@@ -375,35 +326,75 @@ impl Transport for World {
     }
 
     fn deliver(&self, dest: usize, msg: Msg) {
-        World::deliver(self, dest, msg);
+        self.mailboxes[dest].push(msg);
     }
 
-    fn is_aborted(&self) -> bool {
-        World::is_aborted(self)
+    fn aborts(&self) -> &AbortRecord {
+        &self.aborts
     }
 
+    /// Notifying under each queue lock guarantees no receiver misses the
+    /// wakeup: it either sees the flag before sleeping or is woken after.
     fn abort(&self, origin: usize, reason: String) {
-        World::abort(self, origin, reason);
+        self.aborts.record(origin, reason);
+        for mb in &self.mailboxes {
+            let _guard = plock(&mb.queue);
+            mb.cv.notify_all();
+        }
     }
 
-    fn abort_error(&self) -> CommError {
-        World::abort_error(self)
+    fn collectives(&self) -> &CollectiveNames {
+        &self.collectives
     }
 
     fn set_status(&self, rank: usize, state: RankState) {
-        World::set_status(self, rank, state);
+        *plock(&self.status[rank]) = state;
     }
 
+    /// What every rank is blocked on, its parked messages, its
+    /// collective sequence number.
     fn diagnostic(&self) -> String {
-        World::diagnostic(self)
-    }
-
-    fn tag_label(&self, tag: u64) -> String {
-        World::tag_label(self, tag)
-    }
-
-    fn name_collective(&self, seq: u64, phase: &'static str) {
-        World::name_collective(self, seq, phase);
+        let mut s = format!(
+            "deadlock diagnostic (size {}, recv timeout {:?}):\n",
+            self.size, self.recv_timeout
+        );
+        for (rank, cell) in self.status.iter().enumerate() {
+            let state = plock(cell).clone();
+            match state {
+                RankState::Running => {
+                    s.push_str(&format!("  rank {rank}: running (not blocked in comm)\n"));
+                }
+                RankState::Waiting {
+                    src,
+                    tag,
+                    parked,
+                    coll_seq,
+                    phase,
+                } => {
+                    let parked_s = if parked.is_empty() {
+                        "-".to_string()
+                    } else {
+                        parked
+                            .iter()
+                            .map(|(ps, pt)| format!("{}@src{}", self.collectives.label(*pt), ps))
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    };
+                    let phase_s = phase.map(|p| format!(" phase='{p}'")).unwrap_or_default();
+                    s.push_str(&format!(
+                        "  rank {rank}: waiting on src={src} tag={} coll_seq={coll_seq} parked=[{parked_s}]{phase_s}\n",
+                        self.collectives.label(tag)
+                    ));
+                }
+                RankState::Finished => {
+                    s.push_str(&format!("  rank {rank}: finished\n"));
+                }
+                RankState::Failed(why) => {
+                    s.push_str(&format!("  rank {rank}: failed ({why})\n"));
+                }
+            }
+        }
+        s
     }
 
     fn request_kill(&self, _rank: usize, _op: u64) -> bool {
@@ -578,8 +569,8 @@ impl Comm {
         payload: Payload,
         bytes: u64,
     ) -> Result<(), CommError> {
-        if self.transport.is_aborted() {
-            return Err(self.transport.abort_error());
+        if self.transport.aborts().is_set() {
+            return Err(self.transport.aborts().error());
         }
         telemetry::counter_add("comm.msgs_sent", 1);
         telemetry::counter_add("comm.bytes_sent", bytes);
@@ -655,10 +646,10 @@ impl Comm {
                 }
                 self.parked.borrow_mut().push_back(msg);
             }
-            if world.is_aborted() {
+            if world.aborts().is_set() {
                 drop(queue);
                 world.set_status(self.rank, RankState::Running);
-                return Err(world.abort_error());
+                return Err(world.aborts().error());
             }
             // publish what we are blocked on, for peers' diagnostics
             world.set_status(
@@ -688,7 +679,7 @@ impl Comm {
                     format!(
                         "recv timeout after {:?} waiting on src={src} tag={}{phase}",
                         started.elapsed(),
-                        world.tag_label(tag)
+                        world.collectives().label(tag)
                     ),
                 );
                 return Err(CommError::Timeout {
@@ -716,7 +707,7 @@ impl Comm {
         telemetry::counter_add("comm.collectives", 1);
         let phase = telemetry::current_span();
         if let Some(phase) = phase {
-            self.transport.name_collective(seq, phase);
+            self.transport.collectives().name(seq, phase);
         }
         if telemetry::flight::armed() {
             let phase_id = phase.map(telemetry::flight::name_id).unwrap_or(0);
@@ -1239,31 +1230,47 @@ where
             outcomes[rank] = Some(h.join().expect("rank outcome is always caught"));
         }
     });
+    // Postmortem: the shared ring holds every rank's history,
+    // including the victim's last comm op and phase.
+    world_result(
+        outcomes.into_iter().map(|o| o.expect("every rank joined")),
+        &world.aborts,
+    )
+    .inspect_err(|e| {
+        telemetry::flight::dump_postmortem(e.origin as u32);
+    })
+}
+
+/// Assemble per-rank outcomes (in rank order) into the world's result:
+/// every rank's value, or a [`WorldError`] naming the recorded abort
+/// origin — the first failed rank when nothing was recorded — and
+/// every rank that failed.
+pub(crate) fn world_result<R>(
+    outcomes: impl ExactSizeIterator<Item = Result<R, RankError>>,
+    aborts: &AbortRecord,
+) -> Result<Vec<R>, WorldError> {
+    let size = outcomes.len();
     let mut values = Vec::with_capacity(size);
     let mut failures = Vec::new();
-    for (rank, outcome) in outcomes.into_iter().enumerate() {
-        match outcome.expect("every rank joined") {
+    for (rank, outcome) in outcomes.enumerate() {
+        match outcome {
             Ok(v) => values.push(v),
             Err(error) => failures.push(RankFailure { rank, error }),
         }
     }
     if failures.is_empty() {
-        Ok(values)
-    } else {
-        let (origin, reason) = world.abort_info().unwrap_or_else(|| {
-            let f = &failures[0];
-            (f.rank, f.error.to_string())
-        });
-        // Postmortem: the shared ring holds every rank's history,
-        // including the victim's last comm op and phase.
-        telemetry::flight::dump_postmortem(origin as u32);
-        Err(WorldError {
-            size,
-            origin,
-            reason,
-            failures,
-        })
+        return Ok(values);
     }
+    let (origin, reason) = match aborts.get() {
+        Some(AbortInfo { origin, reason }) => (origin, reason),
+        None => (failures[0].rank, failures[0].error.to_string()),
+    };
+    Err(WorldError {
+        size,
+        origin,
+        reason,
+        failures,
+    })
 }
 
 /// Record a rank's death into the flight ring, from the dying rank's own

@@ -4,29 +4,37 @@
 //! parking, collectives, fault injection, abort unwinding — is backend
 //! generic: it talks to a [`Transport`] that knows how to move a
 //! [`Msg`](crate::Msg) between ranks and how to spread an abort. Two
-//! backends implement it:
+//! types implement it, one per kind of world:
 //!
 //! * **threads** ([`World`](crate::World)): the original in-process
 //!   simulator — one OS thread per rank sharing mailboxes. Payloads
 //!   move as boxed values, never serialized.
-//! * **sockets** ([`socket`]): one OS *process* per rank, connected to
-//!   a supervisor over a Unix domain socket in a star topology.
-//!   Payloads are Wire-encoded into CRC-guarded length-prefixed
-//!   frames; liveness is tracked with heartbeats; a dead process is a
-//!   detectable, recoverable event instead of a wedged world.
+//! * **processes** ([`process`]): one OS *process* per rank in a star
+//!   around a supervisor. Payloads are Wire-encoded into CRC-guarded
+//!   length-prefixed frames; liveness is tracked with heartbeats; a
+//!   dead process is a detectable, recoverable event instead of a
+//!   wedged world. The supervisor, the worker runtime and the
+//!   rank-local state exist once; [`Backend::Sockets`] and
+//!   [`Backend::Tcp`] differ only in the link that carries a frame —
+//!   raw over a Unix socket ([`socket`]), or through a
+//!   reconnect-and-replay session over TCP ([`tcp`]).
 //!
-//! Because child processes cannot inherit closures, socket worlds run
+//! Because child processes cannot inherit closures, process worlds run
 //! *named programs* out of a [`ProgramRegistry`]: plain `fn` items
 //! taking `(&Comm, &ProgramCtx)` and returning Wire-encoded bytes. The
 //! same registry runs unchanged on the thread backend via
 //! [`try_run_program`], which is how one parameterized test harness
-//! covers both backends.
+//! covers all three backends.
 
 pub(crate) mod frame;
+pub(crate) mod process;
 pub(crate) mod socket;
 pub(crate) mod tcp;
 
-use crate::{Attempt, Comm, CommError, Mailbox, Msg, RankState, RunOptions, WorldError};
+use crate::{
+    AbortRecord, Attempt, CollectiveNames, Comm, CommError, Mailbox, Msg, RankState, RunOptions,
+    WorldError,
+};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -46,20 +54,16 @@ pub(crate) trait Transport: Send + Sync {
     fn mailbox(&self, rank: usize) -> &Mailbox;
     /// Enqueue a message for `dest` (local push or socket frame).
     fn deliver(&self, dest: usize, msg: Msg);
-    /// Fast-path abort check.
-    fn is_aborted(&self) -> bool;
+    /// The abort record ranks check before sending and while blocked.
+    fn aborts(&self) -> &AbortRecord;
     /// Record a failure (first origin wins) and wake every blocked rank.
     fn abort(&self, origin: usize, reason: String);
-    /// The error a rank unwinds with once the world is aborted.
-    fn abort_error(&self) -> CommError;
+    /// Span names of issued collectives, for tag pretty-printing.
+    fn collectives(&self) -> &CollectiveNames;
     /// Publish what this rank is doing, for peers' deadlock diagnostics.
     fn set_status(&self, rank: usize, state: RankState);
     /// World-state dump for timeout diagnostics.
     fn diagnostic(&self) -> String;
-    /// Tag pretty-printer (knows collective span names when recorded).
-    fn tag_label(&self, tag: u64) -> String;
-    /// Remember which telemetry span issued collective `seq`.
-    fn name_collective(&self, seq: u64, phase: &'static str);
     /// SIGKILL fault hook: returns true when the transport arranged a
     /// real process kill and the calling rank should park awaiting it.
     /// The thread backend returns false (degrade to panic).
@@ -69,7 +73,7 @@ pub(crate) trait Transport: Send + Sync {
     /// death detection to the supervisor's missed-heartbeat window.
     fn begin_stall(&self, rank: usize, op: u64) -> bool;
     /// Liveness context hook, called once per counted comm op with the
-    /// op index and the current telemetry phase. The socket backend
+    /// op index and the current telemetry phase. A process world
     /// folds these into its heartbeat frames so the supervisor can name
     /// a SIGKILLed rank's last comm op and phase in the flight-recorder
     /// postmortem; the thread backend needs nothing (the victim's own
@@ -253,12 +257,13 @@ impl ProgramRegistry {
 /// backend and collect the per-rank result bytes in rank order.
 ///
 /// On [`Backend::Threads`] this is [`try_run_with`](crate::try_run_with)
-/// with the program wrapped as a closure. On [`Backend::Sockets`] the
-/// supervisor spawns one worker process per rank and the same program
-/// (found by name in the worker's registry) runs against the socket
-/// transport. Failure reporting is identical in shape: a
+/// with the program wrapped as a closure. On [`Backend::Sockets`] and
+/// [`Backend::Tcp`] the supervisor spawns one worker process per rank
+/// and the same program (found by name in the worker's registry) runs
+/// against the process transport, over a Unix socket or a TCP session
+/// respectively. Failure reporting is identical in shape: a
 /// [`WorldError`] naming the origin rank and all collateral failures —
-/// plus, only possible on sockets, origins of kind
+/// plus, only possible with processes, origins of kind
 /// [`CommError::PeerFailed`] when a rank *process* died.
 pub fn try_run_program(
     backend: &Backend,
@@ -269,6 +274,13 @@ pub fn try_run_program(
     args: &[u8],
     attempt: Attempt,
 ) -> Result<Vec<Vec<u8>>, WorldError> {
+    let job = process::Job {
+        size,
+        opts,
+        program: name,
+        args,
+        attempt,
+    };
     match backend {
         Backend::Threads => {
             let f = registry
@@ -280,13 +292,13 @@ pub fn try_run_program(
             };
             crate::try_run_with(size, opts.clone(), move |c| f(&c, &ctx))
         }
-        Backend::Sockets(sock) => socket::run_socket_world(size, opts, sock, name, args, attempt),
-        Backend::Tcp(tcp_opts) => tcp::run_tcp_world(size, opts, tcp_opts, name, args, attempt),
+        Backend::Sockets(sock) => socket::run_world(&job, sock),
+        Backend::Tcp(tcp) => tcp::run_world(&job, tcp),
     }
 }
 
 /// Worker-process hook: when the calling process was spawned as a
-/// socket- or TCP-backend rank (detected via environment variables set
+/// socket- or TCP-backend rank (detected via an environment variable set
 /// by the supervisor), connect back, run the requested program from
 /// `registry`, report the outcome in-band, and **exit the process**.
 /// Returns normally — `false` — only when not a worker.
@@ -294,5 +306,5 @@ pub fn try_run_program(
 /// Call this first thing in `main()` of any binary used as a
 /// [`SocketOptions::worker`] or [`TcpOptions::worker`].
 pub fn maybe_run_socket_child(registry: &ProgramRegistry) -> bool {
-    socket::maybe_run_socket_child(registry) || tcp::maybe_run_tcp_child(registry)
+    process::maybe_run_child(registry)
 }
