@@ -29,7 +29,8 @@ pub const CHAOS_PIPELINE: &str = "chaos-pipeline";
 /// Name of the checkpointed AMR program driven by the recovery
 /// supervisor (the kill-point suite).
 pub const RECOVERY_PIPELINE: &str = "recovery-pipeline";
-/// Name of the data-bearing advection benchmark program (`repro --pde`).
+/// Name of the data-bearing advection program (the solver-loop parity
+/// test).
 pub const PDE_ADVECTION: &str = "pde-advection";
 /// Name of the program that keeps a healthy world talking for a given
 /// time (the long-lived-world regression test).
@@ -158,18 +159,18 @@ fn recovery_pipeline(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError
     Ok(recovery_program(comm, ctx.attempt, Path::new(&dir), seed).to_wire())
 }
 
-/// One advection benchmark measurement: total cell updates performed,
+/// One advection run's collective results: total cell updates performed,
 /// payload bytes shipped by repartitioning, relative mass drift, and
 /// the collective mesh+payload digest. Identical on every rank except
 /// for nothing — all four entries are collective values.
 pub type PdeView = (u64, u64, f64, u64);
 
-/// The data-bearing advection loop measured by `repro --pde`: step the
-/// patch-based solver, adapt + repartition (payload riding the
-/// partition all-to-all) on a fixed cadence, and report collective
-/// throughput/migration/conservation numbers. Shared by both transport
-/// backends so a threads-vs-sockets BENCH_pde.json compares the exact
-/// same computation.
+/// The data-bearing advection loop: step the patch-based solver, adapt
+/// and repartition (payload riding the partition all-to-all) on a fixed
+/// cadence, and report collective work/migration/conservation numbers.
+/// Shared by every transport backend so the parity test compares the
+/// exact same computation with patches crossing threads, Unix sockets
+/// and TCP.
 pub fn advection_program(
     comm: &Comm,
     steps: u64,

@@ -1,0 +1,114 @@
+//! The `repro` command line. A rejected invocation is one reason line
+//! plus the usage text on stderr and exit code 2 — never a panic, never
+//! a silent exit 0 — and the smallest real invocation prints the
+//! paper-style four-representation table.
+
+use std::collections::BTreeSet;
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro")
+}
+
+fn assert_rejected(args: &[&str], reason: &str) {
+    let out = repro(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} → {stderr}");
+    assert!(!stderr.contains("panicked at"), "{args:?} → {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("repro: ") && first.contains(reason),
+        "{args:?}: reason line {first:?} does not say {reason:?}"
+    );
+    assert!(stderr.contains("usage: repro"), "{args:?} → {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} measured before rejecting");
+}
+
+#[test]
+fn a_flag_without_its_value_is_rejected() {
+    for flag in [
+        "--fig",
+        "--level",
+        "--iters",
+        "--ranks",
+        "--backend",
+        "--trace",
+    ] {
+        assert_rejected(&[flag], "needs a value");
+        assert_rejected(&["--mem", flag], "needs a value");
+    }
+}
+
+#[test]
+fn out_of_range_and_unparsable_values_are_rejected() {
+    assert_rejected(&["--fig", "9"], "no such figure");
+    assert_rejected(&["--fig", "1"], "no such figure");
+    assert_rejected(&["--fig", "two"], "expected a figure number");
+    assert_rejected(&["--fig", "2", "--ranks", "0"], "at least 1");
+    assert_rejected(&["--fig", "2", "--ranks", "1,0,4"], "at least 1");
+    assert_rejected(&["--fig", "2", "--ranks", "1,,4"], "expected rank counts");
+    assert_rejected(&["--fig", "2", "--iters", "0"], "at least one");
+    assert_rejected(&["--mem", "--level", "-1"], "expected an octree level");
+    assert_rejected(&["--chaos", "--backend", "mpi"], "expected threads");
+}
+
+#[test]
+fn an_unknown_flag_is_rejected() {
+    assert_rejected(&["--frobnicate"], "unknown argument: --frobnicate");
+    assert_rejected(&["--fig", "2", "extra"], "unknown argument: extra");
+}
+
+#[test]
+fn help_lists_exactly_the_accepted_flags() {
+    let out = repro(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(out.stderr.is_empty());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("usage: repro"), "{text}");
+    let listed: BTreeSet<&str> = text
+        .split_whitespace()
+        .filter(|w| w.starts_with("--"))
+        .map(|w| w.trim_end_matches([',', ')']))
+        .collect();
+    let accepted = [
+        "--all",
+        "--fig",
+        "--mem",
+        "--level",
+        "--autovec",
+        "--dim2",
+        "--chaos",
+        "--backend",
+        "--trace",
+        "--iters",
+        "--ranks",
+        "--help",
+    ];
+    assert_eq!(listed, BTreeSet::from(accepted));
+}
+
+#[test]
+fn figure_2_prints_the_four_representation_table() {
+    let out = repro(&["--fig", "2", "--iters", "1", "--ranks", "1,2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("## Figure 2: Morton"), "{stdout}");
+    assert!(
+        stdout.contains("| P | standard (ms) | morton (ms) | avx (ms) | morton128 (ms) |"),
+        "{stdout}"
+    );
+    for p in ["| 1 |", "| 2 |"] {
+        assert!(stdout.lines().any(|l| l.starts_with(p)), "{stdout}");
+    }
+    let speedup = stdout
+        .lines()
+        .find(|l| l.starts_with("speedup vs standard:"))
+        .expect("speedup summary line");
+    assert!(
+        !speedup.contains("inf") && !speedup.contains("NaN"),
+        "{speedup}"
+    );
+}

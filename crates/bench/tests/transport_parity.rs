@@ -424,3 +424,63 @@ fn stalled_rank_is_detected_via_missed_heartbeats() {
         );
     }
 }
+
+/// The data-bearing solver loop on every transport: the registered
+/// `PDE_ADVECTION` program (step, adapt, repartition with the 512-byte
+/// patches riding the partition all-to-all) at P ∈ {1, 2, 4}. All ranks
+/// of a world must agree on the state digest, the digest must not depend
+/// on whether the patches crossed a thread channel, a Unix socket or a
+/// TCP session at equal P, mass must be conserved to machine precision,
+/// and repartitioning must actually have shipped whole patches.
+#[test]
+fn advection_state_is_identical_across_backends() {
+    // 40 steps, base level 3, finest 5, adapt + repartition every 5: long
+    // enough that P = 2 migrates a patch (a 20-step run migrates none)
+    let args = transport::pde_args(40, 3, 5, 5);
+    for &p in &[1usize, 2, 4] {
+        let mut reference = None;
+        for backend in backends() {
+            let views: Vec<transport::PdeView> = try_run_program(
+                &backend,
+                p,
+                &RunOptions::default(),
+                &transport::registry(),
+                transport::PDE_ADVECTION,
+                &args,
+                Attempt::first(),
+            )
+            .unwrap_or_else(|e| panic!("advection failed on {} at P={p}: {e}", backend.name()))
+            .iter()
+            .map(|b| transport::decode_pde(b))
+            .collect();
+            let (cells, migrated, drift, digest) = views[0];
+            for (r, v) in views.iter().enumerate() {
+                assert_eq!(
+                    v.3,
+                    digest,
+                    "rank {r} disagrees on the state digest on {} at P={p}",
+                    backend.name()
+                );
+            }
+            assert!(cells > 0, "no cell was updated");
+            assert!(
+                drift < 1e-12,
+                "mass drift {drift:e} on {} at P={p}",
+                backend.name()
+            );
+            if p > 1 {
+                assert!(
+                    migrated > 0 && migrated % 512 == 0,
+                    "migrated {migrated} bytes on {} at P={p}: expected whole 512-byte patches",
+                    backend.name()
+                );
+            }
+            assert_eq!(
+                (cells, digest),
+                *reference.get_or_insert((cells, digest)),
+                "{} diverged from the threads backend at P={p}",
+                backend.name()
+            );
+        }
+    }
+}

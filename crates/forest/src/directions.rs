@@ -320,7 +320,8 @@ pub fn for_each_neighbor_domain<Q: Quadrant>(
 /// Per-quadrant oracle for [`for_each_neighbor_domain`]: the plain
 /// nested loop over offsets × leaves through [`neighbor_domain`]. Kept
 /// as the property-test reference for the batched path.
-pub fn for_each_neighbor_domain_scalar<Q: Quadrant>(
+#[cfg(test)]
+fn for_each_neighbor_domain_scalar<Q: Quadrant>(
     conn: &Connectivity,
     tree: u32,
     leaves: &[Q],

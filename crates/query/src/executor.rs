@@ -36,8 +36,7 @@
 //! `query.batch.e2e_ns`) plus per-worker `query.worker.{w}.*` counters
 //! (batches, probes, steals, busy/steal/idle ns). The classify stage is
 //! the batch's *serial fraction* — the submitter runs it alone — so
-//! `Σ classify_ns / Σ e2e_ns` is the Amdahl bound on worker scaling;
-//! `repro --queries` reports it per batch-size × worker-count cell.
+//! `Σ classify_ns / Σ e2e_ns` is the Amdahl bound on worker scaling.
 //! Batch starts and completions also land in the
 //! [`flight`](telemetry::flight) ring when armed, and completions feed
 //! the slow-query log via [`telemetry::note_batch_latency`].
