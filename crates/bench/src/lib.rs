@@ -37,10 +37,6 @@ pub const WORKLOAD_MAX_LEVEL: u8 = 7;
 /// The rank counts swept by the strong-scaling figures.
 pub const RANKS: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
-/// Names of the three representations compared in every figure, in the
-/// paper's order.
-pub const REPR_NAMES: [&str; 3] = ["standard", "morton", "avx"];
-
 // ---------------------------------------------------------------------------
 // Kernels (one per figure)
 // ---------------------------------------------------------------------------
@@ -129,17 +125,6 @@ pub fn kernel_boundaries<Q: Quadrant>(quads: &[Q]) -> u64 {
 /// octants of levels 0..=7 (in 3D).
 pub fn paper_workload<Q: Quadrant>() -> Vec<Q> {
     workload::complete_tree::<Q>(WORKLOAD_MAX_LEVEL)
-}
-
-/// Workload restricted to `level < max` (inputs of the `Child` kernel,
-/// which must not split maximum-level quadrants). With the paper's
-/// workload the maximum level 7 < L, so this is the identity; kept for
-/// generality when sweeping deeper workloads.
-pub fn child_safe<Q: Quadrant>(quads: Vec<Q>) -> Vec<Q> {
-    quads
-        .into_iter()
-        .filter(|q| q.level() < Q::MAX_LEVEL)
-        .collect()
 }
 
 /// Workload without the root (inputs of `Parent` and `Sibling`).

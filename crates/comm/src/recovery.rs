@@ -143,16 +143,6 @@ impl Default for RecoveryOptions {
     }
 }
 
-impl RecoveryOptions {
-    /// Options with the given policy and defaults elsewhere.
-    pub fn with_policy(policy: RecoveryPolicy) -> Self {
-        RecoveryOptions {
-            policy,
-            ..Self::default()
-        }
-    }
-}
-
 /// Which attempt a program invocation belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Attempt {

@@ -163,23 +163,6 @@ impl Connectivity {
         Some((conn.tree, Q::from_coords(out, level)))
     }
 
-    /// Map an *interior* quadrant of `tree` touching `face` into the
-    /// coordinate frame of the neighbor tree, where it appears as an
-    /// exterior ghost candidate position relative to that tree (this is
-    /// what ghost-layer construction needs). Returns `None` at a
-    /// physical boundary.
-    pub fn transform_interior<Q: Quadrant>(
-        &self,
-        tree: TreeId,
-        face: u32,
-        q: &Q,
-    ) -> Option<(TreeId, [i32; 3])> {
-        let conn = self.neighbor(tree, face)?;
-        let h = q.side();
-        let root = Q::len_at(0);
-        Some((conn.tree, conn.transform.apply(q.coords(), h, root)))
-    }
-
     // -- constructors ----------------------------------------------------
 
     /// One tree, all faces physical boundary: the unit square / cube.

@@ -379,24 +379,6 @@ pub mod lut {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Level-relative index helpers
-// ---------------------------------------------------------------------------
-
-/// Convert a level-relative index `I_ℓ` into the level-independent index
-/// `I = I_ℓ << d(L - ℓ)` (Section 2.1 of the paper: we work relative to the
-/// maximum level to avoid shifts when creating ancestors and descendants).
-#[inline]
-pub const fn to_absolute(index_at_level: u64, level: u8, dim: u32, max_level: u8) -> u64 {
-    index_at_level << (dim * (max_level - level) as u32)
-}
-
-/// Convert a level-independent index back to the level-relative `I_ℓ`.
-#[inline]
-pub const fn to_relative(index_abs: u64, level: u8, dim: u32, max_level: u8) -> u64 {
-    index_abs >> (dim * (max_level - level) as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,16 +517,6 @@ mod tests {
             let x2 = (state >> 5) as u32 & 0x0FFF_FFFF;
             let y2 = (state >> 33) as u32 & 0x0FFF_FFFF;
             assert_eq!(lut::encode2(x2, y2), encode2(x2, y2));
-        }
-    }
-
-    #[test]
-    fn absolute_relative_roundtrip() {
-        for level in 0..=18u8 {
-            let max = (1u64 << (3 * level as u32)).min(1 << 54);
-            let idx = max.saturating_sub(1);
-            let abs = to_absolute(idx, level, 3, 18);
-            assert_eq!(to_relative(abs, level, 3, 18), idx);
         }
     }
 }

@@ -47,13 +47,6 @@ pub struct Standard2Compact {
     pub payload: u32,
 }
 
-impl Standard2Compact {
-    /// Widen to the generic representation.
-    pub fn widen(&self) -> StandardQuad<2> {
-        StandardQuad::from_coords([self.x, self.y, 0], self.level)
-    }
-}
-
 impl<const D: usize> StandardQuad<D> {
     const _ASSERT_DIM: () = assert!(D == 2 || D == 3, "D must be 2 or 3");
 
@@ -286,19 +279,5 @@ mod tests {
         assert!(!n.is_inside_root());
         assert!(q.face_neighbor_inside(0).is_none());
         assert!(q.face_neighbor_inside(1).is_some());
-    }
-
-    #[test]
-    fn compact_widen() {
-        let c = Standard2Compact {
-            x: 1 << 26,
-            y: 0,
-            level: 2,
-            pad: [0; 3],
-            payload: 7,
-        };
-        let w = c.widen();
-        assert_eq!(w.coords(), [1 << 26, 0, 0]);
-        assert_eq!(w.level(), 2);
     }
 }

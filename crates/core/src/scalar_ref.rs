@@ -310,23 +310,6 @@ pub fn tree_boundaries_all(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i
     }
 }
 
-/// `from_morton` over an index/level stream into SoA storage — the
-/// Fig. 2 kernel as the auto-vectorizer sees it (the interleaving bit
-/// shuffle is inherently serial per element, which is exactly why the
-/// paper's raw-Morton representation that *skips* it wins this figure).
-pub fn from_morton_all_3d(inputs: &[(u64, u8)], max_level: u8, out: &mut QuadSoA) {
-    let n = inputs.len();
-    assert!(out.len() >= n);
-    for (i, &(idx, level)) in inputs.iter().enumerate() {
-        let (x, y, z) = crate::morton::decode3(idx);
-        let up = (max_level - level) as u32;
-        out.x[i] = (x << up) as i32;
-        out.y[i] = (y << up) as i32;
-        out.z[i] = (z << up) as i32;
-        out.level[i] = level as i32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,17 +429,6 @@ mod tests {
         );
         for (i, q) in quads.iter().enumerate() {
             assert_eq!([fx[i], fy[i], fz[i]], q.tree_boundaries(), "index {i}");
-        }
-    }
-
-    #[test]
-    fn from_morton_all_matches_scalar() {
-        let inputs = workload::morton_inputs(3, 3);
-        let mut out = QuadSoA::with_len(inputs.len());
-        from_morton_all_3d(&inputs, StandardQuad::<3>::MAX_LEVEL, &mut out);
-        let quads = out.to_quads::<StandardQuad<3>>();
-        for (&(idx, level), q) in inputs.iter().zip(&quads) {
-            assert_eq!(*q, StandardQuad::<3>::from_morton(idx, level));
         }
     }
 }

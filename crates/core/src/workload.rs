@@ -38,27 +38,6 @@ pub fn complete_tree<Q: Quadrant>(max_level: u8) -> Vec<Q> {
     out
 }
 
-/// The same workload in randomized order (fixed seed), defeating any
-/// stride-prediction advantage when benchmarking data-dependent kernels.
-pub fn complete_tree_shuffled<Q: Quadrant>(max_level: u8, seed: u64) -> Vec<Q> {
-    let mut v = complete_tree::<Q>(max_level);
-    // seeded Fisher–Yates over a splitmix64 stream: deterministic and
-    // dependency-free, so the workload is identical on every machine
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..v.len()).rev() {
-        let j = (((next() as u128) * ((i + 1) as u128)) >> 64) as usize;
-        v.swap(i, j);
-    }
-    v
-}
-
 /// All quadrants of one uniform level, in SFC order; the workload of the
 /// Section 3.2 memory experiment (a uniform octree built by repeated
 /// `Morton` calls).
@@ -85,7 +64,7 @@ pub fn morton_inputs(dim: u32, max_level: u8) -> Vec<(u64, u8)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadrant::{MortonQuad, StandardQuad};
+    use crate::quadrant::MortonQuad;
 
     #[test]
     fn paper_count_is_exact() {
@@ -106,18 +85,6 @@ mod tests {
         for w in v[9..9 + 64].windows(2) {
             assert_eq!(w[1].morton_index(), w[0].morton_index() + 1);
         }
-    }
-
-    #[test]
-    fn shuffled_is_permutation() {
-        let a = complete_tree::<StandardQuad<2>>(4);
-        let mut b = complete_tree_shuffled::<StandardQuad<2>>(4, 7);
-        assert_eq!(a.len(), b.len());
-        assert_ne!(a, b, "seeded shuffle must actually permute");
-        b.sort_by(|p, q| p.compare_sfc(q).then(p.level().cmp(&q.level())));
-        let mut a2 = a.clone();
-        a2.sort_by(|p, q| p.compare_sfc(q).then(p.level().cmp(&q.level())));
-        assert_eq!(a2, b);
     }
 
     #[test]

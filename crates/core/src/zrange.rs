@@ -59,11 +59,6 @@ impl BoxCover {
             exact: true,
         }
     }
-
-    /// Total number of maximum-level cells covered by the ranges.
-    pub fn cell_count(&self) -> u64 {
-        self.ranges.iter().map(|(a, b)| b - a + 1).sum()
-    }
 }
 
 /// The `morton_abs` key of the maximum-level cell at integer point `p`
@@ -496,7 +491,6 @@ mod tests {
         for k in cover_cells(&exact) {
             assert!(coarse_cells.contains(&k));
         }
-        assert!(coarse.cell_count() >= exact.cell_count());
     }
 
     #[test]

@@ -1,68 +1,47 @@
-//! Multithreaded query serving: batched requests on a shared job board,
-//! Z-sharded across a pool of worker threads.
+//! Multithreaded query serving: a bounded FIFO of whole batches and a
+//! pool of worker threads.
 //!
-//! The [`QueryExecutor`] owns N workers that block on a shared job
-//! board (a mutex-guarded deque — held only for the dequeue itself,
-//! never while serving). A submitted point batch is prepared once on
-//! the submit path — probe keys extracted in one dispatched
-//! [`point_keys_all`](quadforest_core::batch::point_keys_all) kernel
-//! pass, indices classified into per-worker **Z-interval shards** of
-//! the pinned snapshot — and enqueued as one job per shard, so workers
-//! never contend on a funnel queue: each serves a disjoint slice of the
-//! curve. Within a shard, the owning worker sorts its indices by
-//! `(tree, Morton key)` and drains fixed-size chunks through the
-//! gallop-resume cursor ([`ForestSnapshot::locate_run`] →
-//! `zrange::locate_from`); idle workers steal chunks from other shards
-//! through the same atomic cursor, so a skewed batch still finishes on
-//! all cores.
-//!
-//! Results land in a shared, pre-sized slot buffer (each probe owns
-//! exactly one slot — disjoint writes, no lock); a batch-wide atomic
-//! countdown names one worker the *completer*, which fulfills the
-//! [`Ticket`]'s completion latch — **one wakeup per batch**, not one
-//! per query, replacing the per-request one-shot channels that
-//! dominated small-query dispatch cost.
+//! The [`QueryExecutor`] owns N workers that block on one job board (a
+//! mutex-guarded deque and two condition variables — held only for the
+//! enqueue or dequeue itself, never while serving). A submitted batch
+//! pins the snapshot current at submit and becomes **one** job; the
+//! worker that pops it answers the whole batch with the snapshot's own
+//! kernel — [`ForestSnapshot::locate_many`] for points (one key-extract
+//! pass, one `(tree, Morton key)` sort, one gallop-resume sweep),
+//! [`ForestSnapshot::query_boxes`] for boxes (covers served in curve
+//! order with cross-box resume) — and then fulfils the [`Ticket`]'s
+//! one-shot latch: **one wakeup per batch**. Workers serve different
+//! batches in parallel; a batch is never split, so there is no shared
+//! result buffer, no work stealing and no atomic in this module.
 //!
 //! Submission applies backpressure by bounded in-flight batches: when
-//! `capacity` batches are unfinished, producers block instead of
+//! `capacity` batches are unanswered, producers block instead of
 //! growing an unbounded backlog — the overload surface is the
-//! submitter's latency, never the server's memory. The single-query
-//! entry points ([`submit_points`](QueryExecutor::submit_points),
-//! [`submit_box`](QueryExecutor::submit_box)) are thin wrappers over
-//! the batch path and return identical answers.
+//! submitter's latency, never the server's memory. Every batch, empty
+//! or all-out-of-domain ones included, takes a slot and is accounted.
 //!
-//! Every stage of the serving path is profiled into global histograms
-//! (`query.stage.{classify,sort,drain,steal,unpermute,latch_wait}_ns`,
-//! `query.batch.e2e_ns`) plus per-worker `query.worker.{w}.*` counters
-//! (batches, probes, steals, busy/steal/idle ns). The classify stage is
-//! the batch's *serial fraction* — the submitter runs it alone — so
-//! `Σ classify_ns / Σ e2e_ns` is the Amdahl bound on worker scaling.
-//! Batch starts and completions also land in the
-//! [`flight`](telemetry::flight) ring when armed, and completions feed
-//! the slow-query log via [`telemetry::note_batch_latency`].
+//! The worker records every metric of a batch *before* it fulfils the
+//! latch, so a client that has its answer also sees its telemetry:
+//! `query.batch.{size,e2e_ns}`, `query.{point,box}.latency_ns`
+//! (submit → answer, one sample per batch), `query.stage.serve_ns` (the
+//! kernel alone; `e2e − serve` is queueing and hand-off),
+//! `query.served`, `snapshot.age_ns` and the per-worker
+//! `query.worker.{w}.{batches,probes}` counters (the worker loop closes
+//! `busy_ns` / `idle_ns` around the batch); the waiter adds
+//! `query.stage.latch_wait_ns`. Batch starts and completions also land
+//! in the [`flight`](telemetry::flight) ring when armed, and completions
+//! feed the slow-query log via [`telemetry::note_batch_latency`].
 
 use crate::snapshot::BoxQuery;
 use crate::{ForestSnapshot, LeafHit, SnapshotHandle};
 use quadforest_connectivity::TreeId;
-use quadforest_core::zrange;
 use quadforest_telemetry as telemetry;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Default bound on in-flight (submitted, not yet answered) batches.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
-/// Probes served per atomic cursor claim: big enough to amortize the
-/// claim and keep the gallop-resume cursor warm, small enough that
-/// stealing rebalances a skewed batch.
-const POINT_CHUNK: usize = 256;
-
-/// Boxes served per atomic cursor claim (each box is already a
-/// multi-range scan, so chunks are small).
-const BOX_CHUNK: usize = 4;
 
 // ---------------------------------------------------------------------
 // completion latch
@@ -72,9 +51,9 @@ struct LatchState<T> {
     abandoned: bool,
 }
 
-/// One-shot completion latch: the batch completer fulfills it once, the
-/// ticket holder takes the value. `abandoned` distinguishes "worker
-/// died with the batch unfinished" from "not ready yet".
+/// One-shot completion latch: the serving worker fulfils it once, the
+/// ticket holder takes the value. `abandoned` distinguishes "the batch
+/// was dropped unserved" from "not ready yet".
 struct Latch<T> {
     state: Mutex<LatchState<T>>,
     cv: Condvar,
@@ -98,7 +77,7 @@ impl<T> Latch<T> {
     }
 
     /// Mark the latch dead if it was never fulfilled (batch dropped
-    /// unfinished — a worker panicked mid-batch).
+    /// unserved — its worker panicked).
     fn abandon(&self) {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if s.value.is_none() {
@@ -109,148 +88,56 @@ impl<T> Latch<T> {
 
     fn wait(&self) -> T {
         let t0 = telemetry::now_ns();
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(v) = s.value.take() {
-                drop(s);
-                telemetry::global()
-                    .histogram("query.stage.latch_wait_ns")
-                    .record(telemetry::now_ns().saturating_sub(t0));
-                return v;
-            }
-            assert!(!s.abandoned, "query executor dropped the request");
-            s = self.cv.wait(s).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    fn try_take(&self) -> Option<T> {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .value
-            .take()
+        let s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut s = self
+            .cv
+            .wait_while(s, |s| s.value.is_none() && !s.abandoned)
+            .unwrap_or_else(|p| p.into_inner());
+        let value = s.value.take();
+        drop(s);
+        telemetry::global()
+            .histogram("query.stage.latch_wait_ns")
+            .record(telemetry::now_ns().saturating_sub(t0));
+        value.expect("query executor dropped the request")
     }
 }
 
-/// A pending query answer; redeem with [`Ticket::wait`].
+/// A pending batch answer; redeem with [`Ticket::wait`].
 #[must_use = "a ticket must be waited on to receive the query answer"]
 pub struct Ticket<T> {
-    source: TicketSource<T>,
-}
-
-enum TicketSource<T> {
-    /// The latch holds the answer directly.
-    Whole(Arc<Latch<T>>),
-    /// The latch holds a one-element batch answer; take element 0
-    /// (single-query compatibility wrappers over the batch path).
-    First(Arc<Latch<Vec<T>>>),
+    latch: Arc<Latch<T>>,
 }
 
 impl<T> Ticket<T> {
-    /// Block until the worker pool delivers the answer.
+    /// Block until a worker delivers the answer.
     ///
     /// # Panics
-    /// If the executor was dropped (or a worker died) with the request
-    /// still in flight.
+    /// If the batch was dropped unserved (its worker died).
     pub fn wait(self) -> T {
-        match self.source {
-            TicketSource::Whole(latch) => latch.wait(),
-            TicketSource::First(latch) => latch.wait().into_iter().next().expect("one-query batch"),
-        }
-    }
-
-    /// Non-blocking poll; `Some` exactly once, after the answer lands.
-    pub fn try_wait(&self) -> Option<T> {
-        match &self.source {
-            TicketSource::Whole(latch) => latch.try_take(),
-            TicketSource::First(latch) => latch
-                .try_take()
-                .map(|v| v.into_iter().next().expect("one-query batch")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// shared result slots
-
-/// Pre-sized answer buffer shared by the workers of one batch. Each
-/// probe index owns exactly one slot; workers write disjoint slots, and
-/// the batch countdown (`fetch_sub` with `AcqRel`) makes every write
-/// visible to the completer before it takes the buffer. Placeholder
-/// values are drop-free (`None` / empty `Vec`), so raw `ptr::write`
-/// over them leaks nothing.
-struct SharedSlots<T> {
-    buf: UnsafeCell<Vec<T>>,
-}
-
-unsafe impl<T: Send> Sync for SharedSlots<T> {}
-
-impl<T> SharedSlots<T> {
-    fn new(placeholders: Vec<T>) -> Self {
-        SharedSlots {
-            buf: UnsafeCell::new(placeholders),
-        }
-    }
-
-    /// Write slot `i`.
-    ///
-    /// # Safety
-    /// `i` is in bounds, no two writers share an index, and no write
-    /// happens after the batch countdown reaches zero.
-    unsafe fn write(&self, i: usize, value: T) {
-        unsafe {
-            let buf = &mut *self.buf.get();
-            debug_assert!(i < buf.len());
-            buf.as_mut_ptr().add(i).write(value);
-        }
-    }
-
-    /// Take the finished buffer (completer only, after the countdown).
-    fn take(&self) -> Vec<T> {
-        unsafe { std::mem::take(&mut *self.buf.get()) }
+        self.latch.wait()
     }
 }
 
 // ---------------------------------------------------------------------
 // batches
 
-/// One Z-interval shard of a point batch: the probe indices whose
-/// `(tree, key)` fall in this slice of the snapshot's global leaf
-/// order. `idxs` is sorted in place by the first worker to win
-/// `sort_claim`; after `sorted` flips (release → acquire), the vector
-/// is immutable and chunks are claimed through `cursor`.
-struct Shard {
-    idxs: UnsafeCell<Vec<u32>>,
-    len: usize,
-    sort_claim: AtomicBool,
-    sorted: AtomicBool,
-    cursor: AtomicUsize,
-}
-
-unsafe impl Sync for Shard {}
-
-impl Shard {
-    fn new(idxs: Vec<u32>) -> Self {
-        let len = idxs.len();
-        Shard {
-            idxs: UnsafeCell::new(idxs),
-            len,
-            sort_claim: AtomicBool::new(false),
-            sorted: AtomicBool::new(false),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// RAII in-flight slot: reserved before a batch is enqueued, released
-/// (with a submitter wakeup) when the batch is dropped — whether it
-/// finished normally or died with a panicking worker.
-struct FlightSlot {
+/// One submitted batch of queries `Q` with answers `A`, pinned to the
+/// snapshot that was current at submit. It owns one in-flight slot of
+/// the board it was enqueued on.
+struct Batch<Q, A> {
+    snap: Arc<ForestSnapshot>,
+    queries: Vec<Q>,
+    latch: Arc<Latch<Vec<A>>>,
+    start_ns: u64,
     shared: Arc<Shared>,
 }
 
-impl Drop for FlightSlot {
+/// Runs whether the batch was answered or died unserved with a
+/// panicking worker: the ticket never hangs and the in-flight slot is
+/// released (with a submitter wakeup) either way.
+impl<Q, A> Drop for Batch<Q, A> {
     fn drop(&mut self) {
+        self.latch.abandon();
         let mut b = self.shared.board.lock().unwrap_or_else(|p| p.into_inner());
         b.in_flight -= 1;
         drop(b);
@@ -258,61 +145,45 @@ impl Drop for FlightSlot {
     }
 }
 
-struct PointBatch {
-    snap: Arc<ForestSnapshot>,
-    points: Vec<(TreeId, [i32; 3])>,
-    keys: Vec<u64>,
-    shards: Vec<Shard>,
-    slots: SharedSlots<Option<LeafHit>>,
-    /// Valid probes not yet served; the worker that takes it to zero
-    /// completes the batch.
-    remaining: AtomicUsize,
-    latch: Arc<Latch<Vec<Option<LeafHit>>>>,
-    start_ns: u64,
-    _slot: FlightSlot,
-}
-
-impl Drop for PointBatch {
-    fn drop(&mut self) {
-        self.latch.abandon();
+impl<Q, A> Batch<Q, A> {
+    /// Answer the batch with `kernel`, record its metrics, then wake
+    /// the ticket holder — in that order.
+    fn serve(
+        self,
+        kind: &str,
+        latency: &telemetry::Histogram,
+        metrics: &WorkerMetrics,
+        kernel: impl FnOnce(&ForestSnapshot, &[Q]) -> Vec<A>,
+    ) {
+        metrics.age.set(self.snap.age_ns());
+        let n = self.queries.len() as u64;
+        let t0 = telemetry::now_ns();
+        let answers = kernel(&self.snap, &self.queries);
+        let done = telemetry::now_ns();
+        let e2e = done.saturating_sub(self.start_ns);
+        metrics.serve_ns.record(done.saturating_sub(t0));
+        metrics.size.record(n);
+        metrics.e2e.record(e2e);
+        latency.record(e2e);
+        metrics.served.add(n);
+        metrics.batches.incr();
+        metrics.probes.add(n);
+        telemetry::flight::event(telemetry::flight::FlightKind::BatchDone, 0, n, e2e);
+        telemetry::note_batch_latency(kind, n, e2e);
+        self.latch.fulfill(answers);
     }
 }
 
-struct BoxBatch {
-    snap: Arc<ForestSnapshot>,
-    boxes: Vec<BoxQuery>,
-    /// Box indices sorted by `(tree, Z-key of the clamped low corner)`
-    /// so consecutive boxes touch nearby leaf slices.
-    order: Vec<u32>,
-    cursor: AtomicUsize,
-    slots: SharedSlots<Vec<LeafHit>>,
-    remaining: AtomicUsize,
-    latch: Arc<Latch<Vec<Vec<LeafHit>>>>,
-    start_ns: u64,
-    _slot: FlightSlot,
-}
-
-impl Drop for BoxBatch {
-    fn drop(&mut self) {
-        self.latch.abandon();
-    }
-}
-
-enum Work {
-    Points {
-        batch: Arc<PointBatch>,
-        shard: usize,
-    },
-    Boxes {
-        batch: Arc<BoxBatch>,
-    },
+enum Job {
+    Points(Batch<(TreeId, [i32; 3]), Option<LeafHit>>),
+    Boxes(Batch<BoxQuery, Vec<LeafHit>>),
 }
 
 // ---------------------------------------------------------------------
 // job board
 
 struct Board {
-    queue: VecDeque<Work>,
+    queue: VecDeque<Job>,
     in_flight: usize,
     closed: bool,
 }
@@ -326,7 +197,22 @@ struct Shared {
     capacity: usize,
 }
 
-/// A pool of worker threads serving point and box queries against the
+impl Shared {
+    fn new(capacity: usize) -> Arc<Self> {
+        Arc::new(Shared {
+            board: Mutex::new(Board {
+                queue: VecDeque::new(),
+                in_flight: 0,
+                closed: false,
+            }),
+            work_cv: Condvar::new(),
+            space_cv: Condvar::new(),
+            capacity,
+        })
+    }
+}
+
+/// A pool of worker threads serving point and box batches against the
 /// latest snapshot published through a [`SnapshotHandle`] (loaded once
 /// per batch, at submit).
 ///
@@ -335,7 +221,6 @@ struct Shared {
 pub struct QueryExecutor {
     handle: Arc<SnapshotHandle>,
     shared: Arc<Shared>,
-    nworkers: usize,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -351,17 +236,8 @@ impl QueryExecutor {
     /// submitted and unanswered.
     pub fn with_capacity(handle: Arc<SnapshotHandle>, workers: usize, capacity: usize) -> Self {
         assert!(workers >= 1, "executor needs at least one worker");
-        let shared = Arc::new(Shared {
-            board: Mutex::new(Board {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                closed: false,
-            }),
-            work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        let joins = (0..workers)
+        let shared = Shared::new(capacity.max(1));
+        let workers = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -373,32 +249,35 @@ impl QueryExecutor {
         QueryExecutor {
             handle,
             shared,
-            nworkers: workers,
-            workers: joins,
+            workers,
         }
     }
 
-    /// Block until an in-flight slot frees up, then reserve it.
-    fn reserve(&self) -> FlightSlot {
-        let mut b = self.shared.board.lock().unwrap_or_else(|p| p.into_inner());
-        while b.in_flight >= self.shared.capacity {
-            b = self
-                .shared
-                .space_cv
-                .wait(b)
-                .unwrap_or_else(|p| p.into_inner());
-        }
+    /// The one submit path: pin the current snapshot, wait for an
+    /// in-flight slot (backpressure), enqueue the batch as one job.
+    fn submit<Q, A>(&self, queries: Vec<Q>, job: fn(Batch<Q, A>) -> Job) -> Ticket<Vec<A>> {
+        let start_ns = telemetry::now_ns();
+        let snap = self.handle.load();
+        let n = queries.len() as u64;
+        telemetry::flight::event(telemetry::flight::FlightKind::BatchStart, 0, n, 0);
+        let latch = Latch::new();
+        let shared = &self.shared;
+        let b = shared.board.lock().unwrap_or_else(|p| p.into_inner());
+        let mut b = shared
+            .space_cv
+            .wait_while(b, |b| b.in_flight >= shared.capacity)
+            .unwrap_or_else(|p| p.into_inner());
         b.in_flight += 1;
-        FlightSlot {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    fn enqueue(&self, work: impl IntoIterator<Item = Work>) {
-        let mut b = self.shared.board.lock().unwrap_or_else(|p| p.into_inner());
-        b.queue.extend(work);
+        b.queue.push_back(job(Batch {
+            snap,
+            queries,
+            latch: Arc::clone(&latch),
+            start_ns,
+            shared: Arc::clone(shared),
+        }));
         drop(b);
-        self.shared.work_cv.notify_all();
+        shared.work_cv.notify_one();
+        Ticket { latch }
     }
 
     /// Enqueue a batched point-location request. Blocks while
@@ -408,160 +287,16 @@ impl QueryExecutor {
     /// [`ForestSnapshot::locate_many`] on the snapshot current at
     /// submit).
     pub fn submit_points(&self, points: Vec<(TreeId, [i32; 3])>) -> Ticket<Vec<Option<LeafHit>>> {
-        let t0 = telemetry::now_ns();
-        let latch = Latch::new();
-        let n = points.len();
-        let snap = self.handle.load();
-        let keys = if n == 0 {
-            Vec::new()
-        } else {
-            snap.probe_keys(&points)
-        };
-
-        // Classify valid probes into per-worker Z-interval shards of
-        // the snapshot's global (tree, key) leaf order. Tiny batches
-        // stay on one shard: the split overhead outweighs parallelism
-        // below a couple of chunks per worker.
-        let mut valid = 0usize;
-        for &k in &keys {
-            valid += usize::from(k != crate::snapshot::INVALID_KEY);
-        }
-        if valid == 0 {
-            latch.fulfill(vec![None; n]);
-            return Ticket {
-                source: TicketSource::Whole(latch),
-            };
-        }
-        let bounds = if valid >= 2 * POINT_CHUNK && self.nworkers > 1 {
-            snap.shard_bounds(self.nworkers)
-        } else {
-            Vec::new()
-        };
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); bounds.len() + 1];
-        for (i, &k) in keys.iter().enumerate() {
-            if k == crate::snapshot::INVALID_KEY {
-                continue;
-            }
-            let pos = (points[i].0, k);
-            let s = bounds.partition_point(|m| *m <= pos);
-            buckets[s].push(i as u32);
-        }
-
-        let g = telemetry::global();
-        g.histogram("query.batch.size").record(n as u64);
-        let max_len = buckets.iter().map(Vec::len).max().unwrap_or(0);
-        // Imbalance ×1000: 1000 = perfectly even shards. A histogram,
-        // not a gauge — a gauge only remembers the last batch, which
-        // hid every skewed shard split behind the final balanced one.
-        g.histogram("query.batch.shard_imbalance")
-            .record((max_len * buckets.len() * 1000 / valid) as u64);
-        // The submit path up to here — key extraction + shard
-        // classification — is the serial fraction of a batch: one
-        // producer thread does it while every worker waits. Its share
-        // of e2e bounds parallel speedup (Amdahl).
-        g.histogram("query.stage.classify_ns")
-            .record(telemetry::now_ns().saturating_sub(t0));
-        telemetry::flight::event(
-            telemetry::flight::FlightKind::BatchStart,
-            0,
-            n as u64,
-            valid as u64,
-        );
-
-        let slot = self.reserve();
-        let batch = Arc::new(PointBatch {
-            snap,
-            points,
-            keys,
-            shards: buckets.into_iter().map(Shard::new).collect(),
-            slots: SharedSlots::new(vec![None; n]),
-            remaining: AtomicUsize::new(valid),
-            latch: Arc::clone(&latch),
-            start_ns: t0,
-            _slot: slot,
-        });
-        self.enqueue(
-            (0..batch.shards.len())
-                .filter(|&s| batch.shards[s].len > 0)
-                .map(|s| Work::Points {
-                    batch: Arc::clone(&batch),
-                    shard: s,
-                }),
-        );
-        Ticket {
-            source: TicketSource::Whole(latch),
-        }
+        self.submit(points, Job::Points)
     }
 
-    /// Enqueue a batch of box queries; one hit list per box, in input
-    /// order — identical to [`ForestSnapshot::query_box`] per entry.
+    /// Enqueue a batch of box queries, with the same queue semantics as
+    /// [`submit_points`](QueryExecutor::submit_points); one hit list
+    /// per box, in input order — identical to
+    /// [`ForestSnapshot::query_boxes`] on the snapshot current at
+    /// submit.
     pub fn submit_boxes(&self, boxes: Vec<BoxQuery>) -> Ticket<Vec<Vec<LeafHit>>> {
-        let t0 = telemetry::now_ns();
-        let latch = Latch::new();
-        let n = boxes.len();
-        if n == 0 {
-            latch.fulfill(Vec::new());
-            return Ticket {
-                source: TicketSource::Whole(latch),
-            };
-        }
-        let snap = self.handle.load();
-        let root = 1i32 << snap.max_level() as u32;
-        let sort_key = |b: &BoxQuery| {
-            let c = |v: i32| v.clamp(0, root - 1);
-            (
-                b.tree,
-                zrange::point_key([c(b.lo[0]), c(b.lo[1]), c(b.lo[2])], snap.dim()),
-            )
-        };
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| sort_key(&boxes[i as usize]));
-
-        let g = telemetry::global();
-        g.histogram("query.batch.size").record(n as u64);
-        // Serial submit-side prep (the Z-order sort), same Amdahl
-        // accounting as the point path's classification.
-        g.histogram("query.stage.classify_ns")
-            .record(telemetry::now_ns().saturating_sub(t0));
-        telemetry::flight::event(
-            telemetry::flight::FlightKind::BatchStart,
-            0,
-            n as u64,
-            n as u64,
-        );
-
-        let slot = self.reserve();
-        let batch = Arc::new(BoxBatch {
-            snap,
-            boxes,
-            order,
-            cursor: AtomicUsize::new(0),
-            slots: SharedSlots::new(vec![Vec::new(); n]),
-            remaining: AtomicUsize::new(n),
-            latch: Arc::clone(&latch),
-            start_ns: t0,
-            _slot: slot,
-        });
-        let jobs = self.nworkers.min(n.div_ceil(BOX_CHUNK));
-        self.enqueue((0..jobs).map(|_| Work::Boxes {
-            batch: Arc::clone(&batch),
-        }));
-        Ticket {
-            source: TicketSource::Whole(latch),
-        }
-    }
-
-    /// Enqueue a box query over `tree` for the half-open box
-    /// `[lo, hi)`; a thin wrapper over the batch path with the same
-    /// queue semantics as [`submit_points`](QueryExecutor::submit_points).
-    pub fn submit_box(&self, tree: TreeId, lo: [i32; 3], hi: [i32; 3]) -> Ticket<Vec<LeafHit>> {
-        let ticket = self.submit_boxes(vec![BoxQuery { tree, lo, hi }]);
-        let TicketSource::Whole(latch) = ticket.source else {
-            unreachable!("submit_boxes returns a whole-batch ticket")
-        };
-        Ticket {
-            source: TicketSource::First(latch),
-        }
+        self.submit(boxes, Job::Boxes)
     }
 
     /// Submit a point batch and wait for the answers.
@@ -572,11 +307,6 @@ impl QueryExecutor {
     /// Submit a box batch and wait for the answers.
     pub fn query_boxes(&self, boxes: Vec<BoxQuery>) -> Vec<Vec<LeafHit>> {
         self.submit_boxes(boxes).wait()
-    }
-
-    /// Submit a box query and wait for the hits.
-    pub fn query_box(&self, tree: TreeId, lo: [i32; 3], hi: [i32; 3]) -> Vec<LeafHit> {
-        self.submit_box(tree, lo, hi).wait()
     }
 }
 
@@ -589,7 +319,6 @@ impl Drop for QueryExecutor {
         // Workers drain the board before exiting, so queued batches are
         // still answered.
         self.shared.work_cv.notify_all();
-        self.shared.space_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -600,25 +329,21 @@ impl Drop for QueryExecutor {
 // workers
 
 /// Per-worker metric handles, resolved once from the process-global
-/// registry (worker threads have no per-rank recorder). Stage
-/// histograms are shared across workers; the `query.worker.{w}.*`
-/// counters are per worker, their names interned once per thread
-/// (workers are few and live for the executor's lifetime).
+/// registry (worker threads have no per-rank recorder). Histograms are
+/// shared across workers; the `query.worker.{w}.*` counters are per
+/// worker, their names interned once per thread (workers are few and
+/// live for the executor's lifetime).
 struct WorkerMetrics {
     point_latency: telemetry::Histogram,
     box_latency: telemetry::Histogram,
     served: telemetry::Counter,
     age: telemetry::Gauge,
+    size: telemetry::Histogram,
     e2e: telemetry::Histogram,
-    sort_ns: telemetry::Histogram,
-    drain_ns: telemetry::Histogram,
-    steal_chunk_ns: telemetry::Histogram,
-    unpermute_ns: telemetry::Histogram,
+    serve_ns: telemetry::Histogram,
     batches: telemetry::Counter,
     probes: telemetry::Counter,
-    steals: telemetry::Counter,
     busy_ns: telemetry::Counter,
-    steal_ns: telemetry::Counter,
     idle_ns: telemetry::Counter,
 }
 
@@ -635,168 +360,38 @@ impl WorkerMetrics {
             box_latency: g.histogram("query.box.latency_ns"),
             served: g.counter("query.served"),
             age: g.gauge("snapshot.age_ns"),
+            size: g.histogram("query.batch.size"),
             e2e: g.histogram("query.batch.e2e_ns"),
-            sort_ns: g.histogram("query.stage.sort_ns"),
-            drain_ns: g.histogram("query.stage.drain_ns"),
-            steal_chunk_ns: g.histogram("query.stage.steal_ns"),
-            unpermute_ns: g.histogram("query.stage.unpermute_ns"),
+            serve_ns: g.histogram("query.stage.serve_ns"),
             batches: per("batches"),
             probes: per("probes"),
-            steals: per("steals"),
             busy_ns: per("busy_ns"),
-            steal_ns: per("steal_ns"),
             idle_ns: per("idle_ns"),
         }
     }
 }
 
 fn worker_loop(shared: &Shared, w: usize) {
-    let metrics = WorkerMetrics::new(w);
+    let m = WorkerMetrics::new(w);
     loop {
         let idle0 = telemetry::now_ns();
-        let work = {
-            let mut b = shared.board.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(w) = b.queue.pop_front() {
-                    break w;
-                }
-                if b.closed {
-                    return;
-                }
-                b = shared.work_cv.wait(b).unwrap_or_else(|p| p.into_inner());
-            }
+        let b = shared.board.lock().unwrap_or_else(|p| p.into_inner());
+        let mut b = shared
+            .work_cv
+            .wait_while(b, |b| b.queue.is_empty() && !b.closed)
+            .unwrap_or_else(|p| p.into_inner());
+        // Closed boards are drained before a worker exits.
+        let Some(job) = b.queue.pop_front() else {
+            return;
         };
+        drop(b);
         let busy0 = telemetry::now_ns();
-        metrics.idle_ns.add(busy0.saturating_sub(idle0));
-        match work {
-            Work::Points { batch, shard } => serve_points(&batch, shard, &metrics),
-            Work::Boxes { batch } => serve_boxes(&batch, &metrics),
+        m.idle_ns.add(busy0.saturating_sub(idle0));
+        match job {
+            Job::Points(b) => b.serve("point", &m.point_latency, &m, ForestSnapshot::locate_many),
+            Job::Boxes(b) => b.serve("box", &m.box_latency, &m, ForestSnapshot::query_boxes),
         }
-        metrics
-            .busy_ns
-            .add(telemetry::now_ns().saturating_sub(busy0));
-        metrics.batches.incr();
-    }
-}
-
-/// Serve point shards, starting at `start` (the shard this job was
-/// enqueued for) and then stealing chunks from every other shard of the
-/// batch. Sorting a shard is claimed by CAS, so whichever worker
-/// reaches an unsorted shard first — owner or thief — sorts it; a shard
-/// someone else is busy sorting is skipped (its chunks surface on that
-/// worker or a later steal pass).
-fn serve_points(batch: &PointBatch, start: usize, metrics: &WorkerMetrics) {
-    metrics.age.set(batch.snap.age_ns());
-    let w = batch.shards.len();
-    for off in 0..w {
-        let s = &batch.shards[(start + off) % w];
-        if s.len == 0 || s.cursor.load(Ordering::Relaxed) >= s.len {
-            continue;
-        }
-        // `off > 0` means this shard belongs to another worker's job:
-        // serving it is a steal, accounted separately so the profile
-        // can tell rebalancing work from owned work.
-        let stealing = off > 0;
-        if !s.sorted.load(Ordering::Acquire) {
-            if s.sort_claim
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Sole writer: claim won, `sorted` not yet released.
-                let t0 = telemetry::now_ns();
-                let idxs = unsafe { &mut *s.idxs.get() };
-                idxs.sort_unstable_by_key(|&i| {
-                    (batch.points[i as usize].0, batch.keys[i as usize])
-                });
-                s.sorted.store(true, Ordering::Release);
-                metrics
-                    .sort_ns
-                    .record(telemetry::now_ns().saturating_sub(t0));
-            } else if !s.sorted.load(Ordering::Acquire) {
-                continue;
-            }
-        }
-        // `sorted` acquired: the vector is immutable from here on.
-        let idxs = unsafe { &*s.idxs.get() };
-        loop {
-            let lo = s.cursor.fetch_add(POINT_CHUNK, Ordering::Relaxed);
-            if lo >= s.len {
-                break;
-            }
-            let hi = (lo + POINT_CHUNK).min(s.len);
-            let t0 = telemetry::now_ns();
-            batch
-                .snap
-                .locate_run(&batch.points, &batch.keys, &idxs[lo..hi], |i, hit| unsafe {
-                    batch.slots.write(i as usize, hit);
-                });
-            let chunk_ns = telemetry::now_ns().saturating_sub(t0);
-            let served = hi - lo;
-            metrics.probes.add(served as u64);
-            if stealing {
-                metrics.steals.incr();
-                metrics.steal_ns.add(chunk_ns);
-                metrics.steal_chunk_ns.record(chunk_ns);
-            } else {
-                metrics.drain_ns.record(chunk_ns);
-            }
-            if batch.remaining.fetch_sub(served, Ordering::AcqRel) == served {
-                complete_points(batch, metrics);
-            }
-        }
-    }
-}
-
-fn complete_points(batch: &PointBatch, metrics: &WorkerMetrics) {
-    // "Un-permute" is where a permuted-results design would pay to
-    // restore input order; here every probe wrote its own input slot,
-    // so this stage is just taking the buffer — the histogram exists
-    // to prove that it stays free.
-    let t0 = telemetry::now_ns();
-    let answers = batch.slots.take();
-    let done = telemetry::now_ns();
-    metrics.unpermute_ns.record(done.saturating_sub(t0));
-    let e2e = done.saturating_sub(batch.start_ns);
-    metrics.point_latency.record(e2e);
-    metrics.e2e.record(e2e);
-    metrics.served.add(batch.points.len() as u64);
-    let n = batch.points.len() as u64;
-    telemetry::flight::event(telemetry::flight::FlightKind::BatchDone, 0, n, e2e);
-    telemetry::note_batch_latency("point", n, e2e);
-    batch.latch.fulfill(answers);
-}
-
-fn serve_boxes(batch: &BoxBatch, metrics: &WorkerMetrics) {
-    metrics.age.set(batch.snap.age_ns());
-    let n = batch.order.len();
-    loop {
-        let lo = batch.cursor.fetch_add(BOX_CHUNK, Ordering::Relaxed);
-        if lo >= n {
-            break;
-        }
-        let hi = (lo + BOX_CHUNK).min(n);
-        for &i in &batch.order[lo..hi] {
-            let t0 = telemetry::now_ns();
-            let q = batch.boxes[i as usize];
-            let hits = batch.snap.query_box(q.tree, q.lo, q.hi);
-            metrics
-                .box_latency
-                .record(telemetry::now_ns().saturating_sub(t0));
-            metrics.served.incr();
-            unsafe { batch.slots.write(i as usize, hits) };
-        }
-        let served = hi - lo;
-        metrics.probes.add(served as u64);
-        if batch.remaining.fetch_sub(served, Ordering::AcqRel) == served {
-            let answers = batch.slots.take();
-            let e2e = telemetry::now_ns().saturating_sub(batch.start_ns);
-            metrics.box_latency.record(e2e);
-            metrics.e2e.record(e2e);
-            let n = batch.order.len() as u64;
-            telemetry::flight::event(telemetry::flight::FlightKind::BatchDone, 0, n, e2e);
-            telemetry::note_batch_latency("box", n, e2e);
-            batch.latch.fulfill(answers);
-        }
+        m.busy_ns.add(telemetry::now_ns().saturating_sub(busy0));
     }
 }
 
@@ -832,7 +427,10 @@ mod tests {
         assert!(got.iter().all(|h| h.is_some()));
 
         let (lo, hi) = ([0, 0, 0], [root / 2, root / 2, 0]);
-        assert_eq!(exec.query_box(0, lo, hi), snap.query_box(0, lo, hi));
+        assert_eq!(
+            exec.query_boxes(vec![BoxQuery { tree: 0, lo, hi }]),
+            vec![snap.query_box(0, lo, hi)]
+        );
     }
 
     #[test]
@@ -903,24 +501,47 @@ mod tests {
     }
 
     #[test]
+    fn batch_dropped_unserved_abandons_its_ticket_and_frees_its_slot() {
+        let shared = Shared::new(1);
+        shared.board.lock().unwrap().in_flight = 1; // the slot `batch` owns
+        let latch = Latch::new();
+        let batch = Batch::<BoxQuery, Vec<LeafHit>> {
+            snap: Arc::new(uniform_snapshot(1)),
+            queries: Vec::new(),
+            latch: Arc::clone(&latch),
+            start_ns: 0,
+            shared: Arc::clone(&shared),
+        };
+        drop(batch); // what unwinding out of a panicking worker does
+        assert_eq!(shared.board.lock().unwrap().in_flight, 0);
+        let ticket = Ticket { latch };
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()));
+        assert!(waited.is_err(), "an abandoned ticket must not hang");
+    }
+
+    #[test]
     fn served_counter_advances() {
         let handle = SnapshotHandle::new(uniform_snapshot(2));
         let served = telemetry::global().counter("query.served");
         let before = served.get();
         let exec = QueryExecutor::new(handle, 2);
         exec.locate_points(vec![(0u32, [0, 0, 0]), (0u32, [1, 1, 0])]);
-        exec.query_box(0, [0, 0, 0], [2, 2, 0]);
+        let _ = exec.query_boxes(vec![BoxQuery {
+            tree: 0,
+            lo: [0, 0, 0],
+            hi: [2, 2, 0],
+        }]);
         assert!(served.get() >= before + 3);
     }
 
     #[test]
-    fn large_sharded_batch_matches_reference() {
+    fn large_batch_matches_reference() {
         let snap = uniform_snapshot(5);
         let handle = SnapshotHandle::new(snap.clone());
         let exec = QueryExecutor::new(handle, 4);
         let root = MortonQuad::<2>::len_at(0);
-        // Big enough to trigger sharding (>= 2 * POINT_CHUNK valid
-        // probes), with a hash scatter so every shard gets work.
+        // The big-batch oracle: a hash scatter over the whole curve, so
+        // the sorted sweep crosses every part of the key array.
         let points: Vec<(TreeId, [i32; 3])> = (0u64..2048)
             .map(|i| {
                 let h = i.wrapping_mul(0x9e3779b97f4a7c15);

@@ -1,120 +1,54 @@
-//! The atomic-swap snapshot handle: lock-free reads, grace-period
-//! reclamation.
+//! The snapshot publication point: an `RwLock<Arc<ForestSnapshot>>`.
 //!
 //! The AMR loop (refine → balance → partition) publishes a fresh
 //! [`ForestSnapshot`] each generation while reader threads keep serving
-//! the previous one. The read path must not lock — a hiccup in the
-//! mutator must never stall the serving fleet — so [`SnapshotHandle`]
-//! implements a small two-epoch RCU:
+//! the previous one. [`SnapshotHandle::load`] clones the current `Arc`
+//! under the read lock; [`SnapshotHandle::publish`] swaps it under the
+//! write lock and drops the retired `Arc` after releasing it, so a
+//! critical section is a pointer move or a refcount increment — never
+//! a snapshot build, never a deallocation.
 //!
-//! * the current snapshot lives behind an `AtomicPtr`;
-//! * a reader *pins* itself in one of two epoch slots (a sharded atomic
-//!   counter increment — wait-free, no mutex, no CAS loop), loads the
-//!   pointer, clones the `Arc`, and unpins;
-//! * [`SnapshotHandle::publish`] swaps the pointer, flips the epoch
-//!   parity, then waits for the *old* epoch's reader count to drain
-//!   before dropping the retired pointer. New readers pin the new
-//!   epoch, so the wait terminates under any read load.
-//!
-//! The consistency model follows: a reader sees some recently published
-//! generation — possibly one generation stale if it raced a publish —
-//! but always a complete, immutable snapshot; torn state is
-//! unrepresentable. Publishing blocks briefly (readers pin only for the
-//! nanoseconds between increment and `Arc` clone), which is the right
-//! trade: the mutator pays, the serving path never does.
+//! The consistency model holds by construction: a reader gets some
+//! recently published generation — possibly one generation stale if it
+//! raced a publish — but always a complete, immutable snapshot that its
+//! own `Arc` keeps alive; torn state is unrepresentable. A publisher
+//! that does find a reader inside its few-nanosecond critical section
+//! sleeps on the lock and is woken by that reader's unlock; it does not
+//! poll behind every runnable thread (DESIGN.md "Publication" has the
+//! measurement against the epoch-RCU this replaced).
 
 use crate::ForestSnapshot;
 use quadforest_telemetry as telemetry;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
-/// Number of reader shards per epoch slot; spreads the pin counters
-/// across cache lines so concurrent readers do not serialize on one
-/// atomic.
-const SHARDS: usize = 8;
-
-/// A cache-line-padded counter (one per shard per epoch).
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedCounter(AtomicU64);
-
-/// Per-thread shard assignment, round-robin at first use.
-fn thread_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, SeqCst) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// The atomic-swap publication point for [`ForestSnapshot`]s.
+/// The publication point for [`ForestSnapshot`]s.
 ///
 /// Cheap to share (`Arc<SnapshotHandle>`); any number of reader threads
-/// call [`load`](SnapshotHandle::load) concurrently with one (or more,
-/// serialized) publishers calling [`publish`](SnapshotHandle::publish).
+/// call [`load`](SnapshotHandle::load) concurrently with publishers
+/// calling [`publish`](SnapshotHandle::publish).
 pub struct SnapshotHandle {
-    /// Owned `Arc<ForestSnapshot>` behind a raw pointer; the box is the
-    /// unit of retirement.
-    current: AtomicPtr<Arc<ForestSnapshot>>,
-    /// Monotonic publish counter; low bit selects the active epoch slot.
-    epoch: AtomicU64,
-    /// Reader pin counts: `[epoch parity][shard]`.
-    active: [[PaddedCounter; SHARDS]; 2],
-    /// Serializes publishers (readers never touch it).
-    publish_lock: Mutex<()>,
-    /// Cached global-registry gauges (query worker threads are not rank
+    current: RwLock<Arc<ForestSnapshot>>,
+    /// Cached global-registry gauge (query worker threads are not rank
     /// threads, so snapshot metrics live in the process-global registry).
     gen_gauge: telemetry::Gauge,
-    age_gauge: telemetry::Gauge,
 }
 
-// SAFETY: the raw pointer is only ever a Box<Arc<ForestSnapshot>> whose
-// ownership is transferred through the atomic with SeqCst ordering and
-// reclaimed only after the two-epoch grace period below.
-unsafe impl Send for SnapshotHandle {}
-unsafe impl Sync for SnapshotHandle {}
-
 impl SnapshotHandle {
-    /// Create a handle serving `initial` as generation zero's snapshot.
+    /// Create a handle serving `initial` as the first generation.
     pub fn new(initial: ForestSnapshot) -> Arc<Self> {
-        let generation = initial.generation();
-        let handle = Arc::new(SnapshotHandle {
-            current: AtomicPtr::new(Box::into_raw(Box::new(Arc::new(initial)))),
-            epoch: AtomicU64::new(0),
-            active: Default::default(),
-            publish_lock: Mutex::new(()),
-            gen_gauge: telemetry::global().gauge("snapshot.generation"),
-            age_gauge: telemetry::global().gauge("snapshot.age_ns"),
-        });
-        handle.gen_gauge.set(generation);
-        handle
+        let gen_gauge = telemetry::global().gauge("snapshot.generation");
+        gen_gauge.set(initial.generation());
+        Arc::new(SnapshotHandle {
+            current: RwLock::new(Arc::new(initial)),
+            gen_gauge,
+        })
     }
 
-    /// The hot read path: pin, load, clone, unpin. Wait-free for the
-    /// reader (two shard-local atomic adds and one `Arc` clone); never
-    /// blocks on publishers, never takes a lock.
+    /// The read path: one `Arc` clone under the read lock. A poisoned
+    /// lock is read through — the guarded value is a single `Arc`, valid
+    /// at every step of a swap.
     pub fn load(&self) -> Arc<ForestSnapshot> {
-        let shard = thread_shard();
-        // Pin into the current epoch slot; revalidate the parity after
-        // the increment so a publisher that flipped concurrently is
-        // guaranteed to observe the pin during its drain (or we retry
-        // into the slot it will not reclaim).
-        let e = loop {
-            let e = (self.epoch.load(SeqCst) & 1) as usize;
-            self.active[e][shard].0.fetch_add(1, SeqCst);
-            if (self.epoch.load(SeqCst) & 1) as usize == e {
-                break e;
-            }
-            self.active[e][shard].0.fetch_sub(1, SeqCst);
-        };
-        let p = self.current.load(SeqCst);
-        // SAFETY: `p` was current after our pin was visible; the
-        // publisher that retires it flips the epoch first and then
-        // drains the slot we are pinned in, so it cannot be freed
-        // before our unpin below.
-        let snap = unsafe { (*p).clone() };
-        self.active[e][shard].0.fetch_sub(1, SeqCst);
-        snap
+        Arc::clone(&self.current.read().unwrap_or_else(|p| p.into_inner()))
     }
 
     /// Generation of the currently served snapshot.
@@ -122,45 +56,22 @@ impl SnapshotHandle {
         self.load().generation()
     }
 
-    /// Record the served snapshot's age into the `snapshot.age_ns`
-    /// gauge (called by the executor between batches; cheap enough for
-    /// any cadence).
-    pub fn record_age(&self) {
-        self.age_gauge.set(self.load().age_ns());
-    }
-
     /// Publish a new snapshot generation. Readers that raced the swap
-    /// finish against the previous snapshot; every later
-    /// [`load`](SnapshotHandle::load) observes the new one. Blocks the
-    /// caller until no reader still holds the retired pointer, then
-    /// frees it.
+    /// finish against the previous snapshot, which lives until its last
+    /// reader drops it; every later [`load`](SnapshotHandle::load)
+    /// observes the new one.
     pub fn publish(&self, snapshot: ForestSnapshot) {
-        let _guard = self.publish_lock.lock().unwrap_or_else(|p| p.into_inner());
         let generation = snapshot.generation();
-        let fresh = Box::into_raw(Box::new(Arc::new(snapshot)));
-        let retired = self.current.swap(fresh, SeqCst);
-        // Flip the epoch parity: readers arriving from here pin the new
-        // slot, so the old slot's pin count can only drain.
-        let old = (self.epoch.fetch_add(1, SeqCst) & 1) as usize;
-        while self.active[old].iter().any(|c| c.0.load(SeqCst) != 0) {
-            std::thread::yield_now();
-        }
-        // SAFETY: the retired pointer is no longer reachable (swapped
-        // out) and the grace period above guarantees no reader is still
-        // between pin and clone on it.
-        unsafe { drop(Box::from_raw(retired)) };
-        self.gen_gauge.set(generation);
+        let fresh = Arc::new(snapshot);
+        let retired = {
+            let mut current = self.current.write().unwrap_or_else(|p| p.into_inner());
+            // Inside the lock, so concurrent publishers leave the gauge
+            // at the generation that is actually served.
+            self.gen_gauge.set(generation);
+            std::mem::replace(&mut *current, fresh)
+        };
+        drop(retired); // freed outside the lock
         telemetry::global().counter("snapshot.published").incr();
-    }
-}
-
-impl Drop for SnapshotHandle {
-    fn drop(&mut self) {
-        // Exclusive access: no readers can exist (they would hold a
-        // reference to the handle).
-        let p = self.current.load(SeqCst);
-        // SAFETY: sole owner of the last published box.
-        unsafe { drop(Box::from_raw(p)) };
     }
 }
 
@@ -190,7 +101,6 @@ mod tests {
         handle.publish(snapshot_of_level(2, 1));
         assert_eq!(handle.generation(), 1);
         assert_eq!(handle.load().local_count(), 16);
-        handle.record_age();
     }
 
     #[test]
@@ -229,14 +139,24 @@ mod tests {
                 })
             })
             .collect();
-        for g in 1..200u64 {
-            let level = (g % 5 + 1) as u8;
-            handle.publish(snapshot_of_level(level, g));
-        }
+        // Each publish is timed alone (the snapshot is built before
+        // the clock starts): with 6 spinning readers on few cpus the
+        // mutator must not wait out a reader's time slice.
+        let mut publish_ns: Vec<u64> = (1..200u64)
+            .map(|g| {
+                let snap = snapshot_of_level((g % 5 + 1) as u8, g);
+                let t0 = std::time::Instant::now();
+                handle.publish(snap);
+                t0.elapsed().as_nanos() as u64
+            })
+            .collect();
         stop.store(true, Ordering::Relaxed);
         let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         assert!(total > 0, "readers must observe published generations");
         assert_eq!(handle.generation(), 199);
+        publish_ns.sort_unstable();
+        let median = publish_ns[publish_ns.len() / 2];
+        assert!(median < 2_000_000, "median publish took {median} ns");
     }
 
     use std::sync::atomic::Ordering;

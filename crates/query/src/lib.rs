@@ -13,10 +13,11 @@
 //!   offsets + partition markers), buildable from **any** quadrant
 //!   representation via the batched SIMD-dispatched key kernels. All
 //!   queries run against snapshots, never against the live forest.
-//! * [`SnapshotHandle`] — the atomic-swap publication point. The AMR
-//!   loop publishes a fresh snapshot each generation; readers
-//!   [`load`](SnapshotHandle::load) lock-free and may be at most one
-//!   generation stale, never torn.
+//! * [`SnapshotHandle`] — the publication point, an
+//!   `RwLock<Arc<ForestSnapshot>>`. The AMR loop publishes a fresh
+//!   snapshot each generation; readers [`load`](SnapshotHandle::load)
+//!   an `Arc` clone and may be at most one generation stale, never
+//!   torn.
 //! * query kernels — batched point location
 //!   ([`ForestSnapshot::locate_many`]: one SIMD-dispatched key-extract
 //!   pass, a `(tree, Morton key)` sort, then one gallop-resume sweep of
@@ -25,11 +26,10 @@
 //!   backed by `quadforest_core::zrange`, covers served in curve order
 //!   with cross-box resume), and per-region level histograms
 //!   ([`ForestSnapshot::level_histogram_in_box`]).
-//! * [`QueryExecutor`] — a pool of worker threads serving batches from
-//!   a shared job board, each point batch split into per-worker
-//!   Z-interval shards of the snapshot (with chunk stealing), answers
-//!   delivered through a shared slot buffer and one completion-latch
-//!   wakeup per batch (backpressure by bounded in-flight batches).
+//! * [`QueryExecutor`] — a pool of worker threads behind a bounded FIFO
+//!   of whole batches: one worker answers one batch with the kernels
+//!   above and wakes its submitter once (backpressure by bounded
+//!   in-flight batches).
 //! * distributed routing — [`locate_global`] / [`query_box_global`]
 //!   scatter non-local queries to their owning ranks (decided by the
 //!   snapshot's partition markers) over `Comm::exchange`.
@@ -57,7 +57,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod distributed;
 mod executor;

@@ -53,7 +53,7 @@ pub struct BoxQuery {
 
 /// Probe-key sentinel marking an out-of-domain point in the batched
 /// key lane (real `morton_abs` keys need at most 56 bits).
-pub(crate) const INVALID_KEY: u64 = u64::MAX;
+const INVALID_KEY: u64 = u64::MAX;
 
 /// An immutable, rank-local flattening of one forest generation.
 ///
@@ -238,7 +238,7 @@ impl ForestSnapshot {
     /// Out-of-domain points (bad tree id or coordinates off the unit
     /// tree) get [`INVALID_KEY`]; their lanes are clamped so the kernel
     /// never sees a negative coordinate.
-    pub(crate) fn probe_keys(&self, points: &[(TreeId, [i32; 3])]) -> Vec<u64> {
+    fn probe_keys(&self, points: &[(TreeId, [i32; 3])]) -> Vec<u64> {
         let n = points.len();
         let (mut xs, mut ys, mut zs) = (vec![0i32; n], vec![0i32; n], vec![0i32; n]);
         let mut invalid = Vec::new();
@@ -266,7 +266,7 @@ impl ForestSnapshot {
     /// partition point) carries across probes of the same tree, so a
     /// sorted batch walks each key array left to right instead of
     /// restarting a full binary search per point.
-    pub(crate) fn locate_run(
+    fn locate_run(
         &self,
         points: &[(TreeId, [i32; 3])],
         keys: &[u64],
@@ -355,7 +355,7 @@ impl ForestSnapshot {
     /// earlier. [`ForestSnapshot::query_boxes`] threads it through a
     /// batch sorted by `(tree, first range start)`, so consecutive boxes
     /// skip re-searching the prefix of the key array already passed.
-    pub(crate) fn query_cover_from(
+    fn query_cover_from(
         &self,
         tree: TreeId,
         lo: [i32; 3],
@@ -428,28 +428,6 @@ impl ForestSnapshot {
             answers[i as usize] = hits;
         }
         answers
-    }
-
-    /// Z-interval shard boundaries splitting the rank's leaves into
-    /// `shards` near-equal contiguous chunks of the global
-    /// `(tree, key)` order: `shards - 1` markers, each the position of
-    /// the leaf opening its shard (marker-style, exactly like the
-    /// partition markers route ranks). A point `(tree, key)` belongs to
-    /// shard `bounds.partition_point(|m| *m <= (tree, key))`.
-    pub fn shard_bounds(&self, shards: usize) -> Vec<(TreeId, u64)> {
-        let total = self.keys.len();
-        let mut bounds = Vec::with_capacity(shards.saturating_sub(1));
-        if shards <= 1 || total == 0 {
-            return bounds;
-        }
-        for s in 1..shards {
-            let pos = (s * total / shards) as u32;
-            // owning tree: last offset <= pos
-            let t = self.tree_offsets.partition_point(|&o| o <= pos) - 1;
-            bounds.push((t as TreeId, self.keys[pos as usize]));
-        }
-        bounds.dedup();
-        bounds
     }
 
     /// Per-level leaf counts (indices `0..=max_level`) over the local

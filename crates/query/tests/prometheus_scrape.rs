@@ -8,7 +8,7 @@
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::{Quadrant, StandardQuad};
 use quadforest_forest::Forest;
-use quadforest_query::{ForestSnapshot, QueryExecutor, SnapshotHandle};
+use quadforest_query::{BoxQuery, ForestSnapshot, QueryExecutor, SnapshotHandle};
 use quadforest_telemetry as telemetry;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -79,9 +79,13 @@ fn scrape_is_valid_exposition_format_with_the_query_families() {
             .all(Option::is_some));
     }
     let hits = exec
-        .submit_box(0, [0, 0, 0], [root / 4, root / 4, 0])
+        .submit_boxes(vec![BoxQuery {
+            tree: 0,
+            lo: [0, 0, 0],
+            hi: [root / 4, root / 4, 0],
+        }])
         .wait();
-    assert!(!hits.is_empty());
+    assert!(!hits[0].is_empty());
     drop(exec);
     telemetry::set_slow_query_threshold_ns(threshold);
 
@@ -128,7 +132,7 @@ fn scrape_is_valid_exposition_format_with_the_query_families() {
     for family in [
         "query_point_latency_ns",
         "query_batch_e2e_ns",
-        "query_stage_classify_ns",
+        "query_stage_serve_ns",
         "query_slow_count",
     ] {
         assert!(typed.contains(family), "missing family {family:?}");

@@ -5,9 +5,8 @@
 //! [`ForestSnapshot::query_box`] — for every quadrant representation,
 //! on adaptively refined multi-tree forests, for batches containing
 //! duplicates, out-of-domain points, invalid tree ids, and probes
-//! spanning every Z-interval shard. Plus a hammer test: the sharded
-//! executor under concurrent submitters returns exactly the direct
-//! snapshot answers.
+//! scattered over every tree. Plus a hammer test: the executor under
+//! concurrent submitters returns exactly the direct snapshot answers.
 
 use proptest::prelude::*;
 use quadforest_connectivity::{Connectivity, TreeId};
@@ -133,11 +132,11 @@ proptest! {
     }
 }
 
-/// A shard-spanning batch: probes scattered across the whole multi-tree
-/// domain, large enough to trigger the Z-sharded path, answered
+/// The multi-tree oracle: a large batch of probes scattered across
+/// every tree of the brick (and one invalid tree id), answered
 /// identically to the reference path.
 #[test]
-fn shard_spanning_batch_matches_reference() {
+fn multi_tree_batch_matches_reference() {
     let snap = snapshot_for::<MortonQuad<2>>(7);
     let root = MortonQuad::<2>::len_at(0);
     let points: Vec<(TreeId, [i32; 3])> = (0u64..4096)

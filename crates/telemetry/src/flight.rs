@@ -70,7 +70,7 @@ pub enum FlightKind {
     /// A collective started. `b` = collective sequence number,
     /// `c` = [`name_id`] of the phase it runs in.
     Collective = 5,
-    /// A query batch was submitted. `b` = batch size, `c` = valid probes.
+    /// A query batch was submitted. `b` = batch size.
     BatchStart = 6,
     /// A query batch completed. `b` = batch size, `c` = end-to-end ns.
     BatchDone = 7,
@@ -125,14 +125,6 @@ impl FlightKind {
             RecoveryRetry => "recovery-retry",
             SlowQuery => "slow-query",
         }
-    }
-
-    /// Is this a communication operation (send/recv/collective)?
-    pub fn is_comm_op(self) -> bool {
-        matches!(
-            self,
-            FlightKind::CommSend | FlightKind::CommRecv | FlightKind::Collective
-        )
     }
 }
 
@@ -470,7 +462,7 @@ impl FlightDump {
                 FlightKind::Collective => {
                     format!("#{} in phase '{}'", e.b, self.name(e.c))
                 }
-                FlightKind::BatchStart => format!("{} probes ({} valid)", e.b, e.c),
+                FlightKind::BatchStart => format!("{} probes", e.b),
                 FlightKind::BatchDone => format!("{} probes in {} ns", e.b, e.c),
                 FlightKind::Heartbeat => format!("seq {}", e.b),
                 FlightKind::CheckpointCommit => format!("generation {}", e.b),
@@ -492,15 +484,6 @@ impl FlightDump {
             ));
         }
         out
-    }
-
-    /// The last communication operation (send/recv/collective) recorded
-    /// by `rank`, if any — what a postmortem reader wants first.
-    pub fn last_comm_op(&self, rank: u32) -> Option<&FlightEvent> {
-        self.events
-            .iter()
-            .rev()
-            .find(|e| e.rank == rank && e.kind.is_comm_op())
     }
 
     /// The phase `rank` was last inside (last `PhaseEnter` without a
@@ -592,8 +575,6 @@ mod tests {
             txt.contains("r1 last seen at comm op 9 in phase 'balance'"),
             "{txt}"
         );
-        let last = dump.last_comm_op(3).unwrap();
-        assert_eq!(last.kind, FlightKind::CommSend);
         assert_eq!(dump.last_phase(3), Some("balance"));
     }
 

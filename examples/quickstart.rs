@@ -84,10 +84,10 @@ fn main() {
         });
 
         // --- serve spatial queries from an immutable snapshot ---------
-        // Flatten this generation, publish it through the lock-free
+        // Flatten this generation, publish it through the snapshot
         // handle, and serve batched point location from two worker
         // threads. The AMR loop above could keep adapting and
-        // republishing; readers would follow without ever blocking.
+        // republishing; readers would follow, one generation at a time.
         let handle = SnapshotHandle::new(ForestSnapshot::build(&forest, 1));
         let exec = QueryExecutor::new(Arc::clone(&handle), 2);
         let root = Morton2::len_at(0);

@@ -20,7 +20,7 @@
 //!   spans, per-rank metrics, and Chrome-trace/Perfetto export;
 //! * [`query`] — the concurrent spatial query engine: immutable
 //!   [`ForestSnapshot`](query::ForestSnapshot)s published through a
-//!   lock-free [`SnapshotHandle`](query::SnapshotHandle), point/box
+//!   [`SnapshotHandle`](query::SnapshotHandle), point/box
 //!   queries via Morton interval decomposition, and a multithreaded
 //!   [`QueryExecutor`](query::QueryExecutor);
 //! * [`pde`] — the data-bearing application layer: fixed `N × N` cell
