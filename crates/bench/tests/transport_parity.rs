@@ -265,7 +265,7 @@ fn kill_point_scan_recovers_on_both_backends() {
     for backend in backends() {
         let (stride, cap) = match backend {
             Backend::Threads => (1u64, u64::MAX),
-            Backend::Sockets(_) | Backend::Tcp(_) => (7, 42),
+            Backend::Sockets(_) | Backend::Tcp(_) => (5, 42),
         };
         let mut op = 0u64;
         let mut deaths = 0u32;

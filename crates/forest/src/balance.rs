@@ -2,17 +2,32 @@
 //!
 //! A forest is 2:1 balanced when no leaf is adjacent (across the chosen
 //! relations: faces, or faces+edges+corners) to a leaf more than one
-//! refinement level away. Balancing only ever *refines* (as in p4est):
-//! the algorithm ripples refinement outward from fine regions until the
-//! constraint holds globally.
+//! refinement level away. Balancing only ever *refines* (as in p4est).
 //!
-//! The implementation alternates local fixed-point rounds with a
-//! constraint exchange: each leaf `q` emits, for every neighbor domain
-//! `n` of its own size, the constraint "any leaf overlapping `n` must
-//! have level ≥ `level(q) − 1`". Constraints targeting remote SFC ranges
-//! are shipped to their owner ranks; a global allreduce detects the
-//! fixed point. Convergence is guaranteed because levels are bounded by
-//! [`Quadrant::MAX_LEVEL`] and every round only refines.
+//! The algorithm works on curve indices, not on leaves. Its state is the
+//! set of *interior* nodes of the balanced forest — per level `ℓ`, the
+//! sorted `(tree, I_ℓ)` of every node that must be split — and it uses
+//! only Definition 2.1 (parent `= I_ℓ >> d`, child `c` `= (I_ℓ << d) | c`),
+//! so it is the same code for every representation, Hilbert included.
+//!
+//! 1. **Seed**: the parent of every local leaf is interior.
+//! 2. **Close**, finest level first: an interior node `p` makes its own
+//!    parent interior, and the parent of each of its same-size neighbor
+//!    domains `p + o·H` — the 2:1 rule one level up (a leaf `q` of level
+//!    `L` forces the level-`(L−1)` ancestor of `q + o·h` to *exist*, and
+//!    over the children of `p` those ancestors are `p` and its neighbor
+//!    domains; DESIGN.md §3.4 has the argument). A level is finished
+//!    before the next coarser one starts, so one pass closes the set
+//!    whatever the depth of the ripple.
+//! 3. **One exchange**: every rule has a single premise, so the closure
+//!    of a union is the union of the closures. Each rank closes its own
+//!    seeds over the *whole* forest and ships every node to the ranks
+//!    whose range its subtree overlaps; receivers merge and are done —
+//!    no second round, no convergence reduction.
+//! 4. **Rebuild**: a depth-first walk in curve order meets each level's
+//!    indices in increasing order, so one forward cursor per level
+//!    decides "interior → split, else emit" for old leaves and their
+//!    new descendants alike.
 //!
 //! Inter-tree constraints propagate across *face* connections (including
 //! edge/corner offsets that exit through a single tree face); tree-edge
@@ -35,7 +50,7 @@ pub enum BalanceKind {
 }
 
 impl BalanceKind {
-    fn adjacency(self) -> Adjacency {
+    pub(crate) fn adjacency(self) -> Adjacency {
         match self {
             BalanceKind::Face => Adjacency::Face,
             BalanceKind::Full => Adjacency::Full,
@@ -43,158 +58,153 @@ impl BalanceKind {
     }
 }
 
-/// A balance constraint: leaves overlapping the domain anchored at
-/// `coords` (level `level`) in `tree` must be at least `level - 1` deep.
-type Constraint = (u32, [i32; 3], u8);
-
 impl<Q: Quadrant> Forest<Q> {
     /// 2:1-balance the forest (collective). Returns the number of leaves
-    /// refined on this rank.
+    /// split on this rank.
     pub fn balance(&mut self, comm: &Comm, kind: BalanceKind) -> usize {
         let _span = quadforest_telemetry::span("balance");
-        let adjacency = kind.adjacency();
-        let offs = offsets(Q::DIM, adjacency);
-        let mut scratch = NeighborScratch::new();
-        let mut refined_total = 0;
-        loop {
-            let _round = quadforest_telemetry::span("balance.round");
-            quadforest_telemetry::counter_add("forest.balance.rounds", 1);
-            // local fixed point
-            refined_total += self.balance_local(adjacency);
+        quadforest_telemetry::counter_add("forest.balance.rounds", 1);
+        let d = Q::DIM;
+        let offs = offsets(d, kind.adjacency());
 
-            // emit constraints whose target range is (partly) remote;
-            // leaves below level 2 cannot constrain anyone below level 1
-            // and are skipped by the enumeration's level floor
-            let mut outgoing: Vec<Vec<Constraint>> = (0..self.size).map(|_| Vec::new()).collect();
-            for t in 0..self.trees.len() {
+        // interior[ℓ]: (tree, I_ℓ) of the level-ℓ nodes that must be
+        // split; seeded with the parent of every local leaf (one index
+        // per run of siblings)
+        let mut interior: Vec<Vec<(u32, u64)>> = vec![Vec::new(); Q::MAX_LEVEL as usize + 1];
+        for (t, leaves) in self.trees.iter().enumerate() {
+            let mut prev: Option<&Q> = None;
+            for q in leaves {
+                if q.level() > 0 && !prev.is_some_and(|p| p.is_sibling_of(q)) {
+                    interior[q.level() as usize - 1].push((t as u32, q.morton_index() >> d));
+                }
+                prev = Some(q);
+            }
+        }
+
+        // close finest-first over the whole forest; a finished level is
+        // addressed to every other rank its nodes' subtrees overlap
+        let mut outgoing: Vec<Vec<(u32, u8, u64)>> = (0..self.size).map(|_| Vec::new()).collect();
+        let mut scratch = NeighborScratch::new();
+        let mut quads: Vec<Q> = Vec::new();
+        for level in (0..=Q::MAX_LEVEL).rev() {
+            let (coarser, rest) = interior.split_at_mut(level as usize);
+            let nodes = &mut rest[0];
+            nodes.sort_unstable();
+            nodes.dedup();
+            for run in nodes.chunk_by(|a, b| a.0 == b.0) {
+                let tree = run[0].0;
+                quads.clear();
+                quads.extend(run.iter().map(|&(_, i)| Q::from_morton(i, level)));
+                for (q, &(_, i)) in quads.iter().zip(run) {
+                    for r in self.owners_of_subtree(tree, q) {
+                        if r != self.rank {
+                            outgoing[r].push((tree, level, i));
+                        }
+                    }
+                }
+                let Some(up) = coarser.last_mut() else {
+                    continue;
+                };
+                // skipping a repeat of the previous push drops most
+                // duplicates before the sort (siblings share parents)
+                let mut push = |node: (u32, u64)| {
+                    if up.last() != Some(&node) {
+                        up.push(node);
+                    }
+                };
+                for &(_, i) in run {
+                    push((tree, i >> d));
+                }
                 for_each_neighbor_domain(
                     self.connectivity(),
-                    t as u32,
-                    &self.trees[t],
+                    tree,
+                    &quads,
                     &offs,
-                    2,
+                    1,
                     &mut scratch,
-                    |_, _, dom| {
-                        let probe = Q::from_coords(dom.coords, dom.level);
-                        for r in self.owners_of_subtree(dom.tree, &probe) {
-                            if r != self.rank {
-                                outgoing[r].push((dom.tree, dom.coords, dom.level));
-                            }
+                    |k, _, dom| {
+                        // half the domains are siblings of the node
+                        // itself: same parent, pushed above
+                        let n = Q::from_coords(dom.coords, level);
+                        if dom.tree != tree || !n.is_sibling_of(&quads[k]) {
+                            push((dom.tree, n.morton_index() >> d));
                         }
                     },
                 );
             }
-            quadforest_telemetry::counter_add(
-                "forest.balance.constraints_sent",
-                outgoing.iter().map(|v| v.len() as u64).sum(),
-            );
-            let incoming = comm.alltoallv(outgoing);
-
-            // apply remote constraints in one batch
-            let remote: Vec<Constraint> = incoming.into_iter().flatten().collect();
-            let changed = self.apply_constraints(&remote) > 0;
-            if changed {
-                // remote-induced refinement may cascade locally
-                refined_total += self.balance_local(adjacency);
-            }
-
-            let global_changed = comm.allreduce(changed as u64, |a, b| a | b);
-            // one final quiet round proves the fixed point; since
-            // balance_local always runs to a local fixed point and
-            // constraints only flow through the exchange, a round with no
-            // remote-induced changes anywhere is the global fixed point.
-            if global_changed == 0 {
-                break;
-            }
         }
+        quadforest_telemetry::counter_add(
+            "forest.balance.nodes_sent",
+            outgoing.iter().map(|v| v.len() as u64).sum(),
+        );
+
+        // the one exchange: what arrives is already closed
+        for (tree, level, i) in comm.alltoallv(outgoing).into_iter().flatten() {
+            interior[level as usize].push((tree, i));
+        }
+        for nodes in &mut interior {
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
+
+        // rebuild: one forward cursor per level over the sorted sets
+        // decides every node the walk meets; the replacement of each
+        // split leaf is collected in `fresh`
+        let mut cursor = vec![0usize; interior.len()];
+        let mut is_interior = |level: u8, node: (u32, u64)| {
+            let (set, c) = (&interior[level as usize], &mut cursor[level as usize]);
+            *c += set[*c..].iter().take_while(|n| **n < node).count();
+            set.get(*c) == Some(&node)
+        };
+        let mut split = 0;
+        let mut stack: Vec<(u8, u64)> = Vec::new();
+        let mut fresh: Vec<Q> = Vec::new();
+        let mut cuts: Vec<(usize, usize)> = Vec::new();
+        for (t, leaves) in self.trees.iter_mut().enumerate() {
+            fresh.clear();
+            cuts.clear();
+            for (at, q) in leaves.iter().enumerate() {
+                let (level, i) = (q.level(), q.morton_index());
+                if !is_interior(level, (t as u32, i)) {
+                    continue;
+                }
+                cuts.push((at, fresh.len()));
+                stack.push((level, i));
+                while let Some((level, i)) = stack.pop() {
+                    if is_interior(level, (t as u32, i)) {
+                        split += 1;
+                        let children = (0..Q::NUM_CHILDREN as u64).rev();
+                        stack.extend(children.map(|c| (level + 1, (i << d) | c)));
+                    } else {
+                        fresh.push(Q::from_morton(i, level));
+                    }
+                }
+            }
+            // grow in place and splice from the back: behind every split
+            // leaf its untouched tail, then its replacement
+            let (mut from, mut done) = (leaves.len(), fresh.len());
+            let mut to = from - cuts.len() + done;
+            leaves.resize(to, Q::root());
+            for &(at, start) in cuts.iter().rev() {
+                to -= from - (at + 1);
+                leaves.copy_within(at + 1..from, to);
+                to -= done - start;
+                leaves[to..to + (done - start)].copy_from_slice(&fresh[start..done]);
+                (from, done) = (at, start);
+            }
+            debug_assert_eq!(to, from);
+        }
+
         self.refresh_global(comm);
         debug_assert_eq!(self.validate(), Ok(()));
         self.guard_phase("balance");
-        refined_total
-    }
-
-    /// Enforce the 2:1 constraint among local leaves until stable.
-    /// Each round gathers all constraints, marks every violator, and
-    /// splits them in one rebuild per tree (one level per round; rounds
-    /// repeat to the fixed point). Returns the number of leaves refined.
-    fn balance_local(&mut self, adjacency: Adjacency) -> usize {
-        let offs = offsets(Q::DIM, adjacency);
-        let mut scratch = NeighborScratch::new();
-        let mut refined = 0;
-        loop {
-            // collect constraints from all local leaves of level ≥ 2,
-            // one batched SoA sweep per tree
-            let mut constraints: Vec<Constraint> = Vec::new();
-            for t in 0..self.trees.len() {
-                for_each_neighbor_domain(
-                    self.connectivity(),
-                    t as u32,
-                    &self.trees[t],
-                    &offs,
-                    2,
-                    &mut scratch,
-                    |_, _, dom| constraints.push((dom.tree, dom.coords, dom.level)),
-                );
-            }
-            let changed = self.apply_constraints(&constraints);
-            refined += changed;
-            if changed == 0 {
-                return refined;
-            }
-        }
-    }
-
-    /// Mark every local leaf violating any of `constraints` and split
-    /// the marked leaves once (one level). One rebuild per affected
-    /// tree. Returns the number of splits.
-    fn apply_constraints(&mut self, constraints: &[Constraint]) -> usize {
-        // per-tree violator marks
-        let mut marks: Vec<Vec<bool>> = self.trees.iter().map(|t| vec![false; t.len()]).collect();
-        let mut any = false;
-        for &(tree, coords, level) in constraints {
-            if level < 2 {
-                continue;
-            }
-            let dom = Q::from_coords(coords, level);
-            let range = self.overlapping_range(tree, &dom);
-            let leaves = &self.trees[tree as usize];
-            let min_level = level - 1;
-            for i in range {
-                if leaves[i].level() < min_level && !marks[tree as usize][i] {
-                    marks[tree as usize][i] = true;
-                    any = true;
-                }
-            }
-        }
-        if !any {
-            return 0;
-        }
-        let mut split = 0;
-        for (t, tree_marks) in marks.into_iter().enumerate() {
-            if !tree_marks.iter().any(|&m| m) {
-                continue;
-            }
-            let old = std::mem::take(&mut self.trees[t]);
-            let mut out: Vec<Q> =
-                Vec::with_capacity(old.len() + tree_marks.iter().filter(|&&m| m).count() * 7);
-            for (q, marked) in old.into_iter().zip(tree_marks) {
-                if marked {
-                    split += 1;
-                    for c in 0..Q::NUM_CHILDREN {
-                        out.push(q.child(c));
-                    }
-                } else {
-                    out.push(q);
-                }
-            }
-            self.trees[t] = out;
-        }
         split
     }
 
-    /// Check the 2:1 property over the locally visible mesh (local
-    /// leaves plus an optional ghost layer), returning the first
-    /// violation found. Used by tests; collective-free.
+    /// Check the 2:1 property among the *local* leaves only, returning
+    /// the first violation found: a neighbor domain owned by another
+    /// rank is not looked at (the cross-rank property is what
+    /// `tests/balance_oracle.rs` covers). Used by tests; collective-free.
     pub fn is_balanced_local(&self, kind: BalanceKind) -> Result<(), String> {
         for (t, q) in self.leaves() {
             if q.level() < 2 {

@@ -24,7 +24,7 @@
 //! ancestor chain one level at a time, so a mapper only ever sees a
 //! single parent↔child step.
 
-use crate::Forest;
+use crate::{key_span, Forest};
 use quadforest_comm::Comm;
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
@@ -159,7 +159,7 @@ fn project<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
     let mut lo = 0usize;
     for c in 0..Q::NUM_CHILDREN {
         let child = node.child(c);
-        let last = child.last_descendant(Q::MAX_LEVEL).morton_abs();
+        let last = key_span(&child).1;
         let hi = lo + olds[lo..].partition_point(|q| q.morton_abs() <= last);
         child_vals.push(project(tree, &child, &olds[lo..hi], &vals[lo..hi], mapper));
         lo = hi;
@@ -185,7 +185,7 @@ fn fill<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
     let mut lo = 0usize;
     for c in 0..Q::NUM_CHILDREN {
         let child = node.child(c);
-        let last = child.last_descendant(Q::MAX_LEVEL).morton_abs();
+        let last = key_span(&child).1;
         let hi = lo + news[lo..].partition_point(|q| q.morton_abs() <= last);
         if lo < hi {
             let cv = mapper.refine(tree, node, value, &child, c);
@@ -225,7 +225,7 @@ pub fn map_adapted<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
             } else if o.level() < n.level() {
                 // old leaf was refined: collect its new descendants
                 debug_assert!(o.is_ancestor_of(n));
-                let last = o.last_descendant(Q::MAX_LEVEL).morton_abs();
+                let last = key_span(o).1;
                 let hi = j + news[j..].partition_point(|q| q.morton_abs() <= last);
                 fill(tree, o, &vals[i], &news[j..hi], &mut out, mapper);
                 i += 1;
@@ -233,7 +233,7 @@ pub fn map_adapted<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
             } else {
                 // old leaves were coarsened into the new leaf
                 debug_assert!(n.is_ancestor_of(o));
-                let last = n.last_descendant(Q::MAX_LEVEL).morton_abs();
+                let last = key_span(n).1;
                 let hi = i + olds[i..].partition_point(|q| q.morton_abs() <= last);
                 out.push(project(tree, n, &olds[i..hi], &vals[i..hi], mapper));
                 i = hi;

@@ -5,10 +5,11 @@
 //! `p4est_ghost_new` with `P4EST_CONNECT_FULL` (or `_FACE` for face-only
 //! adjacency). Construction is a two-round exchange:
 //!
-//! 1. **request**: every rank enumerates its leaves' same-size neighbor
-//!    domains, resolves them through the connectivity, and asks the
-//!    owner ranks of each domain's SFC range for leaves touching the
-//!    contact region;
+//! 1. **request**: every rank finds its *boundary* leaves by a top-down
+//!    search that discards each subtree whose whole neighborhood it owns
+//!    itself, enumerates their same-size neighbor domains, resolves them
+//!    through the connectivity, and asks the owner ranks of each
+//!    domain's SFC range for leaves touching the contact region;
 //! 2. **reply**: owners answer with their matching leaves, which the
 //!    requester dedupes and sorts into the ghost array.
 //!
@@ -16,8 +17,10 @@
 //! algorithm is identical for every quadrant representation, including
 //! the sign-free raw-Morton layouts.
 
-use crate::directions::{for_each_neighbor_domain, offsets, Adjacency, Box3, NeighborScratch};
-use crate::Forest;
+use crate::directions::{
+    for_each_neighbor_domain, neighbor_domain, offsets, Box3, NeighborScratch,
+};
+use crate::{key_span, Forest, SearchAction};
 use quadforest_comm::Comm;
 use quadforest_core::quadrant::Quadrant;
 
@@ -67,10 +70,8 @@ impl<Q: Quadrant> GhostLayer<Q> {
     /// (i.e. ghosts equal to, contained in, or containing `q`).
     pub fn overlapping(&self, tree: u32, q: &Q) -> &[GhostQuad<Q>] {
         let ghosts = self.tree_ghosts(tree);
-        let first = q.first_descendant(Q::MAX_LEVEL).morton_abs();
-        let last = q.last_descendant(Q::MAX_LEVEL).morton_abs();
-        let lo =
-            ghosts.partition_point(|g| g.quad.last_descendant(Q::MAX_LEVEL).morton_abs() < first);
+        let (first, last) = key_span(q);
+        let lo = ghosts.partition_point(|g| key_span(&g.quad).1 < first);
         let hi = ghosts.partition_point(|g| g.quad.morton_abs() <= last);
         &ghosts[lo..hi]
     }
@@ -84,22 +85,47 @@ impl<Q: Quadrant> Forest<Q> {
     /// Build the ghost layer (collective).
     pub fn ghost(&self, comm: &Comm, kind: crate::BalanceKind) -> GhostLayer<Q> {
         let _span = quadforest_telemetry::span("ghost");
-        let adjacency = match kind {
-            crate::BalanceKind::Face => Adjacency::Face,
-            crate::BalanceKind::Full => Adjacency::Full,
+
+        // Only boundary leaves can have a remote neighbor. A top-down
+        // search prunes every subtree whose own key span and that of each
+        // same-size neighbor domain lie in this rank's range: a neighbor
+        // domain of any leaf below the node lies in the node or in one
+        // of those domains (`None` = no forest there), so none is remote.
+        let offs = offsets(Q::DIM, kind.adjacency());
+        let conn = self.connectivity();
+        let local = |tree: u32, q: &Q| {
+            let (first, last) = key_span(q);
+            self.is_local_position((tree, first)) && self.is_local_position((tree, last))
         };
+        let mut boundary: Vec<Vec<Q>> = vec![Vec::new(); self.trees.len()];
+        if self.size > 1 {
+            self.search(|t, node, _, is_leaf| {
+                let interior = local(t, node)
+                    && offs.iter().all(|&off| {
+                        neighbor_domain(conn, t, node, off).is_none_or(|dom| {
+                            local(dom.tree, &Q::from_coords(dom.coords, dom.level))
+                        })
+                    });
+                if interior {
+                    return SearchAction::Prune;
+                }
+                if is_leaf {
+                    boundary[t as usize].push(*node);
+                }
+                SearchAction::Continue
+            });
+        }
 
         // round 1: requests — batched SoA enumeration per tree (requests
         // are sorted and deduplicated below, so enumeration order does
         // not matter)
-        let offs = offsets(Q::DIM, adjacency);
         let mut scratch = NeighborScratch::new();
         let mut outgoing: Vec<Vec<Request>> = (0..self.size).map(|_| Vec::new()).collect();
-        for t in 0..self.trees.len() {
+        for (t, leaves) in boundary.iter().enumerate() {
             for_each_neighbor_domain(
-                self.connectivity(),
+                conn,
                 t as u32,
-                &self.trees[t],
+                leaves,
                 &offs,
                 0,
                 &mut scratch,
@@ -211,7 +237,7 @@ impl<Q: Quadrant> GhostLayer<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directions::neighbor_domain;
+    use crate::directions::Adjacency;
     use crate::BalanceKind;
     use quadforest_connectivity::Connectivity;
     use quadforest_core::quadrant::{MortonQuad, StandardQuad};
@@ -320,6 +346,55 @@ mod tests {
                 reference_ghosts(&f, &comm, Adjacency::Full)
             );
         });
+    }
+
+    /// Seeded adaptive forests that are *not* 2:1 balanced, partitioned
+    /// or left as refined (at P = 16 most ranks then own nothing): the
+    /// boundary-leaf search must not lose a request on any of them.
+    fn unbalanced_ghosts_match_reference<Q: Quadrant>(conn: Connectivity, max_level: u8) {
+        let conn = Arc::new(conn);
+        for (p, seed) in [(2usize, 1u64), (3, 2), (7, 3), (16, 4), (16, 5)] {
+            let conn = conn.clone();
+            quadforest_comm::run(p, move |comm| {
+                let mut f = Forest::<Q>::new_uniform(conn.clone(), &comm, 1);
+                f.refine(&comm, true, |t, q| {
+                    let mut h = seed;
+                    for w in [t as u64, q.morton_abs(), q.level() as u64] {
+                        h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+                        h ^= h >> 33;
+                    }
+                    q.level() < max_level && h % 5 < 2
+                });
+                if seed % 2 == 0 {
+                    f.partition(&comm);
+                }
+                for (kind, adjacency) in [
+                    (BalanceKind::Face, Adjacency::Face),
+                    (BalanceKind::Full, Adjacency::Full),
+                ] {
+                    assert_eq!(
+                        ghost_as_tuples(&f.ghost(&comm, kind)),
+                        reference_ghosts(&f, &comm, adjacency),
+                        "P = {p}, seed {seed}, {kind:?}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn unbalanced_ghosts_match_reference_periodic() {
+        unbalanced_ghosts_match_reference::<MortonQuad<2>>(Connectivity::periodic(2), 5);
+    }
+
+    #[test]
+    fn unbalanced_ghosts_match_reference_rotated() {
+        unbalanced_ghosts_match_reference::<Q2>(Connectivity::two_trees_rotated_2d(), 5);
+    }
+
+    #[test]
+    fn unbalanced_ghosts_match_reference_brick3d() {
+        unbalanced_ghosts_match_reference::<Q3>(Connectivity::brick3d(2, 1, 2, [false; 3]), 3);
     }
 
     #[test]

@@ -108,6 +108,16 @@ pub struct ForestStats {
     pub level_histogram: Vec<u64>,
 }
 
+/// The closed range of maximum-level curve positions covered by the
+/// subtree of `q`: `I_ℓ << s ..= (I_ℓ << s) | (2^s − 1)` with
+/// `s = d·(L − ℓ)` — Definition 2.1, so valid for every hierarchical
+/// curve (Morton and Hilbert alike).
+pub(crate) fn key_span<Q: Quadrant>(q: &Q) -> (u64, u64) {
+    let first = q.morton_abs();
+    let below = (1u64 << (Q::DIM * (Q::MAX_LEVEL - q.level()) as u32)) - 1;
+    (first, first | below)
+}
+
 /// The sentinel position one past the end of the forest.
 fn end_position(num_trees: usize) -> SfcPosition {
     (num_trees as u32, 0)
@@ -288,9 +298,8 @@ impl<Q: Quadrant> Forest<Q> {
     /// All ranks whose range intersects the subtree of `q` in `tree`
     /// (the owners of any present or future descendant of `q`).
     pub fn owners_of_subtree(&self, tree: TreeId, q: &Q) -> std::ops::RangeInclusive<usize> {
-        let first = Self::position_of(tree, &q.first_descendant(Q::MAX_LEVEL));
-        let last = Self::position_of(tree, &q.last_descendant(Q::MAX_LEVEL));
-        self.owner_of_position(first)..=self.owner_of_position(last)
+        let (first, last) = key_span(q);
+        self.owner_of_position((tree, first))..=self.owner_of_position((tree, last))
     }
 
     /// True when the global SFC position lies in this rank's range.
@@ -303,12 +312,11 @@ impl<Q: Quadrant> Forest<Q> {
     /// `q`'s domain.
     pub fn overlapping_range(&self, tree: TreeId, q: &Q) -> std::ops::Range<usize> {
         let leaves = &self.trees[tree as usize];
-        let first = q.first_descendant(Q::MAX_LEVEL).morton_abs();
-        let last = q.last_descendant(Q::MAX_LEVEL).morton_abs();
+        let (first, last) = key_span(q);
         // Leaves are disjoint and SFC-sorted; a leaf overlaps q iff its
         // own subtree range intersects [first, last]. Because one of the
         // two must contain the other, that reduces to:
-        let lo = leaves.partition_point(|p| p.last_descendant(Q::MAX_LEVEL).morton_abs() < first);
+        let lo = leaves.partition_point(|p| key_span(p).1 < first);
         let hi = leaves.partition_point(|p| p.morton_abs() <= last);
         lo..hi
     }
@@ -608,13 +616,6 @@ mod tests {
                     rep.rank
                 );
             }
-            // balance rounds nest inside the balance span
-            let round = rep
-                .spans
-                .iter()
-                .find(|s| s.name == "balance.round")
-                .expect("at least one balance round");
-            assert_eq!(round.depth, 1);
             // phase gauges and counters landed in the per-rank registry
             use quadforest_telemetry::MetricKind;
             assert!(rep

@@ -45,10 +45,7 @@ impl<Q: Quadrant> Forest<Q> {
                 // record the partition marker of whichever rank starts here
                 for (r, first) in firsts.iter_mut().enumerate() {
                     if total * r as u64 / size as u64 == g {
-                        first.get_or_insert((
-                            t as u32,
-                            q.first_descendant(Q::MAX_LEVEL).morton_abs(),
-                        ));
+                        first.get_or_insert((t as u32, q.morton_abs()));
                     }
                 }
                 if g >= lo && g < hi {

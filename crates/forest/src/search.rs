@@ -6,7 +6,7 @@
 //! callback sees every ancestor together with the range of local leaves
 //! it contains and decides whether to descend.
 
-use crate::Forest;
+use crate::{key_span, Forest};
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
 use quadforest_core::zrange;
@@ -42,9 +42,8 @@ impl<Q: Quadrant> Forest<Q> {
         visit: &mut impl FnMut(TreeId, &Q, &[Q], bool) -> SearchAction,
     ) {
         // restrict to the leaves inside this node
-        let first = node.first_descendant(Q::MAX_LEVEL).morton_abs();
-        let last = node.last_descendant(Q::MAX_LEVEL).morton_abs();
-        let lo = leaves.partition_point(|p| p.last_descendant(Q::MAX_LEVEL).morton_abs() < first);
+        let (first, last) = key_span(node);
+        let lo = leaves.partition_point(|p| key_span(p).1 < first);
         let hi = leaves.partition_point(|p| p.morton_abs() <= last);
         let inside = &leaves[lo..hi];
         if inside.is_empty() {

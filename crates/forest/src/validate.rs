@@ -1,6 +1,6 @@
 //! Structural invariant checking for distributed forests.
 
-use crate::{end_position, Forest, InvariantError, SfcPosition};
+use crate::{end_position, key_span, Forest, InvariantError, SfcPosition};
 use quadforest_core::quadrant::Quadrant;
 
 impl<Q: Quadrant> Forest<Q> {
@@ -55,20 +55,19 @@ impl<Q: Quadrant> Forest<Q> {
                     level: q.level(),
                 });
             }
-            let first = (t, q.first_descendant(Q::MAX_LEVEL).morton_abs());
-            let last = (t, q.last_descendant(Q::MAX_LEVEL).morton_abs());
-            if first != expected {
+            let (first, last) = key_span(q);
+            if (t, first) != expected {
                 return Err(InvariantError::GapOrOverlap {
                     tree: t,
                     expected,
-                    found: first,
+                    found: (t, first),
                 });
             }
             // advance past this leaf
-            expected = if last.1 + 1 == per_tree {
+            expected = if last + 1 == per_tree {
                 (t + 1, 0)
             } else {
-                (t, last.1 + 1)
+                (t, last + 1)
             };
         }
         // the walk may legitimately end at a tree boundary that the next

@@ -115,15 +115,15 @@ fn chaotic_pipeline_stays_rank_count_invariant() {
     }
 }
 
-/// A rank dying in the middle of the pipeline (during the collective
-/// storm of balance/partition/ghost) yields a clean [`WorldError`]
+/// A rank dying in the middle of the pipeline (comm op 3 is the second
+/// of balance's two collectives) yields a clean [`WorldError`]
 /// naming the victim, well inside the 5 s acceptance bound.
 #[test]
 fn rank_death_mid_pipeline_is_a_clean_error() {
     for p in [2usize, 4] {
         let victim = p - 1;
         let start = Instant::now();
-        let plan = FaultPlan::new(7).with_panic_at(victim, 12);
+        let plan = FaultPlan::new(7).with_panic_at(victim, 3);
         let err = run_with_faults(p, plan, |c| pipeline(&c, 0xDEAD))
             .expect_err("the scheduled panic must fail the world");
         assert!(
