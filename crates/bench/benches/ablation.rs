@@ -13,9 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quadforest_bench::*;
 use quadforest_core::morton;
-use quadforest_core::quadrant::{
-    ablation, AvxQuad, HilbertQuad, MortonQuad, Quadrant, StandardQuad,
-};
+use quadforest_core::quadrant::{ablation, AvxQuad, MortonQuad, Quadrant};
 use std::hint::black_box;
 
 fn codec_inputs() -> Vec<(u32, u32, u32)> {
@@ -164,34 +162,6 @@ fn register_mixing(c: &mut Criterion) {
     g.finish();
 }
 
-/// Space-filling-curve trade-off: the Morton curve's curve-order
-/// operations are `O(1)` bit manipulations while the Hilbert curve's
-/// require an `O(level)` state walk — the complexity difference behind
-/// the paper's choice to defer alternative curves to future research.
-/// (2D workload; the Hilbert representation is 2D.)
-fn curve_tradeoff(c: &mut Criterion) {
-    let inputs = workload::morton_inputs(2, WORKLOAD_MAX_LEVEL);
-    let mut g = c.benchmark_group("ablation_curve_from_index");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(inputs.len() as u64));
-    g.bench_function("morton_standard", |b| {
-        b.iter(|| kernel_morton::<StandardQuad<2>>(&inputs))
-    });
-    g.bench_function("hilbert", |b| {
-        b.iter(|| kernel_morton::<HilbertQuad>(&inputs))
-    });
-    g.finish();
-
-    let mq = workload::complete_tree::<MortonQuad<2>>(WORKLOAD_MAX_LEVEL);
-    let hq = workload::complete_tree::<HilbertQuad>(WORKLOAD_MAX_LEVEL);
-    let mut g = c.benchmark_group("ablation_curve_child");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(mq.len() as u64));
-    g.bench_function("morton_raw", |b| b.iter(|| kernel_child(&mq)));
-    g.bench_function("hilbert", |b| b.iter(|| kernel_child(&hq)));
-    g.finish();
-}
-
 /// Guard bench for the telemetry layer's disabled-cost contract: with no
 /// recorder installed, a `telemetry::span` call site must cost under 2 ns
 /// (one relaxed atomic load plus an inert guard). The guard is a hard
@@ -299,7 +269,6 @@ criterion_group!(
     codec_variants,
     sfc_compare_key,
     register_mixing,
-    curve_tradeoff,
     span_overhead,
     flight_overhead
 );

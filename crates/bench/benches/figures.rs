@@ -9,13 +9,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use quadforest_bench::*;
 use quadforest_core::batch;
-use quadforest_core::quadrant::{AvxQuad, Morton128Quad, MortonQuad, Quadrant, StandardQuad};
+use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 use quadforest_core::scalar_ref::{self, QuadSoA};
 
 type S3 = StandardQuad<3>;
 type M3 = MortonQuad<3>;
 type A3 = AvxQuad<3>;
-type W3 = Morton128Quad<3>;
 
 fn bench_quad_kernel<Q: Quadrant>(
     c: &mut Criterion,
@@ -50,9 +49,6 @@ fn fig2_morton(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("avx", inputs.len()), |b| {
         b.iter(|| kernel_morton::<A3>(&inputs))
     });
-    g.bench_function(BenchmarkId::new("morton128", inputs.len()), |b| {
-        b.iter(|| kernel_morton::<W3>(&inputs))
-    });
     g.finish();
 }
 
@@ -60,35 +56,30 @@ fn fig3_child(c: &mut Criterion) {
     bench_quad_kernel::<S3>(c, "fig3_child", kernel_child, false);
     bench_quad_kernel::<M3>(c, "fig3_child", kernel_child, false);
     bench_quad_kernel::<A3>(c, "fig3_child", kernel_child, false);
-    bench_quad_kernel::<W3>(c, "fig3_child", kernel_child, false);
 }
 
 fn fig4_fneigh(c: &mut Criterion) {
     bench_quad_kernel::<S3>(c, "fig4_fneigh", kernel_fneigh, false);
     bench_quad_kernel::<M3>(c, "fig4_fneigh", kernel_fneigh, false);
     bench_quad_kernel::<A3>(c, "fig4_fneigh", kernel_fneigh, false);
-    bench_quad_kernel::<W3>(c, "fig4_fneigh", kernel_fneigh, false);
 }
 
 fn fig5_parent(c: &mut Criterion) {
     bench_quad_kernel::<S3>(c, "fig5_parent", kernel_parent, true);
     bench_quad_kernel::<M3>(c, "fig5_parent", kernel_parent, true);
     bench_quad_kernel::<A3>(c, "fig5_parent", kernel_parent, true);
-    bench_quad_kernel::<W3>(c, "fig5_parent", kernel_parent, true);
 }
 
 fn fig6_sibling(c: &mut Criterion) {
     bench_quad_kernel::<S3>(c, "fig6_sibling", kernel_sibling, true);
     bench_quad_kernel::<M3>(c, "fig6_sibling", kernel_sibling, true);
     bench_quad_kernel::<A3>(c, "fig6_sibling", kernel_sibling, true);
-    bench_quad_kernel::<W3>(c, "fig6_sibling", kernel_sibling, true);
 }
 
 fn fig7_boundaries(c: &mut Criterion) {
     bench_quad_kernel::<S3>(c, "fig7_boundaries", kernel_boundaries, false);
     bench_quad_kernel::<M3>(c, "fig7_boundaries", kernel_boundaries, false);
     bench_quad_kernel::<A3>(c, "fig7_boundaries", kernel_boundaries, false);
-    bench_quad_kernel::<W3>(c, "fig7_boundaries", kernel_boundaries, false);
 }
 
 /// Contribution 5: explicit AVX2 vectorization against the compiler's

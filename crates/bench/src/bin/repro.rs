@@ -5,7 +5,7 @@
 //! repro --fig 4               # one figure
 //! repro --mem --level 8       # Section 3.2 memory experiment
 //! repro --autovec             # contribution 5
-//! repro --dim2                # 2D kernels incl. the Hilbert representation
+//! repro --dim2                # the kernels on a 2D quadtree workload
 //! repro --chaos               # fault-injected forest pipeline
 //! repro --chaos --backend sockets   # every rank a real OS process
 //! repro --trace trace.json    # traced 4-rank pipeline (Chrome trace)
@@ -20,9 +20,7 @@
 
 use quadforest_bench::*;
 use quadforest_core::batch;
-use quadforest_core::quadrant::{
-    AvxQuad, HilbertQuad, Morton128Quad, MortonQuad, Quadrant, StandardQuad,
-};
+use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 use quadforest_core::scalar_ref::{self, QuadSoA};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +85,7 @@ modes:
   --fig N          one strong-scaling figure of the paper, N in 2..=7
   --mem            Section 3.2 memory experiment
   --autovec        Contribution 5: manual AVX2 vs auto-vectorization
-  --dim2           2D kernels including the Hilbert-curve representation
+  --dim2           the kernels on a 2D quadtree workload
   --chaos          forest pipeline under seeded fault injection
   --trace FILE     traced 4-rank pipeline; Chrome trace written to FILE
 options:
@@ -291,11 +289,6 @@ macro_rules! figure_quads {
             let (s, b) = sweep(&data, &$opts.ranks, $opts.iters, |d| $kernel(d));
             rows.push(("avx", s, b));
         }
-        {
-            let data = $filter(paper_workload::<Morton128Quad<3>>());
-            let (s, b) = sweep(&data, &$opts.ranks, $opts.iters, |d| $kernel(d));
-            rows.push(("morton128", s, b));
-        }
         FigureResult {
             name: $name,
             algorithms: $alg,
@@ -322,10 +315,6 @@ fn run_figure(fig: u32, opts: &Opts) {
                 kernel_morton::<AvxQuad<3>>(d)
             });
             rows.push(("avx", s, b));
-            let (s, b) = sweep(&inputs, &opts.ranks, opts.iters, |d| {
-                kernel_morton::<Morton128Quad<3>>(d)
-            });
-            rows.push(("morton128", s, b));
             FigureResult {
                 name: "Figure 2: Morton",
                 algorithms: "Algorithms 1, 4, 11: construct quadrant from curve index",
@@ -483,21 +472,20 @@ fn run_autovec(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// 2D extension table (includes the Hilbert-curve representation)
+// 2D extension table
 // ---------------------------------------------------------------------------
 
 fn run_dim2(opts: &Opts) {
-    println!("\n## Extension: 2D kernels including the Hilbert-curve representation");
-    println!("(no paper counterpart; the paper evaluates 3D only — this measures the");
-    println!("curve trade-off: Hilbert's curve-order operations are O(level))\n");
+    println!("\n## Extension: 2D kernels");
+    println!("(no paper counterpart; the paper evaluates 3D only)\n");
     const L2: u8 = 9; // deeper than the 3D workload: 349,525 quadrants
     let n = workload::complete_tree_count(2, L2);
     println!("workload: {n} 2D quadrants (levels 0..={L2}), single rank\n");
     println!(
-        "| kernel | standard | morton | avx | hilbert | (ms, best of {}) |",
+        "| kernel | standard | morton | avx | (ms, best of {}) |",
         opts.iters
     );
-    println!("|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|");
 
     macro_rules! row {
         ($name:literal, $kernel:ident, $filter:expr) => {{
@@ -516,18 +504,12 @@ fn run_dim2(opts: &Opts) {
                 opts.iters,
                 |d| $kernel(d),
             );
-            let h = time_best(
-                &$filter(workload::complete_tree::<HilbertQuad>(L2)),
-                opts.iters,
-                |d| $kernel(d),
-            );
             println!(
-                "| {} | {:.3} | {:.3} | {:.3} | {:.3} | |",
+                "| {} | {:.3} | {:.3} | {:.3} | |",
                 $name,
                 ms(s),
                 ms(m),
-                ms(a),
-                ms(h)
+                ms(a)
             );
         }};
     }
@@ -537,13 +519,11 @@ fn run_dim2(opts: &Opts) {
         let s = time_best(&inputs, opts.iters, kernel_morton::<StandardQuad<2>>);
         let m = time_best(&inputs, opts.iters, kernel_morton::<MortonQuad<2>>);
         let a = time_best(&inputs, opts.iters, kernel_morton::<AvxQuad<2>>);
-        let h = time_best(&inputs, opts.iters, kernel_morton::<HilbertQuad>);
         println!(
-            "| from_index | {:.3} | {:.3} | {:.3} | {:.3} | |",
+            "| from_index | {:.3} | {:.3} | {:.3} | |",
             ms(s),
             ms(m),
-            ms(a),
-            ms(h)
+            ms(a)
         );
     }
     row!("child", kernel_child, |v| v);

@@ -1,7 +1,7 @@
 //! The `repro` command line. A rejected invocation is one reason line
 //! plus the usage text on stderr and exit code 2 — never a panic, never
 //! a silent exit 0 — and the smallest real invocation prints the
-//! paper-style four-representation table.
+//! paper-style three-representation table.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
@@ -91,13 +91,13 @@ fn help_lists_exactly_the_accepted_flags() {
 }
 
 #[test]
-fn figure_2_prints_the_four_representation_table() {
+fn figure_2_prints_the_three_representation_table() {
     let out = repro(&["--fig", "2", "--iters", "1", "--ranks", "1,2"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("## Figure 2: Morton"), "{stdout}");
     assert!(
-        stdout.contains("| P | standard (ms) | morton (ms) | avx (ms) | morton128 (ms) |"),
+        stdout.contains("| P | standard (ms) | morton (ms) | avx (ms) |"),
         "{stdout}"
     );
     for p in ["| 1 |", "| 2 |"] {

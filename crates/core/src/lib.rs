@@ -6,15 +6,14 @@
 //! p4est Software Library"* (Kirilin & Burstedde, IPPS 2024).
 //!
 //! The crate provides the paper's **virtual quadrant interface**
-//! ([`quadrant::Quadrant`]) together with four interchangeable
-//! representations:
+//! ([`quadrant::Quadrant`], a Morton-ordered quadrant) together with
+//! the paper's three interchangeable representations:
 //!
 //! | Representation | Type | Size (3D) | Paper section |
 //! |---|---|---|---|
 //! | standard (xyz + level + payload) | [`quadrant::StandardQuad`] | 24 B | 2.1 |
 //! | raw Morton index | [`quadrant::MortonQuad`] | 8 B | 2.2 |
 //! | 128-bit SIMD (AVX2/SSE) | [`quadrant::AvxQuad`] | 16 B | 2.3 |
-//! | 128-bit raw Morton | [`quadrant::Morton128Quad`] | 16 B | Conclusion (future work) |
 //!
 //! All low-level per-quadrant algorithms (construction from a Morton
 //! index, child, sibling, parent, face/corner/edge neighbors, tree
@@ -44,7 +43,6 @@
 
 pub mod batch;
 pub mod crc;
-pub mod deep;
 pub mod linear;
 pub mod morton;
 pub mod quadrant;

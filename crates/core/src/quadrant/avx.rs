@@ -13,8 +13,8 @@
 //!
 //! Each lane is a signed 32-bit integer, so — unlike the raw Morton
 //! layout — exterior (negative-coordinate) neighbors are representable
-//! and the representation could refine to level 31
-//! ([`Quadrant::REPR_MAX_LEVEL`]).
+//! and the layout itself could refine to level 31 (the paper's
+//! Conclusion); [`Quadrant::MAX_LEVEL`] stays the shared one.
 //!
 //! On x86_64 the implementation uses only SSE2 intrinsics — part of the
 //! x86_64 baseline, so *every* build of this crate (no `RUSTFLAGS`
@@ -79,9 +79,6 @@ impl<const D: usize> core::fmt::Debug for AvxQuad<D> {
 impl<const D: usize> Quadrant for AvxQuad<D> {
     const DIM: u32 = D as u32;
     const MAX_LEVEL: u8 = shared_max_level(D as u32);
-    /// With 31 usable coordinate bits per signed lane the layout itself
-    /// refines to level 31 (the paper's Conclusion).
-    const REPR_MAX_LEVEL: u8 = 31;
     const NAME: &'static str = "avx";
 
     #[inline]
@@ -685,8 +682,8 @@ mod tests {
 
     #[test]
     fn repr_max_level() {
-        assert_eq!(AvxQuad::<3>::REPR_MAX_LEVEL, 31);
-        // The interoperable maximum stays at the shared root resolution.
+        // The lanes could hold level 31; the interoperable maximum
+        // stays at the shared root resolution.
         assert_eq!(AvxQuad::<3>::MAX_LEVEL, 18);
         assert_eq!(AvxQuad::<2>::MAX_LEVEL, 28);
     }

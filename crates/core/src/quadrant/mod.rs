@@ -10,9 +10,11 @@
 //! * [`MortonQuad`] — one `u64` holding level and raw Morton index
 //!   (Section 2.2),
 //! * [`AvxQuad`] — a 128-bit SIMD register holding `(x, y, z, level)`
-//!   manipulated with SSE/AVX2 intrinsics (Section 2.3),
-//! * [`Morton128Quad`] — the paper's future-work combination: a raw Morton
-//!   index carried in 128 bits for higher attainable refinement levels.
+//!   manipulated with SSE/AVX2 intrinsics (Section 2.3).
+//!
+//! All three order quadrants along the Morton (Z-order) curve; that is
+//! part of the trait's contract, not an implementation detail (see
+//! [`Quadrant`]).
 //!
 //! # Conventions
 //!
@@ -27,16 +29,12 @@
 
 mod avx;
 mod common;
-mod hilbert;
-mod morton128;
 mod morton_raw;
 mod standard;
 
 pub use avx::{ablation, AvxQuad};
-pub use hilbert::HilbertQuad;
-pub use morton128::Morton128Quad;
 pub use morton_raw::MortonQuad;
-pub use standard::{Standard2Compact, StandardQuad};
+pub use standard::StandardQuad;
 
 /// Convenience aliases for the two spatial dimensions.
 pub type Standard2 = StandardQuad<2>;
@@ -50,10 +48,6 @@ pub type Morton3 = MortonQuad<3>;
 pub type Avx2d = AvxQuad<2>;
 /// 3D SIMD octant.
 pub type Avx3d = AvxQuad<3>;
-/// 2D 128-bit raw-Morton quadrant (future-work representation).
-pub type Morton128x2 = Morton128Quad<2>;
-/// 3D 128-bit raw-Morton octant (future-work representation).
-pub type Morton128x3 = Morton128Quad<3>;
 
 use core::fmt::Debug;
 use core::hash::Hash;
@@ -67,14 +61,23 @@ pub mod boundary {
     pub const NONE: i32 = -1;
 }
 
-/// The abstract quadrant: every low-level per-quadrant algorithm of the
-/// AMR workflow, independent of the underlying bit layout.
+/// A Morton-ordered quadrant: every low-level per-quadrant algorithm of
+/// the AMR workflow, independent of the underlying bit layout.
 ///
-/// Implementations must be plain-old-data (`Copy`), totally ordered along
-/// the space-filling curve ([`Quadrant::compare_sfc`] — ancestors sort
-/// before descendants sharing the same first corner), and cheap to copy by
-/// value. All operations are `O(1)` in the refinement level except where
-/// documented.
+/// Implementations must be plain-old-data (`Copy`), cheap to copy by
+/// value, and ordered along the **Morton (Z-order) curve**:
+/// [`Quadrant::morton_index`] is the bit interleaving of the coordinates,
+/// child `c` of a quadrant is its geometric corner `c`, and
+/// [`Quadrant::morton_abs`] / [`Quadrant::sfc_key`] are Z-order keys
+/// ([`Quadrant::compare_sfc`] — ancestors sort before descendants sharing
+/// the same first corner). The layers above rely on exactly this:
+/// `zrange`, the forest's point and box search, `key_span`, the balance
+/// closure, the query snapshot and `batch::sfc_keys_all` all compute
+/// Z-order keys from coordinates without asking the representation. A
+/// layout ordered along any other space-filling curve would satisfy the
+/// signatures and be answered wrongly by those layers, so it is not a
+/// `Quadrant`. All operations are `O(1)` in the refinement level except
+/// where documented.
 ///
 /// # Contract
 ///
@@ -93,10 +96,6 @@ pub trait Quadrant:
     /// interconvert exactly (28 in 2D, 18 in 3D — the raw-Morton limits,
     /// the latter equal to original p4est's 3D maximum).
     const MAX_LEVEL: u8;
-    /// The deepest level this *representation* could encode if it did not
-    /// have to stay interoperable (e.g. 31 for the SIMD layout, matching
-    /// the paper's level-capability discussion).
-    const REPR_MAX_LEVEL: u8;
     /// Number of children / corners, `2^d`.
     const NUM_CHILDREN: u32 = 1 << Self::DIM;
     /// Number of faces, `2d`.
@@ -136,7 +135,8 @@ pub trait Quadrant:
     /// Explicit coordinates `(x, y, z)`; `z = 0` in 2D.
     fn coords(&self) -> [i32; 3];
 
-    /// Level-relative Morton index `I_ℓ ∈ [0, 2^{dℓ})`.
+    /// Level-relative Morton index `I_ℓ ∈ [0, 2^{dℓ})`: the coordinates'
+    /// top `ℓ` bits interleaved, x lowest.
     fn morton_index(&self) -> u64;
 
     // -- the low-level algorithm set ------------------------------------
@@ -202,21 +202,6 @@ pub trait Quadrant:
         debug_assert!(self.level() > 0);
         let l = self.level();
         let shift = Self::MAX_LEVEL - l;
-        let [x, y, z] = self.coords();
-        let mut id = ((x >> shift) & 1) as u32;
-        id |= (((y >> shift) & 1) as u32) << 1;
-        if Self::DIM == 3 {
-            id |= (((z >> shift) & 1) as u32) << 2;
-        }
-        id
-    }
-
-    /// Child index of this quadrant's ancestor at `level` relative to
-    /// *its* parent. Requires `0 < level <= ℓ`.
-    #[inline]
-    fn ancestor_id(&self, level: u8) -> u32 {
-        debug_assert!(level > 0 && level <= self.level());
-        let shift = Self::MAX_LEVEL - level;
         let [x, y, z] = self.coords();
         let mut id = ((x >> shift) & 1) as u32;
         id |= (((y >> shift) & 1) as u32) << 1;
@@ -295,9 +280,8 @@ pub trait Quadrant:
     const SORT_WORD_LEVEL_BITS: u32 = 6;
 
     /// Batch [`sfc_key`](Self::sfc_key) extraction. The default loops
-    /// per quadrant (correct for every hierarchical curve, including
-    /// Hilbert); coordinate-interleave representations override it to
-    /// route through the runtime-dispatched
+    /// per quadrant; the coordinate-carrying representations override
+    /// it to route through the runtime-dispatched
     /// [`crate::batch::sfc_keys_all`] SoA kernel.
     fn sfc_keys(quads: &[Self]) -> Vec<u64> {
         quads.iter().map(Self::sfc_key).collect()
@@ -489,25 +473,6 @@ pub trait Quadrant:
         Self::from_coords(c, self.level())
     }
 
-    /// Checked edge neighbor constrained to the unit tree (3D only).
-    fn edge_neighbor_inside(&self, e: u32) -> Option<Self> {
-        assert!(Self::DIM == 3, "edge neighbors exist only in 3D");
-        debug_assert!(e < 12);
-        let h = self.side();
-        let root = Self::len_at(0);
-        let axis = (e / 4) as usize;
-        let lo = e % 4;
-        let coords = self.coords();
-        let (a1, a2) = match axis {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        let fits = |up: bool, v: i32| if up { v + 2 * h <= root } else { v > 0 };
-        let ok = fits(lo & 1 == 1, coords[a1]) && fits(lo & 2 == 2, coords[a2]);
-        ok.then(|| self.edge_neighbor(e))
-    }
-
     /// True when the integer point lies inside the half-open domain of
     /// this quadrant.
     #[inline]
@@ -518,88 +483,16 @@ pub trait Quadrant:
         inside(x, p[0]) && inside(y, p[1]) && (Self::DIM == 2 || inside(z, p[2]))
     }
 
-    /// True when this quadrant is the curve-first child of its parent.
-    #[inline]
-    fn is_first_child(&self) -> bool {
-        self.level() > 0 && self.child_id() == 0
-    }
-
-    /// True when this quadrant is the curve-last child of its parent.
-    #[inline]
-    fn is_last_child(&self) -> bool {
-        self.level() > 0 && self.child_id() == Self::NUM_CHILDREN - 1
-    }
-
-    /// True when `other` immediately follows `self` along the curve
-    /// (their subtree ranges are contiguous) — p4est's
-    /// `quadrant_is_next`, valid across levels.
-    #[inline]
-    fn is_next(&self, other: &Self) -> bool {
-        let end = self.last_descendant(Self::MAX_LEVEL).morton_abs();
-        let start = other.first_descendant(Self::MAX_LEVEL).morton_abs();
-        end.checked_add(1) == Some(start)
-    }
-
     /// All `2^d` children in curve order.
     fn children(&self) -> Vec<Self> {
         debug_assert!(self.level() < Self::MAX_LEVEL);
         (0..Self::NUM_CHILDREN).map(|c| self.child(c)).collect()
     }
 
-    /// True when the quadrant touches the tree corner `c` (shares that
-    /// corner of the unit cube).
-    #[inline]
-    fn touches_tree_corner(&self, c: u32) -> bool {
-        debug_assert!(c < Self::NUM_CHILDREN);
-        let root = Self::len_at(0);
-        let h = self.side();
-        let [x, y, z] = self.coords();
-        let ok = |bit: u32, v: i32| {
-            if (c >> bit) & 1 == 1 {
-                v + h == root
-            } else {
-                v == 0
-            }
-        };
-        ok(0, x) && ok(1, y) && (Self::DIM == 2 || ok(2, z))
-    }
-
-    /// The descendant of this quadrant at `level` whose domain shares
-    /// the quadrant's own corner `c` — p4est's
-    /// `quadrant_corner_descendant`. Note the corner is a *geometric*
-    /// corner (Morton numbering), independent of the curve.
-    fn corner_descendant(&self, c: u32, level: u8) -> Self {
-        debug_assert!(c < Self::NUM_CHILDREN);
-        debug_assert!(level >= self.level() && level <= Self::MAX_LEVEL);
-        let add = self.side() - Self::len_at(level);
-        let [x, y, z] = self.coords();
-        let step = |bit: u32, v: i32| if (c >> bit) & 1 == 1 { v + add } else { v };
-        let zz = if Self::DIM == 3 { step(2, z) } else { 0 };
-        Self::from_coords([step(0, x), step(1, y), zz], level)
-    }
-
     /// Total number of quadrants in a uniform mesh of `level`.
     #[inline]
     fn uniform_count(level: u8) -> u64 {
         1u64 << (Self::DIM * level as u32)
-    }
-}
-
-/// Ordering adaptor: wraps any [`Quadrant`] into a type whose `Ord` is the
-/// space-filling-curve order, for use with sort routines and ordered
-/// collections.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
-pub struct SfcOrd<Q: Quadrant>(pub Q);
-
-impl<Q: Quadrant> PartialOrd for SfcOrd<Q> {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<Q: Quadrant> Ord for SfcOrd<Q> {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.compare_sfc(&other.0)
     }
 }
 
@@ -637,17 +530,7 @@ macro_rules! impl_wire_via_morton_generic {
     )*};
 }
 
-impl_wire_via_morton_generic!(StandardQuad, MortonQuad, AvxQuad, Morton128Quad);
-
-impl crate::wire::Wire for HilbertQuad {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.level());
-        out.extend_from_slice(&self.morton_index().to_le_bytes());
-    }
-    fn decode(r: &mut crate::wire::WireReader<'_>) -> Result<Self, crate::wire::WireError> {
-        decode_morton_form::<Self>(r)
-    }
-}
+impl_wire_via_morton_generic!(StandardQuad, MortonQuad, AvxQuad);
 
 /// Shared strict decoder behind the per-representation [`crate::wire::Wire`]
 /// impls: validates the level and index range before touching
@@ -696,9 +579,6 @@ mod wire_tests {
         roundtrip_repr::<MortonQuad<3>>();
         roundtrip_repr::<AvxQuad<2>>();
         roundtrip_repr::<AvxQuad<3>>();
-        roundtrip_repr::<Morton128Quad<2>>();
-        roundtrip_repr::<Morton128Quad<3>>();
-        roundtrip_repr::<HilbertQuad>();
     }
 
     #[test]
@@ -748,8 +628,11 @@ mod trait_tests {
         assert_eq!(root.tree_boundaries()[0], boundary::ALL);
 
         // children enumerate the Morton order and invert via parent
+        let kids = root.children();
+        assert_eq!(kids.len(), Q::NUM_CHILDREN as usize);
         for c in 0..Q::NUM_CHILDREN {
             let ch = root.child(c);
+            assert_eq!(kids[c as usize], ch);
             assert_eq!(ch.level(), 1);
             assert_eq!(ch.child_id(), c);
             assert_eq!(ch.parent(), root);
@@ -878,61 +761,12 @@ mod trait_tests {
         assert!(a.compare_sfc(&a).is_eq());
     }
 
-    /// Curve-agnostic conformance: properties that hold for any
-    /// hierarchical space-filling curve (run for the Hilbert
-    /// representation as well, unlike [`conformance`], which pins
-    /// Morton-specific positions).
-    pub(crate) fn conformance_any_curve<Q: Quadrant>() {
-        let root = Q::root();
-        // children tile the parent contiguously along the curve
-        let kids = root.children();
-        assert_eq!(kids.len(), Q::NUM_CHILDREN as usize);
-        assert!(kids[0].is_first_child());
-        assert!(kids.last().unwrap().is_last_child());
-        for w in kids.windows(2) {
-            assert!(w[0].is_next(&w[1]), "children must be curve-contiguous");
-            assert!(!w[1].is_next(&w[0]));
-        }
-        // is_next across levels: last descendant of child c meets the
-        // first descendant of child c+1
-        let deep_end = kids[0].last_descendant(Q::MAX_LEVEL);
-        assert!(deep_end.is_next(&kids[1]));
-        assert!(kids[0].is_next(&kids[1].first_descendant(Q::MAX_LEVEL)));
-
-        // geometric corner helpers
-        for c in 0..Q::NUM_CHILDREN {
-            let cd = root.corner_descendant(c, 3);
-            assert!(cd.touches_tree_corner(c), "corner {c}");
-            assert!(root.is_ancestor_of(&cd));
-            for other in 0..Q::NUM_CHILDREN {
-                if other != c {
-                    assert!(!cd.touches_tree_corner(other));
-                }
-            }
-        }
-        assert!(root.touches_tree_corner(0));
-        assert_eq!(root.corner_descendant(0, 0), root);
-    }
-
-    #[test]
-    fn any_curve_conformance_all_representations() {
-        conformance_any_curve::<StandardQuad<2>>();
-        conformance_any_curve::<StandardQuad<3>>();
-        conformance_any_curve::<MortonQuad<2>>();
-        conformance_any_curve::<MortonQuad<3>>();
-        conformance_any_curve::<AvxQuad<2>>();
-        conformance_any_curve::<AvxQuad<3>>();
-        conformance_any_curve::<Morton128Quad<3>>();
-        conformance_any_curve::<HilbertQuad>();
-    }
-
     #[test]
     fn convert_between_representations() {
         let s: Standard3 = Standard3::from_morton(12345, 5);
         let m: Morton3 = convert(&s);
         let a: Avx3d = convert(&m);
-        let w: Morton128x3 = convert(&a);
-        let back: Standard3 = convert(&w);
+        let back: Standard3 = convert(&a);
         assert_eq!(back, s);
         assert_eq!(m.morton_index(), 12345);
         assert_eq!(a.level(), 5);

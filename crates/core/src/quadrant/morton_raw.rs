@@ -104,7 +104,6 @@ impl<const D: usize> core::fmt::Debug for MortonQuad<D> {
 impl<const D: usize> Quadrant for MortonQuad<D> {
     const DIM: u32 = D as u32;
     const MAX_LEVEL: u8 = shared_max_level(D as u32);
-    const REPR_MAX_LEVEL: u8 = shared_max_level(D as u32);
     const NAME: &'static str = "morton";
     /// The stored word *is* the curve position: the trait's
     /// `(morton_abs << 6) | level` key is one mask-shift-or away from
@@ -284,12 +283,6 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
     fn child_id(&self) -> u32 {
         debug_assert!(self.level() > 0);
         ((self.word >> Self::dl(self.level())) & (Self::NUM_CHILDREN as u64 - 1)) as u32
-    }
-
-    #[inline]
-    fn ancestor_id(&self, level: u8) -> u32 {
-        debug_assert!(level > 0 && level <= self.level());
-        ((self.word >> Self::dl(level)) & (Self::NUM_CHILDREN as u64 - 1)) as u32
     }
 
     /// Mask off every group below the target level and rewrite the level

@@ -1,8 +1,8 @@
 //! The classical p4est quadrant: explicit coordinates plus refinement
 //! level (Section 2.1 of the paper), including the historic 8 bytes of
-//! user payload in 3D (4 bytes in 2D) so that the memory footprint —
-//! 16 bytes for a 2D quadrant, 24 bytes for a 3D octant — matches the
-//! baseline measured in Section 3.2.
+//! user payload so that the memory footprint — 24 bytes per octant —
+//! matches the baseline measured in Section 3.2. The 2D type shares the
+//! layout (`z` stays 0), so it is 24 bytes as well.
 
 use super::common::*;
 use super::Quadrant;
@@ -20,31 +20,10 @@ use crate::morton;
 pub struct StandardQuad<const D: usize> {
     x: i32,
     y: i32,
-    z: i32, // always 0 in 2D; excluded from the 2D size by the cfg below
+    z: i32, // always 0 in 2D
     level: u8,
     pad: [u8; 3],
     payload: u64,
-}
-
-// For the 2D type the paper's baseline is 16 bytes; we reproduce that
-// exact footprint with a dedicated layout (x, y, level, pad, 4-byte
-// payload) — see `Standard2Compact` — while keeping the generic type
-// uniform for algorithmic code. The memory experiment uses the compact
-// types; size assertions live in the tests below and in the bench crate.
-
-/// The 16-byte 2D standard quadrant used by the memory experiment.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[repr(C)]
-pub struct Standard2Compact {
-    /// x coordinate (multiple of the quadrant length).
-    pub x: i32,
-    /// y coordinate (multiple of the quadrant length).
-    pub y: i32,
-    /// Refinement level.
-    pub level: u8,
-    pad: [u8; 3],
-    /// User payload (p4est's `p.user_int`).
-    pub payload: u32,
 }
 
 impl<const D: usize> StandardQuad<D> {
@@ -98,9 +77,6 @@ impl<const D: usize> core::hash::Hash for StandardQuad<D> {
 impl<const D: usize> Quadrant for StandardQuad<D> {
     const DIM: u32 = D as u32;
     const MAX_LEVEL: u8 = shared_max_level(D as u32);
-    // With 32-bit signed coordinates the layout itself could refine to
-    // level 30 (2D) / 30 (3D); the interoperable maximum is the shared one.
-    const REPR_MAX_LEVEL: u8 = 30;
     const NAME: &'static str = "standard";
 
     #[inline]
@@ -225,10 +201,8 @@ mod tests {
 
     #[test]
     fn sizes_match_paper_baseline() {
-        // Section 3.2: 24 bytes per 3D octant including 8 payload bytes,
-        // 16 bytes for the compact 2D quadrant.
+        // Section 3.2: 24 bytes per 3D octant including 8 payload bytes.
         assert_eq!(core::mem::size_of::<StandardQuad<3>>(), 24);
-        assert_eq!(core::mem::size_of::<Standard2Compact>(), 16);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! builds; the checked `try_*` variants must reject the same inputs in
 //! every build.
 
-use quadforest_core::quadrant::{AvxQuad, Morton128Quad, MortonQuad, Quadrant, StandardQuad};
+use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 
 #[test]
 fn checked_variants_reject_invalid_inputs() {
@@ -40,7 +40,6 @@ fn checked_variants_reject_invalid_inputs() {
     run::<MortonQuad<3>>();
     run::<AvxQuad<2>>();
     run::<AvxQuad<3>>();
-    run::<Morton128Quad<3>>();
 }
 
 #[test]

@@ -8,9 +8,7 @@
 //! compare them step by step.
 
 use proptest::prelude::*;
-use quadforest_core::quadrant::{
-    convert, AvxQuad, Morton128Quad, MortonQuad, Quadrant, StandardQuad,
-};
+use quadforest_core::quadrant::{convert, AvxQuad, MortonQuad, Quadrant, StandardQuad};
 
 /// A random navigation step applicable to any quadrant.
 #[derive(Copy, Clone, Debug)]
@@ -94,11 +92,9 @@ macro_rules! equivalence_test {
 
 equivalence_test!(std_vs_morton_3d, 3, StandardQuad<3>, MortonQuad<3>);
 equivalence_test!(std_vs_avx_3d, 3, StandardQuad<3>, AvxQuad<3>);
-equivalence_test!(std_vs_morton128_3d, 3, StandardQuad<3>, Morton128Quad<3>);
 equivalence_test!(morton_vs_avx_3d, 3, MortonQuad<3>, AvxQuad<3>);
 equivalence_test!(std_vs_morton_2d, 2, StandardQuad<2>, MortonQuad<2>);
 equivalence_test!(std_vs_avx_2d, 2, StandardQuad<2>, AvxQuad<2>);
-equivalence_test!(std_vs_morton128_2d, 2, StandardQuad<2>, Morton128Quad<2>);
 
 // ---------------------------------------------------------------------------
 // Per-representation algebraic invariants
@@ -309,7 +305,6 @@ macro_rules! invariant_tests {
 invariant_tests!(standard3, StandardQuad<3>);
 invariant_tests!(morton3, MortonQuad<3>);
 invariant_tests!(avx3, AvxQuad<3>);
-invariant_tests!(morton128_3, Morton128Quad<3>);
 invariant_tests!(standard2, StandardQuad<2>);
 invariant_tests!(morton2, MortonQuad<2>);
 invariant_tests!(avx2d, AvxQuad<2>);

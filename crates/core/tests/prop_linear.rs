@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use quadforest_core::linear::*;
-use quadforest_core::quadrant::{HilbertQuad, MortonQuad, Quadrant, StandardQuad};
+use quadforest_core::quadrant::{MortonQuad, Quadrant, StandardQuad};
 
 fn arb_quad<Q: Quadrant>(max_level: u8) -> impl Strategy<Value = Q> {
     (0u8..=max_level).prop_flat_map(|level| {
@@ -129,4 +129,3 @@ macro_rules! linear_props {
 
 linear_props!(standard2, StandardQuad<2>);
 linear_props!(morton3, MortonQuad<3>);
-linear_props!(hilbert, HilbertQuad);

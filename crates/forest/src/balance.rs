@@ -7,8 +7,9 @@
 //! The algorithm works on curve indices, not on leaves. Its state is the
 //! set of *interior* nodes of the balanced forest — per level `ℓ`, the
 //! sorted `(tree, I_ℓ)` of every node that must be split — and it uses
-//! only Definition 2.1 (parent `= I_ℓ >> d`, child `c` `= (I_ℓ << d) | c`),
-//! so it is the same code for every representation, Hilbert included.
+//! only Definition 2.1 (parent `= I_ℓ >> d`, child `c` `= (I_ℓ << d) | c`)
+//! and the Morton interleaving of neighbor coordinates, so it is the
+//! same code for every representation.
 //!
 //! 1. **Seed**: the parent of every local leaf is interior.
 //! 2. **Close**, finest level first: an interior node `p` makes its own

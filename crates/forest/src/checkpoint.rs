@@ -36,11 +36,11 @@
 
 use crate::crc32;
 use crate::io::Cursor;
-use crate::{end_position, Forest, IoError, PortableForest, SfcPosition};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::{Forest, IoError, PortableForest, SfcPosition};
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
+use quadforest_core::Wire;
 use quadforest_telemetry as telemetry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -93,24 +93,23 @@ pub struct CheckpointManifest {
 
 impl CheckpointManifest {
     fn to_bytes(&self) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(52 + self.shards.len() * SHARD_RECORD_BYTES + 4);
-        b.put_slice(MANIFEST_MAGIC);
-        b.put_u32_le(MANIFEST_VERSION);
-        b.put_u64_le(self.generation);
-        b.put_u32_le(self.dim);
-        b.put_u64_le(self.num_trees);
-        b.put_u64_le(self.global_count);
-        b.put_u64_le(self.size);
-        b.put_u64_le(self.step);
-        b.put_u64_le(self.shards.len() as u64);
+        let mut b = Vec::with_capacity(52 + self.shards.len() * SHARD_RECORD_BYTES + 4);
+        b.extend_from_slice(MANIFEST_MAGIC);
+        MANIFEST_VERSION.encode(&mut b);
+        self.generation.encode(&mut b);
+        self.dim.encode(&mut b);
+        self.num_trees.encode(&mut b);
+        self.global_count.encode(&mut b);
+        self.size.encode(&mut b);
+        self.step.encode(&mut b);
+        (self.shards.len() as u64).encode(&mut b);
         for s in &self.shards {
-            b.put_u64_le(s.leaf_count);
-            b.put_u64_le(s.byte_len);
-            b.put_u32_le(s.crc);
+            s.leaf_count.encode(&mut b);
+            s.byte_len.encode(&mut b);
+            s.crc.encode(&mut b);
         }
-        let crc = crc32(&b);
-        b.put_u32_le(crc);
-        b.to_vec()
+        crc32(&b).encode(&mut b);
+        b
     }
 
     /// Parse and CRC-verify a manifest. Corrupt bytes return a typed
@@ -118,8 +117,7 @@ impl CheckpointManifest {
     pub fn from_bytes(data: &[u8]) -> Result<Self, IoError> {
         let mut cur = Cursor(data);
         cur.need(8)?;
-        let mut magic = [0u8; 4];
-        cur.0.copy_to_slice(&mut magic);
+        let magic: [u8; 4] = cur.array()?;
         if &magic != MANIFEST_MAGIC {
             return Err(IoError::BadMagic { found: magic });
         }
@@ -165,10 +163,10 @@ impl CheckpointManifest {
                 crc: cur.u32()?,
             });
         }
-        if cur.0.remaining() > 0 {
+        if !cur.0.is_empty() {
             return Err(IoError::CountMismatch {
                 what: "trailing byte",
-                found: cur.0.remaining() as u64,
+                found: cur.0.len() as u64,
                 expected: 0,
             });
         }
@@ -357,7 +355,7 @@ impl<Q: Quadrant> Forest<Q> {
         &self,
         comm: &Comm,
         dir: &Path,
-        bytes: bytes::Bytes,
+        bytes: Vec<u8>,
         step: u64,
     ) -> Result<u64, IoError> {
         let _span = telemetry::span("checkpoint");
@@ -554,21 +552,8 @@ impl<Q: Quadrant> Forest<Q> {
         let firsts = comm.allgather(my_first);
         let (trees, _, payload) = local?;
 
-        // rebuild markers exactly as partition() does: reverse-fill
-        // empty ranks from the next occupied one, pin rank 0 to the
-        // global origin
-        let mut markers = vec![end_position(trees.len()); size + 1];
-        let mut next = end_position(trees.len());
-        for r in (0..size).rev() {
-            if let Some(pos) = firsts[r] {
-                next = pos;
-            }
-            markers[r] = next;
-        }
-        if n > 0 {
-            markers[0] = (0, 0);
-        }
-
+        // rebuild markers exactly as partition() does
+        let markers = Self::markers_from_firsts(trees.len(), &firsts, n);
         let f = Self::assemble(conn, rank, size, trees, n, markers);
         f.validate()?;
         Ok((f, payload))
@@ -686,20 +671,18 @@ mod tests {
     #[test]
     fn version1_manifest_loads_with_step_zero() {
         // hand-rolled version-1 layout: no step field after `size`
-        let mut b = BytesMut::new();
-        b.put_slice(MANIFEST_MAGIC);
-        b.put_u32_le(1); // version 1
-        b.put_u64_le(3); // generation
-        b.put_u32_le(2); // dim
-        b.put_u64_le(1); // num_trees
-        b.put_u64_le(12); // global_count
-        b.put_u64_le(1); // size
-        b.put_u64_le(1); // n_shards
-        b.put_u64_le(12); // leaf_count
-        b.put_u64_le(300); // byte_len
-        b.put_u32_le(0xFEED_F00D); // shard crc
-        let crc = crc32(&b);
-        b.put_u32_le(crc);
+        let mut b = MANIFEST_MAGIC.to_vec();
+        1u32.encode(&mut b); // version 1
+        3u64.encode(&mut b); // generation
+        2u32.encode(&mut b); // dim
+        1u64.encode(&mut b); // num_trees
+        12u64.encode(&mut b); // global_count
+        1u64.encode(&mut b); // size
+        1u64.encode(&mut b); // n_shards
+        12u64.encode(&mut b); // leaf_count
+        300u64.encode(&mut b); // byte_len
+        0xFEED_F00Du32.encode(&mut b); // shard crc
+        crc32(&b).encode(&mut b);
         let m = CheckpointManifest::from_bytes(&b).unwrap();
         assert_eq!(m.generation, 3);
         assert_eq!(m.step, 0, "v1 manifests carry no step");
@@ -735,6 +718,51 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// The on-disk formats are frozen: the same small forest must keep
+    /// serializing to the streams the `bytes`-based writers produced
+    /// (length and body CRC-32 captured at commit 364c53b).
+    #[test]
+    fn stream_formats_match_golden_bytes() {
+        use quadforest_core::quadrant::Morton2;
+        let (v2, v3) = quadforest_comm::run(1, |comm| {
+            let conn = Arc::new(Connectivity::unit(2));
+            let mut f = Forest::<Morton2>::new_uniform(conn, &comm, 1);
+            f.refine(&comm, false, |_, q| q.morton_index() == 3);
+            let data = crate::LeafData::init(&f, |_, q| q.morton_abs());
+            (
+                f.to_portable().to_bytes(),
+                f.to_portable_with_data(&data).to_bytes(),
+            )
+        })
+        .pop()
+        .unwrap();
+        let manifest = CheckpointManifest {
+            generation: 5,
+            dim: 2,
+            num_trees: 1,
+            global_count: 7,
+            size: 1,
+            step: 9,
+            shards: vec![ShardMeta {
+                leaf_count: 7,
+                byte_len: 319,
+                crc: 0x2144_DF1C,
+            }],
+        }
+        .to_bytes();
+        for (name, stream, head, len, body_crc) in [
+            ("QFOR v2", &v2, b"QFOR\x02\0\0\0", 199, 0xE574_F250u32),
+            ("QFOR v3", &v3, b"QFOR\x03\0\0\0", 319, 0x3FD8_0789),
+            ("QFMF v2", &manifest, b"QFMF\x02\0\0\0", 84, 0xBB34_D13A),
+        ] {
+            assert_eq!(stream.len(), len, "{name} length");
+            assert_eq!(&stream[..8], head, "{name} magic and version");
+            let (body, guard) = stream.split_at(len - 4);
+            assert_eq!(crc32(body), body_crc, "{name} body");
+            assert_eq!(guard, body_crc.to_le_bytes(), "{name} trailing guard");
+        }
     }
 
     #[test]

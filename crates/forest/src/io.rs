@@ -14,10 +14,10 @@
 
 use crate::crc32;
 use crate::{Forest, IoError, SfcPosition};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
+use quadforest_core::Wire;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"QFOR";
@@ -60,42 +60,50 @@ pub struct PortableForest {
     pub payload: Option<Vec<Vec<u8>>>,
 }
 
-/// Bounds-checked read cursor: every decode step goes through
-/// [`Cursor::need`], so a truncated or length-lying stream surfaces as
-/// [`IoError::Truncated`] instead of a panic inside the `bytes` crate.
-/// Shared with the checkpoint manifest parser.
+/// Bounds-checked read cursor over the unread rest of a stream: every
+/// decode step goes through [`Cursor::need`], so a truncated or
+/// length-lying stream surfaces as [`IoError::Truncated`] instead of a
+/// slice-index panic. Shared with the checkpoint manifest parser.
 pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Cursor<'a> {
     pub(crate) fn need(&self, n: usize) -> Result<(), IoError> {
-        if self.0.remaining() < n {
+        if self.0.len() < n {
             Err(IoError::Truncated {
                 needed: n,
-                remaining: self.0.remaining(),
+                remaining: self.0.len(),
             })
         } else {
             Ok(())
         }
     }
 
+    /// Consume the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], IoError> {
+        self.need(n)?;
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], IoError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
     fn u8(&mut self) -> Result<u8, IoError> {
-        self.need(1)?;
-        Ok(self.0.get_u8())
+        Ok(self.array::<1>()?[0])
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, IoError> {
-        self.need(4)?;
-        Ok(self.0.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn i32(&mut self) -> Result<i32, IoError> {
-        self.need(4)?;
-        Ok(self.0.get_i32_le())
+        Ok(i32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, IoError> {
-        self.need(8)?;
-        Ok(self.0.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A length prefix that must describe `record_bytes`-sized records
@@ -108,11 +116,11 @@ impl<'a> Cursor<'a> {
     ) -> Result<usize, IoError> {
         let n = self.u64()?;
         let implied = (n as u128).saturating_mul(record_bytes as u128);
-        if implied > self.0.remaining() as u128 {
+        if implied > self.0.len() as u128 {
             return Err(IoError::CountMismatch {
                 what,
                 found: n,
-                expected: (self.0.remaining() / record_bytes) as u64,
+                expected: (self.0.len() / record_bytes) as u64,
             });
         }
         Ok(n as usize)
@@ -124,52 +132,54 @@ impl PortableForest {
     /// version 3 when a payload section is present. A `payload: None`
     /// forest serializes byte-identically to previous (pre-payload)
     /// builds.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let payload_bytes: usize = self
             .payload
             .as_ref()
             .map(|p| 8 + p.iter().map(|v| 8 + v.len()).sum::<usize>())
             .unwrap_or(0);
-        let mut b = BytesMut::with_capacity(
+        // every field is a fixed-width little-endian integer, which is
+        // what `Wire` writes for the primitive types
+        let mut b = Vec::with_capacity(
             48 + self.markers.len() * MARKER_BYTES
                 + self.leaves.len() * LEAF_BYTES
                 + payload_bytes
                 + 4,
         );
-        b.put_slice(MAGIC);
-        b.put_u32_le(if self.payload.is_some() {
+        b.extend_from_slice(MAGIC);
+        let version = if self.payload.is_some() {
             VERSION_PAYLOAD
         } else {
             VERSION
-        });
-        b.put_u32_le(self.dim);
-        b.put_u64_le(self.num_trees);
-        b.put_u64_le(self.global_count);
-        b.put_u64_le(self.size);
-        b.put_u64_le(self.markers.len() as u64);
+        };
+        version.encode(&mut b);
+        self.dim.encode(&mut b);
+        self.num_trees.encode(&mut b);
+        self.global_count.encode(&mut b);
+        self.size.encode(&mut b);
+        (self.markers.len() as u64).encode(&mut b);
         for (t, a) in &self.markers {
-            b.put_u32_le(*t);
-            b.put_u64_le(*a);
+            t.encode(&mut b);
+            a.encode(&mut b);
         }
-        b.put_u64_le(self.leaves.len() as u64);
+        (self.leaves.len() as u64).encode(&mut b);
         for (t, c, l) in &self.leaves {
-            b.put_u32_le(*t);
-            b.put_i32_le(c[0]);
-            b.put_i32_le(c[1]);
-            b.put_i32_le(c[2]);
-            b.put_u8(*l);
+            t.encode(&mut b);
+            for x in c {
+                x.encode(&mut b);
+            }
+            l.encode(&mut b);
         }
         if let Some(payload) = &self.payload {
             debug_assert_eq!(payload.len(), self.leaves.len());
-            b.put_u64_le(payload.len() as u64);
+            (payload.len() as u64).encode(&mut b);
             for item in payload {
-                b.put_u64_le(item.len() as u64);
-                b.put_slice(item);
+                (item.len() as u64).encode(&mut b);
+                b.extend_from_slice(item);
             }
         }
-        let crc = crc32(&b);
-        b.put_u32_le(crc);
-        b.freeze()
+        crc32(&b).encode(&mut b);
+        b
     }
 
     /// Deserialize from a binary buffer. Corrupt input — truncation,
@@ -178,8 +188,7 @@ impl PortableForest {
     pub fn from_bytes(data: &[u8]) -> Result<Self, IoError> {
         let mut cur = Cursor(data);
         cur.need(8)?;
-        let mut magic = [0u8; 4];
-        cur.0.copy_to_slice(&mut magic);
+        let magic: [u8; 4] = cur.array()?;
         if &magic != MAGIC {
             return Err(IoError::BadMagic { found: magic });
         }
@@ -244,25 +253,22 @@ impl PortableForest {
                 let len = cur.u64()?;
                 // bounds before allocation: a hostile length must not
                 // reserve memory it cannot back with input bytes
-                if len > cur.0.remaining() as u64 {
+                if len > cur.0.len() as u64 {
                     return Err(IoError::Truncated {
                         needed: len as usize,
-                        remaining: cur.0.remaining(),
+                        remaining: cur.0.len(),
                     });
                 }
-                let len = len as usize;
-                let mut item = vec![0u8; len];
-                cur.0.copy_to_slice(&mut item);
-                payload.push(item);
+                payload.push(cur.take(len as usize)?.to_vec());
             }
             Some(payload)
         } else {
             None
         };
-        if cur.0.remaining() > 0 {
+        if !cur.0.is_empty() {
             return Err(IoError::CountMismatch {
                 what: "trailing byte",
-                found: cur.0.remaining() as u64,
+                found: cur.0.len() as u64,
                 expected: 0,
             });
         }
@@ -300,10 +306,7 @@ impl<Q: Quadrant> Forest<Q> {
     /// portable form (serializes as a version-3 stream). Each payload
     /// is stored as the opaque `Wire` encoding of `T`, so the stream
     /// can be re-sliced across rank counts without knowing `T`.
-    pub fn to_portable_with_data<T: quadforest_core::Wire>(
-        &self,
-        data: &crate::LeafData<T>,
-    ) -> PortableForest {
+    pub fn to_portable_with_data<T: Wire>(&self, data: &crate::LeafData<T>) -> PortableForest {
         data.check_aligned(self, "to_portable_with_data");
         let mut p = self.to_portable();
         p.payload = Some(data.iter().map(|v| v.to_wire()).collect());
@@ -429,14 +432,14 @@ mod tests {
                 PortableForest::from_bytes(&bytes[..3]),
                 Err(IoError::Truncated { .. })
             ));
-            let mut bad = bytes.to_vec();
+            let mut bad = bytes.clone();
             bad[0] = b'X';
             assert!(matches!(
                 PortableForest::from_bytes(&bad),
                 Err(IoError::BadMagic { .. })
             ));
             // a bit flip anywhere in the body trips the CRC guard
-            let mut flipped = bytes.to_vec();
+            let mut flipped = bytes.clone();
             flipped[20] ^= 0x40;
             assert!(matches!(
                 PortableForest::from_bytes(&flipped),
@@ -446,7 +449,7 @@ mod tests {
             let truncated = &bytes[..bytes.len() - 5];
             assert!(PortableForest::from_bytes(truncated).is_err());
             // wrong version is named, not guessed at
-            let mut versioned = bytes.to_vec();
+            let mut versioned = bytes.clone();
             versioned[4] = 99;
             assert!(matches!(
                 PortableForest::from_bytes(&versioned),
@@ -459,7 +462,7 @@ mod tests {
     fn hostile_length_prefix_is_rejected_not_allocated() {
         quadforest_comm::run(1, |comm| {
             let f = adaptive_forest(&comm);
-            let bytes = f.to_portable().to_bytes().to_vec();
+            let bytes = f.to_portable().to_bytes();
             // overwrite the marker-count field (offset 32) with u64::MAX;
             // the CRC is recomputed so only the count check can object
             let mut evil = bytes.clone();

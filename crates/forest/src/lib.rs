@@ -108,10 +108,9 @@ pub struct ForestStats {
     pub level_histogram: Vec<u64>,
 }
 
-/// The closed range of maximum-level curve positions covered by the
+/// The closed range of maximum-level Morton indices covered by the
 /// subtree of `q`: `I_ℓ << s ..= (I_ℓ << s) | (2^s − 1)` with
-/// `s = d·(L − ℓ)` — Definition 2.1, so valid for every hierarchical
-/// curve (Morton and Hilbert alike).
+/// `s = d·(L − ℓ)` (Definition 2.1).
 pub(crate) fn key_span<Q: Quadrant>(q: &Q) -> (u64, u64) {
     let first = q.morton_abs();
     let below = (1u64 << (Q::DIM * (Q::MAX_LEVEL - q.level()) as u32)) - 1;
@@ -419,6 +418,29 @@ impl<Q: Quadrant> Forest<Q> {
         if let Err(e) = self.validate() {
             panic!("phase guard '{phase}' failed: {e}");
         }
+    }
+
+    /// Partition markers (`size + 1` entries) from each rank's first
+    /// leaf position: an empty rank inherits the next non-empty rank's
+    /// first position (p4est convention), the last marker is the end
+    /// sentinel, and rank 0's range starts at the global origin.
+    pub(crate) fn markers_from_firsts(
+        num_trees: usize,
+        firsts: &[Option<SfcPosition>],
+        global_count: u64,
+    ) -> Vec<SfcPosition> {
+        let mut markers = vec![end_position(num_trees); firsts.len() + 1];
+        let mut next = end_position(num_trees);
+        for (marker, first) in markers.iter_mut().zip(firsts).rev() {
+            if let Some(pos) = first {
+                next = *pos;
+            }
+            *marker = next;
+        }
+        if global_count > 0 {
+            markers[0] = (0, 0);
+        }
+        markers
     }
 
     /// Assemble a forest from parts (deserialization path); the caller

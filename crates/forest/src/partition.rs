@@ -6,7 +6,7 @@
 //! `p4est_partition`. Communication is a single personalized all-to-all
 //! of leaf runs plus an allgather to refresh the partition markers.
 
-use crate::{end_position, Forest};
+use crate::Forest;
 use quadforest_comm::Comm;
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
@@ -98,13 +98,20 @@ impl<Q: Quadrant> Forest<Q> {
 
         // payloads travel in their own all-to-all, bucketed by the same
         // destination cuts, so the leaf exchange keeps its bare
-        // (tree, leaf) message shape when no payload is present
+        // (tree, leaf) message shape when no payload is present. Only
+        // the bytes counter reads a value's encoding here (the thread
+        // backend ships values as they are), so encode only when a
+        // recorder is listening, into one reused buffer.
+        let traced = quadforest_telemetry::enabled();
+        let mut scratch = Vec::new();
         let mut payload_bytes = 0usize;
         let outgoing_payload = payload.map(|payload| {
             let mut buckets: Vec<Vec<P>> = (0..self.size).map(|_| Vec::new()).collect();
             for (dest, v) in dests.iter().zip(payload) {
-                if *dest != self.rank {
-                    payload_bytes += v.to_wire().len();
+                if traced && *dest != self.rank {
+                    scratch.clear();
+                    v.encode(&mut scratch);
+                    payload_bytes += scratch.len();
                 }
                 buckets[*dest].push(v);
             }
@@ -130,23 +137,9 @@ impl<Q: Quadrant> Forest<Q> {
             }
         }
 
-        // refresh markers: allgather each rank's first position; empty
-        // ranks inherit the next non-empty marker (p4est convention)
-        let first = self.first_local_position();
-        let firsts = comm.allgather(first);
-        let mut markers = vec![end_position(self.trees.len()); self.size + 1];
-        let mut next = end_position(self.trees.len());
-        for r in (0..self.size).rev() {
-            if let Some(pos) = firsts[r] {
-                next = pos;
-            }
-            markers[r] = next;
-        }
-        // rank 0's range always starts at the global origin
-        if self.global_count > 0 {
-            markers[0] = (0, 0);
-        }
-        self.markers = markers;
+        // refresh markers from each rank's first position
+        let firsts = comm.allgather(self.first_local_position());
+        self.markers = Self::markers_from_firsts(self.trees.len(), &firsts, self.global_count);
         quadforest_telemetry::counter_add("forest.partition.sent", moved as u64);
         if payload_bytes > 0 {
             quadforest_telemetry::counter_add(

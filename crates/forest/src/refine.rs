@@ -1,6 +1,6 @@
 //! Callback-driven refinement and coarsening (local adaptation).
 
-use crate::{end_position, Forest};
+use crate::Forest;
 use quadforest_comm::Comm;
 use quadforest_connectivity::{Connectivity, TreeId};
 use quadforest_core::quadrant::Quadrant;
@@ -54,17 +54,7 @@ impl<Q: Quadrant> Forest<Q> {
                 g += 1;
             }
         }
-        let mut markers = vec![end_position(k); size + 1];
-        let mut next = end_position(k);
-        for r in (0..size).rev() {
-            if let Some(pos) = firsts[r] {
-                next = pos;
-            }
-            markers[r] = next;
-        }
-        if total > 0 {
-            markers[0] = (0, 0);
-        }
+        let markers = Self::markers_from_firsts(k, &firsts, total);
         let f = Self::assemble(conn, rank, size, trees, total, markers);
         debug_assert_eq!(f.validate(), Ok(()));
         f

@@ -103,7 +103,7 @@ impl<Q: Quadrant> Forest<Q> {
 mod tests {
     use super::*;
     use quadforest_connectivity::Connectivity;
-    use quadforest_core::quadrant::{MortonQuad, StandardQuad};
+    use quadforest_core::quadrant::{AvxQuad, MortonQuad, StandardQuad};
     use std::sync::Arc;
 
     type Q2 = StandardQuad<2>;
@@ -149,27 +149,41 @@ mod tests {
         });
     }
 
-    #[test]
-    fn point_location_matches_brute_force() {
+    /// `find_leaf_containing` against a linear `contains_point` scan on
+    /// an adapted forest, for one representation.
+    fn point_location_case<Q: Quadrant>() {
         quadforest_comm::run(1, |comm| {
-            let conn = Arc::new(Connectivity::unit(2));
-            let mut f = Forest::<Q2>::new_uniform(conn, &comm, 2);
+            let conn = Arc::new(Connectivity::unit(Q::DIM));
+            let mut f = Forest::<Q>::new_uniform(conn, &comm, 2);
             f.refine(&comm, true, |_, q| q.coords()[0] == 0 && q.level() < 4);
-            let root = Q2::len_at(0);
+            let root = Q::len_at(0);
             let step = root / 17;
+            let layers = if Q::DIM == 3 { 17 } else { 1 };
             for i in 0..17 {
                 for j in 0..17 {
-                    let p = [i * step, j * step, 0];
-                    let found = f.find_leaf_containing(0, p);
-                    let brute = f.tree_leaves(0).iter().find(|q| q.contains_point(p));
-                    assert_eq!(found, brute, "point {p:?}");
-                    assert!(found.is_some());
+                    for k in 0..layers {
+                        let p = [i * step, j * step, k * step];
+                        let found = f.find_leaf_containing(0, p);
+                        let brute = f.tree_leaves(0).iter().find(|q| q.contains_point(p));
+                        assert_eq!(found, brute, "{}: point {p:?}", Q::NAME);
+                        assert!(found.is_some());
+                    }
                 }
             }
             // out of domain
             assert!(f.find_leaf_containing(0, [-1, 0, 0]).is_none());
             assert!(f.find_leaf_containing(0, [root, 0, 0]).is_none());
         });
+    }
+
+    #[test]
+    fn point_location_matches_brute_force() {
+        point_location_case::<StandardQuad<2>>();
+        point_location_case::<StandardQuad<3>>();
+        point_location_case::<MortonQuad<2>>();
+        point_location_case::<MortonQuad<3>>();
+        point_location_case::<AvxQuad<2>>();
+        point_location_case::<AvxQuad<3>>();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
-use quadforest_core::quadrant::{AvxQuad, HilbertQuad, MortonQuad, Quadrant, StandardQuad};
+use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 use quadforest_forest::directions::{neighbor_domain, offsets, Adjacency};
 use quadforest_forest::{BalanceKind, Forest};
 use quadforest_telemetry::{self as telemetry, MetricKind};
@@ -110,9 +110,6 @@ fn sweep<S: Quadrant, M: Quadrant, A: Quadrant>(conns: &[Connectivity]) {
                         0 => check::<S>(conn, ranks, kind, seed, partitioned),
                         1 => check::<M>(conn, ranks, kind, seed, partitioned),
                         _ => check::<A>(conn, ranks, kind, seed, partitioned),
-                    }
-                    if S::DIM == 2 {
-                        check::<HilbertQuad>(conn, ranks, kind, seed, partitioned);
                     }
                     case += 1;
                 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use quadforest_connectivity::Connectivity;
-use quadforest_core::quadrant::{HilbertQuad, MortonQuad, Quadrant, StandardQuad};
+use quadforest_core::quadrant::{MortonQuad, Quadrant, StandardQuad};
 use quadforest_forest::{BalanceKind, Forest};
 use std::sync::Arc;
 
@@ -170,35 +170,5 @@ proptest! {
             f.is_balanced_local(BalanceKind::Face)
                 .expect("final mesh must be 2:1");
         });
-    }
-
-    /// The same workflow over the Hilbert curve produces the same
-    /// balanced mesh whenever the refine/coarsen selectors are
-    /// curve-independent (keyed on coordinates, not curve position).
-    #[test]
-    fn curves_agree_on_geometric_workflows(
-        seed in any::<u64>(),
-    ) {
-        fn geometric<Q: Quadrant>(seed: u64) -> Vec<(u32, [i32; 3], u8)> {
-            let results = quadforest_comm::run(2, move |comm| {
-                let conn = Arc::new(Connectivity::unit(2));
-                let mut f = Forest::<Q>::new_uniform(conn, &comm, 1);
-                f.refine(&comm, false, |t, q| {
-                    let c = q.coords();
-                    mix(seed, t, (c[0] as u64) << 32 | c[1] as u64, q.level()) % 2 == 0
-                });
-                f.balance(&comm, BalanceKind::Face);
-                f.leaves()
-                    .map(|(t, q)| (t, q.coords(), q.level()))
-                    .collect::<Vec<_>>()
-            });
-            let mut all: Vec<_> = results.into_iter().flatten().collect();
-            all.sort();
-            all
-        }
-        prop_assert_eq!(
-            geometric::<MortonQuad<2>>(seed),
-            geometric::<HilbertQuad>(seed)
-        );
     }
 }

@@ -25,21 +25,25 @@ fn mix(seed: u64, t: u32, pos: u64, level: u8) -> u64 {
     h
 }
 
-/// An adaptively refined 4-tree (2x2 brick) snapshot for 2D reps, or a
+/// An adaptively refined 4-tree (2x2 brick) forest for 2D reps, or a
 /// single-tree one for 3D (no 3D brick needed to cover multi-tree: the
 /// 2D reps exercise it).
+fn forest_for<Q: Quadrant>(comm: &quadforest_comm::Comm, seed: u64) -> Forest<Q> {
+    let conn = Arc::new(if Q::DIM == 2 {
+        Connectivity::brick2d(2, 2, false, false)
+    } else {
+        Connectivity::unit(3)
+    });
+    let mut f = Forest::<Q>::new_uniform(conn, comm, 1);
+    f.refine(comm, true, |t, q| {
+        q.level() < 4 && !mix(seed, t, q.morton_abs(), q.level()).is_multiple_of(3)
+    });
+    f
+}
+
 fn snapshot_for<Q: Quadrant>(seed: u64) -> ForestSnapshot {
     quadforest_comm::run(1, move |comm| {
-        let conn = Arc::new(if Q::DIM == 2 {
-            Connectivity::brick2d(2, 2, false, false)
-        } else {
-            Connectivity::unit(3)
-        });
-        let mut f = Forest::<Q>::new_uniform(conn, &comm, 1);
-        f.refine(&comm, true, |t, q| {
-            q.level() < 4 && !mix(seed, t, q.morton_abs(), q.level()).is_multiple_of(3)
-        });
-        ForestSnapshot::build(&f, 0)
+        ForestSnapshot::build(&forest_for::<Q>(&comm, seed), 0)
     })
     .pop()
     .unwrap()
@@ -149,6 +153,55 @@ fn multi_tree_batch_matches_reference() {
         })
         .collect();
     assert_eq!(snap.locate_many(&points), snap.locate_batch(&points));
+}
+
+/// The snapshot answers what the forest it was built from answers:
+/// [`ForestSnapshot::locate_many`] names the leaf
+/// [`Forest::find_leaf_containing`] returns, for every representation.
+#[test]
+fn locate_many_matches_forest_point_location() {
+    fn case<Q: Quadrant>() {
+        quadforest_comm::run(1, |comm| {
+            let f = forest_for::<Q>(&comm, 5);
+            let snap = ForestSnapshot::build(&f, 0);
+            let trees = f.connectivity().num_trees() as u64;
+            let root = Q::len_at(0);
+            let points: Vec<(TreeId, [i32; 3])> = (0u64..2048)
+                .map(|i| {
+                    let h = mix(9, 0, i, 0);
+                    let z = if Q::DIM == 3 {
+                        (h >> 40) as i32 & (root - 1)
+                    } else {
+                        0
+                    };
+                    (
+                        (i % trees) as TreeId,
+                        [h as i32 & (root - 1), (h >> 20) as i32 & (root - 1), z],
+                    )
+                })
+                .collect();
+            for ((t, p), hit) in points.iter().zip(snap.locate_many(&points)) {
+                let leaf = f
+                    .find_leaf_containing(*t, *p)
+                    .expect("point is in the domain");
+                let hit = hit.unwrap_or_else(|| panic!("{}: no hit for {p:?}", Q::NAME));
+                assert_eq!(hit.tree, *t);
+                assert_eq!(
+                    f.tree_leaves(*t)[hit.index as usize],
+                    *leaf,
+                    "{}: tree {t} {p:?}",
+                    Q::NAME
+                );
+                assert_eq!((hit.key, hit.level), (leaf.morton_abs(), leaf.level()));
+            }
+        });
+    }
+    case::<StandardQuad<2>>();
+    case::<StandardQuad<3>>();
+    case::<MortonQuad<2>>();
+    case::<MortonQuad<3>>();
+    case::<AvxQuad<2>>();
+    case::<AvxQuad<3>>();
 }
 
 /// Hammer the executor: several submitter threads firing point and box

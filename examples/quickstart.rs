@@ -27,8 +27,8 @@ fn main() {
         let conn = Arc::new(Connectivity::brick2d(2, 2, false, false));
 
         // The paper's raw Morton representation drives the whole run;
-        // swap `Morton2` for `Standard2`, `Avx2d` or `Morton128x2` and
-        // every result below stays identical.
+        // swap `Morton2` for `Standard2` or `Avx2d` and every result
+        // below stays identical.
         let mut forest = Forest::<Morton2>::new_uniform(conn, &comm, INIT_LEVEL);
 
         // refine every leaf crossing the circle boundary

@@ -1,5 +1,5 @@
 //! Representation comparison: run the *identical* AMR pipeline under all
-//! four quadrant representations and verify they produce bit-identical
+//! three quadrant representations and verify they produce bit-identical
 //! meshes while differing in speed and memory — the user-facing payoff
 //! of the paper's virtual quadrant interface.
 //!
@@ -43,7 +43,7 @@ fn pipeline<Q: Quadrant>() -> (u64, Duration, usize) {
 
 fn main() {
     println!("identical AMR pipeline (refine->balance->partition->ghost->iterate)");
-    println!("under all four quadrant representations, {RANKS} ranks, 2x1x1 brick of octrees\n");
+    println!("under all three quadrant representations, {RANKS} ranks, 2x1x1 brick of octrees\n");
     println!("| representation | checksum | wall time (ms) | leaf bytes | bytes/leaf |");
     println!("|---|---|---|---|---|");
 
@@ -51,7 +51,6 @@ fn main() {
         ("standard (24 B)", pipeline::<Standard3>()),
         ("raw Morton (8 B)", pipeline::<Morton3>()),
         ("AVX2 / 128-bit (16 B)", pipeline::<Avx3d>()),
-        ("Morton128 (16 B)", pipeline::<Morton128x3>()),
     ];
 
     let reference = rows[0].1 .0;
@@ -65,7 +64,7 @@ fn main() {
             "representations must produce identical meshes"
         );
     }
-    println!("\nOK: all four representations produced the identical global mesh");
+    println!("\nOK: all three representations produced the identical global mesh");
     println!("    (checksum covers every leaf position, level and interface count)");
     let std_bytes = rows[0].1 .2 as f64;
     let mor_bytes = rows[1].1 .2 as f64;

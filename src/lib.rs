@@ -9,9 +9,9 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`core`] — the paper's contribution: the virtual [`Quadrant`](core::quadrant::Quadrant)
-//!   interface and its four implementations (standard xyz+level, raw
-//!   Morton `u64`, 128-bit SIMD/AVX2, and the future-work 128-bit
-//!   Morton), with every low-level algorithm of Sections 2.1–2.3;
+//!   interface and its three implementations (standard xyz+level, raw
+//!   Morton `u64`, 128-bit SIMD/AVX2), with every low-level algorithm of
+//!   Sections 2.1–2.3;
 //! * [`connectivity`] — inter-tree topology and coordinate transforms;
 //! * [`comm`] — the simulated-MPI communicator;
 //! * [`forest`] — the distributed AMR workflow (create, refine, coarsen,
@@ -66,12 +66,8 @@ pub mod prelude {
         RecoveryOutcome, RecoveryPolicy,
     };
     pub use quadforest_connectivity::{Connectivity, FaceConnection, FaceTransform, TreeId};
-    pub use quadforest_core::quadrant::{
-        convert, AvxQuad, HilbertQuad, Morton128Quad, MortonQuad, Quadrant, StandardQuad,
-    };
-    pub use quadforest_core::quadrant::{
-        Avx2d, Avx3d, Morton128x2, Morton128x3, Morton2, Morton3, Standard2, Standard3,
-    };
+    pub use quadforest_core::quadrant::{convert, AvxQuad, MortonQuad, Quadrant, StandardQuad};
+    pub use quadforest_core::quadrant::{Avx2d, Avx3d, Morton2, Morton3, Standard2, Standard3};
     pub use quadforest_forest::{
         iterate_faces, BalanceKind, CheckpointInfo, CheckpointManifest, DataMapper, FaceSide,
         Forest, ForestStats, GhostLayer, Interface, InvariantError, IoError, LeafData, LeafRef,

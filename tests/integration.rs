@@ -67,10 +67,8 @@ fn pipeline_identical_across_representations_2d() {
     let a = pipeline_fingerprint::<Standard2>(2, conn);
     let b = pipeline_fingerprint::<Morton2>(2, conn);
     let c = pipeline_fingerprint::<Avx2d>(2, conn);
-    let d = pipeline_fingerprint::<Morton128x2>(2, conn);
     assert_eq!(a, b);
     assert_eq!(a, c);
-    assert_eq!(a, d);
 }
 
 #[test]
@@ -79,10 +77,8 @@ fn pipeline_identical_across_representations_3d() {
     let a = pipeline_fingerprint::<Standard3>(2, conn);
     let b = pipeline_fingerprint::<Morton3>(2, conn);
     let c = pipeline_fingerprint::<Avx3d>(2, conn);
-    let d = pipeline_fingerprint::<Morton128x3>(2, conn);
     assert_eq!(a, b);
     assert_eq!(a, c);
-    assert_eq!(a, d);
 }
 
 #[test]
@@ -255,97 +251,6 @@ fn search_and_ghost_compose() {
         });
         assert_eq!(counted, f.local_count());
     });
-}
-
-/// The paper's other interface goal, implemented here as an extension:
-/// a *different space-filling curve* under the same trait. The whole
-/// pipeline must run in Hilbert order, and because 2:1 balance is a
-/// geometric closure, the final *mesh* (the leaf set) must be identical
-/// to the Morton-ordered runs — only the ordering and the partition
-/// boundaries may differ.
-#[test]
-fn hilbert_curve_drives_the_same_pipeline() {
-    fn mesh_set<Q: Quadrant>(ranks: usize) -> Vec<(u32, [i32; 3], u8)> {
-        let gathered = quadforest::comm::run(ranks, |comm| {
-            let conn = Arc::new(Connectivity::unit(2));
-            let mut f = Forest::<Q>::new_uniform(conn, &comm, 2);
-            let center = [Q::len_at(0) / 2, Q::len_at(0) / 2, 0];
-            f.refine(&comm, true, |_, q| {
-                q.level() < 5 && q.contains_point(center)
-            });
-            f.balance(&comm, BalanceKind::Face);
-            f.partition(&comm);
-            f.validate().unwrap();
-            // exercise ghost + iterate in Hilbert order as well
-            let ghost = f.ghost(&comm, BalanceKind::Face);
-            let mut faces = 0u64;
-            iterate_faces(&f, &ghost, |_| faces += 1);
-            assert!(comm.size() == 1 || !ghost.is_empty() || f.local_count() == 0);
-            f.leaves()
-                .map(|(t, q)| (t, q.coords(), q.level()))
-                .collect::<Vec<_>>()
-        });
-        let mut all: Vec<_> = gathered.into_iter().flatten().collect();
-        all.sort();
-        all
-    }
-    let morton = mesh_set::<Morton2>(3);
-    let hilbert = mesh_set::<HilbertQuad>(3);
-    assert_eq!(morton, hilbert, "balanced meshes must agree across curves");
-    // rank-count invariance holds per curve as well
-    assert_eq!(mesh_set::<HilbertQuad>(1), hilbert);
-    assert_eq!(mesh_set::<HilbertQuad>(5), hilbert);
-}
-
-/// Hilbert partitions have (asymptotically) better locality: each
-/// rank's chunk of the curve is face-connected far more often. Check a
-/// weak form: the Hilbert partition never produces more disconnected
-/// rank fragments than Morton on a uniform grid.
-#[test]
-fn hilbert_partition_locality() {
-    fn fragments<Q: Quadrant>() -> usize {
-        quadforest::comm::run(4, |comm| {
-            let conn = Arc::new(Connectivity::unit(2));
-            let f = Forest::<Q>::new_uniform(conn, &comm, 4);
-            // count connected components of the local leaf set under
-            // face adjacency (brute force union-find)
-            let leaves: Vec<Q> = f.leaves().map(|(_, q)| *q).collect();
-            let mut parent: Vec<usize> = (0..leaves.len()).collect();
-            fn find(p: &mut Vec<usize>, i: usize) -> usize {
-                if p[i] != i {
-                    let r = find(p, p[i]);
-                    p[i] = r;
-                }
-                p[i]
-            }
-            for (i, a) in leaves.iter().enumerate() {
-                for (j, b) in leaves.iter().enumerate().skip(i + 1) {
-                    let da = a.coords();
-                    let db = b.coords();
-                    let h = a.side();
-                    let touch = ((da[0] - db[0]).abs() == h && da[1] == db[1])
-                        || ((da[1] - db[1]).abs() == h && da[0] == db[0]);
-                    if touch {
-                        let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-                        parent[ra] = rb;
-                    }
-                }
-            }
-            (0..leaves.len())
-                .filter(|&i| find(&mut parent, i) == i)
-                .count()
-        })
-        .into_iter()
-        .sum()
-    }
-    let hilbert = fragments::<HilbertQuad>();
-    let morton = fragments::<Morton2>();
-    assert!(
-        hilbert <= morton,
-        "hilbert fragments ({hilbert}) must not exceed morton's ({morton})"
-    );
-    // each of the 4 ranks' Hilbert chunk of a uniform grid is connected
-    assert_eq!(hilbert, 4, "Hilbert rank chunks must be connected");
 }
 
 #[test]
