@@ -10,8 +10,13 @@
 //!    itself, enumerates their same-size neighbor domains, resolves them
 //!    through the connectivity, and asks the owner ranks of each
 //!    domain's SFC range for leaves touching the contact region;
-//! 2. **reply**: owners answer with their matching leaves, which the
-//!    requester dedupes and sorts into the ghost array.
+//! 2. **reply**: owners answer with their matching leaves, each once and
+//!    in SFC order, and remember them as their *mirrors* for that rank;
+//!    the requester concatenates the answers into the ghost array.
+//!
+//! Mirrors and ghosts list the same leaves in the same order on both
+//! ends, so [`GhostLayer::exchange_data`] ships values only — no keys,
+//! no request round.
 //!
 //! All geometry runs in coordinate boxes (see `directions`), so the
 //! algorithm is identical for every quadrant representation, including
@@ -35,16 +40,30 @@ pub struct GhostQuad<Q: Quadrant> {
     pub quad: Q,
 }
 
-/// The ghost layer of a forest on one rank.
+/// The ghost layer of a forest on one rank. It indexes into the forest
+/// it was built from: rebuild it after any refine, coarsen, balance or
+/// partition.
 #[derive(Clone, Debug)]
 pub struct GhostLayer<Q: Quadrant> {
     /// Ghosts sorted by `(tree, SFC position, level)`, deduplicated.
+    /// [`LeafRef::Ghost(i)`](crate::LeafRef) names `ghosts[i]`.
     pub ghosts: Vec<GhostQuad<Q>>,
+    /// `mirrors[r]`: the local leaves rank `r` holds as ghosts, as
+    /// sorted, deduplicated indices in [`Forest::leaves`] order. They
+    /// are, in order, exactly the entries of `r`'s `ghosts` owned by
+    /// this rank. Empty for a default (serial) layer.
+    pub mirrors: Vec<Vec<usize>>,
+    /// `local_count` of the forest the layer was built from.
+    local_count: usize,
 }
 
 impl<Q: Quadrant> Default for GhostLayer<Q> {
     fn default() -> Self {
-        Self { ghosts: Vec::new() }
+        Self {
+            ghosts: Vec::new(),
+            mirrors: Vec::new(),
+            local_count: 0,
+        }
     }
 }
 
@@ -59,21 +78,18 @@ impl<Q: Quadrant> GhostLayer<Q> {
         self.ghosts.is_empty()
     }
 
-    /// The ghosts living in `tree`, as a sorted slice.
-    pub fn tree_ghosts(&self, tree: u32) -> &[GhostQuad<Q>] {
-        let lo = self.ghosts.partition_point(|g| g.tree < tree);
-        let hi = self.ghosts.partition_point(|g| g.tree <= tree);
-        &self.ghosts[lo..hi]
-    }
-
-    /// Ghosts of `tree` whose subtree range overlaps the quadrant `q`
-    /// (i.e. ghosts equal to, contained in, or containing `q`).
-    pub fn overlapping(&self, tree: u32, q: &Q) -> &[GhostQuad<Q>] {
-        let ghosts = self.tree_ghosts(tree);
+    /// The index range in `ghosts` of the ghosts of `tree` whose subtree
+    /// range overlaps the quadrant `q` (i.e. ghosts equal to, contained
+    /// in, or containing `q`).
+    pub fn overlapping(&self, tree: u32, q: &Q) -> std::ops::Range<usize> {
         let (first, last) = key_span(q);
-        let lo = ghosts.partition_point(|g| key_span(&g.quad).1 < first);
-        let hi = ghosts.partition_point(|g| g.quad.morton_abs() <= last);
-        &ghosts[lo..hi]
+        let lo = self
+            .ghosts
+            .partition_point(|g| (g.tree, key_span(&g.quad).1) < (tree, first));
+        let hi = self
+            .ghosts
+            .partition_point(|g| (g.tree, g.quad.morton_abs()) <= (tree, last));
+        lo..hi
     }
 }
 
@@ -149,36 +165,51 @@ impl<Q: Quadrant> Forest<Q> {
         );
         let incoming = comm.alltoallv(outgoing);
 
-        // round 2: replies
-        let mut replies: Vec<Vec<(u32, Q)>> = (0..self.size).map(|_| Vec::new()).collect();
-        for (src, reqs) in incoming.into_iter().enumerate() {
+        // round 2: replies — what a rank is told here is what it will be
+        // sent by every later `exchange_data`, so the matches are the
+        // mirrors; sorted, each owner's reply is a run of the SFC order
+        let first = self.tree_offsets();
+        let mut mirrors: Vec<Vec<usize>> = Vec::with_capacity(self.size);
+        let mut replies: Vec<Vec<(u32, Q)>> = Vec::with_capacity(self.size);
+        for reqs in incoming {
+            let mut hits: Vec<(u32, usize)> = Vec::new();
             for (tree, coords, level, contact) in reqs {
                 let dom = Q::from_coords(coords, level);
-                let range = self.overlapping_range(tree, &dom);
-                for p in &self.trees[tree as usize][range] {
-                    if Box3::of_quad(p).intersects(&contact, Q::DIM) {
-                        replies[src].push((tree, *p));
+                for i in self.overlapping_range(tree, &dom) {
+                    if Box3::of_quad(&self.trees[tree as usize][i]).intersects(&contact, Q::DIM) {
+                        hits.push((tree, i));
                     }
                 }
             }
+            hits.sort_unstable();
+            hits.dedup();
+            replies.push(
+                hits.iter()
+                    .map(|&(t, i)| (t, self.trees[t as usize][i]))
+                    .collect(),
+            );
+            mirrors.push(hits.iter().map(|&(t, i)| first[t as usize] + i).collect());
         }
+        // owners hold consecutive runs of the SFC order in rank order, so
+        // the concatenated replies are the sorted ghost array
         let mut ghosts: Vec<GhostQuad<Q>> = Vec::new();
         for (owner, reply) in comm.alltoallv(replies).into_iter().enumerate() {
-            for (tree, quad) in reply {
-                ghosts.push(GhostQuad { owner, tree, quad });
-            }
+            ghosts.extend(
+                reply
+                    .into_iter()
+                    .map(|(tree, quad)| GhostQuad { owner, tree, quad }),
+            );
         }
-        ghosts.sort_by(|a, b| {
-            (a.tree, a.quad.morton_abs(), a.quad.level()).cmp(&(
-                b.tree,
-                b.quad.morton_abs(),
-                b.quad.level(),
-            ))
-        });
-        ghosts.dedup();
+        debug_assert!(ghosts
+            .windows(2)
+            .all(|w| (w[0].tree, w[0].quad.morton_abs()) < (w[1].tree, w[1].quad.morton_abs())));
         quadforest_telemetry::gauge_set("forest.ghost.size", ghosts.len() as u64);
         self.guard_phase("ghost");
-        GhostLayer { ghosts }
+        GhostLayer {
+            ghosts,
+            mirrors,
+            local_count: self.local_count(),
+        }
     }
 }
 
@@ -186,51 +217,55 @@ impl<Q: Quadrant> GhostLayer<Q> {
     /// Exchange per-leaf application data: every ghost receives the
     /// value its owner holds for that leaf — the
     /// `p4est_ghost_exchange_data` equivalent. `local_data` must hold
-    /// one value per local leaf in forest iteration order; the result
-    /// holds one value per ghost in ghost order. Collective.
+    /// one value per local leaf of the forest this layer was built from,
+    /// in [`Forest::leaves`] order; the result holds one value per ghost
+    /// in `ghosts` order. One `alltoallv` of the mirrors' values.
+    /// Collective.
+    ///
+    /// # Panics
+    /// When `local_data` does not match the leaf count the layer was
+    /// built from, or a peer's layer is out of step with this one — the
+    /// layer is stale: some rank's mesh or partition changed since
+    /// [`Forest::ghost`].
     pub fn exchange_data<T: Clone + quadforest_core::Wire + Send + 'static>(
         &self,
-        forest: &Forest<Q>,
         comm: &Comm,
         local_data: &[T],
     ) -> Vec<T> {
         assert_eq!(
             local_data.len(),
-            forest.local_count(),
-            "one datum per local leaf required"
+            self.local_count,
+            "one datum per local leaf of the forest the ghost layer was built from required"
         );
-        // global order index of each local leaf: (tree, abs, level) key
-        // request each ghost's datum from its owner
-        let mut requests: Vec<Vec<(u32, u64, u8)>> = (0..comm.size()).map(|_| Vec::new()).collect();
-        for g in &self.ghosts {
-            requests[g.owner].push((g.tree, g.quad.morton_abs(), g.quad.level()));
-        }
-        let incoming = comm.alltoallv(requests);
-        // build the local lookup: key -> flat leaf index
-        let mut index = std::collections::HashMap::new();
-        for (i, (t, q)) in forest.leaves().enumerate() {
-            index.insert((t, q.morton_abs(), q.level()), i);
-        }
-        let mut replies: Vec<Vec<T>> = (0..comm.size()).map(|_| Vec::new()).collect();
-        for (src, reqs) in incoming.into_iter().enumerate() {
-            for key in reqs {
-                let i = index
-                    .get(&key)
-                    .unwrap_or_else(|| panic!("ghost request for non-local leaf {key:?}"));
-                replies[src].push(local_data[*i].clone());
-            }
-        }
-        let answers = comm.alltoallv(replies);
-        // scatter answers back into ghost order
-        let mut cursors = vec![0usize; comm.size()];
-        self.ghosts
+        let outgoing: Vec<Vec<T>> = self
+            .mirrors
+            .iter()
+            .map(|m| m.iter().map(|&i| local_data[i].clone()).collect())
+            .collect();
+        // each owner's answer lists its leaves in SFC order, as `ghosts`
+        // does: one forward cursor per owner scatters them
+        let mut answers: Vec<_> = comm
+            .alltoallv(outgoing)
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
+        let ghost_data = self
+            .ghosts
             .iter()
             .map(|g| {
-                let c = cursors[g.owner];
-                cursors[g.owner] += 1;
-                answers[g.owner][c].clone()
+                answers[g.owner].next().unwrap_or_else(|| {
+                    panic!("stale ghost layer: rank {} sent too few values", g.owner)
+                })
             })
-            .collect()
+            .collect();
+        for (owner, rest) in answers.iter().enumerate() {
+            assert_eq!(
+                rest.len(),
+                0,
+                "stale ghost layer: rank {owner} sent too many values"
+            );
+        }
+        ghost_data
     }
 }
 
@@ -458,7 +493,7 @@ mod tests {
                 .leaves()
                 .map(|(t, q)| (comm.rank(), t, q.morton_abs(), q.level()))
                 .collect();
-            let ghost_data = g.exchange_data(&f, &comm, &local);
+            let ghost_data = g.exchange_data(&comm, &local);
             assert_eq!(ghost_data.len(), g.len());
             for (gq, datum) in g.ghosts.iter().zip(&ghost_data) {
                 assert_eq!(
@@ -483,11 +518,31 @@ mod tests {
             f.partition(&comm);
             let g = f.ghost(&comm, BalanceKind::Face);
             let local: Vec<u8> = f.leaves().map(|(_, q)| q.level()).collect();
-            let ghost_levels = g.exchange_data(&f, &comm, &local);
+            let ghost_levels = g.exchange_data(&comm, &local);
             for (gq, lvl) in g.ghosts.iter().zip(&ghost_levels) {
                 assert_eq!(gq.quad.level(), *lvl);
             }
         });
+    }
+
+    #[test]
+    fn exchange_data_on_a_stale_layer_fails() {
+        let err = quadforest_comm::try_run(2, |comm| {
+            let conn = Arc::new(Connectivity::unit(2));
+            let mut f = Forest::<Q2>::new_uniform(conn, &comm, 2);
+            let g = f.ghost(&comm, BalanceKind::Face);
+            f.refine(&comm, false, |_, q| q.morton_index() % 3 == 0);
+            let local: Vec<u8> = f.leaves().map(|(_, q)| q.level()).collect();
+            Ok(g.exchange_data(&comm, &local))
+        })
+        .unwrap_err();
+        assert!(err.origin_panicked());
+        assert!(
+            err.reason
+                .contains("the forest the ghost layer was built from"),
+            "{}",
+            err.reason
+        );
     }
 
     #[test]
@@ -518,10 +573,9 @@ mod tests {
             let conn = Arc::new(Connectivity::unit(2));
             let f = Forest::<Q2>::new_uniform(conn, &comm, 3);
             let g = f.ghost(&comm, BalanceKind::Full);
-            assert_eq!(g.tree_ghosts(0).len(), g.len());
             for gq in &g.ghosts {
                 let hits = g.overlapping(gq.tree, &gq.quad);
-                assert!(hits.iter().any(|h| h.quad == gq.quad));
+                assert!(g.ghosts[hits].iter().any(|h| h.quad == gq.quad));
             }
         });
     }

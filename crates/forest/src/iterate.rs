@@ -24,6 +24,18 @@ use crate::directions::{neighbor_domain, Box3};
 use crate::{Forest, GhostLayer};
 use quadforest_core::quadrant::Quadrant;
 
+/// Which slot a leaf occupies on this rank. Only `forest` resolves a
+/// leaf's identity to its slot; everything above indexes with this.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum LeafRef {
+    /// Position in [`Forest::leaves`] order — the index of the leaf's
+    /// datum in a [`LeafData`](crate::LeafData).
+    Local(usize),
+    /// Position in [`GhostLayer::ghosts`] — the index of the leaf's
+    /// datum in the result of [`GhostLayer::exchange_data`].
+    Ghost(usize),
+}
+
 /// One side of an interface.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FaceSide<Q: Quadrant> {
@@ -33,19 +45,30 @@ pub struct FaceSide<Q: Quadrant> {
     pub quad: Q,
     /// The leaf's face through which the interface is seen.
     pub face: u32,
+    /// The slot of `(tree, quad)` in the forest and ghost layer the
+    /// walk was given: `forest.leaves().nth(i)` is `(tree, &quad)` for
+    /// `Local(i)`, `ghost.ghosts[i]` holds `tree` and `quad` for
+    /// `Ghost(i)`.
+    pub leaf: LeafRef,
+}
+
+impl<Q: Quadrant> FaceSide<Q> {
     /// True when the leaf is a ghost (remote).
-    pub is_ghost: bool,
+    pub fn is_ghost(&self) -> bool {
+        matches!(self.leaf, LeafRef::Ghost(_))
+    }
 }
 
 /// An interface between leaves, or a domain-boundary face.
 #[derive(Clone, Debug)]
-pub enum Interface<Q: Quadrant> {
+pub enum Interface<'a, Q: Quadrant> {
     /// A face on the physical domain boundary.
     Boundary(FaceSide<Q>),
     /// An interior interface: the primary side and every leaf touching
     /// it from the opposite side (one for conforming faces, several
-    /// when the opposite side is finer).
-    Interior(FaceSide<Q>, Vec<FaceSide<Q>>),
+    /// when the opposite side is finer). The slice is lent from a
+    /// buffer the walk reuses: copy what must outlive the visit.
+    Interior(FaceSide<Q>, &'a [FaceSide<Q>]),
 }
 
 /// The face of the neighbor-tree domain through which `q` is seen, given
@@ -78,95 +101,95 @@ fn opposite_face(dim: u32, dom_coords: [i32; 3], dom_h: i32, contact: &Box3) -> 
 pub fn iterate_faces<Q: Quadrant>(
     forest: &Forest<Q>,
     ghost: &GhostLayer<Q>,
-    mut visit: impl FnMut(Interface<Q>),
+    mut visit: impl FnMut(Interface<'_, Q>),
 ) {
     let conn = forest.connectivity();
-    for (t, q) in forest.leaves() {
+    let first = forest.tree_offsets();
+    // append every leaf of `tree` — local leaves, then ghosts — whose
+    // subtree overlaps `probe` and whose closed box touches `contact`,
+    // each seen through its face `face`
+    let touching = |tree: u32, probe: &Q, contact: &Box3, face: u32, out: &mut Vec<_>| {
+        let leaves = forest.tree_leaves(tree);
+        let local = forest
+            .overlapping_range(tree, probe)
+            .map(|i| (leaves[i], LeafRef::Local(first[tree as usize] + i)));
+        let remote = ghost
+            .overlapping(tree, probe)
+            .map(|i| (ghost.ghosts[i].quad, LeafRef::Ghost(i)));
+        out.extend(
+            local
+                .chain(remote)
+                .filter(|(quad, _)| Box3::of_quad(quad).intersects(contact, Q::DIM))
+                .map(|(quad, leaf)| FaceSide {
+                    tree,
+                    quad,
+                    face,
+                    leaf,
+                }),
+        );
+    };
+    // the opposite side of the interface in hand, lent to `visit`
+    let mut others: Vec<FaceSide<Q>> = Vec::new();
+    for (i, (t, q)) in forest.leaves().enumerate() {
         for f in 0..Q::NUM_FACES {
+            let my_side = FaceSide {
+                tree: t,
+                quad: *q,
+                face: f,
+                leaf: LeafRef::Local(i),
+            };
             let mut off = [0i32; 3];
             off[(f / 2) as usize] = if f & 1 == 1 { 1 } else { -1 };
             let Some(dom) = neighbor_domain(conn, t, q, off) else {
-                visit(Interface::Boundary(FaceSide {
-                    tree: t,
-                    quad: *q,
-                    face: f,
-                    is_ghost: false,
-                }));
+                visit(Interface::Boundary(my_side));
                 continue;
             };
             let probe = Q::from_coords(dom.coords, dom.level);
             let back_face = opposite_face(Q::DIM, dom.coords, probe.side(), &dom.contact);
 
-            // collect the opposite side: local leaves and ghosts whose
-            // subtree overlaps the domain and whose closed box touches
-            // the contact region
-            let mut others: Vec<FaceSide<Q>> = Vec::new();
-            let range = forest.overlapping_range(dom.tree, &probe);
-            for p in &forest.tree_leaves(dom.tree)[range] {
-                if Box3::of_quad(p).intersects(&dom.contact, Q::DIM) {
-                    others.push(FaceSide {
-                        tree: dom.tree,
-                        quad: *p,
-                        face: back_face,
-                        is_ghost: false,
-                    });
-                }
-            }
-            for g in ghost.overlapping(dom.tree, &probe) {
-                if Box3::of_quad(&g.quad).intersects(&dom.contact, Q::DIM) {
-                    others.push(FaceSide {
-                        tree: dom.tree,
-                        quad: g.quad,
-                        face: back_face,
-                        is_ghost: true,
-                    });
-                }
-            }
+            others.clear();
+            touching(dom.tree, &probe, &dom.contact, back_face, &mut others);
             if others.is_empty() {
                 // The opposite region is owned remotely but no ghost was
                 // supplied (e.g. iteration without a ghost layer): skip.
                 continue;
             }
 
-            let my_side = FaceSide {
-                tree: t,
-                quad: *q,
-                face: f,
-                is_ghost: false,
-            };
-            let my_pos = (t, q.morton_abs());
-
             if others.len() == 1 && others[0].quad.level() == q.level() {
                 // conforming pair
                 let p = &others[0];
-                let emit = p.is_ghost || my_pos < (p.tree, p.quad.morton_abs());
-                if emit {
-                    visit(Interface::Interior(my_side, others));
+                if p.is_ghost() || (t, q.morton_abs()) < (p.tree, p.quad.morton_abs()) {
+                    visit(Interface::Interior(my_side, &others));
                 }
             } else if others.len() == 1 && others[0].quad.level() < q.level() {
                 // q is on the fine side of a hanging interface
                 let p = others[0];
-                if !p.is_ghost {
+                if !p.is_ghost() {
                     continue; // the coarse local side will emit it
                 }
                 // Coarse ghost: emit once from the SFC-first *local*
-                // member of the fine group. The fine group lives inside
-                // the mirror of p on our side of the plane, which is
-                // exactly q's ancestor at p's level (the unique aligned
-                // box of p's size containing q and touching the plane).
-                let group = fine_group(forest, ghost, t, q, f, p.quad.level());
-                let first_local = group
+                // member of the fine group — all leaves on q's side
+                // adjacent to p, local and ghost. They live inside the
+                // mirror of p on our side of the plane, which is exactly
+                // q's ancestor at p's level (the unique aligned box of
+                // p's size containing q and touching the plane), and
+                // touch the face patch of that ancestor.
+                let anc = q.ancestor(p.quad.level());
+                others.clear();
+                touching(t, &anc, &own_contact(&anc, f), f, &mut others);
+                others.sort_by_key(|s| (s.quad.morton_abs(), s.quad.level()));
+                let first_local = others
                     .iter()
-                    .filter(|s| !s.is_ghost)
+                    .filter(|s| !s.is_ghost())
                     .map(|s| s.quad.morton_abs())
                     .min()
                     .expect("q itself is a local group member");
                 if first_local == q.morton_abs() {
-                    visit(Interface::Interior(p, group));
+                    visit(Interface::Interior(p, &others));
                 }
             } else {
                 // q is the coarse side: others are the fine group
-                visit(Interface::Interior(my_side, others));
+                visit(Interface::Interior(my_side, &others));
             }
         }
     }
@@ -187,49 +210,6 @@ fn own_contact<Q: Quadrant>(q: &Q, f: u32) -> Box3 {
         b.hi[a] = c[a];
     }
     b
-}
-
-/// The full fine group (local and ghost members) of `q` across its face
-/// `f` against a coarser opposite leaf at `coarse_level`: all leaves on
-/// q's side adjacent to that coarse leaf. They live inside the mirror
-/// of the coarse leaf, `q.ancestor(coarse_level)`, and touch the face
-/// plane patch of that ancestor.
-fn fine_group<Q: Quadrant>(
-    forest: &Forest<Q>,
-    ghost: &GhostLayer<Q>,
-    tree: u32,
-    q: &Q,
-    f: u32,
-    coarse_level: u8,
-) -> Vec<FaceSide<Q>> {
-    debug_assert!(coarse_level < q.level());
-    let anc = q.ancestor(coarse_level);
-    let patch = own_contact(&anc, f);
-    let mut sides: Vec<FaceSide<Q>> = Vec::new();
-    let range = forest.overlapping_range(tree, &anc);
-    for p in &forest.tree_leaves(tree)[range] {
-        if Box3::of_quad(p).intersects(&patch, Q::DIM) {
-            sides.push(FaceSide {
-                tree,
-                quad: *p,
-                face: f,
-                is_ghost: false,
-            });
-        }
-    }
-    for g in ghost.overlapping(tree, &anc) {
-        if Box3::of_quad(&g.quad).intersects(&patch, Q::DIM) {
-            sides.push(FaceSide {
-                tree,
-                quad: g.quad,
-                face: f,
-                is_ghost: true,
-            });
-        }
-    }
-    sides.sort_by_key(|s| (s.quad.morton_abs(), s.quad.level()));
-    sides.dedup();
-    sides
 }
 
 #[cfg(test)]
@@ -299,7 +279,7 @@ mod tests {
             iterate_faces(&f, &g, |iface| {
                 if let Interface::Interior(primary, others) = iface {
                     if others.len() > 1 {
-                        hangs.push((primary, others));
+                        hangs.push((primary, others.to_vec()));
                     }
                 }
             });
@@ -309,7 +289,7 @@ mod tests {
                 assert_eq!(primary.quad.level(), 1, "coarse side is primary");
                 assert_eq!(others.len(), 2);
                 assert!(others.iter().all(|s| s.quad.level() == 2));
-                assert!(others.iter().all(|s| !s.is_ghost));
+                assert!(others.iter().all(|s| !s.is_ghost()));
             }
         });
     }
@@ -401,7 +381,7 @@ mod tests {
             let mut ghost_faces = 0;
             iterate_faces(&f, &g, |iface| {
                 if let Interface::Interior(p, others) = iface {
-                    if p.is_ghost || others.iter().any(|o| o.is_ghost) {
+                    if p.is_ghost() || others.iter().any(|o| o.is_ghost()) {
                         ghost_faces += 1;
                     }
                 }
@@ -475,5 +455,119 @@ mod tests {
                 }
             });
         });
+    }
+
+    /// FNV-1a over everything one rank's walk emits, in order: per
+    /// interface the primary and every opposite side as `(tree,
+    /// morton_abs, level, face, is_ghost)` with the opposite-side count.
+    fn sequence_hash<Q: Quadrant>(f: &Forest<Q>, g: &GhostLayer<Q>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        iterate_faces(f, g, |iface| {
+            let (p, others) = match iface {
+                Interface::Boundary(p) => (p, &[][..]),
+                Interface::Interior(p, others) => (p, others),
+            };
+            for s in std::iter::once(&p).chain(others) {
+                for w in [
+                    s.tree as u64,
+                    s.quad.morton_abs(),
+                    s.quad.level() as u64,
+                    s.face as u64,
+                    s.is_ghost() as u64,
+                    others.len() as u64,
+                ] {
+                    h = (h ^ w).wrapping_mul(0x1000_0000_01b3);
+                }
+            }
+        });
+        h
+    }
+
+    /// The walk emits what it emitted before sides carried indices: the
+    /// constants are `sequence_hash` at commit c9e9e8e (`is_ghost` a
+    /// field, the opposite side a fresh `Vec`) on the meshes of
+    /// `non_balanced_mesh_iterates`, `multitree_interfaces_cross_faces`
+    /// and `hanging_interface_across_rank_boundary`.
+    #[test]
+    fn emitted_sequence_is_the_parent_commits() {
+        let non_balanced = quadforest_comm::run(1, |comm| {
+            let conn = Arc::new(Connectivity::unit(2));
+            let mut f = Forest::<Q2>::new_uniform(conn, &comm, 1);
+            let center = [Q2::len_at(0) / 2, Q2::len_at(0) / 2, 0];
+            f.refine(&comm, true, |_, q| {
+                q.contains_point(center) && q.level() < 4
+            });
+            sequence_hash(&f, &GhostLayer::default())
+        });
+        assert_eq!(non_balanced, [0xaae8_9467_1d13_1801]);
+        let multitree = quadforest_comm::run(1, |comm| {
+            let conn = Arc::new(Connectivity::brick2d(2, 1, false, false));
+            let f = Forest::<Q2>::new_uniform(conn, &comm, 1);
+            sequence_hash(&f, &GhostLayer::default())
+        });
+        assert_eq!(multitree, [0x044c_b652_6860_0945]);
+        let hanging = |p: usize| {
+            quadforest_comm::run(p, |comm| {
+                let conn = Arc::new(Connectivity::unit(2));
+                let mut f = Forest::<Q2>::new_uniform(conn, &comm, 1);
+                f.refine(&comm, false, |_, q| q.morton_index() == 3);
+                f.partition(&comm);
+                let g = f.ghost(&comm, BalanceKind::Face);
+                sequence_hash(&f, &g)
+            })
+        };
+        assert_eq!(hanging(2), [0xb6d9_d867_fd2c_f3d9, 0x2fc8_55f9_0f7f_df63]);
+        assert_eq!(
+            hanging(3),
+            [
+                0x52a7_398c_8602_555d,
+                0xaf96_ba1a_76f3_7cbd,
+                0x7863_16cf_c51d_3d3b
+            ]
+        );
+    }
+
+    /// Every emitted `LeafRef` indexes the very `(tree, quad)` its side
+    /// carries, ghost-coarse hanging interfaces included.
+    #[test]
+    fn leaf_refs_index_the_leaves_they_name() {
+        let mut ghost_primaries = 0;
+        for p in [1usize, 2, 3, 5] {
+            let counts = quadforest_comm::run(p, |comm| {
+                let conn = Arc::new(Connectivity::brick2d(2, 1, true, false));
+                let mut f = Forest::<MortonQuad<2>>::new_uniform(conn, &comm, 2);
+                f.refine(&comm, true, |t, q| {
+                    q.level() < 5 && (q.morton_abs() >> 7).wrapping_mul(t as u64 + 3) % 5 == 0
+                });
+                f.partition(&comm);
+                let g = f.ghost(&comm, BalanceKind::Full);
+                let leaves: Vec<_> = f.leaves().collect();
+                let (mut local, mut remote, mut ghost_primary) = (0, 0, 0);
+                iterate_faces(&f, &g, |iface| {
+                    let (p, others) = match iface {
+                        Interface::Boundary(p) => (p, &[][..]),
+                        Interface::Interior(p, others) => (p, others),
+                    };
+                    ghost_primary += p.is_ghost() as usize;
+                    for s in std::iter::once(&p).chain(others) {
+                        match s.leaf {
+                            LeafRef::Local(i) => {
+                                assert_eq!(leaves[i], (s.tree, &s.quad));
+                                local += 1;
+                            }
+                            LeafRef::Ghost(i) => {
+                                assert_eq!((g.ghosts[i].tree, g.ghosts[i].quad), (s.tree, s.quad));
+                                remote += 1;
+                            }
+                        }
+                    }
+                });
+                assert!(local > 0 || f.local_count() == 0);
+                assert_eq!(remote > 0, !g.is_empty(), "P = {p}");
+                ghost_primary
+            });
+            ghost_primaries += counts.iter().sum::<usize>();
+        }
+        assert!(ghost_primaries > 0, "no coarse-ghost hanging interface");
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! High-level algorithms are written **once**, generically over the
 //! [`Quadrant`] trait, so any representation (standard, raw Morton,
-//! AVX2/SIMD, 128-bit Morton) drives the same code paths — the virtual
-//! interface at the heart of the paper.
+//! AVX2/SIMD) drives the same code paths — the virtual interface at the
+//! heart of the paper.
 //!
 //! Provided algorithms:
 //!
@@ -19,12 +19,14 @@
 //!   adaptation,
 //! * [`Forest::balance`] — parallel 2:1 balance,
 //! * [`Forest::partition`] — (weighted) SFC partition,
-//! * [`Forest::ghost`] — ghost/halo layer construction,
+//! * [`Forest::ghost`] — ghost/halo layer construction; the layer
+//!   records its mirrors, so [`GhostLayer::exchange_data`] is one round
+//!   of values,
 //! * [`iterate_faces`] — interface iteration (faces between leaves), tolerant
-//!   of non-2:1-balanced meshes (item 4 of the paper's follow-up list),
+//!   of non-2:1-balanced meshes (item 4 of the paper's follow-up list);
+//!   every side names its leaf by index ([`LeafRef`]) — which slot a
+//!   leaf occupies is resolved here and nowhere above,
 //! * [`Forest::search`] — top-down local search / point location,
-//! * [`Forest::nodes`] — global corner-node numbering (hanging nodes
-//!   resolved into dependency lists),
 //! * [`Forest::to_portable`] / [`Forest::from_portable`] — save/load.
 //!
 //! # Example
@@ -61,8 +63,6 @@ mod error;
 mod ghost;
 mod io;
 mod iterate;
-mod mesh;
-mod nodes;
 mod partition;
 mod refine;
 mod search;
@@ -76,9 +76,7 @@ pub use quadforest_core::crc::crc32;
 
 pub use balance::BalanceKind;
 pub use ghost::{GhostLayer, GhostQuad};
-pub use iterate::{iterate_faces, FaceSide, Interface};
-pub use mesh::{LeafRef, Mesh, MeshNeighbor};
-pub use nodes::{LocalNodes, NodeKey, NodeRef};
+pub use iterate::{iterate_faces, FaceSide, Interface, LeafRef};
 pub use search::SearchAction;
 
 use quadforest_comm::Comm;
@@ -270,6 +268,18 @@ impl<Q: Quadrant> Forest<Q> {
             .iter()
             .enumerate()
             .flat_map(|(t, v)| v.iter().map(move |q| (t as TreeId, q)))
+    }
+
+    /// The position in [`Forest::leaves`] order of each tree's first
+    /// local leaf.
+    pub(crate) fn tree_offsets(&self) -> Vec<usize> {
+        let mut first = Vec::with_capacity(self.trees.len());
+        let mut next = 0;
+        for leaves in &self.trees {
+            first.push(next);
+            next += leaves.len();
+        }
+        first
     }
 
     /// Deepest refinement level among local leaves.

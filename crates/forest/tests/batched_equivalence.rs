@@ -122,8 +122,9 @@ fn adjacency_of(kind: BalanceKind) -> Adjacency {
     }
 }
 
-/// Balanced leaf sets are identical at P = 1, 2 and 4, and every rank's
-/// ghost layer matches the per-quadrant oracle.
+/// Balanced leaf sets are identical at P = 1, 2 and 4, every rank's
+/// ghost layer matches the per-quadrant oracle, and every rank's mirrors
+/// are its peers' ghosts.
 fn check_equivalence<Q: Quadrant>(conn: Connectivity, seed: u64, max_level: u8, kind: BalanceKind) {
     let conn = Arc::new(conn);
     let mut per_p = Vec::new();
@@ -139,6 +140,26 @@ fn check_equivalence<Q: Quadrant>(conn: Connectivity, seed: u64, max_level: u8, 
                 oracle,
                 "P={p}: batched ghost layer diverges from per-quadrant oracle"
             );
+            // mirror/ghost symmetry: what this rank mirrors to rank s is,
+            // in order, exactly what s holds as ghosts owned by this rank
+            let leaves: Vec<(u32, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
+            let mirrored = ghost
+                .mirrors
+                .iter()
+                .map(|m| m.iter().map(|&i| leaves[i]).collect())
+                .collect();
+            for (owner, theirs) in comm.alltoallv::<(u32, Q)>(mirrored).iter().enumerate() {
+                let mine: Vec<(u32, Q)> = ghost
+                    .ghosts
+                    .iter()
+                    .filter(|g| g.owner == owner)
+                    .map(|g| (g.tree, g.quad))
+                    .collect();
+                assert_eq!(
+                    theirs, &mine,
+                    "P={p}: mirrors of rank {owner} are not my ghosts"
+                );
+            }
             f.leaves()
                 .map(|(t, q)| (t, q.coords(), q.level()))
                 .collect::<Vec<_>>()

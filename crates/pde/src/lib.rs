@@ -12,7 +12,9 @@
 //! * **migrate** — [`Forest::partition_mapped`] ships each moving
 //!   leaf's patch in the partition all-to-all;
 //! * **halo** — [`GhostLayer::exchange_data`] carries [`PatchHalo`]
-//!   edge strips so interface fluxes see remote neighbors;
+//!   edge strips so interface fluxes see remote neighbors: one round of
+//!   values per step, and the flux loop indexes patches and halos with
+//!   the `LeafRef` each interface side carries;
 //! * **checkpoint** — `save_checkpoint_with_data` /
 //!   `load_checkpoint_with_data` persist mesh and patches together,
 //!   so a killed rank resumes bit-identically.

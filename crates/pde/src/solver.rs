@@ -30,6 +30,7 @@ use quadforest_connectivity::{Connectivity, TreeId};
 use quadforest_core::quadrant::Quadrant;
 use quadforest_forest::{
     crc32, iterate_faces, BalanceKind, FaceSide, Forest, GhostLayer, Interface, IoError, LeafData,
+    LeafRef,
 };
 use quadforest_telemetry as telemetry;
 
@@ -66,16 +67,6 @@ pub struct AdaptReport {
     pub mapped_bytes: u64,
 }
 
-/// Mesh-topology caches for [`AdvectionSim::step`]: the ghost layer and
-/// the leaf/ghost identity→index maps depend only on the mesh and its
-/// partition, so they are rebuilt lazily on the first step after a
-/// topology change instead of on every step.
-struct TopologyCache<Q: Quadrant> {
-    ghost: GhostLayer<Q>,
-    index: HashMap<(u32, u64, u8), usize>,
-    ghost_index: HashMap<(u32, u64, u8), usize>,
-}
-
 /// A 2D advection simulation: the forest, one [`Patch`] per local leaf,
 /// and a constant velocity field.
 ///
@@ -98,9 +89,11 @@ pub struct AdvectionSim<Q: Quadrant> {
     /// Steps taken so far (restored from the checkpoint manifest on
     /// recovery).
     pub steps_taken: u64,
-    /// Lazily rebuilt ghost layer + index maps; `None` whenever the
-    /// mesh or partition may have changed since the last step.
-    topo: Option<TopologyCache<Q>>,
+    /// The ghost layer (full adjacency, so hanging groups spanning ranks
+    /// are complete) depends only on the mesh and its partition: rebuilt
+    /// lazily on the first step after a topology change, `None` whenever
+    /// the mesh or partition may have changed since the last step.
+    topo: Option<GhostLayer<Q>>,
 }
 
 impl<Q: Quadrant> AdvectionSim<Q> {
@@ -137,7 +130,7 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         }
     }
 
-    /// Drop the cached ghost layer and index maps so the next
+    /// Drop the cached ghost layer so the next
     /// [`AdvectionSim::step`] rebuilds them. Required after mutating
     /// `forest` directly; [`AdvectionSim::adapt`] and
     /// [`AdvectionSim::migrate`] call it themselves. Must be invoked on
@@ -214,42 +207,16 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         let root = Q::len_at(0) as f64;
         let [vx, vy] = self.velocity;
 
-        // the ghost layer (full adjacency so hanging groups spanning
-        // ranks are complete) and the identity→index maps depend only on
-        // mesh topology: rebuild them only on the first step after an
-        // adapt/migrate, not on every step of a static phase. Collective
-        // when it rebuilds — adapt/migrate invalidate on every rank, so
-        // all ranks take the same branch.
-        if self.topo.is_none() {
-            let ghost = self.forest.ghost(comm, BalanceKind::Full);
-            let index = self
-                .forest
-                .leaves()
-                .enumerate()
-                .map(|(i, (t, q))| ((t, q.morton_abs(), q.level()), i))
-                .collect();
-            let ghost_index = ghost
-                .ghosts
-                .iter()
-                .enumerate()
-                .map(|(i, g)| ((g.tree, g.quad.morton_abs(), g.quad.level()), i))
-                .collect();
-            self.topo = Some(TopologyCache {
-                ghost,
-                index,
-                ghost_index,
-            });
-        }
-        let TopologyCache {
-            ghost,
-            index,
-            ghost_index,
-        } = self.topo.as_ref().expect("cache built above");
+        // Collective when it rebuilds — adapt/migrate invalidate on every
+        // rank, so all ranks take the same branch.
+        let ghost = &*self
+            .topo
+            .get_or_insert_with(|| self.forest.ghost(comm, BalanceKind::Full));
 
         // ship every leaf's edge strips to the ranks that see it as a
         // ghost — values change every step, so this exchange always runs
         let halos: Vec<PatchHalo> = self.u.iter().map(|p| p.halo()).collect();
-        let ghost_halos = ghost.exchange_data(&self.forest, comm, &halos);
+        let ghost_halos = ghost.exchange_data(comm, &halos);
         telemetry::counter_add(
             "pde.halo.bytes",
             (ghost_halos.len() * HALO_WIRE_BYTES) as u64,
@@ -289,11 +256,9 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         // strip value of one side at tangential index m: local leaves
         // read their patch, ghosts read the exchanged halo
         let strip = |side: &FaceSide<Q>, m: usize| -> f64 {
-            let k = (side.tree, side.quad.morton_abs(), side.quad.level());
-            if side.is_ghost {
-                ghost_halos[ghost_index[&k]].edges[side.face as usize][m]
-            } else {
-                edge_cell(&self.u[index[&k]], side.face, m)
+            match side.leaf {
+                LeafRef::Ghost(i) => ghost_halos[i].edges[side.face as usize][m],
+                LeafRef::Local(i) => edge_cell(&self.u[i], side.face, m),
             }
         };
 
@@ -302,7 +267,7 @@ impl<Q: Quadrant> AdvectionSim<Q> {
             let Interface::Interior(primary, others) = iface else {
                 return; // closed wall: zero flux (conservative)
             };
-            for other in &others {
+            for other in others {
                 let axis = (primary.face / 2) as usize;
                 debug_assert_eq!(axis, (other.face / 2) as usize, "axis-aligned transform");
                 let vn = self.velocity[axis];
@@ -337,14 +302,12 @@ impl<Q: Quadrant> AdvectionSim<Q> {
                         strip(high, m_high)
                     };
                     let dm = vn * donor * dt * w; // mass low -> high
-                    if !low.is_ghost {
-                        let i = index[&(low.tree, low.quad.morton_abs(), low.quad.level())];
+                    if let LeafRef::Local(i) = low.leaf {
                         let cell = Self::leaf_h(&low.quad) / PATCH_N as f64;
                         let (ci, cj) = face_cell(low.face, m_low);
                         du[i].cells[Patch::idx(ci, cj)] -= dm / (cell * cell);
                     }
-                    if !high.is_ghost {
-                        let i = index[&(high.tree, high.quad.morton_abs(), high.quad.level())];
+                    if let LeafRef::Local(i) = high.leaf {
                         let cell = Self::leaf_h(&high.quad) / PATCH_N as f64;
                         let (ci, cj) = face_cell(high.face, m_high);
                         du[i].cells[Patch::idx(ci, cj)] += dm / (cell * cell);

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::{MortonQuad, Quadrant};
 use quadforest_forest::{BalanceKind, DataMapper, Forest, LeafData};
-use quadforest_pde::{Patch, PatchMapper, PATCH_CELLS};
+use quadforest_pde::{
+    gaussian_blob, AdaptThresholds, AdvectionSim, Patch, PatchMapper, PATCH_CELLS,
+};
 use std::sync::Arc;
 
 type Q = MortonQuad<2>;
@@ -121,4 +123,37 @@ fn adapt_sequence_preserves_total_sum() {
         let drift = (after - before).abs() / before.abs();
         assert!(drift < 1e-13, "drift {drift:e}");
     });
+}
+
+/// The solver computes what it computed before interface sides carried
+/// their leaf indices: `state_digest` after 12 steps with adapt + migrate
+/// every fourth equals the constants taken at commit c9e9e8e (index maps
+/// keyed by leaf identity, two-round halo exchange).
+#[test]
+fn state_digest_is_the_parent_commits() {
+    for (p, pinned) in [
+        (1usize, 0xd2b7_ea68_6b8e_8b9a_u64),
+        (2, 0x73c0_33f0_bafc_e33e),
+    ] {
+        let digests = quadforest_comm::run(p, |comm| {
+            let mut sim = AdvectionSim::<Q>::new(
+                Arc::new(Connectivity::periodic(2)),
+                &comm,
+                2,
+                4,
+                [1.0, 0.5],
+                gaussian_blob,
+            );
+            let dt = sim.cfl_dt(&comm, 0.45);
+            for s in 0..12 {
+                sim.step(&comm, dt);
+                if s % 4 == 3 {
+                    sim.adapt(&comm, AdaptThresholds::default());
+                    sim.migrate(&comm);
+                }
+            }
+            sim.state_digest(&comm)
+        });
+        assert!(digests.iter().all(|d| *d == pinned), "P={p}: {digests:x?}");
+    }
 }

@@ -24,11 +24,6 @@ const MAX_LEVEL: u8 = 6;
 const STEPS: usize = 60;
 const KAPPA: f64 = 0.05;
 
-/// Leaf identity key for data remapping across adaptation.
-fn key(t: TreeId, q: &Q) -> (u32, u64, u8) {
-    (t, q.morton_abs(), q.level())
-}
-
 /// Initial condition: a narrow Gaussian at (0.3, 0.4).
 fn initial(t: TreeId, q: &Q) -> f64 {
     let _ = t;
@@ -41,27 +36,32 @@ fn initial(t: TreeId, q: &Q) -> f64 {
     (-d2 / 0.003).exp()
 }
 
+/// Mass-conservative remap of cell averages: children inherit the
+/// parent's value, a parent takes the mean of its equal-volume children.
+struct Averages;
+
+impl DataMapper<Q, f64> for Averages {
+    fn refine(&self, _t: TreeId, _parent: &Q, value: &f64, _child: &Q, _id: u32) -> f64 {
+        *value
+    }
+    fn coarsen(&self, _t: TreeId, _parent: &Q, values: &[f64]) -> f64 {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
 /// One rank's simulation state: the forest plus one value per leaf.
 struct Sim {
     forest: Forest<Q>,
-    u: Vec<f64>,
+    u: LeafData<f64>,
 }
 
 impl Sim {
-    fn leaf_index(&self) -> HashMap<(u32, u64, u8), usize> {
-        self.forest
-            .leaves()
-            .enumerate()
-            .map(|(i, (t, q))| (key(t, q), i))
-            .collect()
-    }
-
     /// Local mass: Σ u_i · V_i (V in units of the root square).
     fn local_mass(&self) -> f64 {
         let root = Q::len_at(0) as f64;
         self.forest
             .leaves()
-            .zip(&self.u)
+            .zip(self.u.iter())
             .map(|((_, q), u)| {
                 let h = q.side() as f64 / root;
                 u * h * h
@@ -69,84 +69,52 @@ impl Sim {
             .sum()
     }
 
-    /// Adapt the mesh toward the field's steep regions and remap the
-    /// data conservatively (copy to children, volume-average to parent).
+    /// Adapt the mesh toward the field's steep regions — refine where
+    /// the value is significant, coarsen where flat — with the data
+    /// remapped conservatively along the way.
     fn adapt(&mut self, comm: &Comm) {
-        let old_forest = self.forest.clone();
-        let old_u = self.u.clone();
-        let old_index: HashMap<_, _> = old_forest
+        // the flags see leaves, not payloads: snapshot the values by
+        // pre-adapt leaf identity (leaves created on the way read 0)
+        let before: HashMap<(TreeId, u64, u8), f64> = self
+            .forest
             .leaves()
-            .enumerate()
-            .map(|(i, (t, q))| (key(t, q), i))
+            .zip(self.u.iter())
+            .map(|((t, q), u)| ((t, q.morton_abs(), q.level()), *u))
             .collect();
-
-        // refine where the value is significant, coarsen where flat
-        let index = self.leaf_index();
-        let u = &self.u;
-        let magnitude =
-            |t: TreeId, q: &Q| -> f64 { index.get(&key(t, q)).map(|i| u[*i]).unwrap_or(0.0) };
-        self.forest.refine(comm, false, |t, q| {
-            q.level() < MAX_LEVEL && magnitude(t, q) > 0.2
-        });
-        self.forest.coarsen(comm, false, |t, fam| {
-            fam[0].level() > BASE_LEVEL && fam.iter().all(|q| magnitude(t, q) < 0.05)
-        });
-        self.forest.balance(comm, BalanceKind::Face);
-
-        // remap: every new leaf is an old leaf, a child of one, or a
-        // parent of a family (possibly several levels after balance)
-        let mut new_u = Vec::with_capacity(self.forest.local_count());
-        for (t, q) in self.forest.leaves() {
-            if let Some(i) = old_index.get(&key(t, q)) {
-                new_u.push(old_u[*i]);
-                continue;
-            }
-            // containment search in the old local forest
-            let range = old_forest.overlapping_range(t, q);
-            let olds = &old_forest.tree_leaves(t)[range.clone()];
-            assert!(
-                !olds.is_empty(),
-                "remap source must be local (no repartition between adapt steps)"
-            );
-            if olds.len() == 1 && olds[0].is_ancestor_of(q) {
-                // refined: inherit the parent's value
-                let old_leaf_idx = old_index[&key(t, &olds[0])];
-                new_u.push(old_u[old_leaf_idx]);
-            } else {
-                // coarsened: volume-weighted average of the children
-                let mut mass = 0.0;
-                let mut vol = 0.0;
-                for o in olds {
-                    let i = old_index[&key(t, o)];
-                    let h = o.side() as f64;
-                    mass += old_u[i] * h * h;
-                    vol += h * h;
-                }
-                new_u.push(mass / vol);
-            }
-        }
-        self.u = new_u;
+        let magnitude = |t: TreeId, q: &Q| -> f64 {
+            before
+                .get(&(t, q.morton_abs(), q.level()))
+                .copied()
+                .unwrap_or(0.0)
+        };
+        self.forest.refine_mapped(
+            comm,
+            false,
+            |t, q| q.level() < MAX_LEVEL && magnitude(t, q) > 0.2,
+            &mut self.u,
+            &Averages,
+        );
+        self.forest.coarsen_mapped(
+            comm,
+            false,
+            |t, fam| fam[0].level() > BASE_LEVEL && fam.iter().all(|q| magnitude(t, q) < 0.05),
+            &mut self.u,
+            &Averages,
+        );
+        self.forest
+            .balance_mapped(comm, BalanceKind::Face, &mut self.u, &Averages);
     }
 
-    /// One explicit diffusion step; returns the flux applied per leaf.
+    /// One explicit diffusion step.
     fn step(&mut self, comm: &Comm, dt: f64) {
         let root = Q::len_at(0) as f64;
         let ghost = self.forest.ghost(comm, BalanceKind::Face);
-        let ghost_u = ghost.exchange_data(&self.forest, comm, &self.u);
-        let ghost_index: HashMap<_, _> = ghost
-            .ghosts
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (key(g.tree, &g.quad), i))
-            .collect();
-        let index = self.leaf_index();
-
-        let value = |side: &FaceSide<Q>, u: &[f64]| -> f64 {
-            let k = key(side.tree, &side.quad);
-            if side.is_ghost {
-                ghost_u[ghost_index[&k]]
-            } else {
-                u[index[&k]]
+        let ghost_u = ghost.exchange_data(comm, self.u.as_slice());
+        let u = &self.u;
+        let value = |side: &FaceSide<Q>| -> f64 {
+            match side.leaf {
+                LeafRef::Local(i) => u[i],
+                LeafRef::Ghost(i) => ghost_u[i],
             }
         };
 
@@ -155,25 +123,19 @@ impl Sim {
             let Interface::Interior(primary, others) = iface else {
                 unreachable!("periodic domain has no boundary faces");
             };
-            for other in &others {
+            for other in others {
                 // geometric factors: shared face length = the finer
                 // side's face; center distance along the face normal
                 let hp = primary.quad.side() as f64 / root;
                 let ho = other.quad.side() as f64 / root;
                 let area = hp.min(ho);
                 let dist = (hp + ho) / 2.0;
-                let up = value(&primary, &self.u);
-                let uo = value(other, &self.u);
-                let flux = KAPPA * (uo - up) * area / dist; // into primary
-                if !primary.is_ghost {
-                    let i = index[&key(primary.tree, &primary.quad)];
-                    let vol = hp * hp;
-                    du[i] += dt * flux / vol;
+                let flux = KAPPA * (value(other) - value(&primary)) * area / dist; // into primary
+                if let LeafRef::Local(i) = primary.leaf {
+                    du[i] += dt * flux / (hp * hp);
                 }
-                if !other.is_ghost {
-                    let i = index[&key(other.tree, &other.quad)];
-                    let vol = ho * ho;
-                    du[i] -= dt * flux / vol;
+                if let LeafRef::Local(i) = other.leaf {
+                    du[i] -= dt * flux / (ho * ho);
                 }
             }
         });
@@ -195,7 +157,7 @@ fn main() {
             });
         }
         forest.balance(&comm, BalanceKind::Face);
-        let u: Vec<f64> = forest.leaves().map(|(t, q)| initial(t, q)).collect();
+        let u = LeafData::init(&forest, initial);
         let mut sim = Sim { forest, u };
 
         let mass0 = comm.allreduce(sim.local_mass(), |a, b| a + b);

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use quadforest_forest::{
         iterate_faces, BalanceKind, CheckpointInfo, CheckpointManifest, DataMapper, FaceSide,
         Forest, ForestStats, GhostLayer, Interface, InvariantError, IoError, LeafData, LeafRef,
-        LocalNodes, Mesh, MeshNeighbor, NodeRef, PortableForest, SearchAction,
+        PortableForest, SearchAction,
     };
     pub use quadforest_pde::{
         gaussian_blob, AdaptReport, AdaptThresholds, AdvectionSim, Patch, PatchHalo, PatchMapper,
