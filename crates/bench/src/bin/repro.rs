@@ -4,7 +4,7 @@
 //! repro --all                 # figures 2-7 + memory + autovec + chaos
 //! repro --fig 4               # one figure
 //! repro --mem --level 8       # Section 3.2 memory experiment
-//! repro --autovec             # contribution 5
+//! repro --autovec             # contribution 5 + ablations A1-A3
 //! repro --dim2                # the kernels on a 2D quadtree workload
 //! repro --chaos               # fault-injected forest pipeline
 //! repro --chaos --backend sockets   # every rank a real OS process
@@ -84,7 +84,7 @@ modes:
   --all            figures 2-7, --mem, --autovec and --chaos
   --fig N          one strong-scaling figure of the paper, N in 2..=7
   --mem            Section 3.2 memory experiment
-  --autovec        Contribution 5: manual AVX2 vs auto-vectorization
+  --autovec        Contribution 5: manual AVX2 vs auto-vectorization, ablations A1-A3
   --dim2           the kernels on a 2D quadtree workload
   --chaos          forest pipeline under seeded fault injection
   --trace FILE     traced 4-rank pipeline; Chrome trace written to FILE
@@ -469,6 +469,100 @@ fn run_autovec(opts: &Opts) {
             speedup_percent(auto, manual)
         );
     }
+    run_ablations(opts);
+}
+
+/// The design choices DESIGN.md §4 calls A1–A3, each as the alternative
+/// against the production path over the same inputs.
+fn run_ablations(opts: &Opts) {
+    use quadforest_core::morton;
+    use quadforest_core::quadrant::ablation;
+
+    println!("\n## Ablations: the alternative against the production path");
+    println!("(A1 runs `pdep`/`pext` only on a BMI2 tier; A3 is the paper's §2.3 claim)\n");
+    println!("| ablation | alternative | (ms) | production | (ms) | production gain |");
+    println!("|---|---|---|---|---|---|");
+    let row = |name: &str, alt: (&str, Duration), prod: (&str, Duration)| {
+        println!(
+            "| {name} | {} | {:.3} | {} | {:.3} | {:+.0}% |",
+            alt.0,
+            ms(alt.1),
+            prod.0,
+            ms(prod.1),
+            speedup_percent(alt.1, prod.1)
+        );
+    };
+
+    // A1: 10^6 pseudo-random 18-bit coordinate triples
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let triples: Vec<(u32, u32, u32)> = (0..1_000_000)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let field = |shift: u32| (state >> shift) as u32 & 0x3_FFFF;
+            (field(10), field(28), field(46))
+        })
+        .collect();
+    let codes: Vec<u64> = triples
+        .iter()
+        .map(|&(x, y, z)| morton::encode3(x, y, z))
+        .collect();
+    let encode = |f: fn(u32, u32, u32) -> u64| {
+        time_best(&triples, opts.iters, |d| {
+            d.iter()
+                .fold(0, |acc, &(x, y, z)| acc.wrapping_add(f(x, y, z)))
+        })
+    };
+    let decode = |f: fn(u64) -> (u32, u32, u32)| {
+        time_best(&codes, opts.iters, |d| {
+            d.iter().fold(0, |acc, &m| {
+                let (x, y, z) = f(m);
+                acc.wrapping_add((x ^ y ^ z) as u64)
+            })
+        })
+    };
+    row(
+        "A1 encode3",
+        ("magic masks", encode(morton::encode3)),
+        ("runtime tier (pdep)", encode(morton::encode3_rt)),
+    );
+    row(
+        "A1 decode3",
+        ("magic masks", decode(morton::decode3)),
+        ("runtime tier (pext)", decode(morton::decode3_rt)),
+    );
+
+    // A2: SFC comparison of neighbouring workload octants
+    let quads = paper_workload::<MortonQuad<3>>();
+    let count_lt = |lt: fn(&MortonQuad<3>, &MortonQuad<3>) -> bool| {
+        time_best(&quads, opts.iters, |d| {
+            d.windows(2).filter(|w| lt(&w[0], &w[1])).count() as u64
+        })
+    };
+    row(
+        "A2 compare_sfc",
+        (
+            "decode and compare",
+            count_lt(|a, b| (a.morton_abs(), a.level()) < (b.morton_abs(), b.level())),
+        ),
+        ("rotated key", count_lt(|a, b| a.compare_sfc(b).is_lt())),
+    );
+
+    // A3: the Fig. 2 kernel with all three coordinates in one 256-bit register
+    let inputs = paper_morton_inputs(3);
+    let mixed = time_best(&inputs, opts.iters, |d| {
+        d.iter().fold(0, |acc, &(i, l)| {
+            let q = ablation::from_morton3_mixed256(i, l);
+            acc.wrapping_add(std::hint::black_box(&q).level() as u64)
+        })
+    });
+    row(
+        "A3 from_morton",
+        ("mixed 256-bit", mixed),
+        (
+            "128-bit",
+            time_best(&inputs, opts.iters, kernel_morton::<AvxQuad<3>>),
+        ),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -723,8 +817,9 @@ fn main() {
         opts.iters
     );
     println!(
-        "kernel tier: {} (runtime-dispatched)",
-        quadforest_core::simd::active_features()
+        "kernel tier: {} (runtime-dispatched), nproc {}",
+        quadforest_core::simd::active_features(),
+        std::thread::available_parallelism().map_or(0, |n| n.get())
     );
     for fig in &opts.figures {
         run_figure(*fig, &opts);

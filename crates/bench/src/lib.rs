@@ -11,15 +11,16 @@
 //! * Section 3.2 — memory consumption of a uniform octree per
 //!   representation (3 : 2 : 1 expected).
 //! * Contribution 5 — manual AVX2 vectorization vs. the compiler's
-//!   auto-vectorization.
+//!   auto-vectorization, and the ablations A1–A3 of the design choices.
 //!
 //! The paper's MPI strong scaling is simulated: the workload array is cut
 //! into `P` contiguous rank chunks, each chunk is timed separately on
 //! this machine's core, and the reported runtime for `P` ranks is the
 //! critical path `max` over chunks — see DESIGN.md §2 for why this
-//! preserves the figures' shape. Criterion benches (in `benches/`) pin
-//! `P = 1` for statistically rigorous per-kernel numbers; the `repro`
-//! binary sweeps `P` and prints the paper-style tables.
+//! preserves the figures' shape. The `repro` binary sweeps `P` and prints
+//! the paper-style tables; the ledger's per-kernel numbers come from the
+//! `kernels_paper` workload of `benchmark/`, which times the same six
+//! kernels on its own.
 
 #![warn(missing_docs)]
 

@@ -59,7 +59,7 @@ pub type RankView = (Vec<(u32, u64)>, Vec<(u32, [i32; 3], u8)>, u64, u64);
 /// The refine→balance→partition→ghost pipeline under test — the exact
 /// shape of `repro --chaos`, shared so the both-backend parity tests
 /// and the CLI measure the same thing.
-pub fn pipeline(comm: &Comm) -> PipelineDigest {
+pub(crate) fn pipeline(comm: &Comm) -> PipelineDigest {
     let conn = Arc::new(Connectivity::unit(2));
     let mut f = Forest::<MortonQuad<2>>::new_uniform(conn, comm, 2);
     f.refine(comm, true, |_, q| {
@@ -112,7 +112,7 @@ fn mix(seed: u64, t: u32, q_pos: u64, level: u8) -> u64 {
 /// checkpoint, then run the expensive phases. Retry: restore from the
 /// newest valid generation (falling back to a fresh start if no
 /// checkpoint committed before the death) and replay from there.
-pub fn recovery_program(comm: &Comm, attempt: Attempt, dir: &Path, seed: u64) -> RankView {
+pub(crate) fn recovery_program(comm: &Comm, attempt: Attempt, dir: &Path, seed: u64) -> RankView {
     let conn = Arc::new(Connectivity::unit(2));
     let restored = if attempt.is_retry() {
         Forest::<MortonQuad<2>>::load_checkpoint(conn.clone(), comm, dir).ok()
@@ -171,7 +171,7 @@ pub type PdeView = (u64, u64, f64, u64);
 /// Shared by every transport backend so the parity test compares the
 /// exact same computation with patches crossing threads, Unix sockets
 /// and TCP.
-pub fn advection_program(
+pub(crate) fn advection_program(
     comm: &Comm,
     steps: u64,
     base_level: u8,

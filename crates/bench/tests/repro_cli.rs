@@ -1,7 +1,8 @@
 //! The `repro` command line. A rejected invocation is one reason line
 //! plus the usage text on stderr and exit code 2 — never a panic, never
-//! a silent exit 0 — and the smallest real invocation prints the
-//! paper-style three-representation table.
+//! a silent exit 0 — the smallest real invocation prints the paper-style
+//! three-representation table, `--autovec` carries the ablation rows, and
+//! the committed `repro_output.md` has the columns the binary prints.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
@@ -111,4 +112,73 @@ fn figure_2_prints_the_three_representation_table() {
         !speedup.contains("inf") && !speedup.contains("NaN"),
         "{speedup}"
     );
+}
+
+/// The header line of every markdown table in `text` (the line above a
+/// `|---|` rule).
+fn table_headers(text: &str) -> Vec<&str> {
+    let lines: Vec<&str> = text.lines().collect();
+    lines
+        .windows(2)
+        .filter(|w| w[0].starts_with("| ") && w[1].starts_with("|---"))
+        .map(|w| w[0])
+        .collect()
+}
+
+const COMMITTED_OUTPUT: &str = include_str!("../../../repro_output.md");
+
+#[test]
+fn autovec_prints_the_ablation_rows() {
+    let out = repro(&["--autovec", "--iters", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("| ablation | alternative | (ms) | production | (ms) | production gain |"),
+        "{stdout}"
+    );
+    for row in [
+        "| A1 encode3 |",
+        "| A1 decode3 |",
+        "| A2 compare_sfc |",
+        "| A3 from_morton |",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l.starts_with(row)),
+            "{row}: {stdout}"
+        );
+    }
+    assert!(
+        !stdout.contains("inf") && !stdout.contains("NaN"),
+        "{stdout}"
+    );
+    let committed = table_headers(COMMITTED_OUTPUT);
+    for header in table_headers(&stdout) {
+        assert!(
+            committed.contains(&header),
+            "repro_output.md lacks {header}"
+        );
+    }
+}
+
+#[test]
+fn committed_output_has_the_columns_the_binary_prints() {
+    // `--iters 4` because the 2D header names the repetition count and
+    // repro_output.md is recorded from `repro --all --dim2 --iters 4`
+    let out = repro(&["--fig", "2", "--dim2", "--iters", "4", "--ranks", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let printed = table_headers(&stdout);
+    let [figure, dim2] = printed[..] else {
+        panic!("one figure table and the 2D table expected: {printed:?}");
+    };
+    assert!(figure.ends_with("| standard (ms) | morton (ms) | avx (ms) |"));
+    assert!(dim2.starts_with("| kernel | standard | morton | avx | (ms"));
+    let committed = table_headers(COMMITTED_OUTPUT);
+    let figures: Vec<_> = committed
+        .iter()
+        .filter(|h| h.starts_with("| P | standard"))
+        .collect();
+    assert_eq!(figures.len(), 6, "figures 2..=7: {figures:?}");
+    assert!(figures.iter().all(|h| **h == figure), "{figures:?}");
+    assert!(committed.contains(&dim2), "repro_output.md lacks {dim2}");
 }

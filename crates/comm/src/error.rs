@@ -86,7 +86,7 @@ pub enum CommError {
 
 impl CommError {
     /// Short classification used in failure summaries.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             CommError::Aborted { .. } => "aborted",
             CommError::Timeout { .. } => "timeout",

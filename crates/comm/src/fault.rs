@@ -321,11 +321,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed (used by diagnostics and replay messages).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// True if the plan injects any fault at all.
     pub fn is_active(&self) -> bool {
         self.delay_prob > 0
@@ -337,7 +332,7 @@ impl FaultPlan {
     }
 
     /// True if the plan injects any *network* fault (TCP backend only).
-    pub fn net_is_active(&self) -> bool {
+    pub(crate) fn net_is_active(&self) -> bool {
         self.net_delay_prob > 0
             || self.net_drop_prob > 0
             || self.net_corrupt_prob > 0
@@ -517,7 +512,7 @@ impl<T> RankFaults<T> {
     /// Count one communication operation; returns the fault action that
     /// must fire at this operation, if any. SIGKILL wins over stall
     /// wins over panic when (pathologically) scheduled at the same op.
-    pub fn tick_op(&self) -> Option<FaultAction> {
+    pub(crate) fn tick_op(&self) -> Option<FaultAction> {
         let op = self.op_counter.get();
         self.op_counter.set(op + 1);
         if self.sigkill_at == Some(op) {
@@ -533,7 +528,7 @@ impl<T> RankFaults<T> {
     }
 
     /// Delay to inject before sending the next message, if any.
-    pub fn draw_delay(&self) -> Option<Duration> {
+    pub(crate) fn draw_delay(&self) -> Option<Duration> {
         if !coin(&self.rng, self.delay_prob) {
             return None;
         }
@@ -547,7 +542,7 @@ impl<T> RankFaults<T> {
     /// Decide whether to hold this message back for reordering. A
     /// message whose `(dst, tag)` already has a held predecessor is
     /// *always* held (appended behind it) so per-stream FIFO survives.
-    pub fn maybe_hold(&self, dst: usize, tag: u64, msg: T) -> Option<T> {
+    pub(crate) fn maybe_hold(&self, dst: usize, tag: u64, msg: T) -> Option<T> {
         let mut held = self.held.borrow_mut();
         let stream_blocked = held.iter().any(|h| h.dst == dst && h.tag == tag);
         if stream_blocked || coin(&self.rng, self.reorder_prob) {
@@ -561,7 +556,7 @@ impl<T> RankFaults<T> {
     /// Drain the hold-back buffer in a shuffled order that keeps each
     /// `(dst, tag)` stream's relative order intact: repeatedly pick a
     /// random stream and emit its oldest held message.
-    pub fn drain_held(&self) -> Vec<HeldMsg<T>> {
+    pub(crate) fn drain_held(&self) -> Vec<HeldMsg<T>> {
         let mut held = self.held.borrow_mut();
         let mut out = Vec::with_capacity(held.len());
         while !held.is_empty() {
@@ -580,7 +575,7 @@ impl<T> RankFaults<T> {
     }
 
     /// True if any messages are currently held back.
-    pub fn has_held(&self) -> bool {
+    pub(crate) fn has_held(&self) -> bool {
         !self.held.borrow().is_empty()
     }
 }
@@ -677,7 +672,7 @@ impl NetFaults {
     /// Decide every fault to apply to one outbound frame of `len`
     /// framed bytes. `is_data` excludes heartbeats from the scheduled
     /// (reset/partition) frame counter.
-    pub fn plan_write(&self, len: usize, is_data: bool) -> WriteFault {
+    pub(crate) fn plan_write(&self, len: usize, is_data: bool) -> WriteFault {
         let planned = if is_data {
             self.out_data.fetch_add(1, Ordering::Relaxed) + 1
         } else {
@@ -741,7 +736,7 @@ impl NetFaults {
     /// `In`/`Both` partitions sever inbound traffic). Must be called
     /// *before* the session layer advances its receive cursor, so the
     /// gap is healed by retransmission after the partition closes.
-    pub fn drop_inbound(&self) -> bool {
+    pub(crate) fn drop_inbound(&self) -> bool {
         let planned = self.out_data.load(Ordering::Relaxed);
         let mut dropped = false;
         for p in &self.partitions {
@@ -760,7 +755,7 @@ impl NetFaults {
     }
 
     /// Snapshot the chaos counters as `net.chaos.*` telemetry rows.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("net.chaos.delays", self.delays.load(Ordering::Relaxed)),
             (

@@ -826,7 +826,7 @@ impl Comm {
 
     /// Exclusive prefix reduction in rank order; rank 0 receives
     /// `T::default()`. Panics on world failure; see [`Comm::try_exscan`].
-    pub fn exscan<T, F>(&self, value: T, op: F) -> T
+    pub(crate) fn exscan<T, F>(&self, value: T, op: F) -> T
     where
         T: Wire + Clone + Default + Send + 'static,
         F: Fn(&T, &T) -> T,
@@ -834,7 +834,8 @@ impl Comm {
         self.try_exscan(value, op).unwrap_or_else(|e| comm_panic(e))
     }
 
-    /// Fallible [`Comm::exscan`].
+    /// Exclusive prefix reduction in rank order (rank 0 gets `T::default()`),
+    /// as a typed error instead of a panic.
     pub fn try_exscan<T, F>(&self, value: T, op: F) -> Result<T, CommError>
     where
         T: Wire + Clone + Default + Send + 'static,

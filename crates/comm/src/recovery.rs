@@ -62,7 +62,7 @@ impl Default for RecoveryPolicy {
 impl RecoveryPolicy {
     /// The backoff to sleep after failed attempt `index` (0-based):
     /// bounded exponential plus deterministic jitter.
-    pub fn backoff_for(&self, index: usize) -> Duration {
+    pub(crate) fn backoff_for(&self, index: usize) -> Duration {
         let base = self
             .base_delay
             .saturating_mul(1u32 << index.min(20) as u32)

@@ -115,12 +115,6 @@ impl SocketOptions {
             connect_timeout: Duration::from_secs(10),
         }
     }
-
-    /// The full missed-heartbeat death window.
-    pub fn death_window(&self) -> Duration {
-        self.heartbeat_interval
-            .saturating_mul(self.heartbeat_grace.max(1))
-    }
 }
 
 /// Configuration of the TCP (process-per-rank, multi-node-capable)
@@ -171,12 +165,6 @@ impl TcpOptions {
             },
             max_frame_len: frame::MAX_FRAME_LEN,
         }
-    }
-
-    /// The full missed-heartbeat death window.
-    pub fn death_window(&self) -> Duration {
-        self.heartbeat_interval
-            .saturating_mul(self.heartbeat_grace.max(1))
     }
 }
 
@@ -243,12 +231,12 @@ impl ProgramRegistry {
     }
 
     /// Look up a program by name.
-    pub fn get(&self, name: &str) -> Option<ProgramFn> {
+    pub(crate) fn get(&self, name: &str) -> Option<ProgramFn> {
         self.map.get(name).copied()
     }
 
     /// Registered program names, sorted.
-    pub fn names(&self) -> Vec<&'static str> {
+    pub(crate) fn names(&self) -> Vec<&'static str> {
         self.map.keys().copied().collect()
     }
 }

@@ -50,7 +50,7 @@ pub struct Connectivity {
 impl Connectivity {
     /// Build from an explicit face table. Checks structural invariants
     /// (see [`Connectivity::validate`]) and panics on violation.
-    pub fn new(dim: u32, faces: Vec<Vec<Option<FaceConnection>>>) -> Self {
+    pub(crate) fn new(dim: u32, faces: Vec<Vec<Option<FaceConnection>>>) -> Self {
         assert!(dim == 2 || dim == 3, "dimension must be 2 or 3");
         let c = Self { dim, faces };
         c.validate().expect("invalid connectivity");
@@ -63,7 +63,7 @@ impl Connectivity {
     }
 
     /// Number of faces per tree, `2d`.
-    pub fn faces_per_tree(&self) -> u32 {
+    pub(crate) fn faces_per_tree(&self) -> u32 {
         2 * self.dim
     }
 
@@ -88,7 +88,7 @@ impl Connectivity {
     /// * every connection's target exists,
     /// * connections are symmetric: if `A.f -> (B, g)`, then
     ///   `B.g -> (A, f)` and the two transforms are mutually inverse.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let nf = self.faces_per_tree() as usize;
         for (t, tree_faces) in self.faces.iter().enumerate() {
             if tree_faces.len() != nf {

@@ -27,7 +27,7 @@ pub struct FaceTransform {
 impl FaceTransform {
     /// Identity permutation, no reflection, given translation — the
     /// transform across every axis-aligned connection (brick, periodic).
-    pub const fn axis_aligned(translate: [i32; 3]) -> Self {
+    pub(crate) const fn axis_aligned(translate: [i32; 3]) -> Self {
         Self {
             perm: [0, 1, 2],
             flip: [false, false, false],
@@ -61,7 +61,7 @@ impl FaceTransform {
     /// by exhaustive probing of a small sample (the maps are affine, so
     /// agreement on a spanning sample implies agreement everywhere; the
     /// sample spans all axes and two distinct `h`).
-    pub fn is_inverse_of(&self, other: &Self, dim: u32) -> bool {
+    pub(crate) fn is_inverse_of(&self, other: &Self, dim: u32) -> bool {
         let root = 1 << 10;
         for h in [1, root / 4] {
             for probe in 0..(1 << dim) {
@@ -91,7 +91,7 @@ impl FaceTransform {
     }
 
     /// Compute the inverse transform directly.
-    pub fn inverse(&self) -> Self {
+    pub(crate) fn inverse(&self) -> Self {
         // out[i] = flip_i(c[perm[i]] + tr[perm[i]]*root)
         // Solve for c in terms of out: axis j = perm[i] ⇒ i = perm⁻¹[j].
         let mut inv_perm = [0usize; 3];

@@ -13,7 +13,7 @@
 //! `#[target_feature(enable = "avx2")]`, so the compiler may use AVX2
 //! instructions regardless of the build's baseline) and selected at
 //! runtime through a function table cached in a [`OnceLock`]: the first
-//! batch call consults [`crate::simd::features`] once and installs
+//! batch call consults `crate::simd::features` once and installs
 //! either the AVX2 table or the scalar-reference table. A stock
 //! `cargo build --release` therefore runs the vectorized kernels on any
 //! AVX2 machine — no `RUSTFLAGS` required — while non-x86_64 targets and
@@ -186,7 +186,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn child_all(soa: &QuadSoA, c: u32, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn child_all(soa: &QuadSoA, c: u32, max_level: u8, out: &mut QuadSoA) {
         let n = soa.len();
         assert!(out.len() >= n);
         let main = n - n % 8;
@@ -228,7 +228,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn parent_all(soa: &QuadSoA, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn parent_all(soa: &QuadSoA, max_level: u8, out: &mut QuadSoA) {
         let n = soa.len();
         assert!(out.len() >= n);
         let main = n - n % 8;
@@ -258,7 +258,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn sibling_all(soa: &QuadSoA, s: u32, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn sibling_all(soa: &QuadSoA, s: u32, max_level: u8, out: &mut QuadSoA) {
         let n = soa.len();
         assert!(out.len() >= n);
         let main = n - n % 8;
@@ -294,7 +294,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn face_neighbor_all(soa: &QuadSoA, f: u32, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn face_neighbor_all(soa: &QuadSoA, f: u32, max_level: u8, out: &mut QuadSoA) {
         let n = soa.len();
         assert!(out.len() >= n);
         let sign = if f & 1 == 1 { 1 } else { -1 };
@@ -306,7 +306,12 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn offset_neighbor_all(soa: &QuadSoA, offset: [i32; 3], max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn offset_neighbor_all(
+        soa: &QuadSoA,
+        offset: [i32; 3],
+        max_level: u8,
+        out: &mut QuadSoA,
+    ) {
         let n = soa.len();
         assert!(out.len() >= n);
         let main = n - n % 8;
@@ -347,7 +352,12 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn tree_boundaries_all(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i32]; 3]) {
+    pub(crate) fn tree_boundaries_all(
+        soa: &QuadSoA,
+        dim: u32,
+        max_level: u8,
+        out: [&mut [i32]; 3],
+    ) {
         let n = soa.len();
         let ml = max_level as i32;
         let [fx, fy, fz] = out;
@@ -403,23 +413,23 @@ mod avx2 {
     // in `super::kernels` installs these entries only after
     // `crate::simd::has_avx2()` confirmed AVX2 on the running CPU.
 
-    pub fn child_all_rt(soa: &QuadSoA, c: u32, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn child_all_rt(soa: &QuadSoA, c: u32, max_level: u8, out: &mut QuadSoA) {
         unsafe { child_all(soa, c, max_level, out) }
     }
 
-    pub fn parent_all_rt(soa: &QuadSoA, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn parent_all_rt(soa: &QuadSoA, max_level: u8, out: &mut QuadSoA) {
         unsafe { parent_all(soa, max_level, out) }
     }
 
-    pub fn sibling_all_rt(soa: &QuadSoA, s: u32, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn sibling_all_rt(soa: &QuadSoA, s: u32, max_level: u8, out: &mut QuadSoA) {
         unsafe { sibling_all(soa, s, max_level, out) }
     }
 
-    pub fn face_neighbor_all_rt(soa: &QuadSoA, f: u32, max_level: u8, out: &mut QuadSoA) {
+    pub(crate) fn face_neighbor_all_rt(soa: &QuadSoA, f: u32, max_level: u8, out: &mut QuadSoA) {
         unsafe { face_neighbor_all(soa, f, max_level, out) }
     }
 
-    pub fn offset_neighbor_all_rt(
+    pub(crate) fn offset_neighbor_all_rt(
         soa: &QuadSoA,
         offset: [i32; 3],
         max_level: u8,
@@ -428,7 +438,12 @@ mod avx2 {
         unsafe { offset_neighbor_all(soa, offset, max_level, out) }
     }
 
-    pub fn tree_boundaries_all_rt(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i32]; 3]) {
+    pub(crate) fn tree_boundaries_all_rt(
+        soa: &QuadSoA,
+        dim: u32,
+        max_level: u8,
+        out: [&mut [i32]; 3],
+    ) {
         unsafe { tree_boundaries_all(soa, dim, max_level, out) }
     }
 }
@@ -457,7 +472,7 @@ mod bmi2_keys {
 
     /// Safe trampoline. SAFETY: installed by `super::sfc_keys_all` only
     /// after `crate::simd::has_bmi2()` confirmed BMI2 on this CPU.
-    pub fn sfc_keys_all_rt(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
+    pub(crate) fn sfc_keys_all_rt(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
         unsafe { sfc_keys_all(soa, dim, out) }
     }
 
@@ -481,7 +496,7 @@ mod bmi2_keys {
 
     /// Safe trampoline. SAFETY: installed by `super::point_keys_all`
     /// only after `crate::simd::has_bmi2()` confirmed BMI2 on this CPU.
-    pub fn point_keys_all_rt(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
+    pub(crate) fn point_keys_all_rt(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
         unsafe { point_keys_all(xs, ys, zs, dim, out) }
     }
 }

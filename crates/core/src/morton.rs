@@ -7,31 +7,28 @@
 //! (`q = level | 00 | z1 y1 x1 ... z18 y18 x18` read from the most
 //! significant coordinate bit down).
 //!
-//! Three interchangeable implementations are provided:
+//! Two interchangeable implementations are provided:
 //!
 //! * **magic** — branch-free shift/mask "magic number" spreading, the
 //!   portable default,
 //! * **bmi2** — `pdep`/`pext` hardware bit deposit/extract, compiled on
 //!   every x86_64 build and selected at *runtime* through the
 //!   [`encode2_rt`]-style dispatch wrappers when [`crate::simd`] detects
-//!   BMI2 on the running CPU,
-//! * **lut** — byte-wise lookup tables, kept as a comparison point for the
-//!   vectorization study (some compilers auto-vectorize the LUT gather
-//!   poorly, which is part of the paper's motivation for intrinsics).
+//!   BMI2 on the running CPU.
 //!
 //! All functions are pure and `const`-friendly where the instruction set
-//! allows. Property tests in this module verify that the three
+//! allows. Property tests in this module verify that the two
 //! implementations agree bit-for-bit over the full input domain shape.
 
 /// Number of coordinate bits that fit a 64-bit Morton index in 2D.
-pub const MORTON_BITS_2D: u32 = 28;
+pub(crate) const MORTON_BITS_2D: u32 = 28;
 /// Number of coordinate bits that fit the low 56 bits of a raw Morton
 /// quadrant word in 3D (`\lfloor 56/3 \rfloor`, as in the paper).
-pub const MORTON_BITS_3D: u32 = 18;
+pub(crate) const MORTON_BITS_3D: u32 = 18;
 
 /// The repeating 3D direction pattern `0b...001001001` over 54 bits:
 /// a `1` at every x-coordinate bit position of a 3D Morton index.
-pub const DIR_PATTERN_3D: u64 = {
+pub(crate) const DIR_PATTERN_3D: u64 = {
     let mut p: u64 = 0;
     let mut i = 0;
     while i < MORTON_BITS_3D {
@@ -43,7 +40,7 @@ pub const DIR_PATTERN_3D: u64 = {
 
 /// The repeating 2D direction pattern `0b...010101` over 56 bits:
 /// a `1` at every x-coordinate bit position of a 2D Morton index.
-pub const DIR_PATTERN_2D: u64 = {
+pub(crate) const DIR_PATTERN_2D: u64 = {
     let mut p: u64 = 0;
     let mut i = 0;
     while i < MORTON_BITS_2D {
@@ -60,7 +57,7 @@ pub const DIR_PATTERN_2D: u64 = {
 /// Spread the low 32 bits of `x` so that bit `i` of the input lands at bit
 /// `2*i` of the output (2D dilation).
 #[inline]
-pub const fn spread2(x: u32) -> u64 {
+pub(crate) const fn spread2(x: u32) -> u64 {
     let mut x = x as u64;
     x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
     x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
@@ -73,7 +70,7 @@ pub const fn spread2(x: u32) -> u64 {
 /// Inverse of [`spread2`]: gather every second bit (starting at bit 0)
 /// into a contiguous low field.
 #[inline]
-pub const fn compact2(x: u64) -> u32 {
+pub(crate) const fn compact2(x: u64) -> u32 {
     let mut x = x & 0x5555_5555_5555_5555;
     x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
     x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
@@ -86,7 +83,7 @@ pub const fn compact2(x: u64) -> u32 {
 /// Spread the low 21 bits of `x` so that bit `i` of the input lands at bit
 /// `3*i` of the output (3D dilation).
 #[inline]
-pub const fn spread3(x: u32) -> u64 {
+pub(crate) const fn spread3(x: u32) -> u64 {
     let mut x = (x as u64) & 0x1F_FFFF;
     x = (x | (x << 32)) & 0x001F_0000_0000_FFFF;
     x = (x | (x << 16)) & 0x001F_0000_FF00_00FF;
@@ -99,7 +96,7 @@ pub const fn spread3(x: u32) -> u64 {
 /// Inverse of [`spread3`]: gather every third bit (starting at bit 0)
 /// into a contiguous low field.
 #[inline]
-pub const fn compact3(x: u64) -> u32 {
+pub(crate) const fn compact3(x: u64) -> u32 {
     let mut x = x & 0x1249_2492_4924_9249;
     x = (x | (x >> 2)) & 0x10C3_0C30_C30C_30C3;
     x = (x | (x >> 4)) & 0x100F_00F0_0F00_F00F;
@@ -149,7 +146,7 @@ pub const fn decode3(m: u64) -> (u32, u32, u32) {
 /// the magic-number path so that `const` evaluation and cross-platform
 /// results stay identical.
 #[cfg(target_arch = "x86_64")]
-pub mod bmi2 {
+pub(crate) mod bmi2 {
     use core::arch::x86_64::{_pdep_u64, _pext_u64};
 
     const MASK_X2: u64 = 0x5555_5555_5555_5555;
@@ -166,7 +163,7 @@ pub mod bmi2 {
     /// `unsafe`; the caller must have verified [`crate::simd::has_bmi2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
-    pub fn encode2(x: u32, y: u32) -> u64 {
+    pub(crate) fn encode2(x: u32, y: u32) -> u64 {
         _pdep_u64(x as u64, MASK_X2) | _pdep_u64(y as u64, MASK_Y2)
     }
 
@@ -177,7 +174,7 @@ pub mod bmi2 {
     /// Same calling contract as [`encode2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
-    pub fn decode2(m: u64) -> (u32, u32) {
+    pub(crate) fn decode2(m: u64) -> (u32, u32) {
         (_pext_u64(m, MASK_X2) as u32, _pext_u64(m, MASK_Y2) as u32)
     }
 
@@ -188,7 +185,7 @@ pub mod bmi2 {
     /// Same calling contract as [`encode2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
-    pub fn encode3(x: u32, y: u32, z: u32) -> u64 {
+    pub(crate) fn encode3(x: u32, y: u32, z: u32) -> u64 {
         _pdep_u64(x as u64, MASK_X3) | _pdep_u64(y as u64, MASK_Y3) | _pdep_u64(z as u64, MASK_Z3)
     }
 
@@ -199,7 +196,7 @@ pub mod bmi2 {
     /// Same calling contract as [`encode2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
-    pub fn decode3(m: u64) -> (u32, u32, u32) {
+    pub(crate) fn decode3(m: u64) -> (u32, u32, u32) {
         (
             _pext_u64(m, MASK_X3) as u32,
             _pext_u64(m, MASK_Y3) as u32,
@@ -210,7 +207,7 @@ pub mod bmi2 {
 
 /// Runtime-dispatched 2D interleave: `pdep` when the CPU has BMI2,
 /// the magic-number path otherwise. Selected once via
-/// [`crate::simd::features`] and cached in a function pointer.
+/// `crate::simd::features` and cached in a function pointer.
 #[inline]
 pub fn encode2_rt(x: u32, y: u32) -> u64 {
     static ACTIVE: std::sync::OnceLock<fn(u32, u32) -> u64> = std::sync::OnceLock::new();
@@ -268,115 +265,6 @@ pub fn decode3_rt(m: u64) -> (u32, u32, u32) {
         }
         decode3
     }))(m)
-}
-
-// ---------------------------------------------------------------------------
-// Lookup-table implementation
-// ---------------------------------------------------------------------------
-
-/// Byte-wise lookup-table codec, one 256-entry table per direction.
-///
-/// Retained as a third implementation point for the manual-vs-automatic
-/// vectorization comparison (contribution 5 of the paper): table gathers
-/// defeat most auto-vectorizers, providing a useful contrast to both the
-/// branch-free magic path and the hardware `pdep` path.
-pub mod lut {
-    /// `SPREAD2[b]` holds byte `b` with a zero bit inserted after every bit.
-    static SPREAD2: [u16; 256] = {
-        let mut t = [0u16; 256];
-        let mut b = 0usize;
-        while b < 256 {
-            let mut v = 0u16;
-            let mut i = 0;
-            while i < 8 {
-                v |= (((b >> i) & 1) as u16) << (2 * i);
-                i += 1;
-            }
-            t[b] = v;
-            b += 1;
-        }
-        t
-    };
-
-    /// `SPREAD3[b]` holds byte `b` with two zero bits inserted after every bit.
-    static SPREAD3: [u32; 256] = {
-        let mut t = [0u32; 256];
-        let mut b = 0usize;
-        while b < 256 {
-            let mut v = 0u32;
-            let mut i = 0;
-            while i < 8 {
-                v |= (((b >> i) & 1) as u32) << (3 * i);
-                i += 1;
-            }
-            t[b] = v;
-            b += 1;
-        }
-        t
-    };
-
-    /// `COMPACT2[b]` gathers the even bits of byte `b` into the low nibble.
-    static COMPACT2: [u8; 256] = {
-        let mut t = [0u8; 256];
-        let mut b = 0usize;
-        while b < 256 {
-            let mut v = 0u8;
-            let mut i = 0;
-            while i < 4 {
-                v |= (((b >> (2 * i)) & 1) as u8) << i;
-                i += 1;
-            }
-            t[b] = v;
-            b += 1;
-        }
-        t
-    };
-
-    /// 2D interleave, one table lookup per input byte.
-    #[inline]
-    pub fn encode2(x: u32, y: u32) -> u64 {
-        let mut m: u64 = 0;
-        let mut i = 0;
-        while i < 4 {
-            let sx = SPREAD2[((x >> (8 * i)) & 0xFF) as usize] as u64;
-            let sy = SPREAD2[((y >> (8 * i)) & 0xFF) as usize] as u64;
-            m |= (sx | (sy << 1)) << (16 * i);
-            i += 1;
-        }
-        m
-    }
-
-    /// 2D deinterleave, one table lookup per index byte and direction.
-    /// The odd-bit gather reuses the even-bit table on the byte shifted
-    /// right by one, which brings the y bits onto even positions.
-    #[inline]
-    pub fn decode2(m: u64) -> (u32, u32) {
-        let (mut x, mut y) = (0u32, 0u32);
-        let mut i = 0;
-        while i < 8 {
-            let byte = ((m >> (8 * i)) & 0xFF) as usize;
-            let odd = ((m >> (8 * i + 1)) & 0xFF) as usize;
-            x |= (COMPACT2[byte] as u32) << (4 * i);
-            y |= (COMPACT2[odd] as u32) << (4 * i);
-            i += 1;
-        }
-        (x, y)
-    }
-
-    /// 3D interleave, one table lookup per input byte.
-    #[inline]
-    pub fn encode3(x: u32, y: u32, z: u32) -> u64 {
-        let mut m: u64 = 0;
-        let mut i = 0;
-        while i < 3 {
-            let sx = SPREAD3[((x >> (8 * i)) & 0xFF) as usize] as u64;
-            let sy = SPREAD3[((y >> (8 * i)) & 0xFF) as usize] as u64;
-            let sz = SPREAD3[((z >> (8 * i)) & 0xFF) as usize] as u64;
-            m |= (sx | (sy << 1) | (sz << 2)) << (24 * i);
-            i += 1;
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -492,31 +380,6 @@ mod tests {
                 assert_eq!(bmi2::encode3(1, 2, 3), encode3(1, 2, 3));
                 assert_eq!(bmi2::encode2(5, 9), encode2(5, 9));
             }
-        }
-    }
-
-    #[test]
-    fn lut_decode2_agrees_with_magic() {
-        let mut state = 0x0F0F_3C3C_AA55_1234u64;
-        for _ in 0..10_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let m = state & ((1 << 56) - 1);
-            assert_eq!(lut::decode2(m), decode2(m));
-        }
-    }
-
-    #[test]
-    fn lut_encode_agrees_with_magic() {
-        let mut state = 0x1357_9BDF_2468_ACE0u64;
-        for _ in 0..10_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let x = (state >> 10) as u32 & 0x3_FFFF;
-            let y = (state >> 28) as u32 & 0x3_FFFF;
-            let z = (state >> 46) as u32 & 0x3_FFFF;
-            assert_eq!(lut::encode3(x, y, z), encode3(x, y, z));
-            let x2 = (state >> 5) as u32 & 0x0FFF_FFFF;
-            let y2 = (state >> 33) as u32 & 0x0FFF_FFFF;
-            assert_eq!(lut::encode2(x2, y2), encode2(x2, y2));
         }
     }
 }

@@ -41,7 +41,7 @@ impl<const D: usize> AvxQuad<D> {
 
     /// The four lanes as `[x, y, z, level]`.
     #[inline]
-    pub fn lanes(self) -> [i32; 4] {
+    pub(crate) fn lanes(self) -> [i32; 4] {
         imp::get(self.v)
     }
 
@@ -226,7 +226,7 @@ impl<const D: usize> Quadrant for AvxQuad<D> {
 mod imp {
     use core::arch::x86_64::*;
 
-    pub type Reg = __m128i;
+    pub(crate) type Reg = __m128i;
 
     /// Lane selector bits `(8, 4, 2, 1)`: lane 3 tests bit 3, which a
     /// child/sibling number `< 2^d ≤ 8` never sets, so the level lane is
@@ -238,13 +238,13 @@ mod imp {
     }
 
     #[inline]
-    pub fn new(x: i32, y: i32, z: i32, level: i32) -> Reg {
+    pub(crate) fn new(x: i32, y: i32, z: i32, level: i32) -> Reg {
         // SAFETY: sse2 is statically enabled.
         unsafe { _mm_set_epi32(level, z, y, x) }
     }
 
     #[inline]
-    pub fn get(v: Reg) -> [i32; 4] {
+    pub(crate) fn get(v: Reg) -> [i32; 4] {
         let mut out = [0i32; 4];
         // SAFETY: out is 16 bytes; storeu has no alignment requirement.
         unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, v) };
@@ -252,13 +252,13 @@ mod imp {
     }
 
     #[inline]
-    pub fn eq(a: Reg, b: Reg) -> bool {
+    pub(crate) fn eq(a: Reg, b: Reg) -> bool {
         // SAFETY: sse2 is statically enabled.
         unsafe { _mm_movemask_epi8(_mm_cmpeq_epi32(a, b)) == 0xFFFF }
     }
 
     #[inline]
-    pub fn level(v: Reg) -> i32 {
+    pub(crate) fn level(v: Reg) -> i32 {
         // Broadcast lane 3 and read lane 0 — the SSE2 spelling of
         // SSE4.1's `_mm_extract_epi32(v, 3)`.
         // SAFETY: sse2 is the x86_64 baseline.
@@ -267,7 +267,7 @@ mod imp {
 
     /// Algorithm 9.
     #[inline]
-    pub fn child(q: Reg, c: i32, shift: i32) -> Reg {
+    pub(crate) fn child(q: Reg, c: i32, shift: i32) -> Reg {
         // SAFETY: sse2 is the x86_64 baseline; all ops lane-local.
         unsafe {
             let sel = dir_selector();
@@ -281,7 +281,7 @@ mod imp {
 
     /// Vectorized Algorithm 3.
     #[inline]
-    pub fn sibling(q: Reg, s: i32, h: i32) -> Reg {
+    pub(crate) fn sibling(q: Reg, s: i32, h: i32) -> Reg {
         // SAFETY: sse2 statically enabled.
         unsafe {
             let sel = dir_selector();
@@ -297,7 +297,7 @@ mod imp {
 
     /// Algorithm 10.
     #[inline]
-    pub fn parent(q: Reg, h: i32) -> Reg {
+    pub(crate) fn parent(q: Reg, h: i32) -> Reg {
         // SAFETY: sse2 statically enabled.
         unsafe {
             let clear = _mm_set_epi32(0, h, h, h);
@@ -308,7 +308,7 @@ mod imp {
 
     /// Add `step` to the single coordinate lane `axis`.
     #[inline]
-    pub fn face_neighbor(q: Reg, axis: i32, step: i32) -> Reg {
+    pub(crate) fn face_neighbor(q: Reg, axis: i32, step: i32) -> Reg {
         // SAFETY: sse2 statically enabled.
         unsafe {
             let lanes = _mm_set_epi32(3, 2, 1, 0);
@@ -320,7 +320,7 @@ mod imp {
 
     /// Algorithm 12. `l > 0`, `up = 2^L - 2^(L-l)`.
     #[inline]
-    pub fn tree_boundaries<const D: usize>(q: Reg, l: i32, up: i32) -> [i32; 3] {
+    pub(crate) fn tree_boundaries<const D: usize>(q: Reg, l: i32, up: i32) -> [i32; 3] {
         // SAFETY: sse2 statically enabled.
         unsafe {
             let cmp0 = _mm_cmpeq_epi32(q, _mm_setzero_si128());
@@ -357,7 +357,7 @@ mod imp {
     /// register compromise; mixing in 256-bit registers was measured
     /// slower), z scalar, then shuffle into the `(x, y, z, level)` layout.
     #[inline]
-    pub fn from_morton3(index: u64, level: u8, up: u32) -> Reg {
+    pub(crate) fn from_morton3(index: u64, level: u8, up: u32) -> Reg {
         // SAFETY: sse2 is the x86_64 baseline.
         unsafe {
             // low half: x bits of I; high half: y bits (I >> 1)
@@ -394,7 +394,7 @@ mod imp {
 
     /// 2D variant of Algorithm 11: both coordinates in one register.
     #[inline]
-    pub fn from_morton2(index: u64, level: u8, up: u32) -> Reg {
+    pub(crate) fn from_morton2(index: u64, level: u8, up: u32) -> Reg {
         // SAFETY: sse2 is the x86_64 baseline.
         unsafe {
             let mut v = _mm_set_epi64x((index >> 1) as i64, index as i64);
@@ -423,54 +423,54 @@ mod imp {
 mod imp {
     use crate::morton;
 
-    pub type Reg = [i32; 4];
+    pub(crate) type Reg = [i32; 4];
 
     #[inline]
-    pub fn new(x: i32, y: i32, z: i32, level: i32) -> Reg {
+    pub(crate) fn new(x: i32, y: i32, z: i32, level: i32) -> Reg {
         [x, y, z, level]
     }
 
     #[inline]
-    pub fn get(v: Reg) -> [i32; 4] {
+    pub(crate) fn get(v: Reg) -> [i32; 4] {
         v
     }
 
     #[inline]
-    pub fn eq(a: Reg, b: Reg) -> bool {
+    pub(crate) fn eq(a: Reg, b: Reg) -> bool {
         a == b
     }
 
     #[inline]
-    pub fn level(v: Reg) -> i32 {
+    pub(crate) fn level(v: Reg) -> i32 {
         v[3]
     }
 
     #[inline]
-    pub fn child(q: Reg, c: i32, shift: i32) -> Reg {
+    pub(crate) fn child(q: Reg, c: i32, shift: i32) -> Reg {
         let pick = |bit: i32, v: i32| if c & bit != 0 { v | shift } else { v };
         [pick(1, q[0]), pick(2, q[1]), pick(4, q[2]), q[3] + 1]
     }
 
     #[inline]
-    pub fn sibling(q: Reg, s: i32, h: i32) -> Reg {
+    pub(crate) fn sibling(q: Reg, s: i32, h: i32) -> Reg {
         let pick = |bit: i32, v: i32| if s & bit != 0 { (v & !h) | h } else { v & !h };
         [pick(1, q[0]), pick(2, q[1]), pick(4, q[2]), q[3]]
     }
 
     #[inline]
-    pub fn parent(q: Reg, h: i32) -> Reg {
+    pub(crate) fn parent(q: Reg, h: i32) -> Reg {
         [q[0] & !h, q[1] & !h, q[2] & !h, q[3] - 1]
     }
 
     #[inline]
-    pub fn face_neighbor(q: Reg, axis: i32, step: i32) -> Reg {
+    pub(crate) fn face_neighbor(q: Reg, axis: i32, step: i32) -> Reg {
         let mut r = q;
         r[axis as usize] += step;
         r
     }
 
     #[inline]
-    pub fn tree_boundaries<const D: usize>(q: Reg, _l: i32, up: i32) -> [i32; 3] {
+    pub(crate) fn tree_boundaries<const D: usize>(q: Reg, _l: i32, up: i32) -> [i32; 3] {
         let sel_lo: [i32; 3] = if D == 2 { [1, 3, 0] } else { [1, 3, 5] };
         let sel_up: [i32; 3] = if D == 2 { [2, 4, 0] } else { [2, 4, 6] };
         let mut out = [0i32; 3];
@@ -483,7 +483,7 @@ mod imp {
     }
 
     #[inline]
-    pub fn from_morton3(index: u64, level: u8, up: u32) -> Reg {
+    pub(crate) fn from_morton3(index: u64, level: u8, up: u32) -> Reg {
         let (x, y, z) = morton::decode3(index);
         [
             (x << up) as i32,
@@ -494,15 +494,15 @@ mod imp {
     }
 
     #[inline]
-    pub fn from_morton2(index: u64, level: u8, up: u32) -> Reg {
+    pub(crate) fn from_morton2(index: u64, level: u8, up: u32) -> Reg {
         let (x, y) = morton::decode2(index);
         [(x << up) as i32, (y << up) as i32, 0, level as i32]
     }
 }
 
 /// Ablation variants of the SIMD algorithms, kept out of the production
-/// path but exercised by `benches/ablation.rs` to reproduce the paper's
-/// register-width observations.
+/// path but timed by `repro --autovec` (ablation A3) to reproduce the
+/// paper's register-width observations.
 pub mod ablation {
     use super::AvxQuad;
     use crate::quadrant::Quadrant;
@@ -513,7 +513,7 @@ pub mod ablation {
     /// the 128-bit quadrant. The paper reports this mixing to be slower
     /// than the two-coordinates-per-128-bit compromise ("mixing register
     /// lengths leads to a significant slowdown, even though the task
-    /// appears to be parallelized better") — the ablation bench checks
+    /// appears to be parallelized better") — the ablation table checks
     /// that observation on this machine. Falls back to the production
     /// path when the running CPU lacks AVX2.
     pub fn from_morton3_mixed256(index: u64, level: u8) -> AvxQuad<3> {

@@ -70,7 +70,7 @@ impl<const D: usize> MortonQuad<D> {
 
     /// The level-independent index `I` (low 56 bits).
     #[inline]
-    pub fn index_abs(self) -> u64 {
+    pub(crate) fn index_abs(self) -> u64 {
         self.word & INDEX_MASK
     }
 

@@ -37,7 +37,7 @@ impl<const D: usize> StandardQuad<D> {
 
     /// Attach user payload, preserving the mesh position.
     #[inline]
-    pub fn with_payload(mut self, payload: u64) -> Self {
+    pub(crate) fn with_payload(mut self, payload: u64) -> Self {
         self.payload = payload;
         self
     }

@@ -267,7 +267,7 @@ pub fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
 /// coordinate interleave `morton_abs` per point. Coordinates must be
 /// non-negative and below `2^L` (the caller validates and routes
 /// out-of-domain points around the kernel).
-pub fn point_keys_all(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
+pub(crate) fn point_keys_all(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
     let n = xs.len();
     assert!(
         ys.len() >= n && zs.len() >= n && out.len() >= n,

@@ -19,7 +19,7 @@
 //! target features; executing it on a CPU without AVX2 is undefined
 //! behavior (illegal instruction at best). Soundness therefore rests on
 //! a single invariant: *every* call site of such a function is reached
-//! only through a dispatch check of [`features()`], whose answer comes
+//! only through a dispatch check of `features()`, whose answer comes
 //! from `is_x86_feature_detected!` on the running CPU. The function
 //! tables in `batch.rs` install the AVX2 entry points only inside the
 //! detection branch, so the invariant is local and auditable.
@@ -35,21 +35,13 @@ use std::sync::OnceLock;
 
 /// The set of instruction-set extensions detected on the running CPU
 /// (restricted to the ones this crate dispatches on).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Features {
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Features {
     /// 256-bit integer SIMD — the batch kernels in [`crate::batch`].
     pub avx2: bool,
     /// `pdep`/`pext` bit deposit/extract — the Morton codec in
     /// [`crate::morton::bmi2`].
     pub bmi2: bool,
-}
-
-impl Features {
-    /// The empty feature set (the scalar tier).
-    pub const NONE: Features = Features {
-        avx2: false,
-        bmi2: false,
-    };
 }
 
 #[cfg(all(target_arch = "x86_64", not(quadforest_force_scalar)))]
@@ -62,25 +54,25 @@ fn detect() -> Features {
 
 #[cfg(not(all(target_arch = "x86_64", not(quadforest_force_scalar))))]
 fn detect() -> Features {
-    Features::NONE
+    Features::default() // no features: the scalar tier
 }
 
 /// The detected feature set, computed once per process and cached.
 #[inline]
-pub fn features() -> Features {
+pub(crate) fn features() -> Features {
     static FEATURES: OnceLock<Features> = OnceLock::new();
     *FEATURES.get_or_init(detect)
 }
 
 /// True when the AVX2 batch kernels are active.
 #[inline]
-pub fn has_avx2() -> bool {
+pub(crate) fn has_avx2() -> bool {
     features().avx2
 }
 
 /// True when the BMI2 `pdep`/`pext` Morton codec is active.
 #[inline]
-pub fn has_bmi2() -> bool {
+pub(crate) fn has_bmi2() -> bool {
     features().bmi2
 }
 
@@ -100,7 +92,7 @@ pub fn active_features() -> &'static str {
 /// accounting (detection says what the CPU *can* run; these counters prove
 /// what *did* run).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Tier {
+pub(crate) enum Tier {
     /// Portable scalar reference kernels.
     Scalar,
     /// 256-bit AVX2 batch kernels.
@@ -111,7 +103,7 @@ pub enum Tier {
 
 impl Tier {
     /// The tier's bench/JSON label: `"scalar"`, `"avx2"`, or `"bmi2"`.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
             Tier::Avx2 => "avx2",
@@ -142,7 +134,7 @@ fn tier_counters() -> &'static TierCounters {
 /// wrappers in [`crate::batch`] — once per *batch* call, not per element,
 /// so the shared atomic stays out of per-quadrant hot loops.
 #[inline]
-pub fn note_dispatch(tier: Tier) {
+pub(crate) fn note_dispatch(tier: Tier) {
     let c = tier_counters();
     match tier {
         Tier::Scalar => c.scalar.incr(),
@@ -157,9 +149,9 @@ pub fn note_dispatch(tier: Tier) {
 pub fn kernel_invocations() -> [(&'static str, u64); 3] {
     let c = tier_counters();
     [
-        ("scalar", c.scalar.get()),
-        ("avx2", c.avx2.get()),
-        ("bmi2", c.bmi2.get()),
+        (Tier::Scalar.name(), c.scalar.get()),
+        (Tier::Avx2.name(), c.avx2.get()),
+        (Tier::Bmi2.name(), c.bmi2.get()),
     ]
 }
 
@@ -187,7 +179,7 @@ mod tests {
     #[cfg(quadforest_force_scalar)]
     #[test]
     fn forced_scalar_reports_no_features() {
-        assert_eq!(features(), Features::NONE);
+        assert_eq!(features(), Features::default());
         assert_eq!(active_features(), "scalar");
     }
 

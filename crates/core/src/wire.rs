@@ -87,7 +87,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Consume exactly `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 needed: n,
@@ -100,7 +100,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Consume a fixed-size array (the primitive-integer path).
-    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+    pub(crate) fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         let s = self.take(N)?;
         let mut a = [0u8; N];
         a.copy_from_slice(s);

@@ -7,7 +7,7 @@
 //! query reduces to interval arithmetic over the Z curve. This module
 //! holds the representation-independent kernels:
 //!
-//! * [`point_key`] / [`cell_coords`] — coordinate ⇄ curve-position
+//! * [`point_key`] / `cell_coords` — coordinate ⇄ curve-position
 //!   conversion at the maximum refinement level, routed through the
 //!   runtime-dispatched BMI2/magic-number codecs of [`crate::morton`];
 //! * [`locate_by`] — the single point-location implementation shared by
@@ -77,7 +77,7 @@ pub fn point_key(p: [i32; 3], dim: u32) -> u64 {
 /// Inverse of [`point_key`]: the integer coordinates of a maximum-level
 /// cell key (`z = 0` in 2D).
 #[inline]
-pub fn cell_coords(key: u64, dim: u32) -> [i32; 3] {
+pub(crate) fn cell_coords(key: u64, dim: u32) -> [i32; 3] {
     debug_assert!(dim == 2 || dim == 3);
     if dim == 2 {
         let (x, y) = morton::decode2_rt(key);

@@ -114,7 +114,7 @@ impl CheckpointManifest {
 
     /// Parse and CRC-verify a manifest. Corrupt bytes return a typed
     /// [`IoError`], never panic.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, IoError> {
+    pub(crate) fn from_bytes(data: &[u8]) -> Result<Self, IoError> {
         let mut cur = Cursor(data);
         cur.need(8)?;
         let magic: [u8; 4] = cur.array()?;
@@ -232,7 +232,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), IoError> {
 
 /// Generation numbers present under `dir` (committed or not), ascending.
 /// A missing directory is an empty list, not an error.
-pub fn list_generations(dir: impl AsRef<Path>) -> Vec<u64> {
+pub(crate) fn list_generations(dir: impl AsRef<Path>) -> Vec<u64> {
     let mut gens: Vec<u64> = match std::fs::read_dir(dir.as_ref()) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())

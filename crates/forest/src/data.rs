@@ -50,7 +50,7 @@ impl<T> LeafData<T> {
 
     /// Adopt an existing vector as payload storage. Panics unless its
     /// length equals `forest.local_count()`.
-    pub fn from_vec<Q: Quadrant>(forest: &Forest<Q>, items: Vec<T>) -> Self {
+    pub(crate) fn from_vec<Q: Quadrant>(forest: &Forest<Q>, items: Vec<T>) -> Self {
         assert_eq!(
             items.len(),
             forest.local_count(),
@@ -70,13 +70,8 @@ impl<T> LeafData<T> {
     }
 
     /// The payloads as a slice, in rank-global leaf order.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.items
-    }
-
-    /// The payloads as a mutable slice, in rank-global leaf order.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.items
     }
 
     /// Iterate payloads in rank-global leaf order.
@@ -87,11 +82,6 @@ impl<T> LeafData<T> {
     /// Iterate payloads mutably in rank-global leaf order.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
         self.items.iter_mut()
-    }
-
-    /// Consume the store, returning the raw vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.items
     }
 
     /// Panic with a phase name unless the store is aligned with
@@ -200,7 +190,7 @@ fn fill<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
 /// cover the same SFC range — refine/coarsen/balance never move leaves
 /// between ranks), copying equal leaves, interpolating refined ones and
 /// projecting coarsened families through `mapper`.
-pub fn map_adapted<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
+pub(crate) fn map_adapted<Q: Quadrant, T: Clone, M: DataMapper<Q, T>>(
     old: &Forest<Q>,
     new: &Forest<Q>,
     old_data: &LeafData<T>,

@@ -70,7 +70,11 @@ impl Box3 {
 
     /// Transform the box across a tree face, mapping both corners as
     /// points (`h = 0` reflection) and reordering.
-    pub fn transformed(&self, tf: &quadforest_connectivity::FaceTransform, root: i32) -> Box3 {
+    pub(crate) fn transformed(
+        &self,
+        tf: &quadforest_connectivity::FaceTransform,
+        root: i32,
+    ) -> Box3 {
         let a = tf.apply(self.lo, 0, root);
         let b = tf.apply(self.hi, 0, root);
         let mut lo = [0i32; 3];
@@ -181,7 +185,7 @@ pub fn neighbor_domain<Q: Quadrant>(
 /// Reusable buffers for [`for_each_neighbor_domain`], so per-tree
 /// batched enumeration allocates only on the first (largest) block.
 #[derive(Default)]
-pub struct NeighborScratch {
+pub(crate) struct NeighborScratch {
     /// Gathered leaves (level ≥ `min_level`), SoA layout.
     soa: quadforest_core::scalar_ref::QuadSoA,
     /// Shifted neighbor anchors for the current offset.
@@ -197,7 +201,7 @@ pub struct NeighborScratch {
 
 impl NeighborScratch {
     /// Fresh scratch with empty buffers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -220,7 +224,7 @@ impl NeighborScratch {
 /// domain)` triples is exactly the set the per-quadrant loop produces
 /// (`balance`/`ghost` consume them order-insensitively; the equivalence
 /// is property-tested against the scalar oracle).
-pub fn for_each_neighbor_domain<Q: Quadrant>(
+pub(crate) fn for_each_neighbor_domain<Q: Quadrant>(
     conn: &Connectivity,
     tree: u32,
     leaves: &[Q],

@@ -217,7 +217,7 @@ pub enum IoError {
 
 impl IoError {
     /// Wrap a [`std::io::Error`] with the path it occurred on.
-    pub fn storage(path: &std::path::Path, err: std::io::Error) -> Self {
+    pub(crate) fn storage(path: &std::path::Path, err: std::io::Error) -> Self {
         IoError::Storage {
             path: path.display().to_string(),
             message: err.to_string(),

@@ -81,7 +81,7 @@ impl<Q: Quadrant> GhostLayer<Q> {
     /// The index range in `ghosts` of the ghosts of `tree` whose subtree
     /// range overlaps the quadrant `q` (i.e. ghosts equal to, contained
     /// in, or containing `q`).
-    pub fn overlapping(&self, tree: u32, q: &Q) -> std::ops::Range<usize> {
+    pub(crate) fn overlapping(&self, tree: u32, q: &Q) -> std::ops::Range<usize> {
         let (first, last) = key_span(q);
         let lo = self
             .ghosts

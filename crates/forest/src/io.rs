@@ -306,7 +306,10 @@ impl<Q: Quadrant> Forest<Q> {
     /// portable form (serializes as a version-3 stream). Each payload
     /// is stored as the opaque `Wire` encoding of `T`, so the stream
     /// can be re-sliced across rank counts without knowing `T`.
-    pub fn to_portable_with_data<T: Wire>(&self, data: &crate::LeafData<T>) -> PortableForest {
+    pub(crate) fn to_portable_with_data<T: Wire>(
+        &self,
+        data: &crate::LeafData<T>,
+    ) -> PortableForest {
         data.check_aligned(self, "to_portable_with_data");
         let mut p = self.to_portable();
         p.payload = Some(data.iter().map(|v| v.to_wire()).collect());
@@ -318,7 +321,7 @@ impl<Q: Quadrant> Forest<Q> {
     /// [`Forest::load_checkpoint`] for repartition-on-load), and `conn`
     /// must be the connectivity the forest was built over (dimension
     /// and tree count are checked).
-    pub fn from_portable(
+    pub(crate) fn from_portable(
         conn: Arc<Connectivity>,
         comm: &Comm,
         portable: &PortableForest,

@@ -27,7 +27,8 @@
 //!   every side names its leaf by index ([`LeafRef`]) — which slot a
 //!   leaf occupies is resolved here and nowhere above,
 //! * [`Forest::search`] — top-down local search / point location,
-//! * [`Forest::to_portable`] / [`Forest::from_portable`] — save/load.
+//! * [`Forest::save_checkpoint`] / [`Forest::load_checkpoint`] — save/load
+//!   (the portable image is [`PortableForest`]).
 //!
 //! # Example
 //!
@@ -68,8 +69,8 @@ mod refine;
 mod search;
 mod validate;
 
-pub use checkpoint::{list_generations, CheckpointInfo, CheckpointManifest, ShardMeta};
-pub use data::{map_adapted, DataMapper, LeafData};
+pub use checkpoint::{CheckpointInfo, CheckpointManifest, ShardMeta};
+pub use data::{DataMapper, LeafData};
 pub use error::{InvariantError, IoError};
 pub use io::PortableForest;
 pub use quadforest_core::crc::crc32;
@@ -87,7 +88,7 @@ use std::sync::Arc;
 
 /// A global space-filling-curve position: `(tree, index at maximum
 /// level)`. Lexicographic order is the global leaf order.
-pub type SfcPosition = (u32, u64);
+pub(crate) type SfcPosition = (u32, u64);
 
 /// Global mesh statistics returned by [`Forest::stats`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,7 +137,7 @@ pub fn set_phase_guards(enabled: bool) {
 
 /// True when phase-boundary guards are enabled (see
 /// [`set_phase_guards`]).
-pub fn phase_guards_enabled() -> bool {
+pub(crate) fn phase_guards_enabled() -> bool {
     PHASE_GUARDS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
@@ -282,23 +283,18 @@ impl<Q: Quadrant> Forest<Q> {
         first
     }
 
-    /// Deepest refinement level among local leaves.
-    pub fn local_max_level(&self) -> u8 {
-        self.leaves().map(|(_, q)| q.level()).max().unwrap_or(0)
-    }
-
     /// The partition markers (`P + 1` global SFC positions).
     pub fn markers(&self) -> &[SfcPosition] {
         &self.markers
     }
 
     /// The global SFC position of a quadrant in `tree`.
-    pub fn position_of(tree: TreeId, q: &Q) -> SfcPosition {
+    pub(crate) fn position_of(tree: TreeId, q: &Q) -> SfcPosition {
         (tree, q.morton_abs())
     }
 
     /// The rank owning the leaf at global SFC position `pos`.
-    pub fn owner_of_position(&self, pos: SfcPosition) -> usize {
+    pub(crate) fn owner_of_position(&self, pos: SfcPosition) -> usize {
         // partition_point: first marker > pos, minus one.
         let r = self.markers.as_slice().partition_point(|m| *m <= pos);
         r.saturating_sub(1).min(self.size - 1)
@@ -306,20 +302,20 @@ impl<Q: Quadrant> Forest<Q> {
 
     /// All ranks whose range intersects the subtree of `q` in `tree`
     /// (the owners of any present or future descendant of `q`).
-    pub fn owners_of_subtree(&self, tree: TreeId, q: &Q) -> std::ops::RangeInclusive<usize> {
+    pub(crate) fn owners_of_subtree(&self, tree: TreeId, q: &Q) -> std::ops::RangeInclusive<usize> {
         let (first, last) = key_span(q);
         self.owner_of_position((tree, first))..=self.owner_of_position((tree, last))
     }
 
     /// True when the global SFC position lies in this rank's range.
-    pub fn is_local_position(&self, pos: SfcPosition) -> bool {
+    pub(crate) fn is_local_position(&self, pos: SfcPosition) -> bool {
         self.markers[self.rank] <= pos && pos < self.markers[self.rank + 1]
     }
 
     /// Locate the local leaf that is, or contains, or descends from `q`:
     /// returns the index range of local leaves of `tree` overlapping
     /// `q`'s domain.
-    pub fn overlapping_range(&self, tree: TreeId, q: &Q) -> std::ops::Range<usize> {
+    pub(crate) fn overlapping_range(&self, tree: TreeId, q: &Q) -> std::ops::Range<usize> {
         let leaves = &self.trees[tree as usize];
         let (first, last) = key_span(q);
         // Leaves are disjoint and SFC-sorted; a leaf overlaps q iff its
@@ -355,7 +351,7 @@ impl<Q: Quadrant> Forest<Q> {
 
     /// Per-level leaf counts on this rank only, indices `0..=MAX_LEVEL`
     /// (no communication).
-    pub fn local_level_histogram(&self) -> Vec<u64> {
+    pub(crate) fn local_level_histogram(&self) -> Vec<u64> {
         let mut local = vec![0u64; Q::MAX_LEVEL as usize + 1];
         for (_, q) in self.leaves() {
             local[q.level() as usize] += 1;

@@ -23,7 +23,11 @@ impl<Q: Quadrant> Forest<Q> {
     /// the same share of total `weight`. Weights must be positive.
     /// Leaves are never split, so heavy single leaves may cause residual
     /// imbalance, exactly as in p4est's weighted partition. Collective.
-    pub fn partition_by(&mut self, comm: &Comm, weight: impl FnMut(TreeId, &Q) -> u64) -> usize {
+    pub(crate) fn partition_by(
+        &mut self,
+        comm: &Comm,
+        weight: impl FnMut(TreeId, &Q) -> u64,
+    ) -> usize {
         // no payload: the all-to-all ships bare (tree, leaf) runs, the
         // same message shape partition has always used
         self.partition_core(comm, weight, None::<Vec<()>>).0

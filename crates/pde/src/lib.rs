@@ -27,10 +27,8 @@
 //! [`Forest::partition_mapped`]: quadforest_forest::Forest::partition_mapped
 //! [`GhostLayer::exchange_data`]: quadforest_forest::GhostLayer::exchange_data
 
-pub mod patch;
-pub mod solver;
+pub(crate) mod patch;
+pub(crate) mod solver;
 
-pub use patch::{
-    Patch, PatchHalo, PatchMapper, HALO_WIRE_BYTES, PATCH_CELLS, PATCH_N, PATCH_WIRE_BYTES,
-};
-pub use solver::{gaussian_blob, sample_patch, AdaptReport, AdaptThresholds, AdvectionSim};
+pub use patch::{Patch, PatchHalo, PatchMapper, PATCH_CELLS, PATCH_N, PATCH_WIRE_BYTES};
+pub use solver::{gaussian_blob, AdaptReport, AdaptThresholds, AdvectionSim};

@@ -17,7 +17,7 @@ pub const PATCH_CELLS: usize = PATCH_N * PATCH_N;
 /// Serialized size of one [`Patch`] in bytes (its `Wire` encoding).
 pub const PATCH_WIRE_BYTES: usize = PATCH_CELLS * 8;
 /// Serialized size of one [`PatchHalo`] in bytes.
-pub const HALO_WIRE_BYTES: usize = 4 * PATCH_N * 8;
+pub(crate) const HALO_WIRE_BYTES: usize = 4 * PATCH_N * 8;
 
 /// An `N × N` patch of cell-averaged values covering one leaf. Cell
 /// `(i, j)` covers `[i·h/N, (i+1)·h/N) × [j·h/N, (j+1)·h/N)` of the
@@ -43,20 +43,20 @@ impl Patch {
 
     /// Flat index of cell `(i, j)`.
     #[inline]
-    pub fn idx(i: usize, j: usize) -> usize {
+    pub(crate) fn idx(i: usize, j: usize) -> usize {
         debug_assert!(i < PATCH_N && j < PATCH_N);
         j * PATCH_N + i
     }
 
     /// Value of cell `(i, j)`.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         self.cells[Self::idx(i, j)]
     }
 
     /// Set cell `(i, j)`.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.cells[Self::idx(i, j)] = v;
     }
 
@@ -66,7 +66,7 @@ impl Patch {
     }
 
     /// Largest absolute cell value.
-    pub fn max_abs(&self) -> f64 {
+    pub(crate) fn max_abs(&self) -> f64 {
         self.cells.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
@@ -80,7 +80,7 @@ impl Patch {
     /// The four one-cell-deep edge strips, indexed by face
     /// (0 = −x, 1 = +x, 2 = −y, 3 = +y); strip entries run along the
     /// tangential axis.
-    pub fn halo(&self) -> PatchHalo {
+    pub(crate) fn halo(&self) -> PatchHalo {
         let n = PATCH_N;
         PatchHalo {
             edges: [

@@ -476,7 +476,7 @@ impl<Q: Quadrant> AdvectionSim<Q> {
 }
 
 /// Sample `init` at the cell centers of a leaf's patch.
-pub fn sample_patch<Q: Quadrant>(q: &Q, init: &impl Fn(f64, f64) -> f64) -> Patch {
+pub(crate) fn sample_patch<Q: Quadrant>(q: &Q, init: &impl Fn(f64, f64) -> f64) -> Patch {
     let root = Q::len_at(0) as f64;
     let c = q.coords();
     let h = q.side() as f64;

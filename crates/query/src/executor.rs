@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Default bound on in-flight (submitted, not yet answered) batches.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 // ---------------------------------------------------------------------
 // completion latch

@@ -65,6 +65,7 @@ mod handle;
 mod snapshot;
 
 pub use distributed::{locate_global, query_box_global, RoutedHit};
-pub use executor::{QueryExecutor, Ticket, DEFAULT_QUEUE_CAPACITY};
+pub use executor::{QueryExecutor, Ticket};
 pub use handle::SnapshotHandle;
-pub use snapshot::{box_cover_for, BoxQuery, ForestSnapshot, LeafHit};
+pub(crate) use snapshot::box_cover_for;
+pub use snapshot::{BoxQuery, ForestSnapshot, LeafHit};

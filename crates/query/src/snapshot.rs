@@ -128,12 +128,12 @@ impl ForestSnapshot {
     }
 
     /// Spatial dimension (2 or 3).
-    pub fn dim(&self) -> u32 {
+    pub(crate) fn dim(&self) -> u32 {
         self.dim
     }
 
     /// The representation-wide maximum refinement level.
-    pub fn max_level(&self) -> u8 {
+    pub(crate) fn max_level(&self) -> u8 {
         self.max_level
     }
 
@@ -143,12 +143,12 @@ impl ForestSnapshot {
     }
 
     /// Communicator size at build time.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
     /// Number of trees in the connectivity.
-    pub fn num_trees(&self) -> usize {
+    pub(crate) fn num_trees(&self) -> usize {
         self.tree_offsets.len() - 1
     }
 
@@ -157,13 +157,8 @@ impl ForestSnapshot {
         self.keys.len()
     }
 
-    /// Nanosecond build timestamp on the shared telemetry clock.
-    pub fn created_ns(&self) -> u64 {
-        self.created_ns
-    }
-
     /// Age of this snapshot in nanoseconds, on the telemetry clock.
-    pub fn age_ns(&self) -> u64 {
+    pub(crate) fn age_ns(&self) -> u64 {
         telemetry::now_ns().saturating_sub(self.created_ns)
     }
 
@@ -177,7 +172,7 @@ impl ForestSnapshot {
     }
 
     /// The partition markers carried from the forest.
-    pub fn markers(&self) -> &[(u32, u64)] {
+    pub(crate) fn markers(&self) -> &[(u32, u64)] {
         &self.markers
     }
 
@@ -338,7 +333,7 @@ impl ForestSnapshot {
 
     /// [`ForestSnapshot::query_box`] against a precomputed cover (lets
     /// the distributed router decompose once and query on every rank).
-    pub fn query_cover(
+    pub(crate) fn query_cover(
         &self,
         tree: TreeId,
         lo: [i32; 3],

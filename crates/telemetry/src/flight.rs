@@ -1,5 +1,5 @@
-//! Flight recorder: an always-on, fixed-capacity, lock-free ring buffer
-//! of structured binary events, dumped to a postmortem file when a world
+//! Flight recorder: an always-on, fixed-capacity ring buffer of
+//! structured binary events, dumped to a postmortem file when a world
 //! fails.
 //!
 //! ## Model
@@ -9,16 +9,18 @@
 //! done automatically by [`crate::begin_rank`]), so on the thread backend
 //! the single ring interleaves all ranks' histories in global time order,
 //! while on the socket backend each rank process owns a genuinely private
-//! ring. Recording is wait-free: a writer claims a slot with one
-//! `fetch_add`, then publishes the payload under a per-slot sequence lock
-//! (odd = write in progress, even = consistent). A reader skips torn
-//! slots instead of blocking, so a dump taken while other threads keep
-//! recording is always a valid decodable sequence — some in-flight events
-//! may simply be missing.
+//! ring. A writer claims a slot with one `fetch_add`, then publishes the
+//! event under that slot's mutex together with its claim number — unless
+//! the slot already holds a newer claim (the writer was lapped). A reader
+//! keeps a slot only if it is stamped with the claim being scanned, so a
+//! dump taken while other threads keep recording is always a valid
+//! decodable sequence of whole events — some in-flight events may simply
+//! be missing. A slot's lock is held for five word copies, never across a
+//! dump.
 //!
 //! Unarmed event sites cost one atomic load and a branch (guarded
-//! **< 10 ns** by the `ablation` bench suite); armed sites are a handful
-//! of relaxed stores — no locks, no allocation.
+//! **< 10 ns** by `tests/disabled_cost.rs`); armed sites are one
+//! `fetch_add` and one uncontended lock — no allocation.
 //!
 //! ## Dump format (`QFR1`)
 //!
@@ -42,9 +44,9 @@ use std::sync::{Mutex, OnceLock};
 /// next to the supervisor's own.
 pub const ENV_FLIGHT_DIR: &str = "QUADFOREST_FLIGHT_DIR";
 
-/// Default ring capacity in events (must be a power of two). At 40 bytes
-/// a slot this is ~160 KiB per process.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+/// Default ring capacity in events (must be a power of two). At 48 bytes
+/// a slot this is ~192 KiB per process.
+pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 /// Rank value recorded by threads that never called [`set_thread_rank`]
 /// (e.g. a socket supervisor or a query worker outside any world).
@@ -173,14 +175,10 @@ fn name_snapshot() -> Vec<String> {
 // The ring
 // ---------------------------------------------------------------------------
 
-struct Slot {
-    /// Sequence lock: `2*claim + 1` while the claiming writer stores the
-    /// payload, `2*claim + 2` once the payload is consistent. A reader
-    /// that sees an odd value, or a value that changed across its
-    /// payload read, skips the slot.
-    seq: AtomicU64,
-    words: [AtomicU64; 4],
-}
+/// What one slot holds: the stamp `claim + 1` of the event in `words`
+/// (0 = never written), so a lapped writer and a scanning reader can both
+/// tell whose event it is.
+type Slot = Mutex<(u64, [u64; 4])>;
 
 struct Ring {
     mask: u64,
@@ -210,25 +208,7 @@ pub fn arm() {
 /// Arm with an explicit capacity (rounded up to a power of two). Only
 /// the first call sizes the ring.
 pub fn arm_with_capacity(capacity: usize) {
-    RING.get_or_init(|| {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(u64::MAX), // never a valid even/odd claim stamp
-                words: [
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                ],
-            })
-            .collect();
-        Ring {
-            mask: cap as u64 - 1,
-            head: AtomicU64::new(0),
-            slots,
-        }
-    });
+    RING.get_or_init(|| Ring::with_capacity(capacity));
 }
 
 /// Is the recorder armed?
@@ -236,8 +216,8 @@ pub fn armed() -> bool {
     RING.get().is_some()
 }
 
-/// Record one event. Unarmed: one atomic load and a branch. Armed:
-/// wait-free — a `fetch_add` slot claim plus six relaxed/release stores.
+/// Record one event. Unarmed: one atomic load and a branch. Armed: a
+/// `fetch_add` slot claim plus one per-slot lock around the payload copy.
 #[inline]
 pub fn event(kind: FlightKind, a: u32, b: u64, c: u64) {
     let Some(ring) = RING.get() else { return };
@@ -248,17 +228,68 @@ pub fn event(kind: FlightKind, a: u32, b: u64, c: u64) {
 fn record(ring: &Ring, kind: FlightKind, a: u32, b: u64, c: u64) {
     let ts = crate::now_ns();
     let rank = THREAD_RANK.with(|r| r.get());
-    let claim = ring.head.fetch_add(1, Ordering::Relaxed);
-    let slot = &ring.slots[(claim & ring.mask) as usize];
-    slot.seq.store(claim * 2 + 1, Ordering::Release);
-    slot.words[0].store(ts, Ordering::Relaxed);
-    slot.words[1].store(
-        kind as u64 | ((rank as u64 & 0xFF_FFFF) << 8) | ((a as u64) << 32),
-        Ordering::Relaxed,
-    );
-    slot.words[2].store(b, Ordering::Relaxed);
-    slot.words[3].store(c, Ordering::Relaxed);
-    slot.seq.store(claim * 2 + 2, Ordering::Release);
+    let w1 = kind as u64 | ((rank as u64 & 0xFF_FFFF) << 8) | ((a as u64) << 32);
+    ring.publish(ring.claim(), [ts, w1, b, c]);
+}
+
+impl Ring {
+    fn with_capacity(capacity: usize) -> Self {
+        let cap = capacity.next_power_of_two().max(2);
+        Ring {
+            mask: cap as u64 - 1,
+            head: AtomicU64::new(0),
+            slots: (0..cap).map(|_| Mutex::new((0, [0; 4]))).collect(),
+        }
+    }
+
+    fn slot(&self, claim: u64) -> std::sync::MutexGuard<'_, (u64, [u64; 4])> {
+        // a slot is only ever assigned whole, so a poisoned one is still valid
+        self.slots[(claim & self.mask) as usize]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Take the next position of the ring. `head` only hands out numbers;
+    /// the slot mutex is what publishes an event's words.
+    fn claim(&self) -> u64 {
+        self.head.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Store the event of `claim` unless its slot was lapped: a writer
+    /// that comes late must not overwrite the newer event already there.
+    fn publish(&self, claim: u64, words: [u64; 4]) {
+        let mut slot = self.slot(claim);
+        if slot.0 <= claim {
+            *slot = (claim + 1, words);
+        }
+    }
+
+    /// The surviving events of the last `capacity` claims, oldest first.
+    fn events(&self) -> Vec<FlightEvent> {
+        let head = self.head.load(Ordering::Relaxed);
+        let start = head.saturating_sub(self.mask + 1);
+        let mut events = Vec::with_capacity((head - start) as usize);
+        for claim in start..head {
+            let (stamp, [w0, w1, w2, w3]) = *self.slot(claim);
+            if stamp != claim + 1 {
+                continue; // not published yet, or already lapped by a newer claim
+            }
+            let Some(kind) = FlightKind::from_u8((w1 & 0xFF) as u8) else {
+                continue;
+            };
+            let rank = ((w1 >> 8) & 0xFF_FFFF) as u32;
+            let rank = if rank == 0xFF_FFFF { NO_RANK } else { rank };
+            events.push(FlightEvent {
+                ts_ns: w0,
+                kind,
+                rank,
+                a: (w1 >> 32) as u32,
+                b: w2,
+                c: w3,
+            });
+        }
+        events
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -289,47 +320,14 @@ pub struct FlightDump {
 }
 
 /// Read the last-N surviving events out of the ring, oldest first.
-/// Returns `None` if the recorder was never armed. Torn slots (a writer
-/// mid-store, or overwritten between claim scan and payload read) are
-/// skipped, never blocked on.
+/// Returns `None` if the recorder was never armed. Slots a writer has
+/// claimed but not yet published, or that were overwritten since the scan
+/// began, are skipped; each slot is locked only while it is copied.
 pub fn snapshot() -> Option<FlightDump> {
-    let ring = RING.get()?;
-    let head = ring.head.load(Ordering::Acquire);
-    let cap = ring.mask + 1;
-    let start = head.saturating_sub(cap);
-    let mut events = Vec::with_capacity((head - start) as usize);
-    for claim in start..head {
-        let slot = &ring.slots[(claim & ring.mask) as usize];
-        let seq1 = slot.seq.load(Ordering::Acquire);
-        if seq1 != claim * 2 + 2 {
-            continue; // in progress, or already lapped by a newer claim
-        }
-        let w0 = slot.words[0].load(Ordering::Relaxed);
-        let w1 = slot.words[1].load(Ordering::Relaxed);
-        let w2 = slot.words[2].load(Ordering::Relaxed);
-        let w3 = slot.words[3].load(Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::Acquire);
-        if slot.seq.load(Ordering::Relaxed) != seq1 {
-            continue; // torn: overwritten while we read
-        }
-        let Some(kind) = FlightKind::from_u8((w1 & 0xFF) as u8) else {
-            continue;
-        };
-        let rank = ((w1 >> 8) & 0xFF_FFFF) as u32;
-        let rank = if rank == 0xFF_FFFF { NO_RANK } else { rank };
-        events.push(FlightEvent {
-            ts_ns: w0,
-            kind,
-            rank,
-            a: (w1 >> 32) as u32,
-            b: w2,
-            c: w3,
-        });
-    }
     Some(FlightDump {
         rank: THREAD_RANK.with(|r| r.get()),
         names: name_snapshot(),
-        events,
+        events: RING.get()?.events(),
     })
 }
 
@@ -576,6 +574,24 @@ mod tests {
             "{txt}"
         );
         assert_eq!(dump.last_phase(3), Some("balance"));
+    }
+
+    /// Two laps of claims are handed out before anything is published,
+    /// then the newer lap publishes first and the lapped writers come in
+    /// late: the newer events must survive and the snapshot must be full.
+    #[test]
+    fn a_lapped_writer_does_not_overwrite_the_newer_event() {
+        const CAP: u64 = 4;
+        let ring = Ring::with_capacity(CAP as usize);
+        let words = |claim: u64| [claim, FlightKind::Heartbeat as u64, claim, !claim];
+        let claims: Vec<u64> = (0..2 * CAP).map(|_| ring.claim()).collect();
+        assert_eq!(claims, (0..2 * CAP).collect::<Vec<_>>());
+        for claim in (CAP..2 * CAP).chain(0..CAP) {
+            ring.publish(claim, words(claim));
+        }
+        let kept: Vec<[u64; 3]> = ring.events().iter().map(|e| [e.ts_ns, e.b, e.c]).collect();
+        let newer_lap: Vec<[u64; 3]> = (CAP..2 * CAP).map(|c| [c, c, !c]).collect();
+        assert_eq!(kept, newer_lap);
     }
 
     #[test]

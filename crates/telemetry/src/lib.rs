@@ -24,9 +24,9 @@
 //! ## Disabled-mode cost contract
 //!
 //! With no recorder installed anywhere ([`disabled`] returns `true`), a span
-//! site costs one relaxed atomic load and a branch — the `ablation` bench
-//! suite guards this at **< 2 ns per span site** — so instrumentation stays
-//! compiled in and enabled-by-default in release builds.
+//! site costs one relaxed atomic load and a branch — `tests/disabled_cost.rs`
+//! guards this at **< 2 ns per span site** in release builds — so
+//! instrumentation stays compiled in and enabled by default.
 //!
 //! ```
 //! use quadforest_telemetry as telemetry;
@@ -57,11 +57,12 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use prom::{
-    note_batch_latency, render_prometheus, serve_metrics, set_slow_query_threshold_ns,
-    slow_query_threshold_ns, MetricsServer,
+    note_batch_latency, serve_metrics, set_slow_query_threshold_ns, slow_query_threshold_ns,
+    MetricsServer,
 };
-pub use span::{RankReport, SpanEvent, SpanRing};
+pub use span::{RankReport, SpanEvent};
 
+use span::SpanRing;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -69,7 +70,7 @@ use std::time::Instant;
 
 /// Default per-rank ring capacity (events). At ~32 bytes an event this is
 /// ~2 MiB per rank worst case.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 // ---------------------------------------------------------------------------
 // Monotonic clock
@@ -182,7 +183,7 @@ pub fn begin_rank(rank: usize) {
 }
 
 /// [`begin_rank`] with an explicit span ring capacity.
-pub fn begin_rank_with_capacity(rank: usize, ring_capacity: usize) {
+pub(crate) fn begin_rank_with_capacity(rank: usize, ring_capacity: usize) {
     // Pin the clock epoch before any span records against it.
     let _ = epoch();
     // Flight events recorded by this thread now carry the rank.
@@ -267,7 +268,7 @@ pub struct Span {
 }
 
 /// Open a span. When telemetry is disabled this is one atomic load and a
-/// branch (< 2 ns, guarded by the `ablation` bench); when enabled it pushes
+/// branch (< 2 ns, guarded by `tests/disabled_cost.rs`); when enabled it pushes
 /// onto the thread-local span stack and timestamps the entry.
 #[inline]
 pub fn span(name: &'static str) -> Span {

@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Values below this are recorded exactly (one bucket per value).
-pub const SUB_BUCKET_COUNT: u64 = 128;
+pub(crate) const SUB_BUCKET_COUNT: u64 = 128;
 /// Linear sub-buckets per exponential tier above the exact range.
-pub const SUB_BUCKET_HALF: u64 = 64;
+pub(crate) const SUB_BUCKET_HALF: u64 = 64;
 /// Exponential tiers needed to cover the remaining `u64` range: values with
 /// bit length 8..=64 map to tiers 1..=57.
 const TIERS: usize = 57;
@@ -67,7 +67,7 @@ impl fmt::Display for MetricKind {
 
 /// Shared storage for one named metric. Counters and gauges use a single
 /// slot; histograms use `HISTOGRAM_BUCKETS + 2` (buckets, count, sum).
-pub struct Cell {
+pub(crate) struct Cell {
     name: &'static str,
     kind: MetricKind,
     slots: Box<[AtomicU64]>,
@@ -226,7 +226,7 @@ struct Inner {
 }
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -310,7 +310,7 @@ impl MetricEntry {
 
     /// Estimated `q`-quantile for a histogram entry (`None` for other
     /// kinds or an empty histogram).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         (self.kind == MetricKind::Histogram)
             .then(|| quantile_from_buckets(&self.values[..HISTOGRAM_BUCKETS], q))
             .flatten()
@@ -345,13 +345,13 @@ pub struct AggregateRow {
 
 impl AggregateRow {
     /// Mean recorded value of an aggregated histogram, if any observations.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.kind == MetricKind::Histogram && self.total > 0)
             .then(|| self.sum as f64 / self.total as f64)
     }
 
     /// Estimated `q`-quantile over the cross-rank merged buckets.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         quantile_from_buckets(&self.buckets, q)
     }
 }

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Quantiles exposed for every histogram.
-pub const EXPOSED_QUANTILES: [(f64, &str); 4] =
+pub(crate) const EXPOSED_QUANTILES: [(f64, &str); 4] =
     [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
 
 /// Sanitize a metric name into the Prometheus charset
@@ -40,7 +40,7 @@ fn sanitize(name: &str) -> String {
 }
 
 /// Render a snapshot in Prometheus text format (version 0.0.4).
-pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
+pub(crate) fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for e in &snap.entries {
         let name = sanitize(e.name);
@@ -156,7 +156,7 @@ fn serve_one(stream: &mut TcpStream) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 
 /// Environment variable seeding the slow-query threshold (nanoseconds).
-pub const ENV_SLOW_QUERY_NS: &str = "QUADFOREST_SLOW_QUERY_NS";
+pub(crate) const ENV_SLOW_QUERY_NS: &str = "QUADFOREST_SLOW_QUERY_NS";
 
 static SLOW_NS: AtomicU64 = AtomicU64::new(u64::MAX);
 static SLOW_INIT: OnceLock<()> = OnceLock::new();

@@ -16,7 +16,7 @@ pub struct SpanEvent {
 /// is overwritten (the tail of a run is usually the interesting part) and
 /// `dropped` counts the overwrites.
 #[derive(Clone, Debug)]
-pub struct SpanRing {
+pub(crate) struct SpanRing {
     buf: Vec<SpanEvent>,
     cap: usize,
     /// Index of the oldest event once the ring has wrapped.
@@ -25,7 +25,7 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         SpanRing {
             buf: Vec::new(),
             cap: capacity.max(1),
@@ -34,7 +34,7 @@ impl SpanRing {
         }
     }
 
-    pub fn push(&mut self, ev: SpanEvent) {
+    pub(crate) fn push(&mut self, ev: SpanEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -44,20 +44,12 @@ impl SpanRing {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Events oldest-first (unwraps the ring).
-    pub fn to_vec(&self) -> Vec<SpanEvent> {
+    pub(crate) fn to_vec(&self) -> Vec<SpanEvent> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);

@@ -28,8 +28,11 @@
 //!   refine/coarsen mapping, and a patch-based donor-cell advection
 //!   solver ([`AdvectionSim`](pde::AdvectionSim)) with halo exchange,
 //!   payload migration, and checkpointed recovery;
-//! * [`vtk`] — mesh output for ParaView/VisIt;
-//! * [`bench`] — the harness regenerating the paper's figures and tables.
+//! * [`vtk`] — mesh output for ParaView/VisIt.
+//!
+//! The harness regenerating the paper's figures and tables is the
+//! `repro` binary of `crates/bench`; it depends on this library, not the
+//! other way round.
 //!
 //! ## Quickstart
 //!
@@ -49,7 +52,6 @@
 //! assert_eq!(leaf_counts.len(), 4);
 //! ```
 
-pub use quadforest_bench as bench;
 pub use quadforest_comm as comm;
 pub use quadforest_connectivity as connectivity;
 pub use quadforest_core as core;
@@ -62,20 +64,14 @@ pub use quadforest_vtk as vtk;
 /// The commonly used names in one import.
 pub mod prelude {
     pub use quadforest_comm::{
-        run_with_recovery, Attempt, Comm, FaultPlan, RecoveryError, RecoveryOptions,
-        RecoveryOutcome, RecoveryPolicy,
+        run_with_recovery, Attempt, Comm, FaultPlan, RecoveryOptions, RecoveryPolicy,
     };
-    pub use quadforest_connectivity::{Connectivity, FaceConnection, FaceTransform, TreeId};
-    pub use quadforest_core::quadrant::{convert, AvxQuad, MortonQuad, Quadrant, StandardQuad};
+    pub use quadforest_connectivity::{Connectivity, TreeId};
+    pub use quadforest_core::quadrant::Quadrant;
     pub use quadforest_core::quadrant::{Avx2d, Avx3d, Morton2, Morton3, Standard2, Standard3};
     pub use quadforest_forest::{
-        iterate_faces, BalanceKind, CheckpointInfo, CheckpointManifest, DataMapper, FaceSide,
-        Forest, ForestStats, GhostLayer, Interface, InvariantError, IoError, LeafData, LeafRef,
-        PortableForest, SearchAction,
+        iterate_faces, BalanceKind, FaceSide, Forest, GhostLayer, Interface, SearchAction,
     };
-    pub use quadforest_pde::{
-        gaussian_blob, AdaptReport, AdaptThresholds, AdvectionSim, Patch, PatchHalo, PatchMapper,
-        PATCH_N,
-    };
-    pub use quadforest_query::{BoxQuery, ForestSnapshot, LeafHit, QueryExecutor, SnapshotHandle};
+    pub use quadforest_pde::{gaussian_blob, AdaptThresholds, AdvectionSim};
+    pub use quadforest_query::{ForestSnapshot, QueryExecutor, SnapshotHandle};
 }
