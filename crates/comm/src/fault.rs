@@ -24,7 +24,7 @@
 //! frame granularity inside each rank process: added latency/jitter,
 //! silent whole-frame drops, single-bit corruption (caught by the
 //! frame CRC), partial/chunked writes (stressing stream reassembly),
-//! bandwidth throttling, scheduled hard connection resets, and
+//! scheduled hard connection resets, and
 //! asymmetric partitions ([`NetDir`]) that open at the Nth data frame
 //! and heal after a wall-clock duration. The thread and Unix-socket
 //! backends ignore network ops (their links cannot lose or corrupt
@@ -131,8 +131,6 @@ pub struct FaultPlan {
     net_corrupt_prob: u32,
     /// P(chunked/partial write) per written wire frame (TCP only).
     net_partial_prob: u32,
-    /// Bandwidth throttle in bytes/second; 0 disables (TCP only).
-    net_throttle_bps: u64,
     /// `(rank, frame_index)`: hard connection reset after the rank's
     /// Nth outbound *data* frame (heartbeats not counted). TCP only.
     net_resets: Vec<(usize, u64)>,
@@ -214,7 +212,6 @@ impl FaultPlan {
             net_drop_prob: 0,
             net_corrupt_prob: 0,
             net_partial_prob: 0,
-            net_throttle_bps: 0,
             net_resets: Vec::new(),
             net_partitions: Vec::new(),
         }
@@ -293,13 +290,6 @@ impl FaultPlan {
         self
     }
 
-    /// Throttle each rank's outbound wire bandwidth to `bytes_per_sec`.
-    /// 0 disables the throttle.
-    pub fn with_net_throttle(mut self, bytes_per_sec: u64) -> Self {
-        self.net_throttle_bps = bytes_per_sec;
-        self
-    }
-
     /// Hard-reset `rank`'s connection right after its `frame_index`-th
     /// outbound *data* frame (0-based; heartbeats not counted).
     pub fn with_net_reset_at(mut self, rank: usize, frame_index: u64) -> Self {
@@ -321,23 +311,12 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan injects any fault at all.
-    pub fn is_active(&self) -> bool {
-        self.delay_prob > 0
-            || self.reorder_prob > 0
-            || !self.panics.is_empty()
-            || !self.sigkills.is_empty()
-            || !self.stalls.is_empty()
-            || self.net_is_active()
-    }
-
     /// True if the plan injects any *network* fault (TCP backend only).
     pub(crate) fn net_is_active(&self) -> bool {
         self.net_delay_prob > 0
             || self.net_drop_prob > 0
             || self.net_corrupt_prob > 0
             || self.net_partial_prob > 0
-            || self.net_throttle_bps > 0
             || !self.net_resets.is_empty()
             || !self.net_partitions.is_empty()
     }
@@ -409,7 +388,6 @@ impl FaultPlan {
             drop_prob: self.net_drop_prob,
             corrupt_prob: self.net_corrupt_prob,
             partial_prob: self.net_partial_prob,
-            throttle_bps: self.net_throttle_bps,
             resets,
             partitions,
             out_data: AtomicU64::new(0),
@@ -441,7 +419,6 @@ impl quadforest_core::Wire for FaultPlan {
         self.net_drop_prob.encode(out);
         self.net_corrupt_prob.encode(out);
         self.net_partial_prob.encode(out);
-        self.net_throttle_bps.encode(out);
         self.net_resets.encode(out);
         self.net_partitions.encode(out);
     }
@@ -462,7 +439,6 @@ impl quadforest_core::Wire for FaultPlan {
             net_drop_prob: u32::decode(r)?,
             net_corrupt_prob: u32::decode(r)?,
             net_partial_prob: u32::decode(r)?,
-            net_throttle_bps: u64::decode(r)?,
             net_resets: Vec::decode(r)?,
             net_partitions: Vec::decode(r)?,
         })
@@ -634,8 +610,6 @@ pub(crate) struct WriteFault {
     pub corrupt_bit: Option<usize>,
     /// Split the write into this many chunks with tiny sleeps between.
     pub chunks: Option<usize>,
-    /// Sleep this long after writing (bandwidth throttle pacing).
-    pub throttle: Option<Duration>,
     /// Hard-reset the connection right after this frame.
     pub reset_after: bool,
 }
@@ -652,7 +626,6 @@ pub(crate) struct NetFaults {
     drop_prob: u32,
     corrupt_prob: u32,
     partial_prob: u32,
-    throttle_bps: u64,
     /// Outbound data-frame indices at which to hard-reset, sorted.
     resets: Vec<u64>,
     partitions: Vec<NetPartition>,
@@ -710,12 +683,6 @@ impl NetFaults {
             if coin_mut(&mut rng, self.partial_prob) && len > 1 {
                 fault.chunks = Some(2 + below_mut(&mut rng, 3) as usize);
             }
-        }
-        if let Some(us) = (len as u64)
-            .saturating_mul(1_000_000)
-            .checked_div(self.throttle_bps)
-        {
-            fault.throttle = Some(Duration::from_micros(us));
         }
         if fault.delay.is_some() {
             self.delays.fetch_add(1, Ordering::Relaxed);
@@ -855,7 +822,6 @@ mod tests {
     #[test]
     fn sigkill_and_stall_fire_at_scheduled_ops() {
         let plan = FaultPlan::new(3).with_sigkill_at(0, 2).with_stall_at(1, 4);
-        assert!(plan.is_active());
         let k: RankFaults<u32> = plan.compile(0);
         let actions: Vec<_> = (0..6).map(|_| k.tick_op()).collect();
         assert_eq!(actions[2], Some(FaultAction::Sigkill(2)));
@@ -887,11 +853,9 @@ mod tests {
             .with_net_drops(0.05)
             .with_net_corruption(0.02)
             .with_net_partial_writes(0.3)
-            .with_net_throttle(1 << 20)
             .with_net_reset_at(1, 4)
             .with_net_partition(2, NetDir::Both, 3, Duration::from_millis(200))
             .with_net_partition(0, NetDir::In, 7, Duration::from_millis(50));
-        assert!(plan.is_active());
         assert!(plan.net_is_active());
         let back = FaultPlan::from_wire(&plan.to_wire()).expect("roundtrip");
         assert_eq!(plan, back);
@@ -973,17 +937,9 @@ mod tests {
     }
 
     #[test]
-    fn throttle_paces_by_frame_length() {
-        let plan = FaultPlan::new(10).with_net_throttle(1_000_000); // 1 MB/s
-        let nf = plan.compile_net(0);
-        let f = nf.plan_write(10_000, true);
-        assert_eq!(f.throttle, Some(Duration::from_millis(10)));
-    }
-
-    #[test]
     fn zero_prob_injects_nothing() {
         let plan = FaultPlan::new(9);
-        assert!(!plan.is_active());
+        assert!(!plan.net_is_active());
         let f: RankFaults<u32> = plan.compile(0);
         for i in 0..100 {
             assert!(f.draw_delay().is_none());

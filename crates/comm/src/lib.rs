@@ -853,11 +853,6 @@ impl Comm {
         self.exscan(value, |a, b| a + b)
     }
 
-    /// Fallible [`Comm::exscan_sum`].
-    pub fn try_exscan_sum(&self, value: u64) -> Result<u64, CommError> {
-        self.try_exscan(value, |a, b| a + b)
-    }
-
     /// Broadcast from `root` to every rank. Non-root ranks pass `None`.
     /// Panics on world failure; see [`Comm::try_bcast`].
     pub fn bcast<T: Wire + Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
@@ -918,41 +913,6 @@ impl Comm {
             let bytes = std::mem::size_of_val(&value) as u64;
             self.send_value(root, tag, value, bytes)?;
             Ok(None)
-        }
-    }
-
-    /// Scatter one value per rank from `root`; non-root ranks pass
-    /// `None` and receive their slice. Panics on world failure; see
-    /// [`Comm::try_scatter`].
-    pub fn scatter<T: Wire + Send + 'static>(&self, root: usize, values: Option<Vec<T>>) -> T {
-        self.try_scatter(root, values)
-            .unwrap_or_else(|e| comm_panic(e))
-    }
-
-    /// Fallible [`Comm::scatter`].
-    pub fn try_scatter<T: Wire + Send + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> Result<T, CommError> {
-        self.tick();
-        let _t = self.coll_timer();
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let values = values.expect("root must supply one value per rank");
-            assert_eq!(values.len(), self.size());
-            let mut mine = None;
-            for (dest, v) in values.into_iter().enumerate() {
-                if dest == root {
-                    mine = Some(v);
-                } else {
-                    let bytes = std::mem::size_of_val(&v) as u64;
-                    self.send_value(dest, tag, v, bytes)?;
-                }
-            }
-            Ok(mine.expect("root slot present"))
-        } else {
-            self.recv_impl::<T>(root, tag)
         }
     }
 
@@ -1445,10 +1405,10 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter() {
+    fn gather_collects_on_root_only() {
         let n = 5;
         for root in [0usize, 2, 4] {
-            let r = run(n, move |c| {
+            run(n, move |c| {
                 let gathered = c.gather(root, c.rank() as u32 * 3);
                 if c.rank() == root {
                     let g = gathered.unwrap();
@@ -1456,16 +1416,7 @@ mod tests {
                 } else {
                     assert!(gathered.is_none());
                 }
-                let vals = if c.rank() == root {
-                    Some((0..n).map(|i| format!("v{i}")).collect())
-                } else {
-                    None
-                };
-                c.scatter(root, vals)
             });
-            for (rank, got) in r.into_iter().enumerate() {
-                assert_eq!(got, format!("v{rank}"));
-            }
         }
     }
 

@@ -425,18 +425,27 @@ impl<L: Links> Supervisor<L> {
             self.links.tick();
             let progressed = Duration::from_nanos(self.last_progress.load(Ordering::Relaxed));
             let silent = self.started.elapsed().saturating_sub(progressed) > backstop;
-            for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
-                if now.duration_since(*plock(&self.last_beat[rank])) > window {
-                    count("comm.heartbeat.missed");
-                    self.declare_dead(
-                        rank,
-                        format!(
-                            "rank {rank} missed its heartbeat window \
-                             ({}×{:?} with no beat)",
-                            launch.heartbeat_grace, launch.heartbeat_interval
-                        ),
-                    );
-                } else if silent {
+            // Longest-silent first: when several ranks pass the window in
+            // one sweep, the abort origin is the one that went quiet first.
+            let mut stale: Vec<(Duration, usize)> = (0..self.size)
+                .filter(|&r| !self.is_terminal(r))
+                .map(|r| (now.duration_since(*plock(&self.last_beat[r])), r))
+                .filter(|&(quiet, _)| quiet > window)
+                .collect();
+            stale.sort_unstable_by_key(|&(quiet, rank)| (std::cmp::Reverse(quiet), rank));
+            for (_, rank) in stale {
+                count("comm.heartbeat.missed");
+                self.declare_dead(
+                    rank,
+                    format!(
+                        "rank {rank} missed its heartbeat window \
+                         ({}×{:?} with no beat)",
+                        launch.heartbeat_grace, launch.heartbeat_interval
+                    ),
+                );
+            }
+            if silent {
+                for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
                     self.declare_dead(
                         rank,
                         format!(
@@ -884,6 +893,31 @@ pub(super) mod tests {
         assert_eq!(hex_encode(&[0xFF, 0x00, 0x7A, 13]), "ff007a0d");
         assert_eq!(hex_decode("zz"), None);
         assert_eq!(hex_decode("abc"), None);
+    }
+
+    /// Several ranks past the heartbeat window in one sweep: the one
+    /// silent longest is the abort origin, not the lowest index.
+    #[test]
+    fn the_longest_silent_rank_is_the_origin() {
+        struct NoLinks;
+        impl Links for NoLinks {
+            fn send(&self, _: usize, _: Frame) {}
+            fn retire(&self, _: usize) {}
+        }
+        let sup = Supervisor::new(3, NoLinks);
+        for (rank, quiet_ms) in [(0, 300), (1, 400), (2, 500)] {
+            *plock(&sup.last_beat[rank]) = Instant::now() - Duration::from_millis(quiet_ms);
+        }
+        let launch = Launch {
+            worker: Path::new("unused"),
+            heartbeat_interval: Duration::from_millis(100),
+            heartbeat_grace: 2,
+            connect_timeout: Duration::from_secs(1),
+        };
+        sup.monitor_until_terminal(&launch, Duration::from_secs(10));
+        let origin = sup.abort.get().map(|info| info.origin);
+        assert_eq!(origin, Some(2));
+        assert!((0..3).all(|r| sup.is_terminal(r)));
     }
 
     fn msg(src: u64, dst: u64) -> Frame {

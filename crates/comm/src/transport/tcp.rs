@@ -444,9 +444,6 @@ fn apply_write_fault(stream: &TcpStream, bytes: &[u8], fault: &WriteFault) -> st
             _ => w.write_all(buf)?,
         }
     }
-    if let Some(t) = fault.throttle {
-        std::thread::sleep(t);
-    }
     Ok(())
 }
 

@@ -21,8 +21,6 @@ mod transform;
 
 pub use transform::FaceTransform;
 
-use quadforest_core::quadrant::Quadrant;
-
 /// Identifier of a tree within a connectivity.
 pub type TreeId = u32;
 
@@ -78,11 +76,6 @@ impl Connectivity {
         self.faces[tree as usize][face as usize].as_ref()
     }
 
-    /// True when `face` of `tree` lies on the physical domain boundary.
-    pub fn is_boundary(&self, tree: TreeId, face: u32) -> bool {
-        self.neighbor(tree, face).is_none()
-    }
-
     /// Verify structural invariants:
     /// * every tree lists exactly `2d` faces,
     /// * every connection's target exists,
@@ -132,35 +125,6 @@ impl Connectivity {
             }
         }
         Ok(())
-    }
-
-    /// Map a quadrant that stepped outside `tree` across `face` into the
-    /// neighbor tree's coordinate frame. Returns the neighbor tree and
-    /// the transformed quadrant, or `None` at a physical boundary.
-    ///
-    /// The input must be the *exterior* quadrant produced by a
-    /// coordinate-capable representation (e.g. the standard one); the
-    /// output is guaranteed to lie inside the neighbor's unit tree and is
-    /// returned in any representation via [`Quadrant::from_coords`].
-    pub fn transform_exterior<Q: Quadrant>(
-        &self,
-        tree: TreeId,
-        face: u32,
-        coords: [i32; 3],
-        level: u8,
-    ) -> Option<(TreeId, Q)> {
-        debug_assert_eq!(Q::DIM, self.dim);
-        let conn = self.neighbor(tree, face)?;
-        let h = Q::len_at(level);
-        let root = Q::len_at(0);
-        let out = conn.transform.apply(coords, h, root);
-        debug_assert!(
-            out.iter()
-                .take(self.dim as usize)
-                .all(|&c| c >= 0 && c + h <= root),
-            "transformed quadrant must land inside the neighbor tree: {coords:?} -> {out:?}"
-        );
-        Some((conn.tree, Q::from_coords(out, level)))
     }
 
     // -- constructors ----------------------------------------------------
@@ -423,12 +387,22 @@ mod tests {
     type Q2 = StandardQuad<2>;
     type Q3 = StandardQuad<3>;
 
+    /// Step `q` out across `face` of `tree` and map the exterior
+    /// neighbor into the adjacent tree's frame — the one-face crossing
+    /// `forest::directions` performs.
+    fn cross<Q: Quadrant>(c: &Connectivity, tree: TreeId, face: u32, q: Q) -> (TreeId, Q) {
+        let conn = c.neighbor(tree, face).expect("an inter-tree face");
+        let exterior = q.face_neighbor(face).coords();
+        let out = conn.transform.apply(exterior, q.side(), Q::len_at(0));
+        (conn.tree, Q::from_coords(out, q.level()))
+    }
+
     #[test]
     fn unit_has_no_neighbors() {
         let c = Connectivity::unit(3);
         assert_eq!(c.num_trees(), 1);
         for f in 0..6 {
-            assert!(c.is_boundary(0, f));
+            assert!(c.neighbor(0, f).is_none());
         }
     }
 
@@ -451,18 +425,12 @@ mod tests {
         let h = Q3::len_at(level);
         let root = Q3::len_at(0);
         let q = Q3::from_coords([root - h, 0, 0], level);
-        let exterior = q.face_neighbor(1); // x = root: outside
-        let (nt, wrapped) = c
-            .transform_exterior::<Q3>(0, 1, exterior.coords(), level)
-            .unwrap();
+        let (nt, wrapped) = cross(&c, 0, 1, q); // x = root: outside
         assert_eq!(nt, 0);
         assert_eq!(wrapped.coords(), [0, 0, 0]);
         // and the other way
         let q0 = Q3::from_coords([0, 0, 0], level);
-        let ext = q0.face_neighbor(0);
-        let (_, wrapped) = c
-            .transform_exterior::<Q3>(0, 0, ext.coords(), level)
-            .unwrap();
+        let (_, wrapped) = cross(&c, 0, 0, q0);
         assert_eq!(wrapped.coords(), [root - h, 0, 0]);
     }
 
@@ -473,7 +441,7 @@ mod tests {
         // interior tree 1 = (1,0): neighbors left 0, right 2, up 4
         assert_eq!(c.neighbor(1, 0).unwrap().tree, 0);
         assert_eq!(c.neighbor(1, 1).unwrap().tree, 2);
-        assert!(c.is_boundary(1, 2));
+        assert!(c.neighbor(1, 2).is_none());
         assert_eq!(c.neighbor(1, 3).unwrap().tree, 4);
         c.validate().unwrap();
     }
@@ -483,7 +451,7 @@ mod tests {
         let c = Connectivity::brick2d(3, 1, true, false);
         assert_eq!(c.neighbor(2, 1).unwrap().tree, 0);
         assert_eq!(c.neighbor(0, 0).unwrap().tree, 2);
-        assert!(c.is_boundary(0, 2));
+        assert!(c.neighbor(0, 2).is_none());
     }
 
     #[test]
@@ -505,17 +473,11 @@ mod tests {
         let root = Q2::len_at(0);
         // quadrant on tree 0's +x edge
         let q = Q2::from_coords([root - h, h, 0], level);
-        let ext = q.face_neighbor(1);
-        let (nt, moved) = c
-            .transform_exterior::<Q2>(0, 1, ext.coords(), level)
-            .unwrap();
+        let (nt, moved) = cross(&c, 0, 1, q);
         assert_eq!(nt, 1);
         assert_eq!(moved.coords(), [0, h, 0]);
         // step back across tree 1's -x face
-        let back_ext = moved.face_neighbor(0);
-        let (bt, back) = c
-            .transform_exterior::<Q2>(1, 0, back_ext.coords(), level)
-            .unwrap();
+        let (bt, back) = cross(&c, 1, 0, moved);
         assert_eq!(bt, 0);
         assert_eq!(back, q);
     }
@@ -528,17 +490,11 @@ mod tests {
         let h = Q2::len_at(level);
         let root = Q2::len_at(0);
         let q = Q2::from_coords([root - h, 2 * h, 0], level);
-        let ext = q.face_neighbor(1);
-        let (nt, moved) = c
-            .transform_exterior::<Q2>(0, 1, ext.coords(), level)
-            .unwrap();
+        let (nt, moved) = cross(&c, 0, 1, q);
         assert_eq!(nt, 1);
         // edge reversed: y' = root - h - y
         assert_eq!(moved.coords(), [0, root - h - 2 * h, 0]);
-        let back_ext = moved.face_neighbor(0);
-        let (bt, back) = c
-            .transform_exterior::<Q2>(1, 0, back_ext.coords(), level)
-            .unwrap();
+        let (bt, back) = cross(&c, 1, 0, moved);
         assert_eq!(bt, 0);
         assert_eq!(back, q);
     }
@@ -551,17 +507,11 @@ mod tests {
         let h = Q2::len_at(level);
         let root = Q2::len_at(0);
         let q = Q2::from_coords([root - h, 3 * h, 0], level);
-        let ext = q.face_neighbor(1);
-        let (nt, moved) = c
-            .transform_exterior::<Q2>(0, 1, ext.coords(), level)
-            .unwrap();
+        let (nt, moved) = cross(&c, 0, 1, q);
         assert_eq!(nt, 1);
         // quarter turn: x_B = y_A, y_B = x_A - root = 0
         assert_eq!(moved.coords(), [3 * h, 0, 0]);
-        let back_ext = moved.face_neighbor(2);
-        let (bt, back) = c
-            .transform_exterior::<Q2>(1, 2, back_ext.coords(), level)
-            .unwrap();
+        let (bt, back) = cross(&c, 1, 2, moved);
         assert_eq!(bt, 0);
         assert_eq!(back, q);
     }
@@ -574,18 +524,12 @@ mod tests {
         let h = Q3::len_at(level);
         let root = Q3::len_at(0);
         let q = Q3::from_coords([root - h, 3 * h, 5 * h], level);
-        let ext = q.face_neighbor(1);
-        let (nt, moved) = c
-            .transform_exterior::<Q3>(0, 1, ext.coords(), level)
-            .unwrap();
+        let (nt, moved) = cross(&c, 0, 1, q);
         assert_eq!(nt, 1);
         // x_B = y_A, y_B = 0, z_B = root - h - z_A
         assert_eq!(moved.coords(), [3 * h, 0, root - h - 5 * h]);
         // and back through tree 1's -y face
-        let back_ext = moved.face_neighbor(2);
-        let (bt, back) = c
-            .transform_exterior::<Q3>(1, 2, back_ext.coords(), level)
-            .unwrap();
+        let (bt, back) = cross(&c, 1, 2, moved);
         assert_eq!(bt, 0);
         assert_eq!(back, q);
     }

@@ -8,13 +8,7 @@
 //! Comput. 30, 2008) that p4est builds on:
 //!
 //! * [`is_linear`] — check sortedness and disjointness,
-//! * [`linearize`] — sort and remove ancestors (keep finest),
-//! * [`complete_region`] — the minimal linear sequence filling the gap
-//!   between two quadrants along the curve (Algorithm 3 of Sundar et
-//!   al., used for complete octree construction),
-//! * [`complete_octree`] — extend a set of seed quadrants into a
-//!   complete, minimal linear octree of the whole unit tree,
-//! * [`coarsen_complete`] — greedily merge complete families bottom-up.
+//! * [`linearize`] — sort and remove ancestors (keep finest).
 //!
 //! All functions are generic over the quadrant representation.
 
@@ -26,24 +20,6 @@ pub fn is_linear<Q: Quadrant>(quads: &[Q]) -> bool {
     quads
         .windows(2)
         .all(|w| w[0].compare_sfc(&w[1]).is_lt() && !w[0].is_ancestor_of(&w[1]))
-}
-
-/// True when `quads` is linear *and* covers the unit tree exactly.
-pub fn is_complete<Q: Quadrant>(quads: &[Q]) -> bool {
-    if quads.is_empty() {
-        return false;
-    }
-    let mut expected = 0u64;
-    let per_tree_end = 1u64
-        .checked_shl(Q::DIM * Q::MAX_LEVEL as u32)
-        .expect("root volume fits u64");
-    for q in quads {
-        if q.first_descendant(Q::MAX_LEVEL).morton_abs() != expected {
-            return false;
-        }
-        expected = q.last_descendant(Q::MAX_LEVEL).morton_abs() + 1;
-    }
-    expected == per_tree_end
 }
 
 /// Sort into SFC order and drop every quadrant that has a descendant in
@@ -113,129 +89,12 @@ pub fn linearize<Q: Quadrant>(mut quads: Vec<Q>) -> Vec<Q> {
     kept.into_iter().map(|(_, q)| q).collect()
 }
 
-/// The minimal linear sequence of quadrants filling the space strictly
-/// between `a` and `b` along the curve (neither `a` nor `b` included).
-/// Requires `a` strictly before `b` and neither an ancestor of the
-/// other. (Sundar et al., Algorithm 3.)
-pub fn complete_region<Q: Quadrant>(a: &Q, b: &Q) -> Vec<Q> {
-    assert!(
-        a.compare_sfc(b).is_lt() && !a.is_ancestor_of(b) && !b.is_ancestor_of(a),
-        "complete_region requires disjoint a < b"
-    );
-    let nca = a.nearest_common_ancestor(b);
-    let mut out = Vec::new();
-    // unroll the top call: walk the children of the NCA
-    let mut stack: Vec<Q> = (0..Q::NUM_CHILDREN).rev().map(|c| nca.child(c)).collect();
-    let a_end = a.last_descendant(Q::MAX_LEVEL).morton_abs();
-    let b_start = b.first_descendant(Q::MAX_LEVEL).morton_abs();
-    while let Some(w) = stack.pop() {
-        let w_start = w.first_descendant(Q::MAX_LEVEL).morton_abs();
-        let w_end = w.last_descendant(Q::MAX_LEVEL).morton_abs();
-        if w_start > a_end && w_end < b_start {
-            // maximal quadrant entirely inside the gap
-            out.push(w);
-        } else if w.is_ancestor_of(a) || w.is_ancestor_of(b) {
-            debug_assert!(w.level() < Q::MAX_LEVEL);
-            for c in (0..Q::NUM_CHILDREN).rev() {
-                stack.push(w.child(c));
-            }
-        }
-        // otherwise: w is a, is b, or lies outside the gap — skip
-    }
-    out
-}
-
-/// Decompose the half-open SFC index range `[start, end)` (in units of
-/// maximum-level quadrants) into the unique minimal sequence of aligned
-/// quadrants covering it exactly — greedy aligned decomposition. This is
-/// the arithmetic twin of [`complete_region`] (tested equivalent) and
-/// the primitive behind range-based octree construction and partition
-/// window queries.
-pub fn cover_range<Q: Quadrant>(start: u64, end: u64) -> Vec<Q> {
-    let dim = Q::DIM;
-    let max = Q::MAX_LEVEL as u32;
-    debug_assert!(end <= 1u64 << (dim * max));
-    let mut out = Vec::new();
-    let mut p = start;
-    while p < end {
-        // coarsest level whose volume divides the alignment of p and
-        // still fits within the remaining range
-        let mut level = max;
-        while level > 0 {
-            let vol = 1u64 << (dim * (max - level + 1));
-            if p.is_multiple_of(vol) && p + vol <= end {
-                level -= 1;
-            } else {
-                break;
-            }
-        }
-        let shift = dim * (max - level);
-        out.push(Q::from_morton(p >> shift, level as u8));
-        p += 1u64 << shift;
-    }
-    out
-}
-
-/// Complete a set of seed quadrants into a minimal linear octree of the
-/// whole unit tree containing every seed. Seeds are linearized first;
-/// gaps (including before the first and after the last seed) are filled
-/// with maximal aligned quadrants, so no seed is ever coarsened away.
-pub fn complete_octree<Q: Quadrant>(seeds: Vec<Q>) -> Vec<Q> {
-    let seeds = linearize(seeds);
-    if seeds.is_empty() {
-        return vec![Q::root()];
-    }
-    let end = 1u64 << (Q::DIM * Q::MAX_LEVEL as u32);
-    let mut out = Vec::new();
-    let mut cursor = 0u64;
-    for s in &seeds {
-        let first = s.first_descendant(Q::MAX_LEVEL).morton_abs();
-        out.extend(cover_range::<Q>(cursor, first));
-        out.push(*s);
-        cursor = s.last_descendant(Q::MAX_LEVEL).morton_abs() + 1;
-    }
-    out.extend(cover_range::<Q>(cursor, end));
-    out
-}
-
-/// Greedily merge complete sibling families bottom-up (repeat until no
-/// family remains whole), preserving linearity. The result is the
-/// coarsest linear octree with the same coverage that refines no seed.
-pub fn coarsen_complete<Q: Quadrant>(mut quads: Vec<Q>) -> Vec<Q> {
-    let nc = Q::NUM_CHILDREN as usize;
-    loop {
-        let mut out: Vec<Q> = Vec::with_capacity(quads.len());
-        let mut changed = false;
-        let mut i = 0;
-        while i < quads.len() {
-            let q = &quads[i];
-            if q.level() > 0
-                && q.child_id() == 0
-                && i + nc <= quads.len()
-                && Q::is_family(&quads[i..i + nc])
-            {
-                out.push(q.parent());
-                changed = true;
-                i += nc;
-            } else {
-                out.push(*q);
-                i += 1;
-            }
-        }
-        quads = out;
-        if !changed {
-            return quads;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quadrant::{AvxQuad, MortonQuad, StandardQuad};
 
     type Q2 = StandardQuad<2>;
-    type Q3 = MortonQuad<3>;
 
     #[test]
     fn linear_checks() {
@@ -302,141 +161,12 @@ mod tests {
     }
 
     #[test]
-    fn complete_region_basic() {
-        // two corner leaves at level 2: the region between them must be
-        // minimal and fill the gap exactly
-        let a = Q2::from_morton(0, 2);
-        let b = Q2::from_morton(15, 2);
-        let fill = complete_region(&a, &b);
-        let mut all = vec![a];
-        all.extend(fill.clone());
-        all.push(b);
-        assert!(is_linear(&all));
-        assert!(is_complete(&all));
-        // minimality: the gap of 14 level-2 slots compresses into
-        // 2 level-2 + 3 level-1 quadrants = wait: slots 1,2,3 (3 of
-        // level 2), then 3 level-1 blocks (slots 4-7, 8-11, 12-14?) —
-        // slot 12..14 is 3 cells + b. Count explicitly:
-        assert_eq!(
-            fill.iter()
-                .map(|q| 1u64 << (2 * (2 - q.level() as u32)))
-                .sum::<u64>(),
-            14
-        );
-        // and no complete family of siblings remains mergeable
-        assert_eq!(coarsen_complete(fill.clone()), fill);
-    }
-
-    #[test]
-    fn complete_region_deep_3d() {
-        let a = Q3::root().child(0).child(0).child(1);
-        let b = Q3::root().child(7).child(6);
-        let fill = complete_region(&a, &b);
-        let mut all = vec![a];
-        all.extend(fill);
-        all.push(b);
-        assert!(is_linear(&all));
-        // coverage: from fd(a) to ld(b)
-        let mut expected = a.first_descendant(Q3::MAX_LEVEL).morton_abs();
-        for q in &all {
-            assert_eq!(q.first_descendant(Q3::MAX_LEVEL).morton_abs(), expected);
-            expected = q.last_descendant(Q3::MAX_LEVEL).morton_abs() + 1;
-        }
-        assert_eq!(expected, b.last_descendant(Q3::MAX_LEVEL).morton_abs() + 1);
-    }
-
-    #[test]
-    fn complete_region_adjacent_is_empty() {
-        let a = Q2::from_morton(5, 3);
-        let b = a.successor();
-        assert!(complete_region(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn complete_octree_from_seeds() {
-        let seeds = vec![
-            Q2::root().child(0).child(3).child(1),
-            Q2::root().child(2).child(2),
-        ];
-        let tree = complete_octree(seeds.clone());
-        assert!(is_linear(&tree));
-        assert!(is_complete(&tree));
-        for s in &seeds {
-            assert!(
-                tree.iter().any(|q| q == s),
-                "seed {s:?} must survive completion"
-            );
-        }
-        // minimality subject to the seeds: every mergeable sibling
-        // family must contain a seed (merging it would coarsen a seed
-        // away — the only reason a family may remain whole)
-        let nc = Q2::NUM_CHILDREN as usize;
-        for w in tree.windows(nc) {
-            if Q2::is_family(w) {
-                assert!(
-                    w.iter().any(|q| seeds.contains(q)),
-                    "family {w:?} is mergeable yet seedless: not minimal"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn complete_octree_no_seeds_is_root() {
-        assert_eq!(complete_octree::<Q2>(vec![]), vec![Q2::root()]);
-    }
-
-    #[test]
-    fn complete_octree_single_deep_seed() {
-        let seed = Q3::root().child(3).child(5).child(7).child(1);
-        let tree = complete_octree(vec![seed]);
-        assert!(is_linear(&tree));
-        assert!(is_complete(&tree));
-        assert!(tree.contains(&seed));
-        // the octree around one deep seed: 4 levels × 7 siblings + seed
-        assert_eq!(tree.len(), 4 * 7 + 1);
-    }
-
-    #[test]
-    fn coarsen_complete_collapses_uniform() {
-        let uniform: Vec<Q2> = crate::workload::uniform_level(3);
-        let out = coarsen_complete(uniform);
-        assert_eq!(out, vec![Q2::root()]);
-    }
-
-    #[test]
-    fn cover_range_equals_complete_region() {
-        // the greedy arithmetic cover and the recursive Sundar
-        // algorithm must agree on every gap
-        let cases = [
-            (Q2::from_morton(0, 2), Q2::from_morton(15, 2)),
-            (Q2::from_morton(3, 3), Q2::from_morton(47, 3)),
-            (Q2::root().child(0).child(1), Q2::root().child(3)),
-            (Q2::from_morton(1, 4), Q2::from_morton(255, 4)),
-        ];
-        for (a, b) in cases {
-            let rec = complete_region(&a, &b);
-            let arith = cover_range::<Q2>(
-                a.last_descendant(Q2::MAX_LEVEL).morton_abs() + 1,
-                b.first_descendant(Q2::MAX_LEVEL).morton_abs(),
-            );
-            assert_eq!(rec, arith, "gap between {a:?} and {b:?}");
-        }
-    }
-
-    #[test]
-    fn cover_range_full_tree_is_root() {
-        let end = 1u64 << (2 * Q2::MAX_LEVEL as u32);
-        assert_eq!(cover_range::<Q2>(0, end), vec![Q2::root()]);
-        assert_eq!(cover_range::<Q2>(5, 5), vec![]);
-    }
-
-    #[test]
     fn works_for_avx_representation() {
-        let seeds = vec![AvxQuad::<3>::root().child(2).child(6)];
-        let tree = complete_octree(seeds);
-        assert!(is_linear(&tree));
-        assert!(is_complete(&tree));
-        assert_eq!(tree.len(), 2 * 7 + 1);
+        let deep = AvxQuad::<3>::root().child(2).child(6);
+        let other = AvxQuad::<3>::root().child(5);
+        let out = linearize(vec![other, deep, deep.parent(), deep]);
+        assert_eq!(out, vec![deep, other]);
+        assert!(is_linear(&out));
+        assert!(!is_linear(&[deep.parent(), deep]));
     }
 }

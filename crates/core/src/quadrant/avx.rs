@@ -210,13 +210,6 @@ impl<const D: usize> Quadrant for AvxQuad<D> {
         debug_assert!(self.level() == 0 || next < 1u64 << (Self::DIM * self.level() as u32));
         Self::from_morton(next, self.level())
     }
-
-    #[inline]
-    fn predecessor(&self) -> Self {
-        let idx = self.morton_index();
-        debug_assert!(idx > 0);
-        Self::from_morton(idx - 1, self.level())
-    }
 }
 
 // ===========================================================================

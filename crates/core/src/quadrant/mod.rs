@@ -84,8 +84,9 @@ pub mod boundary {
 /// Methods with level preconditions (`child` requires `ℓ < L`, `parent`
 /// and `sibling` require `ℓ > 0`, …) check them with `debug_assert!` and
 /// produce unspecified garbage when violated in release builds — exactly
-/// the posture of the C original. The checked [`Quadrant::try_child`] /
-/// [`Quadrant::try_parent`] variants return `None` instead.
+/// the posture of the C original. Callers guard the level themselves;
+/// [`Quadrant::face_neighbor_inside`] is the one checked variant, because
+/// the raw-Morton layouts cannot represent an exterior neighbor at all.
 pub trait Quadrant:
     Copy + Clone + Eq + PartialEq + Hash + Debug + Send + Sync + Sized + 'static + crate::wire::Wire
 {
@@ -168,10 +169,6 @@ pub trait Quadrant:
     /// The next quadrant of the same level along the space-filling curve
     /// (Algorithm 5). Requires `I_ℓ + 1 < 2^{dℓ}`.
     fn successor(&self) -> Self;
-
-    /// The previous quadrant of the same level along the curve.
-    /// Requires `I_ℓ > 0`.
-    fn predecessor(&self) -> Self;
 
     // -- derived operations (overridable for per-representation speed) --
 
@@ -299,12 +296,6 @@ pub trait Quadrant:
         x == (ox & mask) && y == (oy & mask) && (Self::DIM == 2 || z == (oz & mask))
     }
 
-    /// True when `self` is the parent of `other`.
-    #[inline]
-    fn is_parent_of(&self, other: &Self) -> bool {
-        other.level() == self.level() + 1 && self.is_ancestor_of(other)
-    }
-
     /// True when `self` and `other` are distinct children of one parent.
     #[inline]
     fn is_sibling_of(&self, other: &Self) -> bool {
@@ -331,35 +322,6 @@ pub trait Quadrant:
             .all(|(i, q)| q.level() == l && q.child_id() == i as u32 && q.parent() == parent)
     }
 
-    /// The deepest quadrant containing both `self` and `other`.
-    fn nearest_common_ancestor(&self, other: &Self) -> Self {
-        let [sx, sy, sz] = self.coords();
-        let [ox, oy, oz] = other.coords();
-        let mut diff = (sx ^ ox) | (sy ^ oy);
-        if Self::DIM == 3 {
-            diff |= sz ^ oz;
-        }
-        // The NCA level is bounded both by the highest differing coordinate
-        // bit and by the levels of the two quadrants themselves.
-        let max_level = Self::MAX_LEVEL as u32;
-        let level_from_bits = if diff == 0 {
-            max_level
-        } else {
-            max_level - (32 - (diff as u32).leading_zeros())
-        };
-        let level = level_from_bits
-            .min(self.level() as u32)
-            .min(other.level() as u32) as u8;
-        self.ancestor(level)
-    }
-
-    /// True when the closed domains of the two quadrants intersect in a
-    /// set of full dimension, i.e. one contains the other.
-    #[inline]
-    fn overlaps(&self, other: &Self) -> bool {
-        *self == *other || self.is_ancestor_of(other) || other.is_ancestor_of(self)
-    }
-
     /// True when the quadrant lies fully inside the unit tree.
     #[inline]
     fn is_inside_root(&self) -> bool {
@@ -384,24 +346,6 @@ pub trait Quadrant:
         aligned && self.is_inside_root()
     }
 
-    /// Checked [`Quadrant::child`]: `None` at the maximum level.
-    #[inline]
-    fn try_child(&self, c: u32) -> Option<Self> {
-        (self.level() < Self::MAX_LEVEL && c < Self::NUM_CHILDREN).then(|| self.child(c))
-    }
-
-    /// Checked [`Quadrant::parent`]: `None` for the root.
-    #[inline]
-    fn try_parent(&self) -> Option<Self> {
-        (self.level() > 0).then(|| self.parent())
-    }
-
-    /// Checked [`Quadrant::sibling`]: `None` for the root.
-    #[inline]
-    fn try_sibling(&self, s: u32) -> Option<Self> {
-        (self.level() > 0 && s < Self::NUM_CHILDREN).then(|| self.sibling(s))
-    }
-
     /// Face neighbor constrained to the unit tree: `None` when the
     /// neighbor would fall outside. Safe for every representation,
     /// including the sign-free raw-Morton layouts.
@@ -416,61 +360,6 @@ pub trait Quadrant:
         } else {
             (c + self.side() < Self::len_at(0)).then(|| self.face_neighbor(f))
         }
-    }
-
-    /// The same-size quadrant diagonally adjacent across corner `c`
-    /// (sharing exactly that corner). The result may leave the unit tree
-    /// in representations that support exterior coordinates; use
-    /// [`Quadrant::corner_neighbor_inside`] otherwise.
-    #[inline]
-    fn corner_neighbor(&self, c: u32) -> Self {
-        debug_assert!(c < Self::NUM_CHILDREN);
-        let h = self.side();
-        let [x, y, z] = self.coords();
-        let step = |bit: u32, v: i32| if (c >> bit) & 1 == 1 { v + h } else { v - h };
-        let zz = if Self::DIM == 3 { step(2, z) } else { 0 };
-        Self::from_coords([step(0, x), step(1, y), zz], self.level())
-    }
-
-    /// Checked corner neighbor constrained to the unit tree.
-    #[inline]
-    fn corner_neighbor_inside(&self, c: u32) -> Option<Self> {
-        debug_assert!(c < Self::NUM_CHILDREN);
-        let h = self.side();
-        let root = Self::len_at(0);
-        let [x, y, z] = self.coords();
-        let fits = |bit: u32, v: i32| {
-            if (c >> bit) & 1 == 1 {
-                v + 2 * h <= root
-            } else {
-                v > 0
-            }
-        };
-        let ok = fits(0, x) && fits(1, y) && (Self::DIM == 2 || fits(2, z));
-        ok.then(|| self.corner_neighbor(c))
-    }
-
-    /// The same-size quadrant adjacent across edge `e` (3D only; panics in
-    /// 2D). Edges follow p4est numbering: 0–3 parallel to the x axis,
-    /// 4–7 to y, 8–11 to z; within each group the two perpendicular
-    /// directions vary with the low bits.
-    fn edge_neighbor(&self, e: u32) -> Self {
-        assert!(Self::DIM == 3, "edge neighbors exist only in 3D");
-        debug_assert!(e < 12);
-        let h = self.side();
-        let axis = (e / 4) as usize; // the axis the edge is parallel to
-        let lo = e % 4;
-        let [x, y, z] = self.coords();
-        let mut c = [x, y, z];
-        // the two axes perpendicular to `axis`, in ascending order
-        let (a1, a2) = match axis {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        c[a1] += if lo & 1 == 1 { h } else { -h };
-        c[a2] += if lo & 2 == 2 { h } else { -h };
-        Self::from_coords(c, self.level())
     }
 
     /// True when the integer point lies inside the half-open domain of
@@ -638,7 +527,6 @@ mod trait_tests {
             assert_eq!(ch.parent(), root);
             assert_eq!(ch.morton_index(), c as u64);
             assert!(root.is_ancestor_of(&ch));
-            assert!(root.is_parent_of(&ch));
             assert!(!ch.is_ancestor_of(&root));
         }
 
@@ -675,7 +563,6 @@ mod trait_tests {
             walker = walker.successor();
             assert_eq!(walker.morton_index(), i);
             assert_eq!(walker.level(), 2);
-            assert_eq!(walker.predecessor().morton_index(), i - 1);
         }
 
         // from_morton against child recursion
@@ -740,16 +627,6 @@ mod trait_tests {
         assert_eq!(fd.ancestor(1), a);
         assert_eq!(ld.ancestor(1), a);
         assert!(fd.compare_sfc(&ld).is_lt());
-
-        // NCA
-        let p = root.child(0);
-        let q1 = p.child(0).child(3 % Q::NUM_CHILDREN);
-        let q2 = p.child(Q::NUM_CHILDREN - 1);
-        assert_eq!(q1.nearest_common_ancestor(&q2), p);
-        assert_eq!(q1.nearest_common_ancestor(&q1), q1);
-        let anc = root.child(2 % Q::NUM_CHILDREN);
-        let desc = anc.child(1).child(2 % Q::NUM_CHILDREN);
-        assert_eq!(anc.nearest_common_ancestor(&desc), anc);
 
         // SFC comparison: ancestor sorts before descendants, curve order
         // respects index order on one level

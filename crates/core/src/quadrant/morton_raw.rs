@@ -53,34 +53,10 @@ impl<const D: usize> MortonQuad<D> {
         DIR_PATTERN_3D
     };
 
-    /// Raw access to the packed word (level byte high, index low).
-    #[inline]
-    pub fn to_bits(self) -> u64 {
-        self.word
-    }
-
-    /// Rebuild from a packed word. The caller must guarantee a valid
-    /// level byte and index alignment; validity is `debug_assert`ed.
-    #[inline]
-    pub fn from_bits(word: u64) -> Self {
-        let q = Self { word };
-        debug_assert!(q.is_valid(), "malformed raw Morton word {word:#x}");
-        q
-    }
-
     /// The level-independent index `I` (low 56 bits).
     #[inline]
     pub(crate) fn index_abs(self) -> u64 {
         self.word & INDEX_MASK
-    }
-
-    /// Monotonic sort key: rotating the word left by 8 puts the curve
-    /// index in the high bits and the level in the low byte, so a plain
-    /// integer comparison of the rotated words is exactly the
-    /// space-filling-curve order with ancestors first.
-    #[inline]
-    pub fn sfc_key(self) -> u64 {
-        self.word.rotate_left(8)
     }
 
     #[inline]
@@ -262,14 +238,6 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
         }
     }
 
-    #[inline]
-    fn predecessor(&self) -> Self {
-        debug_assert!(self.morton_index() > 0);
-        Self {
-            word: self.word - (1u64 << Self::dl(self.level())),
-        }
-    }
-
     // -- specialized overrides: these are where the representation wins --
 
     /// The absolute index is stored directly; no interleaving needed.
@@ -319,11 +287,11 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
     /// Plain integer comparison of the rotated words.
     #[inline]
     fn compare_sfc(&self, other: &Self) -> core::cmp::Ordering {
-        self.sfc_key().cmp(&other.sfc_key())
+        self.sort_word().cmp(&other.sort_word())
     }
 
-    /// One rotate of the stored word (the inherent
-    /// [`MortonQuad::sfc_key`]) instead of the trait default's
+    /// One rotate of the stored word — the curve index moves to the high
+    /// bits, the level byte to the low 8 — instead of the trait default's
     /// mask–shift–or repack: the keyed-linearize sort re-derives this
     /// word on every comparison, so the identity representation sorts on
     /// the cheapest monotone reading of itself.
@@ -341,22 +309,6 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
         }
         let keep = !((1u64 << Self::dl(self.level())) - 1);
         (other.index_abs() & keep) == self.index_abs()
-    }
-
-    /// XOR of the indices locates the deepest common prefix.
-    fn nearest_common_ancestor(&self, other: &Self) -> Self {
-        let diff = self.index_abs() ^ other.index_abs();
-        let level_from_bits = if diff == 0 {
-            Self::MAX_LEVEL as u32
-        } else {
-            let highest = 63 - diff.leading_zeros();
-            // the group containing the highest differing bit must be blanked
-            Self::MAX_LEVEL as u32 - highest / Self::DIM - 1
-        };
-        let level = level_from_bits
-            .min(self.level() as u32)
-            .min(other.level() as u32) as u8;
-        self.ancestor(level)
     }
 
     /// Raw-Morton quadrants are inside the unit tree by construction.
@@ -379,6 +331,7 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
 mod tests {
     use super::*;
     use crate::quadrant::{boundary, conformance, convert, Quadrant, StandardQuad};
+    use crate::scalar_ref::QuadSoA;
 
     #[test]
     fn size_is_8_bytes() {
@@ -402,7 +355,7 @@ mod tests {
         assert_eq!(q.level(), 2);
         // index 5 at level 2 sits d(L-2) = 48 bits up
         assert_eq!(q.index_abs(), 5u64 << 48);
-        assert_eq!(q.to_bits() >> 56, 2);
+        assert_eq!(q.word >> LEVEL_SHIFT, 2);
     }
 
     #[test]
@@ -411,8 +364,8 @@ mod tests {
         let s = q.successor();
         assert_eq!(s.morton_index(), 8);
         assert_eq!(
-            s.to_bits(),
-            q.to_bits() + (1u64 << (3 * (18 - 3))),
+            s.word,
+            q.word + (1u64 << (3 * (18 - 3))),
             "Algorithm 5: successor must be one addition"
         );
     }
@@ -488,26 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn nca_specialization_matches_generic() {
-        let pairs = [
-            (0u64, 1u64, 5u8, 5u8),
-            (100, 101, 4, 4),
-            (0, (1 << 15) - 1, 5, 5),
-            (7, 7, 3, 3),
-        ];
-        for (i1, i2, l1, l2) in pairs {
-            let a = MortonQuad::<3>::from_morton(i1, l1);
-            let b = MortonQuad::<3>::from_morton(i2, l2);
-            let sa = convert::<_, StandardQuad<3>>(&a);
-            let sb = convert::<_, StandardQuad<3>>(&b);
-            assert_eq!(
-                convert::<_, StandardQuad<3>>(&a.nearest_common_ancestor(&b)),
-                sa.nearest_common_ancestor(&sb)
-            );
-        }
-    }
-
-    #[test]
     fn is_ancestor_prefix_test() {
         let a = MortonQuad::<3>::from_morton(2, 1);
         let d = a.child(3).child(5);
@@ -518,9 +451,27 @@ mod tests {
         assert!(!other.is_ancestor_of(&d));
     }
 
+    /// `q.sfc_key()` on a value is the key the batch kernel produces
+    /// for `q`, not a by-value shadow with another packing.
     #[test]
-    fn bits_roundtrip() {
-        let q = MortonQuad::<3>::from_morton(0xABCDE, 7);
-        assert_eq!(MortonQuad::<3>::from_bits(q.to_bits()), q);
+    fn sfc_key_by_value_is_the_batch_key() {
+        fn batch_keys<Q: Quadrant>(quads: &[Q]) -> Vec<u64> {
+            let mut keys = vec![0; quads.len()];
+            crate::batch::sfc_keys_all(&QuadSoA::from_quads(quads), Q::DIM, &mut keys);
+            keys
+        }
+        let m2: Vec<_> = (0..16)
+            .map(|i| MortonQuad::<2>::from_morton(i * 37, 5))
+            .collect();
+        let m3: Vec<_> = (0..16)
+            .map(|i| MortonQuad::<3>::from_morton(i * 37, 5))
+            .collect();
+        // iterate by value: `(&q).sfc_key()` always reached the trait
+        for (q, key) in m2.iter().copied().zip(batch_keys(&m2)) {
+            assert_eq!(q.sfc_key(), key, "{q:?}");
+        }
+        for (q, key) in m3.iter().copied().zip(batch_keys(&m3)) {
+            assert_eq!(q.sfc_key(), key, "{q:?}");
+        }
     }
 }

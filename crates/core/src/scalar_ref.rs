@@ -102,32 +102,6 @@ impl QuadSoA {
         self.z.push(coords[2]);
         self.level.push(level);
     }
-
-    /// Refill from a quadrant slice **in place**, reusing the existing
-    /// lane allocations (the allocation-free twin of
-    /// [`QuadSoA::from_quads`], for forest code that gathers leaves into
-    /// blocks once per tree).
-    pub fn from_quadrants<Q: Quadrant>(&mut self, quads: &[Q]) {
-        self.clear();
-        self.reserve(quads.len());
-        for q in quads {
-            self.push(q.coords(), q.level() as i32);
-        }
-    }
-
-    /// Scatter back into an existing quadrant vector **in place**
-    /// (clears `out` first), completing the round trip started by
-    /// [`QuadSoA::from_quadrants`] without a fresh allocation.
-    pub fn scatter_to<Q: Quadrant>(&self, out: &mut Vec<Q>) {
-        out.clear();
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(Q::from_coords(
-                [self.x[i], self.y[i], self.z[i]],
-                self.level[i] as u8,
-            ));
-        }
-    }
 }
 
 /// The shared out-slice contract of `tree_boundaries_all`: each of the
@@ -329,22 +303,27 @@ mod tests {
     }
 
     #[test]
-    fn from_quadrants_scatter_to_roundtrip_reuses_allocations() {
+    fn refill_in_place_reuses_allocations() {
         let (quads, _) = sample();
         let mut soa = QuadSoA::default();
-        let mut back: Vec<StandardQuad<3>> = Vec::new();
+        // the gather `directions` runs once per block of leaves
+        let refill = |soa: &mut QuadSoA, quads: &[StandardQuad<3>]| {
+            soa.clear();
+            soa.reserve(quads.len());
+            for q in quads {
+                soa.push(q.coords(), q.level() as i32);
+            }
+        };
 
         // first fill sizes the lanes; the round trip must be lossless
-        soa.from_quadrants(&quads);
-        soa.scatter_to(&mut back);
-        assert_eq!(back, quads);
+        refill(&mut soa, &quads);
+        assert_eq!(soa.to_quads::<StandardQuad<3>>(), quads);
 
         // refill with a smaller slice: same contents, no reallocation
         let lane_cap = soa.x.capacity();
         let half = &quads[..quads.len() / 2];
-        soa.from_quadrants(half);
-        soa.scatter_to(&mut back);
-        assert_eq!(back, half);
+        refill(&mut soa, half);
+        assert_eq!(soa.to_quads::<StandardQuad<3>>(), half);
         assert_eq!(soa.x.capacity(), lane_cap, "refill must reuse lanes");
 
         // clear keeps capacity and empties all four lanes uniformly

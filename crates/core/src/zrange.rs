@@ -18,9 +18,9 @@
 //!   `p4est_search` trick without materializing ancestors), with a
 //!   range budget that degrades gracefully from an *exact* tiling to a
 //!   slightly coarser superset cover for adversarially thin boxes;
-//! * [`overlapping_by`] / [`leaf_intersects_box`] — map a key range back
-//!   to the slice of leaves whose subtrees intersect it, and the exact
-//!   geometric filter for cover ranges that are not tight.
+//! * [`overlapping_from`] / [`leaf_intersects_box`] — map a key range
+//!   back to the slice of leaves whose subtrees intersect it, and the
+//!   exact geometric filter for cover ranges that are not tight.
 //!
 //! All functions work on `morton_abs` keys: the level-independent curve
 //! position `I · 2^{d(L-ℓ)}` of Section 2.1 of the paper, so one `u64`
@@ -213,25 +213,12 @@ pub fn locate_in_keys(
 /// The slice of leaves whose subtree key range intersects the inclusive
 /// key range `[range.0, range.1]`, over the same indexable view as
 /// [`locate_by`]. Because leaves are disjoint and sorted, the result is
-/// contiguous.
-#[inline]
-pub fn overlapping_by(
-    n: usize,
-    key_at: impl Fn(usize) -> u64,
-    level_at: impl Fn(usize) -> u8,
-    dim: u32,
-    max_level: u8,
-    range: ZRange,
-) -> core::ops::Range<usize> {
-    overlapping_from(n, key_at, level_at, dim, max_level, range, 0)
-}
-
-/// [`overlapping_by`] with a resume lower bound: `from` must be a lower
-/// bound on the result's start (every leaf below `from` has a subtree
-/// end `< range.0`). The start of a range's overlap slice is monotone
-/// in `range.0`, so batched box serving over covers sorted by range
-/// start passes the previous slice's start and skips re-searching the
-/// prefix it already walked past.
+/// contiguous. `from` is a resume lower bound on the result's start
+/// (every leaf below `from` has a subtree end `< range.0`; `0` searches
+/// everything). The start of a range's overlap slice is monotone in
+/// `range.0`, so batched box serving over covers sorted by range start
+/// passes the previous slice's start and skips re-searching the prefix
+/// it already walked past.
 #[inline]
 pub fn overlapping_from(
     n: usize,
@@ -608,7 +595,7 @@ mod tests {
         let ranges = [(0u64, span), (span, 4 * span), (7 * span, 11 * span)];
         let mut from = 0usize;
         for r in ranges {
-            let cold = overlapping_by(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, r);
+            let cold = overlapping_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, r, 0);
             let hot = overlapping_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, r, from);
             assert_eq!(hot, cold, "range {r:?}");
             from = hot.start;
@@ -616,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_by_matches_filter() {
+    fn overlapping_from_matches_filter() {
         use crate::quadrant::{MortonQuad, Quadrant};
         type Q = MortonQuad<2>;
         let mut leaves: Vec<Q> = Vec::new();
@@ -634,7 +621,7 @@ mod tests {
         let span = 1u64 << (2 * (Q::MAX_LEVEL - 3) as u32);
         for start in [0u64, span / 2, 3 * span, 17 * span] {
             let range = (start, start + 5 * span / 2);
-            let got = overlapping_by(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, range);
+            let got = overlapping_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, range, 0);
             for (i, (k, l)) in keys.iter().zip(&levels).enumerate() {
                 let end = k + (subtree_cells(*l, 2, Q::MAX_LEVEL) - 1);
                 let overlaps = *k <= range.1 && end >= range.0;

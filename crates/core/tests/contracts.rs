@@ -1,8 +1,8 @@
 //! Contract (failure-injection) tests: the low-level API checks its
 //! level preconditions with `debug_assert!`, mirroring the C original's
 //! `P4EST_ASSERT` posture. These tests pin that contract in debug
-//! builds; the checked `try_*` variants must reject the same inputs in
-//! every build.
+//! builds; the checked `face_neighbor_inside` must reject exterior
+//! neighbors in every build.
 
 use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 
@@ -10,29 +10,21 @@ use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 fn checked_variants_reject_invalid_inputs() {
     fn run<Q: Quadrant>() {
         let root = Q::root();
-        assert!(root.try_parent().is_none(), "root has no parent");
-        assert!(root.try_sibling(0).is_none(), "root has no siblings");
-        assert!(
-            root.try_child(Q::NUM_CHILDREN).is_none(),
-            "child index range"
-        );
-        let mut deepest = root;
-        for _ in 0..Q::MAX_LEVEL {
-            deepest = deepest.child(0);
+        for f in 0..Q::NUM_FACES {
+            assert!(root.face_neighbor_inside(f).is_none(), "root face {f}");
         }
-        assert!(
-            deepest.try_child(0).is_none(),
-            "no children below max level"
-        );
-        assert!(deepest.try_parent().is_some());
-        // boundary neighbors
-        assert!(root.face_neighbor_inside(0).is_none());
-        assert!(root.corner_neighbor_inside(0).is_none());
         let corner = root.child(0);
         assert!(corner.face_neighbor_inside(0).is_none());
         assert!(corner.face_neighbor_inside(1).is_some());
-        assert!(corner.corner_neighbor_inside(0).is_none());
-        assert!(corner.corner_neighbor_inside(Q::NUM_CHILDREN - 1).is_some());
+        let mut deepest = root;
+        for _ in 0..Q::MAX_LEVEL {
+            deepest = deepest.child(Q::NUM_CHILDREN - 1);
+        }
+        assert!(deepest.face_neighbor_inside(1).is_none());
+        assert_eq!(
+            deepest.face_neighbor_inside(0),
+            Some(deepest.face_neighbor(0))
+        );
     }
     run::<StandardQuad<2>>();
     run::<StandardQuad<3>>();
@@ -104,12 +96,5 @@ mod debug_contracts {
     fn raw_morton_rejects_exterior_coords() {
         // the sign-free representation cannot hold exterior positions
         let _ = MortonQuad::<2>::from_coords([-4, 0, 0], 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn edge_neighbor_in_2d_panics() {
-        // edges exist only in 3D; this is a hard assert in any build
-        let _ = StandardQuad::<2>::root().edge_neighbor(0);
     }
 }

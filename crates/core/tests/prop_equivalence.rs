@@ -37,16 +37,19 @@ fn op_strategy(dim: u32) -> impl Strategy<Value = Op> {
 }
 
 /// Apply `op` if its precondition holds for `q`; `None` means skip.
+/// The previous curve position has no kernel of its own: it is
+/// `from_morton` one index down.
 fn apply<Q: Quadrant>(q: &Q, op: Op) -> Option<Q> {
     match op {
-        Op::Child(c) => q.try_child(c),
-        Op::Sibling(s) => q.try_sibling(s),
-        Op::Parent => q.try_parent(),
+        Op::Child(c) => (q.level() < Q::MAX_LEVEL).then(|| q.child(c)),
+        Op::Sibling(s) => (q.level() > 0).then(|| q.sibling(s)),
+        Op::Parent => (q.level() > 0).then(|| q.parent()),
         Op::Successor => {
             let l = q.level();
             (l > 0 && q.morton_index() + 1 < Q::uniform_count(l)).then(|| q.successor())
         }
-        Op::Predecessor => (q.level() > 0 && q.morton_index() > 0).then(|| q.predecessor()),
+        Op::Predecessor => (q.level() > 0 && q.morton_index() > 0)
+            .then(|| Q::from_morton(q.morton_index() - 1, q.level())),
         Op::FaceNeighbor(f) => q.face_neighbor_inside(f),
         Op::Ancestor(l) => (l <= q.level()).then(|| q.ancestor(l)),
     }
@@ -120,7 +123,6 @@ macro_rules! invariant_tests {
                     prop_assert_eq!(child.child_id(), c);
                     prop_assert_eq!(child.level(), q.level() + 1);
                     prop_assert!(q.is_ancestor_of(&child));
-                    prop_assert!(q.is_parent_of(&child));
                 }
 
                 #[test]
@@ -159,7 +161,7 @@ macro_rules! invariant_tests {
                     if l > 0 && q.morton_index() + 1 < <$q>::uniform_count(l) {
                         let s = q.successor();
                         prop_assert_eq!(s.morton_index(), q.morton_index() + 1);
-                        prop_assert_eq!(s.predecessor(), q);
+                        prop_assert_eq!(<$q>::from_morton(s.morton_index() - 1, l), q);
                         prop_assert!(q.compare_sfc(&s).is_lt());
                     }
                 }
@@ -214,27 +216,6 @@ macro_rules! invariant_tests {
                 }
 
                 #[test]
-                fn nca_is_deepest_common_ancestor(
-                    a in arb_quad::<$q>(),
-                    b in arb_quad::<$q>(),
-                ) {
-                    let nca = a.nearest_common_ancestor(&b);
-                    prop_assert!(nca.overlaps(&a));
-                    prop_assert!(nca.overlaps(&b));
-                    // no child of the NCA contains both
-                    if nca.level() < a.level().min(b.level()) {
-                        for c in 0..<$q>::NUM_CHILDREN {
-                            let ch = nca.child(c);
-                            prop_assert!(
-                                !(ch.overlaps(&a) && ch.overlaps(&b)),
-                                "NCA not deepest: child {} also contains both", c
-                            );
-                        }
-                    }
-                    prop_assert_eq!(b.nearest_common_ancestor(&a), nca);
-                }
-
-                #[test]
                 fn sfc_order_matches_abs_index(
                     a in arb_quad::<$q>(),
                     b in arb_quad::<$q>(),
@@ -281,21 +262,6 @@ macro_rules! invariant_tests {
                     let mut short = family.clone();
                     short.pop();
                     prop_assert!(!<$q>::is_family(&short));
-                }
-
-                #[test]
-                fn corner_neighbors_share_exactly_one_corner(q in arb_quad::<$q>()) {
-                    for c in 0..<$q>::NUM_CHILDREN {
-                        if let Some(n) = q.corner_neighbor_inside(c) {
-                            prop_assert_eq!(n.level(), q.level());
-                            let qc = q.coords();
-                            let nc = n.coords();
-                            for a in 0..<$q>::DIM as usize {
-                                prop_assert_eq!((qc[a] - nc[a]).abs(), q.side());
-                            }
-                            prop_assert!(n.is_inside_root());
-                        }
-                    }
                 }
             }
         }

@@ -14,7 +14,7 @@
 //!
 //! Provided algorithms:
 //!
-//! * [`Forest::new_uniform`] / [`Forest::new_refined`] — creation,
+//! * [`Forest::new_uniform`] — creation,
 //! * [`Forest::refine`] / [`Forest::coarsen`] — callback-driven local
 //!   adaptation,
 //! * [`Forest::balance`] — parallel 2:1 balance,
@@ -216,21 +216,6 @@ impl<Q: Quadrant> Forest<Q> {
         f
     }
 
-    /// Create a uniform forest at `init_level`, then [`Forest::refine`]
-    /// recursively with `flag` and re-[`Forest::partition`] — the usual
-    /// p4est `p4est_new` + refine + partition opening sequence.
-    pub fn new_refined(
-        conn: Arc<Connectivity>,
-        comm: &Comm,
-        init_level: u8,
-        mut flag: impl FnMut(TreeId, &Q) -> bool,
-    ) -> Self {
-        let mut f = Self::new_uniform(conn, comm, init_level);
-        f.refine(comm, true, |t, q| flag(t, q));
-        f.partition(comm);
-        f
-    }
-
     // -- interrogation ---------------------------------------------------
 
     /// The connectivity shared by all ranks.
@@ -357,14 +342,6 @@ impl<Q: Quadrant> Forest<Q> {
             local[q.level() as usize] += 1;
         }
         local
-    }
-
-    /// Global per-level leaf histogram (collective): entry `ℓ` counts
-    /// the leaves at refinement level `ℓ` across all ranks.
-    pub fn level_histogram(&self, comm: &Comm) -> Vec<u64> {
-        comm.allreduce(self.local_level_histogram(), |a, b| {
-            a.iter().zip(b).map(|(x, y)| x + y).collect()
-        })
     }
 
     /// Global mesh statistics (collective). A **single** allgather
@@ -604,8 +581,12 @@ mod tests {
                 1,
                 "stats must derive everything from one allgather"
             );
-            // and the derived numbers must match the dedicated paths
-            assert_eq!(s.level_histogram, f.level_histogram(&comm));
+            // and the derived numbers must match the gathered leaves
+            let mut hist = vec![0u64; Q3::MAX_LEVEL as usize + 1];
+            for (_, q) in f.gather_all(&comm) {
+                hist[q.level() as usize] += 1;
+            }
+            assert_eq!(s.level_histogram, hist);
             assert_eq!(s.global_count, f.global_count());
             let counts = comm.allgather(f.local_count() as u64);
             assert_eq!(s.min_local, *counts.iter().min().unwrap());

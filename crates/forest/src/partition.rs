@@ -276,16 +276,4 @@ mod tests {
             assert_eq!(baseline, chaotic, "seed {seed} changed the partition");
         }
     }
-
-    #[test]
-    fn new_refined_composes() {
-        quadforest_comm::run(3, |comm| {
-            let conn = Arc::new(Connectivity::unit(2));
-            let f = Forest::<Q2>::new_refined(conn, &comm, 1, |_, q| {
-                q.level() < 3 && q.coords()[1] == 0
-            });
-            assert_eq!(f.validate(), Ok(()));
-            assert!(f.global_count() > 4);
-        });
-    }
 }

@@ -2,64 +2,8 @@
 
 use crate::Forest;
 use quadforest_comm::Comm;
-use quadforest_connectivity::{Connectivity, TreeId};
+use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
-use std::sync::Arc;
-
-impl<Q: Quadrant> Forest<Q> {
-    /// Build the minimal complete forest containing every seed quadrant
-    /// as a leaf (coarser elsewhere) — octree construction from a point
-    /// set, à la Sundar et al. / `p4est_new` from seeds. Seeds may be
-    /// supplied redundantly and on any rank; overlapping seeds keep the
-    /// finest. The result is partitioned equally. Collective.
-    pub fn from_seeds(
-        conn: Arc<Connectivity>,
-        comm: &Comm,
-        seeds: impl IntoIterator<Item = (TreeId, Q)>,
-    ) -> Self {
-        assert_eq!(conn.dim(), Q::DIM);
-        let k = conn.num_trees();
-        // gather all seeds everywhere (seed sets are small by contract)
-        let mine: Vec<(TreeId, Q)> = seeds.into_iter().collect();
-        let all: Vec<(TreeId, Q)> = comm.allgather(mine).into_iter().flatten().collect();
-        let mut per_tree: Vec<Vec<Q>> = vec![Vec::new(); k];
-        for (t, q) in all {
-            assert!((t as usize) < k, "seed tree {t} out of range");
-            per_tree[t as usize].push(q);
-        }
-        // complete each tree; every rank computes the same global forest,
-        // then keeps an equal contiguous share
-        let completed: Vec<Vec<Q>> = per_tree
-            .into_iter()
-            .map(quadforest_core::linear::complete_octree)
-            .collect();
-        let total: u64 = completed.iter().map(|v| v.len() as u64).sum();
-        let (rank, size) = (comm.rank(), comm.size());
-        let lo = total * rank as u64 / size as u64;
-        let hi = total * (rank as u64 + 1) / size as u64;
-        let mut trees: Vec<Vec<Q>> = vec![Vec::new(); k];
-        let mut firsts: Vec<Option<(u32, u64)>> = vec![None; size];
-        let mut g = 0u64;
-        for (t, leaves) in completed.into_iter().enumerate() {
-            for q in leaves {
-                // record the partition marker of whichever rank starts here
-                for (r, first) in firsts.iter_mut().enumerate() {
-                    if total * r as u64 / size as u64 == g {
-                        first.get_or_insert((t as u32, q.morton_abs()));
-                    }
-                }
-                if g >= lo && g < hi {
-                    trees[t].push(q);
-                }
-                g += 1;
-            }
-        }
-        let markers = Self::markers_from_firsts(k, &firsts, total);
-        let f = Self::assemble(conn, rank, size, trees, total, markers);
-        debug_assert_eq!(f.validate(), Ok(()));
-        f
-    }
-}
 
 impl<Q: Quadrant> Forest<Q> {
     /// Refine local leaves for which `flag` returns `true`, replacing
@@ -310,57 +254,6 @@ mod tests {
             f.global_count()
         });
         assert!(counts.iter().all(|&c| c == 8));
-    }
-
-    #[test]
-    fn from_seeds_builds_minimal_forest() {
-        quadforest_comm::run(3, |comm| {
-            let conn = Arc::new(Connectivity::brick2d(2, 1, false, false));
-            // each rank contributes one seed; redundant copies are fine
-            let seed0 = Q2::root().child(0).child(3).child(2);
-            let seed1 = Q2::root().child(2).child(1);
-            let mine = match comm.rank() {
-                0 => vec![(0, seed0)],
-                1 => vec![(1, seed1)],
-                _ => vec![(0, seed0)], // duplicate
-            };
-            let f = Forest::<Q2>::from_seeds(conn, &comm, mine);
-            assert_eq!(f.validate(), Ok(()));
-            // the seeds are leaves of the global forest
-            let all = f.gather_all(&comm);
-            assert!(all.contains(&(0, seed0)));
-            assert!(all.contains(&(1, seed1)));
-            // tree 1 without deep seeds stays coarse around its seed
-            assert!(all.iter().filter(|(t, _)| *t == 1).count() < 16);
-            // partition is equal
-            let counts = comm.allgather(f.local_count());
-            let (max, min) = (*counts.iter().max().unwrap(), *counts.iter().min().unwrap());
-            assert!(max - min <= 1);
-        });
-    }
-
-    #[test]
-    fn from_seeds_no_seeds_gives_roots() {
-        quadforest_comm::run(2, |comm| {
-            let conn = Arc::new(Connectivity::brick2d(3, 1, false, false));
-            let f = Forest::<MortonQuad<2>>::from_seeds(conn, &comm, []);
-            assert_eq!(f.global_count(), 3, "one root leaf per tree");
-            assert_eq!(f.validate(), Ok(()));
-        });
-    }
-
-    #[test]
-    fn from_seeds_overlapping_keeps_finest() {
-        quadforest_comm::run(1, |comm| {
-            let conn = Arc::new(Connectivity::unit(2));
-            let coarse = Q2::root().child(1);
-            let fine = coarse.child(2).child(0);
-            let f = Forest::<Q2>::from_seeds(conn, &comm, [(0, coarse), (0, fine)]);
-            let all = f.gather_all(&comm);
-            assert!(all.contains(&(0, fine)));
-            assert!(!all.contains(&(0, coarse)), "ancestor seed must give way");
-            assert_eq!(f.validate(), Ok(()));
-        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Distributed query routing: partition markers decide which rank owns
 //! each query, [`Comm::exchange`] scatters the non-local ones.
 //!
-//! Both entry points are **collective**: every rank calls with its own
+//! The entry point is **collective**: every rank calls with its own
 //! (possibly empty) query list, each rank serves the requests routed to
 //! it against its local snapshot, and answers come back positionally.
 //! Routing uses only the snapshot's carried partition markers — no
@@ -11,10 +11,9 @@
 //! one publish per AMR generation inside an existing collective
 //! section).
 
-use crate::{box_cover_for, BoxQuery, ForestSnapshot, LeafHit};
+use crate::{ForestSnapshot, LeafHit};
 use quadforest_comm::Comm;
 use quadforest_connectivity::TreeId;
-use quadforest_core::zrange::ZRange;
 use quadforest_telemetry as telemetry;
 
 /// A point-location answer from the distributed path.
@@ -69,82 +68,6 @@ pub fn locate_global(
     answers
 }
 
-/// Ranks whose partition interval intersects any of the cover's
-/// Z-ranges for `tree`, from the markers alone.
-fn ranks_overlapping(snap: &ForestSnapshot, tree: TreeId, ranges: &[ZRange]) -> Vec<usize> {
-    let markers = snap.markers();
-    let last = snap.size() - 1;
-    let owner_of = |key: u64| -> usize {
-        let pos = (tree, key);
-        markers
-            .partition_point(|m| *m <= pos)
-            .saturating_sub(1)
-            .min(last)
-    };
-    let mut ranks = Vec::new();
-    for &(a, b) in ranges {
-        for r in owner_of(a)..=owner_of(b) {
-            if ranks.last() != Some(&r) && !ranks.contains(&r) {
-                ranks.push(r);
-            }
-        }
-    }
-    ranks.sort_unstable();
-    ranks.dedup();
-    ranks
-}
-
-/// Collective box query: every rank passes its own (possibly empty)
-/// list of `(tree, lo, hi)` boxes and receives, per box, the leaves of
-/// **all** ranks intersecting it (each tagged with its owner), in
-/// owner-then-curve order.
-///
-/// The Morton cover is decomposed once at the requesting rank; the
-/// markers bound which ranks can hold intersecting leaves, so a small
-/// box touches only its neighborhood of ranks rather than the world.
-pub fn query_box_global(
-    comm: &Comm,
-    snap: &ForestSnapshot,
-    boxes: &[(TreeId, [i32; 3], [i32; 3])],
-) -> Vec<Vec<RoutedHit>> {
-    let _span = telemetry::span("query.route.boxes");
-    // a box forwarded to one owning rank: (requester's box index, tree, lo, hi)
-    type BoxReq = (u32, TreeId, [i32; 3], [i32; 3]);
-    let size = comm.size();
-    let mut outgoing: Vec<Vec<BoxReq>> = vec![Vec::new(); size];
-    for (i, &(tree, lo, hi)) in boxes.iter().enumerate() {
-        if tree as usize >= snap.num_trees() {
-            continue;
-        }
-        let cover = box_cover_for(lo, hi, snap.dim(), snap.max_level());
-        for owner in ranks_overlapping(snap, tree, &cover.ranges) {
-            outgoing[owner].push((i as u32, tree, lo, hi));
-        }
-    }
-    // One batched query_boxes per source rank: covers served in curve
-    // order with the cross-box resume cursor.
-    let replies = comm.exchange(outgoing, |_src, requests| {
-        let batch: Vec<BoxQuery> = requests
-            .iter()
-            .map(|&(_, tree, lo, hi)| BoxQuery { tree, lo, hi })
-            .collect();
-        requests
-            .iter()
-            .map(|&(i, ..)| i)
-            .zip(snap.query_boxes(&batch))
-            .collect::<Vec<(u32, Vec<LeafHit>)>>()
-    });
-    let mut answers: Vec<Vec<RoutedHit>> = vec![Vec::new(); boxes.len()];
-    // exchange returns replies indexed by serving rank, ascending, so
-    // appending preserves owner-then-curve order.
-    for (owner, batch) in replies.into_iter().enumerate() {
-        for (i, hits) in batch {
-            answers[i as usize].extend(hits.into_iter().map(|hit| RoutedHit { owner, hit }));
-        }
-    }
-    answers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,45 +100,6 @@ mod tests {
                 let shift = 2 * (MortonQuad::<2>::MAX_LEVEL - a.hit.level) as u32;
                 let q = MortonQuad::<2>::from_morton(a.hit.key >> shift, a.hit.level);
                 assert!(q.contains_point(p), "point {p:?} hit {:?}", a.hit);
-            }
-        });
-    }
-
-    #[test]
-    fn global_box_query_equals_gathered_local_queries() {
-        quadforest_comm::run(4, |comm| {
-            let conn = Arc::new(Connectivity::unit(2));
-            let mut f = Forest::<MortonQuad<2>>::new_uniform(conn, &comm, 2);
-            f.refine(&comm, false, |_, q| q.morton_index() % 2 == 0);
-            let snap = ForestSnapshot::build(&f, 0);
-            let root = MortonQuad::<2>::len_at(0);
-            let boxes = [
-                (0u32, [0, 0, 0], [root, root, 0]),
-                (0u32, [root / 4, root / 3, 0], [root / 2 + 1, root - 1, 0]),
-            ];
-            // only rank 0 asks; everyone participates
-            let mine: Vec<_> = if comm.rank() == 0 {
-                boxes.to_vec()
-            } else {
-                Vec::new()
-            };
-            let answers = query_box_global(&comm, &snap, &mine);
-            // brute-force expectation: gather every rank's local hits
-            for (b, &(tree, lo, hi)) in boxes.iter().enumerate() {
-                let local: Vec<(usize, u64)> = snap
-                    .query_box(tree, lo, hi)
-                    .iter()
-                    .map(|h| (comm.rank(), h.key))
-                    .collect();
-                let mut want: Vec<(usize, u64)> =
-                    comm.allgather(local).into_iter().flatten().collect();
-                want.sort_unstable();
-                if comm.rank() == 0 {
-                    let mut got: Vec<(usize, u64)> =
-                        answers[b].iter().map(|r| (r.owner, r.hit.key)).collect();
-                    got.sort_unstable();
-                    assert_eq!(got, want, "box {b}");
-                }
             }
         });
     }

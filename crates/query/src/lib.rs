@@ -5,7 +5,7 @@
 //!
 //! The AMR loop mutates the forest; applications want to *ask* it
 //! things — which leaf contains this point, which leaves intersect this
-//! box, how refined is this region — concurrently, from many threads,
+//! box — concurrently, from many threads,
 //! while refinement keeps running. This crate separates the two worlds:
 //!
 //! * [`ForestSnapshot`] — an immutable flattening of one forest
@@ -24,15 +24,14 @@
 //!   the sorted leaf keys), batched box queries
 //!   ([`ForestSnapshot::query_boxes`], Morton interval decomposition
 //!   backed by `quadforest_core::zrange`, covers served in curve order
-//!   with cross-box resume), and per-region level histograms
-//!   ([`ForestSnapshot::level_histogram_in_box`]).
+//!   with cross-box resume).
 //! * [`QueryExecutor`] — a pool of worker threads behind a bounded FIFO
 //!   of whole batches: one worker answers one batch with the kernels
 //!   above and wakes its submitter once (backpressure by bounded
 //!   in-flight batches).
-//! * distributed routing — [`locate_global`] / [`query_box_global`]
-//!   scatter non-local queries to their owning ranks (decided by the
-//!   snapshot's partition markers) over `Comm::exchange`.
+//! * distributed routing — [`locate_global`] scatters non-local point
+//!   queries to their owning ranks (decided by the snapshot's partition
+//!   markers) over `Comm::exchange`.
 //!
 //! ```
 //! use quadforest_comm as comm;
@@ -64,8 +63,7 @@ mod executor;
 mod handle;
 mod snapshot;
 
-pub use distributed::{locate_global, query_box_global, RoutedHit};
+pub use distributed::{locate_global, RoutedHit};
 pub use executor::{QueryExecutor, Ticket};
 pub use handle::SnapshotHandle;
-pub(crate) use snapshot::box_cover_for;
 pub use snapshot::{BoxQuery, ForestSnapshot, LeafHit};

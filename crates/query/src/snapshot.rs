@@ -127,24 +127,9 @@ impl ForestSnapshot {
         self.generation
     }
 
-    /// Spatial dimension (2 or 3).
-    pub(crate) fn dim(&self) -> u32 {
-        self.dim
-    }
-
-    /// The representation-wide maximum refinement level.
-    pub(crate) fn max_level(&self) -> u8 {
-        self.max_level
-    }
-
     /// The rank this snapshot was taken on.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Communicator size at build time.
-    pub(crate) fn size(&self) -> usize {
-        self.size
     }
 
     /// Number of trees in the connectivity.
@@ -169,11 +154,6 @@ impl ForestSnapshot {
             self.tree_offsets[tree as usize + 1] as usize,
         );
         (&self.keys[a..b], &self.levels[a..b])
-    }
-
-    /// The partition markers carried from the forest.
-    pub(crate) fn markers(&self) -> &[(u32, u64)] {
-        &self.markers
     }
 
     fn hit(&self, tree: TreeId, index: usize) -> LeafHit {
@@ -328,26 +308,15 @@ impl ForestSnapshot {
             return Vec::new();
         }
         let cover = box_cover_for(lo, hi, self.dim, self.max_level);
-        self.query_cover(tree, lo, hi, &cover)
+        self.query_cover_from(tree, lo, hi, &cover, 0).0
     }
 
-    /// [`ForestSnapshot::query_box`] against a precomputed cover (lets
-    /// the distributed router decompose once and query on every rank).
-    pub(crate) fn query_cover(
-        &self,
-        tree: TreeId,
-        lo: [i32; 3],
-        hi: [i32; 3],
-        cover: &BoxCover,
-    ) -> Vec<LeafHit> {
-        self.query_cover_from(tree, lo, hi, cover, 0).0
-    }
-
-    /// [`ForestSnapshot::query_cover`] with a resume lower bound on the
-    /// first cover range's leaf search (see `zrange::overlapping_from`),
-    /// returning the hits *and* the first range's slice start — the
-    /// valid resume bound for any later box whose first range starts no
-    /// earlier. [`ForestSnapshot::query_boxes`] threads it through a
+    /// [`ForestSnapshot::query_box`] against a precomputed cover, with a
+    /// resume lower bound on the first cover range's leaf search (see
+    /// `zrange::overlapping_from`), returning the hits *and* the first
+    /// range's slice start — the valid resume bound for any later box
+    /// whose first range starts no earlier.
+    /// [`ForestSnapshot::query_boxes`] threads it through a
     /// batch sorted by `(tree, first range start)`, so consecutive boxes
     /// skip re-searching the prefix of the key array already passed.
     fn query_cover_from(
@@ -424,23 +393,12 @@ impl ForestSnapshot {
         }
         answers
     }
-
-    /// Per-level leaf counts (indices `0..=max_level`) over the local
-    /// leaves of `tree` intersecting the box — the level histogram of a
-    /// query region.
-    pub fn level_histogram_in_box(&self, tree: TreeId, lo: [i32; 3], hi: [i32; 3]) -> Vec<u64> {
-        let mut hist = vec![0u64; self.max_level as usize + 1];
-        for hit in self.query_box(tree, lo, hi) {
-            hist[hit.level as usize] += 1;
-        }
-        hist
-    }
 }
 
 /// The crate-wide box decomposition policy: exact tilings up to
 /// [`zrange::DEFAULT_RANGE_BUDGET`] ranges, coarsened (and geometric
 /// filtering takes over) beyond it.
-pub fn box_cover_for(lo: [i32; 3], hi: [i32; 3], dim: u32, max_level: u8) -> BoxCover {
+fn box_cover_for(lo: [i32; 3], hi: [i32; 3], dim: u32, max_level: u8) -> BoxCover {
     zrange::box_cover(lo, hi, dim, max_level, zrange::DEFAULT_RANGE_BUDGET)
 }
 
@@ -551,22 +509,6 @@ mod tests {
                         .collect();
                     assert_eq!(got, want, "tree {t} box {lo:?}..{hi:?}");
                 }
-            }
-        });
-    }
-
-    #[test]
-    fn level_histogram_in_box_sums_to_hits() {
-        quadforest_comm::run(1, |comm| {
-            let f = refined_forest::<StandardQuad<2>>(&comm);
-            let snap = ForestSnapshot::build(&f, 0);
-            let root = StandardQuad::<2>::len_at(0);
-            let (lo, hi) = ([0, 0, 0], [root / 2, root, 0]);
-            let hist = snap.level_histogram_in_box(0, lo, hi);
-            let hits = snap.query_box(0, lo, hi);
-            assert_eq!(hist.iter().sum::<u64>(), hits.len() as u64);
-            for h in hits {
-                assert!(hist[h.level as usize] > 0);
             }
         });
     }

@@ -483,16 +483,6 @@ impl FlightDump {
         }
         out
     }
-
-    /// The phase `rank` was last inside (last `PhaseEnter` without a
-    /// matching later `PhaseExit`, else the last `PhaseEnter`).
-    pub fn last_phase(&self, rank: u32) -> Option<&str> {
-        self.events
-            .iter()
-            .rev()
-            .find(|e| e.rank == rank && e.kind == FlightKind::PhaseEnter)
-            .map(|e| self.name(e.b))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -573,7 +563,6 @@ mod tests {
             txt.contains("r1 last seen at comm op 9 in phase 'balance'"),
             "{txt}"
         );
-        assert_eq!(dump.last_phase(3), Some("balance"));
     }
 
     /// Two laps of claims are handed out before anything is published,

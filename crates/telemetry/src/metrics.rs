@@ -271,16 +271,6 @@ impl Registry {
             .collect();
         MetricsSnapshot { entries }
     }
-
-    /// Zero every cell (counters, gauges, and histogram buckets alike).
-    pub fn reset(&self) {
-        let inner = self.inner.lock().unwrap();
-        for c in &inner.cells {
-            for s in c.slots.iter() {
-                s.store(0, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 /// Point-in-time copy of one registry's contents. `Clone + Send + 'static`,
@@ -529,18 +519,5 @@ mod tests {
         assert_eq!(lat.sum, 14);
         assert_eq!(lat.mean(), Some(7.0));
         assert_eq!(lat.buckets.iter().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let reg = Registry::new();
-        reg.counter("c").add(9);
-        reg.histogram("h").record(9);
-        reg.reset();
-        let snap = reg.snapshot();
-        assert!(snap
-            .entries
-            .iter()
-            .all(|e| e.values.iter().all(|&v| v == 0)));
     }
 }
