@@ -437,6 +437,7 @@ fn advection_state_is_identical_across_backends() {
     // 40 steps, base level 3, finest 5, adapt + repartition every 5: long
     // enough that P = 2 migrates a patch (a 20-step run migrates none)
     let args = transport::pde_args(40, 3, 5, 5);
+    let mut across_p = None;
     for &p in &[1usize, 2, 4] {
         let mut reference = None;
         for backend in backends() {
@@ -479,6 +480,12 @@ fn advection_state_is_identical_across_backends() {
                 (cells, digest),
                 *reference.get_or_insert((cells, digest)),
                 "{} diverged from the threads backend at P={p}",
+                backend.name()
+            );
+            assert_eq!(
+                digest,
+                *across_p.get_or_insert(digest),
+                "the state digest at P={p} on {} differs from P=1's",
                 backend.name()
             );
         }

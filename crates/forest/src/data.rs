@@ -12,7 +12,7 @@
 //!   `p4est_utils_post_gridadapt_map_data`: a simultaneous walk over the
 //!   old and new leaf sequences where equal leaves copy, refined leaves
 //!   interpolate parent→children, and coarsened families project
-//!   children→parent.
+//!   children→parent. An op that changed no local leaf maps nothing.
 //! * [`Forest::partition_mapped`] piggybacks payloads on the SFC
 //!   partition: each migrating leaf ships its `T` in a payload
 //!   all-to-all cut by the same destination ranges as the leaf
@@ -252,7 +252,9 @@ impl<Q: Quadrant> Forest<Q> {
         data.check_aligned(self, "refine_mapped");
         let old = self.clone();
         let n = self.refine(comm, recursive, flag);
-        *data = map_adapted(&old, self, data, mapper);
+        if n > 0 {
+            *data = map_adapted(&old, self, data, mapper);
+        }
         n
     }
 
@@ -270,7 +272,9 @@ impl<Q: Quadrant> Forest<Q> {
         data.check_aligned(self, "coarsen_mapped");
         let old = self.clone();
         let n = self.coarsen(comm, recursive, flag);
-        *data = map_adapted(&old, self, data, mapper);
+        if n > 0 {
+            *data = map_adapted(&old, self, data, mapper);
+        }
         n
     }
 
@@ -288,7 +292,9 @@ impl<Q: Quadrant> Forest<Q> {
         data.check_aligned(self, "balance_mapped");
         let old = self.clone();
         let n = self.balance(comm, kind);
-        *data = map_adapted(&old, self, data, mapper);
+        if n > 0 {
+            *data = map_adapted(&old, self, data, mapper);
+        }
         n
     }
 
@@ -422,6 +428,48 @@ mod tests {
             let counts = comm.allgather(f.local_count());
             let (max, min) = (counts.iter().max().unwrap(), counts.iter().min().unwrap());
             assert!(max - min <= 1);
+        });
+    }
+
+    /// An op that splits or merges no local leaf keeps the payloads as
+    /// they are and skips the remap: `forest.map.leaves` does not move,
+    /// while a rank the same op did change remaps as before.
+    #[test]
+    fn idle_mapped_ops_copy_nothing() {
+        use quadforest_telemetry::MetricKind;
+        quadforest_comm::run(2, |comm| {
+            let conn = Arc::new(Connectivity::unit(2));
+            let mut f = Forest::<MortonQuad<2>>::new_uniform(conn, &comm, 3);
+            let mut data =
+                LeafData::init(&f, |t, q| (t as u64 * 977 + q.morton_abs()) as f64 / 7.0);
+            telemetry::begin_rank(comm.rank());
+            let mapped = || {
+                telemetry::rank_snapshot()
+                    .get("forest.map.leaves", MetricKind::Counter)
+                    .map_or(0, |e| e.scalar())
+            };
+            let before = data.clone();
+            let n = f.refine_mapped(&comm, false, |_, _| false, &mut data, &MassMapper);
+            let m = f.coarsen_mapped(&comm, false, |_, _| false, &mut data, &MassMapper);
+            let b = f.balance_mapped(&comm, BalanceKind::Full, &mut data, &MassMapper);
+            assert_eq!((n, m, b), (0, 0, 0));
+            assert_eq!(mapped(), 0, "an idle op must not remap");
+            assert!(data
+                .iter()
+                .zip(before.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            // refine on rank 0 only: rank 1 is idle and keeps its data
+            let rank = comm.rank();
+            let n = f.refine_mapped(&comm, false, |_, _| rank == 0, &mut data, &MassMapper);
+            let remapped = mapped();
+            let _ = telemetry::finish_rank();
+            data.check_aligned(&f, "test");
+            if rank == 0 {
+                assert!(n > 0 && remapped == f.local_count() as u64);
+            } else {
+                assert_eq!((n, remapped), (0, 0));
+                assert_eq!(data, before);
+            }
         });
     }
 

@@ -13,16 +13,22 @@
 //!   leaf's patch in the partition all-to-all;
 //! * **halo** — [`GhostLayer::exchange_data`] carries [`PatchHalo`]
 //!   edge strips so interface fluxes see remote neighbors: one round of
-//!   values per step, and the flux loop indexes patches and halos with
-//!   the `LeafRef` each interface side carries;
+//!   values per step;
+//! * **flux plan** — one [`iterate_faces`] pass per mesh change compiles
+//!   every interface into flat entries that name both sides by the
+//!   `LeafRef` they carry, sorted in one owner-independent order; a step
+//!   streams over them and never walks the mesh, and every cell adds its
+//!   fluxes in the same order at any rank count;
 //! * **checkpoint** — `save_checkpoint_with_data` /
 //!   `load_checkpoint_with_data` persist mesh and patches together,
 //!   so a killed rank resumes bit-identically.
 //!
 //! [`AdvectionSim`] wires these into a donor-cell upwind advection
 //! solver whose total mass is conserved to machine precision across
-//! adaptation, migration, hanging faces, and rank boundaries.
+//! adaptation, migration, hanging faces, and rank boundaries, and whose
+//! state is the same bits at every rank count.
 //!
+//! [`iterate_faces`]: quadforest_forest::iterate_faces
 //! [`Forest::refine_mapped`]: quadforest_forest::Forest::refine_mapped
 //! [`Forest::partition_mapped`]: quadforest_forest::Forest::partition_mapped
 //! [`GhostLayer::exchange_data`]: quadforest_forest::GhostLayer::exchange_data

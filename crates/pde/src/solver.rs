@@ -9,12 +9,24 @@
 //! every fine face segment transfers mass equal-and-opposite between
 //! the two leaves that share it.
 //!
+//! The interfaces are compiled once per mesh change into a flat *flux
+//! plan*: one entry per fine member of every interior interface with a
+//! local side, naming both leaves by slot and carrying the segment
+//! geometry. A step is then a snapshot of the edge strips with the halo
+//! exchange, the intra-patch fluxes, and one linear pass over the plan
+//! that reads the snapshot, all added to the patches in place; it never
+//! walks the mesh.
+//!
 //! Cross-rank determinism: a rank updates only its *local* side of an
 //! interface, but both ranks compute the shared per-segment mass
 //! transfer from bitwise-identical inputs (halo strips are exact copies
 //! of remote cell values), so the two half-updates are exactly
 //! equal-and-opposite and global mass is conserved to machine
-//! precision.
+//! precision. The plan is sorted by an owner-independent key (the fine
+//! side's `(tree, morton_abs, level)`, then its face), so every cell
+//! adds its interface contributions in the same order whatever the
+//! partition: the state after a step is the same bits at any rank
+//! count.
 //!
 //! Geometry assumption: interface flux alignment uses raw quadrant
 //! coordinates along the tangential axis, which is valid for
@@ -74,7 +86,7 @@ pub struct AdaptReport {
 /// mesh or partition *directly* (rather than through
 /// [`AdvectionSim::adapt`] / [`AdvectionSim::migrate`]) must call
 /// [`AdvectionSim::invalidate_topology`] afterwards so the next step
-/// rebuilds its ghost layer against the new mesh.
+/// rebuilds its ghost layer and flux plan against the new mesh.
 pub struct AdvectionSim<Q: Quadrant> {
     /// The adaptive mesh.
     pub forest: Forest<Q>,
@@ -89,11 +101,106 @@ pub struct AdvectionSim<Q: Quadrant> {
     /// Steps taken so far (restored from the checkpoint manifest on
     /// recovery).
     pub steps_taken: u64,
-    /// The ghost layer (full adjacency, so hanging groups spanning ranks
-    /// are complete) depends only on the mesh and its partition: rebuilt
-    /// lazily on the first step after a topology change, `None` whenever
-    /// the mesh or partition may have changed since the last step.
-    topo: Option<GhostLayer<Q>>,
+    /// Ghost layer and flux plan, which depend only on the mesh and its
+    /// partition: built lazily on the first step after a topology
+    /// change, `None` whenever the mesh or partition may have changed
+    /// since the last step.
+    topo: Option<Topology<Q>>,
+    /// True while the partition is the one `partition` would produce:
+    /// no mesh change since the last partition or [`AdvectionSim::new`].
+    /// [`AdvectionSim::migrate`] then has nothing to move.
+    settled: bool,
+    /// Step scratch: every local leaf's edge strips as they were before
+    /// the step. Reused across steps, released before a remap.
+    halos: Vec<PatchHalo>,
+}
+
+/// What a step needs of the mesh: the ghost layer (full adjacency, so
+/// hanging groups spanning ranks are complete) and the flux plan.
+struct Topology<Q: Quadrant> {
+    ghost: GhostLayer<Q>,
+    plan: Vec<Flux>,
+}
+
+/// One fine member of an interior interface with a local side. `low`
+/// sees the interface through its `+axis` face, `high` through its
+/// `−axis` face; fine face cell `s` meets coarse face cell `k[s]`.
+#[derive(Copy, Clone)]
+struct Flux {
+    low: LeafRef,
+    high: LeafRef,
+    axis: u8,
+    fine_is_low: bool,
+    k: [u8; PATCH_N],
+    /// Segment length (the fine side's cell size), domain units.
+    w: f64,
+    /// `1 / cell area` of `low` and of `high`.
+    inv_cell_area: [f64; 2],
+}
+
+/// The plan's sort key of an entry: its fine side's `(tree, morton_abs,
+/// level)` and face — the same on every rank that holds the entry.
+type PlanKey = (u32, u64, u8, u32);
+
+/// Compile every interior interface of one `iterate_faces` pass into
+/// flux entries, sorted by [`PlanKey`]. Entries with no local side are
+/// dropped.
+fn flux_plan<Q: Quadrant>(forest: &Forest<Q>, ghost: &GhostLayer<Q>) -> Vec<Flux> {
+    let root = Q::len_at(0) as f64;
+    let cell = |s: &FaceSide<Q>| s.quad.side() as f64 / root / PATCH_N as f64;
+    let mut keyed: Vec<(PlanKey, Flux)> = Vec::new();
+    iterate_faces(forest, ghost, |iface| {
+        let Interface::Interior(primary, others) = iface else {
+            return; // closed wall: zero flux (conservative)
+        };
+        for other in others {
+            // the leaf whose face is the +axis side sits at lower
+            // coordinates: positive vn carries mass low -> high
+            let (low, high) = if primary.face & 1 == 1 {
+                (&primary, other)
+            } else {
+                (other, &primary)
+            };
+            if low.is_ghost() && high.is_ghost() {
+                continue;
+            }
+            let axis = primary.face / 2;
+            debug_assert_eq!(axis, other.face / 2, "axis-aligned transform");
+            // fine = smaller leaf; segments are its face cells
+            let fine_is_low = low.quad.level() >= high.quad.level();
+            let (fine, coarse) = if fine_is_low {
+                (low, high)
+            } else {
+                (high, low)
+            };
+            let tan = 1 - axis as usize;
+            let (hf, hc) = (fine.quad.side() as i64, coarse.quad.side() as i64);
+            let off = (fine.quad.coords()[tan] - coarse.quad.coords()[tan]) as i64;
+            debug_assert!((0..hc).contains(&off), "tangential overlap");
+            let n = PATCH_N as i64;
+            let key = (
+                fine.tree,
+                fine.quad.morton_abs(),
+                fine.quad.level(),
+                fine.face,
+            );
+            keyed.push((
+                key,
+                Flux {
+                    low: low.leaf,
+                    high: high.leaf,
+                    axis: axis as u8,
+                    fine_is_low,
+                    k: std::array::from_fn(|s| ((off * n + s as i64 * hf) / hc) as u8),
+                    w: cell(fine),
+                    inv_cell_area: [low, high].map(|s| 1.0 / (cell(s) * cell(s))),
+                },
+            ));
+        }
+    });
+    keyed.sort_unstable_by_key(|(key, _)| *key);
+    // a fresh, exact allocation: the plan outlives many steps
+    keyed.iter().map(|(_, flux)| *flux).collect()
 }
 
 impl<Q: Quadrant> AdvectionSim<Q> {
@@ -119,24 +226,46 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         forest.balance(comm, BalanceKind::Face);
         forest.partition(comm);
         let u = LeafData::init(&forest, |_, q| sample_patch::<Q>(q, &init));
+        Self::assemble(forest, u, velocity, base_level, max_level, 0, true)
+    }
+
+    fn assemble(
+        forest: Forest<Q>,
+        u: LeafData<Patch>,
+        velocity: [f64; 2],
+        base_level: u8,
+        max_level: u8,
+        steps_taken: u64,
+        settled: bool,
+    ) -> Self {
         AdvectionSim {
             forest,
             u,
             velocity,
             base_level,
             max_level,
-            steps_taken: 0,
+            steps_taken,
             topo: None,
+            settled,
+            halos: Vec::new(),
         }
     }
 
-    /// Drop the cached ghost layer so the next
-    /// [`AdvectionSim::step`] rebuilds them. Required after mutating
-    /// `forest` directly; [`AdvectionSim::adapt`] and
-    /// [`AdvectionSim::migrate`] call it themselves. Must be invoked on
-    /// every rank or none (the rebuild is collective).
+    /// Drop the cached ghost layer and flux plan so the next
+    /// [`AdvectionSim::step`] rebuilds them, and let the next
+    /// [`AdvectionSim::migrate`] repartition. Required after mutating
+    /// `forest` directly; [`AdvectionSim::adapt`] calls it itself when
+    /// the mesh changed. Must be invoked on every rank or none (the
+    /// rebuild is collective).
     pub fn invalidate_topology(&mut self) {
         self.topo = None;
+        self.settled = false;
+    }
+
+    /// Free the step scratch, so a remap does not hold it alongside the
+    /// old and the new payload.
+    fn release_scratch(&mut self) {
+        self.halos = Vec::new();
     }
 
     /// Largest stable time step for the donor-cell scheme at the
@@ -203,122 +332,74 @@ impl<Q: Quadrant> AdvectionSim<Q> {
     pub fn step(&mut self, comm: &Comm, dt: f64) {
         let _span = telemetry::span("pde.step");
         let t0 = std::time::Instant::now();
-        self.u.check_aligned(&self.forest, "advection step");
-        let root = Q::len_at(0) as f64;
-        let [vx, vy] = self.velocity;
+        let Self {
+            forest,
+            u,
+            velocity,
+            topo,
+            halos,
+            ..
+        } = self;
+        u.check_aligned(forest, "advection step");
 
-        // Collective when it rebuilds — adapt/migrate invalidate on every
-        // rank, so all ranks take the same branch.
-        let ghost = &*self
-            .topo
-            .get_or_insert_with(|| self.forest.ghost(comm, BalanceKind::Full));
+        // Collective when it rebuilds — a topology change invalidates on
+        // every rank, so all ranks take the same branch.
+        let topo = topo.get_or_insert_with(|| {
+            let ghost = forest.ghost(comm, BalanceKind::Full);
+            let plan = flux_plan(forest, &ghost);
+            Topology { ghost, plan }
+        });
 
-        // ship every leaf's edge strips to the ranks that see it as a
-        // ghost — values change every step, so this exchange always runs
-        let halos: Vec<PatchHalo> = self.u.iter().map(|p| p.halo()).collect();
-        let ghost_halos = ghost.exchange_data(comm, &halos);
+        // snapshot every leaf's edge strips: the interface fluxes read
+        // them after the patches changed in place, and the mirrors' strips
+        // go to the ranks that see them as ghosts — values change every
+        // step, so this exchange always runs
+        halos.clear();
+        halos.extend(u.iter().map(Patch::halo));
+        let ghost_halos = topo.ghost.exchange_data(comm, halos);
         telemetry::counter_add(
             "pde.halo.bytes",
             (ghost_halos.len() * HALO_WIRE_BYTES) as u64,
         );
 
-        let mut du = vec![Patch::zero(); self.u.len()];
-
         // intra-patch fluxes: neighbor differences on the uniform patch
-        for ((_, q), (p, d)) in self.forest.leaves().zip(self.u.iter().zip(du.iter_mut())) {
-            let hc = Self::leaf_h(q) / PATCH_N as f64; // cell size
-            for j in 0..PATCH_N {
-                for i in 0..PATCH_N - 1 {
-                    let donor = if vx >= 0.0 {
-                        p.get(i, j)
-                    } else {
-                        p.get(i + 1, j)
-                    };
-                    let f = vx * donor * dt / hc;
-                    d.cells[Patch::idx(i, j)] -= f;
-                    d.cells[Patch::idx(i + 1, j)] += f;
-                }
-            }
-            for j in 0..PATCH_N - 1 {
-                for i in 0..PATCH_N {
-                    let donor = if vy >= 0.0 {
-                        p.get(i, j)
-                    } else {
-                        p.get(i, j + 1)
-                    };
-                    let f = vy * donor * dt / hc;
-                    d.cells[Patch::idx(i, j)] -= f;
-                    d.cells[Patch::idx(i, j + 1)] += f;
-                }
+        for ((_, q), p) in forest.leaves().zip(u.iter_mut()) {
+            let d = intra_fluxes(p, *velocity, dt / (Self::leaf_h(q) / PATCH_N as f64));
+            for (c, dc) in p.cells.iter_mut().zip(d.cells) {
+                *c += dc;
             }
         }
 
-        // strip value of one side at tangential index m: local leaves
-        // read their patch, ghosts read the exchanged halo
-        let strip = |side: &FaceSide<Q>, m: usize| -> f64 {
-            match side.leaf {
-                LeafRef::Ghost(i) => ghost_halos[i].edges[side.face as usize][m],
-                LeafRef::Local(i) => edge_cell(&self.u[i], side.face, m),
+        // strip value of one side at tangential index m, as it was before
+        // the step: local leaves read the snapshot, ghosts the exchange
+        let strip = |leaf: LeafRef, face: usize, m: usize| -> f64 {
+            match leaf {
+                LeafRef::Ghost(i) => ghost_halos[i].edges[face][m],
+                LeafRef::Local(i) => halos[i].edges[face][m],
             }
         };
 
-        // inter-leaf fluxes at the finer side's granularity
-        iterate_faces(&self.forest, ghost, |iface| {
-            let Interface::Interior(primary, others) = iface else {
-                return; // closed wall: zero flux (conservative)
-            };
-            for other in others {
-                let axis = (primary.face / 2) as usize;
-                debug_assert_eq!(axis, (other.face / 2) as usize, "axis-aligned transform");
-                let vn = self.velocity[axis];
-                // the leaf whose face is the +axis side sits at lower
-                // coordinates: positive vn carries mass low -> high
-                let (low, high) = if primary.face & 1 == 1 {
-                    (&primary, other)
+        // inter-leaf fluxes at the finer side's granularity, in plan order
+        for e in &topo.plan {
+            let axis = e.axis as usize;
+            let (face_low, face_high) = (2 * axis + 1, 2 * axis);
+            let vn = velocity[axis];
+            let rate = vn * dt * e.w;
+            for (s, &k) in e.k.iter().enumerate() {
+                let k = k as usize;
+                let (m_low, m_high) = if e.fine_is_low { (s, k) } else { (k, s) };
+                let donor = if vn >= 0.0 {
+                    strip(e.low, face_low, m_low)
                 } else {
-                    (other, &primary)
+                    strip(e.high, face_high, m_high)
                 };
-                // fine = smaller leaf; segments are its face cells
-                let fine_is_low = low.quad.level() >= high.quad.level();
-                let (fine, coarse) = if fine_is_low {
-                    (low, high)
-                } else {
-                    (high, low)
-                };
-                let tan = 1 - axis;
-                let hf = fine.quad.side() as i64;
-                let hc = coarse.quad.side() as i64;
-                let off = (fine.quad.coords()[tan] - coarse.quad.coords()[tan]) as i64;
-                debug_assert!((0..hc).contains(&off), "tangential overlap");
-                let w = hf as f64 / root / PATCH_N as f64; // segment length
-                let n = PATCH_N as i64;
-                for s in 0..PATCH_N {
-                    // coarse face cell covering fine face cell s
-                    let k = ((off * n + s as i64 * hf) / hc) as usize;
-                    let (m_low, m_high) = if fine_is_low { (s, k) } else { (k, s) };
-                    let donor = if vn >= 0.0 {
-                        strip(low, m_low)
-                    } else {
-                        strip(high, m_high)
-                    };
-                    let dm = vn * donor * dt * w; // mass low -> high
-                    if let LeafRef::Local(i) = low.leaf {
-                        let cell = Self::leaf_h(&low.quad) / PATCH_N as f64;
-                        let (ci, cj) = face_cell(low.face, m_low);
-                        du[i].cells[Patch::idx(ci, cj)] -= dm / (cell * cell);
-                    }
-                    if let LeafRef::Local(i) = high.leaf {
-                        let cell = Self::leaf_h(&high.quad) / PATCH_N as f64;
-                        let (ci, cj) = face_cell(high.face, m_high);
-                        du[i].cells[Patch::idx(ci, cj)] += dm / (cell * cell);
-                    }
+                let dm = rate * donor; // mass low -> high
+                if let LeafRef::Local(i) = e.low {
+                    u[i].cells[face_cell(face_low, m_low)] -= dm * e.inv_cell_area[0];
                 }
-            }
-        });
-
-        for (p, d) in self.u.iter_mut().zip(du.iter()) {
-            for (c, dc) in p.cells.iter_mut().zip(d.cells.iter()) {
-                *c += dc;
+                if let LeafRef::Local(i) = e.high {
+                    u[i].cells[face_cell(face_high, m_high)] += dm * e.inv_cell_area[1];
+                }
             }
         }
         self.steps_taken += 1;
@@ -328,9 +409,11 @@ impl<Q: Quadrant> AdvectionSim<Q> {
 
     /// Adapt the mesh to the solution (refine steep patches, coarsen
     /// flat families, re-balance) and conservatively remap the patches.
-    /// Collective.
+    /// A pass that changes no leaf on any rank keeps the compiled
+    /// topology. Collective.
     pub fn adapt(&mut self, comm: &Comm, thresholds: AdaptThresholds) -> AdaptReport {
         let _span = telemetry::span("pde.adapt");
+        self.release_scratch();
         let max_level = self.max_level;
         let base_level = self.base_level;
 
@@ -377,9 +460,11 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         refined += self
             .forest
             .balance_mapped(comm, BalanceKind::Face, &mut self.u, &PatchMapper);
-        // unconditionally, on every rank: the mesh may have changed on
-        // *any* rank, which reshapes this rank's ghost layer too
-        self.invalidate_topology();
+        // on every rank alike: the mesh may have changed on *any* rank,
+        // which reshapes this rank's ghost layer too
+        if comm.allreduce_sum((refined + coarsened) as u64) > 0 {
+            self.invalidate_topology();
+        }
         let mapped_bytes = (self.u.len() * PATCH_WIRE_BYTES) as u64;
         telemetry::counter_add("pde.map.bytes", mapped_bytes);
         AdaptReport {
@@ -391,11 +476,20 @@ impl<Q: Quadrant> AdvectionSim<Q> {
 
     /// Rebalance the leaf partition, migrating each moving leaf's patch
     /// in the same exchange. Returns the bytes of payload shipped off
-    /// this rank. Collective.
+    /// this rank. When the mesh has not changed since the last
+    /// partition the cuts are already the ones `partition` computes,
+    /// and nothing runs. Collective.
     pub fn migrate(&mut self, comm: &Comm) -> u64 {
         let _span = telemetry::span("pde.migrate");
-        let moved = self.forest.partition_mapped(comm, &mut self.u);
-        self.invalidate_topology();
+        let moved = if self.settled {
+            0
+        } else {
+            self.release_scratch();
+            let moved = self.forest.partition_mapped(comm, &mut self.u);
+            self.topo = None;
+            self.settled = true;
+            moved
+        };
         let bytes = (moved * PATCH_WIRE_BYTES) as u64;
         telemetry::counter_add("pde.migrate.bytes", bytes);
         bytes
@@ -416,7 +510,10 @@ impl<Q: Quadrant> AdvectionSim<Q> {
     /// Restore a simulation from the newest complete checkpoint
     /// generation. `steps_taken` comes from the step count persisted in
     /// the checkpoint manifest — never from the generation number, which
-    /// can skip values when a save is aborted mid-write. Collective.
+    /// can skip values when a save is aborted mid-write. The first
+    /// [`AdvectionSim::migrate`] after a restore repartitions: at the
+    /// saver's rank count the shards come back as saved, which need not
+    /// be the partition's cuts. Collective.
     pub fn restore(
         conn: Arc<Connectivity>,
         comm: &Comm,
@@ -426,15 +523,9 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         max_level: u8,
     ) -> Result<Self, IoError> {
         let (forest, u, info) = Forest::<Q>::load_checkpoint_with_data(conn, comm, dir)?;
-        Ok(AdvectionSim {
-            forest,
-            u,
-            velocity,
-            base_level,
-            max_level,
-            steps_taken: info.step,
-            topo: None,
-        })
+        Ok(Self::assemble(
+            forest, u, velocity, base_level, max_level, info.step, false,
+        ))
     }
 
     /// Render the global field as a `width × height` ASCII frame
@@ -491,22 +582,48 @@ pub(crate) fn sample_patch<Q: Quadrant>(q: &Q, init: &impl Fn(f64, f64) -> f64) 
     p
 }
 
-/// The patch cell `(i, j)` on face `f` at tangential strip index `m`.
+/// Flat index of the patch cell on face `f` at tangential strip index
+/// `m`.
 #[inline]
-fn face_cell(f: u32, m: usize) -> (usize, usize) {
+fn face_cell(f: usize, m: usize) -> usize {
     let edge = if f & 1 == 1 { PATCH_N - 1 } else { 0 };
     if f / 2 == 0 {
-        (edge, m)
+        Patch::idx(edge, m)
     } else {
-        (m, edge)
+        Patch::idx(m, edge)
     }
 }
 
-/// Value of the patch cell on face `f` at tangential strip index `m`.
-#[inline]
-fn edge_cell(p: &Patch, f: u32, m: usize) -> f64 {
-    let (i, j) = face_cell(f, m);
-    p.get(i, j)
+/// Donor-cell fluxes between the cells of one patch: the change of every
+/// cell for velocity `v`, with `dt_hc` = `dt / h_cell`.
+fn intra_fluxes(p: &Patch, v: [f64; 2], dt_hc: f64) -> Patch {
+    let [cx, cy] = v.map(|vi| vi * dt_hc);
+    let mut d = Patch::zero();
+    for j in 0..PATCH_N {
+        for i in 0..PATCH_N - 1 {
+            let donor = if v[0] >= 0.0 {
+                p.get(i, j)
+            } else {
+                p.get(i + 1, j)
+            };
+            let f = cx * donor;
+            d.cells[Patch::idx(i, j)] -= f;
+            d.cells[Patch::idx(i + 1, j)] += f;
+        }
+    }
+    for j in 0..PATCH_N - 1 {
+        for i in 0..PATCH_N {
+            let donor = if v[1] >= 0.0 {
+                p.get(i, j)
+            } else {
+                p.get(i, j + 1)
+            };
+            let f = cy * donor;
+            d.cells[Patch::idx(i, j)] -= f;
+            d.cells[Patch::idx(i, j + 1)] += f;
+        }
+    }
+    d
 }
 
 /// The standard demo initial condition: a Gaussian blob at
@@ -697,6 +814,102 @@ mod tests {
             );
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(is_ghost, index)`: a `LeafRef` that sorts.
+    fn slot(r: LeafRef) -> (bool, usize) {
+        match r {
+            LeafRef::Local(i) => (false, i),
+            LeafRef::Ghost(i) => (true, i),
+        }
+    }
+
+    /// Check the plan of one rank against the walk; returns the number
+    /// of entries and how many of them have a ghost side.
+    fn plan_matches_walk<Q: Quadrant>(f: &Forest<Q>, g: &GhostLayer<Q>) -> (usize, usize) {
+        let mut walk = Vec::new();
+        iterate_faces(f, g, |iface| {
+            if let Interface::Interior(p, others) = iface {
+                for o in others {
+                    let (low, high) = if p.face & 1 == 1 { (&p, o) } else { (o, &p) };
+                    if !(low.is_ghost() && high.is_ghost()) {
+                        walk.push((slot(low.leaf), slot(high.leaf), p.face / 2));
+                    }
+                }
+            }
+        });
+        let plan = flux_plan(f, g);
+        let mut planned: Vec<_> = plan
+            .iter()
+            .map(|e| (slot(e.low), slot(e.high), e.axis as u32))
+            .collect();
+        walk.sort_unstable();
+        planned.sort_unstable();
+        assert_eq!(planned, walk, "the plan must hold what the walk emits");
+
+        let leaves: Vec<(u32, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
+        let keys: Vec<PlanKey> = plan
+            .iter()
+            .map(|e| {
+                let fine = if e.fine_is_low { e.low } else { e.high };
+                let (t, q) = match fine {
+                    LeafRef::Local(i) => leaves[i],
+                    LeafRef::Ghost(i) => (g.ghosts[i].tree, g.ghosts[i].quad),
+                };
+                let face = 2 * e.axis as u32 + e.fine_is_low as u32;
+                (t, q.morton_abs(), q.level(), face)
+            })
+            .collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "the plan must be strictly sorted by its key"
+        );
+        let ghosted = plan
+            .iter()
+            .filter(|e| slot(e.low).0 || slot(e.high).0)
+            .count();
+        (plan.len(), ghosted)
+    }
+
+    /// The flux plan is the walk, compiled: on the meshes of `iterate.rs`'s
+    /// tests — non-balanced, multitree brick, periodic, and hanging
+    /// interfaces straddling ranks — at P ∈ {1, 2, 3}.
+    #[test]
+    fn plan_is_the_walk_in_canonical_order() {
+        use quadforest_core::quadrant::StandardQuad;
+        type S = StandardQuad<2>;
+        let center = [S::len_at(0) / 2, S::len_at(0) / 2, 0];
+        type Mesh = (Connectivity, u8, fn(u32, &S, [i32; 3]) -> bool);
+        let meshes: [Mesh; 4] = [
+            // a 3-level jump at the domain center, never balanced
+            (Connectivity::unit(2), 1, |_, q, c| {
+                q.contains_point(c) && q.level() < 4
+            }),
+            (Connectivity::brick2d(2, 1, true, false), 2, |t, q, _| {
+                q.level() < 5 && (q.morton_abs() >> 7).wrapping_mul(t as u64 + 3) % 5 == 0
+            }),
+            (Connectivity::periodic(2), 2, |_, q, _| {
+                q.level() < 4 && q.morton_index() % 3 == 0
+            }),
+            // the curve-last quadrant refined: 3 coarse + 4 fine leaves
+            (Connectivity::unit(2), 1, |_, q, _| {
+                q.level() == 1 && q.morton_index() == 3
+            }),
+        ];
+        for (conn, level, flag) in meshes {
+            let conn = Arc::new(conn);
+            for p in [1usize, 2, 3] {
+                let counts = quadforest_comm::run(p, |comm| {
+                    let mut f = Forest::<S>::new_uniform(conn.clone(), &comm, level);
+                    f.refine(&comm, true, |t, q| flag(t, q, center));
+                    f.partition(&comm);
+                    let g = f.ghost(&comm, BalanceKind::Full);
+                    plan_matches_walk(&f, &g)
+                });
+                assert!(counts.iter().any(|c| c.0 > 0), "P = {p}: empty plans");
+                assert_eq!(counts.iter().any(|c| c.1 > 0), p > 1, "P = {p}");
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Property tests for the conservative patch mapper: the refine→coarsen
 //! round trip must be the bit-exact identity, and arbitrary adapt
-//! sequences must preserve every patch integral.
+//! sequences must preserve every patch integral. Then the solver's
+//! determinism: the same state bits at every rank count, across a
+//! restore onto another rank count, and with or without the
+//! settled-mesh shortcuts of `adapt` and `migrate`.
 
 use proptest::prelude::*;
+use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::{MortonQuad, Quadrant};
 use quadforest_forest::{BalanceKind, DataMapper, Forest, LeafData};
 use quadforest_pde::{
-    gaussian_blob, AdaptThresholds, AdvectionSim, Patch, PatchMapper, PATCH_CELLS,
+    gaussian_blob, AdaptThresholds, AdvectionSim, Patch, PatchMapper, PATCH_CELLS, PATCH_WIRE_BYTES,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 type Q = MortonQuad<2>;
@@ -125,35 +130,184 @@ fn adapt_sequence_preserves_total_sum() {
     });
 }
 
-/// The solver computes what it computed before interface sides carried
-/// their leaf indices: `state_digest` after 12 steps with adapt + migrate
-/// every fourth equals the constants taken at commit c9e9e8e (index maps
-/// keyed by leaf identity, two-round halo exchange).
+fn blob_sim(comm: &Comm) -> AdvectionSim<Q> {
+    AdvectionSim::<Q>::new(
+        Arc::new(Connectivity::periodic(2)),
+        comm,
+        2,
+        4,
+        [1.0, 0.5],
+        gaussian_blob,
+    )
+}
+
+/// Step `sim` until it has taken `until` steps, adapting and migrating
+/// after every fourth.
+fn advance(comm: &Comm, sim: &mut AdvectionSim<Q>, until: u64) {
+    while sim.steps_taken < until {
+        let dt = sim.cfl_dt(comm, 0.45);
+        sim.step(comm, dt);
+        if sim.steps_taken.is_multiple_of(4) {
+            sim.adapt(comm, AdaptThresholds::default());
+            sim.migrate(comm);
+        }
+    }
+}
+
+/// The pinned digest of 12 steps of [`blob_sim`] under [`advance`]. The
+/// flux plan adds every cell's interface contributions in one
+/// owner-independent order, so the state is the same bits at every rank
+/// count.
+const DIGEST_12: u64 = 0x6e44_9e44_7fc3_22f6;
+
+/// `state_digest` after 12 steps with adapt + migrate every fourth is one
+/// constant at P = 1, 2 and 4.
 #[test]
-fn state_digest_is_the_parent_commits() {
-    for (p, pinned) in [
-        (1usize, 0xd2b7_ea68_6b8e_8b9a_u64),
-        (2, 0x73c0_33f0_bafc_e33e),
-    ] {
+fn state_digest_is_partition_invariant() {
+    for p in [1usize, 2, 4] {
         let digests = quadforest_comm::run(p, |comm| {
-            let mut sim = AdvectionSim::<Q>::new(
-                Arc::new(Connectivity::periodic(2)),
-                &comm,
-                2,
-                4,
-                [1.0, 0.5],
-                gaussian_blob,
-            );
-            let dt = sim.cfl_dt(&comm, 0.45);
-            for s in 0..12 {
+            let mut sim = blob_sim(&comm);
+            advance(&comm, &mut sim, 12);
+            sim.state_digest(&comm)
+        });
+        assert!(
+            digests.iter().all(|d| *d == DIGEST_12),
+            "P={p}: {digests:x?}"
+        );
+    }
+}
+
+/// A checkpoint taken at P = 2 after 6 steps, restored at P = 1 and at
+/// P = 4 and run 6 steps further, ends in the state of a straight P = 2
+/// run.
+#[test]
+fn restore_onto_another_rank_count_continues_bit_identically() {
+    let dir = std::env::temp_dir().join(format!("qf-pde-cross-p-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    quadforest_comm::run(2, |comm| {
+        let mut sim = blob_sim(&comm);
+        advance(&comm, &mut sim, 6);
+        sim.checkpoint(&comm, &dir).unwrap();
+    });
+    for p in [1usize, 4] {
+        let digests = quadforest_comm::run(p, |comm| {
+            let conn = Arc::new(Connectivity::periodic(2));
+            let mut sim = AdvectionSim::<Q>::restore(conn, &comm, &dir, [1.0, 0.5], 2, 4).unwrap();
+            assert_eq!(sim.steps_taken, 6);
+            advance(&comm, &mut sim, 12);
+            sim.state_digest(&comm)
+        });
+        assert!(
+            digests.iter().all(|d| *d == DIGEST_12),
+            "P={p}: {digests:x?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `AdvectionSim::adapt` as the full path: every mapped op, then
+/// `invalidate_topology`, whatever changed. Returns `(refined,
+/// coarsened, mapped_bytes)`.
+fn full_adapt(comm: &Comm, sim: &mut AdvectionSim<Q>, th: AdaptThresholds) -> (usize, usize, u64) {
+    let max_abs = |p: &Patch| p.cells.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let magnitude: HashMap<(u32, u64, u8), f64> = sim
+        .forest
+        .leaves()
+        .zip(sim.u.iter())
+        .map(|((t, q), p)| ((t, q.morton_abs(), q.level()), max_abs(p)))
+        .collect();
+    let mag = |t: u32, q: &Q, unknown: f64| {
+        magnitude
+            .get(&(t, q.morton_abs(), q.level()))
+            .copied()
+            .unwrap_or(unknown)
+    };
+    let (base, max) = (sim.base_level, sim.max_level);
+    let mut refined = sim.forest.refine_mapped(
+        comm,
+        false,
+        |t, q| q.level() < max && mag(t, q, 0.0) > th.refine_above,
+        &mut sim.u,
+        &PatchMapper,
+    );
+    let coarsened = sim.forest.coarsen_mapped(
+        comm,
+        false,
+        |t, fam| {
+            fam[0].level() > base
+                && fam
+                    .iter()
+                    .all(|q| mag(t, q, f64::INFINITY) < th.coarsen_below)
+        },
+        &mut sim.u,
+        &PatchMapper,
+    );
+    refined += sim
+        .forest
+        .balance_mapped(comm, BalanceKind::Face, &mut sim.u, &PatchMapper);
+    sim.invalidate_topology();
+    (refined, coarsened, (sim.u.len() * PATCH_WIRE_BYTES) as u64)
+}
+
+/// The settled-mesh shortcuts change no result: `adapt` keeps the
+/// compiled topology when no rank changed a leaf, and `migrate` skips a
+/// partition that could move nothing. The oracle takes the full path
+/// every cycle — [`full_adapt`], then `partition_mapped` and
+/// `invalidate_topology`. Odd cycles adapt with the default thresholds
+/// (on this mesh every such pass changes leaves), even ones with
+/// thresholds no leaf crosses, so both kinds of cycle follow each kind.
+#[test]
+fn settled_mesh_shortcuts_match_the_full_adapt_path() {
+    let frozen = AdaptThresholds {
+        refine_above: f64::INFINITY,
+        coarsen_below: 0.0,
+    };
+    let run = |oracle: bool| {
+        quadforest_comm::run(2, move |comm| {
+            let mut sim = blob_sim(&comm);
+            let mut reports = Vec::new();
+            while sim.steps_taken < 40 {
+                let dt = sim.cfl_dt(&comm, 0.45);
                 sim.step(&comm, dt);
-                if s % 4 == 3 {
-                    sim.adapt(&comm, AdaptThresholds::default());
+                if !sim.steps_taken.is_multiple_of(4) {
+                    continue;
+                }
+                let th = if reports.len() % 2 == 1 {
+                    AdaptThresholds::default()
+                } else {
+                    frozen
+                };
+                if oracle {
+                    reports.push(full_adapt(&comm, &mut sim, th));
+                    sim.forest.partition_mapped(&comm, &mut sim.u);
+                    sim.invalidate_topology();
+                } else {
+                    let r = sim.adapt(&comm, th);
+                    reports.push((r.refined, r.coarsened, r.mapped_bytes));
                     sim.migrate(&comm);
                 }
             }
-            sim.state_digest(&comm)
-        });
-        assert!(digests.iter().all(|d| *d == pinned), "P={p}: {digests:x?}");
-    }
+            let changed: Vec<u64> = reports
+                .iter()
+                .map(|r| comm.allreduce_sum((r.0 + r.1) as u64))
+                .collect();
+            let digest = sim.state_digest(&comm);
+            let checksum = sim.forest.checksum(&comm);
+            (
+                reports,
+                changed,
+                digest,
+                checksum,
+                sim.forest.markers().to_vec(),
+            )
+        })
+    };
+    let (fast, full) = (run(false), run(true));
+    assert_eq!(fast, full);
+    let changed = &fast[0].1;
+    assert!(
+        changed.iter().step_by(2).all(|&c| c == 0)
+            && changed.iter().skip(1).step_by(2).all(|&c| c > 0),
+        "cycles must alternate settled and changing: {changed:?}"
+    );
 }
