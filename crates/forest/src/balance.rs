@@ -8,13 +8,16 @@
 //! set of *interior* nodes of the balanced forest — per level `ℓ`, the
 //! sorted `(tree, I_ℓ)` of every node that must be split — and it uses
 //! only Definition 2.1 (parent `= I_ℓ >> d`, child `c` `= (I_ℓ << d) | c`)
-//! and the Morton interleaving of neighbor coordinates, so it is the
-//! same code for every representation.
+//! and dilated-integer steps between neighbor indices, so it is the same
+//! code for every representation, and no node becomes a quadrant before
+//! the rebuild.
 //!
 //! 1. **Seed**: the parent of every local leaf is interior.
 //! 2. **Close**, finest level first: an interior node `p` makes its own
 //!    parent interior, and the parent of each of its same-size neighbor
-//!    domains `p + o·H` — the 2:1 rule one level up (a leaf `q` of level
+//!    domains `p + o·H` (`directions::neighbor_index`: a dilated ±1 on
+//!    the index, the connectivity consulted only where the step leaves
+//!    the tree) — the 2:1 rule one level up (a leaf `q` of level
 //!    `L` forces the level-`(L−1)` ancestor of `q + o·h` to *exist*, and
 //!    over the children of `p` those ancestors are `p` and its neighbor
 //!    domains; DESIGN.md §3.4 has the argument). A level is finished
@@ -34,10 +37,8 @@
 //! edge/corner offsets that exit through a single tree face); tree-edge
 //! and tree-corner connections are not modeled (see DESIGN.md).
 
-use crate::directions::{
-    for_each_neighbor_domain, neighbor_domain, offsets, Adjacency, NeighborScratch,
-};
-use crate::Forest;
+use crate::directions::{neighbor_domain, neighbor_index, offsets, Adjacency};
+use crate::{index_span, Forest};
 use quadforest_comm::Comm;
 use quadforest_core::quadrant::Quadrant;
 
@@ -73,65 +74,58 @@ impl<Q: Quadrant> Forest<Q> {
         // per run of siblings)
         let mut interior: Vec<Vec<(u32, u64)>> = vec![Vec::new(); Q::MAX_LEVEL as usize + 1];
         for (t, leaves) in self.trees.iter().enumerate() {
-            let mut prev: Option<&Q> = None;
+            let mut prev = None;
             for q in leaves {
-                if q.level() > 0 && !prev.is_some_and(|p| p.is_sibling_of(q)) {
-                    interior[q.level() as usize - 1].push((t as u32, q.morton_index() >> d));
+                let parent = (q.level(), q.morton_index() >> d);
+                if q.level() > 0 && prev != Some(parent) {
+                    interior[q.level() as usize - 1].push((t as u32, parent.1));
                 }
-                prev = Some(q);
+                prev = Some(parent);
             }
         }
 
-        // close finest-first over the whole forest; a finished level is
-        // addressed to every other rank its nodes' subtrees overlap
+        // close finest-first over the whole forest, in key space; a
+        // finished level is addressed to every other rank its nodes'
+        // subtrees overlap
+        let conn = self.connectivity();
         let mut outgoing: Vec<Vec<(u32, u8, u64)>> = (0..self.size).map(|_| Vec::new()).collect();
-        let mut scratch = NeighborScratch::new();
-        let mut quads: Vec<Q> = Vec::new();
         for level in (0..=Q::MAX_LEVEL).rev() {
             let (coarser, rest) = interior.split_at_mut(level as usize);
             let nodes = &mut rest[0];
             nodes.sort_unstable();
             nodes.dedup();
-            for run in nodes.chunk_by(|a, b| a.0 == b.0) {
-                let tree = run[0].0;
-                quads.clear();
-                quads.extend(run.iter().map(|&(_, i)| Q::from_morton(i, level)));
-                for (q, &(_, i)) in quads.iter().zip(run) {
-                    for r in self.owners_of_subtree(tree, q) {
-                        if r != self.rank {
-                            outgoing[r].push((tree, level, i));
+            for &(tree, i) in nodes.iter() {
+                for r in self.owners_of_span(tree, index_span::<Q>(i, level)) {
+                    if r != self.rank {
+                        outgoing[r].push((tree, level, i));
+                    }
+                }
+            }
+            let Some(up) = coarser.last_mut() else {
+                continue;
+            };
+            // skipping a repeat of the previous push drops most
+            // duplicates before the sort (siblings share parents); each
+            // offset's stream of parents is nearly sorted, so the pushes
+            // run offset-major
+            let mut push = |node: (u32, u64)| {
+                if up.last() != Some(&node) {
+                    up.push(node);
+                }
+            };
+            for &(tree, i) in nodes.iter() {
+                push((tree, i >> d));
+            }
+            for &off in &offs {
+                for &(tree, i) in nodes.iter() {
+                    // half the domains are siblings of the node itself:
+                    // same parent, pushed above
+                    if let Some((nt, ni)) = neighbor_index::<Q>(conn, tree, i, level, off) {
+                        if (nt, ni >> d) != (tree, i >> d) {
+                            push((nt, ni >> d));
                         }
                     }
                 }
-                let Some(up) = coarser.last_mut() else {
-                    continue;
-                };
-                // skipping a repeat of the previous push drops most
-                // duplicates before the sort (siblings share parents)
-                let mut push = |node: (u32, u64)| {
-                    if up.last() != Some(&node) {
-                        up.push(node);
-                    }
-                };
-                for &(_, i) in run {
-                    push((tree, i >> d));
-                }
-                for_each_neighbor_domain(
-                    self.connectivity(),
-                    tree,
-                    &quads,
-                    &offs,
-                    1,
-                    &mut scratch,
-                    |k, _, dom| {
-                        // half the domains are siblings of the node
-                        // itself: same parent, pushed above
-                        let n = Q::from_coords(dom.coords, level);
-                        if dom.tree != tree || !n.is_sibling_of(&quads[k]) {
-                            push((dom.tree, n.morton_index() >> d));
-                        }
-                    },
-                );
             }
         }
         quadforest_telemetry::counter_add(

@@ -14,10 +14,12 @@
 //!   interpolate parent→children, and coarsened families project
 //!   children→parent. An op that changed no local leaf maps nothing.
 //! * [`Forest::partition_mapped`] piggybacks payloads on the SFC
-//!   partition: each migrating leaf ships its `T` in a payload
-//!   all-to-all cut by the same destination ranges as the leaf
-//!   exchange, so data arrives already in global leaf order (and
-//!   payload-less partitions keep their original message shape).
+//!   partition: the values of each run of leaves that changes owner
+//!   ship in a payload all-to-all cut by the same runs as the leaf
+//!   exchange, and the store is trimmed and spliced in place like the
+//!   leaf arrays, so values that stay are not copied and arrivals land
+//!   in global leaf order (payload-less partitions keep their original
+//!   message shape).
 //!
 //! Mappers may be called through several levels at once (recursive
 //! refinement, multi-level coarsening): the walk descends the implied
@@ -298,20 +300,18 @@ impl<Q: Quadrant> Forest<Q> {
         n
     }
 
-    /// [`Forest::partition`] that carries payloads: every migrating leaf
-    /// ships its `T` in a payload all-to-all cut by the same destination
-    /// ranges as the leaf exchange, so `data` arrives on the new owner
-    /// already in rank-global leaf order. Returns the number of leaves
-    /// that moved away from this rank. Collective.
+    /// [`Forest::partition`] that carries payloads: the values of every
+    /// run of leaves that changes owner travel in a second all-to-all
+    /// cut exactly like the leaf runs, and `data` is trimmed and spliced
+    /// in place like the leaf arrays, so it stays in rank-global leaf
+    /// order. Returns the number of leaves that moved away from this
+    /// rank. Collective.
     pub fn partition_mapped<T>(&mut self, comm: &Comm, data: &mut LeafData<T>) -> usize
     where
         T: Clone + Wire + Send + 'static,
     {
         data.check_aligned(self, "partition_mapped");
-        let payload = std::mem::take(&mut data.items);
-        let (moved, arrived) = self.partition_core(comm, |_, _| 1, Some(payload));
-        data.items = arrived;
-        moved
+        self.partition_core(comm, Some(&mut data.items))
     }
 }
 

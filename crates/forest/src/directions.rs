@@ -1,10 +1,10 @@
 //! Neighbor-direction enumeration shared by balance, ghost construction
-//! and iteration.
-//!
-//! All cross-leaf reasoning in the high-level algorithms is done in pure
-//! coordinate arithmetic (boxes and offsets), never by constructing
-//! exterior quadrants — the raw-Morton representations carry no sign
-//! bits, so exterior positions must not be materialized as quadrants.
+//! and iteration. Exterior positions are never materialized as quadrants
+//! (the raw-Morton layouts carry no sign bits): a neighbor is either a
+//! domain in coordinates with its contact box ([`neighbor_domain`]), or
+//! in key space a level-`ℓ` index stepped by a dilated ±1 per axis
+//! (`neighbor_index`, for balance and ghost's prune), the connectivity
+//! consulted only where the step leaves the tree.
 
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
@@ -182,16 +182,54 @@ pub fn neighbor_domain<Q: Quadrant>(
     }
 }
 
+/// The same-size neighbor domain of the level-`level` node with Morton
+/// index `i` in `tree` along `offset`, as `(tree, index)` — what
+/// [`neighbor_domain`] of `Q::from_morton(i, level)` read back through
+/// `from_coords` → `morton_index` gives, without leaving key space. Each
+/// nonzero axis' digits step by a dilated ±1 (the paper's Algorithm 8,
+/// `Morton_FNeigh`): the other axes' bits are set so a carry runs through
+/// them, or masked off so a borrow does. Only digits that are all ones
+/// (stepping up) or all zeros (stepping down) leave the tree, and only
+/// then is the connectivity consulted, through that round trip.
+pub(crate) fn neighbor_index<Q: Quadrant>(
+    conn: &Connectivity,
+    tree: u32,
+    i: u64,
+    level: u8,
+    offset: [i32; 3],
+) -> Option<(u32, u64)> {
+    // a one at every x digit of a level-relative index
+    let x_digits = match Q::DIM {
+        2 => 0x5555_5555_5555_5555u64,
+        _ => 0x1249_2492_4924_9249u64,
+    };
+    let digits = (1u64 << (Q::DIM * level as u32)) - 1;
+    let mut out = i;
+    for (a, &o) in offset.iter().enumerate().take(Q::DIM as usize) {
+        let m = (x_digits << a) & digits;
+        let own = out & m;
+        let stepped = match o {
+            0 => continue,
+            1 if own != m => ((own | !m) + 1) & m,
+            -1 if own != 0 => (own - 1) & m,
+            _ => {
+                return neighbor_domain(conn, tree, &Q::from_morton(i, level), offset)
+                    .map(|dom| (dom.tree, Q::from_coords(dom.coords, level).morton_index()))
+            }
+        };
+        out = (out & !m) | stepped;
+    }
+    Some((tree, out))
+}
+
 /// Reusable buffers for [`for_each_neighbor_domain`], so per-tree
 /// batched enumeration allocates only on the first (largest) block.
 #[derive(Default)]
 pub(crate) struct NeighborScratch {
-    /// Gathered leaves (level ≥ `min_level`), SoA layout.
+    /// Gathered leaves, SoA layout.
     soa: quadforest_core::scalar_ref::QuadSoA,
     /// Shifted neighbor anchors for the current offset.
     out: quadforest_core::scalar_ref::QuadSoA,
-    /// Original leaf index of each gathered lane.
-    idx: Vec<usize>,
     /// Tree-boundary classification per axis (see
     /// `Quadrant::tree_boundaries`).
     fx: Vec<i32>,
@@ -206,8 +244,8 @@ impl NeighborScratch {
     }
 }
 
-/// Batched equivalent of calling [`neighbor_domain`] for every leaf of
-/// level ≥ `min_level` × every offset: gathers the leaves into a
+/// Batched equivalent of calling [`neighbor_domain`] for every leaf ×
+/// every offset: gathers the leaves into a
 /// [`QuadSoA`](quadforest_core::scalar_ref::QuadSoA) block, classifies
 /// tree boundaries once with the runtime-dispatched
 /// [`tree_boundaries_all`](quadforest_core::batch::tree_boundaries_all)
@@ -222,14 +260,13 @@ impl NeighborScratch {
 /// `visit(leaf_index, offset, domain)` is called for every resolved
 /// domain, in offset-major order. The set of visited `(leaf, offset,
 /// domain)` triples is exactly the set the per-quadrant loop produces
-/// (`balance`/`ghost` consume them order-insensitively; the equivalence
-/// is property-tested against the scalar oracle).
+/// (`ghost` consumes them order-insensitively; the equivalence is
+/// property-tested against the scalar oracle).
 pub(crate) fn for_each_neighbor_domain<Q: Quadrant>(
     conn: &Connectivity,
     tree: u32,
     leaves: &[Q],
     offs: &[[i32; 3]],
-    min_level: u8,
     scratch: &mut NeighborScratch,
     mut visit: impl FnMut(usize, [i32; 3], &NeighborDomain),
 ) {
@@ -238,12 +275,8 @@ pub(crate) fn for_each_neighbor_domain<Q: Quadrant>(
     let max_level = Q::MAX_LEVEL;
     scratch.soa.clear();
     scratch.soa.reserve(leaves.len());
-    scratch.idx.clear();
-    for (i, q) in leaves.iter().enumerate() {
-        if q.level() >= min_level {
-            scratch.soa.push(q.coords(), q.level() as i32);
-            scratch.idx.push(i);
-        }
+    for q in leaves {
+        scratch.soa.push(q.coords(), q.level() as i32);
     }
     let n = scratch.soa.len();
     if n == 0 {
@@ -309,12 +342,12 @@ pub(crate) fn for_each_neighbor_domain<Q: Quadrant>(
                     level,
                     contact,
                 };
-                visit(scratch.idx[i], off, &dom);
+                visit(i, off, &dom);
             } else {
                 // boundary slow path: full connectivity resolution
                 let q = Q::from_coords(c, level);
                 if let Some(dom) = neighbor_domain(conn, tree, &q, off) {
-                    visit(scratch.idx[i], off, &dom);
+                    visit(i, off, &dom);
                 }
             }
         }
@@ -330,14 +363,10 @@ fn for_each_neighbor_domain_scalar<Q: Quadrant>(
     tree: u32,
     leaves: &[Q],
     offs: &[[i32; 3]],
-    min_level: u8,
     mut visit: impl FnMut(usize, [i32; 3], &NeighborDomain),
 ) {
     for &off in offs {
         for (i, q) in leaves.iter().enumerate() {
-            if q.level() < min_level {
-                continue;
-            }
             if let Some(dom) = neighbor_domain(conn, tree, q, off) {
                 visit(i, off, &dom);
             }
@@ -438,19 +467,16 @@ mod tests {
         conn: &Connectivity,
         leaves: &[Q],
         offs: &[[i32; 3]],
-        min_level: u8,
         batched: bool,
     ) -> Vec<(usize, [i32; 3], NeighborDomain)> {
         let mut got = Vec::new();
         if batched {
             let mut scratch = NeighborScratch::new();
-            for_each_neighbor_domain(conn, 0, leaves, offs, min_level, &mut scratch, |i, o, d| {
+            for_each_neighbor_domain(conn, 0, leaves, offs, &mut scratch, |i, o, d| {
                 got.push((i, o, *d))
             });
         } else {
-            for_each_neighbor_domain_scalar(conn, 0, leaves, offs, min_level, |i, o, d| {
-                got.push((i, o, *d))
-            });
+            for_each_neighbor_domain_scalar(conn, 0, leaves, offs, |i, o, d| got.push((i, o, *d)));
         }
         got.sort_by_key(|(i, o, d)| (*i, *o, d.tree, d.coords));
         got
@@ -475,11 +501,9 @@ mod tests {
         ] {
             for kind in [Adjacency::Face, Adjacency::Full] {
                 let offs = offsets(2, kind);
-                for min_level in [0u8, 3] {
-                    let batched = collect_domains(&conn, &leaves, &offs, min_level, true);
-                    let scalar = collect_domains(&conn, &leaves, &offs, min_level, false);
-                    assert_eq!(batched, scalar, "kind {kind:?} min_level {min_level}");
-                }
+                let batched = collect_domains(&conn, &leaves, &offs, true);
+                let scalar = collect_domains(&conn, &leaves, &offs, false);
+                assert_eq!(batched, scalar, "kind {kind:?}");
             }
         }
     }
@@ -489,9 +513,65 @@ mod tests {
         let leaves = quadforest_core::workload::complete_tree::<Q3>(2);
         let conn = Connectivity::unit(3);
         let offs = offsets(3, Adjacency::Full);
-        let batched = collect_domains(&conn, &leaves, &offs, 0, true);
-        let scalar = collect_domains(&conn, &leaves, &offs, 0, false);
+        let batched = collect_domains(&conn, &leaves, &offs, true);
+        let scalar = collect_domains(&conn, &leaves, &offs, false);
         assert_eq!(batched, scalar);
+    }
+
+    /// [`neighbor_index`] against the coordinate round trip it replaces
+    /// (`neighbor_domain` → `from_coords` → `morton_index`) over every
+    /// tree of `conn`, both adjacencies, every node of levels `0..=top`
+    /// — so the level-0 root and nodes on every tree face — and corner,
+    /// face and interior nodes of the two finest levels.
+    fn neighbor_index_is_the_round_trip<Q: Quadrant>(conn: &Connectivity, top: u8) {
+        let coarse = (0..=top).flat_map(|l| (0..Q::uniform_count(l)).map(move |i| (i, l)));
+        let fine = [Q::MAX_LEVEL, Q::MAX_LEVEL - 1].into_iter().flat_map(|l| {
+            let n = Q::uniform_count(l);
+            [0, 1, n / 2, n / 3, 2 * n / 3, n - 2, n - 1].map(|i| (i, l))
+        });
+        let nodes: Vec<(u64, u8)> = coarse.chain(fine).collect();
+        for kind in [Adjacency::Face, Adjacency::Full] {
+            for off in offsets(Q::DIM, kind) {
+                for tree in 0..conn.num_trees() as u32 {
+                    for &(i, level) in &nodes {
+                        let q = Q::from_morton(i, level);
+                        let want = neighbor_domain(conn, tree, &q, off)
+                            .map(|d| (d.tree, Q::from_coords(d.coords, level).morton_index()));
+                        assert_eq!(
+                            neighbor_index::<Q>(conn, tree, i, level, off),
+                            want,
+                            "{} tree {tree} level {level} index {i} offset {off:?}",
+                            Q::NAME
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_index_matches_the_coordinate_round_trip() {
+        use quadforest_core::quadrant::{AvxQuad, MortonQuad};
+        for conn in [
+            Connectivity::unit(2),
+            Connectivity::periodic(2),
+            Connectivity::brick2d(2, 2, false, true),
+            Connectivity::two_trees_rotated_2d(),
+        ] {
+            neighbor_index_is_the_round_trip::<Q2>(&conn, 3);
+            neighbor_index_is_the_round_trip::<MortonQuad<2>>(&conn, 3);
+            neighbor_index_is_the_round_trip::<AvxQuad<2>>(&conn, 3);
+        }
+        for conn in [
+            Connectivity::unit(3),
+            Connectivity::periodic(3),
+            Connectivity::brick3d(2, 1, 2, [false, true, false]),
+            Connectivity::two_trees_rotated_3d(),
+        ] {
+            neighbor_index_is_the_round_trip::<Q3>(&conn, 2);
+            neighbor_index_is_the_round_trip::<MortonQuad<3>>(&conn, 2);
+            neighbor_index_is_the_round_trip::<AvxQuad<3>>(&conn, 2);
+        }
     }
 
     #[test]

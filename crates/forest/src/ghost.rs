@@ -18,14 +18,13 @@
 //! ends, so [`GhostLayer::exchange_data`] ships values only — no keys,
 //! no request round.
 //!
-//! All geometry runs in coordinate boxes (see `directions`), so the
-//! algorithm is identical for every quadrant representation, including
-//! the sign-free raw-Morton layouts.
+//! The search steps to neighbors in key space and the requests carry
+//! coordinate boxes (both in `directions`), so the algorithm is identical
+//! for every quadrant representation, including the sign-free raw-Morton
+//! layouts.
 
-use crate::directions::{
-    for_each_neighbor_domain, neighbor_domain, offsets, Box3, NeighborScratch,
-};
-use crate::{key_span, Forest, SearchAction};
+use crate::directions::{for_each_neighbor_domain, neighbor_index, offsets, Box3, NeighborScratch};
+use crate::{index_span, key_span, Forest, SearchAction};
 use quadforest_comm::Comm;
 use quadforest_core::quadrant::Quadrant;
 
@@ -109,18 +108,17 @@ impl<Q: Quadrant> Forest<Q> {
         // of those domains (`None` = no forest there), so none is remote.
         let offs = offsets(Q::DIM, kind.adjacency());
         let conn = self.connectivity();
-        let local = |tree: u32, q: &Q| {
-            let (first, last) = key_span(q);
+        let local = |tree: u32, (first, last): (u64, u64)| {
             self.is_local_position((tree, first)) && self.is_local_position((tree, last))
         };
         let mut boundary: Vec<Vec<Q>> = vec![Vec::new(); self.trees.len()];
         if self.size > 1 {
             self.search(|t, node, _, is_leaf| {
-                let interior = local(t, node)
+                let (i, level) = (node.morton_index(), node.level());
+                let interior = local(t, key_span(node))
                     && offs.iter().all(|&off| {
-                        neighbor_domain(conn, t, node, off).is_none_or(|dom| {
-                            local(dom.tree, &Q::from_coords(dom.coords, dom.level))
-                        })
+                        neighbor_index::<Q>(conn, t, i, level, off)
+                            .is_none_or(|(nt, ni)| local(nt, index_span::<Q>(ni, level)))
                     });
                 if interior {
                     return SearchAction::Prune;
@@ -138,22 +136,14 @@ impl<Q: Quadrant> Forest<Q> {
         let mut scratch = NeighborScratch::new();
         let mut outgoing: Vec<Vec<Request>> = (0..self.size).map(|_| Vec::new()).collect();
         for (t, leaves) in boundary.iter().enumerate() {
-            for_each_neighbor_domain(
-                conn,
-                t as u32,
-                leaves,
-                &offs,
-                0,
-                &mut scratch,
-                |_, _, dom| {
-                    let probe = Q::from_coords(dom.coords, dom.level);
-                    for r in self.owners_of_subtree(dom.tree, &probe) {
-                        if r != self.rank {
-                            outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
-                        }
+            for_each_neighbor_domain(conn, t as u32, leaves, &offs, &mut scratch, |_, _, dom| {
+                let probe = Q::from_coords(dom.coords, dom.level);
+                for r in self.owners_of_span(dom.tree, key_span(&probe)) {
+                    if r != self.rank {
+                        outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
                     }
-                },
-            );
+                }
+            });
         }
         for reqs in &mut outgoing {
             reqs.sort_by_key(|(t, c, l, _)| (*t, *l, c[0], c[1], c[2]));
@@ -272,7 +262,7 @@ impl<Q: Quadrant> GhostLayer<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directions::Adjacency;
+    use crate::directions::{neighbor_domain, Adjacency};
     use crate::BalanceKind;
     use quadforest_connectivity::Connectivity;
     use quadforest_core::quadrant::{MortonQuad, StandardQuad};

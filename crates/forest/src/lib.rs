@@ -18,7 +18,8 @@
 //! * [`Forest::refine`] / [`Forest::coarsen`] — callback-driven local
 //!   adaptation,
 //! * [`Forest::balance`] — parallel 2:1 balance,
-//! * [`Forest::partition`] — (weighted) SFC partition,
+//! * [`Forest::partition`] — equal-count SFC partition, shipping only
+//!   the runs of leaves that change owner,
 //! * [`Forest::ghost`] — ghost/halo layer construction; the layer
 //!   records its mirrors, so [`GhostLayer::exchange_data`] is one round
 //!   of values,
@@ -114,6 +115,13 @@ pub(crate) fn key_span<Q: Quadrant>(q: &Q) -> (u64, u64) {
     let first = q.morton_abs();
     let below = (1u64 << (Q::DIM * (Q::MAX_LEVEL - q.level()) as u32)) - 1;
     (first, first | below)
+}
+
+/// [`key_span`] of the level-`level` node with Morton index `i`, read
+/// off the index alone.
+pub(crate) fn index_span<Q: Quadrant>(i: u64, level: u8) -> (u64, u64) {
+    let s = Q::DIM * (Q::MAX_LEVEL - level) as u32;
+    (i << s, (i << s) | ((1u64 << s) - 1))
 }
 
 /// The sentinel position one past the end of the forest.
@@ -285,10 +293,14 @@ impl<Q: Quadrant> Forest<Q> {
         r.saturating_sub(1).min(self.size - 1)
     }
 
-    /// All ranks whose range intersects the subtree of `q` in `tree`
-    /// (the owners of any present or future descendant of `q`).
-    pub(crate) fn owners_of_subtree(&self, tree: TreeId, q: &Q) -> std::ops::RangeInclusive<usize> {
-        let (first, last) = key_span(q);
+    /// All ranks whose range intersects the key span `(first, last)` of
+    /// a subtree of `tree` (the owners of any present or future
+    /// descendant of its root).
+    pub(crate) fn owners_of_span(
+        &self,
+        tree: TreeId,
+        (first, last): (u64, u64),
+    ) -> std::ops::RangeInclusive<usize> {
         self.owner_of_position((tree, first))..=self.owner_of_position((tree, last))
     }
 

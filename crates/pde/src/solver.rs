@@ -416,6 +416,9 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         self.release_scratch();
         let max_level = self.max_level;
         let base_level = self.base_level;
+        // `balance` may re-split what `coarsen` merged, so the counts
+        // alone cannot say whether the mesh changed: the leaves can
+        let before: Vec<(TreeId, Q)> = self.forest.leaves().map(|(t, q)| (t, *q)).collect();
 
         // snapshot patch magnitudes keyed by *pre-adapt* leaf identity.
         // The refine flags only ever see pre-adapt leaves, but the
@@ -462,7 +465,13 @@ impl<Q: Quadrant> AdvectionSim<Q> {
             .balance_mapped(comm, BalanceKind::Face, &mut self.u, &PatchMapper);
         // on every rank alike: the mesh may have changed on *any* rank,
         // which reshapes this rank's ghost layer too
-        if comm.allreduce_sum((refined + coarsened) as u64) > 0 {
+        let changed = refined + coarsened > 0
+            && !self
+                .forest
+                .leaves()
+                .map(|(t, q)| (t, *q))
+                .eq(before.iter().copied());
+        if comm.allreduce_sum(changed as u64) > 0 {
             self.invalidate_topology();
         }
         let mapped_bytes = (self.u.len() * PATCH_WIRE_BYTES) as u64;
@@ -720,6 +729,39 @@ mod tests {
         });
         assert!(d2.iter().all(|d| *d == d2[0]));
         assert_eq!(d2[0], d4[0], "digest must not depend on the partition");
+    }
+
+    /// A coarsen that `balance` undoes changes no leaf, so the adapt
+    /// keeps the compiled topology — the refine and coarsen counts alone
+    /// would have dropped it.
+    #[test]
+    fn adapt_undone_by_balance_keeps_the_topology() {
+        quadforest_comm::run(2, |comm| {
+            // a small disk inside one level-2 quadrant is refined to
+            // level 4; balance splits the level-2 leaves beside it into
+            // level-3 families
+            let disk = |x: f64, y: f64| {
+                let inside = (x - 0.28).powi(2) + (y - 0.375).powi(2) < 0.025f64.powi(2);
+                inside as u8 as f64
+            };
+            let conn = Arc::new(Connectivity::periodic(2));
+            let mut sim = AdvectionSim::<Q>::new(conn, &comm, 2, 4, [1.0, 0.5], disk);
+            let dt = sim.cfl_dt(&comm, 0.45);
+            sim.step(&comm, dt);
+            assert!(sim.topo.is_some());
+            // the finest leaves above both thresholds, the rest zero: the
+            // coarsen pass merges exactly the families balance made, and
+            // balance makes them again
+            for ((_, q), p) in sim.forest.leaves().zip(sim.u.iter_mut()) {
+                p.cells.fill((q.level() == 4) as u8 as f64);
+            }
+            let before = sim.forest.gather_all(&comm);
+            let report = sim.adapt(&comm, AdaptThresholds::default());
+            assert!(comm.allreduce_sum(report.coarsened as u64) > 0);
+            assert_eq!(sim.forest.gather_all(&comm), before, "balance undoes it");
+            assert!(sim.topo.is_some(), "an unchanged mesh keeps its topology");
+            assert_eq!(sim.migrate(&comm), 0);
+        });
     }
 
     #[test]

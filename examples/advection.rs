@@ -124,7 +124,7 @@ fn main() {
             FaultPlan::new(0xADC7)
                 .with_delays(0.02, Duration::from_micros(300))
                 .with_reordering(0.02)
-                .with_panic_at(1, 700),
+                .with_panic_at(1, 600),
         )],
         ..RecoveryOptions::default()
     };
