@@ -98,82 +98,14 @@ impl CommError {
 }
 
 // CommError crosses the parent/child process boundary inside `Failed`
-// frames, so it needs a wire form. `TypeMismatch.expected` is a
-// `&'static str`; decoding interns the string (leak-once) to get the
-// static lifetime back — error paths are cold, the leak is bounded by
-// the set of distinct type names.
-impl quadforest_core::Wire for CommError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CommError::Aborted { origin, reason } => {
-                out.push(0);
-                origin.encode(out);
-                reason.encode(out);
-            }
-            CommError::Timeout {
-                rank,
-                src,
-                tag,
-                waited,
-                diagnostic,
-            } => {
-                out.push(1);
-                rank.encode(out);
-                src.encode(out);
-                tag.encode(out);
-                waited.encode(out);
-                diagnostic.encode(out);
-            }
-            CommError::TypeMismatch { src, tag, expected } => {
-                out.push(2);
-                src.encode(out);
-                tag.encode(out);
-                expected.to_string().encode(out);
-            }
-            CommError::PeerFailed { rank, reason } => {
-                out.push(3);
-                rank.encode(out);
-                reason.encode(out);
-            }
-            CommError::Frame { detail } => {
-                out.push(4);
-                detail.encode(out);
-            }
-        }
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        use quadforest_core::wire::WireError;
-        match u8::decode(r)? {
-            0 => Ok(CommError::Aborted {
-                origin: usize::decode(r)?,
-                reason: String::decode(r)?,
-            }),
-            1 => Ok(CommError::Timeout {
-                rank: usize::decode(r)?,
-                src: usize::decode(r)?,
-                tag: u64::decode(r)?,
-                waited: Duration::decode(r)?,
-                diagnostic: String::decode(r)?,
-            }),
-            2 => Ok(CommError::TypeMismatch {
-                src: usize::decode(r)?,
-                tag: u64::decode(r)?,
-                expected: quadforest_telemetry::intern_name(&String::decode(r)?),
-            }),
-            3 => Ok(CommError::PeerFailed {
-                rank: usize::decode(r)?,
-                reason: String::decode(r)?,
-            }),
-            4 => Ok(CommError::Frame {
-                detail: String::decode(r)?,
-            }),
-            d => Err(WireError::Invalid(format!("CommError discriminant {d}"))),
-        }
-    }
-}
+// frames, so it needs a wire form.
+quadforest_core::wire!(enum CommError {
+    0 => Aborted { origin, reason },
+    1 => Timeout { rank, src, tag, waited, diagnostic },
+    2 => TypeMismatch { src, tag, expected },
+    3 => PeerFailed { rank, reason },
+    4 => Frame { detail },
+});
 
 impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

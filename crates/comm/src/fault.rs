@@ -155,44 +155,15 @@ pub enum NetDir {
     Both,
 }
 
+quadforest_core::wire!(enum NetDir { 0 => Out, 1 => In, 2 => Both });
+
 impl NetDir {
-    fn to_u8(self) -> u8 {
-        match self {
-            NetDir::Out => 0,
-            NetDir::In => 1,
-            NetDir::Both => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(NetDir::Out),
-            1 => Some(NetDir::In),
-            2 => Some(NetDir::Both),
-            _ => None,
-        }
-    }
-
     fn severs_out(self) -> bool {
         matches!(self, NetDir::Out | NetDir::Both)
     }
 
     fn severs_in(self) -> bool {
         matches!(self, NetDir::In | NetDir::Both)
-    }
-}
-
-impl quadforest_core::Wire for NetDir {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_u8().encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        let v = u8::decode(r)?;
-        NetDir::from_u8(v)
-            .ok_or_else(|| quadforest_core::wire::WireError::Invalid(format!("NetDir {v}")))
     }
 }
 
@@ -405,45 +376,11 @@ impl FaultPlan {
 // FaultPlans travel from the supervisor process to spawned rank
 // processes (hex-encoded in an environment variable), so the plan needs
 // a wire form. Field order matches declaration order.
-impl quadforest_core::Wire for FaultPlan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seed.encode(out);
-        self.delay_prob.encode(out);
-        self.delay_max.encode(out);
-        self.reorder_prob.encode(out);
-        self.panics.encode(out);
-        self.sigkills.encode(out);
-        self.stalls.encode(out);
-        self.net_delay_prob.encode(out);
-        self.net_delay_max.encode(out);
-        self.net_drop_prob.encode(out);
-        self.net_corrupt_prob.encode(out);
-        self.net_partial_prob.encode(out);
-        self.net_resets.encode(out);
-        self.net_partitions.encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        Ok(FaultPlan {
-            seed: u64::decode(r)?,
-            delay_prob: u32::decode(r)?,
-            delay_max: Duration::decode(r)?,
-            reorder_prob: u32::decode(r)?,
-            panics: Vec::decode(r)?,
-            sigkills: Vec::decode(r)?,
-            stalls: Vec::decode(r)?,
-            net_delay_prob: u32::decode(r)?,
-            net_delay_max: Duration::decode(r)?,
-            net_drop_prob: u32::decode(r)?,
-            net_corrupt_prob: u32::decode(r)?,
-            net_partial_prob: u32::decode(r)?,
-            net_resets: Vec::decode(r)?,
-            net_partitions: Vec::decode(r)?,
-        })
-    }
-}
+quadforest_core::wire!(struct FaultPlan {
+    seed, delay_prob, delay_max, reorder_prob, panics, sigkills, stalls,
+    net_delay_prob, net_delay_max, net_drop_prob, net_corrupt_prob, net_partial_prob,
+    net_resets, net_partitions,
+});
 
 /// What a rank's fault stream demands at the current communication
 /// operation, as reported by [`RankFaults::tick_op`].

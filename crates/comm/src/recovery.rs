@@ -97,25 +97,7 @@ impl RecoveryPolicy {
 // A RecoveryPolicy doubles as the TCP backend's *reconnect* schedule
 // and must travel to spawned rank processes (hex-encoded in an
 // environment variable), so it needs a wire form.
-impl quadforest_core::Wire for RecoveryPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.max_attempts.encode(out);
-        self.base_delay.encode(out);
-        self.max_delay.encode(out);
-        self.jitter_ppm.encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        Ok(RecoveryPolicy {
-            max_attempts: usize::decode(r)?,
-            base_delay: Duration::decode(r)?,
-            max_delay: Duration::decode(r)?,
-            jitter_ppm: u32::decode(r)?,
-        })
-    }
-}
+quadforest_core::wire!(struct RecoveryPolicy { max_attempts, base_delay, max_delay, jitter_ppm });
 
 /// Options for [`run_with_recovery`]: the retry/backoff policy plus
 /// per-attempt world configuration.

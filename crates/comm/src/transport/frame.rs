@@ -130,112 +130,15 @@ pub(crate) fn msg_route(payload: &[u8]) -> Option<Result<(u64, u64), WireError>>
     Some(route())
 }
 
-impl Wire for Frame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Hello { rank } => {
-                out.push(0);
-                rank.encode(out);
-            }
-            Frame::Msg {
-                src,
-                dst,
-                tag,
-                type_tag,
-                bytes,
-                data,
-            } => {
-                out.push(MSG);
-                src.encode(out);
-                dst.encode(out);
-                tag.encode(out);
-                type_tag.encode(out);
-                bytes.encode(out);
-                data.encode(out);
-            }
-            Frame::Heartbeat {
-                rank,
-                seq,
-                op,
-                phase,
-            } => {
-                out.push(2);
-                rank.encode(out);
-                seq.encode(out);
-                op.encode(out);
-                phase.encode(out);
-            }
-            Frame::Abort { origin, reason } => {
-                out.push(3);
-                origin.encode(out);
-                reason.encode(out);
-            }
-            Frame::Done { rank, result } => {
-                out.push(4);
-                rank.encode(out);
-                result.encode(out);
-            }
-            Frame::Failed {
-                rank,
-                panicked,
-                reason,
-                error,
-            } => {
-                out.push(5);
-                rank.encode(out);
-                panicked.encode(out);
-                reason.encode(out);
-                error.encode(out);
-            }
-            Frame::RequestKill { rank, op } => {
-                out.push(6);
-                rank.encode(out);
-                op.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Frame::Hello {
-                rank: u64::decode(r)?,
-            }),
-            MSG => Ok(Frame::Msg {
-                src: u64::decode(r)?,
-                dst: u64::decode(r)?,
-                tag: u64::decode(r)?,
-                type_tag: u64::decode(r)?,
-                bytes: u64::decode(r)?,
-                data: Vec::decode(r)?,
-            }),
-            2 => Ok(Frame::Heartbeat {
-                rank: u64::decode(r)?,
-                seq: u64::decode(r)?,
-                op: u64::decode(r)?,
-                phase: String::decode(r)?,
-            }),
-            3 => Ok(Frame::Abort {
-                origin: u64::decode(r)?,
-                reason: String::decode(r)?,
-            }),
-            4 => Ok(Frame::Done {
-                rank: u64::decode(r)?,
-                result: Vec::decode(r)?,
-            }),
-            5 => Ok(Frame::Failed {
-                rank: u64::decode(r)?,
-                panicked: bool::decode(r)?,
-                reason: String::decode(r)?,
-                error: Option::decode(r)?,
-            }),
-            6 => Ok(Frame::RequestKill {
-                rank: u64::decode(r)?,
-                op: u64::decode(r)?,
-            }),
-            d => Err(WireError::Invalid(format!("Frame discriminant {d}"))),
-        }
-    }
-}
+quadforest_core::wire!(enum Frame {
+    0 => Hello { rank },
+    MSG => Msg { src, dst, tag, type_tag, bytes, data },
+    2 => Heartbeat { rank, seq, op, phase },
+    3 => Abort { origin, reason },
+    4 => Done { rank, result },
+    5 => Failed { rank, panicked, reason, error },
+    6 => RequestKill { rank, op },
+});
 
 /// Why reading a frame off a stream failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -596,6 +499,68 @@ mod tests {
             },
             Frame::RequestKill { rank: 1, op: 12 },
         ]
+    }
+
+    /// One sample of every variant of the comm crate's wire types —
+    /// frames, errors, fault plans (every `NetDir`), recovery policies —
+    /// pinned as length and CRC-32 of the concatenated encodings.
+    #[test]
+    fn wire_codecs_are_pinned_byte_for_byte() {
+        use crate::{CommError, FaultPlan, NetDir, RecoveryPolicy};
+        let mut bytes = Vec::new();
+        for frame in sample_frames() {
+            frame.encode(&mut bytes);
+        }
+        for error in [
+            CommError::Aborted {
+                origin: 1,
+                reason: "first".into(),
+            },
+            CommError::Timeout {
+                rank: 2,
+                src: 3,
+                tag: 0xF00D,
+                waited: Duration::new(5, 6),
+                diagnostic: "rank 3 idle".into(),
+            },
+            CommError::TypeMismatch {
+                src: 4,
+                tag: 8,
+                expected: "alloc::vec::Vec<u64>",
+            },
+            CommError::PeerFailed {
+                rank: 5,
+                reason: "heartbeat".into(),
+            },
+            CommError::Frame {
+                detail: "crc".into(),
+            },
+        ] {
+            error.encode(&mut bytes);
+        }
+        FaultPlan::new(0xC0FFEE)
+            .with_delays(0.25, Duration::from_micros(300))
+            .with_reordering(0.5)
+            .with_panic_at(1, 7)
+            .with_sigkill_at(2, 9)
+            .with_stall_at(0, 11)
+            .with_net_delays(0.125, Duration::from_millis(2))
+            .with_net_drops(0.01)
+            .with_net_corruption(0.02)
+            .with_net_partial_writes(0.03)
+            .with_net_reset_at(1, 4)
+            .with_net_partition(0, NetDir::Out, 5, Duration::from_millis(40))
+            .with_net_partition(1, NetDir::In, 6, Duration::from_millis(50))
+            .with_net_partition(2, NetDir::Both, 7, Duration::from_millis(60))
+            .encode(&mut bytes);
+        RecoveryPolicy {
+            max_attempts: 4,
+            base_delay: Duration::from_millis(3),
+            max_delay: Duration::from_secs(1),
+            jitter_ppm: 250_000,
+        }
+        .encode(&mut bytes);
+        assert_eq!((bytes.len(), crc32(&bytes)), (722, 0xF8EB_4523));
     }
 
     #[test]

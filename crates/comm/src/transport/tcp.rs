@@ -104,63 +104,25 @@ enum TcpPacket {
     Ping { ack: u64, sent: u64 },
 }
 
+/// Wire discriminant of [`TcpPacket::Data`].
+const DATA: u8 = 2;
+
 /// The encoding of [`TcpPacket::Data`], from a borrowed frame: the send
 /// and replay paths frame what sits in the retransmit queue without
 /// cloning it into a packet first.
 fn encode_data(seq: u64, ack: u64, frame: &Frame, out: &mut Vec<u8>) {
-    out.push(2);
+    out.push(DATA);
     seq.encode(out);
     ack.encode(out);
     frame.encode(out);
 }
 
-impl Wire for TcpPacket {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TcpPacket::Hello { rank, resume } => {
-                out.push(0);
-                rank.encode(out);
-                resume.encode(out);
-            }
-            TcpPacket::HelloAck { resume } => {
-                out.push(1);
-                resume.encode(out);
-            }
-            TcpPacket::Data { seq, ack, frame } => encode_data(*seq, *ack, frame, out),
-            TcpPacket::Ping { ack, sent } => {
-                out.push(3);
-                ack.encode(out);
-                sent.encode(out);
-            }
-        }
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        match u8::decode(r)? {
-            0 => Ok(TcpPacket::Hello {
-                rank: u64::decode(r)?,
-                resume: u64::decode(r)?,
-            }),
-            1 => Ok(TcpPacket::HelloAck {
-                resume: u64::decode(r)?,
-            }),
-            2 => Ok(TcpPacket::Data {
-                seq: u64::decode(r)?,
-                ack: u64::decode(r)?,
-                frame: Frame::decode(r)?,
-            }),
-            3 => Ok(TcpPacket::Ping {
-                ack: u64::decode(r)?,
-                sent: u64::decode(r)?,
-            }),
-            d => Err(quadforest_core::wire::WireError::Invalid(format!(
-                "TcpPacket discriminant {d}"
-            ))),
-        }
-    }
-}
+quadforest_core::wire!(enum TcpPacket {
+    0 => Hello { rank, resume },
+    1 => HelloAck { resume },
+    DATA => Data { seq, ack, frame },
+    3 => Ping { ack, sent },
+});
 
 /// One direction-pair of session state for a link endpoint.
 struct LinkState {
@@ -858,6 +820,38 @@ mod tests {
             let back = TcpPacket::from_wire(&p.to_wire()).expect("roundtrip");
             assert_eq!(p, back);
         }
+    }
+
+    /// Every packet kind, pinned as length and CRC-32 of the
+    /// concatenated encodings; the borrowed-frame `encode_data` writes
+    /// exactly what `TcpPacket::Data` does.
+    #[test]
+    fn tcp_packets_are_pinned_byte_for_byte() {
+        let frame = Frame::Heartbeat {
+            rank: 1,
+            seq: 2,
+            op: 3,
+            phase: "ghost".into(),
+        };
+        let mut data = Vec::new();
+        encode_data(41, 12, &frame, &mut data);
+        let packet = TcpPacket::Data {
+            seq: 41,
+            ack: 12,
+            frame,
+        };
+        assert_eq!(data, packet.to_wire());
+        let mut bytes = Vec::new();
+        for p in [
+            TcpPacket::Hello { rank: 3, resume: 9 },
+            TcpPacket::HelloAck { resume: 17 },
+            packet,
+            TcpPacket::Ping { ack: 5, sent: 11 },
+        ] {
+            p.encode(&mut bytes);
+        }
+        let crc = quadforest_core::crc::crc32(&bytes);
+        assert_eq!((bytes.len(), crc), (98, 0x2104_55BB));
     }
 
     #[test]

@@ -23,10 +23,14 @@
 //!
 //! The trait is implemented here for the std building blocks the forest
 //! algorithms send (integers, tuples, `Vec`, `Option`, `Result`,
-//! `String`, arrays, `Duration`) and for the telemetry snapshot types
-//! (so `aggregate_metrics` works across processes). Quadrant
-//! representations implement it in `quadrant` via their level +
-//! Morton-index normal form.
+//! `String`, `&'static str`, arrays, `Duration`). A declared struct or
+//! enum gets its codec from one [`wire!`](crate::wire!) invocation that
+//! lists its fields and variants in wire order — the telemetry snapshot
+//! types below, and every frame, error, plan and manifest of the layers
+//! above. Only a type
+//! whose bytes are not its fields writes `encode`/`decode` by hand: the
+//! quadrant representations (their level + Morton-index normal form, in
+//! `quadrant`) and the solver's patch payloads.
 
 use std::time::Duration;
 
@@ -266,6 +270,20 @@ impl Wire for String {
     }
 }
 
+/// A name held as `&'static str` (a metric name, a type name, which
+/// count disagreed) travels as a `String`. Decoding interns it — leaked
+/// once per distinct string, which the closed set of names in a program
+/// bounds.
+impl Wire for &'static str {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        u8::encode_slice(self.as_bytes(), out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(quadforest_telemetry::intern_name(&String::decode(r)?))
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
@@ -323,10 +341,26 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
         T::encode_slice(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // build through a Vec to avoid requiring T: Default/Copy
-        T::decode_vec(r, N)?
-            .try_into()
-            .map_err(|_| WireError::Invalid("array length".into()))
+        // every element is at least one byte, so a short input is one
+        // truncation, reported before any element is decoded
+        if r.remaining() < N {
+            return Err(WireError::Truncated {
+                needed: N,
+                have: r.remaining(),
+            });
+        }
+        // built in place: no heap allocation per array
+        let mut failed = None;
+        let items = [(); N].map(|()| {
+            if failed.is_some() {
+                return None;
+            }
+            T::decode(r).map_err(|e| failed = Some(e)).ok()
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(items.map(|item| item.expect("every element decoded"))),
+        }
     }
 }
 
@@ -365,66 +399,89 @@ impl Wire for Duration {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry snapshot types: `Comm::aggregate_metrics` allgathers one
+/// Implement [`Wire`] for a type declared elsewhere, from the names of
+/// its fields — and for an enum, its variants with their one-byte
+/// discriminants — listed in wire order:
+///
+/// ```text
+/// wire!(struct ShardMeta { leaf_count, byte_len, crc });
+/// wire!(enum IoError {
+///     0 => Truncated { needed, remaining },
+///     9 => Invariant(cause),
+///     12 => MissingPayload,
+/// });
+/// ```
+///
+/// Fields encode back to back, behind the discriminant for a variant
+/// (a literal or a `u8` constant). Decoding builds the struct or variant
+/// literal with one `Wire::decode` per field, so the compiler infers
+/// every field's type and rejects a missing or an extra name; encoding
+/// matches every variant, so a missing one does not compile either. Any
+/// other discriminant is `WireError::Invalid("<Type> discriminant d")`.
+#[macro_export]
+macro_rules! wire {
+    (struct $name:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $name { $($field),+ } = self;
+                $($crate::wire::Wire::encode($field, out);)+
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok($name {
+                    $($field: $crate::wire::Wire::decode(r)?),+
+                })
+            }
+        }
+    };
+    (enum $name:ident {
+        $($d:tt => $variant:ident $({ $($field:ident),* $(,)? })? $(($($elem:ident),+))?),+
+        $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $({ $($field),* })? $(($($elem),+))? => {
+                        out.push($d);
+                        $($($crate::wire::Wire::encode($field, out);)*)?
+                        $($($crate::wire::Wire::encode($elem, out);)+)?
+                    })+
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(match <u8 as $crate::wire::Wire>::decode(r)? {
+                    $($d => $name::$variant
+                        $({ $($field: $crate::wire::Wire::decode(r)?),* })?
+                        $(($($crate::wire!(@field r $elem)),+))?,)+
+                    d => {
+                        return Err($crate::wire::WireError::Invalid(format!(
+                            "{} discriminant {d}",
+                            stringify!($name)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    // one positional field: `$elem` only names it
+    (@field $r:ident $elem:ident) => {
+        $crate::wire::Wire::decode($r)?
+    };
+}
+
+// The telemetry snapshot types: `Comm::aggregate_metrics` allgathers one
 // `MetricsSnapshot` per rank, which must survive the socket transport.
-// The impls live here (not in quadforest-telemetry) because `Wire` is
+// The codecs live here (not in quadforest-telemetry) because `Wire` is
 // this crate's trait and core already depends on telemetry.
-// ---------------------------------------------------------------------------
 
 use quadforest_telemetry::{MetricEntry, MetricKind, MetricsSnapshot};
 
-impl Wire for MetricKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            MetricKind::Counter => 0,
-            MetricKind::Gauge => 1,
-            MetricKind::Histogram => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(MetricKind::Counter),
-            1 => Ok(MetricKind::Gauge),
-            2 => Ok(MetricKind::Histogram),
-            b => Err(WireError::Invalid(format!(
-                "MetricKind discriminant {b:#x}"
-            ))),
-        }
-    }
-}
-
-impl Wire for MetricEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.to_string().encode(out);
-        self.kind.encode(out);
-        self.values.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let name = String::decode(r)?;
-        let kind = MetricKind::decode(r)?;
-        let values = Vec::<u64>::decode(r)?;
-        Ok(MetricEntry {
-            // metric names are `&'static str` throughout telemetry; a
-            // decoded name is interned (leaked once per novel string,
-            // bounded by the metric-name universe of the program)
-            name: quadforest_telemetry::intern_name(&name),
-            kind,
-            values,
-        })
-    }
-}
-
-impl Wire for MetricsSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.entries.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(MetricsSnapshot {
-            entries: Vec::<MetricEntry>::decode(r)?,
-        })
-    }
-}
+wire!(enum MetricKind { 0 => Counter, 1 => Gauge, 2 => Histogram });
+wire!(struct MetricEntry { name, kind, values });
+wire!(struct MetricsSnapshot { entries });
 
 #[cfg(test)]
 mod tests {
@@ -613,5 +670,35 @@ mod tests {
         assert_eq!(back.entries[0].name, "comm.msgs_sent");
         assert_eq!(back.entries[0].values, vec![42]);
         assert_eq!(back.entries[1].kind, MetricKind::Histogram);
+    }
+
+    /// One sample of every telemetry variant, pinned as length and
+    /// CRC-32 of the concatenated encodings.
+    #[test]
+    fn telemetry_codecs_are_pinned_byte_for_byte() {
+        let mut bytes = Vec::new();
+        for kind in [
+            MetricKind::Counter,
+            MetricKind::Gauge,
+            MetricKind::Histogram,
+        ] {
+            kind.encode(&mut bytes);
+        }
+        MetricsSnapshot {
+            entries: vec![
+                MetricEntry {
+                    name: "comm.msgs_sent",
+                    kind: MetricKind::Counter,
+                    values: vec![42],
+                },
+                MetricEntry {
+                    name: "pde.step_ns",
+                    kind: MetricKind::Histogram,
+                    values: vec![0, 7, 0x0102_0304_0506_0708],
+                },
+            ],
+        }
+        .encode(&mut bytes);
+        assert_eq!((bytes.len(), crate::crc::crc32(&bytes)), (102, 0xEC70_7343));
     }
 }

@@ -13,10 +13,11 @@
 //!     ...
 //! ```
 //!
-//! Each shard is exactly the version-2 [`PortableForest`] byte stream
-//! (self-describing, CRC32-terminated). The manifest records the global
-//! shape plus each shard's leaf count, byte length, and CRC, and carries
-//! its own trailing CRC. Every file is written to a `.tmp` sibling and
+//! Each shard is exactly one [`PortableForest`] stream, with or without
+//! payloads (self-describing, CRC32-terminated). The manifest is a
+//! [`CheckpointManifest`] in the same envelope: the global shape plus
+//! each shard's leaf count, byte length, and CRC, under its own trailing
+//! CRC. Every file is written to a `.tmp` sibling and
 //! `rename`d into place, and the manifest is written only after every
 //! shard is durably named — so a generation directory without a valid
 //! manifest is, by construction, an aborted save and is skipped.
@@ -35,26 +36,25 @@
 //! restartable-campaign workflow in Isaac et al. relies on.
 
 use crate::crc32;
-use crate::io::Cursor;
+use crate::io::{check_context, leaf_record, open, seal};
 use crate::{Forest, IoError, PortableForest, SfcPosition};
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
-use quadforest_core::Wire;
 use quadforest_telemetry as telemetry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 const MANIFEST_MAGIC: &[u8; 4] = b"QFMF";
-/// Manifest version written. Version 2 added the application `step`
-/// field; version-1 manifests (no step) still load with `step = 0`.
+/// Manifest version: the `Wire` body of [`CheckpointManifest`]. The
+/// loader reads this version only.
 const MANIFEST_VERSION: u32 = 2;
-/// Oldest manifest version still accepted on load.
-const MANIFEST_MIN_VERSION: u32 = 1;
 const MANIFEST_NAME: &str = "manifest.qfm";
-/// Bytes per serialized shard record in the manifest.
-const SHARD_RECORD_BYTES: usize = 20;
+
+/// The per-leaf payloads of a load, still `Wire`-encoded (`None` when
+/// the checkpoint was saved without).
+type Payload = Option<Vec<Vec<u8>>>;
 
 /// Integrity metadata for one checkpoint shard, as recorded in the
 /// manifest.
@@ -85,119 +85,43 @@ pub struct CheckpointManifest {
     /// generation (e.g. a solver's time-step count). Authoritative on
     /// restore — generation numbers may skip after aborted saves, so
     /// progress must never be inferred from them. `0` when the saver
-    /// did not provide one (including all version-1 manifests).
+    /// did not provide one.
     pub step: u64,
     /// Per-shard integrity records, indexed by saving rank.
     pub shards: Vec<ShardMeta>,
 }
 
+// The manifest's file body, and its wire form when recovery programs
+// ship it between rank processes on the socket backend.
+quadforest_core::wire!(struct ShardMeta { leaf_count, byte_len, crc });
+quadforest_core::wire!(struct CheckpointManifest {
+    generation, dim, num_trees, global_count, size, step, shards,
+});
+
 impl CheckpointManifest {
     fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(52 + self.shards.len() * SHARD_RECORD_BYTES + 4);
-        b.extend_from_slice(MANIFEST_MAGIC);
-        MANIFEST_VERSION.encode(&mut b);
-        self.generation.encode(&mut b);
-        self.dim.encode(&mut b);
-        self.num_trees.encode(&mut b);
-        self.global_count.encode(&mut b);
-        self.size.encode(&mut b);
-        self.step.encode(&mut b);
-        (self.shards.len() as u64).encode(&mut b);
-        for s in &self.shards {
-            s.leaf_count.encode(&mut b);
-            s.byte_len.encode(&mut b);
-            s.crc.encode(&mut b);
-        }
-        crc32(&b).encode(&mut b);
-        b
+        seal(MANIFEST_MAGIC, MANIFEST_VERSION, self)
     }
 
-    /// Parse and CRC-verify a manifest. Corrupt bytes return a typed
-    /// [`IoError`], never panic.
+    /// Open and CRC-verify a manifest, then check that it lists one
+    /// shard per saving rank whose leaf counts sum to the global count.
+    /// Corrupt bytes return a typed [`IoError`], never panic.
     pub(crate) fn from_bytes(data: &[u8]) -> Result<Self, IoError> {
-        let mut cur = Cursor(data);
-        cur.need(8)?;
-        let magic: [u8; 4] = cur.array()?;
-        if &magic != MANIFEST_MAGIC {
-            return Err(IoError::BadMagic { found: magic });
-        }
-        let version = cur.u32()?;
-        if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
-            return Err(IoError::UnsupportedVersion {
-                found: version,
-                supported: MANIFEST_VERSION,
-            });
-        }
-        if data.len() < 12 {
-            return Err(IoError::Truncated {
-                needed: 12,
-                remaining: data.len(),
-            });
-        }
-        let body = &data[..data.len() - 4];
-        let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(IoError::ChecksumMismatch { stored, computed });
-        }
-        cur.0 = &body[8..];
-        let generation = cur.u64()?;
-        let dim = cur.u32()?;
-        let num_trees = cur.u64()?;
-        let global_count = cur.u64()?;
-        let size = cur.u64()?;
-        let step = if version >= 2 { cur.u64()? } else { 0 };
-        let n_shards = cur.count("shard", SHARD_RECORD_BYTES)?;
-        if n_shards as u64 != size {
-            return Err(IoError::CountMismatch {
-                what: "shard",
-                found: n_shards as u64,
-                expected: size,
-            });
-        }
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            shards.push(ShardMeta {
-                leaf_count: cur.u64()?,
-                byte_len: cur.u64()?,
-                crc: cur.u32()?,
-            });
-        }
-        if !cur.0.is_empty() {
-            return Err(IoError::CountMismatch {
-                what: "trailing byte",
-                found: cur.0.len() as u64,
-                expected: 0,
-            });
-        }
+        let m: Self = open(MANIFEST_MAGIC, MANIFEST_VERSION, data)?;
+        IoError::check_count("shard", m.shards.len() as u64, m.size)?;
         // checked sum: a hostile manifest must not overflow-panic here
-        let mut total = 0u64;
-        for s in &shards {
-            total = total
-                .checked_add(s.leaf_count)
-                .filter(|t| *t <= global_count)
-                .ok_or(IoError::CountMismatch {
-                    what: "shard leaf",
-                    found: s.leaf_count,
-                    expected: global_count,
-                })?;
-        }
-        if total != global_count {
+        let total = m
+            .shards
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.leaf_count));
+        if total != Some(m.global_count) {
             return Err(IoError::CountMismatch {
                 what: "shard leaf",
-                found: total,
-                expected: global_count,
+                found: total.unwrap_or(u64::MAX),
+                expected: m.global_count,
             });
         }
-        Ok(Self {
-            generation,
-            dim,
-            num_trees,
-            global_count,
-            size,
-            step,
-            shards,
-        })
+        Ok(m)
     }
 }
 
@@ -208,7 +132,7 @@ pub struct CheckpointInfo {
     /// Generation the restore came from.
     pub generation: u64,
     /// Application progress counter saved with that generation (`0`
-    /// for version-1 manifests and savers that passed none).
+    /// for savers that passed none).
     pub step: u64,
 }
 
@@ -250,6 +174,13 @@ pub(crate) fn list_generations(dir: impl AsRef<Path>) -> Vec<u64> {
     gens
 }
 
+/// `local` on every rank when no rank failed, else the lowest failing
+/// rank's error on every rank (collective).
+fn agree<T>(comm: &Comm, local: Result<T, IoError>) -> Result<T, IoError> {
+    let verdicts = comm.allgather(local.as_ref().err().cloned());
+    verdicts.into_iter().flatten().next().map_or(local, Err)
+}
+
 /// Rank 0: allocate the next generation number and create its directory.
 fn prepare_generation(dir: &Path) -> Result<u64, IoError> {
     std::fs::create_dir_all(dir).map_err(|e| IoError::storage(dir, e))?;
@@ -287,13 +218,7 @@ fn verify_generation(dir: &Path, generation: u64) -> Result<CheckpointManifest, 
     let mpath = gen_dir.join(MANIFEST_NAME);
     let mbytes = std::fs::read(&mpath).map_err(|e| IoError::storage(&mpath, e))?;
     let manifest = CheckpointManifest::from_bytes(&mbytes)?;
-    if manifest.generation != generation {
-        return Err(IoError::CountMismatch {
-            what: "generation",
-            found: manifest.generation,
-            expected: generation,
-        });
-    }
+    IoError::check_count("generation", manifest.generation, generation)?;
     for (rank, meta) in manifest.shards.iter().enumerate() {
         let spath = shard_path(&gen_dir, rank);
         let sbytes = std::fs::read(&spath).map_err(|e| IoError::storage(&spath, e))?;
@@ -327,9 +252,9 @@ impl<Q: Quadrant> Forest<Q> {
     }
 
     /// [`Forest::save_checkpoint`] with per-leaf payloads: every shard
-    /// carries a version-3 payload section (the `Wire` encoding of each
-    /// leaf's `T`), so [`Forest::load_checkpoint_with_data`] can restore
-    /// solver state alongside the mesh. `step` is an application-defined
+    /// carries a payload (the `Wire` encoding of each leaf's `T`), so
+    /// [`Forest::load_checkpoint_with_data`] can restore solver state
+    /// alongside the mesh. `step` is an application-defined
     /// progress counter (e.g. the solver's time-step count) committed in
     /// the manifest and handed back on restore — generation numbers may
     /// skip after aborted saves, so restart logic must read progress
@@ -428,7 +353,7 @@ impl<Q: Quadrant> Forest<Q> {
     /// section is re-sliced across rank counts exactly like the leaves,
     /// so `P_load` may differ from `P_save`. The returned
     /// [`CheckpointInfo`] carries the elected generation and the saver's
-    /// `step` counter. Loading a payload-less (version-2) generation
+    /// `step` counter. Loading a generation saved without payloads
     /// fails with [`IoError::MissingPayload`]; a payload that does not
     /// decode as `T` fails with [`IoError::PayloadCorrupt`]. Collective.
     pub fn load_checkpoint_with_data<T: quadforest_core::Wire>(
@@ -451,41 +376,24 @@ impl<Q: Quadrant> Forest<Q> {
                 })
                 .collect::<Result<Vec<T>, IoError>>()
         });
-        let verdicts = comm.allgather(decoded.as_ref().err().cloned());
-        if let Some(e) = verdicts.into_iter().flatten().next() {
-            return Err(e);
-        }
-        let items = decoded.expect("no rank reported an error");
-        let data = crate::LeafData::from_vec(&forest, items);
+        let data = crate::LeafData::from_vec(&forest, agree(comm, decoded)?);
         Ok((forest, data, info))
     }
 
     /// Shared restore machinery: elect a generation, load mesh plus the
     /// raw (undecoded) payload section if one is present.
-    #[allow(clippy::type_complexity)]
     fn load_checkpoint_raw(
         conn: Arc<Connectivity>,
         comm: &Comm,
         dir: &Path,
-    ) -> Result<(Self, Option<Vec<Vec<u8>>>, CheckpointInfo), IoError> {
+    ) -> Result<(Self, Payload, CheckpointInfo), IoError> {
         let _span = telemetry::span("restore");
         let start = Instant::now();
 
         // rank 0 verifies and elects a generation for everyone
         let root_pick = (comm.rank() == 0).then(|| pick_generation(dir));
         let (manifest, generation) = comm.bcast(0, root_pick)?;
-        if manifest.dim != Q::DIM {
-            return Err(IoError::DimensionMismatch {
-                stream: manifest.dim,
-                representation: Q::DIM,
-            });
-        }
-        if manifest.num_trees != conn.num_trees() as u64 {
-            return Err(IoError::TreeCountMismatch {
-                stream: manifest.num_trees,
-                connectivity: conn.num_trees() as u64,
-            });
-        }
+        check_context::<Q>(manifest.dim, manifest.num_trees, &conn)?;
         let gen_dir = generation_dir(dir, generation);
 
         let loaded = if manifest.size == comm.size() as u64 {
@@ -494,13 +402,9 @@ impl<Q: Quadrant> Forest<Q> {
             Self::load_repartitioned(conn, comm, &gen_dir, &manifest)
         };
 
-        // agree on the outcome: one rank's read failure fails the load
-        // everywhere instead of leaving survivors mid-collective
-        let verdicts = comm.allgather(loaded.as_ref().err().cloned());
-        if let Some(e) = verdicts.into_iter().flatten().next() {
-            return Err(e);
-        }
-        let (forest, payload) = loaded.expect("no rank reported an error");
+        // one rank's read failure fails the load everywhere instead of
+        // leaving survivors mid-collective
+        let (forest, payload) = agree(comm, loaded)?;
 
         telemetry::histogram_record("forest.restore.ns", start.elapsed().as_nanos() as u64);
         telemetry::counter_add("forest.checkpoint.restores", 1);
@@ -517,12 +421,11 @@ impl<Q: Quadrant> Forest<Q> {
 
     /// Fast path: `P_load == P_save` — read back exactly the shard this
     /// rank saved, markers, payload and all.
-    #[allow(clippy::type_complexity)]
     fn load_own_shard(
         conn: Arc<Connectivity>,
         comm: &Comm,
         gen_dir: &Path,
-    ) -> Result<(Self, Option<Vec<Vec<u8>>>), IoError> {
+    ) -> Result<(Self, Payload), IoError> {
         let spath = shard_path(gen_dir, comm.rank());
         let bytes = std::fs::read(&spath).map_err(|e| IoError::storage(&spath, e))?;
         telemetry::histogram_record("forest.restore.bytes", bytes.len() as u64);
@@ -534,22 +437,22 @@ impl<Q: Quadrant> Forest<Q> {
     /// Slow path: `P_load != P_save` — slice the global SFC leaf
     /// sequence into `P_load` equal ranges, read only the overlapping
     /// shards, and rebuild the partition markers from scratch.
-    #[allow(clippy::type_complexity)]
     fn load_repartitioned(
         conn: Arc<Connectivity>,
         comm: &Comm,
         gen_dir: &Path,
         manifest: &CheckpointManifest,
-    ) -> Result<(Self, Option<Vec<Vec<u8>>>), IoError> {
+    ) -> Result<(Self, Payload), IoError> {
         let (rank, size) = (comm.rank(), comm.size());
         let n = manifest.global_count;
         let local = Self::read_slice(&conn, comm, gen_dir, manifest);
 
-        // The marker allgather must run on EVERY rank, even one whose
-        // local reads failed — otherwise survivors would pair this
-        // collective with the failed rank's verdict exchange.
-        let my_first = local.as_ref().ok().and_then(|(_, first, _)| *first);
-        let firsts = comm.allgather(my_first);
+        // The marker allgather runs on EVERY rank and carries each
+        // rank's read outcome: one rank's failed read fails every rank
+        // with that error, not the survivors with a marker gap it left.
+        let my_first = local.as_ref().map(|(_, first, _)| *first);
+        let firsts = comm.allgather(my_first.map_err(IoError::clone));
+        let firsts = firsts.into_iter().collect::<Result<Vec<_>, _>>()?;
         let (trees, _, payload) = local?;
 
         // rebuild markers exactly as partition() does
@@ -570,7 +473,7 @@ impl<Q: Quadrant> Forest<Q> {
         comm: &Comm,
         gen_dir: &Path,
         manifest: &CheckpointManifest,
-    ) -> Result<(Vec<Vec<Q>>, Option<SfcPosition>, Option<Vec<Vec<u8>>>), IoError> {
+    ) -> Result<(Vec<Vec<Q>>, Option<SfcPosition>, Payload), IoError> {
         let (rank, size) = (comm.rank(), comm.size());
         let n = manifest.global_count;
         let lo = n * rank as u64 / size as u64;
@@ -580,7 +483,7 @@ impl<Q: Quadrant> Forest<Q> {
         let mut offset = 0u64;
         let mut trees: Vec<Vec<Q>> = vec![Vec::new(); conn.num_trees()];
         let mut first_pos: Option<SfcPosition> = None;
-        let mut payload: Option<Vec<Vec<u8>>> = Some(Vec::new());
+        let mut payload: Payload = Some(Vec::new());
         for (shard_rank, meta) in manifest.shards.iter().enumerate() {
             let (shard_lo, shard_hi) = (offset, offset + meta.leaf_count);
             offset = shard_hi;
@@ -591,29 +494,16 @@ impl<Q: Quadrant> Forest<Q> {
             let bytes = std::fs::read(&spath).map_err(|e| IoError::storage(&spath, e))?;
             telemetry::histogram_record("forest.restore.bytes", bytes.len() as u64);
             let portable = PortableForest::from_bytes(&bytes)?;
-            if portable.leaves.len() as u64 != meta.leaf_count {
-                return Err(IoError::CountMismatch {
-                    what: "shard leaf",
-                    found: portable.leaves.len() as u64,
-                    expected: meta.leaf_count,
-                });
-            }
+            IoError::check_count("shard leaf", portable.leaves.len() as u64, meta.leaf_count)?;
             // my slice of this shard, in global SFC (tree-major) order
             let from = lo.saturating_sub(shard_lo) as usize;
             let to = (hi.min(shard_hi) - shard_lo) as usize;
-            for &(t, c, l) in &portable.leaves[from..to] {
-                if t as usize >= trees.len() || l > Q::MAX_LEVEL {
-                    return Err(IoError::CorruptLeaf {
-                        tree: t,
-                        coords: c,
-                        level: l,
-                    });
-                }
-                let q = Q::from_coords(c, l);
+            for record in &portable.leaves[from..to] {
+                let q: Q = leaf_record(trees.len(), record)?;
                 if first_pos.is_none() {
-                    first_pos = Some((t, q.morton_abs()));
+                    first_pos = Some((record.0, q.morton_abs()));
                 }
-                trees[t as usize].push(q);
+                trees[record.0 as usize].push(q);
             }
             // payloads ride the exact same slice cuts as their leaves;
             // one payload-less shard makes the whole restore payload-less
@@ -669,27 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_manifest_loads_with_step_zero() {
-        // hand-rolled version-1 layout: no step field after `size`
-        let mut b = MANIFEST_MAGIC.to_vec();
-        1u32.encode(&mut b); // version 1
-        3u64.encode(&mut b); // generation
-        2u32.encode(&mut b); // dim
-        1u64.encode(&mut b); // num_trees
-        12u64.encode(&mut b); // global_count
-        1u64.encode(&mut b); // size
-        1u64.encode(&mut b); // n_shards
-        12u64.encode(&mut b); // leaf_count
-        300u64.encode(&mut b); // byte_len
-        0xFEED_F00Du32.encode(&mut b); // shard crc
-        crc32(&b).encode(&mut b);
-        let m = CheckpointManifest::from_bytes(&b).unwrap();
-        assert_eq!(m.generation, 3);
-        assert_eq!(m.step, 0, "v1 manifests carry no step");
-        assert_eq!(m.shards.len(), 1);
-    }
-
-    #[test]
     fn manifest_rejects_leaf_count_drift() {
         let m = CheckpointManifest {
             generation: 1,
@@ -721,12 +590,14 @@ mod tests {
     }
 
     /// The on-disk formats are frozen: the same small forest must keep
-    /// serializing to the streams the `bytes`-based writers produced
-    /// (length and body CRC-32 captured at commit 364c53b).
+    /// serializing to the same streams (length and body CRC-32; the
+    /// manifest's captured at commit 364c53b, the QFOR v4 streams when
+    /// they replaced v2 and v3, which they equal plus one `Option` tag
+    /// byte before the guard).
     #[test]
     fn stream_formats_match_golden_bytes() {
         use quadforest_core::quadrant::Morton2;
-        let (v2, v3) = quadforest_comm::run(1, |comm| {
+        let (mesh, with_payload) = quadforest_comm::run(1, |comm| {
             let conn = Arc::new(Connectivity::unit(2));
             let mut f = Forest::<Morton2>::new_uniform(conn, &comm, 1);
             f.refine(&comm, false, |_, q| q.morton_index() == 3);
@@ -753,8 +624,20 @@ mod tests {
         }
         .to_bytes();
         for (name, stream, head, len, body_crc) in [
-            ("QFOR v2", &v2, b"QFOR\x02\0\0\0", 199, 0xE574_F250u32),
-            ("QFOR v3", &v3, b"QFOR\x03\0\0\0", 319, 0x3FD8_0789),
+            (
+                "QFOR v4 mesh",
+                &mesh,
+                b"QFOR\x04\0\0\0",
+                200,
+                0xB596_E1CCu32,
+            ),
+            (
+                "QFOR v4 payload",
+                &with_payload,
+                b"QFOR\x04\0\0\0",
+                320,
+                0x3E22_701D,
+            ),
             ("QFMF v2", &manifest, b"QFMF\x02\0\0\0", 84, 0xBB34_D13A),
         ] {
             assert_eq!(stream.len(), len, "{name} length");
@@ -763,6 +646,57 @@ mod tests {
             assert_eq!(crc32(body), body_crc, "{name} body");
             assert_eq!(guard, body_crc.to_le_bytes(), "{name} trailing guard");
         }
+    }
+
+    /// A CRC-valid shard holding a leaf record that is no quadrant — a
+    /// coordinate below zero, past the root, or off its level's grid —
+    /// fails the load with `CorruptLeaf` in every representation, at
+    /// `P_load = P_save` and repartitioned, and never panics.
+    #[test]
+    fn hostile_leaf_records_are_corrupt_leaves() {
+        use quadforest_core::quadrant::{AvxQuad, MortonQuad, StandardQuad};
+        fn load<Q: Quadrant>(dir: &Path, p: usize) -> Vec<Result<(), IoError>> {
+            quadforest_comm::run(p, |comm| {
+                let conn = Arc::new(Connectivity::unit(2));
+                Forest::<Q>::load_checkpoint(conn, &comm, dir).map(|_| ())
+            })
+        }
+        let dir = std::env::temp_dir().join(format!("qf-hostile-leaf-{}", std::process::id()));
+        for coords in [[-1, 0, 0], [1 << 30, 0, 0], [1, 0, 0]] {
+            let _ = std::fs::remove_dir_all(&dir);
+            quadforest_comm::run(2, |comm| {
+                let conn = Arc::new(Connectivity::unit(2));
+                let f = Forest::<MortonQuad<2>>::new_uniform(conn, &comm, 2);
+                f.save_checkpoint(&comm, &dir).unwrap();
+            });
+            // rank 1's first leaf takes the hostile coordinates; shard and
+            // manifest are re-sealed, so only the record itself is wrong
+            let gen_dir = generation_dir(&dir, 1);
+            let spath = shard_path(&gen_dir, 1);
+            let mut shard = PortableForest::from_bytes(&std::fs::read(&spath).unwrap()).unwrap();
+            shard.leaves[0].1 = coords;
+            let bytes = shard.to_bytes();
+            std::fs::write(&spath, &bytes).unwrap();
+            let mpath = gen_dir.join(MANIFEST_NAME);
+            let mut manifest =
+                CheckpointManifest::from_bytes(&std::fs::read(&mpath).unwrap()).unwrap();
+            manifest.shards[1].crc = crc32(&bytes);
+            std::fs::write(&mpath, manifest.to_bytes()).unwrap();
+            for p in [2, 1, 3] {
+                let outcomes = [
+                    load::<StandardQuad<2>>(&dir, p),
+                    load::<MortonQuad<2>>(&dir, p),
+                    load::<AvxQuad<2>>(&dir, p),
+                ];
+                for outcome in outcomes.into_iter().flatten() {
+                    assert!(
+                        matches!(outcome, Err(IoError::CorruptLeaf { coords: c, .. }) if c == coords),
+                        "{coords:?} at P = {p}: {outcome:?}"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -775,53 +709,5 @@ mod tests {
         }
         assert_eq!(list_generations(&dir), vec![2, 10]);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-// Wire encodings so recovery programs can ship manifests between rank
-// processes on the socket backend (the manifest's own on-disk format
-// above stays the CRC-framed layout, unchanged).
-
-impl quadforest_core::Wire for ShardMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.leaf_count.encode(out);
-        self.byte_len.encode(out);
-        self.crc.encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        Ok(ShardMeta {
-            leaf_count: u64::decode(r)?,
-            byte_len: u64::decode(r)?,
-            crc: u32::decode(r)?,
-        })
-    }
-}
-
-impl quadforest_core::Wire for CheckpointManifest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.generation.encode(out);
-        self.dim.encode(out);
-        self.num_trees.encode(out);
-        self.global_count.encode(out);
-        self.size.encode(out);
-        self.step.encode(out);
-        self.shards.encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        Ok(CheckpointManifest {
-            generation: u64::decode(r)?,
-            dim: u32::decode(r)?,
-            num_trees: u64::decode(r)?,
-            global_count: u64::decode(r)?,
-            size: u64::decode(r)?,
-            step: u64::decode(r)?,
-            shards: Vec::<ShardMeta>::decode(r)?,
-        })
     }
 }

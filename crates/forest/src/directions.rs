@@ -50,6 +50,8 @@ pub struct Box3 {
     pub hi: [i32; 3],
 }
 
+quadforest_core::wire!(struct Box3 { lo, hi });
+
 impl Box3 {
     /// Closed intersection test (shared boundary points count).
     #[inline]
@@ -584,21 +586,5 @@ mod tests {
         let d = neighbor_domain(&conn, 0, &q, [1, 1, 0]).unwrap();
         assert_eq!(d.tree, 0);
         assert_eq!(d.coords, [0, h, 0]);
-    }
-}
-
-impl quadforest_core::Wire for Box3 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.lo.encode(out);
-        self.hi.encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        Ok(Box3 {
-            lo: <[i32; 3]>::decode(r)?,
-            hi: <[i32; 3]>::decode(r)?,
-        })
     }
 }

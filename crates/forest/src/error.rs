@@ -11,6 +11,7 @@
 //! rank boundaries.
 
 use crate::SfcPosition;
+use quadforest_core::wire::WireError;
 use std::fmt;
 
 /// A violated structural invariant of the distributed linear octree,
@@ -202,8 +203,8 @@ pub enum IoError {
         /// The directory that was searched.
         dir: String,
     },
-    /// A payload restore was requested but the stream carries no
-    /// payload section (it is a payload-less version-2 shard).
+    /// A payload restore was requested but the stream was saved without
+    /// payloads (its `payload` is `None`).
     MissingPayload,
     /// A per-leaf payload record failed to decode into the requested
     /// payload type.
@@ -213,9 +214,29 @@ pub enum IoError {
         /// Stringified decode failure.
         detail: String,
     },
+    /// A file body whose CRC checks out does not decode: a length prefix
+    /// claims more than the bytes left, or a tag byte is out of range.
+    /// The file was written wrong, not damaged after the write.
+    Malformed {
+        /// The decoder's description of the failure.
+        detail: String,
+    },
 }
 
 impl IoError {
+    /// `Ok` when a count in a file equals the value the rest of the
+    /// file implies, [`IoError::CountMismatch`] otherwise.
+    pub(crate) fn check_count(what: &'static str, found: u64, expected: u64) -> Result<(), Self> {
+        if found == expected {
+            return Ok(());
+        }
+        Err(IoError::CountMismatch {
+            what,
+            found,
+            expected,
+        })
+    }
+
     /// Wrap a [`std::io::Error`] with the path it occurred on.
     pub(crate) fn storage(path: &std::path::Path, err: std::io::Error) -> Self {
         IoError::Storage {
@@ -228,6 +249,24 @@ impl IoError {
 impl From<InvariantError> for IoError {
     fn from(e: InvariantError) -> Self {
         IoError::Invariant(e)
+    }
+}
+
+/// A file body that fails strict decoding, in the file's own terms.
+impl From<WireError> for IoError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { needed, have } => IoError::Truncated {
+                needed,
+                remaining: have,
+            },
+            WireError::Trailing { extra } => IoError::CountMismatch {
+                what: "trailing byte",
+                found: extra as u64,
+                expected: 0,
+            },
+            WireError::Invalid(detail) => IoError::Malformed { detail },
+        }
     }
 }
 
@@ -293,6 +332,7 @@ impl fmt::Display for IoError {
             IoError::PayloadCorrupt { leaf, detail } => {
                 write!(f, "payload of local leaf {leaf} failed to decode: {detail}")
             }
+            IoError::Malformed { detail } => write!(f, "malformed file body: {detail}"),
         }
     }
 }
@@ -306,253 +346,135 @@ impl std::error::Error for IoError {
     }
 }
 
-// ---------------------------------------------------------------------
 // Wire encoding: both error types travel across rank boundaries on the
-// socket transport (e.g. as a `Result<_, IoError>` program outcome), so
-// they get the same strict, discriminant-checked treatment as the comm
-// layer's own errors.
+// socket transport (e.g. as a `Result<_, IoError>` program outcome).
 
-use quadforest_core::wire::{Wire, WireError, WireReader};
+quadforest_core::wire!(enum InvariantError {
+    0 => MarkerLength { got, expected },
+    1 => MarkersNotMonotone { index, marker, next },
+    2 => BadEndSentinel { got, expected },
+    3 => InvalidLeaf { tree, coords, level },
+    4 => GapOrOverlap { tree, expected, found },
+    5 => IncompleteRange { walked_to, range_end },
+});
 
-impl Wire for InvariantError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            InvariantError::MarkerLength { got, expected } => {
-                out.push(0);
-                got.encode(out);
-                expected.encode(out);
-            }
+quadforest_core::wire!(enum IoError {
+    0 => Truncated { needed, remaining },
+    1 => BadMagic { found },
+    2 => UnsupportedVersion { found, supported },
+    3 => ChecksumMismatch { stored, computed },
+    4 => CountMismatch { what, found, expected },
+    5 => CorruptLeaf { tree, coords, level },
+    6 => DimensionMismatch { stream, representation },
+    7 => TreeCountMismatch { stream, connectivity },
+    8 => SizeMismatch { stream, communicator },
+    9 => Invariant(cause),
+    10 => Storage { path, message },
+    11 => NoCheckpoint { dir },
+    12 => MissingPayload,
+    13 => PayloadCorrupt { leaf, detail },
+    14 => Malformed { detail },
+});
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crc32;
+    use crate::directions::Box3;
+    use quadforest_core::Wire;
+
+    /// One sample of every variant of forest's wire types, pinned as
+    /// length and CRC-32 of the concatenated encodings. The manifest and
+    /// its shard records are the body of the QFMF golden stream.
+    #[test]
+    fn wire_codecs_are_pinned_byte_for_byte() {
+        let invariants = [
+            InvariantError::MarkerLength {
+                got: 3,
+                expected: 4,
+            },
             InvariantError::MarkersNotMonotone {
-                index,
-                marker,
-                next,
-            } => {
-                out.push(1);
-                index.encode(out);
-                marker.encode(out);
-                next.encode(out);
-            }
-            InvariantError::BadEndSentinel { got, expected } => {
-                out.push(2);
-                got.encode(out);
-                expected.encode(out);
-            }
+                index: 1,
+                marker: (0, 9),
+                next: (0, 2),
+            },
+            InvariantError::BadEndSentinel {
+                got: (1, 0),
+                expected: (2, 0),
+            },
             InvariantError::InvalidLeaf {
-                tree,
-                coords,
-                level,
-            } => {
-                out.push(3);
-                tree.encode(out);
-                coords.encode(out);
-                level.encode(out);
-            }
+                tree: 1,
+                coords: [-1, 2, 3],
+                level: 4,
+            },
             InvariantError::GapOrOverlap {
-                tree,
-                expected,
-                found,
-            } => {
-                out.push(4);
-                tree.encode(out);
-                expected.encode(out);
-                found.encode(out);
-            }
+                tree: 0,
+                expected: (0, 5),
+                found: (0, 6),
+            },
             InvariantError::IncompleteRange {
-                walked_to,
-                range_end,
-            } => {
-                out.push(5);
-                walked_to.encode(out);
-                range_end.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => InvariantError::MarkerLength {
-                got: usize::decode(r)?,
-                expected: usize::decode(r)?,
+                walked_to: (0, 7),
+                range_end: (1, 0),
             },
-            1 => InvariantError::MarkersNotMonotone {
-                index: usize::decode(r)?,
-                marker: SfcPosition::decode(r)?,
-                next: SfcPosition::decode(r)?,
+        ];
+        let errors = [
+            IoError::Truncated {
+                needed: 8,
+                remaining: 3,
             },
-            2 => InvariantError::BadEndSentinel {
-                got: SfcPosition::decode(r)?,
-                expected: SfcPosition::decode(r)?,
+            IoError::BadMagic { found: *b"XFOR" },
+            IoError::UnsupportedVersion {
+                found: 99,
+                supported: 2,
             },
-            3 => InvariantError::InvalidLeaf {
-                tree: u32::decode(r)?,
-                coords: <[i32; 3]>::decode(r)?,
-                level: u8::decode(r)?,
+            IoError::ChecksumMismatch {
+                stored: 0xDEAD_BEEF,
+                computed: 0x1234_5678,
             },
-            4 => InvariantError::GapOrOverlap {
-                tree: u32::decode(r)?,
-                expected: SfcPosition::decode(r)?,
-                found: SfcPosition::decode(r)?,
-            },
-            5 => InvariantError::IncompleteRange {
-                walked_to: SfcPosition::decode(r)?,
-                range_end: SfcPosition::decode(r)?,
-            },
-            d => {
-                return Err(WireError::Invalid(format!(
-                    "bad InvariantError discriminant {d}"
-                )))
-            }
-        })
-    }
-}
-
-impl Wire for IoError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            IoError::Truncated { needed, remaining } => {
-                out.push(0);
-                needed.encode(out);
-                remaining.encode(out);
-            }
-            IoError::BadMagic { found } => {
-                out.push(1);
-                found.encode(out);
-            }
-            IoError::UnsupportedVersion { found, supported } => {
-                out.push(2);
-                found.encode(out);
-                supported.encode(out);
-            }
-            IoError::ChecksumMismatch { stored, computed } => {
-                out.push(3);
-                stored.encode(out);
-                computed.encode(out);
-            }
             IoError::CountMismatch {
-                what,
-                found,
-                expected,
-            } => {
-                out.push(4);
-                what.to_string().encode(out);
-                found.encode(out);
-                expected.encode(out);
-            }
+                what: "marker",
+                found: 5,
+                expected: 3,
+            },
             IoError::CorruptLeaf {
-                tree,
-                coords,
-                level,
-            } => {
-                out.push(5);
-                tree.encode(out);
-                coords.encode(out);
-                level.encode(out);
-            }
+                tree: 0,
+                coords: [-1, 0, 0],
+                level: 2,
+            },
             IoError::DimensionMismatch {
-                stream,
-                representation,
-            } => {
-                out.push(6);
-                stream.encode(out);
-                representation.encode(out);
-            }
+                stream: 2,
+                representation: 3,
+            },
             IoError::TreeCountMismatch {
-                stream,
-                connectivity,
-            } => {
-                out.push(7);
-                stream.encode(out);
-                connectivity.encode(out);
-            }
+                stream: 4,
+                connectivity: 1,
+            },
             IoError::SizeMismatch {
-                stream,
-                communicator,
-            } => {
-                out.push(8);
-                stream.encode(out);
-                communicator.encode(out);
-            }
-            IoError::Invariant(e) => {
-                out.push(9);
-                e.encode(out);
-            }
-            IoError::Storage { path, message } => {
-                out.push(10);
-                path.encode(out);
-                message.encode(out);
-            }
-            IoError::NoCheckpoint { dir } => {
-                out.push(11);
-                dir.encode(out);
-            }
-            IoError::MissingPayload => out.push(12),
-            IoError::PayloadCorrupt { leaf, detail } => {
-                out.push(13);
-                leaf.encode(out);
-                detail.encode(out);
-            }
+                stream: 2,
+                communicator: 3,
+            },
+            IoError::Invariant(invariants[3].clone()),
+            IoError::Storage {
+                path: "/ckpt/gen-00000001".into(),
+                message: "denied".into(),
+            },
+            IoError::NoCheckpoint {
+                dir: "/ckpt".into(),
+            },
+            IoError::MissingPayload,
+            IoError::PayloadCorrupt {
+                leaf: 6,
+                detail: "short".into(),
+            },
+        ];
+        let mut bytes = Vec::new();
+        invariants.iter().for_each(|e| e.encode(&mut bytes));
+        errors.iter().for_each(|e| e.encode(&mut bytes));
+        Box3 {
+            lo: [-1, 0, 2],
+            hi: [3, 4, 5],
         }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => IoError::Truncated {
-                needed: usize::decode(r)?,
-                remaining: usize::decode(r)?,
-            },
-            1 => IoError::BadMagic {
-                found: <[u8; 4]>::decode(r)?,
-            },
-            2 => IoError::UnsupportedVersion {
-                found: u32::decode(r)?,
-                supported: u32::decode(r)?,
-            },
-            3 => IoError::ChecksumMismatch {
-                stored: u32::decode(r)?,
-                computed: u32::decode(r)?,
-            },
-            4 => {
-                // `what` is a &'static str naming the inconsistent
-                // count; intern the decoded copy to get the lifetime
-                // back (the name set is small and closed).
-                let what = quadforest_telemetry::intern_name(&String::decode(r)?);
-                IoError::CountMismatch {
-                    what,
-                    found: u64::decode(r)?,
-                    expected: u64::decode(r)?,
-                }
-            }
-            5 => IoError::CorruptLeaf {
-                tree: u32::decode(r)?,
-                coords: <[i32; 3]>::decode(r)?,
-                level: u8::decode(r)?,
-            },
-            6 => IoError::DimensionMismatch {
-                stream: u32::decode(r)?,
-                representation: u32::decode(r)?,
-            },
-            7 => IoError::TreeCountMismatch {
-                stream: u64::decode(r)?,
-                connectivity: u64::decode(r)?,
-            },
-            8 => IoError::SizeMismatch {
-                stream: u64::decode(r)?,
-                communicator: u64::decode(r)?,
-            },
-            9 => IoError::Invariant(InvariantError::decode(r)?),
-            10 => IoError::Storage {
-                path: String::decode(r)?,
-                message: String::decode(r)?,
-            },
-            11 => IoError::NoCheckpoint {
-                dir: String::decode(r)?,
-            },
-            12 => IoError::MissingPayload,
-            13 => IoError::PayloadCorrupt {
-                leaf: u64::decode(r)?,
-                detail: String::decode(r)?,
-            },
-            d => return Err(WireError::Invalid(format!("bad IoError discriminant {d}"))),
-        })
+        .encode(&mut bytes);
+        assert_eq!((bytes.len(), crc32(&bytes)), (400, 0x7E07_1FA1));
     }
 }

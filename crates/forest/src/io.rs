@@ -4,13 +4,14 @@
 //! A forest is serialized representation-independently as `(tree,
 //! coordinates, level)` triples plus the partition markers, so a forest
 //! saved from one quadrant representation loads into any other (the
-//! virtual-interface property extends to storage). The format is a
-//! self-describing little-endian binary stream with a magic header, a
-//! version, and a trailing CRC32 guard over the entire stream — any
-//! single-bit flip or truncation is rejected with a typed [`IoError`],
-//! never a panic or a silent mis-load. This stream is also the shard
-//! payload of the on-disk checkpoint format (see
-//! [`checkpoint`](crate::Forest::save_checkpoint)).
+//! virtual-interface property extends to storage). Every file this crate
+//! writes is one [`Wire`] value in one envelope, `magic | version | body |
+//! crc32`, written by [`seal`] and read back by [`open`]: any single-bit
+//! flip or truncation is rejected with a typed [`IoError`], never a panic
+//! or a silent mis-load. A [`PortableForest`] in that envelope is one
+//! shard of the on-disk checkpoint format (see
+//! [`checkpoint`](crate::Forest::save_checkpoint)); the checkpoint
+//! manifest is another such file.
 
 use crate::crc32;
 use crate::{Forest, IoError, SfcPosition};
@@ -21,21 +22,9 @@ use quadforest_core::Wire;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"QFOR";
-/// Stream format version written for payload-less forests. Version 2
-/// added the trailing CRC32 guard; version 1 streams (no guard) are
-/// rejected.
-pub(crate) const VERSION: u32 = 2;
-/// Stream format version written when a payload section is present:
-/// after the leaf records, one length-prefixed opaque byte string per
-/// leaf (the `Wire` encoding of the application's payload type).
-/// Payload-less version-2 streams remain loadable.
-pub(crate) const VERSION_PAYLOAD: u32 = 3;
-
-/// Bytes per serialized marker / leaf record.
-const MARKER_BYTES: usize = 12;
-const LEAF_BYTES: usize = 17;
-/// Minimum bytes per payload record (the 8-byte length prefix).
-const PAYLOAD_MIN_BYTES: usize = 8;
+/// Stream format version: the `Wire` body of [`PortableForest`], whose
+/// payload is a `Wire` `Option`. The loader reads this version only.
+const VERSION: u32 = 4;
 
 /// Representation-independent image of one rank's forest partition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,239 +43,134 @@ pub struct PortableForest {
     pub leaves: Vec<(u32, [i32; 3], u8)>,
     /// Optional per-leaf payloads, index-aligned with `leaves`: the
     /// opaque [`Wire`](quadforest_core::Wire) encoding of the
-    /// application's payload type. `None` for payload-less forests
-    /// (serialized as version 2, byte-identical to previous builds);
-    /// `Some` streams are written as version 3.
+    /// application's payload type. `None` for payload-less forests.
     pub payload: Option<Vec<Vec<u8>>>,
 }
 
-/// Bounds-checked read cursor over the unread rest of a stream: every
-/// decode step goes through [`Cursor::need`], so a truncated or
-/// length-lying stream surfaces as [`IoError::Truncated`] instead of a
-/// slice-index panic. Shared with the checkpoint manifest parser.
-pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
+quadforest_core::wire!(struct PortableForest {
+    dim, num_trees, global_count, size, markers, leaves, payload,
+});
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn need(&self, n: usize) -> Result<(), IoError> {
-        if self.0.len() < n {
-            Err(IoError::Truncated {
-                needed: n,
-                remaining: self.0.len(),
-            })
-        } else {
-            Ok(())
-        }
-    }
+/// `value` as a file: `magic | version | Wire body | crc32`, the CRC
+/// taken over everything before it.
+pub(crate) fn seal<T: Wire>(magic: &[u8; 4], version: u32, value: &T) -> Vec<u8> {
+    let mut b = magic.to_vec();
+    version.encode(&mut b);
+    value.encode(&mut b);
+    crc32(&b).encode(&mut b);
+    b
+}
 
-    /// Consume the next `n` bytes.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], IoError> {
-        self.need(n)?;
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
+/// Read back a file [`seal`] wrote. The checks run in a fixed order —
+/// length, magic, version, the CRC over the whole file, then a strict
+/// decode of the body that leaves no byte over — so corrupt input is a
+/// typed [`IoError`], never a panic.
+pub(crate) fn open<T: Wire>(magic: &[u8; 4], version: u32, data: &[u8]) -> Result<T, IoError> {
+    let truncated = |needed| {
+        Err(IoError::Truncated {
+            needed,
+            remaining: data.len(),
+        })
+    };
+    if data.len() < 8 {
+        return truncated(8);
     }
-
-    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], IoError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    let found: [u8; 4] = data[..4].try_into().expect("4 bytes");
+    if &found != magic {
+        return Err(IoError::BadMagic { found });
     }
-
-    fn u8(&mut self) -> Result<u8, IoError> {
-        Ok(self.array::<1>()?[0])
+    let stored_version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
+    if stored_version != version {
+        return Err(IoError::UnsupportedVersion {
+            found: stored_version,
+            supported: version,
+        });
     }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, IoError> {
-        Ok(u32::from_le_bytes(self.array()?))
+    if data.len() < 12 {
+        return truncated(12);
     }
-
-    fn i32(&mut self) -> Result<i32, IoError> {
-        Ok(i32::from_le_bytes(self.array()?))
+    let (sealed, guard) = data.split_at(data.len() - 4);
+    let stored = u32::from_le_bytes(guard.try_into().expect("4 bytes"));
+    let computed = crc32(sealed);
+    if stored != computed {
+        return Err(IoError::ChecksumMismatch { stored, computed });
     }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, IoError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// A length prefix that must describe `record_bytes`-sized records
-    /// still present in the stream. Checked with saturating arithmetic
-    /// so a hostile 2^64-ish count cannot overflow the bounds check.
-    pub(crate) fn count(
-        &mut self,
-        what: &'static str,
-        record_bytes: usize,
-    ) -> Result<usize, IoError> {
-        let n = self.u64()?;
-        let implied = (n as u128).saturating_mul(record_bytes as u128);
-        if implied > self.0.len() as u128 {
-            return Err(IoError::CountMismatch {
-                what,
-                found: n,
-                expected: (self.0.len() / record_bytes) as u64,
-            });
-        }
-        Ok(n as usize)
-    }
+    Ok(T::from_wire(&sealed[8..])?)
 }
 
 impl PortableForest {
-    /// Serialize to a binary buffer: CRC32-terminated version 2, or
-    /// version 3 when a payload section is present. A `payload: None`
-    /// forest serializes byte-identically to previous (pre-payload)
-    /// builds.
+    /// Serialize to a CRC32-guarded stream.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload_bytes: usize = self
-            .payload
-            .as_ref()
-            .map(|p| 8 + p.iter().map(|v| 8 + v.len()).sum::<usize>())
-            .unwrap_or(0);
-        // every field is a fixed-width little-endian integer, which is
-        // what `Wire` writes for the primitive types
-        let mut b = Vec::with_capacity(
-            48 + self.markers.len() * MARKER_BYTES
-                + self.leaves.len() * LEAF_BYTES
-                + payload_bytes
-                + 4,
-        );
-        b.extend_from_slice(MAGIC);
-        let version = if self.payload.is_some() {
-            VERSION_PAYLOAD
-        } else {
-            VERSION
-        };
-        version.encode(&mut b);
-        self.dim.encode(&mut b);
-        self.num_trees.encode(&mut b);
-        self.global_count.encode(&mut b);
-        self.size.encode(&mut b);
-        (self.markers.len() as u64).encode(&mut b);
-        for (t, a) in &self.markers {
-            t.encode(&mut b);
-            a.encode(&mut b);
-        }
-        (self.leaves.len() as u64).encode(&mut b);
-        for (t, c, l) in &self.leaves {
-            t.encode(&mut b);
-            for x in c {
-                x.encode(&mut b);
-            }
-            l.encode(&mut b);
-        }
-        if let Some(payload) = &self.payload {
-            debug_assert_eq!(payload.len(), self.leaves.len());
-            (payload.len() as u64).encode(&mut b);
-            for item in payload {
-                (item.len() as u64).encode(&mut b);
-                b.extend_from_slice(item);
-            }
-        }
-        crc32(&b).encode(&mut b);
-        b
+        seal(MAGIC, VERSION, self)
     }
 
     /// Deserialize from a binary buffer. Corrupt input — truncation,
-    /// bit flips (caught by the CRC32 guard), hostile length prefixes —
-    /// returns a typed [`IoError`] and never panics.
+    /// bit flips (caught by the CRC32 guard), hostile length prefixes,
+    /// `size + 1` markers or one payload per leaf not holding — returns
+    /// a typed [`IoError`] and never panics.
     pub fn from_bytes(data: &[u8]) -> Result<Self, IoError> {
-        let mut cur = Cursor(data);
-        cur.need(8)?;
-        let magic: [u8; 4] = cur.array()?;
-        if &magic != MAGIC {
-            return Err(IoError::BadMagic { found: magic });
+        let p: Self = open(MAGIC, VERSION, data)?;
+        IoError::check_count("marker", p.markers.len() as u64, p.size.saturating_add(1))?;
+        if let Some(payload) = &p.payload {
+            IoError::check_count("payload", payload.len() as u64, p.leaves.len() as u64)?;
         }
-        let version = cur.u32()?;
-        if version != VERSION && version != VERSION_PAYLOAD {
-            return Err(IoError::UnsupportedVersion {
-                found: version,
-                supported: VERSION_PAYLOAD,
-            });
-        }
-        // verify the trailing CRC over everything before it, up front:
-        // after this point any parse failure is a format bug, not rot
-        if data.len() < 12 {
-            return Err(IoError::Truncated {
-                needed: 12,
-                remaining: data.len(),
-            });
-        }
-        let body = &data[..data.len() - 4];
-        let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(IoError::ChecksumMismatch { stored, computed });
-        }
-        // restrict the cursor to the guarded body
-        cur.0 = &body[8..];
-        let dim = cur.u32()?;
-        let num_trees = cur.u64()?;
-        let global_count = cur.u64()?;
-        let size = cur.u64()?;
-        let n_markers = cur.count("marker", MARKER_BYTES)?;
-        if n_markers as u64 != size.saturating_add(1) {
-            return Err(IoError::CountMismatch {
-                what: "marker",
-                found: n_markers as u64,
-                expected: size.saturating_add(1),
-            });
-        }
-        let mut markers = Vec::with_capacity(n_markers);
-        for _ in 0..n_markers {
-            markers.push((cur.u32()?, cur.u64()?));
-        }
-        let n_leaves = cur.count("leaf", LEAF_BYTES)?;
-        let mut leaves = Vec::with_capacity(n_leaves);
-        for _ in 0..n_leaves {
-            let t = cur.u32()?;
-            let c = [cur.i32()?, cur.i32()?, cur.i32()?];
-            let l = cur.u8()?;
-            leaves.push((t, c, l));
-        }
-        let payload = if version == VERSION_PAYLOAD {
-            let n_payload = cur.count("payload", PAYLOAD_MIN_BYTES)?;
-            if n_payload != n_leaves {
-                return Err(IoError::CountMismatch {
-                    what: "payload",
-                    found: n_payload as u64,
-                    expected: n_leaves as u64,
-                });
-            }
-            let mut payload = Vec::with_capacity(n_payload);
-            for _ in 0..n_payload {
-                let len = cur.u64()?;
-                // bounds before allocation: a hostile length must not
-                // reserve memory it cannot back with input bytes
-                if len > cur.0.len() as u64 {
-                    return Err(IoError::Truncated {
-                        needed: len as usize,
-                        remaining: cur.0.len(),
-                    });
-                }
-                payload.push(cur.take(len as usize)?.to_vec());
-            }
-            Some(payload)
-        } else {
-            None
-        };
-        if !cur.0.is_empty() {
-            return Err(IoError::CountMismatch {
-                what: "trailing byte",
-                found: cur.0.len() as u64,
-                expected: 0,
-            });
-        }
-        Ok(Self {
-            dim,
-            num_trees,
-            global_count,
-            size,
-            markers,
-            leaves,
-            payload,
-        })
+        Ok(p)
     }
 }
 
+/// A saved forest's dimension and tree count against representation
+/// `Q` and the connectivity it is loaded over.
+pub(crate) fn check_context<Q: Quadrant>(
+    dim: u32,
+    num_trees: u64,
+    conn: &Connectivity,
+) -> Result<(), IoError> {
+    if dim != Q::DIM {
+        return Err(IoError::DimensionMismatch {
+            stream: dim,
+            representation: Q::DIM,
+        });
+    }
+    if num_trees != conn.num_trees() as u64 {
+        return Err(IoError::TreeCountMismatch {
+            stream: num_trees,
+            connectivity: conn.num_trees() as u64,
+        });
+    }
+    Ok(())
+}
+
+/// One stored leaf record as a quadrant of `Q`, or
+/// [`IoError::CorruptLeaf`] unless its tree exists, its level is one `Q`
+/// has, and its coordinates lie in `[0, root)` aligned to that level
+/// (with `z = 0` in 2D) — what `Q::from_coords` assumes of its input.
+pub(crate) fn leaf_record<Q: Quadrant>(
+    num_trees: usize,
+    &(tree, coords, level): &(u32, [i32; 3], u8),
+) -> Result<Q, IoError> {
+    let valid = (tree as usize) < num_trees && level <= Q::MAX_LEVEL && {
+        let mask = Q::len_at(level) - 1;
+        coords.iter().enumerate().all(|(axis, &c)| {
+            if axis < Q::DIM as usize {
+                (0..Q::len_at(0)).contains(&c) && c & mask == 0
+            } else {
+                c == 0
+            }
+        })
+    };
+    if !valid {
+        return Err(IoError::CorruptLeaf {
+            tree,
+            coords,
+            level,
+        });
+    }
+    Ok(Q::from_coords(coords, level))
+}
+
 impl<Q: Quadrant> Forest<Q> {
-    /// Capture this rank's partition in portable form (no payload
-    /// section; serializes as a version-2 stream).
+    /// Capture this rank's partition in portable form, without
+    /// payloads.
     pub fn to_portable(&self) -> PortableForest {
         PortableForest {
             dim: Q::DIM,
@@ -303,9 +187,9 @@ impl<Q: Quadrant> Forest<Q> {
     }
 
     /// Capture this rank's partition with its per-leaf payloads in
-    /// portable form (serializes as a version-3 stream). Each payload
-    /// is stored as the opaque `Wire` encoding of `T`, so the stream
-    /// can be re-sliced across rank counts without knowing `T`.
+    /// portable form. Each payload is stored as the opaque `Wire`
+    /// encoding of `T`, so the stream can be re-sliced across rank
+    /// counts without knowing `T`.
     pub(crate) fn to_portable_with_data<T: Wire>(
         &self,
         data: &crate::LeafData<T>,
@@ -326,18 +210,7 @@ impl<Q: Quadrant> Forest<Q> {
         comm: &Comm,
         portable: &PortableForest,
     ) -> Result<Self, IoError> {
-        if portable.dim != Q::DIM {
-            return Err(IoError::DimensionMismatch {
-                stream: portable.dim,
-                representation: Q::DIM,
-            });
-        }
-        if portable.num_trees != conn.num_trees() as u64 {
-            return Err(IoError::TreeCountMismatch {
-                stream: portable.num_trees,
-                connectivity: conn.num_trees() as u64,
-            });
-        }
+        check_context::<Q>(portable.dim, portable.num_trees, &conn)?;
         if portable.size != comm.size() as u64 {
             return Err(IoError::SizeMismatch {
                 stream: portable.size,
@@ -345,15 +218,9 @@ impl<Q: Quadrant> Forest<Q> {
             });
         }
         let mut trees: Vec<Vec<Q>> = vec![Vec::new(); conn.num_trees()];
-        for (t, c, l) in &portable.leaves {
-            if *t as usize >= trees.len() || *l > Q::MAX_LEVEL {
-                return Err(IoError::CorruptLeaf {
-                    tree: *t,
-                    coords: *c,
-                    level: *l,
-                });
-            }
-            trees[*t as usize].push(Q::from_coords(*c, *l));
+        for record in &portable.leaves {
+            let q = leaf_record(trees.len(), record)?;
+            trees[record.0 as usize].push(q);
         }
         let f = Self::assemble(
             conn,
@@ -475,7 +342,7 @@ mod tests {
             evil[len - 4..].copy_from_slice(&crc.to_le_bytes());
             assert!(matches!(
                 PortableForest::from_bytes(&evil),
-                Err(IoError::CountMismatch { what: "marker", .. })
+                Err(IoError::Malformed { detail }) if detail.contains("claims")
             ));
         });
     }

@@ -37,6 +37,8 @@ pub struct LeafHit {
     pub level: u8,
 }
 
+quadforest_core::wire!(struct LeafHit { tree, index, payload, key, level });
+
 /// One axis-aligned box query: all leaves of `tree` intersecting the
 /// half-open box `[lo, hi)` — the element type of the batched
 /// [`ForestSnapshot::query_boxes`].
@@ -513,6 +515,29 @@ mod tests {
         });
     }
 
+    /// A leaf hit's encoding, pinned byte for byte.
+    #[test]
+    fn leaf_hit_encoding_is_pinned_byte_for_byte() {
+        use quadforest_core::Wire;
+        let hit = LeafHit {
+            tree: 3,
+            index: 0x0102,
+            payload: 0x0A0B_0C0D,
+            key: u64::MAX - 1,
+            level: 7,
+        };
+        assert_eq!(
+            hit.to_wire(),
+            [
+                3, 0, 0, 0, // tree
+                2, 1, 0, 0, // index
+                0x0D, 0x0C, 0x0B, 0x0A, 0, 0, 0, 0, // payload
+                0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // key
+                7,    // level
+            ]
+        );
+    }
+
     #[test]
     fn owner_routing_covers_every_point() {
         quadforest_comm::run(4, |comm| {
@@ -538,27 +563,5 @@ mod tests {
             assert_eq!(snap.owner_of_point(0, [-1, 0, 0]), None);
             assert_eq!(snap.owner_of_point(9, [0, 0, 0]), None);
         });
-    }
-}
-
-impl quadforest_core::Wire for LeafHit {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tree.encode(out);
-        self.index.encode(out);
-        self.payload.encode(out);
-        self.key.encode(out);
-        self.level.encode(out);
-    }
-
-    fn decode(
-        r: &mut quadforest_core::wire::WireReader<'_>,
-    ) -> Result<Self, quadforest_core::wire::WireError> {
-        Ok(LeafHit {
-            tree: TreeId::decode(r)?,
-            index: u32::decode(r)?,
-            payload: u64::decode(r)?,
-            key: u64::decode(r)?,
-            level: u8::decode(r)?,
-        })
     }
 }
