@@ -37,8 +37,8 @@
 //! edge/corner offsets that exit through a single tree face); tree-edge
 //! and tree-corner connections are not modeled (see DESIGN.md).
 
-use crate::directions::{neighbor_domain, neighbor_index, offsets, Adjacency};
-use crate::{index_span, Forest};
+use crate::directions::{neighbor_index, offsets, Adjacency};
+use crate::{index_span, overlapping, Forest};
 use quadforest_comm::Comm;
 use quadforest_core::quadrant::Quadrant;
 
@@ -201,22 +201,23 @@ impl<Q: Quadrant> Forest<Q> {
     /// rank is not looked at (the cross-rank property is what
     /// `tests/balance_oracle.rs` covers). Used by tests; collective-free.
     pub fn is_balanced_local(&self, kind: BalanceKind) -> Result<(), String> {
+        let offs = offsets(Q::DIM, kind.adjacency());
         for (t, q) in self.leaves() {
-            if q.level() < 2 {
+            let level = q.level();
+            if level < 2 {
                 continue;
             }
-            for off in offsets(Q::DIM, kind.adjacency()) {
-                let Some(dom) = neighbor_domain(self.connectivity(), t, q, off) else {
+            for &off in &offs {
+                let Some((nt, ni)) =
+                    neighbor_index::<Q>(self.connectivity(), t, q.morton_index(), level, off)
+                else {
                     continue;
                 };
-                let probe = Q::from_coords(dom.coords, dom.level);
-                let range = self.overlapping_range(dom.tree, &probe);
-                for p in &self.trees[dom.tree as usize][range] {
-                    if p.level() + 1 < q.level() {
+                let leaves = &self.trees[nt as usize];
+                for p in &leaves[overlapping(leaves, index_span::<Q>(ni, level))] {
+                    if p.level() + 1 < level {
                         return Err(format!(
-                            "leaf {q:?} in tree {t} (level {}) neighbors {p:?} in tree {} (level {})",
-                            q.level(),
-                            dom.tree,
+                            "leaf {q:?} in tree {t} (level {level}) neighbors {p:?} in tree {nt} (level {})",
                             p.level()
                         ));
                     }

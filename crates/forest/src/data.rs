@@ -473,6 +473,152 @@ mod tests {
         });
     }
 
+    /// A payload that records its derivation: the old leaf it started
+    /// as, then every refine and coarsen step, with the quadrants the
+    /// mapper was handed, as `(morton_abs, level)`.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Trace {
+        Leaf(TreeId, (u64, u8)),
+        Refined {
+            from: Box<Trace>,
+            parent: (u64, u8),
+            child: (u64, u8),
+            child_id: u32,
+        },
+        Coarsened(TreeId, (u64, u8), Vec<Trace>),
+    }
+
+    impl Trace {
+        /// True when this value took two steps of one kind in a row.
+        fn multi_level(&self) -> bool {
+            match self {
+                Trace::Leaf(..) => false,
+                Trace::Refined { from, .. } => matches!(**from, Trace::Refined { .. }),
+                Trace::Coarsened(_, _, vs) => vs.iter().any(|v| matches!(v, Trace::Coarsened(..))),
+            }
+        }
+    }
+
+    fn key<Q: Quadrant>(q: &Q) -> (u64, u8) {
+        (q.morton_abs(), q.level())
+    }
+
+    struct TraceMapper;
+    impl<Q: Quadrant> DataMapper<Q, Trace> for TraceMapper {
+        fn refine(&self, _t: TreeId, parent: &Q, v: &Trace, child: &Q, child_id: u32) -> Trace {
+            Trace::Refined {
+                from: Box::new(v.clone()),
+                parent: key(parent),
+                child: key(child),
+                child_id,
+            }
+        }
+        fn coarsen(&self, t: TreeId, parent: &Q, vs: &[Trace]) -> Trace {
+            Trace::Coarsened(t, key(parent), vs.to_vec())
+        }
+    }
+
+    /// The remap by definition, naively: a new leaf takes its value from
+    /// the old leaf that contains it, refined down one level at a time,
+    /// or from the old leaves it contains, coarsened up one level at a
+    /// time. Containment by linear scan, no cursor.
+    fn containment_remap<Q: Quadrant, T: Clone>(
+        old: &[(TreeId, Q)],
+        vals: &[T],
+        new: &[(TreeId, Q)],
+        mapper: &impl DataMapper<Q, T>,
+    ) -> Vec<T> {
+        fn value<Q: Quadrant, T: Clone>(
+            tree: TreeId,
+            node: &Q,
+            old: &[(TreeId, Q)],
+            vals: &[T],
+            mapper: &impl DataMapper<Q, T>,
+        ) -> T {
+            let containing = old
+                .iter()
+                .position(|(t, o)| *t == tree && (o == node || o.is_ancestor_of(node)));
+            if let Some(i) = containing {
+                let mut v = vals[i].clone();
+                for level in old[i].1.level() + 1..=node.level() {
+                    let (parent, child) = (node.ancestor(level - 1), node.ancestor(level));
+                    v = mapper.refine(tree, &parent, &v, &child, child.child_id());
+                }
+                return v;
+            }
+            let children: Vec<T> = (0..Q::NUM_CHILDREN)
+                .map(|c| value(tree, &node.child(c), old, vals, mapper))
+                .collect();
+            mapper.coarsen(tree, node, &children)
+        }
+        new.iter()
+            .map(|(t, n)| value(*t, n, old, vals, mapper))
+            .collect()
+    }
+
+    /// Run one mapped op and compare its payloads with the containment
+    /// remap of the payloads before it. Returns whether some value took
+    /// a multi-level jump (on any rank).
+    fn mapped_op_is_the_remap<Q: Quadrant>(
+        comm: &Comm,
+        f: &mut Forest<Q>,
+        data: &mut LeafData<Trace>,
+        op: impl FnOnce(&mut Forest<Q>, &mut LeafData<Trace>) -> usize,
+    ) -> bool {
+        let old: Vec<(TreeId, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
+        let vals: Vec<Trace> = data.iter().cloned().collect();
+        let changed = op(f, data) as u64;
+        let new: Vec<(TreeId, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
+        let want = containment_remap(&old, &vals, &new, &TraceMapper);
+        assert_eq!(data.iter().cloned().collect::<Vec<_>>(), want);
+        assert!(comm.allreduce_sum(changed) > 0, "the op changed nothing");
+        comm.allreduce_sum(data.iter().any(Trace::multi_level) as u64) > 0
+    }
+
+    /// ROADMAP 9(b): `refine_mapped`, `balance_mapped` and
+    /// `coarsen_mapped` equal the containment remap, derivation for
+    /// derivation, on multi-level jumps in both directions.
+    fn mapped_ops_are_the_containment_remap<Q: Quadrant>(ranks: usize) {
+        quadforest_comm::run(ranks, |comm| {
+            let conn = Arc::new(Connectivity::unit(Q::DIM));
+            let mut f = Forest::<Q>::new_uniform(conn, &comm, 1);
+            let mut data = LeafData::init(&f, |t, q| Trace::Leaf(t, key(q)));
+            let deep = if Q::DIM == 2 { 6 } else { 4 };
+            let what = format!("{} P={ranks}", Q::NAME);
+            // the leaves at the domain center down to `deep` in one call,
+            // hugging level-1 leaves across the center
+            let center = [Q::len_at(1); 3];
+            let jumped = mapped_op_is_the_remap(&comm, &mut f, &mut data, |f, data| {
+                f.refine_mapped(
+                    &comm,
+                    true,
+                    |_, q| q.level() < deep && q.contains_point(center),
+                    data,
+                    &TraceMapper,
+                )
+            });
+            assert!(jumped, "{what}: refine");
+            // its neighbors split several levels at once
+            let jumped = mapped_op_is_the_remap(&comm, &mut f, &mut data, |f, data| {
+                f.balance_mapped(&comm, BalanceKind::Full, data, &TraceMapper)
+            });
+            assert!(jumped, "{what}: balance");
+            // whole subtrees collapse several levels at once
+            let jumped = mapped_op_is_the_remap(&comm, &mut f, &mut data, |f, data| {
+                f.coarsen_mapped(&comm, true, |_, fam| fam[0].level() > 2, data, &TraceMapper)
+            });
+            assert!(jumped, "{what}: coarsen");
+        });
+    }
+
+    #[test]
+    fn mapped_ops_match_the_containment_remap() {
+        for ranks in [1, 2, 3] {
+            mapped_ops_are_the_containment_remap::<Q2>(ranks);
+            mapped_ops_are_the_containment_remap::<MortonQuad<3>>(ranks);
+        }
+    }
+
     #[test]
     fn multi_level_coarsen_projects_subtrees() {
         quadforest_comm::run(1, |comm| {

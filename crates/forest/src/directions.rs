@@ -1,10 +1,11 @@
 //! Neighbor-direction enumeration shared by balance, ghost construction
 //! and iteration. Exterior positions are never materialized as quadrants
-//! (the raw-Morton layouts carry no sign bits): a neighbor is either a
-//! domain in coordinates with its contact box ([`neighbor_domain`]), or
-//! in key space a level-`ℓ` index stepped by a dilated ±1 per axis
-//! (`neighbor_index`, for balance and ghost's prune), the connectivity
-//! consulted only where the step leaves the tree.
+//! (the raw-Morton layouts carry no sign bits). A neighbor is found one
+//! way: in key space, a level-`ℓ` index stepped by a dilated ±1 per axis
+//! (`neighbor_index`), the connectivity consulted only where the step
+//! leaves the tree (through [`neighbor_domain`]). Beyond that,
+//! [`neighbor_domain`] resolves a domain in coordinates only where its
+//! contact box is consumed: ghost requests and face iteration.
 
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
@@ -224,158 +225,6 @@ pub(crate) fn neighbor_index<Q: Quadrant>(
     Some((tree, out))
 }
 
-/// Reusable buffers for [`for_each_neighbor_domain`], so per-tree
-/// batched enumeration allocates only on the first (largest) block.
-#[derive(Default)]
-pub(crate) struct NeighborScratch {
-    /// Gathered leaves, SoA layout.
-    soa: quadforest_core::scalar_ref::QuadSoA,
-    /// Shifted neighbor anchors for the current offset.
-    out: quadforest_core::scalar_ref::QuadSoA,
-    /// Tree-boundary classification per axis (see
-    /// `Quadrant::tree_boundaries`).
-    fx: Vec<i32>,
-    fy: Vec<i32>,
-    fz: Vec<i32>,
-}
-
-impl NeighborScratch {
-    /// Fresh scratch with empty buffers.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Batched equivalent of calling [`neighbor_domain`] for every leaf ×
-/// every offset: gathers the leaves into a
-/// [`QuadSoA`](quadforest_core::scalar_ref::QuadSoA) block, classifies
-/// tree boundaries once with the runtime-dispatched
-/// [`tree_boundaries_all`](quadforest_core::batch::tree_boundaries_all)
-/// kernel, and computes the shifted anchors for each offset with one
-/// [`offset_neighbor_all`](quadforest_core::batch::offset_neighbor_all)
-/// sweep. Leaves whose domain stays inside the root tree — the vast
-/// majority — are resolved arithmetically from the precomputed lanes;
-/// only leaves touching an exited boundary fall back to the per-quadrant
-/// [`neighbor_domain`] slow path (connectivity lookups and face
-/// transforms).
-///
-/// `visit(leaf_index, offset, domain)` is called for every resolved
-/// domain, in offset-major order. The set of visited `(leaf, offset,
-/// domain)` triples is exactly the set the per-quadrant loop produces
-/// (`ghost` consumes them order-insensitively; the equivalence is
-/// property-tested against the scalar oracle).
-pub(crate) fn for_each_neighbor_domain<Q: Quadrant>(
-    conn: &Connectivity,
-    tree: u32,
-    leaves: &[Q],
-    offs: &[[i32; 3]],
-    scratch: &mut NeighborScratch,
-    mut visit: impl FnMut(usize, [i32; 3], &NeighborDomain),
-) {
-    use quadforest_core::batch;
-    let dim = Q::DIM;
-    let max_level = Q::MAX_LEVEL;
-    scratch.soa.clear();
-    scratch.soa.reserve(leaves.len());
-    for q in leaves {
-        scratch.soa.push(q.coords(), q.level() as i32);
-    }
-    let n = scratch.soa.len();
-    if n == 0 {
-        return;
-    }
-    scratch.out.resize(n);
-    scratch.fx.resize(n, 0);
-    scratch.fy.resize(n, 0);
-    scratch.fz.resize(n, 0);
-    batch::tree_boundaries_all(
-        &scratch.soa,
-        dim,
-        max_level,
-        [&mut scratch.fx, &mut scratch.fy, &mut scratch.fz],
-    );
-    for &off in offs {
-        batch::offset_neighbor_all(&scratch.soa, off, max_level, &mut scratch.out);
-        for i in 0..n {
-            let cls = [scratch.fx[i], scratch.fy[i], scratch.fz[i]];
-            // An axis exits the root exactly when the leaf touches the
-            // boundary face the offset points at (-2 = root touches
-            // all); this matches `neighbor_domain`'s `d < 0 || d + h >
-            // root` test on the shifted anchor.
-            let mut exits = 0u32;
-            for (a, &d) in off.iter().enumerate().take(dim as usize) {
-                if d != 0 {
-                    let c = cls[a];
-                    let touches = c == -2 || c == 2 * a as i32 + ((d > 0) as i32);
-                    if touches {
-                        exits += 1;
-                    }
-                }
-            }
-            let level = scratch.soa.level[i] as u8;
-            let c = [scratch.soa.x[i], scratch.soa.y[i], scratch.soa.z[i]];
-            if exits == 0 {
-                // interior fast path: same arithmetic as
-                // `neighbor_domain`'s exits == 0 branch
-                let h = 1i32 << (max_level - level);
-                let mut contact = Box3 {
-                    lo: [0; 3],
-                    hi: [0; 3],
-                };
-                for a in 0..3 {
-                    match off[a] {
-                        0 => {
-                            contact.lo[a] = c[a];
-                            contact.hi[a] = c[a] + if (a as u32) < dim { h } else { 0 };
-                        }
-                        1 => {
-                            contact.lo[a] = c[a] + h;
-                            contact.hi[a] = c[a] + h;
-                        }
-                        _ => {
-                            contact.lo[a] = c[a];
-                            contact.hi[a] = c[a];
-                        }
-                    }
-                }
-                let dom = NeighborDomain {
-                    tree,
-                    coords: [scratch.out.x[i], scratch.out.y[i], scratch.out.z[i]],
-                    level,
-                    contact,
-                };
-                visit(i, off, &dom);
-            } else {
-                // boundary slow path: full connectivity resolution
-                let q = Q::from_coords(c, level);
-                if let Some(dom) = neighbor_domain(conn, tree, &q, off) {
-                    visit(i, off, &dom);
-                }
-            }
-        }
-    }
-}
-
-/// Per-quadrant oracle for [`for_each_neighbor_domain`]: the plain
-/// nested loop over offsets × leaves through [`neighbor_domain`]. Kept
-/// as the property-test reference for the batched path.
-#[cfg(test)]
-fn for_each_neighbor_domain_scalar<Q: Quadrant>(
-    conn: &Connectivity,
-    tree: u32,
-    leaves: &[Q],
-    offs: &[[i32; 3]],
-    mut visit: impl FnMut(usize, [i32; 3], &NeighborDomain),
-) {
-    for &off in offs {
-        for (i, q) in leaves.iter().enumerate() {
-            if let Some(dom) = neighbor_domain(conn, tree, q, off) {
-                visit(i, off, &dom);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,61 +312,6 @@ mod tests {
         // but single-axis crossings resolve
         assert!(neighbor_domain(&conn, 0, &q, [1, 0, 0]).is_some());
         assert!(neighbor_domain(&conn, 0, &q, [0, 1, 0]).is_some());
-    }
-
-    fn collect_domains<Q: Quadrant>(
-        conn: &Connectivity,
-        leaves: &[Q],
-        offs: &[[i32; 3]],
-        batched: bool,
-    ) -> Vec<(usize, [i32; 3], NeighborDomain)> {
-        let mut got = Vec::new();
-        if batched {
-            let mut scratch = NeighborScratch::new();
-            for_each_neighbor_domain(conn, 0, leaves, offs, &mut scratch, |i, o, d| {
-                got.push((i, o, *d))
-            });
-        } else {
-            for_each_neighbor_domain_scalar(conn, 0, leaves, offs, |i, o, d| got.push((i, o, *d)));
-        }
-        got.sort_by_key(|(i, o, d)| (*i, *o, d.tree, d.coords));
-        got
-    }
-
-    #[test]
-    fn batched_enumeration_matches_scalar_oracle() {
-        // adaptive leaf set: refine one corner of a level-2 complete tree
-        let mut leaves = quadforest_core::workload::complete_tree::<Q2>(2);
-        let corner = leaves.remove(0);
-        for c in 0..4 {
-            let child = corner.child(c);
-            for cc in 0..4 {
-                leaves.push(child.child(cc));
-            }
-        }
-        leaves.sort_by(|a, b| a.compare_sfc(b));
-        for conn in [
-            Connectivity::unit(2),
-            Connectivity::periodic(2),
-            Connectivity::brick2d(2, 2, false, true),
-        ] {
-            for kind in [Adjacency::Face, Adjacency::Full] {
-                let offs = offsets(2, kind);
-                let batched = collect_domains(&conn, &leaves, &offs, true);
-                let scalar = collect_domains(&conn, &leaves, &offs, false);
-                assert_eq!(batched, scalar, "kind {kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_enumeration_matches_scalar_oracle_3d() {
-        let leaves = quadforest_core::workload::complete_tree::<Q3>(2);
-        let conn = Connectivity::unit(3);
-        let offs = offsets(3, Adjacency::Full);
-        let batched = collect_domains(&conn, &leaves, &offs, true);
-        let scalar = collect_domains(&conn, &leaves, &offs, false);
-        assert_eq!(batched, scalar);
     }
 
     /// [`neighbor_index`] against the coordinate round trip it replaces

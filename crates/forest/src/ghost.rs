@@ -5,11 +5,11 @@
 //! `p4est_ghost_new` with `P4EST_CONNECT_FULL` (or `_FACE` for face-only
 //! adjacency). Construction is a two-round exchange:
 //!
-//! 1. **request**: every rank finds its *boundary* leaves by a top-down
-//!    search that discards each subtree whose whole neighborhood it owns
-//!    itself, enumerates their same-size neighbor domains, resolves them
-//!    through the connectivity, and asks the owner ranks of each
-//!    domain's SFC range for leaves touching the contact region;
+//! 1. **request**: every rank walks its leaves by a top-down search that
+//!    discards each subtree whose whole neighborhood it owns itself; a
+//!    *boundary* leaf the search reaches asks the owner ranks of each
+//!    same-size neighbor domain it does not own for the leaves touching
+//!    the contact region;
 //! 2. **reply**: owners answer with their matching leaves, each once and
 //!    in SFC order, and remember them as their *mirrors* for that rank;
 //!    the requester concatenates the answers into the ghost array.
@@ -18,12 +18,13 @@
 //! ends, so [`GhostLayer::exchange_data`] ships values only — no keys,
 //! no request round.
 //!
-//! The search steps to neighbors in key space and the requests carry
-//! coordinate boxes (both in `directions`), so the algorithm is identical
-//! for every quadrant representation, including the sign-free raw-Morton
+//! The search steps to neighbors in key space, and only a domain another
+//! rank owns is resolved in coordinates, for the contact box its request
+//! carries (both in `directions`), so the algorithm is identical for
+//! every quadrant representation, including the sign-free raw-Morton
 //! layouts.
 
-use crate::directions::{for_each_neighbor_domain, neighbor_index, offsets, Box3, NeighborScratch};
+use crate::directions::{neighbor_domain, neighbor_index, offsets, Box3};
 use crate::{index_span, key_span, Forest, SearchAction};
 use quadforest_comm::Comm;
 use quadforest_core::quadrant::Quadrant;
@@ -101,52 +102,56 @@ impl<Q: Quadrant> Forest<Q> {
     pub fn ghost(&self, comm: &Comm, kind: crate::BalanceKind) -> GhostLayer<Q> {
         let _span = quadforest_telemetry::span("ghost");
 
-        // Only boundary leaves can have a remote neighbor. A top-down
-        // search prunes every subtree whose own key span and that of each
-        // same-size neighbor domain lie in this rank's range: a neighbor
-        // domain of any leaf below the node lies in the node or in one
-        // of those domains (`None` = no forest there), so none is remote.
+        // round 1: requests, from a top-down search that steps to every
+        // same-size neighbor domain in key space. It prunes each subtree
+        // whose own key span and that of each neighbor domain lie in this
+        // rank's range: a neighbor domain of any leaf below the node lies
+        // in the node or in one of those domains (`None` = no forest
+        // there), so none is remote. A leaf asks the owners of each
+        // domain not wholly its own rank's; only there does it resolve
+        // the domain in coordinates, for the contact box the owner
+        // filters with.
         let offs = offsets(Q::DIM, kind.adjacency());
         let conn = self.connectivity();
         let local = |tree: u32, (first, last): (u64, u64)| {
             self.is_local_position((tree, first)) && self.is_local_position((tree, last))
         };
-        let mut boundary: Vec<Vec<Q>> = vec![Vec::new(); self.trees.len()];
+        let mut outgoing: Vec<Vec<Request>> = (0..self.size).map(|_| Vec::new()).collect();
         if self.size > 1 {
             self.search(|t, node, _, is_leaf| {
                 let (i, level) = (node.morton_index(), node.level());
-                let interior = local(t, key_span(node))
-                    && offs.iter().all(|&off| {
-                        neighbor_index::<Q>(conn, t, i, level, off)
-                            .is_none_or(|(nt, ni)| local(nt, index_span::<Q>(ni, level)))
-                    });
-                if interior {
-                    return SearchAction::Prune;
-                }
-                if is_leaf {
-                    boundary[t as usize].push(*node);
-                }
-                SearchAction::Continue
-            });
-        }
-
-        // round 1: requests — batched SoA enumeration per tree (requests
-        // are sorted and deduplicated below, so enumeration order does
-        // not matter)
-        let mut scratch = NeighborScratch::new();
-        let mut outgoing: Vec<Vec<Request>> = (0..self.size).map(|_| Vec::new()).collect();
-        for (t, leaves) in boundary.iter().enumerate() {
-            for_each_neighbor_domain(conn, t as u32, leaves, &offs, &mut scratch, |_, _, dom| {
-                let probe = Q::from_coords(dom.coords, dom.level);
-                for r in self.owners_of_span(dom.tree, key_span(&probe)) {
-                    if r != self.rank {
-                        outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
+                let mut interior = local(t, key_span(node));
+                for &off in &offs {
+                    if !(interior || is_leaf) {
+                        break;
                     }
+                    let Some((nt, ni)) = neighbor_index::<Q>(conn, t, i, level, off) else {
+                        continue;
+                    };
+                    let span = index_span::<Q>(ni, level);
+                    if local(nt, span) {
+                        continue;
+                    }
+                    interior = false;
+                    if is_leaf {
+                        let dom = neighbor_domain(conn, t, node, off)
+                            .expect("neighbor_index resolved the same domain");
+                        for r in self.owners_of_span(nt, span) {
+                            if r != self.rank {
+                                outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
+                            }
+                        }
+                    }
+                }
+                if interior {
+                    SearchAction::Prune
+                } else {
+                    SearchAction::Continue
                 }
             });
         }
         for reqs in &mut outgoing {
-            reqs.sort_by_key(|(t, c, l, _)| (*t, *l, c[0], c[1], c[2]));
+            reqs.sort_unstable_by_key(|&(t, c, l, b)| (t, l, c, b.lo, b.hi));
             reqs.dedup();
         }
         quadforest_telemetry::counter_add(

@@ -23,10 +23,11 @@
 //! * [`Forest::ghost`] — ghost/halo layer construction; the layer
 //!   records its mirrors, so [`GhostLayer::exchange_data`] is one round
 //!   of values,
-//! * [`iterate_faces`] — interface iteration (faces between leaves), tolerant
-//!   of non-2:1-balanced meshes (item 4 of the paper's follow-up list);
-//!   every side names its leaf by index ([`LeafRef`]) — which slot a
-//!   leaf occupies is resolved here and nowhere above,
+//! * [`iterate_faces`] — interface iteration, one pair of leaves per fine
+//!   face segment under one emission rule, tolerant of non-2:1-balanced
+//!   meshes (item 4 of the paper's follow-up list); every side names its
+//!   leaf by index ([`LeafRef`]) — which slot a leaf occupies is resolved
+//!   here and nowhere above,
 //! * [`Forest::search`] — top-down local search / point location,
 //! * [`Forest::save_checkpoint`] / [`Forest::load_checkpoint`] — save/load
 //!   (the portable image is [`PortableForest`]).
@@ -122,6 +123,19 @@ pub(crate) fn key_span<Q: Quadrant>(q: &Q) -> (u64, u64) {
 pub(crate) fn index_span<Q: Quadrant>(i: u64, level: u8) -> (u64, u64) {
     let s = Q::DIM * (Q::MAX_LEVEL - level) as u32;
     (i << s, (i << s) | ((1u64 << s) - 1))
+}
+
+/// The index range of the leaves in `leaves` (sorted, disjoint) whose
+/// subtree overlaps the key span `(first, last)`: a leaf overlaps iff its
+/// own span intersects it, and because one of the two must contain the
+/// other, that is two binary searches.
+pub(crate) fn overlapping<Q: Quadrant>(
+    leaves: &[Q],
+    (first, last): (u64, u64),
+) -> std::ops::Range<usize> {
+    let lo = leaves.partition_point(|p| key_span(p).1 < first);
+    let hi = leaves.partition_point(|p| p.morton_abs() <= last);
+    lo..hi
 }
 
 /// The sentinel position one past the end of the forest.
@@ -313,14 +327,7 @@ impl<Q: Quadrant> Forest<Q> {
     /// returns the index range of local leaves of `tree` overlapping
     /// `q`'s domain.
     pub(crate) fn overlapping_range(&self, tree: TreeId, q: &Q) -> std::ops::Range<usize> {
-        let leaves = &self.trees[tree as usize];
-        let (first, last) = key_span(q);
-        // Leaves are disjoint and SFC-sorted; a leaf overlaps q iff its
-        // own subtree range intersects [first, last]. Because one of the
-        // two must contain the other, that reduces to:
-        let lo = leaves.partition_point(|p| key_span(p).1 < first);
-        let hi = leaves.partition_point(|p| p.morton_abs() <= last);
-        lo..hi
+        overlapping(&self.trees[tree as usize], key_span(q))
     }
 
     /// A position-independent checksum of the global leaf set, equal on

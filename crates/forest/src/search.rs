@@ -6,7 +6,7 @@
 //! callback sees every ancestor together with the range of local leaves
 //! it contains and decides whether to descend.
 
-use crate::{key_span, Forest};
+use crate::{key_span, overlapping, Forest};
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
 use quadforest_core::zrange;
@@ -42,10 +42,7 @@ impl<Q: Quadrant> Forest<Q> {
         visit: &mut impl FnMut(TreeId, &Q, &[Q], bool) -> SearchAction,
     ) {
         // restrict to the leaves inside this node
-        let (first, last) = key_span(node);
-        let lo = leaves.partition_point(|p| key_span(p).1 < first);
-        let hi = leaves.partition_point(|p| p.morton_abs() <= last);
-        let inside = &leaves[lo..hi];
+        let inside = &leaves[overlapping(leaves, key_span(node))];
         if inside.is_empty() {
             return;
         }

@@ -1,16 +1,20 @@
-//! Differential tests for the batched balance/ghost hot paths.
+//! `Forest::ghost` against a ghost oracle written on the public API.
 //!
-//! `balance` and `ghost` now enumerate neighbor domains through the
-//! SoA-batched [`for_each_neighbor_domain`] sweep. These properties pin
-//! the observable results to what the per-quadrant path produced: the
-//! balanced forest is leaf-for-leaf identical at P ∈ {1, 2, 4}, and the
-//! ghost layer at every P equals a per-quadrant oracle recomputed with
-//! the scalar [`neighbor_domain`] walk.
+//! `ghost` builds its requests inside its boundary search: the search
+//! steps to every neighbor domain in key space, and a boundary leaf
+//! resolves a domain in coordinates only when another rank owns part of
+//! it, for the contact box the owner filters with. These checks pin the
+//! layer to the definition — a remote leaf is a ghost iff some local
+//! leaf's scalar [`neighbor_domain`] overlaps it and touches the contact
+//! — and the mirrors to the peers' ghosts: on seeded balanced forests at
+//! P ∈ {1, 2, 4} (which also hold balance leaf-for-leaf across P), and on
+//! the whole connectivity grid of `balance_oracle.rs` (cross-tree and
+//! rotated requests included) at P ∈ {1, 2, 3, 4, 8}, face and full.
 
 use proptest::prelude::*;
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
-use quadforest_core::quadrant::{MortonQuad, Quadrant, StandardQuad};
+use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
 use quadforest_forest::directions::{neighbor_domain, offsets, Adjacency, Box3};
 use quadforest_forest::{BalanceKind, Forest, GhostLayer};
 use std::sync::Arc;
@@ -122,6 +126,39 @@ fn adjacency_of(kind: BalanceKind) -> Adjacency {
     }
 }
 
+/// This rank's ghost layer of `kind` matches the per-quadrant oracle,
+/// and its mirrors are its peers' ghosts (collective). Returns the
+/// number of ghosts.
+fn check_ghosts<Q: Quadrant>(f: &Forest<Q>, comm: &Comm, kind: BalanceKind, what: &str) -> usize {
+    let ghost = f.ghost(comm, kind);
+    assert_eq!(
+        ghost_tuples(&ghost),
+        oracle_ghosts(f, comm, adjacency_of(kind)),
+        "{what} {kind:?}: ghost layer diverges from the per-quadrant oracle"
+    );
+    // mirror/ghost symmetry: what this rank mirrors to rank s is, in
+    // order, exactly what s holds as ghosts owned by this rank
+    let leaves: Vec<(u32, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
+    let mirrored = ghost
+        .mirrors
+        .iter()
+        .map(|m| m.iter().map(|&i| leaves[i]).collect())
+        .collect();
+    for (owner, theirs) in comm.alltoallv::<(u32, Q)>(mirrored).iter().enumerate() {
+        let mine: Vec<(u32, Q)> = ghost
+            .ghosts
+            .iter()
+            .filter(|g| g.owner == owner)
+            .map(|g| (g.tree, g.quad))
+            .collect();
+        assert_eq!(
+            theirs, &mine,
+            "{what} {kind:?}: mirrors of rank {owner} are not my ghosts"
+        );
+    }
+    ghost.len()
+}
+
 /// Balanced leaf sets are identical at P = 1, 2 and 4, every rank's
 /// ghost layer matches the per-quadrant oracle, and every rank's mirrors
 /// are its peers' ghosts.
@@ -133,33 +170,7 @@ fn check_equivalence<Q: Quadrant>(conn: Connectivity, seed: u64, max_level: u8, 
         let views = quadforest_comm::run(p, move |comm| {
             let f = build_forest::<Q>(&comm, Arc::clone(&conn), seed, max_level, kind);
             f.validate().expect("balanced forest must validate");
-            let ghost = f.ghost(&comm, kind);
-            let oracle = oracle_ghosts(&f, &comm, adjacency_of(kind));
-            assert_eq!(
-                ghost_tuples(&ghost),
-                oracle,
-                "P={p}: batched ghost layer diverges from per-quadrant oracle"
-            );
-            // mirror/ghost symmetry: what this rank mirrors to rank s is,
-            // in order, exactly what s holds as ghosts owned by this rank
-            let leaves: Vec<(u32, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
-            let mirrored = ghost
-                .mirrors
-                .iter()
-                .map(|m| m.iter().map(|&i| leaves[i]).collect())
-                .collect();
-            for (owner, theirs) in comm.alltoallv::<(u32, Q)>(mirrored).iter().enumerate() {
-                let mine: Vec<(u32, Q)> = ghost
-                    .ghosts
-                    .iter()
-                    .filter(|g| g.owner == owner)
-                    .map(|g| (g.tree, g.quad))
-                    .collect();
-                assert_eq!(
-                    theirs, &mine,
-                    "P={p}: mirrors of rank {owner} are not my ghosts"
-                );
-            }
+            check_ghosts(&f, &comm, kind, &format!("P={p}"));
             f.leaves()
                 .map(|(t, q)| (t, q.coords(), q.level()))
                 .collect::<Vec<_>>()
@@ -172,6 +183,58 @@ fn check_equivalence<Q: Quadrant>(conn: Connectivity, seed: u64, max_level: u8, 
             leaves, base,
             "P={p}: balanced forest is not leaf-for-leaf identical to P=1"
         );
+    }
+}
+
+/// One grid case: a seeded recursive refinement (steep level jumps,
+/// never balanced), partitioned on even seeds, checked at both
+/// adjacencies.
+fn check_grid_case<Q: Quadrant>(conn: &Connectivity, ranks: usize, seed: u64) {
+    let max_level = if Q::DIM == 2 { 4 } else { 3 };
+    let conn = Arc::new(conn.clone());
+    quadforest_comm::run(ranks, move |comm| {
+        let mut f = Forest::<Q>::new_uniform(Arc::clone(&conn), &comm, 1);
+        f.refine(&comm, true, |t, q| {
+            q.level() < max_level && mix(seed, t, q.morton_abs(), q.level()) % 3 == 0
+        });
+        if seed % 2 == 0 {
+            f.partition(&comm);
+        }
+        let what = format!("{} P={ranks} seed {seed}", Q::NAME);
+        for kind in [BalanceKind::Face, BalanceKind::Full] {
+            let ghosts = check_ghosts(&f, &comm, kind, &what) as u64;
+            assert_eq!(comm.allreduce_sum(ghosts) > 0, ranks > 1, "{what} {kind:?}");
+        }
+    });
+}
+
+/// The 9 connectivities of `balance_oracle.rs` × P ∈ {1, 2, 3, 4, 8} ×
+/// face/full, representations in turn.
+#[test]
+fn ghost_layer_is_the_oracle_on_every_connectivity() {
+    let mut case = 0u64;
+    for conn in [
+        Connectivity::unit(2),
+        Connectivity::periodic(2),
+        Connectivity::brick2d(3, 2, false, false),
+        Connectivity::two_trees_2d(1),
+        Connectivity::two_trees_rotated_2d(),
+        Connectivity::unit(3),
+        Connectivity::periodic(3),
+        Connectivity::brick3d(2, 1, 2, [false; 3]),
+        Connectivity::two_trees_rotated_3d(),
+    ] {
+        for ranks in [1usize, 2, 3, 4, 8] {
+            match (conn.dim(), case % 3) {
+                (2, 0) => check_grid_case::<StandardQuad<2>>(&conn, ranks, case),
+                (2, 1) => check_grid_case::<MortonQuad<2>>(&conn, ranks, case),
+                (2, _) => check_grid_case::<AvxQuad<2>>(&conn, ranks, case),
+                (_, 0) => check_grid_case::<StandardQuad<3>>(&conn, ranks, case),
+                (_, 1) => check_grid_case::<MortonQuad<3>>(&conn, ranks, case),
+                _ => check_grid_case::<AvxQuad<3>>(&conn, ranks, case),
+            }
+            case += 1;
+        }
     }
 }
 

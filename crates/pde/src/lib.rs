@@ -15,10 +15,11 @@
 //!   edge strips so interface fluxes see remote neighbors: one round of
 //!   values per step;
 //! * **flux plan** — one [`iterate_faces`] pass per mesh change compiles
-//!   every interface into flat entries that name both sides by the
-//!   `LeafRef` they carry, sorted in one owner-independent order; a step
-//!   streams over them and never walks the mesh, and every cell adds its
-//!   fluxes in the same order at any rank count;
+//!   every face pair it emits (one per fine face segment, the finest
+//!   granularity a hanging face has) into one flat entry that names both
+//!   sides by the `LeafRef` they carry, sorted in one owner-independent
+//!   order; a step streams over them and never walks the mesh, and every
+//!   cell adds its fluxes in the same order at any rank count;
 //! * **checkpoint** — `save_checkpoint_with_data` /
 //!   `load_checkpoint_with_data` persist mesh and patches together,
 //!   so a killed rank resumes bit-identically.

@@ -10,9 +10,9 @@
 //! the two leaves that share it.
 //!
 //! The interfaces are compiled once per mesh change into a flat *flux
-//! plan*: one entry per fine member of every interior interface with a
-//! local side, naming both leaves by slot and carrying the segment
-//! geometry. A step is then a snapshot of the edge strips with the halo
+//! plan*: one entry per face pair the walk emits (one per fine face
+//! segment with a local side), naming both leaves by slot and carrying
+//! the segment geometry. A step is then a snapshot of the edge strips with the halo
 //! exchange, the intra-patch fluxes, and one linear pass over the plan
 //! that reads the snapshot, all added to the patches in place; it never
 //! walks the mesh.
@@ -115,14 +115,16 @@ pub struct AdvectionSim<Q: Quadrant> {
     halos: Vec<PatchHalo>,
 }
 
-/// What a step needs of the mesh: the ghost layer (full adjacency, so
-/// hanging groups spanning ranks are complete) and the flux plan.
+/// What a step needs of the mesh: the ghost layer and the flux plan.
+/// The layer has full adjacency; the plan's pairs need only faces, but
+/// the halo ships one strip set per ghost, so a narrower layer is a
+/// change of the halo's bytes.
 struct Topology<Q: Quadrant> {
     ghost: GhostLayer<Q>,
     plan: Vec<Flux>,
 }
 
-/// One fine member of an interior interface with a local side. `low`
+/// One fine face segment with a local side. `low`
 /// sees the interface through its `+axis` face, `high` through its
 /// `−axis` face; fine face cell `s` meets coarse face cell `k[s]`.
 #[derive(Copy, Clone)]
@@ -142,61 +144,55 @@ struct Flux {
 /// level)` and face — the same on every rank that holds the entry.
 type PlanKey = (u32, u64, u8, u32);
 
-/// Compile every interior interface of one `iterate_faces` pass into
-/// flux entries, sorted by [`PlanKey`]. Entries with no local side are
-/// dropped.
+/// Compile every pair of one `iterate_faces` pass into one flux entry,
+/// sorted by [`PlanKey`]. The walk emits a pair only from a local side.
 fn flux_plan<Q: Quadrant>(forest: &Forest<Q>, ghost: &GhostLayer<Q>) -> Vec<Flux> {
     let root = Q::len_at(0) as f64;
     let cell = |s: &FaceSide<Q>| s.quad.side() as f64 / root / PATCH_N as f64;
     let mut keyed: Vec<(PlanKey, Flux)> = Vec::new();
     iterate_faces(forest, ghost, |iface| {
-        let Interface::Interior(primary, others) = iface else {
+        let Interface::Interior(this, other) = iface else {
             return; // closed wall: zero flux (conservative)
         };
-        for other in others {
-            // the leaf whose face is the +axis side sits at lower
-            // coordinates: positive vn carries mass low -> high
-            let (low, high) = if primary.face & 1 == 1 {
-                (&primary, other)
-            } else {
-                (other, &primary)
-            };
-            if low.is_ghost() && high.is_ghost() {
-                continue;
-            }
-            let axis = primary.face / 2;
-            debug_assert_eq!(axis, other.face / 2, "axis-aligned transform");
-            // fine = smaller leaf; segments are its face cells
-            let fine_is_low = low.quad.level() >= high.quad.level();
-            let (fine, coarse) = if fine_is_low {
-                (low, high)
-            } else {
-                (high, low)
-            };
-            let tan = 1 - axis as usize;
-            let (hf, hc) = (fine.quad.side() as i64, coarse.quad.side() as i64);
-            let off = (fine.quad.coords()[tan] - coarse.quad.coords()[tan]) as i64;
-            debug_assert!((0..hc).contains(&off), "tangential overlap");
-            let n = PATCH_N as i64;
-            let key = (
-                fine.tree,
-                fine.quad.morton_abs(),
-                fine.quad.level(),
-                fine.face,
-            );
-            keyed.push((
-                key,
-                Flux {
-                    low: low.leaf,
-                    high: high.leaf,
-                    axis: axis as u8,
-                    fine_is_low,
-                    k: std::array::from_fn(|s| ((off * n + s as i64 * hf) / hc) as u8),
-                    w: cell(fine),
-                    inv_cell_area: [low, high].map(|s| 1.0 / (cell(s) * cell(s))),
-                },
-            ));
-        }
+        // the leaf whose face is the +axis side sits at lower
+        // coordinates: positive vn carries mass low -> high
+        let (low, high) = if this.face & 1 == 1 {
+            (&this, &other)
+        } else {
+            (&other, &this)
+        };
+        let axis = this.face / 2;
+        debug_assert_eq!(axis, other.face / 2, "axis-aligned transform");
+        // fine = smaller leaf; segments are its face cells
+        let fine_is_low = low.quad.level() >= high.quad.level();
+        let (fine, coarse) = if fine_is_low {
+            (low, high)
+        } else {
+            (high, low)
+        };
+        let tan = 1 - axis as usize;
+        let (hf, hc) = (fine.quad.side() as i64, coarse.quad.side() as i64);
+        let off = (fine.quad.coords()[tan] - coarse.quad.coords()[tan]) as i64;
+        debug_assert!((0..hc).contains(&off), "tangential overlap");
+        let n = PATCH_N as i64;
+        let key = (
+            fine.tree,
+            fine.quad.morton_abs(),
+            fine.quad.level(),
+            fine.face,
+        );
+        keyed.push((
+            key,
+            Flux {
+                low: low.leaf,
+                high: high.leaf,
+                axis: axis as u8,
+                fine_is_low,
+                k: std::array::from_fn(|s| ((off * n + s as i64 * hf) / hc) as u8),
+                w: cell(fine),
+                inv_cell_area: [low, high].map(|s| 1.0 / (cell(s) * cell(s))),
+            },
+        ));
     });
     keyed.sort_unstable_by_key(|(key, _)| *key);
     // a fresh, exact allocation: the plan outlives many steps
@@ -871,12 +867,10 @@ mod tests {
     fn plan_matches_walk<Q: Quadrant>(f: &Forest<Q>, g: &GhostLayer<Q>) -> (usize, usize) {
         let mut walk = Vec::new();
         iterate_faces(f, g, |iface| {
-            if let Interface::Interior(p, others) = iface {
-                for o in others {
-                    let (low, high) = if p.face & 1 == 1 { (&p, o) } else { (o, &p) };
-                    if !(low.is_ghost() && high.is_ghost()) {
-                        walk.push((slot(low.leaf), slot(high.leaf), p.face / 2));
-                    }
+            if let Interface::Interior(p, o) = iface {
+                let (low, high) = if p.face & 1 == 1 { (&p, &o) } else { (&o, &p) };
+                if !(low.is_ghost() && high.is_ghost()) {
+                    walk.push((slot(low.leaf), slot(high.leaf), p.face / 2));
                 }
             }
         });

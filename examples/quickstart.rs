@@ -72,13 +72,14 @@ fn main() {
         let moved = forest.partition(&comm);
         forest.validate().expect("forest invariants");
 
-        // ghost layer + interface statistics
+        // ghost layer + interface statistics: one pair per fine face
+        // segment, hanging where the two levels differ
         let ghost = forest.ghost(&comm, BalanceKind::Face);
         let (mut boundary, mut conforming, mut hanging) = (0u64, 0u64, 0u64);
         iterate_faces(&forest, &ghost, |iface| match iface {
             Interface::Boundary(_) => boundary += 1,
-            Interface::Interior(_, others) => {
-                if others.len() == 1 {
+            Interface::Interior(a, b) => {
+                if a.quad.level() == b.quad.level() {
                     conforming += 1
                 } else {
                     hanging += 1
@@ -138,7 +139,7 @@ fn main() {
     for (rank, _, _, bal, moved, local, ghosts, (b, c, h), (hit, asked)) in &reports {
         println!(
             "rank {rank}: {local:5} leaves, {ghosts:3} ghosts, balance refined {bal:3}, \
-             partition moved {moved:4} | faces: {b} boundary / {c} conforming / {h} hanging \
+             partition moved {moved:4} | faces: {b} boundary / {c} conforming pairs / {h} hanging segments \
              | queries: {hit}/{asked} local"
         );
     }

@@ -21,12 +21,11 @@ fn pipeline_fingerprint<Q: Quadrant>(ranks: usize, conn_builder: fn() -> Connect
         f.partition(&comm);
         f.validate().unwrap();
         let ghost = f.ghost(&comm, BalanceKind::Face);
-        // Rank-count-invariant interface fingerprint: each *local* side
-        // incidence (leaf, face) participates in exactly one emitted
-        // interface on its owning rank, regardless of P (straddling
-        // interfaces are emitted on every touching rank, with the other
-        // rank's sides marked as ghosts — so summing only non-ghost
-        // sides makes the global total invariant).
+        // Rank-count-invariant interface fingerprint: each face pair is
+        // emitted once on every rank owning one of its sides, regardless
+        // of P (a straddling pair on both ranks, with the other rank's
+        // side marked as a ghost — so summing only non-ghost sides makes
+        // the global total invariant).
         let hash_side = |s: &FaceSide<Q>| {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             let c = s.quad.coords();
@@ -46,8 +45,8 @@ fn pipeline_fingerprint<Q: Quadrant>(ranks: usize, conn_builder: fn() -> Connect
         let mut iface_local: u64 = 0;
         iterate_faces(&f, &ghost, |iface| match iface {
             Interface::Boundary(s) => iface_local = iface_local.wrapping_add(hash_side(&s)),
-            Interface::Interior(p, others) => {
-                for s in others.iter().chain([&p]) {
+            Interface::Interior(p, o) => {
+                for s in [&o, &p] {
                     if !s.is_ghost() {
                         iface_local = iface_local.wrapping_add(hash_side(s));
                     }
@@ -176,8 +175,8 @@ fn ghost_and_iterate_agree_on_hanging_faces() {
             .flatten()
             .collect();
         iterate_faces(&f, &ghost, |iface| {
-            if let Interface::Interior(p, others) = iface {
-                for side in others.iter().chain([&p]) {
+            if let Interface::Interior(p, o) = iface {
+                for side in [&o, &p] {
                     assert!(
                         all.contains(&(side.tree, side.quad.coords(), side.quad.level())),
                         "iterated side {side:?} is not a real leaf anywhere"
