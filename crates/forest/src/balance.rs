@@ -13,21 +13,21 @@
 //! the rebuild.
 //!
 //! 1. **Seed**: the parent of every local leaf is interior.
-//! 2. **Close**, finest level first: an interior node `p` makes its own
-//!    parent interior, and the parent of each of its same-size neighbor
-//!    domains `p + o·H` (`directions::neighbor_index`: a dilated ±1 on
-//!    the index, the connectivity consulted only where the step leaves
-//!    the tree) — the 2:1 rule one level up (a leaf `q` of level
-//!    `L` forces the level-`(L−1)` ancestor of `q + o·h` to *exist*, and
-//!    over the children of `p` those ancestors are `p` and its neighbor
-//!    domains; DESIGN.md §3.4 has the argument). A level is finished
-//!    before the next coarser one starts, so one pass closes the set
-//!    whatever the depth of the ripple.
+//! 2. **Close**, finest level first: an interior node `p` makes its
+//!    parent `P` interior, and the parent of each of its same-size
+//!    neighbor domains `p + o·H` — the 2:1 rule one level up (DESIGN.md
+//!    §3.4). Those parents depend only on `P` and on the sides of `P` that
+//!    `p` touches, so each sibling *family* steps once from `P` along each
+//!    sub-offset a present child reaches (`directions::neighbor_index`: a
+//!    dilated ±1 on the index). The parents are radix-sorted and merged
+//!    into the next level's sorted seeds; a level is finished before the
+//!    next coarser one starts, so one pass closes the set.
 //! 3. **One exchange**: every rule has a single premise, so the closure
 //!    of a union is the union of the closures. Each rank closes its own
 //!    seeds over the *whole* forest and ships every node to the ranks
-//!    whose range its subtree overlaps; receivers merge and are done —
-//!    no second round, no convergence reduction.
+//!    whose range its subtree overlaps; receivers merge the arrivals into
+//!    their sorted levels and are done — no second round, no convergence
+//!    reduction.
 //! 4. **Rebuild**: a depth-first walk in curve order meets each level's
 //!    indices in increasing order, so one forward cursor per level
 //!    decides "interior → split, else emit" for old leaves and their
@@ -40,6 +40,7 @@
 use crate::directions::{neighbor_index, offsets, Adjacency};
 use crate::{index_span, overlapping, Forest};
 use quadforest_comm::Comm;
+use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
 
 /// Which neighbor relations the 2:1 constraint covers.
@@ -60,6 +61,9 @@ impl BalanceKind {
     }
 }
 
+/// A node of the closure: `(tree, I_ℓ)`.
+type Node = (u32, u64);
+
 impl<Q: Quadrant> Forest<Q> {
     /// 2:1-balance the forest (collective). Returns the number of leaves
     /// split on this rank.
@@ -67,63 +71,19 @@ impl<Q: Quadrant> Forest<Q> {
         let _span = quadforest_telemetry::span("balance");
         quadforest_telemetry::counter_add("forest.balance.rounds", 1);
         let d = Q::DIM;
-        let offs = offsets(d, kind.adjacency());
+        let mut interior = self.close(kind);
 
-        // interior[ℓ]: (tree, I_ℓ) of the level-ℓ nodes that must be
-        // split; seeded with the parent of every local leaf (one index
-        // per run of siblings)
-        let mut interior: Vec<Vec<(u32, u64)>> = vec![Vec::new(); Q::MAX_LEVEL as usize + 1];
-        for (t, leaves) in self.trees.iter().enumerate() {
-            let mut prev = None;
-            for q in leaves {
-                let parent = (q.level(), q.morton_index() >> d);
-                if q.level() > 0 && prev != Some(parent) {
-                    interior[q.level() as usize - 1].push((t as u32, parent.1));
-                }
-                prev = Some(parent);
-            }
-        }
-
-        // close finest-first over the whole forest, in key space; a
-        // finished level is addressed to every other rank its nodes'
-        // subtrees overlap
-        let conn = self.connectivity();
+        // each level goes to every other rank its nodes' subtrees overlap;
+        // the nodes wholly inside this rank's range are one run: skip it
         let mut outgoing: Vec<Vec<(u32, u8, u64)>> = (0..self.size).map(|_| Vec::new()).collect();
-        for level in (0..=Q::MAX_LEVEL).rev() {
-            let (coarser, rest) = interior.split_at_mut(level as usize);
-            let nodes = &mut rest[0];
-            nodes.sort_unstable();
-            nodes.dedup();
-            for &(tree, i) in nodes.iter() {
+        let mine = &self.markers[self.rank..=self.rank + 1];
+        for (level, nodes) in (0..).zip(&interior) {
+            let lo = nodes.partition_point(|&(t, i)| (t, index_span::<Q>(i, level).0) < mine[0]);
+            let hi = nodes.partition_point(|&(t, i)| (t, index_span::<Q>(i, level).1) < mine[1]);
+            for &(tree, i) in nodes[..lo].iter().chain(&nodes[hi.max(lo)..]) {
                 for r in self.owners_of_span(tree, index_span::<Q>(i, level)) {
                     if r != self.rank {
                         outgoing[r].push((tree, level, i));
-                    }
-                }
-            }
-            let Some(up) = coarser.last_mut() else {
-                continue;
-            };
-            // skipping a repeat of the previous push drops most
-            // duplicates before the sort (siblings share parents); each
-            // offset's stream of parents is nearly sorted, so the pushes
-            // run offset-major
-            let mut push = |node: (u32, u64)| {
-                if up.last() != Some(&node) {
-                    up.push(node);
-                }
-            };
-            for &(tree, i) in nodes.iter() {
-                push((tree, i >> d));
-            }
-            for &off in &offs {
-                for &(tree, i) in nodes.iter() {
-                    // half the domains are siblings of the node itself:
-                    // same parent, pushed above
-                    if let Some((nt, ni)) = neighbor_index::<Q>(conn, tree, i, level, off) {
-                        if (nt, ni >> d) != (tree, i >> d) {
-                            push((nt, ni >> d));
-                        }
                     }
                 }
             }
@@ -133,13 +93,15 @@ impl<Q: Quadrant> Forest<Q> {
             outgoing.iter().map(|v| v.len() as u64).sum(),
         );
 
-        // the one exchange: what arrives is already closed
+        // the one exchange: what arrives is already closed, and is
+        // merged into each sorted level
+        let from: Vec<usize> = interior.iter().map(Vec::len).collect();
         for (tree, level, i) in comm.alltoallv(outgoing).into_iter().flatten() {
             interior[level as usize].push((tree, i));
         }
-        for nodes in &mut interior {
-            nodes.sort_unstable();
-            nodes.dedup();
+        let mut scratch = Vec::new();
+        for (nodes, from) in interior.iter_mut().zip(from) {
+            merge_tail(nodes, from, &mut scratch);
         }
 
         // rebuild: one forward cursor per level over the sorted sets
@@ -196,6 +158,38 @@ impl<Q: Quadrant> Forest<Q> {
         split
     }
 
+    /// This rank's interior sets, sorted per level: the parents of its
+    /// leaves, closed finest-first over the whole forest in key space.
+    fn close(&self, kind: BalanceKind) -> Vec<Vec<Node>> {
+        let d = Q::DIM;
+        // seeded with the parent of every local leaf (one index per run
+        // of siblings); each level's seeds come out sorted
+        let mut interior: Vec<Vec<Node>> = vec![Vec::new(); Q::MAX_LEVEL as usize + 1];
+        for (t, leaves) in self.trees.iter().enumerate() {
+            let mut prev = None;
+            for q in leaves {
+                let parent = (q.level(), q.morton_index() >> d);
+                if q.level() > 0 && prev != Some(parent) {
+                    interior[q.level() as usize - 1].push((t as u32, parent.1));
+                }
+                prev = Some(parent);
+            }
+        }
+
+        // each finished level steps up one level per sibling family
+        let (conn, subs) = (self.connectivity(), sub_offsets::<Q>(kind));
+        let (mut scratch, mut steps) = (Vec::new(), 0);
+        for level in (1..=Q::MAX_LEVEL as usize).rev() {
+            let (coarser, finer) = interior.split_at_mut(level);
+            let up = &mut coarser[level - 1];
+            let from = up.len();
+            steps += close_families::<Q>(conn, &subs, (&finer[0], level as u8), up);
+            merge_tail(up, from, &mut scratch);
+        }
+        quadforest_telemetry::counter_add("forest.balance.neighbor_steps", steps);
+        interior
+    }
+
     /// Check the 2:1 property among the *local* leaves only, returning
     /// the first violation found: a neighbor domain owned by another
     /// rank is not looked at (the cross-rank property is what
@@ -228,10 +222,75 @@ impl<Q: Quadrant> Forest<Q> {
     }
 }
 
+/// Each offset of `kind`, with the children (as bits) that reach the
+/// parent's neighbor domain along it: those on its outward side on every
+/// axis the offset moves (bit 1 for `+1`, bit 0 for `−1`).
+fn sub_offsets<Q: Quadrant>(kind: BalanceKind) -> Vec<([i32; 3], u32)> {
+    let outward = |o: [i32; 3], c| (0..3).all(|a| o[a] == 0 || (o[a] == 1) == (c >> a & 1 == 1));
+    let children = |o| (0..Q::NUM_CHILDREN).fold(0, |m, c| m | (outward(o, c) as u32) << c);
+    let offs = offsets(Q::DIM, kind.adjacency());
+    offs.into_iter().map(|o| (o, children(o))).collect()
+}
+
+/// One level's step up, per sibling family of the sorted `nodes`: push
+/// the parent and its neighbor domain along each sub-offset a present
+/// child reaches. Returns the number of neighbor steps taken.
+fn close_families<Q: Quadrant>(
+    conn: &Connectivity,
+    subs: &[([i32; 3], u32)],
+    (nodes, level): (&[Node], u8),
+    up: &mut Vec<Node>,
+) -> u64 {
+    let (d, mut steps) = (Q::DIM, 0);
+    let child = |&(_, i): &Node| 1 << (i & ((1 << d) - 1));
+    for family in nodes.chunk_by(|a, b| (a.0, a.1 >> d) == (b.0, b.1 >> d)) {
+        let (tree, parent) = (family[0].0, family[0].1 >> d);
+        up.push((tree, parent));
+        let present = family.iter().fold(0, |m, n| m | child(n));
+        for &(off, _) in subs.iter().filter(|(_, children)| present & children != 0) {
+            up.extend(neighbor_index::<Q>(conn, tree, parent, level - 1, off));
+            steps += 1;
+        }
+    }
+    steps
+}
+
+/// Merge `set[from..]` into the sorted `set[..from]`, deduplicating: the
+/// tail is LSD-radix-sorted into `scratch`, one counting pass per byte of
+/// `(tree, index)` that varies, then merged from the back.
+fn merge_tail(set: &mut Vec<Node>, from: usize, scratch: &mut Vec<Node>) {
+    let key = |n: &Node| (n.0 as u128) << 64 | n.1 as u128;
+    let tail = &mut set[from..];
+    let varying = tail.iter().fold(0, |v, n| v | (key(n) ^ key(&tail[0])));
+    scratch.resize(tail.len(), (0, 0));
+    let (mut src, mut dst, mut in_scratch) = (tail, &mut scratch[..], false);
+    for shift in (0..96).step_by(8).filter(|s| (varying >> s) as u8 != 0) {
+        let digit = |n: &Node| (key(n) >> shift) as u8 as usize;
+        let mut at = [0usize; 256];
+        src.iter().for_each(|n| at[digit(n)] += 1);
+        let mut sum = 0;
+        at.iter_mut().for_each(|a| (*a, sum) = (sum, sum + *a));
+        for n in src.iter() {
+            dst[at[digit(n)]] = *n;
+            at[digit(n)] += 1;
+        }
+        (src, dst, in_scratch) = (dst, src, !in_scratch);
+    }
+    if !in_scratch {
+        dst.copy_from_slice(src);
+    }
+    let (mut a, mut b) = (from, scratch.len());
+    while b > 0 {
+        let take = a > 0 && set[a - 1] > scratch[b - 1];
+        (a, b) = (a - take as usize, b - !take as usize);
+        set[a + b] = if take { set[a] } else { scratch[b] };
+    }
+    set.dedup();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quadforest_connectivity::Connectivity;
     use quadforest_core::quadrant::{AvxQuad, MortonQuad, StandardQuad};
     use std::sync::Arc;
 
@@ -413,6 +472,208 @@ mod tests {
                 .with_reordering(0.25);
             let chaotic = quadforest_comm::run_with_faults(3, plan, program).unwrap();
             assert_eq!(baseline, chaotic, "seed {seed} changed the balanced mesh");
+        }
+    }
+
+    /// The parent commit's per-node step, `neighbor_index` from every
+    /// node along every offset, kept as the oracle of [`close_families`];
+    /// it also returns the number of steps it took.
+    fn close_nodes<Q: Quadrant>(
+        conn: &Connectivity,
+        nodes: &[Node],
+        level: u8,
+        offs: &[[i32; 3]],
+        up: &mut Vec<Node>,
+    ) -> u64 {
+        let d = Q::DIM;
+        let mut steps = 0;
+        // skipping a repeat of the previous push drops most
+        // duplicates before the sort (siblings share parents); each
+        // offset's stream of parents is nearly sorted, so the pushes
+        // run offset-major
+        let mut push = |node: (u32, u64)| {
+            if up.last() != Some(&node) {
+                up.push(node);
+            }
+        };
+        for &(tree, i) in nodes.iter() {
+            push((tree, i >> d));
+        }
+        for &off in offs {
+            for &(tree, i) in nodes.iter() {
+                steps += 1;
+                // half the domains are siblings of the node itself:
+                // same parent, pushed above
+                if let Some((nt, ni)) = neighbor_index::<Q>(conn, tree, i, level, off) {
+                    if (nt, ni >> d) != (tree, i >> d) {
+                        push((nt, ni >> d));
+                    }
+                }
+            }
+        }
+        steps
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random sorted set of level-`level` nodes: random families over
+    /// the trees of `conn`, each with a random nonempty set of children,
+    /// whose parents sit mostly on tree faces, edges and corners.
+    fn random_nodes<Q: Quadrant>(conn: &Connectivity, level: u8, rng: &mut u64) -> Vec<Node> {
+        let cells = 1u64 << (level - 1);
+        let mut nodes = Vec::new();
+        for _ in 0..24 {
+            let tree = (xorshift(rng) % conn.num_trees() as u64) as u32;
+            let coords = std::array::from_fn(|a| {
+                let r = xorshift(rng);
+                let cell =
+                    [0, 1, cells / 2, cells.saturating_sub(2), cells - 1, r >> 8][(r % 6) as usize];
+                let cell = if a < Q::DIM as usize { cell % cells } else { 0 };
+                cell as i32 * Q::len_at(level - 1)
+            });
+            let parent = Q::from_coords(coords, level - 1).morton_index();
+            let children = xorshift(rng) % ((1 << Q::NUM_CHILDREN) - 1) + 1;
+            for c in (0..Q::NUM_CHILDREN as u64).filter(|c| children >> c & 1 == 1) {
+                nodes.push((tree, parent << Q::DIM | c));
+            }
+        }
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
+    fn family_step_is_the_node_step<Q: Quadrant>(conn: &Connectivity) {
+        let mut rng = 0x9E37_79B9_7F4A_7C15;
+        for kind in [BalanceKind::Face, BalanceKind::Full] {
+            let (offs, subs) = (offsets(Q::DIM, kind.adjacency()), sub_offsets::<Q>(kind));
+            for level in 1..=Q::MAX_LEVEL {
+                let nodes = random_nodes::<Q>(conn, level, &mut rng);
+                let (mut by_family, mut by_node) = (Vec::new(), Vec::new());
+                close_families::<Q>(conn, &subs, (&nodes, level), &mut by_family);
+                close_nodes::<Q>(conn, &nodes, level, &offs, &mut by_node);
+                for pushed in [&mut by_family, &mut by_node] {
+                    pushed.sort_unstable();
+                    pushed.dedup();
+                }
+                assert_eq!(by_family, by_node, "{} {kind:?} level {level}", Q::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn family_closure_is_the_node_closure() {
+        for conn in [
+            Connectivity::unit(2),
+            Connectivity::periodic(2),
+            Connectivity::brick2d(3, 2, false, false),
+            Connectivity::two_trees_2d(1),
+            Connectivity::two_trees_rotated_2d(),
+        ] {
+            family_step_is_the_node_step::<Q2>(&conn);
+            family_step_is_the_node_step::<MortonQuad<2>>(&conn);
+            family_step_is_the_node_step::<AvxQuad<2>>(&conn);
+        }
+        for conn in [
+            Connectivity::unit(3),
+            Connectivity::periodic(3),
+            Connectivity::brick3d(2, 1, 2, [false; 3]),
+            Connectivity::two_trees_rotated_3d(),
+        ] {
+            family_step_is_the_node_step::<Q3>(&conn);
+            family_step_is_the_node_step::<MortonQuad<3>>(&conn);
+            family_step_is_the_node_step::<AvxQuad<3>>(&conn);
+        }
+    }
+
+    #[test]
+    fn merge_tail_is_sort_and_dedup() {
+        let mut rng = 0x2545_F491_4F6C_DD1D;
+        let mut scratch = Vec::new();
+        for (len, wide) in [(0, true), (1, true), (2, false), (300, false), (5000, true)] {
+            // few trees and few distinct indices, so keys repeat; `wide`
+            // varies every byte (an even number of passes), else one
+            let mut key = || {
+                let r = xorshift(&mut rng);
+                let (trees, spread) = if wide {
+                    (0x0101_0101, 0x0102_0304_0506_0708)
+                } else {
+                    (0, 1)
+                };
+                ((r % 3) as u32 * trees, (r >> 2) % 97 * spread)
+            };
+            let mut set: Vec<Node> = (0..len + len / 2 + 1).map(|_| key()).collect();
+            set[..len].sort_unstable();
+            let mut want = set.clone();
+            want.sort_unstable();
+            want.dedup();
+            merge_tail(&mut set, len, &mut scratch);
+            assert_eq!(set, want, "len {len}");
+        }
+    }
+
+    /// Does the sphere of radius 0.35 about (0.53, 0.45, 0.51) pass
+    /// through the cell of `q`?
+    fn cuts_shell<Q: Quadrant>(q: &Q) -> bool {
+        let root = Q::len_at(0) as f64;
+        let (mut near, mut far) = (0.0, 0.0);
+        for (a, c) in q.coords().into_iter().zip([0.53, 0.45, 0.51]) {
+            let lo = a as f64 / root - c;
+            let hi = lo + q.side() as f64 / root;
+            near += if lo > 0.0 {
+                lo * lo
+            } else if hi < 0.0 {
+                hi * hi
+            } else {
+                0.0
+            };
+            far += (lo * lo).max(hi * hi);
+        }
+        near <= 0.35f64.powi(2) && 0.35f64.powi(2) <= far
+    }
+
+    /// `forest.balance.neighbor_steps` on a sphere-shell mesh: at most one
+    /// step per family and face, at least 2x below the per-node step on
+    /// the same interior sets, and the forest the parent commit built.
+    #[test]
+    fn family_closure_counts_its_steps() {
+        use quadforest_telemetry::{self as telemetry, MetricKind};
+        type Q = MortonQuad<3>;
+        for p in [1, 2] {
+            quadforest_comm::run(p, |comm| {
+                let conn = Arc::new(Connectivity::unit(3));
+                let mut f = Forest::<Q>::new_uniform(conn.clone(), &comm, 2);
+                f.refine(&comm, true, |_, q| q.level() < 6 && cuts_shell(q));
+                let offs = offsets(3, Adjacency::Face);
+                let (mut families, mut node_steps) = (0, 0);
+                for (level, nodes) in f.close(BalanceKind::Face).iter().enumerate().skip(1) {
+                    families += nodes
+                        .chunk_by(|a, b| (a.0, a.1 >> 3) == (b.0, b.1 >> 3))
+                        .count();
+                    node_steps +=
+                        close_nodes::<Q>(&conn, nodes, level as u8, &offs, &mut Vec::new());
+                }
+                telemetry::begin_rank(comm.rank());
+                f.balance(&comm, BalanceKind::Face);
+                let steps = telemetry::rank_snapshot()
+                    .get("forest.balance.neighbor_steps", MetricKind::Counter)
+                    .map_or(0, |e| e.scalar());
+                let _ = telemetry::finish_rank();
+                assert!(
+                    steps > 0 && steps <= 6 * families as u64,
+                    "P = {p}: {steps} steps, {families} families"
+                );
+                assert!(
+                    2 * steps <= node_steps,
+                    "P = {p}: {steps} steps, node closure {node_steps}"
+                );
+                assert_eq!(f.global_count(), 25_670);
+                assert_eq!(f.checksum(&comm), 0x39ee_6763_7902_8ccf, "P = {p}");
+            });
         }
     }
 
