@@ -161,6 +161,34 @@ pub fn point_keys_all(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u
     }))(xs, ys, zs, dim, out)
 }
 
+/// One donor-cell (first-order upwind) step inside each 8×8 cell patch
+/// of a batch, for the constant velocity `v` — the advection solver's
+/// interior update, the one kernel here that is not a quadrant kernel.
+/// Each item is a patch's cells (index `8·j + i`, `i` along x), the four
+/// edge strips to fill, and the patch's `dt / h_cell`. The strips get
+/// the cells as they are before the step, indexed by face (0 = −x,
+/// 1 = +x, 2 = −y, 3 = +y), then along the face. Then every cell becomes
+/// `old + ((((0 + left) − right) + below) − above)`: the fluxes through
+/// its faces, each `v_axis · dt/h_cell · donor` with the upwind cell as
+/// donor, added in that order; a face on the patch's edge adds no term.
+/// No tier fuses a multiply-add, so every tier gives the same bits.
+///
+/// One dispatch, and one count of it, per call, not per patch.
+pub fn donor_cell_8x8_all<'a>(
+    patches: impl IntoIterator<Item = (&'a mut [f64; 64], &'a mut [[f64; 8]; 4], f64)>,
+    v: [f64; 2],
+) {
+    let tier = batch_tier();
+    crate::simd::note_dispatch(tier);
+    #[cfg(target_arch = "x86_64")]
+    if tier == crate::simd::Tier::Avx2 {
+        // SAFETY: the tier is AVX2 only when `simd::has_avx2()` confirmed
+        // AVX2 on the running CPU
+        return unsafe { avx2::donor_cell_8x8_all(patches.into_iter(), v) };
+    }
+    scalar_ref::donor_cell_8x8_all(patches.into_iter(), v)
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::QuadSoA;
@@ -406,6 +434,85 @@ mod avx2 {
             fx[i] = t(soa.x[i], 1, 2);
             fy[i] = t(soa.y[i], 3, 4);
             fz[i] = if dim == 3 { t(soa.z[i], 5, 6) } else { -1 };
+        }
+    }
+
+    /// The donor-cell step of [`super::donor_cell_8x8_all`], a row of
+    /// eight cells as two vectors of four: the scalar reference's
+    /// operations in its order, the terms of the faces on the patch's
+    /// edge blended out rather than added as zero.
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn donor_cell_8x8_all<'a>(
+        patches: impl Iterator<Item = (&'a mut [f64; 64], &'a mut [[f64; 8]; 4], f64)>,
+        v: [f64; 2],
+    ) {
+        for (cells, strips, dt_hc) in patches {
+            donor_cell_8x8(cells, strips, v, dt_hc);
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn donor_cell_8x8(cells: &mut [f64; 64], strips: &mut [[f64; 8]; 4], v: [f64; 2], dt_hc: f64) {
+        for (s, row) in cells.chunks_exact(8).enumerate() {
+            strips[0][s] = row[0];
+            strips[1][s] = row[7];
+        }
+        strips[2].copy_from_slice(&cells[..8]);
+        strips[3].copy_from_slice(&cells[56..]);
+        let (x_up, y_up) = (v[0] >= 0.0, v[1] >= 0.0);
+        let p = cells.as_mut_ptr();
+        // SAFETY: every load and store addresses the four cells at
+        // `8·j` or `8·j + 4`, `j < 8`, of the 64-cell patch `p` points
+        // to, its only live pointer; loadu/storeu need no alignment.
+        unsafe {
+            let cx = _mm256_set1_pd(v[0] * dt_hc);
+            let cy = _mm256_set1_pd(v[1] * dt_hc);
+            let zero = _mm256_setzero_pd();
+            let load = |j: usize| {
+                [
+                    _mm256_loadu_pd(p.add(8 * j)),
+                    _mm256_loadu_pd(p.add(8 * j + 4)),
+                ]
+            };
+            let mut row = load(0);
+            // the fluxes through the +y faces of the row below
+            let mut below = [zero; 2];
+            for j in 0..8 {
+                let next = if j < 7 { load(j + 1) } else { row };
+                // lane i: the flux through cell i's +x face (lane 7: none)
+                let donor = if x_up {
+                    row
+                } else {
+                    // cells i + 1
+                    let lo = _mm256_permute4x64_pd::<0b00_11_10_01>(row[0]);
+                    let hi = _mm256_permute4x64_pd::<0b00_11_10_01>(row[1]);
+                    [_mm256_blend_pd::<0b1000>(lo, hi), hi]
+                };
+                let fx = donor.map(|r| _mm256_mul_pd(cx, r));
+                // lane i: the flux through cell i's −x face (lane 0: none)
+                let lo = _mm256_permute4x64_pd::<0b10_01_00_11>(fx[0]);
+                let hi = _mm256_permute4x64_pd::<0b10_01_00_11>(fx[1]);
+                let left = [lo, _mm256_blend_pd::<0b0001>(hi, lo)];
+                let d = [
+                    _mm256_blend_pd::<0b0001>(_mm256_add_pd(zero, left[0]), zero),
+                    _mm256_add_pd(zero, left[1]),
+                ];
+                let mut d = [
+                    _mm256_sub_pd(d[0], fx[0]),
+                    _mm256_blend_pd::<0b1000>(_mm256_sub_pd(d[1], fx[1]), d[1]),
+                ];
+                if j > 0 {
+                    d = [_mm256_add_pd(d[0], below[0]), _mm256_add_pd(d[1], below[1])];
+                }
+                if j < 7 {
+                    below = (if y_up { row } else { next }).map(|r| _mm256_mul_pd(cy, r));
+                    d = [_mm256_sub_pd(d[0], below[0]), _mm256_sub_pd(d[1], below[1])];
+                }
+                _mm256_storeu_pd(p.add(8 * j), _mm256_add_pd(row[0], d[0]));
+                _mm256_storeu_pd(p.add(8 * j + 4), _mm256_add_pd(row[1], d[1]));
+                row = next;
+            }
         }
     }
 
@@ -697,5 +804,82 @@ mod tests {
         // >= because sibling tests may run concurrently on other threads.
         assert!(get(batch_tier) >= b0 + 2, "batch dispatches not counted");
         assert!(get(key_tier) > k0, "sfc-key dispatch not counted");
+    }
+
+    /// Random 8×8 patches, a quarter of their cells +0.0 and a quarter
+    /// −0.0.
+    fn patches(n: usize) -> Vec<[f64; 64]> {
+        let mut h = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                std::array::from_fn(|_| {
+                    h ^= h << 13;
+                    h ^= h >> 7;
+                    h ^= h << 17;
+                    match h % 4 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// A batch's items: each patch with its strips and a `dt / h_cell`
+    /// of 0.05–0.2.
+    fn items<'a>(
+        cells: &'a mut [[f64; 64]],
+        strips: &'a mut [[[f64; 8]; 4]],
+    ) -> impl Iterator<Item = (&'a mut [f64; 64], &'a mut [[f64; 8]; 4], f64)> {
+        cells
+            .iter_mut()
+            .zip(strips)
+            .enumerate()
+            .map(|(i, (c, s))| (c, s, 0.05 * (1 + i % 4) as f64))
+    }
+
+    /// The cells and strips, as bits, after `kernel` stepped a copy of
+    /// `src`.
+    fn stepped(
+        src: &[[f64; 64]],
+        kernel: impl FnOnce(&mut [[f64; 64]], &mut [[[f64; 8]; 4]]),
+    ) -> Vec<u64> {
+        let mut cells = src.to_vec();
+        let mut strips = vec![[[0.0; 8]; 4]; src.len()];
+        kernel(&mut cells, &mut strips);
+        let strips = strips.iter().flatten().flatten();
+        cells
+            .iter()
+            .flatten()
+            .chain(strips)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn batch_donor_cell_matches_reference() {
+        let src = patches(37);
+        for v in [
+            [1.0, 0.5],
+            [-1.0, 0.5],
+            [1.0, -0.5],
+            [-1.0, -0.5],
+            [0.0, -0.7],
+            [0.3, -0.0],
+        ] {
+            let want = stepped(&src, |c, s| scalar_ref::donor_cell_8x8_all(items(c, s), v));
+            let got = stepped(&src, |c, s| donor_cell_8x8_all(items(c, s), v));
+            assert_eq!(got, want, "dispatched, v = {v:?}");
+            // the intrinsics on any AVX2 CPU, the forced scalar tier too
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected on this CPU just above
+                let got = stepped(&src, |c, s| unsafe {
+                    avx2::donor_cell_8x8_all(items(c, s), v)
+                });
+                assert_eq!(got, want, "AVX2, v = {v:?}");
+            }
+        }
     }
 }

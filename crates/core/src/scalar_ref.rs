@@ -284,6 +284,54 @@ pub fn tree_boundaries_all(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i
     }
 }
 
+/// The donor-cell step inside each 8×8 patch of a batch; see
+/// [`crate::batch::donor_cell_8x8_all`] for the contract.
+pub(crate) fn donor_cell_8x8_all<'a>(
+    patches: impl Iterator<Item = (&'a mut [f64; 64], &'a mut [[f64; 8]; 4], f64)>,
+    v: [f64; 2],
+) {
+    for (cells, strips, dt_hc) in patches {
+        donor_cell_8x8(cells, strips, v, dt_hc);
+    }
+}
+
+/// One patch of [`donor_cell_8x8_all`]: the strips, then every cell
+/// `old + ((((0 + left) − right) + below) − above)`, where a term is
+/// `c · donor` and a face on the patch's edge adds no term at all.
+#[inline]
+fn donor_cell_8x8(cells: &mut [f64; 64], strips: &mut [[f64; 8]; 4], v: [f64; 2], dt_hc: f64) {
+    for (s, row) in cells.chunks_exact(8).enumerate() {
+        strips[0][s] = row[0];
+        strips[1][s] = row[7];
+    }
+    strips[2].copy_from_slice(&cells[..8]);
+    strips[3].copy_from_slice(&cells[56..]);
+    let [cx, cy] = v.map(|vi| vi * dt_hc);
+    let old = *cells;
+    // the flux through the +x / +y face of cell `c`
+    let fx = |c: usize| cx * if v[0] >= 0.0 { old[c] } else { old[c + 1] };
+    let fy = |c: usize| cy * if v[1] >= 0.0 { old[c] } else { old[c + 8] };
+    for j in 0..8 {
+        for i in 0..8 {
+            let c = 8 * j + i;
+            let mut d = 0.0;
+            if i > 0 {
+                d += fx(c - 1);
+            }
+            if i < 7 {
+                d -= fx(c);
+            }
+            if j > 0 {
+                d += fy(c - 8);
+            }
+            if j < 7 {
+                d -= fy(c);
+            }
+            cells[c] = old[c] + d;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,9 +17,12 @@
 //! * **flux plan** — one [`iterate_faces`] pass per mesh change compiles
 //!   every face pair it emits (one per fine face segment, the finest
 //!   granularity a hanging face has) into one flat entry that names both
-//!   sides by the `LeafRef` they carry, sorted in one owner-independent
-//!   order; a step streams over them and never walks the mesh, and every
-//!   cell adds its fluxes in the same order at any rank count;
+//!   sides by their slot in the step's strip array, with each segment's
+//!   donor strip entry and target cells, sorted in one owner-independent
+//!   order; a step is one dispatched kernel over the patches (edge strips
+//!   and interiors), the halo, and one pass over the entries — it never
+//!   walks the mesh, and every cell adds its fluxes in the same order at
+//!   any rank count;
 //! * **checkpoint** — `save_checkpoint_with_data` /
 //!   `load_checkpoint_with_data` persist mesh and patches together,
 //!   so a killed rank resumes bit-identically.

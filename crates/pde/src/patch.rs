@@ -79,7 +79,9 @@ impl Patch {
 
     /// The four one-cell-deep edge strips, indexed by face
     /// (0 = −x, 1 = +x, 2 = −y, 3 = +y); strip entries run along the
-    /// tangential axis.
+    /// tangential axis. The oracle of the strips the step's kernel
+    /// writes.
+    #[cfg(test)]
     pub(crate) fn halo(&self) -> PatchHalo {
         let n = PATCH_N;
         PatchHalo {

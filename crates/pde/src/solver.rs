@@ -11,10 +11,13 @@
 //!
 //! The interfaces are compiled once per mesh change into a flat *flux
 //! plan*: one entry per face pair the walk emits (one per fine face
-//! segment with a local side), naming both leaves by slot and carrying
-//! the segment geometry. A step is then a snapshot of the edge strips with the halo
-//! exchange, the intra-patch fluxes, and one linear pass over the plan
-//! that reads the snapshot, all added to the patches in place; it never
+//! segment with a local side), resolved to flat indices — both sides'
+//! slots in the step's strip array, each segment's donor strip entry and
+//! target cells — and carrying the segment geometry. A step is then two
+//! flat passes: one dispatched kernel over every local patch
+//! ([`batch::donor_cell_8x8_all`]), which snapshots the patch's edge
+//! strips and updates its cells in place, then, after the halo exchange
+//! of the strips, one linear pass over the plan that reads them. It never
 //! walks the mesh.
 //!
 //! Cross-rank determinism: a rank updates only its *local* side of an
@@ -34,11 +37,11 @@
 //! the unit square, fully periodic domains, and brick arrangements.
 //! Rotated inter-tree transforms would need a coordinate mapping here.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use quadforest_comm::Comm;
 use quadforest_connectivity::{Connectivity, TreeId};
+use quadforest_core::batch;
 use quadforest_core::quadrant::Quadrant;
 use quadforest_forest::{
     crc32, iterate_faces, BalanceKind, FaceSide, Forest, GhostLayer, Interface, IoError, LeafData,
@@ -110,45 +113,65 @@ pub struct AdvectionSim<Q: Quadrant> {
     /// no mesh change since the last partition or [`AdvectionSim::new`].
     /// [`AdvectionSim::migrate`] then has nothing to move.
     settled: bool,
-    /// Step scratch: every local leaf's edge strips as they were before
-    /// the step. Reused across steps, released before a remap.
-    halos: Vec<PatchHalo>,
+    /// Step scratch: the edge strips as they were before the step, every
+    /// local leaf's and then every ghost's — the plan's strip slots. One
+    /// exact allocation for the topology, released before a remap.
+    strips: Vec<PatchHalo>,
 }
 
-/// What a step needs of the mesh: the ghost layer and the flux plan.
-/// The layer has full adjacency; the plan's pairs need only faces, but
-/// the halo ships one strip set per ghost, so a narrower layer is a
-/// change of the halo's bytes.
+/// What a step needs of the mesh: the face ghost layer and the flux
+/// plan.
 struct Topology<Q: Quadrant> {
     ghost: GhostLayer<Q>,
     plan: Vec<Flux>,
 }
 
-/// One fine face segment with a local side. `low`
-/// sees the interface through its `+axis` face, `high` through its
-/// `−axis` face; fine face cell `s` meets coarse face cell `k[s]`.
+/// One fine face segment with a local side, resolved to flat indices.
+/// Side 0, `low`, sees the interface through its `+axis` face; side 1,
+/// `high`, through its `−axis` face. The donor of a segment is `low`
+/// when the normal velocity is ≥ 0, else `high`.
 #[derive(Copy, Clone)]
 struct Flux {
-    low: LeafRef,
-    high: LeafRef,
+    /// Each side's strip slot: a local leaf's index, or the local count
+    /// plus a ghost's index.
+    slot: [u32; 2],
+    /// Per side, the cell of its patch each segment's transfer lands in.
+    cell: [[u8; PATCH_N]; 2],
+    /// Per side, each segment's entry in that side's strips read as one
+    /// flat array, `face · N + m`.
+    donor: [[u8; PATCH_N]; 2],
     axis: u8,
-    fine_is_low: bool,
-    k: [u8; PATCH_N],
     /// Segment length (the fine side's cell size), domain units.
     w: f64,
     /// `1 / cell area` of `low` and of `high`.
     inv_cell_area: [f64; 2],
 }
 
+// the plan is streamed every step: resolving it must not grow an entry
+const _: () = assert!(std::mem::size_of::<Flux>() <= 72);
+
 /// The plan's sort key of an entry: its fine side's `(tree, morton_abs,
 /// level)` and face — the same on every rank that holds the entry.
 type PlanKey = (u32, u64, u8, u32);
+
+/// A leaf's identity as a key in SFC order: `(tree, morton_abs, level)`.
+fn leaf_key<Q: Quadrant>(tree: TreeId, q: &Q) -> (u32, u64, u8) {
+    (tree, q.morton_abs(), q.level())
+}
 
 /// Compile every pair of one `iterate_faces` pass into one flux entry,
 /// sorted by [`PlanKey`]. The walk emits a pair only from a local side.
 fn flux_plan<Q: Quadrant>(forest: &Forest<Q>, ghost: &GhostLayer<Q>) -> Vec<Flux> {
     let root = Q::len_at(0) as f64;
-    let cell = |s: &FaceSide<Q>| s.quad.side() as f64 / root / PATCH_N as f64;
+    let cell_size = |s: &FaceSide<Q>| s.quad.side() as f64 / root / PATCH_N as f64;
+    let local = forest.local_count();
+    let slot = |s: &FaceSide<Q>| {
+        let i = match s.leaf {
+            LeafRef::Local(i) => i,
+            LeafRef::Ghost(i) => local + i,
+        };
+        u32::try_from(i).expect("strip slots fit in u32")
+    };
     let mut keyed: Vec<(PlanKey, Flux)> = Vec::new();
     iterate_faces(forest, ghost, |iface| {
         let Interface::Interior(this, other) = iface else {
@@ -175,6 +198,19 @@ fn flux_plan<Q: Quadrant>(forest: &Forest<Q>, ghost: &GhostLayer<Q>) -> Vec<Flux
         let off = (fine.quad.coords()[tan] - coarse.quad.coords()[tan]) as i64;
         debug_assert!((0..hc).contains(&off), "tangential overlap");
         let n = PATCH_N as i64;
+        // a side's strip index of segment `s`: the fine side's is `s`,
+        // the coarse side's the face cell beside it
+        let m = |is_fine: bool, s: usize| {
+            if is_fine {
+                s
+            } else {
+                ((off * n + s as i64 * hf) / hc) as usize
+            }
+        };
+        let sides = [
+            (2 * axis as usize + 1, fine_is_low),
+            (2 * axis as usize, !fine_is_low),
+        ];
         let key = (
             fine.tree,
             fine.quad.morton_abs(),
@@ -184,13 +220,16 @@ fn flux_plan<Q: Quadrant>(forest: &Forest<Q>, ghost: &GhostLayer<Q>) -> Vec<Flux
         keyed.push((
             key,
             Flux {
-                low: low.leaf,
-                high: high.leaf,
+                slot: [slot(low), slot(high)],
+                cell: sides.map(|(face, is_fine)| {
+                    std::array::from_fn(|s| face_cell(face, m(is_fine, s)) as u8)
+                }),
+                donor: sides.map(|(face, is_fine)| {
+                    std::array::from_fn(|s| (face * PATCH_N + m(is_fine, s)) as u8)
+                }),
                 axis: axis as u8,
-                fine_is_low,
-                k: std::array::from_fn(|s| ((off * n + s as i64 * hf) / hc) as u8),
-                w: cell(fine),
-                inv_cell_area: [low, high].map(|s| 1.0 / (cell(s) * cell(s))),
+                w: cell_size(fine),
+                inv_cell_area: [low, high].map(|s| 1.0 / (cell_size(s) * cell_size(s))),
             },
         ));
     });
@@ -243,7 +282,7 @@ impl<Q: Quadrant> AdvectionSim<Q> {
             steps_taken,
             topo: None,
             settled,
-            halos: Vec::new(),
+            strips: Vec::new(),
         }
     }
 
@@ -261,7 +300,7 @@ impl<Q: Quadrant> AdvectionSim<Q> {
     /// Free the step scratch, so a remap does not hold it alongside the
     /// old and the new payload.
     fn release_scratch(&mut self) {
-        self.halos = Vec::new();
+        self.strips = Vec::new();
     }
 
     /// Largest stable time step for the donor-cell scheme at the
@@ -333,68 +372,72 @@ impl<Q: Quadrant> AdvectionSim<Q> {
             u,
             velocity,
             topo,
-            halos,
+            strips,
             ..
         } = self;
         u.check_aligned(forest, "advection step");
+        let v = *velocity;
 
         // Collective when it rebuilds — a topology change invalidates on
         // every rank, so all ranks take the same branch.
         let topo = topo.get_or_insert_with(|| {
-            let ghost = forest.ghost(comm, BalanceKind::Full);
+            let ghost = forest.ghost(comm, BalanceKind::Face);
             let plan = flux_plan(forest, &ghost);
             Topology { ghost, plan }
         });
-
-        // snapshot every leaf's edge strips: the interface fluxes read
-        // them after the patches changed in place, and the mirrors' strips
-        // go to the ranks that see them as ghosts — values change every
-        // step, so this exchange always runs
-        halos.clear();
-        halos.extend(u.iter().map(Patch::halo));
-        let ghost_halos = topo.ghost.exchange_data(comm, halos);
-        telemetry::counter_add(
-            "pde.halo.bytes",
-            (ghost_halos.len() * HALO_WIRE_BYTES) as u64,
-        );
-
-        // intra-patch fluxes: neighbor differences on the uniform patch
-        for ((_, q), p) in forest.leaves().zip(u.iter_mut()) {
-            let d = intra_fluxes(p, *velocity, dt / (Self::leaf_h(q) / PATCH_N as f64));
-            for (c, dc) in p.cells.iter_mut().zip(d.cells) {
-                *c += dc;
-            }
+        let local = u.len();
+        let slots = local + topo.ghost.len();
+        if strips.len() != slots {
+            // exact, never grown: the strips live as long as the topology
+            let zero = PatchHalo {
+                edges: [[0.0; PATCH_N]; 4],
+            };
+            *strips = vec![zero; slots];
         }
+        let (own, ghosts) = strips.split_at_mut(local);
 
-        // strip value of one side at tangential index m, as it was before
-        // the step: local leaves read the snapshot, ghosts the exchange
-        let strip = |leaf: LeafRef, face: usize, m: usize| -> f64 {
-            match leaf {
-                LeafRef::Ghost(i) => ghost_halos[i].edges[face][m],
-                LeafRef::Local(i) => halos[i].edges[face][m],
-            }
-        };
+        // one dispatched kernel: each local patch's edge strips as they
+        // are before the step, then its intra-patch fluxes, in place
+        batch::donor_cell_8x8_all(
+            forest
+                .leaves()
+                .zip(u.iter_mut())
+                .zip(own.iter_mut())
+                .map(|(((_, q), p), s)| {
+                    let dt_hc = dt / (Self::leaf_h(q) / PATCH_N as f64);
+                    (&mut p.cells, &mut s.edges, dt_hc)
+                }),
+            v,
+        );
+        // the mirrors' strips go to the ranks that see them as ghosts —
+        // values change every step, so this exchange always runs
+        ghosts.copy_from_slice(&topo.ghost.exchange_data(comm, own));
+        telemetry::counter_add("pde.halo.bytes", (ghosts.len() * HALO_WIRE_BYTES) as u64);
 
-        // inter-leaf fluxes at the finer side's granularity, in plan order
+        // inter-leaf fluxes at the finer side's granularity, in plan
+        // order, from the strips as they were before the step; per axis,
+        // `vn · dt` and the upwind side
+        let vdt = v.map(|vn| vn * dt);
+        let upwind = v.map(|vn| if vn >= 0.0 { 0 } else { 1 });
         for e in &topo.plan {
             let axis = e.axis as usize;
-            let (face_low, face_high) = (2 * axis + 1, 2 * axis);
-            let vn = velocity[axis];
-            let rate = vn * dt * e.w;
-            for (s, &k) in e.k.iter().enumerate() {
-                let k = k as usize;
-                let (m_low, m_high) = if e.fine_is_low { (s, k) } else { (k, s) };
-                let donor = if vn >= 0.0 {
-                    strip(e.low, face_low, m_low)
-                } else {
-                    strip(e.high, face_high, m_high)
-                };
-                let dm = rate * donor; // mass low -> high
-                if let LeafRef::Local(i) = e.low {
-                    u[i].cells[face_cell(face_low, m_low)] -= dm * e.inv_cell_area[0];
+            let rate = vdt[axis] * e.w;
+            let from = upwind[axis];
+            let donor = strips[e.slot[from] as usize].edges.as_flattened();
+            // mass low -> high
+            let dm: [f64; PATCH_N] =
+                std::array::from_fn(|s| rate * donor[e.donor[from][s] as usize]);
+            let [low, high] = e.slot.map(|s| s as usize);
+            if low < local {
+                let cells = &mut u[low].cells;
+                for (&c, dm) in e.cell[0].iter().zip(dm) {
+                    cells[c as usize] -= dm * e.inv_cell_area[0];
                 }
-                if let LeafRef::Local(i) = e.high {
-                    u[i].cells[face_cell(face_high, m_high)] += dm * e.inv_cell_area[1];
+            }
+            if high < local {
+                let cells = &mut u[high].cells;
+                for (&c, dm) in e.cell[1].iter().zip(dm) {
+                    cells[c as usize] += dm * e.inv_cell_area[1];
                 }
             }
         }
@@ -412,28 +455,37 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         self.release_scratch();
         let max_level = self.max_level;
         let base_level = self.base_level;
-        // `balance` may re-split what `coarsen` merged, so the counts
-        // alone cannot say whether the mesh changed: the leaves can
-        let before: Vec<(TreeId, Q)> = self.forest.leaves().map(|(t, q)| (t, *q)).collect();
-
-        // snapshot patch magnitudes keyed by *pre-adapt* leaf identity.
-        // The refine flags only ever see pre-adapt leaves, but the
-        // coarsen pass runs against the post-refine mesh, where children
-        // created moments ago are absent from the snapshot — `unknown`
-        // decides their fate per pass.
-        let magnitude: HashMap<(u32, u64, u8), f64> = self
+        // the pre-adapt leaves, each with its patch's magnitude. `balance`
+        // may re-split what `coarsen` merged, so the counts alone cannot
+        // say whether the mesh changed: the leaves can
+        let before: Vec<((u32, u64, u8), f64)> = self
             .forest
             .leaves()
             .zip(self.u.iter())
-            .map(|((t, q), p)| ((t, q.morton_abs(), q.level()), p.max_abs()))
+            .map(|((t, q), p)| (leaf_key(t, q), p.max_abs()))
             .collect();
-        let mag = |t: TreeId, q: &Q, unknown: f64| -> f64 {
-            magnitude
-                .get(&(t, q.morton_abs(), q.level()))
-                .copied()
-                .unwrap_or(unknown)
+
+        // Both flags ask about leaves in SFC order, so each pass reads the
+        // magnitudes through one forward cursor. The refine flags only
+        // ever see pre-adapt leaves, but the coarsen pass runs against
+        // the post-refine mesh, where children created moments ago are
+        // absent from `before` — `unknown` decides their fate per pass.
+        let magnitudes = before.as_slice();
+        let cursor = || {
+            let mut at = 0;
+            move |t: TreeId, q: &Q, unknown: f64| -> f64 {
+                let key = leaf_key(t, q);
+                while magnitudes.get(at).is_some_and(|(k, _)| *k < key) {
+                    at += 1;
+                }
+                match magnitudes.get(at) {
+                    Some(&(k, m)) if k == key => m,
+                    _ => unknown,
+                }
+            }
         };
 
+        let mut mag = cursor();
         let mut refined = self.forest.refine_mapped(
             comm,
             false,
@@ -444,6 +496,7 @@ impl<Q: Quadrant> AdvectionSim<Q> {
         // unknown leaves read +inf here: a family holding children this
         // very adapt() just created must never be a coarsen candidate,
         // or the coarsen pass would silently undo the refine pass
+        let mut mag = cursor();
         let coarsened = self.forest.coarsen_mapped(
             comm,
             false,
@@ -465,8 +518,8 @@ impl<Q: Quadrant> AdvectionSim<Q> {
             && !self
                 .forest
                 .leaves()
-                .map(|(t, q)| (t, *q))
-                .eq(before.iter().copied());
+                .map(|(t, q)| leaf_key(t, q))
+                .eq(before.iter().map(|(k, _)| *k));
         if comm.allreduce_sum(changed as u64) > 0 {
             self.invalidate_topology();
         }
@@ -597,38 +650,6 @@ fn face_cell(f: usize, m: usize) -> usize {
     } else {
         Patch::idx(m, edge)
     }
-}
-
-/// Donor-cell fluxes between the cells of one patch: the change of every
-/// cell for velocity `v`, with `dt_hc` = `dt / h_cell`.
-fn intra_fluxes(p: &Patch, v: [f64; 2], dt_hc: f64) -> Patch {
-    let [cx, cy] = v.map(|vi| vi * dt_hc);
-    let mut d = Patch::zero();
-    for j in 0..PATCH_N {
-        for i in 0..PATCH_N - 1 {
-            let donor = if v[0] >= 0.0 {
-                p.get(i, j)
-            } else {
-                p.get(i + 1, j)
-            };
-            let f = cx * donor;
-            d.cells[Patch::idx(i, j)] -= f;
-            d.cells[Patch::idx(i + 1, j)] += f;
-        }
-    }
-    for j in 0..PATCH_N - 1 {
-        for i in 0..PATCH_N {
-            let donor = if v[1] >= 0.0 {
-                p.get(i, j)
-            } else {
-                p.get(i, j + 1)
-            };
-            let f = cy * donor;
-            d.cells[Patch::idx(i, j)] -= f;
-            d.cells[Patch::idx(i, j + 1)] += f;
-        }
-    }
-    d
 }
 
 /// The standard demo initial condition: a Gaussian blob at
@@ -862,6 +883,15 @@ mod tests {
         }
     }
 
+    /// The leaf a plan entry's strip slot names on a rank with `local`
+    /// leaves.
+    fn leaf_ref(strip_slot: u32, local: usize) -> LeafRef {
+        match strip_slot as usize {
+            i if i < local => LeafRef::Local(i),
+            i => LeafRef::Ghost(i - local),
+        }
+    }
+
     /// Check the plan of one rank against the walk; returns the number
     /// of entries and how many of them have a ghost side.
     fn plan_matches_walk<Q: Quadrant>(f: &Forest<Q>, g: &GhostLayer<Q>) -> (usize, usize) {
@@ -875,24 +905,31 @@ mod tests {
             }
         });
         let plan = flux_plan(f, g);
+        let local = f.local_count();
+        let sides = |e: &Flux| e.slot.map(|s| leaf_ref(s, local));
         let mut planned: Vec<_> = plan
             .iter()
-            .map(|e| (slot(e.low), slot(e.high), e.axis as u32))
+            .map(|e| {
+                let [low, high] = sides(e);
+                (slot(low), slot(high), e.axis as u32)
+            })
             .collect();
         walk.sort_unstable();
         planned.sort_unstable();
         assert_eq!(planned, walk, "the plan must hold what the walk emits");
 
         let leaves: Vec<(u32, Q)> = f.leaves().map(|(t, q)| (t, *q)).collect();
+        let quad = |r: LeafRef| match r {
+            LeafRef::Local(i) => leaves[i],
+            LeafRef::Ghost(i) => (g.ghosts[i].tree, g.ghosts[i].quad),
+        };
         let keys: Vec<PlanKey> = plan
             .iter()
             .map(|e| {
-                let fine = if e.fine_is_low { e.low } else { e.high };
-                let (t, q) = match fine {
-                    LeafRef::Local(i) => leaves[i],
-                    LeafRef::Ghost(i) => (g.ghosts[i].tree, g.ghosts[i].quad),
-                };
-                let face = 2 * e.axis as u32 + e.fine_is_low as u32;
+                let [low, high] = sides(e).map(quad);
+                let fine_is_low = low.1.level() >= high.1.level();
+                let (t, q) = if fine_is_low { low } else { high };
+                let face = 2 * e.axis as u32 + fine_is_low as u32;
                 (t, q.morton_abs(), q.level(), face)
             })
             .collect();
@@ -902,7 +939,7 @@ mod tests {
         );
         let ghosted = plan
             .iter()
-            .filter(|e| slot(e.low).0 || slot(e.high).0)
+            .filter(|e| e.slot.iter().any(|&s| s as usize >= local))
             .count();
         (plan.len(), ghosted)
     }
@@ -944,6 +981,101 @@ mod tests {
                 });
                 assert!(counts.iter().any(|c| c.0 > 0), "P = {p}: empty plans");
                 assert_eq!(counts.iter().any(|c| c.1 > 0), p > 1, "P = {p}");
+            }
+        }
+    }
+
+    /// The parent's intra-patch fluxes, kept as the oracle of the
+    /// dispatched kernel: the change of every cell for velocity `v`,
+    /// with `dt_hc` = `dt / h_cell`.
+    fn intra_fluxes(p: &Patch, v: [f64; 2], dt_hc: f64) -> Patch {
+        let [cx, cy] = v.map(|vi| vi * dt_hc);
+        let mut d = Patch::zero();
+        for j in 0..PATCH_N {
+            for i in 0..PATCH_N - 1 {
+                let donor = if v[0] >= 0.0 {
+                    p.get(i, j)
+                } else {
+                    p.get(i + 1, j)
+                };
+                let f = cx * donor;
+                d.cells[Patch::idx(i, j)] -= f;
+                d.cells[Patch::idx(i + 1, j)] += f;
+            }
+        }
+        for j in 0..PATCH_N - 1 {
+            for i in 0..PATCH_N {
+                let donor = if v[1] >= 0.0 {
+                    p.get(i, j)
+                } else {
+                    p.get(i, j + 1)
+                };
+                let f = cy * donor;
+                d.cells[Patch::idx(i, j)] -= f;
+                d.cells[Patch::idx(i, j + 1)] += f;
+            }
+        }
+        d
+    }
+
+    /// The dispatched interior kernel is the parent's strip snapshot
+    /// (`Patch::halo`) and intra-patch update (`intra_fluxes`, then
+    /// `cell += d`), bit for bit: on random patches holding ±0.0, for
+    /// every sign of the velocity and with a zero component.
+    #[test]
+    fn interior_kernel_is_the_parents_update() {
+        let mut h = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            h
+        };
+        let patches: Vec<Patch> = (0..40)
+            .map(|_| {
+                let mut p = Patch::zero();
+                for c in &mut p.cells {
+                    let r = next();
+                    *c = match r % 4 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+                    };
+                }
+                p
+            })
+            .collect();
+        let dt_hc = |i: usize| 0.05 * (1 + i % 4) as f64;
+        let bits = |cells: &[f64]| cells.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for v in [
+            [1.0, 0.5],
+            [-1.0, 0.5],
+            [1.0, -0.5],
+            [-1.0, -0.5],
+            [0.0, -0.7],
+            [0.3, -0.0],
+        ] {
+            let mut got = patches.clone();
+            let zero = PatchHalo {
+                edges: [[0.0; PATCH_N]; 4],
+            };
+            let mut strips = vec![zero; got.len()];
+            batch::donor_cell_8x8_all(
+                got.iter_mut()
+                    .zip(&mut strips)
+                    .enumerate()
+                    .map(|(i, (p, s))| (&mut p.cells, &mut s.edges, dt_hc(i))),
+                v,
+            );
+            for (i, p) in patches.iter().enumerate() {
+                let d = intra_fluxes(p, v, dt_hc(i));
+                let want: Vec<f64> = p.cells.iter().zip(d.cells).map(|(c, dc)| c + dc).collect();
+                assert_eq!(bits(&got[i].cells), bits(&want), "cells, v = {v:?}");
+                assert_eq!(
+                    bits(strips[i].edges.as_flattened()),
+                    bits(p.halo().edges.as_flattened()),
+                    "strips, v = {v:?}"
+                );
             }
         }
     }

@@ -177,6 +177,29 @@ fn state_digest_is_partition_invariant() {
     }
 }
 
+/// The pinned digest of 12 steps of [`blob_sim`] turned round, velocity
+/// `[-1.0, -0.5]`: every donor is then the upper side, the branch
+/// [`DIGEST_12`] does not reach. Captured at the commit before the
+/// vectorised step.
+const DIGEST_12_REVERSED: u64 = 0x2c82_86b5_d209_590d;
+
+/// `state_digest` after 12 reversed steps is one constant at P = 1 and 2.
+#[test]
+fn reversed_velocity_digest_is_partition_invariant() {
+    for p in [1usize, 2] {
+        let digests = quadforest_comm::run(p, |comm| {
+            let mut sim = blob_sim(&comm);
+            sim.velocity = [-1.0, -0.5];
+            advance(&comm, &mut sim, 12);
+            sim.state_digest(&comm)
+        });
+        assert!(
+            digests.iter().all(|d| *d == DIGEST_12_REVERSED),
+            "P={p}: {digests:x?}"
+        );
+    }
+}
+
 /// A checkpoint taken at P = 2 after 6 steps, restored at P = 1 and at
 /// P = 4 and run 6 steps further, ends in the state of a straight P = 2
 /// run.
