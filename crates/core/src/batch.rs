@@ -20,6 +20,10 @@
 //! CPUs without AVX2 get the scalar reference with identical results
 //! (the property tests in `tests/prop_batch_dispatch.rs` hold the two
 //! paths equal on the same binary).
+//!
+//! The solver's [`donor_cell_8x8_all`] is the one exception: it works on
+//! 8×8 cell patches, not quadrants, and branches on the cached tier
+//! directly instead of going through the function table.
 
 pub use crate::scalar_ref::QuadSoA;
 

@@ -976,7 +976,7 @@ mod tests {
                     let mut f = Forest::<S>::new_uniform(conn.clone(), &comm, level);
                     f.refine(&comm, true, |t, q| flag(t, q, center));
                     f.partition(&comm);
-                    let g = f.ghost(&comm, BalanceKind::Full);
+                    let g = f.ghost(&comm, BalanceKind::Face);
                     plan_matches_walk(&f, &g)
                 });
                 assert!(counts.iter().any(|c| c.0 > 0), "P = {p}: empty plans");
