@@ -4,8 +4,8 @@
 //! The payoff of the paper's raw-Morton representation is that a
 //! quadrant *is* its sort key: a linearized forest is a sorted `u64`
 //! array, so point location is one binary search and an axis-aligned box
-//! query reduces to interval arithmetic over the Z curve. This module
-//! holds the representation-independent kernels:
+//! query is one walk over that array that jumps what the box misses.
+//! This module holds the representation-independent kernels:
 //!
 //! * [`point_key`] / `cell_coords` — coordinate ⇄ curve-position
 //!   conversion at the maximum refinement level, routed through the
@@ -13,53 +13,18 @@
 //! * [`locate_by`] — the single point-location implementation shared by
 //!   `Forest::find_leaf_containing` and the query snapshot: binary
 //!   search over any indexable view of a sorted leaf flattening;
-//! * [`box_cover`] — decompose an axis-aligned box into covering Z-order
-//!   ranges by recursive descent over virtual quadrants (the
-//!   `p4est_search` trick without materializing ancestors), with a
-//!   range budget that degrades gracefully from an *exact* tiling to a
-//!   slightly coarser superset cover for adversarially thin boxes;
-//! * [`overlapping_from`] / [`leaf_intersects_box`] — map a key range
-//!   back to the slice of leaves whose subtrees intersect it, and the
-//!   exact geometric filter for cover ranges that are not tight.
+//! * [`leaves_in_box`] — every leaf intersecting an axis-aligned box,
+//!   by a skip-scan of the same view: visit a leaf, jump to the next
+//!   in-box key past it (`next_in_box`, the BIGMIN of Tropf & Herzog),
+//!   gallop to the leaf reaching that key, repeat. It visits the leaves
+//!   it reports plus, where the view has gaps, the leaf after each gap,
+//!   and builds nothing.
 //!
 //! All functions work on `morton_abs` keys: the level-independent curve
 //! position `I · 2^{d(L-ℓ)}` of Section 2.1 of the paper, so one `u64`
 //! compare orders quadrants of different levels.
 
 use crate::morton;
-
-/// An inclusive range `[lo, hi]` of `morton_abs` keys at the maximum
-/// refinement level.
-pub type ZRange = (u64, u64);
-
-/// Default budget for [`box_cover`]: enough that every practically
-/// shaped box decomposes exactly, while adversarially thin boxes (whose
-/// exact tiling is linear in their side length) fall back to a coarser
-/// superset cover instead of exploding.
-pub const DEFAULT_RANGE_BUDGET: usize = 256;
-
-/// A box decomposed into Z-order ranges.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BoxCover {
-    /// Sorted, disjoint, non-adjacent inclusive key ranges whose union
-    /// contains every maximum-level cell inside the box.
-    pub ranges: Vec<ZRange>,
-    /// When `true`, the union is *exactly* the box: every key in every
-    /// range lies inside the box. When `false` (range budget hit), the
-    /// union is a superset and candidates must be filtered through
-    /// [`leaf_intersects_box`].
-    pub exact: bool,
-}
-
-impl BoxCover {
-    /// An empty cover (empty box).
-    pub fn empty() -> Self {
-        BoxCover {
-            ranges: Vec::new(),
-            exact: true,
-        }
-    }
-}
 
 /// The `morton_abs` key of the maximum-level cell at integer point `p`
 /// (runtime-dispatched interleave: `pdep` on BMI2 hardware). `p[2]` is
@@ -210,56 +175,126 @@ pub fn locate_in_keys(
     )
 }
 
-/// The slice of leaves whose subtree key range intersects the inclusive
-/// key range `[range.0, range.1]`, over the same indexable view as
-/// [`locate_by`]. Because leaves are disjoint and sorted, the result is
-/// contiguous. `from` is a resume lower bound on the result's start
-/// (every leaf below `from` has a subtree end `< range.0`; `0` searches
-/// everything). The start of a range's overlap slice is monotone in
-/// `range.0`, so batched box serving over covers sorted by range start
-/// passes the previous slice's start and skips re-searching the prefix
-/// it already walked past.
+/// The interleaved bits of axis `a` in a key: bit `a + k·dim` for
+/// every `k` (bits past the key width are zero in every key).
 #[inline]
-pub fn overlapping_from(
+fn axis_mask(a: u32, dim: u32) -> u64 {
+    let every = if dim == 2 {
+        0x5555_5555_5555_5555u64
+    } else {
+        0x9249_2492_4924_9249u64
+    };
+    every << a
+}
+
+/// The smallest key `>= z` whose cell lies in the box spanned by the
+/// cells `zmin` (lower corner) and `zmax` (upper corner), or `None`
+/// past the box.
+///
+/// `z` itself when every axis passes the masked compare
+/// `zmin & m <= z & m <= zmax & m` (interleaving keeps each axis' bits
+/// in order). Otherwise BIGMIN (Tropf & Herzog 1981): one pass from the
+/// most significant differing bit down, narrowing `[min, max]` to the
+/// half-box on `z`'s side of each split. `load_1000` raises `min` to
+/// the upper half of the split axis, `load_0111` lowers `max` to its
+/// lower half; `bigmin` remembers the upper half's first key whenever
+/// `z` takes the lower one.
+pub(crate) fn next_in_box(z: u64, zmin: u64, zmax: u64, dim: u32) -> Option<u64> {
+    if (0..dim).all(|a| {
+        let m = axis_mask(a, dim);
+        (zmin & m) <= (z & m) && (z & m) <= (zmax & m)
+    }) {
+        return Some(z);
+    }
+    let (mut min, mut max, mut bigmin) = (zmin, zmax, None);
+    let top = (z ^ min) | (z ^ max);
+    for p in (0..64 - top.leading_zeros()).rev() {
+        let bit = 1u64 << p;
+        // this axis' bits below `p`
+        let below = axis_mask(p % dim, dim) & (bit - 1);
+        let load_1000 = |v: u64| (v | bit) & !below;
+        let load_0111 = |v: u64| (v & !bit) | below;
+        match (z & bit != 0, min & bit != 0, max & bit != 0) {
+            (false, false, true) => {
+                bigmin = Some(load_1000(min));
+                max = load_0111(max);
+            }
+            (false, true, true) => return Some(min),
+            (true, false, false) => return bigmin,
+            (true, false, true) => min = load_1000(min),
+            // equal bits: same half of the split on every side;
+            // min > max cannot occur on a well-formed box
+            _ => {}
+        }
+    }
+    // unreachable for a `z` outside the box: some bit sends it out
+    bigmin
+}
+
+/// Every leaf of a sorted, disjoint leaf view (`key_at`/`level_at` as
+/// in [`locate_by`]) that intersects the half-open box `[lo, hi)`
+/// (integer coordinates at the maximum refinement level; `lo[2]`/`hi[2]`
+/// ignored in 2D), passed to `emit` by ascending index — that is, in
+/// curve order.
+///
+/// A Z-order skip-scan: the box is clamped to the unit tree and spans
+/// the keys `zmin..=zmax` of its corner cells. The scan seeks the first
+/// leaf reaching `zmin`; from each visited leaf it jumps to the next
+/// in-box key past the leaf's subtree (`next_in_box`) and gallops to
+/// the leaf reaching that key ([`locate_from`]). Every visited leaf
+/// either holds an in-box cell or starts after a gap in the view
+/// (leaves owned elsewhere), so the exact geometric test decides it.
+/// The cost is the visited leaves plus one gallop per jump, whatever
+/// the box's shape.
+#[allow(clippy::too_many_arguments)]
+pub fn leaves_in_box(
     n: usize,
     key_at: impl Fn(usize) -> u64,
     level_at: impl Fn(usize) -> u8,
     dim: u32,
     max_level: u8,
-    range: ZRange,
-    from: usize,
-) -> core::ops::Range<usize> {
-    let (a, b) = range;
-    // lo: first leaf whose subtree end reaches `a`
-    let (mut lo, mut hi) = (from.min(n), n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let end = key_at(mid) + (subtree_cells(level_at(mid), dim, max_level) - 1);
-        if end < a {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+    lo: [i32; 3],
+    hi: [i32; 3],
+    mut emit: impl FnMut(usize),
+) {
+    debug_assert!(dim == 2 || dim == 3);
+    let root = 1i32 << max_level as u32;
+    let (mut clo, mut chi) = ([0i32; 3], [1i32; 3]);
+    for a in 0..dim as usize {
+        clo[a] = lo[a].max(0);
+        chi[a] = hi[a].min(root);
+        if clo[a] >= chi[a] {
+            return;
         }
     }
-    let start = lo;
-    // hi: first leaf starting past `b`
-    let (mut lo, mut hi) = (start, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if key_at(mid) <= b {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+    let (zmin, zmax) = (point_key(clo, dim), point_key(chi.map(|c| c - 1), dim));
+    // the first leaf at or after `from` whose subtree reaches key `z`:
+    // the leaf holding `z`, else the first leaf past it
+    let seek = |z: u64, from: usize| {
+        let (holder, past) = locate_from(n, &key_at, &level_at, dim, max_level, z, from);
+        holder.unwrap_or(past)
+    };
+    let mut i = seek(zmin, 0);
+    while i < n && key_at(i) <= zmax {
+        let (key, level) = (key_at(i), level_at(i));
+        if leaf_intersects_box(key, level, clo, chi, dim, max_level) {
+            emit(i);
+        }
+        let end = key + (subtree_cells(level, dim, max_level) - 1);
+        if end >= zmax {
+            return;
+        }
+        match next_in_box(end + 1, zmin, zmax, dim) {
+            Some(z) => i = seek(z, i + 1),
+            None => return,
         }
     }
-    start..lo
 }
 
 /// Exact geometric test: does the leaf `(key, level)` intersect the
-/// half-open box `[lo, hi)`? Used to filter candidates produced by a
-/// non-exact [`BoxCover`] and coarse leaves straddling range edges.
+/// half-open box `[lo, hi)`?
 #[inline]
-pub fn leaf_intersects_box(
+pub(crate) fn leaf_intersects_box(
     key: u64,
     level: u8,
     lo: [i32; 3],
@@ -277,228 +312,157 @@ pub fn leaf_intersects_box(
     true
 }
 
-/// Recursion state for [`box_cover`].
-struct CoverBuilder {
-    ranges: Vec<ZRange>,
-    exact: bool,
-    budget: usize,
-    dim: u32,
-    max_level: u8,
-    lo: [i32; 3],
-    hi: [i32; 3],
-}
-
-impl CoverBuilder {
-    /// Append an inclusive range, merging with the previous one when
-    /// adjacent or overlapping (children are visited in curve order, so
-    /// ranges arrive sorted).
-    fn push(&mut self, a: u64, b: u64) {
-        if let Some(last) = self.ranges.last_mut() {
-            debug_assert!(a > last.0);
-            if a <= last.1.saturating_add(1) {
-                last.1 = last.1.max(b);
-                return;
-            }
-        }
-        self.ranges.push((a, b));
-    }
-
-    /// Does the node `[c, c+side)` intersect the box?
-    fn intersects(&self, c: [i32; 3], side: i32) -> bool {
-        (0..self.dim as usize).all(|a| c[a] < self.hi[a] && c[a] + side > self.lo[a])
-    }
-
-    /// Is the node fully contained in the box?
-    fn contained(&self, c: [i32; 3], side: i32) -> bool {
-        (0..self.dim as usize).all(|a| c[a] >= self.lo[a] && c[a] + side <= self.hi[a])
-    }
-
-    fn descend(&mut self, c: [i32; 3], level: u8) {
-        let side = 1i32 << (self.max_level - level) as u32;
-        if !self.intersects(c, side) {
-            return;
-        }
-        let base = point_key(c, self.dim);
-        let cells = subtree_cells(level, self.dim, self.max_level);
-        if self.contained(c, side) {
-            self.push(base, base + (cells - 1));
-            return;
-        }
-        // A partially overlapping node: either descend or — once the
-        // budget is spent — emit the whole subtree as a (coarse) cover.
-        // A max-level node that intersects is always contained, so the
-        // recursion bottoms out above.
-        debug_assert!(level < self.max_level);
-        if self.ranges.len() >= self.budget {
-            self.exact = false;
-            self.push(base, base + (cells - 1));
-            return;
-        }
-        let half = side >> 1;
-        for child in 0..(1u32 << self.dim) {
-            let cc = [
-                c[0] + if child & 1 != 0 { half } else { 0 },
-                c[1] + if child & 2 != 0 { half } else { 0 },
-                c[2] + if child & 4 != 0 { half } else { 0 },
-            ];
-            self.descend(cc, level + 1);
-        }
-    }
-}
-
-/// Decompose the half-open axis-aligned box `[lo, hi)` (integer
-/// coordinates at the maximum refinement level; `lo[2]`/`hi[2]` ignored
-/// in 2D) into covering Z-order ranges by recursive descent from the
-/// virtual root. The box is clamped to the unit tree `[0, 2^L)`.
-///
-/// With an unlimited budget the cover is the exact maximal tiling of
-/// the box (every covered cell is inside the box). The number of exact
-/// tiles is `O(perimeter)` in the worst case — a `1 × 2^k` strip at an
-/// odd offset needs `2^k` unit tiles — so `budget` bounds the output:
-/// once `budget` ranges exist, partially-overlapping subtrees are
-/// emitted whole and [`BoxCover::exact`] turns `false`, telling the
-/// caller to filter candidates through [`leaf_intersects_box`].
-pub fn box_cover(lo: [i32; 3], hi: [i32; 3], dim: u32, max_level: u8, budget: usize) -> BoxCover {
-    debug_assert!(dim == 2 || dim == 3);
-    let root = 1i32 << max_level as u32;
-    let mut clo = [0i32; 3];
-    let mut chi = [0i32; 3];
-    for a in 0..dim as usize {
-        clo[a] = lo[a].max(0);
-        chi[a] = hi[a].min(root);
-        if clo[a] >= chi[a] {
-            return BoxCover::empty();
-        }
-    }
-    let mut b = CoverBuilder {
-        ranges: Vec::new(),
-        exact: true,
-        budget: budget.max(1),
-        dim,
-        max_level,
-        lo: clo,
-        hi: chi,
-    };
-    b.descend([0, 0, 0], 0);
-    BoxCover {
-        ranges: b.ranges,
-        exact: b.exact,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Brute-force key set of a clamped box at `max_level`.
-    fn brute_cells(lo: [i32; 3], hi: [i32; 3], dim: u32, max_level: u8) -> Vec<u64> {
+    /// The smallest key `>= z` whose decoded cell lies in `[lo, hi)`,
+    /// for every `z` in `0..=2^{dim·L}`, by one backward sweep.
+    fn scanned_next(lo: [i32; 3], hi: [i32; 3], dim: u32, max_level: u8) -> Vec<Option<u64>> {
+        let cells = 1u64 << (dim * max_level as u32);
+        let mut next = vec![None; cells as usize + 1];
+        for z in (0..cells).rev() {
+            let c = cell_coords(z, dim);
+            let inside = (0..dim as usize).all(|a| lo[a] <= c[a] && c[a] < hi[a]);
+            next[z as usize] = if inside {
+                Some(z)
+            } else {
+                next[z as usize + 1]
+            };
+        }
+        next
+    }
+
+    /// Every box of the tree at `max_level` (all `lo < hi` per axis),
+    /// every key, and the key one past the tree.
+    fn check_next_in_box_exhaustively(dim: u32, max_level: u8) {
         let root = 1i32 << max_level as u32;
-        let clamp = |a: usize| (lo[a].max(0), hi[a].min(root));
-        let (x0, x1) = clamp(0);
-        let (y0, y1) = clamp(1);
-        let (z0, z1) = if dim == 3 { clamp(2) } else { (0, 1) };
-        let mut keys = Vec::new();
-        for z in z0..z1.max(z0) {
-            for y in y0..y1.max(y0) {
-                for x in x0..x1.max(x0) {
-                    keys.push(point_key([x, y, z], dim));
+        let spans: Vec<(i32, i32)> = (0..root)
+            .flat_map(|a| (a + 1..=root).map(move |b| (a, b)))
+            .collect();
+        let z_spans = if dim == 3 {
+            spans.clone()
+        } else {
+            vec![(0, 1)]
+        };
+        for &(x0, x1) in &spans {
+            for &(y0, y1) in &spans {
+                for &(z0, z1) in &z_spans {
+                    let (lo, hi) = ([x0, y0, z0], [x1, y1, z1]);
+                    let (zmin, zmax) = (point_key(lo, dim), point_key(hi.map(|c| c - 1), dim));
+                    for (z, want) in scanned_next(lo, hi, dim, max_level).into_iter().enumerate() {
+                        assert_eq!(
+                            next_in_box(z as u64, zmin, zmax, dim),
+                            want,
+                            "z {z} box {lo:?}..{hi:?}"
+                        );
+                    }
                 }
             }
         }
-        keys.sort_unstable();
-        keys
-    }
-
-    fn cover_cells(c: &BoxCover) -> Vec<u64> {
-        let mut keys = Vec::new();
-        for &(a, b) in &c.ranges {
-            keys.extend(a..=b);
-        }
-        keys
     }
 
     #[test]
-    fn exact_cover_matches_brute_force_2d() {
-        let max_level = 5;
-        let mut rng = 0x1234_5678_9abc_def0u64;
-        for _ in 0..200 {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let r = |s: u32| ((rng >> s) & 63) as i32 - 8;
-            let (lo, hi) = ([r(3), r(13), 0], [r(23), r(33), 0]);
-            let cover = box_cover(lo, hi, 2, max_level, usize::MAX);
-            assert!(cover.exact);
-            assert_eq!(
-                cover_cells(&cover),
-                brute_cells(lo, hi, 2, max_level),
-                "box {lo:?}..{hi:?}"
-            );
-        }
+    fn next_in_box_is_the_scanned_next_key_2d() {
+        check_next_in_box_exhaustively(2, 3);
     }
 
     #[test]
-    fn exact_cover_matches_brute_force_3d() {
-        let max_level = 4;
-        let mut rng = 0xfeed_f00d_dead_beefu64;
-        for _ in 0..100 {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let r = |s: u32| ((rng >> s) & 31) as i32 - 4;
-            let (lo, hi) = ([r(3), r(13), r(23)], [r(33), r(43), r(53)]);
-            let cover = box_cover(lo, hi, 3, max_level, usize::MAX);
-            assert!(cover.exact);
-            assert_eq!(
-                cover_cells(&cover),
-                brute_cells(lo, hi, 3, max_level),
-                "box {lo:?}..{hi:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ranges_are_sorted_disjoint_nonadjacent() {
-        let cover = box_cover([3, 5, 0], [29, 23, 0], 2, 6, usize::MAX);
-        for w in cover.ranges.windows(2) {
-            assert!(w[0].1 + 1 < w[1].0, "{:?} then {:?}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn budgeted_cover_is_superset() {
-        let max_level = 7;
-        // a thin strip at odd offset: the exact tiling is one range per
-        // row chunk, far more than the budget
-        let (lo, hi) = ([1, 3, 0], [127, 5, 0]);
-        let exact = box_cover(lo, hi, 2, max_level, usize::MAX);
-        assert!(exact.exact);
-        let coarse = box_cover(lo, hi, 2, max_level, 4);
-        assert!(!coarse.exact);
-        assert!(coarse.ranges.len() < exact.ranges.len());
-        // superset: every exact cell appears in the coarse cover
-        let coarse_cells: std::collections::HashSet<u64> =
-            cover_cells(&coarse).into_iter().collect();
-        for k in cover_cells(&exact) {
-            assert!(coarse_cells.contains(&k));
-        }
+    fn next_in_box_is_the_scanned_next_key_3d() {
+        check_next_in_box_exhaustively(3, 2);
     }
 
     #[test]
     fn full_domain_is_one_range() {
-        let cover = box_cover([0, 0, 0], [1 << 5, 1 << 5, 1 << 5], 3, 5, usize::MAX);
-        assert_eq!(cover.ranges, vec![(0, (1u64 << 15) - 1)]);
-        assert!(cover.exact);
+        // every key of the tree is in the box: the scan never jumps
+        let zmax = (1u64 << 15) - 1;
+        for z in 0..=zmax {
+            assert_eq!(next_in_box(z, 0, zmax, 3), Some(z));
+        }
+        assert_eq!(next_in_box(zmax + 1, 0, zmax, 3), None);
+    }
+
+    /// A 2D adaptive leaf set with every seventh leaf dropped, so the
+    /// view has gaps as a rank's local leaves do.
+    fn gappy_leaves() -> Vec<crate::quadrant::MortonQuad<2>> {
+        use crate::quadrant::{MortonQuad, Quadrant};
+        let mut leaves = Vec::new();
+        for i in 0..MortonQuad::<2>::uniform_count(3) {
+            let q = MortonQuad::<2>::from_morton(i, 3);
+            if i % 3 == 0 {
+                leaves.extend(q.children());
+            } else {
+                leaves.push(q);
+            }
+        }
+        leaves
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| i % 7 != 3)
+            .map(|(_, q)| q)
+            .collect()
+    }
+
+    /// [`leaves_in_box`] over `leaves`, and the same box by filtering.
+    fn scan_and_filter(
+        leaves: &[crate::quadrant::MortonQuad<2>],
+        lo: [i32; 3],
+        hi: [i32; 3],
+    ) -> (Vec<usize>, Vec<usize>) {
+        use crate::quadrant::Quadrant;
+        let l = crate::quadrant::MortonQuad::<2>::MAX_LEVEL;
+        let mut got = Vec::new();
+        let (key_at, level_at) = (
+            |i: usize| leaves[i].morton_abs(),
+            |i: usize| leaves[i].level(),
+        );
+        leaves_in_box(leaves.len(), key_at, level_at, 2, l, lo, hi, |i| {
+            got.push(i)
+        });
+        let want = (0..leaves.len())
+            .filter(|_| (0..2).all(|a| lo[a] < hi[a]))
+            .filter(|&i| leaf_intersects_box(key_at(i), level_at(i), lo, hi, 2, l))
+            .collect();
+        (got, want)
+    }
+
+    #[test]
+    fn leaves_in_box_matches_filter() {
+        use crate::quadrant::{MortonQuad, Quadrant};
+        let leaves = gappy_leaves();
+        let root = MortonQuad::<2>::len_at(0);
+        let mut rng = 0x1234_5678_9abc_def0u64;
+        for _ in 0..300 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let r = |s: u32| ((rng >> s) % (root as u64 + 1)) as i32;
+            let (lo, hi) = ([r(3), r(13), 0], [r(23), r(33), 0]);
+            let (got, want) = scan_and_filter(&leaves, lo, hi);
+            assert_eq!(got, want, "box {lo:?}..{hi:?}");
+        }
     }
 
     #[test]
     fn empty_and_outside_boxes() {
-        assert_eq!(box_cover([4, 4, 0], [4, 9, 0], 2, 5, 64), BoxCover::empty());
-        assert_eq!(
-            box_cover([-9, -9, 0], [-1, -1, 0], 2, 5, 64),
-            BoxCover::empty()
-        );
-        let root = 1 << 5;
-        assert_eq!(
-            box_cover([root, 0, 0], [root + 4, 4, 0], 2, 5, 64),
-            BoxCover::empty()
-        );
+        use crate::quadrant::{MortonQuad, Quadrant};
+        let leaves = gappy_leaves();
+        let root = MortonQuad::<2>::len_at(0);
+        for (lo, hi) in [
+            ([4, 4, 0], [4, 9, 0]),           // empty
+            ([9, 9, 0], [4, 4, 0]),           // inverted
+            ([-9, -9, 0], [-1, -1, 0]),       // before the tree
+            ([root, 0, 0], [root + 4, 4, 0]), // past the tree
+        ] {
+            assert_eq!(scan_and_filter(&leaves, lo, hi).0, Vec::<usize>::new());
+        }
+        // partly outside: the clamped box's leaves
+        for (lo, hi) in [
+            ([-9, -9, 0], [root / 3, root / 5, 0]),
+            ([root / 2, -4, 0], [root + 9, root / 2 + 1, 0]),
+        ] {
+            let (got, want) = scan_and_filter(&leaves, lo, hi);
+            assert!(!got.is_empty());
+            assert_eq!(got, want, "box {lo:?}..{hi:?}");
+        }
     }
 
     #[test]
@@ -577,56 +541,6 @@ mod tests {
             let (hot, next) = locate_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, p, hint);
             assert_eq!(hot, cold, "probe {p:#x} hint {hint}");
             hint = next;
-        }
-    }
-
-    #[test]
-    fn overlapping_from_matches_cold_search() {
-        use crate::quadrant::{MortonQuad, Quadrant};
-        type Q = MortonQuad<2>;
-        let leaves: Vec<Q> = (0..Q::uniform_count(4))
-            .map(|i| Q::from_morton(i, 4))
-            .collect();
-        let keys: Vec<u64> = leaves.iter().map(|q| q.morton_abs()).collect();
-        let levels: Vec<u8> = leaves.iter().map(|q| q.level()).collect();
-        let n = keys.len();
-        let span = 1u64 << (2 * (Q::MAX_LEVEL - 4) as u32);
-        // ranges sorted by start: each resume from the previous start
-        let ranges = [(0u64, span), (span, 4 * span), (7 * span, 11 * span)];
-        let mut from = 0usize;
-        for r in ranges {
-            let cold = overlapping_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, r, 0);
-            let hot = overlapping_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, r, from);
-            assert_eq!(hot, cold, "range {r:?}");
-            from = hot.start;
-        }
-    }
-
-    #[test]
-    fn overlapping_from_matches_filter() {
-        use crate::quadrant::{MortonQuad, Quadrant};
-        type Q = MortonQuad<2>;
-        let mut leaves: Vec<Q> = Vec::new();
-        for i in 0..Q::uniform_count(3) {
-            let q = Q::from_morton(i, 3);
-            if i % 5 == 0 {
-                leaves.extend(q.children());
-            } else {
-                leaves.push(q);
-            }
-        }
-        let keys: Vec<u64> = leaves.iter().map(|q| q.morton_abs()).collect();
-        let levels: Vec<u8> = leaves.iter().map(|q| q.level()).collect();
-        let n = keys.len();
-        let span = 1u64 << (2 * (Q::MAX_LEVEL - 3) as u32);
-        for start in [0u64, span / 2, 3 * span, 17 * span] {
-            let range = (start, start + 5 * span / 2);
-            let got = overlapping_from(n, |i| keys[i], |i| levels[i], 2, Q::MAX_LEVEL, range, 0);
-            for (i, (k, l)) in keys.iter().zip(&levels).enumerate() {
-                let end = k + (subtree_cells(*l, 2, Q::MAX_LEVEL) - 1);
-                let overlaps = *k <= range.1 && end >= range.0;
-                assert_eq!(got.contains(&i), overlaps, "leaf {i} range {range:?}");
-            }
         }
     }
 

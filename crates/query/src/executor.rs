@@ -8,8 +8,8 @@
 //! worker that pops it answers the whole batch with the snapshot's own
 //! kernel — [`ForestSnapshot::locate_many`] for points (one key-extract
 //! pass, one `(tree, Morton key)` sort, one gallop-resume sweep),
-//! [`ForestSnapshot::query_boxes`] for boxes (covers served in curve
-//! order with cross-box resume) — and then fulfils the [`Ticket`]'s
+//! [`ForestSnapshot::query_boxes`] for boxes (one Z-order skip-scan of
+//! the sorted leaf keys per box) — and then fulfils the [`Ticket`]'s
 //! one-shot latch: **one wakeup per batch**. Workers serve different
 //! batches in parallel; a batch is never split, so there is no shared
 //! result buffer, no work stealing and no atomic in this module.

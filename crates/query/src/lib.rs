@@ -22,9 +22,8 @@
 //!   ([`ForestSnapshot::locate_many`]: one SIMD-dispatched key-extract
 //!   pass, a `(tree, Morton key)` sort, then one gallop-resume sweep of
 //!   the sorted leaf keys), batched box queries
-//!   ([`ForestSnapshot::query_boxes`], Morton interval decomposition
-//!   backed by `quadforest_core::zrange`, covers served in curve order
-//!   with cross-box resume).
+//!   ([`ForestSnapshot::query_boxes`]: per box, one Z-order skip-scan of
+//!   the sorted leaf keys, `quadforest_core::zrange::leaves_in_box`).
 //! * [`QueryExecutor`] — a pool of worker threads behind a bounded FIFO
 //!   of whole batches: one worker answers one batch with the kernels
 //!   above and wakes its submitter once (backpressure by bounded

@@ -14,7 +14,7 @@
 
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
-use quadforest_core::zrange::{self, BoxCover};
+use quadforest_core::zrange;
 use quadforest_forest::Forest;
 use quadforest_telemetry as telemetry;
 
@@ -299,109 +299,36 @@ impl ForestSnapshot {
     // -- box queries -----------------------------------------------------
 
     /// All local leaves of `tree` intersecting the half-open box
-    /// `[lo, hi)`, in curve order, via Morton interval decomposition:
-    /// the box splits into covering Z-order ranges, each range maps to
-    /// a contiguous leaf slice by binary search, and candidates are
-    /// filtered through the exact geometric test (needed both for
-    /// budget-coarsened covers and for coarse leaves straddling a range
-    /// edge).
+    /// `[lo, hi)`, in curve order: one `zrange::leaves_in_box`
+    /// skip-scan of the tree's sorted key array.
     pub fn query_box(&self, tree: TreeId, lo: [i32; 3], hi: [i32; 3]) -> Vec<LeafHit> {
-        if tree as usize >= self.num_trees() {
-            return Vec::new();
-        }
-        let cover = box_cover_for(lo, hi, self.dim, self.max_level);
-        self.query_cover_from(tree, lo, hi, &cover, 0).0
-    }
-
-    /// [`ForestSnapshot::query_box`] against a precomputed cover, with a
-    /// resume lower bound on the first cover range's leaf search (see
-    /// `zrange::overlapping_from`), returning the hits *and* the first
-    /// range's slice start — the valid resume bound for any later box
-    /// whose first range starts no earlier.
-    /// [`ForestSnapshot::query_boxes`] threads it through a
-    /// batch sorted by `(tree, first range start)`, so consecutive boxes
-    /// skip re-searching the prefix of the key array already passed.
-    fn query_cover_from(
-        &self,
-        tree: TreeId,
-        lo: [i32; 3],
-        hi: [i32; 3],
-        cover: &BoxCover,
-        from: usize,
-    ) -> (Vec<LeafHit>, usize) {
-        let (keys, levels) = self.tree_keys(tree);
-        let n = keys.len();
         let mut hits = Vec::new();
-        let mut next = 0usize; // ranges are sorted: dedup by watermark
-        let mut lb = from; // ranges are sorted: resume the start search
-        let mut first_start = from;
-        for (ri, &range) in cover.ranges.iter().enumerate() {
-            let r = zrange::overlapping_from(
-                n,
-                |i| keys[i],
-                |i| levels[i],
-                self.dim,
-                self.max_level,
-                range,
-                lb,
-            );
-            lb = r.start;
-            if ri == 0 {
-                first_start = r.start;
-            }
-            for i in r.start.max(next)..r.end {
-                if zrange::leaf_intersects_box(keys[i], levels[i], lo, hi, self.dim, self.max_level)
-                {
-                    hits.push(self.hit(tree, i));
-                }
-            }
-            next = next.max(r.end);
+        if tree as usize >= self.num_trees() {
+            return hits;
         }
-        (hits, first_start)
+        let (keys, levels) = self.tree_keys(tree);
+        zrange::leaves_in_box(
+            keys.len(),
+            |i| keys[i],
+            |i| levels[i],
+            self.dim,
+            self.max_level,
+            lo,
+            hi,
+            |i| hits.push(self.hit(tree, i)),
+        );
+        hits
     }
 
-    /// Batched box queries, sorted and cache-coherent: decompose every
-    /// box into its Z-order cover, sort an index permutation by
-    /// `(tree, first range start)`, serve the boxes in curve order with
-    /// the resume bound carried between them, and un-permute. Each
-    /// answer is element-for-element identical to calling
-    /// [`ForestSnapshot::query_box`] on that entry alone.
+    /// Batched box queries: one [`ForestSnapshot::query_box`] per entry.
+    /// A box's scan seeks its own start, so there is no order to
+    /// exploit across boxes.
     pub fn query_boxes(&self, boxes: &[BoxQuery]) -> Vec<Vec<LeafHit>> {
-        let mut answers: Vec<Vec<LeafHit>> = vec![Vec::new(); boxes.len()];
-        let covers: Vec<BoxCover> = boxes
+        boxes
             .iter()
-            .map(|b| {
-                if (b.tree as usize) < self.num_trees() {
-                    box_cover_for(b.lo, b.hi, self.dim, self.max_level)
-                } else {
-                    BoxCover::empty()
-                }
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..boxes.len() as u32)
-            .filter(|&i| !covers[i as usize].ranges.is_empty())
-            .collect();
-        order.sort_unstable_by_key(|&i| (boxes[i as usize].tree, covers[i as usize].ranges[0].0));
-        let (mut cur_tree, mut hint) = (TreeId::MAX, 0usize);
-        for &i in &order {
-            let b = boxes[i as usize];
-            if b.tree != cur_tree {
-                (cur_tree, hint) = (b.tree, 0);
-            }
-            let (hits, first) =
-                self.query_cover_from(b.tree, b.lo, b.hi, &covers[i as usize], hint);
-            hint = first;
-            answers[i as usize] = hits;
-        }
-        answers
+            .map(|b| self.query_box(b.tree, b.lo, b.hi))
+            .collect()
     }
-}
-
-/// The crate-wide box decomposition policy: exact tilings up to
-/// [`zrange::DEFAULT_RANGE_BUDGET`] ranges, coarsened (and geometric
-/// filtering takes over) beyond it.
-fn box_cover_for(lo: [i32; 3], hi: [i32; 3], dim: u32, max_level: u8) -> BoxCover {
-    zrange::box_cover(lo, hi, dim, max_level, zrange::DEFAULT_RANGE_BUDGET)
 }
 
 #[cfg(test)]
