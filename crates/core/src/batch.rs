@@ -12,116 +12,87 @@
 //! The AVX2 kernels are compiled unconditionally on x86_64 (marked
 //! `#[target_feature(enable = "avx2")]`, so the compiler may use AVX2
 //! instructions regardless of the build's baseline) and selected at
-//! runtime through a function table cached in a [`OnceLock`]: the first
-//! batch call consults `crate::simd::features` once and installs
-//! either the AVX2 table or the scalar-reference table. A stock
-//! `cargo build --release` therefore runs the vectorized kernels on any
-//! AVX2 machine — no `RUSTFLAGS` required — while non-x86_64 targets and
-//! CPUs without AVX2 get the scalar reference with identical results
-//! (the property tests in `tests/prop_batch_dispatch.rs` hold the two
-//! paths equal on the same binary).
-//!
-//! The solver's [`donor_cell_8x8_all`] is the one exception: it works on
-//! 8×8 cell patches, not quadrants, and branches on the cached tier
-//! directly instead of going through the function table.
+//! runtime: each public entry point asks [`crate::simd`] once per call
+//! (`simd::dispatch`, which also counts the call on the tier that runs)
+//! and branches directly to the `#[target_feature]` kernel or to the
+//! scalar reference. A stock `cargo build --release` therefore runs the
+//! vectorized kernels on any AVX2 machine — no `RUSTFLAGS` required —
+//! while non-x86_64 targets and CPUs without AVX2 get the scalar
+//! reference with identical results (the property tests in
+//! `tests/prop_batch_dispatch.rs` hold the two paths equal on the same
+//! binary). The key extractors [`sfc_keys_all`] and [`point_keys_all`]
+//! branch the same way on BMI2.
 
 pub use crate::scalar_ref::QuadSoA;
 
 use crate::scalar_ref;
-use std::sync::OnceLock;
+use crate::simd::{dispatch, Tier};
 
-/// The dispatchable batch-kernel set: one entry per public SoA kernel.
-struct Kernels {
-    child_all: fn(&QuadSoA, u32, u8, &mut QuadSoA),
-    parent_all: fn(&QuadSoA, u8, &mut QuadSoA),
-    sibling_all: fn(&QuadSoA, u32, u8, &mut QuadSoA),
-    face_neighbor_all: fn(&QuadSoA, u32, u8, &mut QuadSoA),
-    offset_neighbor_all: fn(&QuadSoA, [i32; 3], u8, &mut QuadSoA),
-    tree_boundaries_all: fn(&QuadSoA, u32, u8, [&mut [i32]; 3]),
-}
-
-static SCALAR_KERNELS: Kernels = Kernels {
-    child_all: scalar_ref::child_all,
-    parent_all: scalar_ref::parent_all,
-    sibling_all: scalar_ref::sibling_all,
-    face_neighbor_all: scalar_ref::face_neighbor_all,
-    offset_neighbor_all: scalar_ref::offset_neighbor_all,
-    tree_boundaries_all: scalar_ref::tree_boundaries_all,
-};
-
-#[cfg(target_arch = "x86_64")]
-static AVX2_KERNELS: Kernels = Kernels {
-    child_all: avx2::child_all_rt,
-    parent_all: avx2::parent_all_rt,
-    sibling_all: avx2::sibling_all_rt,
-    face_neighbor_all: avx2::face_neighbor_all_rt,
-    offset_neighbor_all: avx2::offset_neighbor_all_rt,
-    tree_boundaries_all: avx2::tree_boundaries_all_rt,
-};
-
-/// The active kernel table, chosen once per process from the detected
-/// CPU features.
-fn kernels() -> &'static Kernels {
-    static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
-    ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_avx2() {
-            return &AVX2_KERNELS;
-        }
-        &SCALAR_KERNELS
-    })
-}
-
-/// The tier [`kernels`] resolves to, for dispatch accounting: each public
-/// wrapper notes one invocation on it (per batch call, not per element),
-/// so `simd::kernel_invocations()` can prove which path actually ran.
-#[inline]
-fn batch_tier() -> crate::simd::Tier {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::has_avx2() {
-        return crate::simd::Tier::Avx2;
-    }
-    crate::simd::Tier::Scalar
-}
+// Off x86_64 `dispatch` never confirms a feature (it counts the scalar
+// call), so each SIMD branch below is empty there.
 
 /// `child` over the SoA array, eight quadrants per step.
 pub fn child_all(soa: &QuadSoA, c: u32, max_level: u8, out: &mut QuadSoA) {
-    crate::simd::note_dispatch(batch_tier());
-    (kernels().child_all)(soa, c, max_level, out)
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::child_all(soa, c, max_level, out) };
+    }
+    scalar_ref::child_all(soa, c, max_level, out)
 }
 
 /// `parent` over the SoA array, eight quadrants per step.
 pub fn parent_all(soa: &QuadSoA, max_level: u8, out: &mut QuadSoA) {
-    crate::simd::note_dispatch(batch_tier());
-    (kernels().parent_all)(soa, max_level, out)
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::parent_all(soa, max_level, out) };
+    }
+    scalar_ref::parent_all(soa, max_level, out)
 }
 
 /// `sibling` over the SoA array, eight quadrants per step.
 pub fn sibling_all(soa: &QuadSoA, s: u32, max_level: u8, out: &mut QuadSoA) {
-    crate::simd::note_dispatch(batch_tier());
-    (kernels().sibling_all)(soa, s, max_level, out)
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::sibling_all(soa, s, max_level, out) };
+    }
+    scalar_ref::sibling_all(soa, s, max_level, out)
 }
 
 /// `face_neighbor` over the SoA array for fixed face `f`, eight per step.
 pub fn face_neighbor_all(soa: &QuadSoA, f: u32, max_level: u8, out: &mut QuadSoA) {
-    crate::simd::note_dispatch(batch_tier());
-    (kernels().face_neighbor_all)(soa, f, max_level, out)
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::face_neighbor_all(soa, f, max_level, out) };
+    }
+    scalar_ref::face_neighbor_all(soa, f, max_level, out)
 }
 
 /// Same-size neighbor anchors for a fixed unit offset `{-1,0,1}^3`
 /// (the general direction the balance/ghost enumerations walk), eight
 /// quadrants per step.
 pub fn offset_neighbor_all(soa: &QuadSoA, offset: [i32; 3], max_level: u8, out: &mut QuadSoA) {
-    crate::simd::note_dispatch(batch_tier());
-    (kernels().offset_neighbor_all)(soa, offset, max_level, out)
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::offset_neighbor_all(soa, offset, max_level, out) };
+    }
+    scalar_ref::offset_neighbor_all(soa, offset, max_level, out)
 }
 
 /// `tree_boundaries` over the SoA array, eight quadrants per step.
 /// All three out slices must hold at least `soa.len()` lanes (asserted
 /// identically by every dispatch target).
 pub fn tree_boundaries_all(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i32]; 3]) {
-    crate::simd::note_dispatch(batch_tier());
-    (kernels().tree_boundaries_all)(soa, dim, max_level, out)
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::tree_boundaries_all(soa, dim, max_level, out) };
+    }
+    scalar_ref::tree_boundaries_all(soa, dim, max_level, out)
 }
 
 /// Space-filling-curve sort keys `(morton_abs << 6) | level` over the
@@ -129,19 +100,12 @@ pub fn tree_boundaries_all(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i
 /// `sort_unstable_by_key`. Dispatches to the BMI2 `pdep` interleave when
 /// the CPU has it, independent of the AVX2 tier.
 pub fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
-    static ACTIVE: OnceLock<fn(&QuadSoA, u32, &mut [u64])> = OnceLock::new();
-    crate::simd::note_dispatch(if crate::simd::has_bmi2() {
-        crate::simd::Tier::Bmi2
-    } else {
-        crate::simd::Tier::Scalar
-    });
-    (ACTIVE.get_or_init(|| {
+    if dispatch(Tier::Bmi2) {
+        // SAFETY: `dispatch` confirmed BMI2 on the running CPU
         #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_bmi2() {
-            return bmi2_keys::sfc_keys_all_rt;
-        }
-        scalar_ref::sfc_keys_all
-    }))(soa, dim, out)
+        return unsafe { bmi2_keys::sfc_keys_all(soa, dim, out) };
+    }
+    scalar_ref::sfc_keys_all(soa, dim, out)
 }
 
 /// Maximum-level Morton probe keys for a batch of integer points — the
@@ -149,20 +113,12 @@ pub fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
 /// interleave like [`sfc_keys_all`]. Coordinates must already be
 /// validated non-negative and inside the unit tree.
 pub fn point_keys_all(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
-    type PointKeysFn = fn(&[i32], &[i32], &[i32], u32, &mut [u64]);
-    static ACTIVE: OnceLock<PointKeysFn> = OnceLock::new();
-    crate::simd::note_dispatch(if crate::simd::has_bmi2() {
-        crate::simd::Tier::Bmi2
-    } else {
-        crate::simd::Tier::Scalar
-    });
-    (ACTIVE.get_or_init(|| {
+    if dispatch(Tier::Bmi2) {
+        // SAFETY: `dispatch` confirmed BMI2 on the running CPU
         #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_bmi2() {
-            return bmi2_keys::point_keys_all_rt;
-        }
-        scalar_ref::point_keys_all
-    }))(xs, ys, zs, dim, out)
+        return unsafe { bmi2_keys::point_keys_all(xs, ys, zs, dim, out) };
+    }
+    scalar_ref::point_keys_all(xs, ys, zs, dim, out)
 }
 
 /// One donor-cell (first-order upwind) step inside each 8×8 cell patch
@@ -182,12 +138,9 @@ pub fn donor_cell_8x8_all<'a>(
     patches: impl IntoIterator<Item = (&'a mut [f64; 64], &'a mut [[f64; 8]; 4], f64)>,
     v: [f64; 2],
 ) {
-    let tier = batch_tier();
-    crate::simd::note_dispatch(tier);
-    #[cfg(target_arch = "x86_64")]
-    if tier == crate::simd::Tier::Avx2 {
-        // SAFETY: the tier is AVX2 only when `simd::has_avx2()` confirmed
-        // AVX2 on the running CPU
+    if dispatch(Tier::Avx2) {
+        // SAFETY: `dispatch` confirmed AVX2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
         return unsafe { avx2::donor_cell_8x8_all(patches.into_iter(), v) };
     }
     scalar_ref::donor_cell_8x8_all(patches.into_iter(), v)
@@ -519,44 +472,6 @@ mod avx2 {
             }
         }
     }
-
-    // Safe trampolines for the dispatch table. SAFETY (all): the table
-    // in `super::kernels` installs these entries only after
-    // `crate::simd::has_avx2()` confirmed AVX2 on the running CPU.
-
-    pub(crate) fn child_all_rt(soa: &QuadSoA, c: u32, max_level: u8, out: &mut QuadSoA) {
-        unsafe { child_all(soa, c, max_level, out) }
-    }
-
-    pub(crate) fn parent_all_rt(soa: &QuadSoA, max_level: u8, out: &mut QuadSoA) {
-        unsafe { parent_all(soa, max_level, out) }
-    }
-
-    pub(crate) fn sibling_all_rt(soa: &QuadSoA, s: u32, max_level: u8, out: &mut QuadSoA) {
-        unsafe { sibling_all(soa, s, max_level, out) }
-    }
-
-    pub(crate) fn face_neighbor_all_rt(soa: &QuadSoA, f: u32, max_level: u8, out: &mut QuadSoA) {
-        unsafe { face_neighbor_all(soa, f, max_level, out) }
-    }
-
-    pub(crate) fn offset_neighbor_all_rt(
-        soa: &QuadSoA,
-        offset: [i32; 3],
-        max_level: u8,
-        out: &mut QuadSoA,
-    ) {
-        unsafe { offset_neighbor_all(soa, offset, max_level, out) }
-    }
-
-    pub(crate) fn tree_boundaries_all_rt(
-        soa: &QuadSoA,
-        dim: u32,
-        max_level: u8,
-        out: [&mut [i32]; 3],
-    ) {
-        unsafe { tree_boundaries_all(soa, dim, max_level, out) }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -564,7 +479,7 @@ mod bmi2_keys {
     use super::QuadSoA;
 
     #[target_feature(enable = "bmi2")]
-    fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
+    pub(crate) fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
         let n = soa.len();
         assert!(out.len() >= n, "sfc_keys_all: out must hold >= {n} keys");
         if dim == 2 {
@@ -581,14 +496,8 @@ mod bmi2_keys {
         }
     }
 
-    /// Safe trampoline. SAFETY: installed by `super::sfc_keys_all` only
-    /// after `crate::simd::has_bmi2()` confirmed BMI2 on this CPU.
-    pub(crate) fn sfc_keys_all_rt(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
-        unsafe { sfc_keys_all(soa, dim, out) }
-    }
-
     #[target_feature(enable = "bmi2")]
-    fn point_keys_all(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
+    pub(crate) fn point_keys_all(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
         let n = xs.len();
         assert!(
             ys.len() >= n && zs.len() >= n && out.len() >= n,
@@ -603,12 +512,6 @@ mod bmi2_keys {
                 out[i] = crate::morton::bmi2::encode3(xs[i] as u32, ys[i] as u32, zs[i] as u32);
             }
         }
-    }
-
-    /// Safe trampoline. SAFETY: installed by `super::point_keys_all`
-    /// only after `crate::simd::has_bmi2()` confirmed BMI2 on this CPU.
-    pub(crate) fn point_keys_all_rt(xs: &[i32], ys: &[i32], zs: &[i32], dim: u32, out: &mut [u64]) {
-        unsafe { point_keys_all(xs, ys, zs, dim, out) }
     }
 }
 
@@ -761,53 +664,51 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_tier_is_consistent_with_detection() {
-        // force table initialization, then check which path got installed
-        let s = soa();
-        let mut out = QuadSoA::with_len(s.len());
-        child_all(&s, 0, L, &mut out);
-        #[cfg(target_arch = "x86_64")]
-        {
-            let expect: *const Kernels = if crate::simd::has_avx2() {
-                &AVX2_KERNELS
-            } else {
-                &SCALAR_KERNELS
-            };
-            assert!(std::ptr::eq(kernels(), expect));
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(std::ptr::eq(kernels(), &SCALAR_KERNELS));
-    }
-
-    #[test]
     fn dispatch_is_counted_on_the_active_tier() {
-        let get = |t: &str| {
-            crate::simd::kernel_invocations()
-                .iter()
-                .find(|(n, _)| *n == t)
-                .unwrap()
-                .1
+        let counts = || crate::simd::kernel_invocations().map(|(_, n)| n);
+        // one count on tier `t` of [scalar, avx2, bmi2]
+        let once = |t: usize| -> [u64; 3] { std::array::from_fn(|i| (i == t) as u64) };
+        let avx2 = once(if crate::simd::has_avx2() { 1 } else { 0 });
+        let bmi2 = once(if crate::simd::has_bmi2() { 2 } else { 0 });
+        let check = |name: &str, want: [u64; 3], call: &mut dyn FnMut()| {
+            // other test threads' dispatches only add to the counts, so
+            // every call shows its own, and some call shows nothing else
+            let exact = (0..100).any(|_| {
+                let before = counts();
+                call();
+                let after = counts();
+                let got: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
+                assert!((0..3).all(|i| got[i] >= want[i]), "{name}: not counted");
+                got == want
+            });
+            assert!(exact, "{name}: counted more than once");
         };
-        let batch_tier = if crate::simd::has_avx2() {
-            "avx2"
-        } else {
-            "scalar"
-        };
-        let key_tier = if crate::simd::has_bmi2() {
-            "bmi2"
-        } else {
-            "scalar"
-        };
-        let (b0, k0) = (get(batch_tier), get(key_tier));
         let s = soa();
-        let mut out = QuadSoA::with_len(s.len());
-        child_all(&s, 0, L, &mut out);
-        parent_all(&s, L, &mut out);
-        let mut keys = vec![0u64; s.len()];
-        sfc_keys_all(&s, 3, &mut keys);
-        // >= because sibling tests may run concurrently on other threads.
-        assert!(get(batch_tier) >= b0 + 2, "batch dispatches not counted");
-        assert!(get(key_tier) > k0, "sfc-key dispatch not counted");
+        let n = s.len();
+        let mut out = QuadSoA::with_len(n);
+        let (mut fx, mut fy, mut fz) = (vec![0; n], vec![0; n], vec![0; n]);
+        let mut keys = vec![0u64; n];
+        let mut cells = patches(3);
+        let mut strips = vec![[[0.0; 8]; 4]; 3];
+        check("child_all", avx2, &mut || child_all(&s, 0, L, &mut out));
+        check("parent_all", avx2, &mut || parent_all(&s, L, &mut out));
+        check("sibling_all", avx2, &mut || sibling_all(&s, 1, L, &mut out));
+        check("face_neighbor_all", avx2, &mut || {
+            face_neighbor_all(&s, 1, L, &mut out)
+        });
+        check("offset_neighbor_all", avx2, &mut || {
+            offset_neighbor_all(&s, [1, 0, -1], L, &mut out)
+        });
+        check("tree_boundaries_all", avx2, &mut || {
+            tree_boundaries_all(&s, 3, L, [&mut fx, &mut fy, &mut fz])
+        });
+        check("sfc_keys_all", bmi2, &mut || sfc_keys_all(&s, 3, &mut keys));
+        check("point_keys_all", bmi2, &mut || {
+            point_keys_all(&s.x, &s.y, &s.z, 3, &mut keys)
+        });
+        check("donor_cell_8x8_all", avx2, &mut || {
+            donor_cell_8x8_all(items(&mut cells, &mut strips), [1.0, 0.5])
+        });
     }
 
     /// Random 8×8 patches, a quarter of their cells +0.0 and a quarter

@@ -12,9 +12,9 @@
 //! * **magic** — branch-free shift/mask "magic number" spreading, the
 //!   portable default,
 //! * **bmi2** — `pdep`/`pext` hardware bit deposit/extract, compiled on
-//!   every x86_64 build and selected at *runtime* through the
-//!   [`encode2_rt`]-style dispatch wrappers when [`crate::simd`] detects
-//!   BMI2 on the running CPU.
+//!   every x86_64 build and selected at *runtime* by the
+//!   [`encode2_rt`]-style codecs, each of which branches per call on
+//!   [`crate::simd`]'s cached answer to "does this CPU have BMI2?".
 //!
 //! All functions are pure and `const`-friendly where the instruction set
 //! allows. Property tests in this module verify that the two
@@ -140,11 +140,15 @@ pub const fn decode3(m: u64) -> (u32, u32, u32) {
 /// function carries `#[target_feature(enable = "bmi2")]`, so the
 /// compiler emits `pdep`/`pext` regardless of the build's baseline
 /// features) and reached through runtime dispatch: callers must either
-/// run inside another `bmi2`-enabled function or check
-/// [`crate::simd::has_bmi2`] first — see the [`encode3_rt`]-style safe
-/// wrappers below. The public [`encode2`]-style entry points keep using
-/// the magic-number path so that `const` evaluation and cross-platform
+/// run inside another `bmi2`-enabled function or branch on
+/// [`crate::simd::has_bmi2`] first, as the [`encode3_rt`]-style codecs
+/// below do. The public [`encode2`]-style entry points keep using the
+/// magic-number path so that `const` evaluation and cross-platform
 /// results stay identical.
+///
+/// Calling any of these from a context without the `bmi2` target
+/// feature is `unsafe`; the caller must have confirmed BMI2 on the
+/// running CPU.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod bmi2 {
     use core::arch::x86_64::{_pdep_u64, _pext_u64};
@@ -156,11 +160,6 @@ pub(crate) mod bmi2 {
     const MASK_Z3: u64 = MASK_X3 << 2;
 
     /// 2D interleave via two `pdep` instructions.
-    ///
-    /// # Safety
-    ///
-    /// Calling from a context without the `bmi2` target feature is
-    /// `unsafe`; the caller must have verified [`crate::simd::has_bmi2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
     pub(crate) fn encode2(x: u32, y: u32) -> u64 {
@@ -168,10 +167,6 @@ pub(crate) mod bmi2 {
     }
 
     /// 2D deinterleave via two `pext` instructions.
-    ///
-    /// # Safety
-    ///
-    /// Same calling contract as [`encode2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
     pub(crate) fn decode2(m: u64) -> (u32, u32) {
@@ -179,92 +174,70 @@ pub(crate) mod bmi2 {
     }
 
     /// 3D interleave via three `pdep` instructions.
-    ///
-    /// # Safety
-    ///
-    /// Same calling contract as [`encode2`].
     #[inline]
     #[target_feature(enable = "bmi2")]
     pub(crate) fn encode3(x: u32, y: u32, z: u32) -> u64 {
         _pdep_u64(x as u64, MASK_X3) | _pdep_u64(y as u64, MASK_Y3) | _pdep_u64(z as u64, MASK_Z3)
     }
 
-    /// 3D deinterleave via three `pext` instructions.
-    ///
-    /// # Safety
-    ///
-    /// Same calling contract as [`encode2`].
+    /// 3D deinterleave via three `pext` instructions, the three 21-bit
+    /// coordinates returned packed in one register: `x` from bit 0, `y`
+    /// from bit 22, `z` from bit 43. A `(u32, u32, u32)` return goes
+    /// through memory, and the caller's one 8-byte reload of the callee's
+    /// 4-byte stores stalls store forwarding.
     #[inline]
     #[target_feature(enable = "bmi2")]
-    pub(crate) fn decode3(m: u64) -> (u32, u32, u32) {
-        (
-            _pext_u64(m, MASK_X3) as u32,
-            _pext_u64(m, MASK_Y3) as u32,
-            _pext_u64(m, MASK_Z3) as u32,
-        )
+    pub(crate) fn decode3(m: u64) -> u64 {
+        _pext_u64(m, MASK_X3) | (_pext_u64(m, MASK_Y3) << 22) | (_pext_u64(m, MASK_Z3) << 43)
     }
 }
 
 /// Runtime-dispatched 2D interleave: `pdep` when the CPU has BMI2,
-/// the magic-number path otherwise. Selected once via
-/// `crate::simd::features` and cached in a function pointer.
+/// the magic-number path otherwise. Per element, so not counted as a
+/// dispatch.
 #[inline]
 pub fn encode2_rt(x: u32, y: u32) -> u64 {
-    static ACTIVE: std::sync::OnceLock<fn(u32, u32) -> u64> = std::sync::OnceLock::new();
-    (ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_bmi2() {
-            // SAFETY: BMI2 confirmed on this CPU; the pointer is only
-            // installed (and thus callable) in this branch.
-            return |x, y| unsafe { bmi2::encode2(x, y) };
-        }
-        encode2
-    }))(x, y)
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::has_bmi2() {
+        // SAFETY: BMI2 confirmed on the running CPU
+        return unsafe { bmi2::encode2(x, y) };
+    }
+    encode2(x, y)
 }
 
 /// Runtime-dispatched 2D deinterleave (see [`encode2_rt`]).
 #[inline]
 pub fn decode2_rt(m: u64) -> (u32, u32) {
-    static ACTIVE: std::sync::OnceLock<fn(u64) -> (u32, u32)> = std::sync::OnceLock::new();
-    (ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_bmi2() {
-            // SAFETY: BMI2 confirmed on this CPU (see encode2_rt).
-            return |m| unsafe { bmi2::decode2(m) };
-        }
-        decode2
-    }))(m)
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::has_bmi2() {
+        // SAFETY: BMI2 confirmed on the running CPU
+        return unsafe { bmi2::decode2(m) };
+    }
+    decode2(m)
 }
 
 /// Runtime-dispatched 3D interleave (see [`encode2_rt`]).
 #[inline]
 pub fn encode3_rt(x: u32, y: u32, z: u32) -> u64 {
-    static ACTIVE: std::sync::OnceLock<fn(u32, u32, u32) -> u64> = std::sync::OnceLock::new();
-    (ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_bmi2() {
-            // SAFETY: BMI2 confirmed on this CPU (see encode2_rt).
-            return |x, y, z| unsafe { bmi2::encode3(x, y, z) };
-        }
-        encode3
-    }))(x, y, z)
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::has_bmi2() {
+        // SAFETY: BMI2 confirmed on the running CPU
+        return unsafe { bmi2::encode3(x, y, z) };
+    }
+    encode3(x, y, z)
 }
-
-/// The deinterleave fn-pointer shape shared by the 3D decode tiers.
-type Decode3Fn = fn(u64) -> (u32, u32, u32);
 
 /// Runtime-dispatched 3D deinterleave (see [`encode2_rt`]).
 #[inline]
 pub fn decode3_rt(m: u64) -> (u32, u32, u32) {
-    static ACTIVE: std::sync::OnceLock<Decode3Fn> = std::sync::OnceLock::new();
-    (ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::has_bmi2() {
-            // SAFETY: BMI2 confirmed on this CPU (see encode2_rt).
-            return |m| unsafe { bmi2::decode3(m) };
-        }
-        decode3
-    }))(m)
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::has_bmi2() {
+        // SAFETY: BMI2 confirmed on the running CPU
+        let p = unsafe { bmi2::decode3(m) };
+        let lane = |from: u32| (p >> from) as u32 & 0x1F_FFFF;
+        return (lane(0), lane(22), lane(43));
+    }
+    decode3(m)
 }
 
 #[cfg(test)]

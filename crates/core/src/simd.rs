@@ -6,11 +6,12 @@
 //! headline AVX2 speedups never ran unless the user knew to pass
 //! `-C target-feature=+avx2,+bmi2`. This module replaces that footgun
 //! with `is_x86_feature_detected!`-based detection performed **once** per
-//! process and cached in a [`OnceLock`]; the batch kernels in
-//! [`crate::batch`] and the BMI2 Morton codec wrappers in
-//! [`crate::morton`] consult the cached tier to pick between inner
-//! kernels compiled with `#[target_feature(enable = ...)]` and the
-//! portable scalar reference.
+//! process and cached in a [`OnceLock`]. It is the one place the tier is
+//! decided: each dispatched entry point in [`crate::batch`] asks
+//! `dispatch` once per call, and the per-element Morton codecs in
+//! [`crate::morton`] ask `has_bmi2`; both then branch directly between
+//! an inner kernel compiled with `#[target_feature(enable = ...)]` and
+//! the portable scalar reference.
 //!
 //! # Safety argument
 //!
@@ -20,9 +21,10 @@
 //! behavior (illegal instruction at best). Soundness therefore rests on
 //! a single invariant: *every* call site of such a function is reached
 //! only through a dispatch check of `features()`, whose answer comes
-//! from `is_x86_feature_detected!` on the running CPU. The function
-//! tables in `batch.rs` install the AVX2 entry points only inside the
-//! detection branch, so the invariant is local and auditable.
+//! from `is_x86_feature_detected!` on the running CPU. Every such call
+//! sits inside the `if` whose condition is that check, so the `unsafe`
+//! block's one obligation is the branch condition itself, visible on the
+//! line above it.
 //!
 //! # Forcing the scalar tier
 //!
@@ -130,11 +132,25 @@ fn tier_counters() -> &'static TierCounters {
     })
 }
 
-/// Record one batch-kernel dispatch on `tier`. Called by the dispatch
-/// wrappers in [`crate::batch`] — once per *batch* call, not per element,
-/// so the shared atomic stays out of per-quadrant hot loops.
+/// Whether `tier`'s kernels may run on this CPU, noting one dispatch on
+/// the tier that will: `tier` when the CPU has it, [`Tier::Scalar`]
+/// otherwise. Called by the entry points in [`crate::batch`] — once per
+/// *batch* call, not per element, so the shared atomic stays out of
+/// per-quadrant hot loops.
 #[inline]
-pub(crate) fn note_dispatch(tier: Tier) {
+pub(crate) fn dispatch(tier: Tier) -> bool {
+    let runs = match tier {
+        Tier::Scalar => true,
+        Tier::Avx2 => has_avx2(),
+        Tier::Bmi2 => has_bmi2(),
+    };
+    note_dispatch(if runs { tier } else { Tier::Scalar });
+    runs
+}
+
+/// Record one batch-kernel dispatch on `tier`.
+#[inline]
+fn note_dispatch(tier: Tier) {
     let c = tier_counters();
     match tier {
         Tier::Scalar => c.scalar.incr(),

@@ -106,9 +106,10 @@ proptest! {
     }
 
     /// The runtime-dispatched Morton codecs agree with the portable
-    /// magic-constant implementation on arbitrary inputs.
+    /// magic-constant implementation on arbitrary inputs, the decoders
+    /// also on every 64-bit word (bits no coordinate owns included).
     #[test]
-    fn dispatched_morton_codecs_match_portable(x in any::<u32>(), y in any::<u32>(), z in any::<u32>()) {
+    fn dispatched_morton_codecs_match_portable(x in any::<u32>(), y in any::<u32>(), z in any::<u32>(), m in any::<u64>()) {
         let (x2, y2) = (x, y);
         prop_assert_eq!(morton::encode2_rt(x2, y2), morton::encode2(x2, y2));
         let (x3, y3, z3) = (x & 0x1F_FFFF, y & 0x1F_FFFF, z & 0x1F_FFFF);
@@ -117,6 +118,8 @@ proptest! {
         prop_assert_eq!(morton::decode2_rt(m2), morton::decode2(m2));
         let m3 = morton::encode3(x3, y3, z3);
         prop_assert_eq!(morton::decode3_rt(m3), morton::decode3(m3));
+        prop_assert_eq!(morton::decode2_rt(m), morton::decode2(m));
+        prop_assert_eq!(morton::decode3_rt(m), morton::decode3(m));
     }
 
     /// Batch keys match the per-quadrant trait keys, and sorting by them

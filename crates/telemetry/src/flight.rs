@@ -533,10 +533,18 @@ pub fn dump_postmortem(rank: u32) -> Option<PathBuf> {
     Some(bin_path)
 }
 
+/// Write `bytes` to a temp file beside `path`, then rename it over
+/// `path`. The temp name is this writer's own (`{pid}-{seq}.tmp`), so two
+/// dumpers of one label never publish each other's half-written bytes.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Option<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).ok()?;
-    std::fs::rename(&tmp, path).ok()
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
+    if std::fs::write(&tmp, bytes).is_err() || std::fs::rename(&tmp, path).is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return None;
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -581,6 +589,40 @@ mod tests {
         let kept: Vec<[u64; 3]> = ring.events().iter().map(|e| [e.ts_ns, e.b, e.c]).collect();
         let newer_lap: Vec<[u64; 3]> = (CAP..2 * CAP).map(|c| [c, c, !c]).collect();
         assert_eq!(kept, newer_lap);
+    }
+
+    /// Two writers keep replacing one path while a reader checks every
+    /// read: each must be one writer's whole file, never a mix or a
+    /// truncation.
+    #[test]
+    fn concurrent_writers_never_publish_a_torn_file() {
+        const LEN: usize = 1 << 16;
+        let dir = std::env::temp_dir().join(format!("qf-flight-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flight-2.qfr");
+        write_atomic(&path, &[b'a'; LEN]).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let torn = std::thread::scope(|s| {
+            for fill in [b'a', b'b'] {
+                let (path, stop) = (&path, &stop);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        write_atomic(path, &[fill; LEN]);
+                    }
+                });
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+            let mut torn = 0;
+            while std::time::Instant::now() < deadline {
+                let bytes = std::fs::read(&path).unwrap();
+                let whole = bytes.len() == LEN && bytes.iter().all(|&b| b == bytes[0]);
+                torn += usize::from(!whole);
+            }
+            stop.store(true, Ordering::Relaxed);
+            torn
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(torn, 0, "reads saw a torn file");
     }
 
     #[test]
