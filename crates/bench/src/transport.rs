@@ -45,6 +45,7 @@ pub fn registry() -> ProgramRegistry {
         .register(RECOVERY_PIPELINE, recovery_pipeline)
         .register(PDE_ADVECTION, pde_advection)
         .register(CHATTER, chatter)
+        .register("out-of-range", out_of_range)
 }
 
 /// Collective digest of one pipeline run: `(forest checksum, global
@@ -94,6 +95,23 @@ fn chatter(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
         rounds += 1;
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
+}
+
+/// Rank 0 names a rank the world does not have, in the operation the
+/// argument byte picks (0 `send`, 1 `recv`, 2 `bcast`, 3 `gather`); the
+/// others wait in a barrier. Registered as `out-of-range`.
+fn out_of_range(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
+    let p = comm.size();
+    if comm.rank() == 0 {
+        match ctx.args.first() {
+            Some(0) => comm.try_send(p, 0, 0u8)?,
+            Some(1) => drop(comm.try_recv::<u8>(p, 0)?),
+            Some(2) => drop(comm.try_bcast(p, Some(0u8))?),
+            _ => drop(comm.try_gather(p, 0u8)?),
+        }
+    }
+    comm.try_barrier()?;
+    Ok(Vec::new())
 }
 
 /// Rank-independent refine selector (callbacks must not depend on the

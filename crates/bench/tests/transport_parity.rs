@@ -491,3 +491,26 @@ fn advection_state_is_identical_across_backends() {
         }
     }
 }
+
+/// A rank argument outside `0..P` fails its call at once on a process
+/// world too, by name: not as a "corrupt route" SIGKILL of the sender
+/// of a `send`, nor after the whole receive timeout of a `recv`.
+#[test]
+fn out_of_range_rank_fails_at_once_on_sockets() {
+    for (op, arg) in [(0u8, "dest 4"), (1, "src 4"), (2, "root 4"), (3, "root 4")] {
+        let start = std::time::Instant::now();
+        let err = try_run_program(
+            &socket_backend(),
+            4,
+            &RunOptions::default(),
+            &transport::registry(),
+            "out-of-range",
+            &[op],
+            Attempt::first(),
+        )
+        .expect_err(arg);
+        assert!(start.elapsed() < Duration::from_secs(10), "{arg}: too slow");
+        assert_eq!(err.origin, 0, "{arg}: {}", err.reason);
+        assert!(err.reason.contains(arg), "{arg}: {}", err.reason);
+    }
+}

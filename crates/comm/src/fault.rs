@@ -38,31 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// splitmix64: tiny, seedable, statistically fine for fault schedules.
-#[inline]
-fn splitmix64(state: &Cell<u64>) -> u64 {
-    let s = state.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
-    state.set(s);
-    let mut z = s;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// splitmix64 over a plain `&mut u64` state — the `Sync` net-chaos
-/// stream keeps its state behind a `Mutex` instead of a `Cell`.
-#[inline]
-fn splitmix64_mut(state: &mut u64) -> u64 {
-    let s = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    *state = s;
-    let mut z = s;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One-shot stateless mix of the same splitmix64 output function; used
-/// for deterministic recovery-backoff jitter keyed by attempt index.
+/// The splitmix64 output function: a stateless mix of `x`. Also the
+/// recovery backoff's deterministic jitter, keyed by attempt index.
 #[inline]
 pub(crate) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -71,9 +48,19 @@ pub(crate) fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One splitmix64 step: tiny, seedable, statistically fine for fault
+/// schedules. Both fault streams draw through it, whatever holds their
+/// state (a `Cell` per rank, a `Mutex` on the shared wire stream).
+#[inline]
+fn splitmix64(state: &mut u64) -> u64 {
+    let z = mix64(*state);
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z
+}
+
 /// Draw from `[0, bound)` without modulo bias (128-bit multiply-shift).
 #[inline]
-fn below(state: &Cell<u64>, bound: u64) -> u64 {
+fn below(state: &mut u64, bound: u64) -> u64 {
     if bound == 0 {
         return 0;
     }
@@ -89,7 +76,7 @@ fn prob_to_fixed(p: f64) -> u32 {
 }
 
 #[inline]
-fn coin(state: &Cell<u64>, fixed_prob: u32) -> bool {
+fn coin(state: &mut u64, fixed_prob: u32) -> bool {
     fixed_prob > 0 && (splitmix64(state) & 0xFFFF) < fixed_prob as u64
 }
 
@@ -316,7 +303,6 @@ impl FaultPlan {
             panic_at: first_for(&self.panics),
             sigkill_at: first_for(&self.sigkills),
             stall_at: first_for(&self.stalls),
-            op_counter: Cell::new(0),
             held: RefCell::new(Vec::new()),
         }
     }
@@ -415,19 +401,15 @@ pub(crate) struct RankFaults<T = crate::Msg> {
     sigkill_at: Option<u64>,
     /// First scheduled stall for this rank, if any.
     stall_at: Option<u64>,
-    /// Communication operations performed so far by this rank.
-    op_counter: Cell<u64>,
     /// Sender-side hold-back buffer for reordering.
     held: RefCell<Vec<HeldMsg<T>>>,
 }
 
 impl<T> RankFaults<T> {
-    /// Count one communication operation; returns the fault action that
-    /// must fire at this operation, if any. SIGKILL wins over stall
+    /// The fault action that must fire at communication operation `op`
+    /// (the rank's `Comm` counts them), if any. SIGKILL wins over stall
     /// wins over panic when (pathologically) scheduled at the same op.
-    pub(crate) fn tick_op(&self) -> Option<FaultAction> {
-        let op = self.op_counter.get();
-        self.op_counter.set(op + 1);
+    pub(crate) fn tick_op(&self, op: u64) -> Option<FaultAction> {
         if self.sigkill_at == Some(op) {
             return Some(FaultAction::Sigkill(op));
         }
@@ -442,14 +424,19 @@ impl<T> RankFaults<T> {
 
     /// Delay to inject before sending the next message, if any.
     pub(crate) fn draw_delay(&self) -> Option<Duration> {
-        if !coin(&self.rng, self.delay_prob) {
-            return None;
-        }
         let max_us = self.delay_max.as_micros() as u64;
-        Some(Duration::from_micros(below(
-            &self.rng,
-            max_us.saturating_add(1),
-        )))
+        self.draw(|rng| {
+            coin(rng, self.delay_prob)
+                .then(|| Duration::from_micros(below(rng, max_us.saturating_add(1))))
+        })
+    }
+
+    /// Run `draw` on the stream's RNG state.
+    fn draw<R>(&self, draw: impl FnOnce(&mut u64) -> R) -> R {
+        let mut state = self.rng.get();
+        let drawn = draw(&mut state);
+        self.rng.set(state);
+        drawn
     }
 
     /// Decide whether to hold this message back for reordering. A
@@ -458,7 +445,7 @@ impl<T> RankFaults<T> {
     pub(crate) fn maybe_hold(&self, dst: usize, tag: u64, msg: T) -> Option<T> {
         let mut held = self.held.borrow_mut();
         let stream_blocked = held.iter().any(|h| h.dst == dst && h.tag == tag);
-        if stream_blocked || coin(&self.rng, self.reorder_prob) {
+        if stream_blocked || self.draw(|rng| coin(rng, self.reorder_prob)) {
             held.push(HeldMsg { dst, tag, msg });
             None
         } else {
@@ -476,7 +463,7 @@ impl<T> RankFaults<T> {
             // pick a random held message that is the *first* of its
             // (dst, tag) stream — always exists (e.g. index 0's stream
             // head is at or before index 0)
-            let k = below(&self.rng, held.len() as u64) as usize;
+            let k = self.draw(|rng| below(rng, held.len() as u64)) as usize;
             let (dst, tag) = (held[k].dst, held[k].tag);
             let first = held
                 .iter()
@@ -491,19 +478,6 @@ impl<T> RankFaults<T> {
     pub(crate) fn has_held(&self) -> bool {
         !self.held.borrow().is_empty()
     }
-}
-
-#[inline]
-fn coin_mut(state: &mut u64, fixed_prob: u32) -> bool {
-    fixed_prob > 0 && (splitmix64_mut(state) & 0xFFFF) < fixed_prob as u64
-}
-
-#[inline]
-fn below_mut(state: &mut u64, bound: u64) -> u64 {
-    if bound == 0 {
-        return 0;
-    }
-    (((splitmix64_mut(state) as u128) * (bound as u128)) >> 64) as u64
 }
 
 /// One scheduled asymmetric partition on a rank's link. Armed when the
@@ -604,21 +578,21 @@ impl NetFaults {
         }
         {
             let mut rng = self.rng.lock().unwrap();
-            if coin_mut(&mut rng, self.delay_prob) {
+            if coin(&mut rng, self.delay_prob) {
                 let max_us = self.delay_max.as_micros() as u64;
-                fault.delay = Some(Duration::from_micros(below_mut(
+                fault.delay = Some(Duration::from_micros(below(
                     &mut rng,
                     max_us.saturating_add(1),
                 )));
             }
-            if coin_mut(&mut rng, self.drop_prob) {
+            if coin(&mut rng, self.drop_prob) {
                 fault.drop = true;
             }
-            if coin_mut(&mut rng, self.corrupt_prob) && len > 0 {
-                fault.corrupt_bit = Some(below_mut(&mut rng, (len as u64) * 8) as usize);
+            if coin(&mut rng, self.corrupt_prob) && len > 0 {
+                fault.corrupt_bit = Some(below(&mut rng, (len as u64) * 8) as usize);
             }
-            if coin_mut(&mut rng, self.partial_prob) && len > 1 {
-                fault.chunks = Some(2 + below_mut(&mut rng, 3) as usize);
+            if coin(&mut rng, self.partial_prob) && len > 1 {
+                fault.chunks = Some(2 + below(&mut rng, 3) as usize);
             }
         }
         if fault.delay.is_some() {
@@ -748,23 +722,23 @@ mod tests {
     fn scheduled_panic_fires_exactly_once() {
         let plan = FaultPlan::new(1).with_panic_at(2, 5);
         let f: RankFaults<u32> = plan.compile(2);
-        let fires: Vec<bool> = (0..10).map(|_| f.tick_op().is_some()).collect();
+        let fires: Vec<bool> = (0..10).map(|op| f.tick_op(op).is_some()).collect();
         assert_eq!(fires.iter().filter(|b| **b).count(), 1);
         assert!(fires[5]);
         // other ranks never fire
         let g: RankFaults<u32> = plan.compile(1);
-        assert!((0..10).all(|_| g.tick_op().is_none()));
+        assert!((0..10).all(|op| g.tick_op(op).is_none()));
     }
 
     #[test]
     fn sigkill_and_stall_fire_at_scheduled_ops() {
         let plan = FaultPlan::new(3).with_sigkill_at(0, 2).with_stall_at(1, 4);
         let k: RankFaults<u32> = plan.compile(0);
-        let actions: Vec<_> = (0..6).map(|_| k.tick_op()).collect();
+        let actions: Vec<_> = (0..6).map(|op| k.tick_op(op)).collect();
         assert_eq!(actions[2], Some(FaultAction::Sigkill(2)));
         assert_eq!(actions.iter().flatten().count(), 1);
         let s: RankFaults<u32> = plan.compile(1);
-        let actions: Vec<_> = (0..6).map(|_| s.tick_op()).collect();
+        let actions: Vec<_> = (0..6).map(|op| s.tick_op(op)).collect();
         assert_eq!(actions[4], Some(FaultAction::Stall(4)));
         assert_eq!(actions.iter().flatten().count(), 1);
     }
@@ -871,6 +845,58 @@ mod tests {
         assert!(!nf.drop_inbound());
         assert_eq!(nf.drops_in.load(Ordering::Relaxed), 0);
         assert!(nf.drops_out.load(Ordering::Relaxed) >= 1);
+    }
+
+    /// Both fault streams, pinned: the first 256 decisions of the
+    /// message stream (`draw_delay`, `maybe_hold`, a `drain_held` every
+    /// 32) and of the wire stream (`plan_write`, `drop_inbound`) at
+    /// ranks 0..3 of one plan with every op set, as length and CRC-32 of
+    /// their byte log. The partitions never heal within the test, so
+    /// the wall clock cannot move a decision.
+    #[test]
+    fn fault_streams_are_pinned() {
+        let hour = Duration::from_secs(3600);
+        let plan = FaultPlan::new(0x5EED_F00D)
+            .with_delays(0.3, Duration::from_micros(500))
+            .with_reordering(0.25)
+            .with_panic_at(1, 40)
+            .with_sigkill_at(2, 50)
+            .with_stall_at(3, 60)
+            .with_net_delays(0.2, Duration::from_micros(300))
+            .with_net_drops(0.1)
+            .with_net_corruption(0.15)
+            .with_net_partial_writes(0.2)
+            .with_net_reset_at(0, 7)
+            .with_net_reset_at(2, 100)
+            .with_net_partition(1, NetDir::In, 90, hour)
+            .with_net_partition(2, NetDir::Out, 150, hour)
+            .with_net_partition(3, NetDir::Both, 120, hour);
+        let mut log: Vec<u8> = Vec::new();
+        let mut put = |v: u64| log.extend_from_slice(&v.to_le_bytes());
+        for rank in 0..4 {
+            let f: RankFaults<u32> = plan.compile(rank);
+            for i in 0..256u32 {
+                put(f.draw_delay().map_or(u64::MAX, |d| d.as_micros() as u64));
+                let (dst, tag) = ((i % 3) as usize, (i % 2) as u64);
+                put(f.maybe_hold(dst, tag, i).map_or(u64::MAX, u64::from));
+                if i % 32 == 31 {
+                    for h in f.drain_held() {
+                        put(((h.dst as u64) << 40) | (h.tag << 32) | h.msg as u64);
+                    }
+                }
+            }
+            let net = plan.compile_net(rank);
+            for i in 0..256usize {
+                let w = net.plan_write(16 + i % 50, i % 4 != 0);
+                put(w.delay.map_or(u64::MAX, |d| d.as_micros() as u64));
+                put(w.corrupt_bit.map_or(u64::MAX, |b| b as u64));
+                put(w.chunks.map_or(u64::MAX, |c| c as u64));
+                put(w.drop as u64 | (w.reset_after as u64) << 1);
+                put(net.drop_inbound() as u64);
+            }
+        }
+        let crc = quadforest_core::crc::crc32(&log);
+        assert_eq!((log.len(), crc), (61_976, 0x36EA_733A));
     }
 
     #[test]

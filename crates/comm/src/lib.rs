@@ -396,14 +396,6 @@ impl Transport for World {
         }
         s
     }
-
-    fn request_kill(&self, _rank: usize, _op: u64) -> bool {
-        false // threads cannot be SIGKILLed individually
-    }
-
-    fn begin_stall(&self, _rank: usize, _op: u64) -> bool {
-        false // a stalled thread would hang the world; degrade to panic
-    }
 }
 
 /// Per-rank communicator handle. Not `Sync`: each rank owns its handle.
@@ -453,46 +445,43 @@ impl Comm {
     /// message moves. Panics are raised via `resume_unwind` so the
     /// global panic hook stays quiet — injected deaths are expected,
     /// only *unexpected* panics should print. A SIGKILL or stall asks
-    /// the transport first: the socket backend arranges a real process
-    /// death (and the rank parks awaiting it); the thread backend
-    /// cannot, so both degrade to a scheduled panic.
+    /// the transport first: a process world arranges a real death (a
+    /// SIGKILL, or silenced heartbeats for the supervisor's window to
+    /// catch) and the rank parks awaiting it; threads cannot, so both
+    /// degrade to a scheduled panic.
     fn tick(&self) {
         let op = self.ops.get();
         self.ops.set(op + 1);
         self.transport.note_comm_op(op, telemetry::current_span());
-        let Some(f) = &self.faults else { return };
-        let Some(action) = f.tick_op() else { return };
-        let die = |what: &str, op: u64| -> ! {
-            std::panic::resume_unwind(Box::new(format!(
-                "fault injection: scheduled {what} at comm op {op} on rank {}",
-                self.rank
-            )))
+        let Some(action) = self.faults.as_ref().and_then(|f| f.tick_op(op)) else {
+            return;
         };
-        match action {
-            FaultAction::Panic(op) => die("panic", op),
-            FaultAction::Sigkill(op) => {
-                if self.transport.request_kill(self.rank, op) {
-                    // a real SIGKILL is on its way; wait for it to land
-                    loop {
-                        std::thread::park();
-                    }
-                }
-                die("SIGKILL (as panic: threads cannot be killed)", op)
-            }
-            FaultAction::Stall(op) => {
-                if self.transport.begin_stall(self.rank, op) {
-                    // frozen: no heartbeats, no exit — the supervisor's
-                    // missed-heartbeat window must catch this
-                    loop {
-                        std::thread::park();
-                    }
-                }
-                die(
-                    "stall (as panic: a stalled thread would hang the world)",
-                    op,
-                )
+        if self.transport.inject(action) {
+            // the death is on its way: wait for it to land
+            loop {
+                std::thread::park();
             }
         }
+        let what = match action {
+            FaultAction::Panic(_) => "panic",
+            FaultAction::Sigkill(_) => "SIGKILL (as panic: threads cannot be killed)",
+            FaultAction::Stall(_) => "stall (as panic: a stalled thread would hang the world)",
+        };
+        std::panic::resume_unwind(Box::new(format!(
+            "fault injection: scheduled {what} at comm op {op} on rank {}",
+            self.rank
+        )))
+    }
+
+    /// Panic unless `rank`, the `what` argument of a call, is a rank of
+    /// this world: a bad rank fails at the call, the same way on every
+    /// backend, instead of deep in the transport or after a timeout.
+    fn check_rank(&self, what: &str, rank: usize) {
+        let size = self.size();
+        assert!(
+            rank < size,
+            "{what} {rank} is out of range for {size} ranks"
+        );
     }
 
     /// Deliver every held-back (reordered) message, in a seeded shuffle
@@ -529,6 +518,7 @@ impl Comm {
         data: T,
     ) -> Result<(), CommError> {
         assert!(tag < COLL_TAG_BASE, "user tags must be < 2^48");
+        self.check_rank("send: dest", dest);
         self.tick();
         let bytes = std::mem::size_of_val(&data) as u64;
         self.send_value(dest, tag, data, bytes)
@@ -616,6 +606,7 @@ impl Comm {
     /// different payload type.
     pub fn try_recv<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Result<T, CommError> {
         assert!(tag < COLL_TAG_BASE, "user tags must be < 2^48");
+        self.check_rank("recv: src", src);
         self.tick();
         self.recv_impl(src, tag)
     }
@@ -866,6 +857,7 @@ impl Comm {
         root: usize,
         value: Option<T>,
     ) -> Result<T, CommError> {
+        self.check_rank("bcast: root", root);
         self.tick();
         let _t = self.coll_timer();
         let tag = self.next_coll_tag();
@@ -897,6 +889,7 @@ impl Comm {
         root: usize,
         value: T,
     ) -> Result<Option<Vec<T>>, CommError> {
+        self.check_rank("gather: root", root);
         self.tick();
         let _t = self.coll_timer();
         let tag = self.next_coll_tag();
@@ -1622,6 +1615,34 @@ mod tests {
             f.error,
             RankError::Failed(CommError::TypeMismatch { src: 0, tag: 3, .. })
         ));
+    }
+
+    /// A rank argument outside `0..size` fails its call at once and
+    /// names the argument: not an index panic (`send`, `gather`), nor a
+    /// wait for the full receive timeout (`recv`, `bcast`).
+    #[test]
+    fn out_of_range_ranks_fail_at_once_by_name() {
+        type Op = fn(&Comm) -> Result<(), CommError>;
+        let cases: [(&str, Op); 4] = [
+            ("dest 4", |c| c.try_send(4, 0, 1u32)),
+            ("src 4", |c| c.try_recv::<u32>(4, 0).map(drop)),
+            ("root 4", |c| c.try_bcast(4, Some(1u32)).map(drop)),
+            ("root 4", |c| c.try_gather(4, 1u32).map(drop)),
+        ];
+        for (arg, op) in cases {
+            let start = Instant::now();
+            let err = try_run(4, |c| {
+                if c.rank() == 0 {
+                    op(&c)?;
+                }
+                c.try_barrier()
+            })
+            .unwrap_err();
+            assert!(start.elapsed() < Duration::from_secs(2), "{arg}: too slow");
+            assert_eq!(err.origin, 0, "{arg}");
+            assert!(err.origin_panicked(), "{arg}: {}", err.reason);
+            assert!(err.reason.contains(arg), "{arg}: {}", err.reason);
+        }
     }
 
     #[test]

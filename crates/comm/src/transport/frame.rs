@@ -13,8 +13,8 @@
 //! [`Frame`] (Unix sockets) or of the TCP backend's packet envelope —
 //! the framing itself is generic over any [`Wire`] payload via
 //! [`encode_wire`] / [`read_wire`]. Decoding is strict and
-//! hostile-input-safe: a length prefix above the *configurable* cap is
-//! rejected *before* any allocation, a CRC mismatch or trailing bytes
+//! hostile-input-safe: a length prefix above the cap is rejected
+//! *before* any allocation, a CRC mismatch or trailing bytes
 //! is a typed error, and EOF mid-frame is distinguished from clean EOF
 //! between frames — the reader can tell "peer hung up" from "peer died
 //! mid-sentence". A network peer (or the chaos interposer) flipping
@@ -38,12 +38,11 @@ use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Default upper bound on a single frame payload. Far above anything
-/// the forest algorithms send (the biggest alltoallv slabs are a few
-/// MiB), far below anything that could be a length-prefix attack. The
-/// TCP backend makes the cap configurable per world
-/// (`TcpOptions::max_frame_len`); the read path takes it as a
-/// parameter and enforces it *before* allocating the payload buffer.
+/// Upper bound on a single frame payload, on both process links. Far
+/// above anything the forest algorithms send (the biggest alltoallv
+/// slabs are a few MiB), far below anything that could be a
+/// length-prefix attack. A constant: no caller varies it. The read
+/// path enforces it *before* allocating the payload buffer.
 pub(crate) const MAX_FRAME_LEN: u32 = 256 << 20;
 
 /// XOR mask tying the two length words of the header together. Any
@@ -380,20 +379,19 @@ pub(crate) fn read_wire<T: Wire>(
     decode_raw(&read_raw(stream, stop, cap, None)?)
 }
 
-/// Read and decode one [`Frame`] under the default cap.
+/// Read and decode one [`Frame`].
 pub(crate) fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Frame, FrameError> {
     read_wire(stream, stop, MAX_FRAME_LEN)
 }
 
-/// Like [`read_wire`], but with [`read_raw`]'s mid-frame progress
-/// deadline.
+/// Like [`read_wire`] under [`MAX_FRAME_LEN`], but with [`read_raw`]'s
+/// mid-frame progress deadline.
 pub(crate) fn read_wire_stalling<T: Wire>(
     stream: &mut impl Read,
     stop: &AtomicBool,
-    cap: u32,
     idle_limit: Duration,
 ) -> Result<T, FrameError> {
-    decode_raw(&read_raw(stream, stop, cap, Some(idle_limit))?)
+    decode_raw(&read_raw(stream, stop, MAX_FRAME_LEN, Some(idle_limit))?)
 }
 
 /// Blocking wrapper used during connection handshakes: read one Wire
@@ -401,7 +399,6 @@ pub(crate) fn read_wire_stalling<T: Wire>(
 pub(crate) fn read_wire_timeout<T: Wire>(
     stream: &mut impl Read,
     timeout: Duration,
-    cap: u32,
 ) -> Result<T, FrameError> {
     // reuse the stop flag as a deadline: a watcher thread would be
     // overkill for a handshake, so poll wall clock between reads
@@ -425,16 +422,7 @@ pub(crate) fn read_wire_timeout<T: Wire>(
         inner: stream,
         deadline: Instant::now() + timeout,
     };
-    read_wire(&mut dr, &stop, cap)
-}
-
-/// Blocking wrapper used during the connection handshake: read one
-/// frame or give up after `timeout`.
-pub(crate) fn read_frame_timeout(
-    stream: &mut impl Read,
-    timeout: Duration,
-) -> Result<Frame, FrameError> {
-    read_wire_timeout(stream, timeout, MAX_FRAME_LEN)
+    read_wire(&mut dr, &stop, MAX_FRAME_LEN)
 }
 
 #[cfg(test)]
@@ -951,13 +939,8 @@ mod tests {
             pos: 0,
         };
         let started = Instant::now();
-        let err = read_wire_stalling::<Frame>(
-            &mut stream,
-            &no_stop(),
-            MAX_FRAME_LEN,
-            Duration::from_millis(50),
-        )
-        .expect_err("must not decode");
+        let err = read_wire_stalling::<Frame>(&mut stream, &no_stop(), Duration::from_millis(50))
+            .expect_err("must not decode");
         assert_eq!(err, FrameError::Stalled { got: cut, wanted });
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -991,13 +974,8 @@ mod tests {
         };
         // 100 polls × 1 ms of pre-frame idle is far beyond the 5 ms
         // idle limit; only the stop flag may end the wait
-        let err = read_wire_stalling::<Frame>(
-            &mut stream,
-            &stop,
-            MAX_FRAME_LEN,
-            Duration::from_millis(5),
-        )
-        .expect_err("nothing to read");
+        let err = read_wire_stalling::<Frame>(&mut stream, &stop, Duration::from_millis(5))
+            .expect_err("nothing to read");
         assert_eq!(err, FrameError::Stopped);
     }
 }

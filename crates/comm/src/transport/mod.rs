@@ -31,6 +31,7 @@ pub(crate) mod process;
 pub(crate) mod socket;
 pub(crate) mod tcp;
 
+use crate::fault::FaultAction;
 use crate::{
     AbortRecord, Attempt, CollectiveNames, Comm, CommError, Mailbox, Msg, RankState, RunOptions,
     WorldError,
@@ -64,14 +65,13 @@ pub(crate) trait Transport: Send + Sync {
     fn set_status(&self, rank: usize, state: RankState);
     /// World-state dump for timeout diagnostics.
     fn diagnostic(&self) -> String;
-    /// SIGKILL fault hook: returns true when the transport arranged a
-    /// real process kill and the calling rank should park awaiting it.
-    /// The thread backend returns false (degrade to panic).
-    fn request_kill(&self, rank: usize, op: u64) -> bool;
-    /// Stall fault hook: returns true when the transport stopped this
-    /// rank's heartbeats and the rank should park forever, leaving
-    /// death detection to the supervisor's missed-heartbeat window.
-    fn begin_stall(&self, rank: usize, op: u64) -> bool;
+    /// Fault hook: true when the transport made `action` real — a
+    /// SIGKILL on its way, or heartbeats stopped for the supervisor's
+    /// missed-heartbeat window to catch — and the calling rank should
+    /// park awaiting death. False degrades the action to a panic.
+    fn inject(&self, _action: FaultAction) -> bool {
+        false
+    }
     /// Liveness context hook, called once per counted comm op with the
     /// op index and the current telemetry phase. A process world
     /// folds these into its heartbeat frames so the supervisor can name
@@ -81,7 +81,12 @@ pub(crate) trait Transport: Send + Sync {
     fn note_comm_op(&self, _op: u64, _phase: Option<&'static str>) {}
 }
 
-/// Configuration of the socket (process-per-rank) backend.
+/// Configuration of both process-per-rank backends,
+/// [`Backend::Sockets`] and [`Backend::Tcp`]: the worker executable
+/// and the liveness window. What no caller varies is a constant: the
+/// 10 s a worker gets to connect back, the 256 MiB frame cap, and the
+/// TCP session's reconnect schedule (12 attempts, 10 → 500 ms
+/// exponential backoff, 20 % deterministic jitter).
 #[derive(Clone, Debug)]
 pub struct SocketOptions {
     /// Executable spawned once per rank. Must call
@@ -96,77 +101,27 @@ pub struct SocketOptions {
     /// dead. The window is `heartbeat_interval * heartbeat_grace`;
     /// keep it generous — a rank busy in a long compute phase still
     /// heartbeats (the sender is a dedicated thread), but a loaded CI
-    /// machine can starve that thread for tens of milliseconds.
+    /// machine can starve that thread for tens of milliseconds. On TCP
+    /// it is also the budget inside which a dropped connection may
+    /// reconnect and resume with **no** failure escalation.
     pub heartbeat_grace: u32,
-    /// How long to wait for all rank processes to connect back before
-    /// declaring the world failed to start.
-    pub connect_timeout: Duration,
 }
 
 impl SocketOptions {
     /// Options with the given worker executable and default liveness
-    /// parameters (50 ms heartbeats, 40-interval = 2 s death window,
-    /// 10 s connect timeout).
+    /// parameters (50 ms heartbeats, 40-interval = 2 s death window).
     pub fn new(worker: PathBuf) -> Self {
         SocketOptions {
             worker,
             heartbeat_interval: Duration::from_millis(50),
             heartbeat_grace: 40,
-            connect_timeout: Duration::from_secs(10),
         }
     }
 }
 
-/// Configuration of the TCP (process-per-rank, multi-node-capable)
-/// backend. Same star topology and liveness model as
-/// [`SocketOptions`], plus the pieces a lossy network needs: a
-/// reconnect schedule and a frame-size cap on the read path.
-#[derive(Clone, Debug)]
-pub struct TcpOptions {
-    /// Executable spawned once per rank; must call
-    /// [`maybe_run_socket_child`] first thing in `main()` (it detects
-    /// both socket and TCP worker environments).
-    pub worker: PathBuf,
-    /// Interval between heartbeat frames sent by each rank process.
-    pub heartbeat_interval: Duration,
-    /// Missed heartbeat intervals before a rank is declared dead. The
-    /// window is also the budget inside which a dropped connection may
-    /// reconnect and resume with **no** failure escalation.
-    pub heartbeat_grace: u32,
-    /// How long to wait for all rank processes to connect back before
-    /// declaring the world failed to start.
-    pub connect_timeout: Duration,
-    /// Reconnect schedule after a broken connection: bounded
-    /// exponential backoff with deterministic jitter, reusing the
-    /// recovery supervisor's policy machinery. When the schedule is
-    /// exhausted the rank gives up and the supervisor's heartbeat
-    /// window escalates to a real `PeerFailed`.
-    pub reconnect: crate::RecoveryPolicy,
-    /// Upper bound on a single wire frame; a longer length prefix
-    /// (hostile peer, flipped bit) is rejected *before* allocation.
-    pub max_frame_len: u32,
-}
-
-impl TcpOptions {
-    /// Options with the given worker executable and default liveness
-    /// parameters (50 ms heartbeats, 40-interval = 2 s death window,
-    /// 10 s connect timeout, ~12-attempt jittered reconnect schedule).
-    pub fn new(worker: PathBuf) -> Self {
-        TcpOptions {
-            worker,
-            heartbeat_interval: Duration::from_millis(50),
-            heartbeat_grace: 40,
-            connect_timeout: Duration::from_secs(10),
-            reconnect: crate::RecoveryPolicy {
-                max_attempts: 12,
-                base_delay: Duration::from_millis(10),
-                max_delay: Duration::from_millis(500),
-                jitter_ppm: 200_000,
-            },
-            max_frame_len: frame::MAX_FRAME_LEN,
-        }
-    }
-}
+/// The TCP backend's name for [`SocketOptions`]: both process backends
+/// take the same options.
+pub type TcpOptions = SocketOptions;
 
 /// Which transport executes a program's ranks.
 #[derive(Clone, Debug)]
@@ -292,7 +247,7 @@ pub fn try_run_program(
 /// Returns normally — `false` — only when not a worker.
 ///
 /// Call this first thing in `main()` of any binary used as a
-/// [`SocketOptions::worker`] or [`TcpOptions::worker`].
+/// [`SocketOptions::worker`].
 pub fn maybe_run_socket_child(registry: &ProgramRegistry) -> bool {
     process::maybe_run_child(registry)
 }

@@ -26,7 +26,8 @@
 //! rather than a wedged job.
 
 use super::frame::Frame;
-use super::{ProgramCtx, ProgramRegistry};
+use super::{ProgramCtx, ProgramRegistry, SocketOptions};
+use crate::fault::FaultAction;
 use crate::{
     plock, world_result, AbortRecord, Attempt, CollectiveNames, Comm, CommError, FaultPlan,
     Mailbox, Msg, Payload, RankError, RankFailure, RankState, RunOptions, Transport, WorldError,
@@ -34,7 +35,6 @@ use crate::{
 use quadforest_core::Wire;
 use quadforest_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,14 +52,18 @@ const ENV_PROGRAM: &str = "QF_SOCKET_PROGRAM";
 const ENV_ARGS: &str = "QF_SOCKET_ARGS";
 const ENV_RECV_TIMEOUT_MS: &str = "QF_SOCKET_RECV_TIMEOUT_MS";
 const ENV_HEARTBEAT_MS: &str = "QF_SOCKET_HEARTBEAT_MS";
-const ENV_CONNECT_TIMEOUT_MS: &str = "QF_SOCKET_CONNECT_TIMEOUT_MS";
 const ENV_ATTEMPT: &str = "QF_SOCKET_ATTEMPT";
 const ENV_FAULTS: &str = "QF_SOCKET_FAULTS";
 
 /// Poll granularity for stop-flag checks inside blocking socket reads.
 pub(super) const READ_POLL: Duration = Duration::from_millis(25);
 
-pub(super) fn hex_encode(bytes: &[u8]) -> String {
+/// How long the supervisor waits for every worker's first connection,
+/// and a worker for its connection to the supervisor. A constant: no
+/// caller varies it.
+pub(super) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+fn hex_encode(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
@@ -80,19 +84,19 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 }
 
 /// A required worker environment variable.
-pub(super) fn env_str(key: &str) -> String {
+fn env_str(key: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| panic!("worker env {key} missing"))
 }
 
 /// A required numeric worker environment variable.
-pub(super) fn env_num(key: &str) -> u64 {
+fn env_num(key: &str) -> u64 {
     env_str(key)
         .parse()
         .unwrap_or_else(|_| panic!("worker env {key} malformed"))
 }
 
 /// A hex-encoded Wire value from the worker environment.
-pub(super) fn wire_from_hex<T: Wire>(key: &str, hex: &str) -> T {
+fn wire_from_hex<T: Wire>(key: &str, hex: &str) -> T {
     let bytes = hex_decode(hex).unwrap_or_else(|| panic!("worker env {key} is not hex"));
     T::from_wire(&bytes).unwrap_or_else(|e| panic!("worker env {key} does not decode: {e}"))
 }
@@ -105,15 +109,6 @@ pub(crate) struct Job<'a> {
     pub(crate) program: &'a str,
     pub(crate) args: &'a [u8],
     pub(crate) attempt: Attempt,
-}
-
-/// The launch and liveness settings `SocketOptions` and `TcpOptions`
-/// have in common.
-pub(super) struct Launch<'a> {
-    pub(super) worker: &'a Path,
-    pub(super) heartbeat_interval: Duration,
-    pub(super) heartbeat_grace: u32,
-    pub(super) connect_timeout: Duration,
 }
 
 // ----------------------------------------------------------------------
@@ -354,9 +349,9 @@ impl<L: Links> Supervisor<L> {
 
     /// Spawn one worker process per rank with the environment contract
     /// (`link_env` carries what is particular to the link kind).
-    fn spawn_workers(&self, job: &Job, launch: &Launch, link_env: &[(&str, String)]) {
+    fn spawn_workers(&self, job: &Job, opts: &SocketOptions, link_env: &[(&str, String)]) {
         for rank in 0..self.size {
-            let mut cmd = Command::new(launch.worker);
+            let mut cmd = Command::new(&opts.worker);
             cmd.envs(link_env.iter().map(|(k, v)| (k, v)))
                 .env(ENV_RANK, rank.to_string())
                 .env(ENV_SIZE, self.size.to_string())
@@ -368,11 +363,7 @@ impl<L: Links> Supervisor<L> {
                 )
                 .env(
                     ENV_HEARTBEAT_MS,
-                    launch.heartbeat_interval.as_millis().max(1).to_string(),
-                )
-                .env(
-                    ENV_CONNECT_TIMEOUT_MS,
-                    launch.connect_timeout.as_millis().to_string(),
+                    opts.heartbeat_interval.as_millis().max(1).to_string(),
                 )
                 .env(ENV_ATTEMPT, job.attempt.index.to_string())
                 .stdin(Stdio::null());
@@ -388,7 +379,7 @@ impl<L: Links> Supervisor<L> {
                 Ok(child) => plock(&self.children)[rank] = Some(child),
                 Err(e) => panic!(
                     "spawn worker {} for rank {rank}: {e}",
-                    launch.worker.display()
+                    opts.worker.display()
                 ),
             }
         }
@@ -398,11 +389,11 @@ impl<L: Links> Supervisor<L> {
     /// terminal, sweep the non-terminal ranks twice per heartbeat
     /// interval for a missed-heartbeat window, and enforce the silence
     /// backstop.
-    fn monitor_until_terminal(&self, launch: &Launch, recv_timeout: Duration) {
-        let window = launch
+    fn monitor_until_terminal(&self, opts: &SocketOptions, recv_timeout: Duration) {
+        let window = opts
             .heartbeat_interval
-            .saturating_mul(launch.heartbeat_grace.max(1));
-        let sweep = (launch.heartbeat_interval / 2).max(Duration::from_millis(5));
+            .saturating_mul(opts.heartbeat_grace.max(1));
+        let sweep = (opts.heartbeat_interval / 2).max(Duration::from_millis(5));
         // Workers enforce their own receive timeouts; the backstop only
         // catches a wedged protocol — every process alive and
         // heartbeating, none of them communicating. It bounds silence,
@@ -440,7 +431,7 @@ impl<L: Links> Supervisor<L> {
                     format!(
                         "rank {rank} missed its heartbeat window \
                          ({}×{:?} with no beat)",
-                        launch.heartbeat_grace, launch.heartbeat_interval
+                        opts.heartbeat_grace, opts.heartbeat_interval
                     ),
                 );
             }
@@ -461,8 +452,8 @@ impl<L: Links> Supervisor<L> {
     }
 
     /// The world error for workers that never connected.
-    fn startup_failure(&self, missing: &[usize], timeout: Duration) -> WorldError {
-        let origin = missing[0];
+    fn startup_failure(&self, missing: &[usize]) -> WorldError {
+        let (origin, timeout) = (missing[0], CONNECT_TIMEOUT);
         WorldError {
             size: self.size,
             origin,
@@ -482,14 +473,15 @@ impl<L: Links> Supervisor<L> {
 }
 
 /// Run `job` across worker processes joined by `links`. `connect`
-/// waits until `deadline` for every worker's first connection and
+/// waits until `deadline` ([`CONNECT_TIMEOUT`] from the spawn) for
+/// every worker's first connection and
 /// starts the link's threads (pushed onto the handle list, joined at
 /// teardown); it returns the ranks that never connected. Failure
 /// reporting matches the thread backend's
 /// [`try_run_with`](crate::try_run_with) in shape.
 pub(super) fn run_world<L: Links>(
     job: &Job,
-    launch: &Launch,
+    opts: &SocketOptions,
     links: L,
     link_env: &[(&str, String)],
     connect: impl FnOnce(&Arc<Supervisor<L>>, Instant, &mut Vec<JoinHandle<()>>) -> Vec<usize>,
@@ -497,12 +489,11 @@ pub(super) fn run_world<L: Links>(
     assert!(job.size > 0);
     telemetry::flight::arm();
     let sup = Arc::new(Supervisor::new(job.size, links));
-    sup.spawn_workers(job, launch, link_env);
+    sup.spawn_workers(job, opts, link_env);
     let mut threads = Vec::new();
-    let deadline = Instant::now() + launch.connect_timeout;
-    let missing = connect(&sup, deadline, &mut threads);
+    let missing = connect(&sup, Instant::now() + CONNECT_TIMEOUT, &mut threads);
     if missing.is_empty() {
-        sup.monitor_until_terminal(launch, job.opts.recv_timeout);
+        sup.monitor_until_terminal(opts, job.opts.recv_timeout);
     }
 
     // teardown: retire links, stop the link's threads, reap children
@@ -519,7 +510,7 @@ pub(super) fn run_world<L: Links>(
     }
 
     if !missing.is_empty() {
-        return Err(sup.startup_failure(&missing, launch.connect_timeout));
+        return Err(sup.startup_failure(&missing));
     }
     let results = std::mem::take(&mut *plock(&sup.results));
     world_result(
@@ -553,7 +544,6 @@ pub(super) trait Uplink: Send + Sync + Sized + 'static {
 pub(super) struct WorkerEnv {
     pub(super) rank: usize,
     pub(super) addr: String,
-    pub(super) connect_timeout: Duration,
     pub(super) faults: Option<FaultPlan>,
     size: usize,
     program: String,
@@ -568,7 +558,6 @@ impl WorkerEnv {
         WorkerEnv {
             rank: env_num(ENV_RANK) as usize,
             addr: env_str(ENV_ADDR),
-            connect_timeout: Duration::from_millis(env_num(ENV_CONNECT_TIMEOUT_MS)),
             faults: std::env::var(ENV_FAULTS)
                 .ok()
                 .map(|hex| wire_from_hex(ENV_FAULTS, &hex)),
@@ -726,16 +715,15 @@ impl<U: Uplink> Transport for Worker<U> {
         )
     }
 
-    fn request_kill(&self, rank: usize, op: u64) -> bool {
-        self.send(Frame::RequestKill {
-            rank: rank as u64,
-            op,
-        });
-        true
-    }
-
-    fn begin_stall(&self, _rank: usize, _op: u64) -> bool {
-        self.hb_stop.store(true, Ordering::Release);
+    fn inject(&self, action: FaultAction) -> bool {
+        match action {
+            FaultAction::Panic(_) => return false,
+            FaultAction::Sigkill(op) => self.send(Frame::RequestKill {
+                rank: self.rank as u64,
+                op,
+            }),
+            FaultAction::Stall(_) => self.hb_stop.store(true, Ordering::Release),
+        }
         true
     }
 
@@ -908,13 +896,12 @@ pub(super) mod tests {
         for (rank, quiet_ms) in [(0, 300), (1, 400), (2, 500)] {
             *plock(&sup.last_beat[rank]) = Instant::now() - Duration::from_millis(quiet_ms);
         }
-        let launch = Launch {
-            worker: Path::new("unused"),
+        let opts = SocketOptions {
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_grace: 2,
-            connect_timeout: Duration::from_secs(1),
+            ..SocketOptions::new("unused".into())
         };
-        sup.monitor_until_terminal(&launch, Duration::from_secs(10));
+        sup.monitor_until_terminal(&opts, Duration::from_secs(10));
         let origin = sup.abort.get().map(|info| info.origin);
         assert_eq!(origin, Some(2));
         assert!((0..3).all(|r| sup.is_terminal(r)));

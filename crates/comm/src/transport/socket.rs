@@ -11,11 +11,12 @@
 //! arrived.
 
 use super::frame::{
-    decode_raw, encode_frame, msg_route, read_frame, read_frame_timeout, read_raw, Frame,
+    decode_raw, encode_frame, msg_route, read_frame, read_raw, read_wire_timeout, Frame,
     FrameError, HEADER_LEN, MAX_FRAME_LEN,
 };
 use super::process::{
-    self, Job, Launch, Links, Supervisor, Uplink, Worker, WorkerEnv, ENV_ADDR, ENV_LINK, READ_POLL,
+    self, Job, Links, Supervisor, Uplink, Worker, WorkerEnv, CONNECT_TIMEOUT, ENV_ADDR, ENV_LINK,
+    READ_POLL,
 };
 use super::SocketOptions;
 use crate::{plock, WorldError};
@@ -127,7 +128,7 @@ fn accept_workers(
                     .set_read_timeout(Some(READ_POLL))
                     .expect("read timeout");
                 let left = deadline.saturating_duration_since(Instant::now());
-                match read_frame_timeout(&mut stream, left) {
+                match read_wire_timeout(&mut stream, left) {
                     Ok(Frame::Hello { rank }) if (rank as usize) < size => {
                         let r = rank as usize;
                         if streams[r].is_none() {
@@ -202,19 +203,13 @@ pub(crate) fn run_world(job: &Job, sock: &SocketOptions) -> Result<Vec<Vec<u8>>,
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
-    let launch = Launch {
-        worker: &sock.worker,
-        heartbeat_interval: sock.heartbeat_interval,
-        heartbeat_grace: sock.heartbeat_grace,
-        connect_timeout: sock.connect_timeout,
-    };
     let link_env = [
         (ENV_LINK, LINK.to_string()),
         (ENV_ADDR, path.display().to_string()),
     ];
     let result = process::run_world(
         job,
-        &launch,
+        sock,
         RawLinks::new(job.size),
         &link_env,
         |sup, deadline, threads| accept_workers(&listener, sup, deadline, threads),
@@ -237,7 +232,7 @@ impl Uplink for RawUplink {
     /// Connect with retry: the supervisor binds before spawning, but be
     /// tolerant of slow filesystems.
     fn open(env: &WorkerEnv) -> Result<Self, String> {
-        let deadline = Instant::now() + env.connect_timeout;
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
         loop {
             match UnixStream::connect(&env.addr) {
                 Ok(stream) => {

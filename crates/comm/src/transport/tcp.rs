@@ -14,8 +14,8 @@
 //!   exactly once: a duplicate is dropped, a gap breaks the link.
 //! * A broken link (gap, CRC mismatch, decode error, EOF, reset) is
 //!   *not* a failure — the worker reconnects with bounded exponential
-//!   backoff + deterministic jitter ([`TcpOptions::reconnect`], the
-//!   recovery supervisor's own [`RecoveryPolicy`] machinery). The
+//!   backoff + deterministic jitter ([`RECONNECT`], the recovery
+//!   supervisor's own [`RecoveryPolicy`] machinery). The
 //!   reconnect handshake (`Hello{resume}` / `HelloAck{resume}`)
 //!   exchanges receive cursors; both sides prune acked frames and
 //!   retransmit the rest, so the stream resumes with no loss and no
@@ -48,8 +48,8 @@ use super::frame::{
     encode_wire, encode_with, read_wire_stalling, read_wire_timeout, Frame, FrameError,
 };
 use super::process::{
-    self, env_num, env_str, hex_encode, wire_from_hex, Job, Launch, Links, Supervisor, Uplink,
-    Worker, WorkerEnv, ENV_ADDR, ENV_LINK, READ_POLL,
+    self, Job, Links, Supervisor, Uplink, Worker, WorkerEnv, CONNECT_TIMEOUT, ENV_ADDR, ENV_LINK,
+    READ_POLL,
 };
 use super::TcpOptions;
 use crate::fault::{NetFaults, WriteFault};
@@ -66,9 +66,17 @@ use std::time::{Duration, Instant};
 
 /// The worker environment's name for this link kind.
 pub(super) const LINK: &str = "tcp";
-// What the session link adds to the worker environment contract.
-const ENV_MAX_FRAME: &str = "QF_SOCKET_MAX_FRAME";
-const ENV_RECONNECT: &str = "QF_SOCKET_RECONNECT";
+
+/// Reconnect schedule after a broken connection: bounded exponential
+/// backoff with deterministic jitter. When it is exhausted the rank
+/// gives up and the supervisor's heartbeat window escalates to a real
+/// `PeerFailed`. A constant: no caller varies it.
+const RECONNECT: RecoveryPolicy = RecoveryPolicy {
+    max_attempts: 12,
+    base_delay: Duration::from_millis(10),
+    max_delay: Duration::from_millis(500),
+    jitter_ppm: 200_000,
+};
 
 /// Bound on a single blocking write (a wedged peer's full send buffer
 /// must surface as a link break, not a deadlock).
@@ -437,16 +445,10 @@ impl Links for SessionLinks {
 
 /// Reader for one accepted connection epoch. Exits when the stream
 /// errors, the epoch is superseded by a reconnect, or the world stops.
-fn sup_reader_loop(
-    sup: &Supervisor<SessionLinks>,
-    rank: usize,
-    mut stream: TcpStream,
-    epoch: u64,
-    max_frame: u32,
-) {
+fn sup_reader_loop(sup: &Supervisor<SessionLinks>, rank: usize, mut stream: TcpStream, epoch: u64) {
     let link = &sup.links.0[rank];
     loop {
-        match read_wire_stalling::<TcpPacket>(&mut stream, &sup.stop, max_frame, FRAME_STALL) {
+        match read_wire_stalling::<TcpPacket>(&mut stream, &sup.stop, FRAME_STALL) {
             Ok(TcpPacket::Data { seq, ack, frame }) => {
                 if let Some(frame) = link.receive(epoch, seq, ack, frame) {
                     let last = matches!(frame, Frame::Done { .. } | Frame::Failed { .. });
@@ -472,12 +474,11 @@ fn sup_reader_loop(
 fn handshake_accept(
     sup: &Arc<Supervisor<SessionLinks>>,
     mut stream: TcpStream,
-    max_frame: u32,
 ) -> Option<JoinHandle<()>> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(READ_POLL)).ok()?;
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let hello = read_wire_timeout::<TcpPacket>(&mut stream, HANDSHAKE_TIMEOUT, max_frame);
+    let hello = read_wire_timeout::<TcpPacket>(&mut stream, HANDSHAKE_TIMEOUT);
     let Ok(TcpPacket::Hello { rank, resume }) = hello else {
         return None; // not a worker (or its Hello was eaten by chaos)
     };
@@ -495,17 +496,17 @@ fn handshake_accept(
     let sup = Arc::clone(sup);
     std::thread::Builder::new()
         .name(format!("tcp-read-{rank}-e{epoch}"))
-        .spawn(move || sup_reader_loop(&sup, rank, reader_stream, epoch, max_frame))
+        .spawn(move || sup_reader_loop(&sup, rank, reader_stream, epoch))
         .ok()
 }
 
 /// Persistent accept loop: workers connect here both at startup and on
 /// every reconnect. Joins the readers it started once the world stops.
-fn accept_loop(sup: &Arc<Supervisor<SessionLinks>>, listener: TcpListener, max_frame: u32) {
+fn accept_loop(sup: &Arc<Supervisor<SessionLinks>>, listener: TcpListener) {
     let mut readers = Vec::new();
     while !sup.stop.load(Ordering::Acquire) {
         match listener.accept() {
-            Ok((stream, _)) => readers.extend(handshake_accept(sup, stream, max_frame)),
+            Ok((stream, _)) => readers.extend(handshake_accept(sup, stream)),
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -523,25 +524,16 @@ pub(crate) fn run_world(job: &Job, tcp: &TcpOptions) -> Result<Vec<Vec<u8>>, Wor
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
-    let launch = Launch {
-        worker: &tcp.worker,
-        heartbeat_interval: tcp.heartbeat_interval,
-        heartbeat_grace: tcp.heartbeat_grace,
-        connect_timeout: tcp.connect_timeout,
-    };
     let link_env = [
         (ENV_LINK, LINK.to_string()),
         (
             ENV_ADDR,
             listener.local_addr().expect("listener addr").to_string(),
         ),
-        (ENV_MAX_FRAME, tcp.max_frame_len.to_string()),
-        (ENV_RECONNECT, hex_encode(&tcp.reconnect.to_wire())),
     ];
-    let max_frame = tcp.max_frame_len;
     process::run_world(
         job,
-        &launch,
+        tcp,
         SessionLinks((0..job.size).map(|_| Link::new()).collect()),
         &link_env,
         |sup, deadline, threads| {
@@ -550,7 +542,7 @@ pub(crate) fn run_world(job: &Job, tcp: &TcpOptions) -> Result<Vec<Vec<u8>>, Wor
             threads.push(
                 std::thread::Builder::new()
                     .name("tcp-accept".into())
-                    .spawn(move || accept_loop(&accept, listener, max_frame))
+                    .spawn(move || accept_loop(&accept, listener))
                     .expect("spawn accept"),
             );
             // startup: wait for every rank's first handshake
@@ -571,8 +563,7 @@ pub(crate) fn run_world(job: &Job, tcp: &TcpOptions) -> Result<Vec<Vec<u8>>, Wor
 // worker (child) side
 // ----------------------------------------------------------------------
 
-/// The worker's end of the session link, plus the chaos interposer
-/// and the reconnect policy.
+/// The worker's end of the session link, plus the chaos interposer.
 pub(super) struct SessionUplink {
     rank: u64,
     addr: String,
@@ -580,9 +571,6 @@ pub(super) struct SessionUplink {
     /// Deterministic network-chaos interposer; `None` when the fault
     /// plan has no network ops.
     chaos: Option<NetFaults>,
-    policy: RecoveryPolicy,
-    max_frame: u32,
-    connect_timeout: Duration,
 }
 
 impl SessionUplink {
@@ -606,7 +594,7 @@ impl SessionUplink {
             return Err("handshake: Hello write failed or reset".into());
         }
         let mut rs = stream.try_clone().map_err(|e| e.to_string())?;
-        let ack = read_wire_timeout::<TcpPacket>(&mut rs, HANDSHAKE_TIMEOUT, self.max_frame)
+        let ack = read_wire_timeout::<TcpPacket>(&mut rs, HANDSHAKE_TIMEOUT)
             .map_err(|e| e.to_string())?;
         if chaos.is_some_and(|c| c.drop_inbound()) {
             return Err("chaos: inbound partition ate the handshake ack".into());
@@ -650,7 +638,7 @@ fn child_reader_loop(worker: &Worker<SessionUplink>) {
             }
         };
         loop {
-            match read_wire_stalling(&mut stream, &worker.stop, up.max_frame, FRAME_STALL) {
+            match read_wire_stalling(&mut stream, &worker.stop, FRAME_STALL) {
                 Ok(_) if up.chaos.as_ref().is_some_and(|c| c.drop_inbound()) => {
                     // severed in-direction: the wire ate it
                 }
@@ -678,14 +666,14 @@ fn child_manager_loop(worker: &Worker<SessionUplink>) {
     let up = &worker.up;
     let stopped = || worker.stop.load(Ordering::Acquire);
     // initial connect: generous flat retry, like the raw link's
-    let deadline = Instant::now() + up.connect_timeout;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     while let Err(e) = up.try_connect() {
         if Instant::now() >= deadline {
             return mark_dead(
                 worker,
                 format!(
-                    "cannot reach supervisor at {} within {:?}: {e}",
-                    up.addr, up.connect_timeout
+                    "cannot reach supervisor at {} within {CONNECT_TIMEOUT:?}: {e}",
+                    up.addr
                 ),
             );
         }
@@ -702,7 +690,7 @@ fn child_manager_loop(worker: &Worker<SessionUplink>) {
         }
         drop(st);
         let mut reconnected = false;
-        for attempt in 0..up.policy.max_attempts {
+        for attempt in 0..RECONNECT.max_attempts {
             if stopped() {
                 return;
             }
@@ -711,14 +699,14 @@ fn child_manager_loop(worker: &Worker<SessionUplink>) {
                 reconnected = true;
                 break;
             }
-            std::thread::sleep(up.policy.backoff_for(attempt));
+            std::thread::sleep(RECONNECT.backoff_for(attempt));
         }
         if !reconnected {
             return mark_dead(
                 worker,
                 format!(
                     "supervisor unreachable after {} reconnect attempts",
-                    up.policy.max_attempts
+                    RECONNECT.max_attempts
                 ),
             );
         }
@@ -736,9 +724,6 @@ impl Uplink for SessionUplink {
                 .as_ref()
                 .filter(|p| p.net_is_active())
                 .map(|p| p.compile_net(env.rank)),
-            policy: wire_from_hex(ENV_RECONNECT, &env_str(ENV_RECONNECT)),
-            max_frame: env_num(ENV_MAX_FRAME) as u32,
-            connect_timeout: env.connect_timeout,
         })
     }
 
@@ -761,10 +746,7 @@ impl Uplink for SessionUplink {
             st.connected_once || st.dead
         });
         if st.dead {
-            return Err(format!(
-                "no handshake within {:?}",
-                worker.up.connect_timeout
-            ));
+            return Err(format!("no handshake within {CONNECT_TIMEOUT:?}"));
         }
         Ok(())
     }
