@@ -148,7 +148,7 @@ pub(crate) enum FrameError {
     Eof,
     /// EOF in the middle of a frame: the peer died mid-write.
     TruncatedEof { got: usize, wanted: usize },
-    /// Length prefix exceeds the reader's configured cap; rejected
+    /// Length prefix exceeds [`MAX_FRAME_LEN`]; rejected
     /// before any allocation.
     Oversized { len: u32, cap: u32 },
     /// The two length words of the header disagree: the length prefix
@@ -293,27 +293,30 @@ fn fill(
 
 /// Validate the fixed-size header: the guard word must agree with the
 /// length prefix (corruption check, first) and the length must fit
-/// under `cap` (policy check, second — only meaningful once the
-/// length itself is trusted). Returns `(len, expected_crc)`.
-fn parse_header(header: &[u8; HEADER_LEN], cap: u32) -> Result<(u32, u32), FrameError> {
+/// under [`MAX_FRAME_LEN`] (policy check, second — only meaningful once
+/// the length itself is trusted). Returns `(len, expected_crc)`.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u32, u32), FrameError> {
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     let guard = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
     let expected_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
     if len ^ guard != LEN_GUARD {
         return Err(FrameError::HeaderCorrupt { len, guard });
     }
-    if len > cap {
-        return Err(FrameError::Oversized { len, cap });
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized {
+            len,
+            cap: MAX_FRAME_LEN,
+        });
     }
     Ok((len, expected_crc))
 }
 
 /// Read one `[len][guard][crc][payload]` frame and return its bytes,
-/// header included, once the header guard, the `cap` on the length
-/// prefix (enforced *before* the buffer is allocated) and the payload
-/// CRC have all checked out. The payload is not decoded: a router
-/// forwards the returned bytes as they are. `stop` lets the owner
-/// retire the reader thread without closing the socket.
+/// header included, once the header guard, the [`MAX_FRAME_LEN`] cap on
+/// the length prefix (enforced *before* the buffer is allocated) and
+/// the payload CRC have all checked out. The payload is not decoded: a
+/// router forwards the returned bytes as they are. `stop` lets the
+/// owner retire the reader thread without closing the socket.
 ///
 /// With an `idle_limit`, once any byte of a frame has arrived the rest
 /// must keep arriving with gaps no longer than that, or the read fails
@@ -327,7 +330,6 @@ fn parse_header(header: &[u8; HEADER_LEN], cap: u32) -> Result<(u32, u32), Frame
 pub(crate) fn read_raw(
     stream: &mut impl Read,
     stop: &AtomicBool,
-    cap: u32,
     idle_limit: Option<Duration>,
 ) -> Result<Vec<u8>, FrameError> {
     // `before` bytes of the frame preceded the buffer that fell short
@@ -348,7 +350,7 @@ pub(crate) fn read_raw(
     };
     let mut header = [0u8; HEADER_LEN];
     fill(stream, &mut header, stop, idle_limit, false).map_err(|e| fail(0, HEADER_LEN, e))?;
-    let (len, expected_crc) = parse_header(&header, cap)?;
+    let (len, expected_crc) = parse_header(&header)?;
     let wanted = HEADER_LEN + len as usize;
     let mut frame = vec![0u8; wanted];
     frame[..HEADER_LEN].copy_from_slice(&header);
@@ -374,24 +376,23 @@ pub(crate) fn decode_raw<T: Wire>(frame: &[u8]) -> Result<T, FrameError> {
 pub(crate) fn read_wire<T: Wire>(
     stream: &mut impl Read,
     stop: &AtomicBool,
-    cap: u32,
 ) -> Result<T, FrameError> {
-    decode_raw(&read_raw(stream, stop, cap, None)?)
+    decode_raw(&read_raw(stream, stop, None)?)
 }
 
 /// Read and decode one [`Frame`].
 pub(crate) fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Frame, FrameError> {
-    read_wire(stream, stop, MAX_FRAME_LEN)
+    read_wire(stream, stop)
 }
 
-/// Like [`read_wire`] under [`MAX_FRAME_LEN`], but with [`read_raw`]'s
-/// mid-frame progress deadline.
+/// Like [`read_wire`], but with [`read_raw`]'s mid-frame progress
+/// deadline.
 pub(crate) fn read_wire_stalling<T: Wire>(
     stream: &mut impl Read,
     stop: &AtomicBool,
     idle_limit: Duration,
 ) -> Result<T, FrameError> {
-    decode_raw(&read_raw(stream, stop, MAX_FRAME_LEN, Some(idle_limit))?)
+    decode_raw(&read_raw(stream, stop, Some(idle_limit))?)
 }
 
 /// Blocking wrapper used during connection handshakes: read one Wire
@@ -422,7 +423,7 @@ pub(crate) fn read_wire_timeout<T: Wire>(
         inner: stream,
         deadline: Instant::now() + timeout,
     };
-    read_wire(&mut dr, &stop, MAX_FRAME_LEN)
+    read_wire(&mut dr, &stop)
 }
 
 #[cfg(test)]
@@ -619,29 +620,23 @@ mod tests {
     }
 
     #[test]
-    fn configurable_cap_rejects_legit_frames_above_it() {
-        // a perfectly valid frame is still rejected when the reader's
-        // configured cap is tighter than its length — typed, pre-alloc
-        let frame = Frame::Done {
-            rank: 0,
-            result: vec![7; 100],
+    fn length_prefix_is_capped_at_max_frame_len() {
+        // the header is judged before the payload buffer exists, so the
+        // boundary needs no 256 MiB frame: a length at the cap passes,
+        // one byte above it is typed `Oversized`
+        let header = |len: u32| {
+            let mut h = [0u8; HEADER_LEN];
+            h[0..4].copy_from_slice(&len.to_le_bytes());
+            h[4..8].copy_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
+            h
         };
-        let bytes = encode_frame(&frame);
-        let payload_len = (bytes.len() - HEADER_LEN) as u32;
-        let tight = payload_len - 1;
-        let mut cur = Cursor::new(bytes.clone());
+        assert_eq!(parse_header(&header(MAX_FRAME_LEN)), Ok((MAX_FRAME_LEN, 0)));
         assert_eq!(
-            read_wire::<Frame>(&mut cur, &no_stop(), tight),
+            parse_header(&header(MAX_FRAME_LEN + 1)),
             Err(FrameError::Oversized {
-                len: payload_len,
-                cap: tight
+                len: MAX_FRAME_LEN + 1,
+                cap: MAX_FRAME_LEN
             })
-        );
-        // at exactly the cap it decodes
-        let mut cur = Cursor::new(bytes);
-        assert_eq!(
-            read_wire::<Frame>(&mut cur, &no_stop(), payload_len).expect("decode at cap"),
-            frame
         );
     }
 
@@ -827,8 +822,7 @@ mod tests {
     // a hang, or a silently different frame. The header guard catches
     // every single-byte corruption of the two length words *before*
     // any payload byte is read; CRC32 catches payload/CRC-word
-    // corruption after. The same property is checked under a tight
-    // configurable cap (the satellite max-frame-size guard).
+    // corruption after.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
         #[test]
@@ -839,33 +833,29 @@ mod tests {
         ) {
             let frames = sample_frames();
             let original = &frames[which % frames.len()];
-            let clean = encode_frame(original);
-            let tight_cap = (clean.len() - HEADER_LEN) as u32; // exactly this frame's payload
-            let mut bytes = clean;
+            let mut bytes = encode_frame(original);
             let pos = pos % bytes.len();
             bytes[pos] ^= xor;
-            for cap in [MAX_FRAME_LEN, tight_cap] {
-                let mut cur = Cursor::new(bytes.clone());
-                match read_wire::<Frame>(&mut cur, &no_stop(), cap) {
-                    Ok(frame) => proptest::prop_assert_eq!(&frame, original),
-                    Err(
-                        FrameError::Oversized { .. }
-                        | FrameError::HeaderCorrupt { .. }
-                        | FrameError::TruncatedEof { .. }
-                        | FrameError::Crc { .. }
-                        | FrameError::Decode(_)
-                        | FrameError::Eof,
-                    ) => {}
-                    Err(other) => {
-                        proptest::prop_assert!(false, "untyped failure: {:?}", other);
-                    }
+            let mut cur = Cursor::new(bytes.clone());
+            match read_wire::<Frame>(&mut cur, &no_stop()) {
+                Ok(frame) => proptest::prop_assert_eq!(&frame, original),
+                Err(
+                    FrameError::Oversized { .. }
+                    | FrameError::HeaderCorrupt { .. }
+                    | FrameError::TruncatedEof { .. }
+                    | FrameError::Crc { .. }
+                    | FrameError::Decode(_)
+                    | FrameError::Eof,
+                ) => {}
+                Err(other) => {
+                    proptest::prop_assert!(false, "untyped failure: {:?}", other);
                 }
             }
             // a mutation of either length word can never reach the
             // payload read: the guard relation breaks, pre-allocation
             if pos < 8 {
                 let mut cur = Cursor::new(bytes.clone());
-                let got = read_wire::<Frame>(&mut cur, &no_stop(), MAX_FRAME_LEN);
+                let got = read_wire::<Frame>(&mut cur, &no_stop());
                 let caught = matches!(got, Err(FrameError::HeaderCorrupt { .. }));
                 proptest::prop_assert!(caught, "length-word mutation escaped the guard: {:?}", got);
             }
@@ -913,7 +903,7 @@ mod tests {
             assert!(len < MAX_FRAME_LEN, "test wants a cap-passing length");
             let mut cur = Cursor::new(bytes);
             assert_eq!(
-                read_wire::<Frame>(&mut cur, &no_stop(), MAX_FRAME_LEN),
+                read_wire::<Frame>(&mut cur, &no_stop()),
                 Err(FrameError::HeaderCorrupt { len, guard }),
                 "flipped byte {flip}"
             );

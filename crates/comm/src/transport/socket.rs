@@ -12,7 +12,7 @@
 
 use super::frame::{
     decode_raw, encode_frame, msg_route, read_frame, read_raw, read_wire_timeout, Frame,
-    FrameError, HEADER_LEN, MAX_FRAME_LEN,
+    FrameError, HEADER_LEN,
 };
 use super::process::{
     self, Job, Links, Supervisor, Uplink, Worker, WorkerEnv, CONNECT_TIMEOUT, ENV_ADDR, ENV_LINK,
@@ -76,7 +76,7 @@ impl Links for RawLinks {
 /// CRC the destination verifies is therefore still the sender's.
 fn reader_loop(sup: &Supervisor<RawLinks>, rank: usize, stream: &mut UnixStream) {
     loop {
-        let frame = match read_raw(stream, &sup.stop, MAX_FRAME_LEN, None) {
+        let frame = match read_raw(stream, &sup.stop, None) {
             Ok(raw) => match msg_route(&raw[HEADER_LEN..]) {
                 Some(Ok((src, dst))) => {
                     if !sup.admit_msg(rank, src, dst) {

@@ -1,27 +1,30 @@
-//! Multithreaded query serving: a bounded FIFO of whole batches and a
-//! pool of worker threads.
+//! Multithreaded query serving: a bounded channel of whole batches and
+//! a pool of worker threads.
 //!
-//! The [`QueryExecutor`] owns N workers that block on one job board (a
-//! mutex-guarded deque and two condition variables — held only for the
-//! enqueue or dequeue itself, never while serving). A submitted batch
-//! pins the snapshot current at submit and becomes **one** job; the
-//! worker that pops it answers the whole batch with the snapshot's own
-//! kernel — [`ForestSnapshot::locate_many`] for points (one key-extract
-//! pass, one `(tree, Morton key)` sort, one gallop-resume sweep),
-//! [`ForestSnapshot::query_boxes`] for boxes (one Z-order skip-scan of
-//! the sorted leaf keys per box) — and then fulfils the [`Ticket`]'s
-//! one-shot latch: **one wakeup per batch**. Workers serve different
-//! batches in parallel; a batch is never split, so there is no shared
-//! result buffer, no work stealing and no atomic in this module.
+//! The [`QueryExecutor`] owns N workers that share the receiving end of
+//! one `std::sync::mpsc::sync_channel` of jobs, behind a mutex held only
+//! while a worker waits in `recv`, never while it serves. A submitted
+//! batch pins the snapshot current at submit and becomes **one** job;
+//! the worker that receives it answers the whole batch with the
+//! snapshot's own kernel — [`ForestSnapshot::locate_many`] for points
+//! (one key-extract pass, one `(tree, Morton key)` sort, one
+//! gallop-resume sweep), [`ForestSnapshot::query_boxes`] for boxes (one
+//! Z-order skip-scan of the sorted leaf keys per box) — and sends the
+//! answers down the batch's own one-slot channel to its [`Ticket`]:
+//! **one wakeup per batch**. Workers serve different batches in
+//! parallel; a batch is never split, so there is no shared result
+//! buffer, no work stealing and no atomic in this module.
 //!
-//! Submission applies backpressure by bounded in-flight batches: when
-//! `capacity` batches are unanswered, producers block instead of
-//! growing an unbounded backlog — the overload surface is the
-//! submitter's latency, never the server's memory. Every batch, empty
-//! or all-out-of-domain ones included, takes a slot and is accounted.
+//! Submission applies backpressure: the job channel holds `capacity`
+//! batches waiting for a worker, and producers block once it is full
+//! instead of growing an unbounded backlog — the overload surface is
+//! the submitter's latency, never the server's memory. A batch being
+//! served holds its worker, so at most `capacity + workers` batches are
+//! in flight. Every batch, empty or all-out-of-domain ones included, is
+//! one job and is accounted.
 //!
-//! The worker records every metric of a batch *before* it fulfils the
-//! latch, so a client that has its answer also sees its telemetry:
+//! The worker records every metric of a batch *before* it sends the
+//! answer, so a client that has its answer also sees its telemetry:
 //! `query.batch.{size,e2e_ns}`, `query.{point,box}.latency_ns`
 //! (submit → answer, one sample per batch), `query.stage.serve_ns` (the
 //! kernel alone; `e2e − serve` is queueing and hand-off),
@@ -36,76 +39,17 @@ use crate::snapshot::BoxQuery;
 use crate::{ForestSnapshot, LeafHit, SnapshotHandle};
 use quadforest_connectivity::TreeId;
 use quadforest_telemetry as telemetry;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Default bound on in-flight (submitted, not yet answered) batches.
+/// Default bound on batches waiting for a worker.
 pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
-// ---------------------------------------------------------------------
-// completion latch
-
-struct LatchState<T> {
-    value: Option<T>,
-    abandoned: bool,
-}
-
-/// One-shot completion latch: the serving worker fulfils it once, the
-/// ticket holder takes the value. `abandoned` distinguishes "the batch
-/// was dropped unserved" from "not ready yet".
-struct Latch<T> {
-    state: Mutex<LatchState<T>>,
-    cv: Condvar,
-}
-
-impl<T> Latch<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            state: Mutex::new(LatchState {
-                value: None,
-                abandoned: false,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn fulfill(&self, value: T) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        s.value = Some(value);
-        self.cv.notify_all();
-    }
-
-    /// Mark the latch dead if it was never fulfilled (batch dropped
-    /// unserved — its worker panicked).
-    fn abandon(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if s.value.is_none() {
-            s.abandoned = true;
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) -> T {
-        let t0 = telemetry::now_ns();
-        let s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut s = self
-            .cv
-            .wait_while(s, |s| s.value.is_none() && !s.abandoned)
-            .unwrap_or_else(|p| p.into_inner());
-        let value = s.value.take();
-        drop(s);
-        telemetry::global()
-            .histogram("query.stage.latch_wait_ns")
-            .record(telemetry::now_ns().saturating_sub(t0));
-        value.expect("query executor dropped the request")
-    }
-}
 
 /// A pending batch answer; redeem with [`Ticket::wait`].
 #[must_use = "a ticket must be waited on to receive the query answer"]
 pub struct Ticket<T> {
-    latch: Arc<Latch<T>>,
+    answer: Receiver<T>,
 }
 
 impl<T> Ticket<T> {
@@ -114,7 +58,12 @@ impl<T> Ticket<T> {
     /// # Panics
     /// If the batch was dropped unserved (its worker died).
     pub fn wait(self) -> T {
-        self.latch.wait()
+        let t0 = telemetry::now_ns();
+        let answer = self.answer.recv();
+        telemetry::global()
+            .histogram("query.stage.latch_wait_ns")
+            .record(telemetry::now_ns().saturating_sub(t0));
+        answer.expect("query executor dropped the request")
     }
 }
 
@@ -122,27 +71,13 @@ impl<T> Ticket<T> {
 // batches
 
 /// One submitted batch of queries `Q` with answers `A`, pinned to the
-/// snapshot that was current at submit. It owns one in-flight slot of
-/// the board it was enqueued on.
+/// snapshot that was current at submit. Dropping it unserved (its
+/// worker panicked) drops `answer`, which fails the ticket's wait.
 struct Batch<Q, A> {
     snap: Arc<ForestSnapshot>,
     queries: Vec<Q>,
-    latch: Arc<Latch<Vec<A>>>,
+    answer: SyncSender<Vec<A>>,
     start_ns: u64,
-    shared: Arc<Shared>,
-}
-
-/// Runs whether the batch was answered or died unserved with a
-/// panicking worker: the ticket never hangs and the in-flight slot is
-/// released (with a submitter wakeup) either way.
-impl<Q, A> Drop for Batch<Q, A> {
-    fn drop(&mut self) {
-        self.latch.abandon();
-        let mut b = self.shared.board.lock().unwrap_or_else(|p| p.into_inner());
-        b.in_flight -= 1;
-        drop(b);
-        self.shared.space_cv.notify_one();
-    }
 }
 
 impl<Q, A> Batch<Q, A> {
@@ -170,7 +105,8 @@ impl<Q, A> Batch<Q, A> {
         metrics.probes.add(n);
         telemetry::flight::event(telemetry::flight::FlightKind::BatchDone, 0, n, e2e);
         telemetry::note_batch_latency(kind, n, e2e);
-        self.latch.fulfill(answers);
+        // Fails only when the ticket was dropped: nobody wants the answer.
+        let _ = self.answer.send(answers);
     }
 }
 
@@ -179,109 +115,73 @@ enum Job {
     Boxes(Batch<BoxQuery, Vec<LeafHit>>),
 }
 
-// ---------------------------------------------------------------------
-// job board
-
-struct Board {
-    queue: VecDeque<Job>,
-    in_flight: usize,
-    closed: bool,
-}
-
-struct Shared {
-    board: Mutex<Board>,
-    /// Workers wait here for jobs.
-    work_cv: Condvar,
-    /// Submitters wait here for an in-flight slot.
-    space_cv: Condvar,
-    capacity: usize,
-}
-
-impl Shared {
-    fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(Shared {
-            board: Mutex::new(Board {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                closed: false,
-            }),
-            work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
-            capacity,
-        })
-    }
-}
-
 /// A pool of worker threads serving point and box batches against the
 /// latest snapshot published through a [`SnapshotHandle`] (loaded once
 /// per batch, at submit).
 ///
-/// Dropping the executor closes the board and joins every worker;
+/// Dropping the executor closes the job channel and joins every worker;
 /// batches already queued are still answered.
 pub struct QueryExecutor {
     handle: Arc<SnapshotHandle>,
-    shared: Arc<Shared>,
+    /// `None` only inside `drop`, which closes the channel by taking it.
+    jobs: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl QueryExecutor {
     /// Spawn `workers` threads serving from `handle`, with the default
-    /// in-flight bound.
+    /// queue bound.
     pub fn new(handle: Arc<SnapshotHandle>, workers: usize) -> Self {
         Self::with_capacity(handle, workers, DEFAULT_QUEUE_CAPACITY)
     }
 
-    /// [`QueryExecutor::new`] with an explicit in-flight bound
+    /// [`QueryExecutor::new`] with an explicit queue bound
     /// (`capacity` ≥ 1): submitters block once `capacity` batches are
-    /// submitted and unanswered.
+    /// waiting for a worker. Batches being served are not counted, so
+    /// up to `capacity + workers` batches are in flight.
     pub fn with_capacity(handle: Arc<SnapshotHandle>, workers: usize, capacity: usize) -> Self {
         assert!(workers >= 1, "executor needs at least one worker");
-        let shared = Shared::new(capacity.max(1));
+        let (jobs, queue) = mpsc::sync_channel(capacity.max(1));
+        let queue = Arc::new(Mutex::new(queue));
         let workers = (0..workers)
             .map(|w| {
-                let shared = Arc::clone(&shared);
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("query-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&queue, w))
                     .expect("spawn query worker")
             })
             .collect();
         QueryExecutor {
             handle,
-            shared,
+            jobs: Some(jobs),
             workers,
         }
     }
 
-    /// The one submit path: pin the current snapshot, wait for an
-    /// in-flight slot (backpressure), enqueue the batch as one job.
+    /// The one submit path: pin the current snapshot, then enqueue the
+    /// batch as one job, blocking while the queue is full (backpressure).
     fn submit<Q, A>(&self, queries: Vec<Q>, job: fn(Batch<Q, A>) -> Job) -> Ticket<Vec<A>> {
         let start_ns = telemetry::now_ns();
         let snap = self.handle.load();
         let n = queries.len() as u64;
         telemetry::flight::event(telemetry::flight::FlightKind::BatchStart, 0, n, 0);
-        let latch = Latch::new();
-        let shared = &self.shared;
-        let b = shared.board.lock().unwrap_or_else(|p| p.into_inner());
-        let mut b = shared
-            .space_cv
-            .wait_while(b, |b| b.in_flight >= shared.capacity)
-            .unwrap_or_else(|p| p.into_inner());
-        b.in_flight += 1;
-        b.queue.push_back(job(Batch {
+        let (answer, ticket) = mpsc::sync_channel(1);
+        let batch = Batch {
             snap,
             queries,
-            latch: Arc::clone(&latch),
+            answer,
             start_ns,
-            shared: Arc::clone(shared),
-        }));
-        drop(b);
-        shared.work_cv.notify_one();
-        Ticket { latch }
+        };
+        let jobs = self.jobs.as_ref().expect("taken only by drop");
+        // Fails only once every worker has died; the job is dropped with
+        // the error, and its ticket fails instead of hanging.
+        let _ = jobs.send(job(batch));
+        Ticket { answer: ticket }
     }
 
     /// Enqueue a batched point-location request. Blocks while
-    /// `capacity` batches are in flight (backpressure), then returns
+    /// `capacity` batches wait for a worker (backpressure), then returns
     /// immediately with a [`Ticket`] for the answers (one
     /// `Option<LeafHit>` per point, in input order — identical to
     /// [`ForestSnapshot::locate_many`] on the snapshot current at
@@ -312,13 +212,9 @@ impl QueryExecutor {
 
 impl Drop for QueryExecutor {
     fn drop(&mut self) {
-        {
-            let mut b = self.shared.board.lock().unwrap_or_else(|p| p.into_inner());
-            b.closed = true;
-        }
-        // Workers drain the board before exiting, so queued batches are
-        // still answered.
-        self.shared.work_cv.notify_all();
+        // Closing the channel ends each worker's `recv` only once the
+        // queue is empty, so queued batches are still answered.
+        drop(self.jobs.take());
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -331,8 +227,8 @@ impl Drop for QueryExecutor {
 /// Per-worker metric handles, resolved once from the process-global
 /// registry (worker threads have no per-rank recorder). Histograms are
 /// shared across workers; the `query.worker.{w}.*` counters are per
-/// worker, their names interned once per thread (workers are few and
-/// live for the executor's lifetime).
+/// worker, their names interned (each distinct name is allocated once
+/// per process, however many executors are built).
 struct WorkerMetrics {
     point_latency: telemetry::Histogram,
     box_latency: telemetry::Histogram,
@@ -351,9 +247,7 @@ impl WorkerMetrics {
     fn new(w: usize) -> Self {
         let g = telemetry::global();
         let per = |field: &str| -> telemetry::Counter {
-            g.counter(Box::leak(
-                format!("query.worker.{w}.{field}").into_boxed_str(),
-            ))
+            g.counter(telemetry::intern_name(&format!("query.worker.{w}.{field}")))
         };
         WorkerMetrics {
             point_latency: g.histogram("query.point.latency_ns"),
@@ -371,20 +265,17 @@ impl WorkerMetrics {
     }
 }
 
-fn worker_loop(shared: &Shared, w: usize) {
+fn worker_loop(queue: &Mutex<Receiver<Job>>, w: usize) {
     let m = WorkerMetrics::new(w);
     loop {
         let idle0 = telemetry::now_ns();
-        let b = shared.board.lock().unwrap_or_else(|p| p.into_inner());
-        let mut b = shared
-            .work_cv
-            .wait_while(b, |b| b.queue.is_empty() && !b.closed)
-            .unwrap_or_else(|p| p.into_inner());
-        // Closed boards are drained before a worker exits.
-        let Some(job) = b.queue.pop_front() else {
+        // The guard is a temporary of this statement: the lock is held
+        // while waiting for a job, never while serving it.
+        let job = queue.lock().unwrap_or_else(|p| p.into_inner()).recv();
+        // `Err` once the executor is dropped and the queue is drained.
+        let Ok(job) = job else {
             return;
         };
-        drop(b);
         let busy0 = telemetry::now_ns();
         m.idle_ns.add(busy0.saturating_sub(idle0));
         match job {
@@ -501,22 +392,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_dropped_unserved_abandons_its_ticket_and_frees_its_slot() {
-        let shared = Shared::new(1);
-        shared.board.lock().unwrap().in_flight = 1; // the slot `batch` owns
-        let latch = Latch::new();
+    fn batch_dropped_unserved_fails_its_ticket() {
+        let (answer, ticket) = mpsc::sync_channel(1);
         let batch = Batch::<BoxQuery, Vec<LeafHit>> {
             snap: Arc::new(uniform_snapshot(1)),
             queries: Vec::new(),
-            latch: Arc::clone(&latch),
+            answer,
             start_ns: 0,
-            shared: Arc::clone(&shared),
         };
         drop(batch); // what unwinding out of a panicking worker does
-        assert_eq!(shared.board.lock().unwrap().in_flight, 0);
-        let ticket = Ticket { latch };
+        let ticket = Ticket { answer: ticket };
         let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()));
-        assert!(waited.is_err(), "an abandoned ticket must not hang");
+        let payload = waited.expect_err("an abandoned ticket must not hang");
+        let message = payload.downcast_ref::<String>().expect("an expect message");
+        assert!(message.starts_with("query executor dropped the request"));
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   the sorted leaf keys), batched box queries
 //!   ([`ForestSnapshot::query_boxes`]: per box, one Z-order skip-scan of
 //!   the sorted leaf keys, `quadforest_core::zrange::leaves_in_box`).
-//! * [`QueryExecutor`] — a pool of worker threads behind a bounded FIFO
-//!   of whole batches: one worker answers one batch with the kernels
-//!   above and wakes its submitter once (backpressure by bounded
-//!   in-flight batches).
+//! * [`QueryExecutor`] — a pool of worker threads behind one bounded
+//!   `std` channel of whole batches: one worker answers one batch with
+//!   the kernels above and sends it down the submitter's own channel
+//!   (backpressure: submitters block while the queue is full).
 //! * distributed routing — [`locate_global`] scatters non-local point
 //!   queries to their owning ranks (decided by the snapshot's partition
 //!   markers) over `Comm::exchange`.

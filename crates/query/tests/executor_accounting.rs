@@ -22,15 +22,18 @@ fn every_batch_is_accounted_once() {
     let g = telemetry::global();
     let (served, e2e) = (g.counter("query.served"), g.histogram("query.batch.e2e_ns"));
     let box_latency = g.histogram("query.box.latency_ns");
+    // The submitter's wait for its answer: one sample per answered batch.
+    let latch_wait = g.histogram("query.stage.latch_wait_ns");
 
     // A client that sends only out-of-domain points is still served,
     // still counted, and still visible to the batch-latency histogram
     // (and so to the slow-query log and the in-flight bound).
-    let (served0, e2e0) = (served.get(), e2e.count());
+    let (served0, e2e0, wait0) = (served.get(), e2e.count(), latch_wait.count());
     let outside: Vec<(u32, [i32; 3])> = (0..8).map(|i| (0u32, [-1 - i, 5, 0])).collect();
     assert_eq!(exec.locate_points(outside), vec![None; 8]);
     assert_eq!(served.get() - served0, 8);
     assert_eq!(e2e.count() - e2e0, 1);
+    assert_eq!(latch_wait.count() - wait0, 1);
 
     // `query.box.latency_ns` is per batch, submit → answer, like
     // `query.point.latency_ns`: one 16-box batch is one sample.
@@ -42,8 +45,9 @@ fn every_batch_is_accounted_once() {
             hi: [i * (root / 32) + root / 4, root / 2, 0],
         })
         .collect();
-    let before = box_latency.count();
+    let (before, wait0) = (box_latency.count(), latch_wait.count());
     let hits = exec.query_boxes(boxes);
     assert!(hits.iter().all(|h| !h.is_empty()));
     assert_eq!(box_latency.count() - before, 1);
+    assert_eq!(latch_wait.count() - wait0, 1);
 }
