@@ -265,4 +265,35 @@ mod tests {
         assert_eq!(global().counter("query.slow.count").get(), before + 1);
         set_slow_query_threshold_ns(u64::MAX);
     }
+
+    #[test]
+    fn prometheus_text_is_pinned() {
+        let reg = Registry::new();
+        reg.counter("comm.msgs_sent").add(7);
+        reg.gauge("snapshot.generation").set(3);
+        reg.histogram("idle.ns");
+        reg.counter("9bad-name").add(1);
+        let h = reg.histogram("query.point.latency_ns");
+        for v in 1..=100u64 {
+            h.record(v * v * 37 + 13);
+        }
+        let want = r##"# TYPE comm_msgs_sent counter
+comm_msgs_sent 7
+# TYPE snapshot_generation gauge
+snapshot_generation 3
+# TYPE idle_ns summary
+idle_ns_sum 0
+idle_ns_count 0
+# TYPE _bad_name counter
+_bad_name 1
+# TYPE query_point_latency_ns summary
+query_point_latency_ns{quantile="0.5"} 92672
+query_point_latency_ns{quantile="0.9"} 301056
+query_point_latency_ns{quantile="0.99"} 362496
+query_point_latency_ns{quantile="0.999"} 370688
+query_point_latency_ns_sum 12520250
+query_point_latency_ns_count 100
+"##;
+        assert_eq!(render_prometheus(&reg.snapshot()), want);
+    }
 }
