@@ -757,7 +757,6 @@ fn run_trace(path: &str) {
     // become Chrome counter events at their own timestamps, so counter
     // tracks show evolution over the pipeline instead of one flat
     // end-of-run value. The pipeline is short, so sample aggressively.
-    let _ = telemetry::take_metric_samples(); // drop samples from earlier modes
     let sampler = telemetry::sample_metrics_every(std::time::Duration::from_micros(200));
     let results = quadforest_comm::run(P, |comm| {
         telemetry::begin_rank(comm.rank());
@@ -777,9 +776,7 @@ fn run_trace(path: &str) {
         (report, rows)
     });
     let (reports, rows): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    drop(sampler); // join the sampling thread before draining the store
-    telemetry::sample_metrics_now(); // guarantee at least one sample
-    let json = telemetry::chrome_trace_with_metrics(&reports, &telemetry::global().snapshot());
+    let json = telemetry::chrome_trace(&reports, &sampler.finish());
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path} (load in Perfetto or chrome://tracing)\n");
     print!("{}", telemetry::summary_table(&reports));

@@ -30,7 +30,8 @@
 //! above. Only a type
 //! whose bytes are not its fields writes `encode`/`decode` by hand: the
 //! quadrant representations (their level + Morton-index normal form, in
-//! `quadrant`) and the solver's patch payloads.
+//! `quadrant`) and the solver's patch payloads — and `MetricEntry`,
+//! whose decode also checks its value count against its kind.
 
 use std::time::Duration;
 
@@ -480,8 +481,31 @@ macro_rules! wire {
 use quadforest_telemetry::{MetricEntry, MetricKind, MetricsSnapshot};
 
 wire!(enum MetricKind { 0 => Counter, 1 => Gauge, 2 => Histogram });
-wire!(struct MetricEntry { name, kind, values });
 wire!(struct MetricsSnapshot { entries });
+
+/// The bytes of `wire!(struct MetricEntry { name, kind, values })`, but
+/// decoding also checks that `values` holds the kind's slot count: a
+/// peer's malformed entry is an error here, not a panic later in the
+/// readers of its values.
+impl Wire for MetricEntry {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.name.encode(out);
+        self.kind.encode(out);
+        self.values.encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (name, kind) = (<&'static str>::decode(r)?, MetricKind::decode(r)?);
+        let values = Vec::<u64>::decode(r)?;
+        if values.len() != kind.slots() {
+            return Err(WireError::Invalid(format!(
+                "{kind} '{name}' has {} values, not {}",
+                values.len(),
+                kind.slots()
+            )));
+        }
+        Ok(MetricEntry { name, kind, values })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -661,7 +685,7 @@ mod tests {
                 MetricEntry {
                     name: telemetry::intern_name("a.decoded.metric"),
                     kind: MetricKind::Histogram,
-                    values: vec![0; 66],
+                    values: vec![0; MetricKind::Histogram.slots()],
                 },
             ],
         };
@@ -670,6 +694,37 @@ mod tests {
         assert_eq!(back.entries[0].name, "comm.msgs_sent");
         assert_eq!(back.entries[0].values, vec![42]);
         assert_eq!(back.entries[1].kind, MetricKind::Histogram);
+    }
+
+    #[test]
+    fn metric_entries_of_the_wrong_length_fail_typed() {
+        for (kind, len) in [
+            (MetricKind::Counter, 0),
+            (MetricKind::Gauge, 2),
+            (MetricKind::Histogram, 3),
+            (MetricKind::Histogram, MetricKind::Histogram.slots() + 1),
+        ] {
+            let entry = MetricEntry {
+                name: "bad",
+                kind,
+                values: vec![1; len],
+            };
+            let bytes = entry.to_wire();
+            let snap = MetricsSnapshot {
+                entries: vec![entry],
+            };
+            assert!(
+                matches!(MetricEntry::from_wire(&bytes), Err(WireError::Invalid(_))),
+                "{kind} {len}"
+            );
+            assert!(
+                matches!(
+                    MetricsSnapshot::from_wire(&snap.to_wire()),
+                    Err(WireError::Invalid(_))
+                ),
+                "{kind} {len}"
+            );
+        }
     }
 
     /// One sample of every telemetry variant, pinned as length and

@@ -318,7 +318,7 @@ fn checkpoint_and_restore_are_instrumented() {
             );
         }
     }
-    let trace = telemetry::chrome_trace(&reports);
+    let trace = telemetry::chrome_trace(&reports, &[]);
     assert!(trace.contains("\"checkpoint\""));
     assert!(trace.contains("\"restore\""));
     let _ = std::fs::remove_dir_all(&dir);

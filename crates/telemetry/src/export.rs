@@ -4,7 +4,9 @@
 use crate::metrics::{AggregateRow, MetricEntry, MetricKind, MetricsSnapshot};
 use crate::span::RankReport;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
 fn escape(s: &str, out: &mut String) {
@@ -31,7 +33,13 @@ fn escape(s: &str, out: &mut String) {
 /// complete event (`"ph": "X"`) per recorded span with microsecond `ts`/
 /// `dur` (3 decimal places preserves the nanosecond clock). Events within a
 /// track are emitted sorted by start time, so `ts` is monotonic per `tid`.
-pub fn chrome_trace(reports: &[RankReport]) -> String {
+///
+/// Each `(ts_ns, snapshot)` of `samples` — typically what
+/// [`MetricSampler::finish`] returns — then adds one Chrome counter event
+/// (`"ph":"C"`) per metric at its own timestamp. Counters and gauges
+/// export their scalar; histograms export count, mean, and p50/p99/p999
+/// quantiles, so latency SLOs are visible directly in Perfetto.
+pub fn chrome_trace(reports: &[RankReport], samples: &[(u64, MetricsSnapshot)]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(
@@ -68,68 +76,13 @@ pub fn chrome_trace(reports: &[RankReport]) -> String {
             );
         }
     }
-    out.push_str("\n]}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Periodic metric samples
-// ---------------------------------------------------------------------------
-
-/// Timestamped snapshots of the [`crate::global`] registry, collected
-/// during long phases so Chrome counter tracks show *evolution* instead
-/// of one flat value at the end of the run.
-static SAMPLES: Mutex<Vec<(u64, MetricsSnapshot)>> = Mutex::new(Vec::new());
-
-/// Record one timestamped sample of the global registry into the sample
-/// store. Call this from inside long phases (or use [`sample_metrics_every`])
-/// — the next [`chrome_trace_with_metrics`] export turns each sample into
-/// Chrome counter events at its own timestamp.
-pub fn sample_metrics_now() {
-    let snap = crate::global().snapshot();
-    SAMPLES
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .push((crate::now_ns(), snap));
-}
-
-/// Drain and return all stored samples (timestamp ns, snapshot), oldest
-/// first. [`chrome_trace_with_metrics`] drains the store itself; use this
-/// to inspect or discard samples without exporting a trace.
-pub fn take_metric_samples() -> Vec<(u64, MetricsSnapshot)> {
-    std::mem::take(&mut *SAMPLES.lock().unwrap_or_else(|p| p.into_inner()))
-}
-
-/// RAII background sampler: snapshots the global registry every `period`
-/// until dropped. One sampling thread; drop joins it.
-pub struct MetricSampler {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Start a [`MetricSampler`] with the given period.
-pub fn sample_metrics_every(period: std::time::Duration) -> MetricSampler {
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let stop2 = std::sync::Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("qf-sampler".into())
-        .spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::Acquire) {
-                std::thread::sleep(period);
-                sample_metrics_now();
-            }
-        })
-        .ok();
-    MetricSampler { stop, handle }
-}
-
-impl Drop for MetricSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+    for (ts, snap) in samples {
+        for e in &snap.entries {
+            counter_event(&mut out, e, *ts);
         }
     }
+    out.push_str("\n]}\n");
+    out
 }
 
 /// One Chrome `"ph":"C"` event for `e` at timestamp `ts` (ns).
@@ -143,8 +96,7 @@ fn counter_event(out: &mut String, e: &MetricEntry, ts: u64) {
         }
         MetricKind::Histogram => {
             let count = e.scalar();
-            let sum = *e.values.last().unwrap_or(&0);
-            let mean = sum.checked_div(count).unwrap_or(0);
+            let mean = e.sum().checked_div(count).unwrap_or(0);
             let _ = write!(out, "\"count\":{count},\"mean\":{mean}");
             for (q, label) in [(0.5, "p50"), (0.99, "p99"), (0.999, "p999")] {
                 if let Some(v) = e.quantile(q) {
@@ -156,59 +108,100 @@ fn counter_event(out: &mut String, e: &MetricEntry, ts: u64) {
     out.push_str("}}");
 }
 
-/// [`chrome_trace`] plus Chrome counter events (`"ph":"C"`): every sample
-/// stored by [`sample_metrics_now`] / [`sample_metrics_every`] is emitted
-/// at its own timestamp (the store is drained), then `metrics` — typically
-/// the [`crate::global`] registry's final snapshot — is stamped at the end
-/// of the last recorded span. Counters and gauges export their scalar;
-/// histograms export count, mean, and p50/p99/p999 quantiles, so latency
-/// SLOs are visible directly in Perfetto.
-pub fn chrome_trace_with_metrics(reports: &[RankReport], metrics: &MetricsSnapshot) -> String {
-    let mut out = chrome_trace(reports);
-    // splice counter events before the closing of the traceEvents array
-    let tail = "\n]}\n";
-    let base = out.len() - tail.len();
-    debug_assert_eq!(&out[base..], tail);
-    out.truncate(base);
-    for (sample_ts, snap) in take_metric_samples() {
-        for e in &snap.entries {
-            counter_event(&mut out, e, sample_ts);
-        }
-    }
-    let ts = reports
-        .iter()
-        .flat_map(|r| r.spans.iter().map(|s| s.start_ns + s.dur_ns))
-        .max()
-        .unwrap_or(0);
-    for e in &metrics.entries {
-        counter_event(&mut out, e, ts);
-    }
-    out.push_str(tail);
-    out
+// ---------------------------------------------------------------------------
+// Periodic metric samples
+// ---------------------------------------------------------------------------
+
+/// Background sampler of the [`crate::global`] registry: one thread takes
+/// a timestamped snapshot when it starts, every period, and when it is
+/// stopped, so Chrome counter tracks show *evolution* instead of one flat
+/// value at the end of the run. [`MetricSampler::finish`] returns the
+/// samples; dropping the sampler discards them. Either way the thread is
+/// joined.
+pub struct MetricSampler {
+    /// Never sent on: dropping it wakes the thread for its last sample.
+    stop: Option<mpsc::Sender<()>>,
+    handle: Option<JoinHandle<Vec<(u64, MetricsSnapshot)>>>,
 }
 
-/// Phase names across all reports, ordered by earliest first occurrence.
-fn phase_order(reports: &[RankReport]) -> Vec<&'static str> {
-    let mut firsts: Vec<(&'static str, u64)> = Vec::new();
-    for rep in reports {
-        for s in &rep.spans {
-            match firsts.iter_mut().find(|(n, _)| *n == s.name) {
-                Some((_, t)) => *t = (*t).min(s.start_ns),
-                None => firsts.push((s.name, s.start_ns)),
+/// Start a [`MetricSampler`] with the given period.
+pub fn sample_metrics_every(period: Duration) -> MetricSampler {
+    let (stop, stopped) = mpsc::channel::<()>();
+    let sample = || (crate::now_ns(), crate::global().snapshot());
+    let handle = std::thread::Builder::new()
+        .name("qf-sampler".into())
+        .spawn(move || {
+            let mut samples = vec![sample()];
+            let mut running = true;
+            while running {
+                running = stopped.recv_timeout(period) == Err(mpsc::RecvTimeoutError::Timeout);
+                samples.push(sample());
             }
+            samples
+        })
+        .ok();
+    MetricSampler {
+        stop: Some(stop),
+        handle,
+    }
+}
+
+impl MetricSampler {
+    /// Stop sampling and return the samples, oldest first: one from the
+    /// start, one per elapsed period, and one taken now.
+    pub fn finish(mut self) -> Vec<(u64, MetricsSnapshot)> {
+        self.join()
+    }
+
+    fn join(&mut self) -> Vec<(u64, MetricsSnapshot)> {
+        self.stop = None;
+        // a sampler thread that panicked has already reported it
+        self.handle
+            .take()
+            .and_then(|h| h.join().ok())
+            .unwrap_or_default()
+    }
+}
+
+impl Drop for MetricSampler {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// A phase's name and its `(calls, total ns)` per report.
+type PhaseRow = (&'static str, Vec<(u64, u64)>);
+
+/// One row per phase, ordered by the phase's earliest start over all
+/// ranks.
+fn phase_table(reports: &[RankReport]) -> Vec<PhaseRow> {
+    let mut rows: Vec<(u64, PhaseRow)> = Vec::new();
+    for (r, rep) in reports.iter().enumerate() {
+        for s in &rep.spans {
+            let i = match rows.iter().position(|(_, row)| row.0 == s.name) {
+                Some(i) => i,
+                None => {
+                    rows.push((s.start_ns, (s.name, vec![(0, 0); reports.len()])));
+                    rows.len() - 1
+                }
+            };
+            let (first, (_, per_rank)) = &mut rows[i];
+            *first = (*first).min(s.start_ns);
+            per_rank[r].0 += 1;
+            per_rank[r].1 += s.dur_ns;
         }
     }
-    firsts.sort_by_key(|&(_, t)| t);
-    firsts.into_iter().map(|(n, _)| n).collect()
+    rows.sort_by_key(|&(first, _)| first);
+    rows.into_iter().map(|(_, row)| row).collect()
 }
 
 /// Total recorded nanoseconds per phase, summed over every rank — the same
 /// numbers the summary table prints, exposed for machine cross-checking
 /// against the exported trace.
 pub fn summary_totals(reports: &[RankReport]) -> Vec<(&'static str, u64)> {
-    phase_order(reports)
+    phase_table(reports)
         .into_iter()
-        .map(|name| (name, reports.iter().map(|r| r.phase_total_ns(name)).sum()))
+        .map(|(name, per_rank)| (name, per_rank.iter().map(|&(_, ns)| ns).sum()))
         .collect()
 }
 
@@ -219,7 +212,6 @@ fn fmt_ms(ns: u64) -> String {
 /// Human-readable per-rank/per-phase table: one row per span name, one
 /// `calls`/`total ms` column pair per rank, plus an all-ranks total column.
 pub fn summary_table(reports: &[RankReport]) -> String {
-    let phases = phase_order(reports);
     let mut out = String::new();
     let mut header = format!("{:<16}", "phase");
     for rep in reports {
@@ -228,15 +220,12 @@ pub fn summary_table(reports: &[RankReport]) -> String {
     header.push_str(&format!("  {:>14}", "total ms"));
     let _ = writeln!(out, "{header}");
     let _ = writeln!(out, "{}", "-".repeat(header.len()));
-    for name in phases {
+    for (name, per_rank) in phase_table(reports) {
         let _ = write!(out, "{name:<16}");
-        let mut total = 0u64;
-        for rep in reports {
-            let calls = rep.spans.iter().filter(|s| s.name == name).count();
-            let ns = rep.phase_total_ns(name);
-            total += ns;
-            let _ = write!(out, "  {:>14}", format!("{}x {}", calls, fmt_ms(ns)));
+        for &(calls, ns) in &per_rank {
+            let _ = write!(out, "  {:>14}", format!("{calls}x {}", fmt_ms(ns)));
         }
+        let total = per_rank.iter().map(|&(_, ns)| ns).sum();
         let _ = writeln!(out, "  {:>14}", fmt_ms(total));
     }
     let dropped: u64 = reports.iter().map(|r| r.dropped_spans).sum();
@@ -259,16 +248,14 @@ pub fn metrics_table(rows: &[AggregateRow]) -> String {
     );
     let _ = writeln!(out, "{}", "-".repeat(137));
     for r in rows {
-        let mean = match r.mean() {
-            Some(m) => format!("{m:.1}"),
-            None => "-".into(),
-        };
-        let q = |q: f64| -> String {
-            match r.quantile(q) {
-                Some(v) => v.to_string(),
-                None => "-".into(),
+        let e = &r.merged;
+        let mean = match e.kind {
+            MetricKind::Histogram if e.scalar() > 0 => {
+                format!("{:.1}", e.sum() as f64 / e.scalar() as f64)
             }
+            _ => "-".into(),
         };
+        let q = |q: f64| e.quantile(q).map_or_else(|| "-".into(), |v| v.to_string());
         let _ = writeln!(
             out,
             "{:<32} {:>10} {:>14} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
@@ -318,7 +305,7 @@ mod tests {
                 vec![ev("refine", 1100, 400, 0), ev("balance", 2000, 1, 0)],
             ),
         ];
-        let json = chrome_trace(&reports);
+        let json = chrome_trace(&reports, &[]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\":\"rank 0\""));
         assert!(json.contains("\"name\":\"rank 1\""));
@@ -331,7 +318,7 @@ mod tests {
     #[test]
     fn chrome_trace_escapes_names() {
         let reports = vec![report(0, vec![ev("we\"ird\\name", 0, 1, 0)])];
-        let json = chrome_trace(&reports);
+        let json = chrome_trace(&reports, &[]);
         assert!(json.contains("we\\\"ird\\\\name"));
     }
 
@@ -342,7 +329,7 @@ mod tests {
             0,
             vec![ev("inner", 500, 100, 1), ev("outer", 0, 1000, 0)],
         )];
-        let json = chrome_trace(&reports);
+        let json = chrome_trace(&reports, &[]);
         let outer_at = json.find("\"name\":\"outer\"").unwrap();
         let inner_at = json.find("\"name\":\"inner\"").unwrap();
         assert!(outer_at < inner_at);
@@ -368,21 +355,15 @@ mod tests {
         assert!(table.contains("1x 2.000"));
     }
 
-    /// The sample store is process-global; tests that drain it must not
-    /// interleave.
-    static SAMPLE_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
-    fn chrome_trace_with_metrics_emits_counter_events() {
-        let _guard = SAMPLE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        take_metric_samples(); // other tests' leftovers
+    fn chrome_trace_emits_counter_events() {
         let reports = vec![report(0, vec![ev("serve", 1000, 2000, 0)])];
-        let reg = Registry::new();
+        let reg = Registry::default();
         reg.counter("query.served").add(42);
         reg.gauge("snapshot.generation").set(7);
         reg.histogram("query.point.latency_ns").record(900);
         reg.histogram("query.point.latency_ns").record(1100);
-        let json = chrome_trace_with_metrics(&reports, &reg.snapshot());
+        let json = chrome_trace(&reports, &[(3_000, reg.snapshot())]);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 3);
         assert!(json.contains("\"name\":\"query.served\",\"ts\":3.000,\"args\":{\"value\":42}"));
         assert!(
@@ -392,48 +373,52 @@ mod tests {
         // histogram counter events carry quantile estimates
         assert!(json.contains(",\"p50\":"), "{json}");
         assert!(json.contains(",\"p999\":"), "{json}");
-        // still a valid trace: the span events survive the splice
+        // still a valid trace: the span events come first, the array closes
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 1);
         assert!(json.ends_with("\n]}\n"));
     }
 
     #[test]
     fn periodic_samples_land_at_their_own_timestamps() {
-        let _guard = SAMPLE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        take_metric_samples();
-        let c = crate::global().counter("export.sample.test");
-        c.add(1);
-        sample_metrics_now();
-        c.add(1);
-        sample_metrics_now();
-        let reports = vec![report(0, vec![ev("serve", 0, 1_000_000_000_000, 0)])];
-        let json = chrome_trace_with_metrics(&reports, &crate::global().snapshot());
-        // the same counter appears at (at least) three distinct
-        // timestamps: two mid-phase samples plus the final stamp
+        let reg = Registry::default();
+        let c = reg.counter("export.sample.test");
+        let mut samples = Vec::new();
+        for ts in [1_000, 2_000, 3_000] {
+            c.add(1);
+            samples.push((ts, reg.snapshot()));
+        }
+        let json = chrome_trace(&[], &samples);
         let events: Vec<&str> = json
             .lines()
-            .filter(|l| l.contains("\"ph\":\"C\"") && l.contains("export.sample.test"))
+            .filter(|l| l.contains("\"ph\":\"C\""))
+            .map(|l| l.trim_end_matches(','))
             .collect();
-        assert!(events.len() >= 3, "{json}");
-        let mut ts: Vec<&str> = events
-            .iter()
-            .filter_map(|l| l.split("\"ts\":").nth(1))
-            .filter_map(|t| t.split(',').next())
-            .collect();
-        ts.dedup();
-        assert!(ts.len() >= 3, "expected distinct sample timestamps: {ts:?}");
-        // drained: a second export has only the final stamp
-        let json2 = chrome_trace_with_metrics(&reports, &crate::global().snapshot());
-        let again = json2
-            .lines()
-            .filter(|l| l.contains("\"ph\":\"C\"") && l.contains("export.sample.test"))
-            .count();
-        assert_eq!(again, 1);
+        assert_eq!(
+            events,
+            [1, 2, 3].map(|v| format!(
+                "{{\"ph\":\"C\",\"pid\":0,\"name\":\"export.sample.test\",\"ts\":{v}.000,\"args\":{{\"value\":{v}}}}}"
+            ))
+        );
+    }
+
+    #[test]
+    fn sampler_samples_at_start_and_at_finish() {
+        let c = crate::global().counter("export.sampler.test");
+        c.add(1);
+        let samples = sample_metrics_every(std::time::Duration::from_secs(60)).finish();
+        // no period elapsed: the sample from the start and the one at finish
+        assert_eq!(samples.len(), 2);
+        assert!(samples[0].0 <= samples[1].0);
+        for (_, snap) in &samples {
+            assert!(snap
+                .get("export.sampler.test", MetricKind::Counter)
+                .is_some());
+        }
     }
 
     #[test]
     fn metrics_table_renders_rows() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         reg.counter("comm.msgs").add(7);
         reg.histogram("lat_ns").record(100);
         let rows = aggregate(&[reg.snapshot()]);

@@ -56,78 +56,79 @@ pub const NO_RANK: u32 = u32::MAX;
 // Event kinds
 // ---------------------------------------------------------------------------
 
-/// What happened. The `a`/`b`/`c` payload words are kind-specific; see
-/// each variant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum FlightKind {
+/// Declares [`FlightKind`] from one table: each variant's discriminant
+/// (its byte in the `QFR1` format), its label and the rest of its line in
+/// [`FlightDump::render`], formatted from the dump `d` and the event `e`.
+macro_rules! flight_kinds {
+    ($($(#[doc = $doc:literal])+
+       $kind:ident = $byte:literal, $label:literal, |$d:pat_param, $e:pat_param| $detail:expr;)+) => {
+        /// What happened. The `a`/`b`/`c` payload words are kind-specific;
+        /// see each variant.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(u8)]
+        pub enum FlightKind {
+            $($(#[doc = $doc])+ $kind = $byte,)+
+        }
+
+        impl FlightKind {
+            fn from_u8(v: u8) -> Option<Self> {
+                match v {
+                    $($byte => Some(FlightKind::$kind),)+
+                    _ => None,
+                }
+            }
+
+            fn label(self) -> &'static str {
+                match self {
+                    $(FlightKind::$kind => $label,)+
+                }
+            }
+        }
+
+        impl FlightDump {
+            fn detail(&self, event: &FlightEvent) -> String {
+                match event.kind {
+                    $(FlightKind::$kind => {
+                        let ($d, $e) = (self, event);
+                        $detail
+                    })+
+                }
+            }
+        }
+    };
+}
+
+flight_kinds! {
     /// A phase span opened. `b` = [`name_id`] of the phase.
-    PhaseEnter = 1,
+    PhaseEnter = 1, "phase-enter", |d, e| format!("phase '{}'", d.name(e.b));
     /// A phase span closed. `b` = [`name_id`], `c` = duration ns.
-    PhaseExit = 2,
+    PhaseExit = 2, "phase-exit", |d, e| format!("phase '{}' after {} ns", d.name(e.b), e.c);
     /// Point-to-point send. `a` = peer rank, `b` = tag, `c` = bytes.
-    CommSend = 3,
+    CommSend = 3, "send", |_, e| format!("→ r{} tag {:#x} ({} bytes)", e.a, e.b, e.c);
     /// Point-to-point receive. `a` = peer rank, `b` = tag, `c` = bytes.
-    CommRecv = 4,
+    CommRecv = 4, "recv", |_, e| format!("← r{} tag {:#x} ({} bytes)", e.a, e.b, e.c);
     /// A collective started. `b` = collective sequence number,
     /// `c` = [`name_id`] of the phase it runs in.
-    Collective = 5,
+    Collective = 5, "collective", |d, e| format!("#{} in phase '{}'", e.b, d.name(e.c));
     /// A query batch was submitted. `b` = batch size.
-    BatchStart = 6,
+    BatchStart = 6, "batch-start", |_, e| format!("{} probes", e.b);
     /// A query batch completed. `b` = batch size, `c` = end-to-end ns.
-    BatchDone = 7,
+    BatchDone = 7, "batch-done", |_, e| format!("{} probes in {} ns", e.b, e.c);
     /// A liveness heartbeat was sent. `b` = heartbeat sequence number.
-    Heartbeat = 8,
+    Heartbeat = 8, "heartbeat", |_, e| format!("seq {}", e.b);
     /// A checkpoint generation committed. `b` = generation number.
-    CheckpointCommit = 9,
+    CheckpointCommit = 9, "checkpoint-commit", |_, e| format!("generation {}", e.b);
     /// A peer was declared dead. `a` = peer rank, `b` = the victim's
     /// last reported comm-op count, `c` = [`name_id`] of the victim's
     /// last reported phase (0 if unknown).
-    PeerFailed = 10,
+    PeerFailed = 10, "peer-failed", |d, e| {
+        format!("r{} last seen at comm op {} in phase '{}'", e.a, e.b, d.name(e.c))
+    };
     /// The recovery supervisor is retrying. `b` = failed attempt index.
-    RecoveryRetry = 11,
+    RecoveryRetry = 11, "recovery-retry", |_, e| format!("after attempt {}", e.b);
     /// A query batch exceeded the slow-query threshold. `b` = batch
     /// size, `c` = end-to-end ns.
-    SlowQuery = 12,
-}
-
-impl FlightKind {
-    fn from_u8(v: u8) -> Option<Self> {
-        use FlightKind::*;
-        Some(match v {
-            1 => PhaseEnter,
-            2 => PhaseExit,
-            3 => CommSend,
-            4 => CommRecv,
-            5 => Collective,
-            6 => BatchStart,
-            7 => BatchDone,
-            8 => Heartbeat,
-            9 => CheckpointCommit,
-            10 => PeerFailed,
-            11 => RecoveryRetry,
-            12 => SlowQuery,
-            _ => return None,
-        })
-    }
-
-    fn label(self) -> &'static str {
-        use FlightKind::*;
-        match self {
-            PhaseEnter => "phase-enter",
-            PhaseExit => "phase-exit",
-            CommSend => "send",
-            CommRecv => "recv",
-            Collective => "collective",
-            BatchStart => "batch-start",
-            BatchDone => "batch-done",
-            Heartbeat => "heartbeat",
-            CheckpointCommit => "checkpoint-commit",
-            PeerFailed => "peer-failed",
-            RecoveryRetry => "recovery-retry",
-            SlowQuery => "slow-query",
-        }
-    }
+    SlowQuery = 12, "slow-query", |_, e| format!("{} probes took {} ns", e.b, e.c);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,20 +156,22 @@ fn name_table() -> &'static Mutex<NameTable> {
 /// string `"?"`. Events reference phases and reasons by id so recording
 /// stays allocation-free.
 pub fn name_id(name: &str) -> u32 {
-    let mut t = name_table().lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(&id) = t.by_name.get(name) {
-        return id;
-    }
-    let id = t.names.len() as u32;
-    let leaked = crate::intern_name(name);
-    t.names.push(leaked);
-    t.by_name.insert(leaked, id);
-    id
+    intern(name).0
 }
 
-fn name_snapshot() -> Vec<String> {
-    let t = name_table().lock().unwrap_or_else(|p| p.into_inner());
-    t.names.iter().map(|s| s.to_string()).collect()
+/// The id and the `&'static str` of `name` in the name table. A novel
+/// name is leaked exactly once, so the leak is bounded by the set of
+/// names the program uses.
+pub(crate) fn intern(name: &str) -> (u32, &'static str) {
+    let mut t = name_table().lock().unwrap_or_else(|p| p.into_inner());
+    if let Some((&name, &id)) = t.by_name.get_key_value(name) {
+        return (id, name);
+    }
+    let id = t.names.len() as u32;
+    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+    t.names.push(leaked);
+    t.by_name.insert(leaked, id);
+    (id, leaked)
 }
 
 // ---------------------------------------------------------------------------
@@ -324,10 +327,13 @@ pub struct FlightDump {
 /// claimed but not yet published, or that were overwritten since the scan
 /// began, are skipped; each slot is locked only while it is copied.
 pub fn snapshot() -> Option<FlightDump> {
+    // events first: every name id they carry is then in the copied table
+    let events = RING.get()?.events();
+    let table = name_table().lock().unwrap_or_else(|p| p.into_inner());
     Some(FlightDump {
         rank: THREAD_RANK.with(|r| r.get()),
-        names: name_snapshot(),
-        events: RING.get()?.events(),
+        names: table.names.iter().map(|s| s.to_string()).collect(),
+        events,
     })
 }
 
@@ -359,62 +365,52 @@ impl FlightDump {
     /// Decode a `QFR1` postmortem. Strict: bad magic, truncation, or an
     /// unknown event kind is an error, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        struct R<'a>(&'a [u8], usize);
-        impl R<'_> {
-            fn take(&mut self, n: usize) -> Result<&[u8], String> {
-                if self.1 + n > self.0.len() {
-                    return Err(format!("truncated at byte {}", self.1));
-                }
-                let s = &self.0[self.1..self.1 + n];
-                self.1 += n;
-                Ok(s)
+        let mut rest = bytes;
+        let mut take = |n: usize| -> Result<&[u8], String> {
+            if rest.len() < n {
+                return Err(format!("truncated at byte {}", bytes.len() - rest.len()));
             }
-            fn u16(&mut self) -> Result<u16, String> {
-                Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-            }
-            fn u32(&mut self) -> Result<u32, String> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-        }
-        let mut r = R(bytes, 0);
-        if r.take(4)? != b"QFR1" {
+            let (head, tail) = rest.split_at(n);
+            rest = tail;
+            Ok(head)
+        };
+        // the little-endian unsigned integer in `b`
+        let le = |b: &[u8]| b.iter().rev().fold(0u64, |v, &x| v << 8 | u64::from(x));
+        if take(4)? != b"QFR1" {
             return Err("bad magic (want QFR1)".into());
         }
-        let rank = r.u32()?;
-        let name_count = r.u32()? as usize;
+        let rank = le(take(4)?) as u32;
+        let name_count = le(take(4)?) as usize;
         if name_count > bytes.len() {
             return Err("name count exceeds input size".into());
         }
         let mut names = Vec::with_capacity(name_count);
         for _ in 0..name_count {
-            let len = r.u16()? as usize;
-            let s = std::str::from_utf8(r.take(len)?).map_err(|e| e.to_string())?;
+            let len = le(take(2)?) as usize;
+            let s = std::str::from_utf8(take(len)?).map_err(|e| e.to_string())?;
             names.push(s.to_string());
         }
-        let event_count = r.u32()? as usize;
+        let event_count = le(take(4)?) as usize;
         if event_count > bytes.len() {
             return Err("event count exceeds input size".into());
         }
         let mut events = Vec::with_capacity(event_count);
         for i in 0..event_count {
-            let ts_ns = r.u64()?;
-            let kind_raw = r.take(1)?[0];
+            let ts_ns = le(take(8)?);
+            let kind_raw = take(1)?[0];
             let kind = FlightKind::from_u8(kind_raw)
                 .ok_or_else(|| format!("event {i}: unknown kind {kind_raw}"))?;
             events.push(FlightEvent {
                 ts_ns,
                 kind,
-                rank: r.u32()?,
-                a: r.u32()?,
-                b: r.u64()?,
-                c: r.u64()?,
+                rank: le(take(4)?) as u32,
+                a: le(take(4)?) as u32,
+                b: le(take(8)?),
+                c: le(take(8)?),
             });
         }
-        if r.1 != bytes.len() {
-            return Err(format!("{} trailing bytes", bytes.len() - r.1));
+        if !rest.is_empty() {
+            return Err(format!("{} trailing bytes", rest.len()));
         }
         Ok(FlightDump {
             rank,
@@ -446,39 +442,12 @@ impl FlightDump {
             self.events.len()
         ));
         for e in &self.events {
-            let detail = match e.kind {
-                FlightKind::PhaseEnter => format!("phase '{}'", self.name(e.b)),
-                FlightKind::PhaseExit => {
-                    format!("phase '{}' after {} ns", self.name(e.b), e.c)
-                }
-                FlightKind::CommSend => {
-                    format!("→ r{} tag {:#x} ({} bytes)", e.a, e.b, e.c)
-                }
-                FlightKind::CommRecv => {
-                    format!("← r{} tag {:#x} ({} bytes)", e.a, e.b, e.c)
-                }
-                FlightKind::Collective => {
-                    format!("#{} in phase '{}'", e.b, self.name(e.c))
-                }
-                FlightKind::BatchStart => format!("{} probes", e.b),
-                FlightKind::BatchDone => format!("{} probes in {} ns", e.b, e.c),
-                FlightKind::Heartbeat => format!("seq {}", e.b),
-                FlightKind::CheckpointCommit => format!("generation {}", e.b),
-                FlightKind::PeerFailed => format!(
-                    "r{} last seen at comm op {} in phase '{}'",
-                    e.a,
-                    e.b,
-                    self.name(e.c)
-                ),
-                FlightKind::RecoveryRetry => format!("after attempt {}", e.b),
-                FlightKind::SlowQuery => format!("{} probes took {} ns", e.b, e.c),
-            };
             out.push_str(&format!(
                 "{:>14} ns  {:>4}  {:<17} {}\n",
                 e.ts_ns,
                 rank_label(e.rank),
                 e.kind.label(),
-                detail
+                self.detail(e)
             ));
         }
         out

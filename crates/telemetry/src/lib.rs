@@ -16,7 +16,10 @@
 //! are built by shipping [`MetricsSnapshot`]/[`RankReport`] values through
 //! the existing `Comm` collectives (`allgather`/`allreduce`) and merging
 //! with [`aggregate`] — this crate deliberately sits *below* the comm layer
-//! and never does communication itself.
+//! and never does communication itself. Every exporter reads metric values
+//! through [`MetricEntry`], and takes periodic counter samples as an
+//! argument ([`MetricSampler::finish`] returns them) rather than from a
+//! global store.
 //!
 //! Process-global state (shared by all rank threads, e.g. the SIMD
 //! dispatch-tier counters) lives in the [`global`] registry instead.
@@ -48,8 +51,7 @@ mod prom;
 mod span;
 
 pub use export::{
-    chrome_trace, chrome_trace_with_metrics, metrics_table, sample_metrics_every,
-    sample_metrics_now, summary_table, summary_totals, take_metric_samples, MetricSampler,
+    chrome_trace, metrics_table, sample_metrics_every, summary_table, summary_totals, MetricSampler,
 };
 pub use metrics::{
     aggregate, bucket_bounds, bucket_index, bucket_midpoint, quantile_from_buckets, AggregateRow,
@@ -70,7 +72,7 @@ use std::time::Instant;
 
 /// Default per-rank ring capacity (events). At ~32 bytes an event this is
 /// ~2 MiB per rank worst case.
-pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 // ---------------------------------------------------------------------------
 // Monotonic clock
@@ -97,7 +99,7 @@ pub fn now_ns() -> u64 {
 /// it are lock-free on the hot path.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    GLOBAL.get_or_init(Registry::default)
 }
 
 // ---------------------------------------------------------------------------
@@ -109,22 +111,11 @@ pub fn global() -> &'static Registry {
 /// Every name in the telemetry API is `&'static str` (lock-free hot
 /// path, no per-sample allocation). Snapshots arriving from *another
 /// process* — the socket transport's cross-rank `aggregate_metrics` —
-/// carry names as bytes, so decoding needs a static string back. Known
-/// names resolve to the already-interned pointer; a novel name is
-/// leaked exactly once. The leak is bounded by the universe of metric
-/// names the program ever emits, which is static in practice.
+/// carry names as bytes, so decoding needs a static string back. The
+/// name resolves through the [`flight::name_id`] table, which leaks a
+/// novel name exactly once.
 pub fn intern_name(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
-    static INTERNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let set = INTERNED.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut set = set.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(existing) = set.get(name) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    set.insert(leaked);
-    leaked
+    flight::intern(name).1
 }
 
 // ---------------------------------------------------------------------------
@@ -179,11 +170,6 @@ pub fn disabled() -> bool {
 /// Install a recorder for the calling thread with the default ring capacity.
 /// The thread's spans and per-rank metrics are collected by [`finish_rank`].
 pub fn begin_rank(rank: usize) {
-    begin_rank_with_capacity(rank, DEFAULT_RING_CAPACITY);
-}
-
-/// [`begin_rank`] with an explicit span ring capacity.
-pub(crate) fn begin_rank_with_capacity(rank: usize, ring_capacity: usize) {
     // Pin the clock epoch before any span records against it.
     let _ = epoch();
     // Flight events recorded by this thread now carry the rank.
@@ -196,8 +182,8 @@ pub(crate) fn begin_rank_with_capacity(rank: usize, ring_capacity: usize) {
         *r = Some(Recorder {
             rank,
             stack: Vec::with_capacity(16),
-            ring: SpanRing::new(ring_capacity),
-            registry: Registry::new(),
+            ring: SpanRing::new(DEFAULT_RING_CAPACITY),
+            registry: Registry::default(),
             nesting_errors: 0,
             failure_phase: None,
         });

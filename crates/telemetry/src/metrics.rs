@@ -21,7 +21,8 @@
 //! reporting the bucket midpoint bounds the relative error at
 //! `1/128 ≈ 0.78 % < 1 %` — tight enough for p99/p999 SLOs across the full
 //! `u64` range. Two extra slots accumulate the total count and total sum so
-//! exporters can report means without extra bookkeeping.
+//! exporters can report means without extra bookkeeping. [`MetricEntry`]
+//! is the one reader of this slot layout.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -55,6 +56,17 @@ pub enum MetricKind {
     Histogram,
 }
 
+impl MetricKind {
+    /// Number of `u64` slots a cell or a [`MetricEntry`] of this kind
+    /// holds: one value, or the buckets followed by count and sum.
+    pub fn slots(self) -> usize {
+        match self {
+            MetricKind::Counter | MetricKind::Gauge => 1,
+            MetricKind::Histogram => SLOT_SUM + 1,
+        }
+    }
+}
+
 impl fmt::Display for MetricKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -65,8 +77,7 @@ impl fmt::Display for MetricKind {
     }
 }
 
-/// Shared storage for one named metric. Counters and gauges use a single
-/// slot; histograms use `HISTOGRAM_BUCKETS + 2` (buckets, count, sum).
+/// Shared storage for one named metric, laid out per [`MetricKind::slots`].
 pub(crate) struct Cell {
     name: &'static str,
     kind: MetricKind,
@@ -75,11 +86,7 @@ pub(crate) struct Cell {
 
 impl Cell {
     fn new(name: &'static str, kind: MetricKind) -> Self {
-        let n = match kind {
-            MetricKind::Counter | MetricKind::Gauge => 1,
-            MetricKind::Histogram => HISTOGRAM_BUCKETS + 2,
-        };
-        let slots = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let slots = (0..kind.slots()).map(|_| AtomicU64::new(0)).collect();
         Cell { name, kind, slots }
     }
 }
@@ -191,24 +198,6 @@ impl Histogram {
         s[SLOT_COUNT].fetch_add(1, Ordering::Relaxed);
         s[SLOT_SUM].fetch_add(value, Ordering::Relaxed);
     }
-
-    pub fn count(&self) -> u64 {
-        self.0.slots[SLOT_COUNT].load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.0.slots[SLOT_SUM].load(Ordering::Relaxed)
-    }
-
-    /// Estimated `q`-quantile of the recorded values (`None` if empty),
-    /// within ≤1 % relative error.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let buckets: Vec<u64> = self.0.slots[..HISTOGRAM_BUCKETS]
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect();
-        quantile_from_buckets(&buckets, q)
-    }
 }
 
 /// A named collection of metric cells. Registration and snapshotting take
@@ -226,10 +215,6 @@ struct Inner {
 }
 
 impl Registry {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     fn cell(&self, name: &'static str, kind: MetricKind) -> Arc<Cell> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(&i) = inner.index.get(&(name, kind)) {
@@ -298,12 +283,27 @@ impl MetricEntry {
         }
     }
 
+    /// Sum of the recorded values for a histogram; the scalar otherwise.
+    pub(crate) fn sum(&self) -> u64 {
+        match self.kind {
+            MetricKind::Counter | MetricKind::Gauge => self.values[0],
+            MetricKind::Histogram => self.values[SLOT_SUM],
+        }
+    }
+
+    /// Bucket counts laid out per [`bucket_index`] (empty unless a
+    /// histogram).
+    pub(crate) fn buckets(&self) -> &[u64] {
+        match self.kind {
+            MetricKind::Counter | MetricKind::Gauge => &[],
+            MetricKind::Histogram => &self.values[..HISTOGRAM_BUCKETS],
+        }
+    }
+
     /// Estimated `q`-quantile for a histogram entry (`None` for other
     /// kinds or an empty histogram).
     pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
-        (self.kind == MetricKind::Histogram)
-            .then(|| quantile_from_buckets(&self.values[..HISTOGRAM_BUCKETS], q))
-            .flatten()
+        quantile_from_buckets(self.buckets(), q)
     }
 }
 
@@ -327,72 +327,51 @@ pub struct AggregateRow {
     pub total: u64,
     pub min: u64,
     pub max: u64,
-    /// Element-wise summed buckets (histograms only, else empty).
-    pub buckets: Vec<u64>,
-    /// Summed histogram value total (histograms only, else 0).
-    pub sum: u64,
-}
-
-impl AggregateRow {
-    /// Mean recorded value of an aggregated histogram, if any observations.
-    pub(crate) fn mean(&self) -> Option<f64> {
-        (self.kind == MetricKind::Histogram && self.total > 0)
-            .then(|| self.sum as f64 / self.total as f64)
-    }
-
-    /// Estimated `q`-quantile over the cross-rank merged buckets.
-    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
-        quantile_from_buckets(&self.buckets, q)
-    }
+    /// Every rank's values added element-wise: one entry that reads like
+    /// a single rank's (merged histogram buckets, count and sum).
+    pub merged: MetricEntry,
 }
 
 /// Merge per-rank snapshots (index = rank, as returned by `allgather`) into
-/// one row per metric. Counters and histogram counts sum across ranks;
-/// min/max are taken over the per-rank scalars.
+/// one row per metric, in order of first appearance. Each rank's values
+/// are added element-wise into the row's merged entry; min/max are taken
+/// over the per-rank scalars.
 pub fn aggregate(snaps: &[MetricsSnapshot]) -> Vec<AggregateRow> {
-    let mut order: Vec<(&'static str, MetricKind)> = Vec::new();
-    let mut rows: HashMap<(&'static str, MetricKind), AggregateRow> = HashMap::new();
+    let mut index: HashMap<(&'static str, MetricKind), usize> = HashMap::new();
+    let mut rows: Vec<AggregateRow> = Vec::new();
     for (rank, snap) in snaps.iter().enumerate() {
         for e in &snap.entries {
-            let key = (e.name, e.kind);
-            let row = rows.entry(key).or_insert_with(|| {
-                order.push(key);
-                AggregateRow {
+            let i = *index.entry((e.name, e.kind)).or_insert_with(|| {
+                rows.push(AggregateRow {
                     name: e.name,
                     kind: e.kind,
                     per_rank: vec![0; snaps.len()],
                     total: 0,
                     min: 0,
                     max: 0,
-                    buckets: match e.kind {
-                        MetricKind::Histogram => vec![0; HISTOGRAM_BUCKETS],
-                        _ => Vec::new(),
+                    merged: MetricEntry {
+                        name: e.name,
+                        kind: e.kind,
+                        values: vec![0; e.kind.slots()],
                     },
-                    sum: 0,
-                }
+                });
+                rows.len() - 1
             });
-            let scalar = e.scalar();
-            row.per_rank[rank] = scalar;
-            row.total += scalar;
-            if e.kind == MetricKind::Histogram {
-                for (b, v) in row.buckets.iter_mut().zip(&e.values[..HISTOGRAM_BUCKETS]) {
-                    *b += v;
-                }
-                row.sum += e.values[SLOT_SUM];
+            let row = &mut rows[i];
+            row.per_rank[rank] = e.scalar();
+            for (m, v) in row.merged.values.iter_mut().zip(&e.values) {
+                *m += v;
             }
         }
     }
-    order
-        .into_iter()
-        .map(|key| {
-            let mut row = rows.remove(&key).unwrap();
-            // min/max over ALL ranks: a rank that never registered the
-            // metric counts as 0, exactly as its per_rank slot says
-            row.min = row.per_rank.iter().copied().min().unwrap_or(0);
-            row.max = row.per_rank.iter().copied().max().unwrap_or(0);
-            row
-        })
-        .collect()
+    for row in &mut rows {
+        row.total = row.merged.scalar();
+        // min/max over ALL ranks: a rank that never registered the
+        // metric counts as 0, exactly as its per_rank slot says
+        row.min = row.per_rank.iter().copied().min().unwrap_or(0);
+        row.max = row.per_rank.iter().copied().max().unwrap_or(0);
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -401,7 +380,7 @@ mod tests {
 
     #[test]
     fn counter_gauge_histogram_roundtrip() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         let c = reg.counter("c");
         c.add(3);
         c.incr();
@@ -416,21 +395,20 @@ mod tests {
         h.record(0);
         h.record(1);
         h.record(900);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 901);
 
         let snap = reg.snapshot();
         assert_eq!(snap.get("c", MetricKind::Counter).unwrap().scalar(), 4);
         assert_eq!(snap.get("g", MetricKind::Gauge).unwrap().scalar(), 7);
         let he = snap.get("h", MetricKind::Histogram).unwrap();
         assert_eq!(he.scalar(), 3);
+        assert_eq!(he.sum(), 901);
         assert_eq!(he.values[bucket_index(0)], 1);
         assert_eq!(he.values[bucket_index(900)], 1);
     }
 
     #[test]
     fn handles_alias_one_cell() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         let a = reg.counter("shared");
         let b = reg.counter("shared");
         a.add(2);
@@ -476,22 +454,24 @@ mod tests {
             let err = (mid as f64 - v as f64).abs() / v as f64;
             assert!(err <= 1.0 / 128.0, "v={v} mid={mid} err={err}");
         }
-        let reg = Registry::new();
+        let reg = Registry::default();
         let h = reg.histogram("q");
         for v in 1..=1000u64 {
             h.record(v * 1000);
         }
-        let p50 = h.quantile(0.50).unwrap() as f64;
-        let p999 = h.quantile(0.999).unwrap() as f64;
+        let snap = reg.snapshot();
+        let he = snap.get("q", MetricKind::Histogram).unwrap();
+        let p50 = he.quantile(0.50).unwrap() as f64;
+        let p999 = he.quantile(0.999).unwrap() as f64;
         assert!((p50 - 500_000.0).abs() / 500_000.0 <= 0.01, "p50={p50}");
         assert!((p999 - 999_000.0).abs() / 999_000.0 <= 0.01, "p999={p999}");
-        assert_eq!(h.quantile(0.0), h.quantile(0.001)); // rank clamps to 1
+        assert_eq!(he.quantile(0.0), he.quantile(0.001)); // rank clamps to 1
     }
 
     #[test]
     fn aggregate_sums_counters_across_ranks() {
         let mk = |v: u64| {
-            let reg = Registry::new();
+            let reg = Registry::default();
             reg.counter("x").add(v);
             reg.snapshot()
         };
@@ -505,9 +485,9 @@ mod tests {
 
     #[test]
     fn aggregate_handles_ragged_registries() {
-        let reg0 = Registry::new();
+        let reg0 = Registry::default();
         reg0.counter("only0").add(4);
-        let reg1 = Registry::new();
+        let reg1 = Registry::default();
         reg1.histogram("lat").record(5);
         reg1.histogram("lat").record(9);
         let rows = aggregate(&[reg0.snapshot(), reg1.snapshot()]);
@@ -516,8 +496,8 @@ mod tests {
         assert_eq!(only0.total, 4);
         let lat = rows.iter().find(|r| r.name == "lat").unwrap();
         assert_eq!(lat.per_rank, vec![0, 2]);
-        assert_eq!(lat.sum, 14);
-        assert_eq!(lat.mean(), Some(7.0));
-        assert_eq!(lat.buckets.iter().sum::<u64>(), 2);
+        assert_eq!(lat.total, 2);
+        assert_eq!(lat.merged.sum(), 14);
+        assert_eq!(lat.merged.buckets().iter().sum::<u64>(), 2);
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::metrics::{MetricKind, MetricsSnapshot};
 use crate::{flight, global};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -58,8 +58,7 @@ pub(crate) fn render_prometheus(snap: &MetricsSnapshot) -> String {
                         out.push_str(&format!("{name}{{quantile=\"{label}\"}} {v}\n"));
                     }
                 }
-                let sum = e.values.last().copied().unwrap_or(0);
-                out.push_str(&format!("{name}_sum {sum}\n"));
+                out.push_str(&format!("{name}_sum {}\n", e.sum()));
                 out.push_str(&format!("{name}_count {}\n", e.scalar()));
             }
         }
@@ -127,19 +126,12 @@ pub fn serve_metrics(addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer>
 
 fn serve_one(stream: &mut TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_millis(500)))?;
-    // Read until the end of the request head (or the buffer fills; any
-    // HTTP GET we care about fits in 1 KiB).
-    let mut buf = [0u8; 1024];
-    let mut n = 0;
-    while n < buf.len() {
-        let got = stream.read(&mut buf[n..])?;
-        if got == 0 {
-            break;
-        }
-        n += got;
-        if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
+    // Read up to the blank line that ends the request head (or 1 KiB, in
+    // which any HTTP GET we care about fits).
+    let mut head = BufReader::new(Read::take(&*stream, 1024));
+    let mut line = Vec::new();
+    while head.read_until(b'\n', &mut line)? > 2 {
+        line.clear();
     }
     let body = render_prometheus(&global().snapshot());
     let head = format!(
@@ -216,7 +208,7 @@ mod tests {
 
     #[test]
     fn renders_all_kinds_with_sanitized_names() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         reg.counter("comm.msgs_sent").add(7);
         reg.gauge("snapshot.generation").set(3);
         let h = reg.histogram("query.point.latency_ns");
@@ -229,7 +221,7 @@ mod tests {
         assert!(text.contains("# TYPE query_point_latency_ns summary\n"));
         assert!(text.contains("query_point_latency_ns{quantile=\"0.5\"}"));
         assert!(text.contains("query_point_latency_ns{quantile=\"0.999\"}"));
-        assert!(text.contains(&format!("query_point_latency_ns_sum {}\n", h.sum())));
+        assert!(text.contains("query_point_latency_ns_sum 505000\n"));
         assert!(text.contains("query_point_latency_ns_count 100\n"));
         // every non-comment line is "name[{labels}] value"
         for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -268,7 +260,7 @@ mod tests {
 
     #[test]
     fn prometheus_text_is_pinned() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         reg.counter("comm.msgs_sent").add(7);
         reg.gauge("snapshot.generation").set(3);
         reg.histogram("idle.ns");

@@ -5,8 +5,7 @@
 
 use quadforest_telemetry::flight::{FlightDump, FlightEvent, FlightKind, NO_RANK};
 use quadforest_telemetry::{
-    aggregate, chrome_trace, chrome_trace_with_metrics, metrics_table, summary_table, RankReport,
-    Registry, SpanEvent,
+    aggregate, chrome_trace, metrics_table, summary_table, RankReport, Registry, SpanEvent,
 };
 
 fn ev(name: &'static str, start_ns: u64, dur_ns: u64, depth: u16) -> SpanEvent {
@@ -80,12 +79,12 @@ fn chrome_trace_is_pinned() {
 {"ph":"X","pid":0,"tid":3,"cat":"phase","name":"ghost","ts":5.100,"dur":0.010,"args":{"depth":1}}
 ]}
 "##;
-    assert_eq!(chrome_trace(&reports()), want);
+    assert_eq!(chrome_trace(&reports(), &[]), want);
 }
 
 #[test]
 fn counter_events_are_pinned() {
-    let trace = chrome_trace_with_metrics(&reports(), &registry().snapshot());
+    let trace = chrome_trace(&reports(), &[(1_238_567, registry().snapshot())]);
     let want = r##"{"displayTimeUnit":"ms","traceEvents":[
 {"ph":"M","pid":0,"name":"process_name","args":{"name":"quadforest"}},
 {"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"rank 0"}},

@@ -24,7 +24,7 @@ const SURFACE: [(&str, usize); 9] = [
     ("forest", 79),
     ("pde", 28),
     ("query", 34),
-    ("telemetry", 88),
+    ("telemetry", 84),
     ("vtk", 5),
 ];
 
