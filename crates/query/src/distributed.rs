@@ -48,8 +48,8 @@ pub fn locate_global(
         }
     }
     // Serve each source rank's request list as ONE batched locate: the
-    // sorted-batch kernel walks the local key arrays coherently instead
-    // of running a cold binary search per forwarded point.
+    // bucket-windowed kernel searches a few leaves per forwarded point
+    // instead of the whole key array.
     let replies = comm.exchange(outgoing, |_src, requests| {
         let batch: Vec<(TreeId, [i32; 3])> =
             requests.iter().map(|&(_, tree, p)| (tree, p)).collect();

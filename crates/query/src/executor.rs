@@ -7,8 +7,8 @@
 //! batch pins the snapshot current at submit and becomes **one** job;
 //! the worker that receives it answers the whole batch with the
 //! snapshot's own kernel — [`ForestSnapshot::locate_many`] for points
-//! (one key-extract pass, one `(tree, Morton key)` sort, one
-//! gallop-resume sweep), [`ForestSnapshot::query_boxes`] for boxes (one
+//! (one key-extract pass, then one bucket-windowed binary search per
+//! point), [`ForestSnapshot::query_boxes`] for boxes (one
 //! Z-order skip-scan of the sorted leaf keys per box) — and sends the
 //! answers down the batch's own one-slot channel to its [`Ticket`]:
 //! **one wakeup per batch**. Workers serve different batches in

@@ -20,8 +20,8 @@
 //!   torn.
 //! * query kernels — batched point location
 //!   ([`ForestSnapshot::locate_many`]: one SIMD-dispatched key-extract
-//!   pass, a `(tree, Morton key)` sort, then one gallop-resume sweep of
-//!   the sorted leaf keys), batched box queries
+//!   pass, then per probe a binary search of the window a per-tree
+//!   bucket table gives), batched box queries
 //!   ([`ForestSnapshot::query_boxes`]: per box, one Z-order skip-scan of
 //!   the sorted leaf keys, `quadforest_core::zrange::leaves_in_box`).
 //! * [`QueryExecutor`] — a pool of worker threads behind one bounded

@@ -57,6 +57,13 @@ pub struct BoxQuery {
 /// key lane (real `morton_abs` keys need at most 56 bits).
 const INVALID_KEY: u64 = u64::MAX;
 
+/// Bucket-table bits of a tree with `n` local leaves: `bit_length(n) − 5`,
+/// so a bucket holds 16–32 leaves on average and the table costs at most
+/// 0.25 B a leaf.
+fn bucket_bits(n: usize) -> u32 {
+    (usize::BITS - n.leading_zeros()).saturating_sub(5)
+}
+
 /// An immutable, rank-local flattening of one forest generation.
 ///
 /// Snapshots are plain data: build one with [`ForestSnapshot::build`],
@@ -78,6 +85,12 @@ pub struct ForestSnapshot {
     keys: Vec<u64>,
     /// Leaf refinement levels, parallel to `keys`.
     levels: Vec<u8>,
+    /// Per-tree bucket tables, concatenated: tree `t` owns
+    /// `buckets[bucket_offsets[t]..bucket_offsets[t+1]]`, `2^k + 1`
+    /// local leaf indices (`k` = [`bucket_bits`] of its leaf count).
+    /// Entry `b` is the first leaf whose key is `≥ b << (dim·max_level − k)`.
+    buckets: Vec<u32>,
+    bucket_offsets: Vec<u32>,
     /// Partition markers (`P + 1` global SFC positions) for routing
     /// non-local queries to their owning rank.
     markers: Vec<(u32, u64)>,
@@ -94,19 +107,33 @@ impl ForestSnapshot {
     pub fn build<Q: Quadrant>(forest: &Forest<Q>, generation: u64) -> Self {
         let _span = telemetry::span("snapshot.build");
         let num_trees = forest.connectivity().num_trees();
-        let mut tree_offsets = Vec::with_capacity(num_trees + 1);
         let mut keys = Vec::with_capacity(forest.local_count());
         let mut levels = Vec::with_capacity(forest.local_count());
-        tree_offsets.push(0u32);
+        let (mut tree_offsets, mut buckets, mut bucket_offsets) = (vec![0u32], vec![], vec![0u32]);
         for t in 0..num_trees {
-            let leaves = forest.tree_leaves(t as TreeId);
             // batched sort-key extraction: (morton_abs << 6) | level in
             // one dispatched SoA pass, then split the packing
-            for k in Q::sfc_keys(leaves) {
-                keys.push(k >> 6);
-                levels.push((k & 0x3F) as u8);
+            let sfc = Q::sfc_keys(forest.tree_leaves(t as TreeId));
+            keys.extend(sfc.iter().map(|k| k >> 6));
+            levels.extend(sfc.into_iter().map(|k| (k & 0x3F) as u8));
+            // one forward pass over the keys fills the bucket table: the
+            // last leaf of bucket `b` sets entry `b + 1` one past itself,
+            // and after an empty bucket `b` entry `b + 1` repeats entry `b`
+            let tk = &keys[tree_offsets[t] as usize..];
+            let bits = bucket_bits(tk.len());
+            let (shift, table) = (Q::DIM * Q::MAX_LEVEL as u32 - bits, buckets.len());
+            buckets.resize(table + (1 << bits) + 1, 0);
+            let tb = &mut buckets[table..];
+            for (i, key) in tk.iter().enumerate() {
+                tb[(key >> shift) as usize + 1] = i as u32 + 1;
+            }
+            let mut start = 0;
+            for entry in tb {
+                start = (*entry).max(start);
+                *entry = start;
             }
             tree_offsets.push(keys.len() as u32);
+            bucket_offsets.push(buckets.len() as u32);
         }
         ForestSnapshot {
             generation,
@@ -117,6 +144,8 @@ impl ForestSnapshot {
             tree_offsets,
             keys,
             levels,
+            buckets,
+            bucket_offsets,
             markers: forest.markers().to_vec(),
             created_ns: telemetry::now_ns(),
         }
@@ -205,7 +234,7 @@ impl ForestSnapshot {
     /// Batched point location: one [`ForestSnapshot::locate`] per entry,
     /// amortizing the snapshot access across the batch. This is the
     /// per-element reference path — [`ForestSnapshot::locate_many`] is
-    /// the sorted batch kernel that beats it.
+    /// the bucket-windowed batch kernel that beats it.
     pub fn locate_batch(&self, points: &[(TreeId, [i32; 3])]) -> Vec<Option<LeafHit>> {
         points.iter().map(|(t, p)| self.locate(*t, *p)).collect()
     }
@@ -236,64 +265,35 @@ impl ForestSnapshot {
         keys
     }
 
-    /// Serve one Morton-sorted run of probes with the gallop-resume
-    /// cursor: `run` holds indices into `points`/`keys`, sorted by
-    /// `(tree, key)` and containing no [`INVALID_KEY`] entries. Emits
-    /// `(index, answer)` per probe. The cursor (the previous probe's
-    /// partition point) carries across probes of the same tree, so a
-    /// sorted batch walks each key array left to right instead of
-    /// restarting a full binary search per point.
-    fn locate_run(
-        &self,
-        points: &[(TreeId, [i32; 3])],
-        keys: &[u64],
-        run: &[u32],
-        mut emit: impl FnMut(u32, Option<LeafHit>),
-    ) {
-        let (mut cur_tree, mut tk, mut tl, mut hint) = (TreeId::MAX, &[][..], &[][..], 0usize);
-        for &i in run {
-            let tree = points[i as usize].0;
-            if tree != cur_tree {
-                let (k, l) = self.tree_keys(tree);
-                (tk, tl, hint, cur_tree) = (k, l, 0, tree);
-            }
-            let probe = keys[i as usize];
-            debug_assert_ne!(probe, INVALID_KEY, "invalid probe in sorted run");
-            let (found, next) = zrange::locate_from(
-                tk.len(),
-                |j| tk[j],
-                |j| tl[j],
-                self.dim,
-                self.max_level,
-                probe,
-                hint,
-            );
-            hint = next;
-            emit(i, found.map(|j| self.hit(tree, j)));
-        }
-    }
-
-    /// Batched point location, sorted and cache-coherent: extract every
-    /// probe key in one dispatched kernel pass, sort an index
-    /// permutation by `(tree, Morton key)`, walk each tree's sorted key
-    /// array once with the gallop-resume cursor, and scatter answers
-    /// back in input order. Answers are element-for-element identical
-    /// to [`ForestSnapshot::locate_batch`] (duplicates and
-    /// out-of-domain points included); the win is the access pattern —
-    /// one coherent sweep instead of `n` cold binary searches.
+    /// Batched point location in input order: one dispatched pass
+    /// extracts the probe keys, then [`zrange::locate_by`] searches each
+    /// probe's bucket window. Keys before the bucket are `≤` the probe,
+    /// keys from the next bucket on are `>` it, and the window opens one
+    /// leaf early: a coarse leaf starting before the bucket can contain
+    /// the probe. Answers equal [`ForestSnapshot::locate_batch`]'s.
     pub fn locate_many(&self, points: &[(TreeId, [i32; 3])]) -> Vec<Option<LeafHit>> {
-        let n = points.len();
-        let mut answers = vec![None; n];
-        if n == 0 {
-            return answers;
-        }
         let keys = self.probe_keys(points);
-        let mut run: Vec<u32> = (0..n as u32)
-            .filter(|&i| keys[i as usize] != INVALID_KEY)
-            .collect();
-        run.sort_unstable_by_key(|&i| (points[i as usize].0, keys[i as usize]));
-        self.locate_run(points, &keys, &run, |i, hit| answers[i as usize] = hit);
-        answers
+        let root_bits = self.dim * self.max_level as u32;
+        let (mut cur, mut tk, mut tl, mut table, mut shift) =
+            (TreeId::MAX, &[][..], &[][..], &[][..], 0);
+        points
+            .iter()
+            .zip(keys)
+            .map(|(&(tree, _), probe)| {
+                if probe == INVALID_KEY {
+                    return None;
+                }
+                if tree != cur {
+                    (tk, tl) = self.tree_keys(tree);
+                    table = &self.buckets[self.bucket_offsets[tree as usize] as usize..];
+                    (cur, shift) = (tree, root_bits - bucket_bits(tk.len()));
+                }
+                let b = (probe >> shift) as usize;
+                let (lo, hi) = (table[b].saturating_sub(1) as usize, table[b + 1] as usize);
+                zrange::locate_in_keys(&tk[lo..hi], &tl[lo..hi], self.dim, self.max_level, probe)
+                    .map(|j| self.hit(tree, lo + j))
+            })
+            .collect()
     }
 
     // -- box queries -----------------------------------------------------
@@ -404,6 +404,46 @@ mod tests {
         check_snapshot_matches_forest::<StandardQuad<2>>();
         check_snapshot_matches_forest::<MortonQuad<2>>();
         check_snapshot_matches_forest::<AvxQuad<2>>();
+    }
+
+    /// Every table entry is its definition: the first local leaf whose
+    /// key is `≥ b << (dim·max_level − k)`, on a forest with a deep strip
+    /// beside coarse leaves, on both ranks of a partition (one of them
+    /// with an empty tree).
+    #[test]
+    fn bucket_tables_are_their_definition() {
+        let empty = quadforest_comm::run(2, |comm| {
+            let mut f = refined_forest::<MortonQuad<2>>(&comm);
+            f.refine(&comm, true, |t, q| {
+                t == 0 && q.level() < 9 && q.coords()[1] == 0
+            });
+            f.partition(&comm);
+            let snap = ForestSnapshot::build(&f, 0);
+            for t in 0..2u32 {
+                let (keys, _) = snap.tree_keys(t);
+                let bits = bucket_bits(keys.len());
+                let shift = 2 * MortonQuad::<2>::MAX_LEVEL as u32 - bits;
+                let want: Vec<u32> = (0..=1u64 << bits)
+                    .map(|b| keys.partition_point(|&k| k < b << shift) as u32)
+                    .collect();
+                let (a, z) = (
+                    snap.bucket_offsets[t as usize],
+                    snap.bucket_offsets[t as usize + 1],
+                );
+                assert_eq!(
+                    snap.buckets[a as usize..z as usize],
+                    want,
+                    "rank {} tree {t}",
+                    comm.rank()
+                );
+            }
+            (0..2).filter(|&t| snap.tree_keys(t).0.is_empty()).count()
+        });
+        assert_eq!(
+            empty.iter().sum::<usize>(),
+            1,
+            "one rank holds no leaf of one tree"
+        );
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! [`ForestSnapshot::query_box`] — for every quadrant representation,
 //! on adaptively refined multi-tree forests, for batches containing
 //! duplicates, out-of-domain points, invalid tree ids, and probes
-//! scattered over every tree. Plus a hammer test: the executor under
-//! concurrent submitters returns exactly the direct snapshot answers.
+//! scattered over every tree — and where `locate_many`'s bucket windows
+//! have edges: a deep corner beside coarse leaves, probes on the domain
+//! edges, every rank of partitioned forests, empty local trees. Plus a
+//! hammer test: the executor under concurrent submitters returns
+//! exactly the direct snapshot answers.
 
 use proptest::prelude::*;
 use quadforest_connectivity::{Connectivity, TreeId};
@@ -97,6 +100,85 @@ fn check_query_boxes<Q: Quadrant>(seed: u64, raw: Vec<(u32, [i32; 3], [i32; 3])>
     }
 }
 
+/// A two-tree forest whose tree 0 has its origin corner (a quarter of
+/// each axis) refined to level 8 in 2D / 6 in 3D — 4,096 leaves there,
+/// so the tree's bucket table has ≥ 2^8 buckets — beside level-1 and
+/// level-2 leaves that span many buckets each; tree 1 stays at level 1.
+/// Partitioned over the communicator, so at P > 1 a rank's tables have
+/// buckets before its first local leaf and after its last, and one
+/// rank holds no leaf of tree 1.
+fn deep_corner_forest<Q: Quadrant>(comm: &quadforest_comm::Comm) -> Forest<Q> {
+    let conn = Arc::new(if Q::DIM == 2 {
+        Connectivity::brick2d(2, 1, false, false)
+    } else {
+        Connectivity::brick3d(2, 1, 1, [false; 3])
+    });
+    let (deep, corner) = (if Q::DIM == 2 { 8 } else { 6 }, Q::len_at(2));
+    let mut f = Forest::<Q>::new_uniform(conn, comm, 1);
+    f.refine(comm, true, |t, q| {
+        let c = q.coords();
+        t == 0 && q.level() < deep && (0..Q::DIM as usize).all(|a| c[a] < corner)
+    });
+    f.partition(comm);
+    f
+}
+
+/// Probes on both trees and on two tree ids past the end: every
+/// combination of `{-1, 0, 1, mid, root − 2, root − 1, root}` per axis,
+/// then `n` hashed points, half of them in the deep corner.
+fn edge_and_hashed_points<Q: Quadrant>(seed: u64, n: u64) -> Vec<(TreeId, [i32; 3])> {
+    let root = Q::len_at(0);
+    let edges = [-1, 0, 1, root / 2, root - 2, root - 1, root];
+    let zs: &[i32] = if Q::DIM == 3 { &edges } else { &[0] };
+    let mut points = Vec::new();
+    for t in 0..4 {
+        for &x in &edges {
+            for &y in &edges {
+                points.extend(zs.iter().map(|&z| (t, [x, y, z])));
+            }
+        }
+    }
+    points.extend((0..n).map(|i| {
+        let h = mix(seed, 0, i, 0);
+        let span = if i % 2 == 0 { root } else { Q::len_at(2) };
+        let c = |s: u32| (h >> s) as i32 & (span - 1);
+        let z = if Q::DIM == 3 { c(42) } else { 0 };
+        ((h >> 60) as TreeId % 3, [c(0), c(21), z])
+    }));
+    points
+}
+
+/// [`deep_corner_forest`] at `ranks` ranks: on every rank `locate_many`
+/// equals `locate_batch`, and every in-domain probe has exactly one
+/// owner. Returns whether some rank has an empty tree.
+fn check_window_edges<Q: Quadrant>(seed: u64, ranks: usize) -> bool {
+    let points = edge_and_hashed_points::<Q>(seed, 2048);
+    let per_rank = quadforest_comm::run(ranks, |comm| {
+        let snap = ForestSnapshot::build(&deep_corner_forest::<Q>(&comm), 0);
+        let got = snap.locate_many(&points);
+        assert_eq!(
+            got,
+            snap.locate_batch(&points),
+            "{} seed {seed} P={ranks}",
+            Q::NAME
+        );
+        let empty = (0..2).any(|t| snap.tree_keys(t).0.is_empty());
+        (got.iter().map(Option::is_some).collect::<Vec<_>>(), empty)
+    });
+    let root = Q::len_at(0);
+    for (i, (t, p)) in points.iter().enumerate() {
+        let inside = *t < 2 && (0..Q::DIM as usize).all(|a| (0..root).contains(&p[a]));
+        let owners = per_rank.iter().filter(|(hit, _)| hit[i]).count();
+        assert_eq!(
+            owners,
+            inside as usize,
+            "{} P={ranks} tree {t} {p:?}",
+            Q::NAME
+        );
+    }
+    per_rank.iter().any(|(_, empty)| *empty)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -133,6 +215,20 @@ proptest! {
         check_query_boxes::<StandardQuad<2>>(seed, raw.clone());
         check_query_boxes::<AvxQuad<2>>(seed, raw.clone());
         check_query_boxes::<MortonQuad<3>>(seed, raw);
+    }
+
+    /// The same property where the bucket windows have edges to get
+    /// wrong: a deep corner beside coarse leaves, probes on the domain
+    /// edges, every rank of a partitioned forest at P ∈ {1, 2, 3}, and
+    /// at P > 1 a rank with an empty tree.
+    #[test]
+    fn locate_many_matches_single_path_at_window_edges(seed in any::<u64>()) {
+        for ranks in 1..=3 {
+            prop_assert_eq!(check_window_edges::<MortonQuad<2>>(seed, ranks), ranks > 1);
+            prop_assert_eq!(check_window_edges::<StandardQuad<2>>(seed, ranks), ranks > 1);
+            prop_assert_eq!(check_window_edges::<AvxQuad<2>>(seed, ranks), ranks > 1);
+            prop_assert_eq!(check_window_edges::<MortonQuad<3>>(seed, ranks), ranks > 1);
+        }
     }
 }
 
