@@ -1,4 +1,5 @@
-//! CRC-32 (ISO-HDLC / zlib polynomial), slicing-by-16, dependency-free.
+//! CRC-32 (ISO-HDLC / zlib polynomial), by carry-less-multiply folding
+//! or slicing-by-16, dependency-free.
 //!
 //! Guards every checkpoint section and every socket/TCP transport frame
 //! against bit rot, torn writes and truncated reads. CRC-32 detects all
@@ -7,26 +8,30 @@
 //! inject (partial sector writes, bit rot, mid-frame EOF) — stronger
 //! adversaries are out of scope for a crash-consistency layer.
 //!
-//! **Kernel.** One portable kernel: the classic table-driven CRC
-//! unrolled over 16-byte blocks ("slicing-by-16"). Table `k` holds the
-//! CRC of a byte followed by `k` zero bytes, so the sixteen bytes of a
-//! block are looked up independently and XOR-folded — the loop-carried
-//! dependency is one XOR per block instead of one table lookup per
-//! byte. The remainder (< 16 bytes) goes through the byte-at-a-time
-//! step on table 0. The tables are 16 × 256 × 4 B = 16 KiB, built once
-//! behind a `OnceLock`; they fit in L1 next to the data being summed.
+//! **Kernels.** Two, behind the one [`crate::simd`] decision. Where
+//! the CPU has `pclmulqdq` and SSE4.1, [`crc32`] folds the 16-byte
+//! multiple prefix of a buffer of ≥ 64 bytes by carry-less multiply
+//! (Gopal et al., Intel 2009, with zlib's constants): four 128-bit
+//! lanes advance 64 bytes a step, fold into one lane, which advances
+//! 16 bytes a step, then 128 → 64 bits and a Barrett reduction to 32.
+//! The rest — the < 16-byte tail, short buffers, non-x86 targets, the
+//! forced-scalar tier — runs the portable slicing-by-16 kernel: table
+//! `k` holds the CRC of a byte followed by `k` zero bytes, so the 16
+//! bytes of a block are looked up independently and XOR-folded (16 KiB
+//! of tables, built once). Both give the same value, so no stored
+//! checksum moves. Like the BMI2 codecs, the call is not counted.
 //!
-//! **Why no hardware tier.** The x86 `crc32` instruction (SSE4.2)
-//! computes CRC-32C, a *different polynomial*; the frame format and
-//! the checkpoint files already on disk are pinned to the zlib
-//! polynomial, so using it would change every stored checksum. A
-//! carry-less-multiply (PCLMULQDQ) folding kernel does compute this
-//! polynomial, but it would be a second production path selected by
-//! CPU feature — `unsafe` intrinsics, a dispatch tier and a test
-//! matrix of its own — for a stage that, sliced, costs about 0.5 ms
-//! per MB: the same order as the encode, decode and socket copies
-//! beside it on the message path. One kernel, one result, on every
-//! platform.
+//! **Why a hardware tier.** A process-backend message is summed three
+//! times per payload byte — the sender seals the frame, the router
+//! checks the hop, the receiver checks end to end — so at the sliced
+//! kernel's ≈ 1.6 GB/s the CRC cost ≈ 1.9 ms of CPU per MB per
+//! direction, the largest per-byte stage on the message path (encode
+//! and decode run at 3.3–3.9 GB/s and touch each byte once). On a
+//! 2-vcpu Intel Xeon VM the fold runs at 9.8–21.5 GB/s and took the
+//! `comm_exchange` benchmark's 1 MB alltoallv from 4.55 to 2.88 ms at
+//! p10 (EXPERIMENTS.md). The x86 `crc32` instruction is no substitute:
+//! it computes CRC-32C, another polynomial, which would change every
+//! stored checksum.
 
 /// Number of lookup tables: bytes folded per loop iteration.
 const SLICES: usize = 16;
@@ -61,9 +66,22 @@ fn tables() -> &'static [[u32; 256]; SLICES] {
 
 /// CRC-32 of `data` (same parameters as zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
+    let (mut c, mut rest) = (0xFFFF_FFFFu32, data);
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= 64 && crate::simd::has_clmul() {
+        let (folded, tail) = data.split_at(data.len() & !15);
+        // SAFETY: PCLMULQDQ and SSE4.1 confirmed on the running CPU
+        c = unsafe { clmul::fold(c, folded) };
+        rest = tail;
+    }
+    sliced(c, rest) ^ 0xFFFF_FFFF
+}
+
+/// The portable kernel: the running CRC state `c` advanced over `data`
+/// by slicing-by-16, the < 16-byte remainder a byte at a time.
+fn sliced(mut c: u32, data: &[u8]) -> u32 {
     let t = tables();
     let word = |b: &[u8], i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
-    let mut c = 0xFFFF_FFFFu32;
     let mut blocks = data.chunks_exact(SLICES);
     for b in &mut blocks {
         // the running CRC only enters the first word: bytes further
@@ -81,7 +99,73 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// The carry-less-multiply folding kernel. Each fold constant k1–k5 is
+/// `x^n mod P(x)` for the distance it folds, bit-reflected and shifted
+/// left by one, so a 64 × 64 → 127-bit product lands aligned.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use core::arch::x86_64::*;
+
+    /// k1, k2: fold each of four lanes 512 bits ahead.
+    const K1K2: [i64; 2] = [0x1_5444_2bd4, 0x1_c6e4_1596];
+    /// k3, k4: fold one lane 128 bits ahead.
+    const K3K4: [i64; 2] = [0x1_7519_97d0, 0x0_ccaa_009e];
+    /// k5: fold the last 96 bits to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P′ (the polynomial) and μ (its Barrett quotient).
+    const POLY_MU: [i64; 2] = [0x1_db71_0641, 0x1_f701_1641];
+
+    /// `x` folded ahead by the distance `k` encodes, XORed onto `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn ahead(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// The running CRC state `crc` advanced over `data`.
+    ///
+    /// # Safety
+    /// The running CPU has `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
+        // the loads below are raw-pointer reads, in bounds because of this
+        assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+        let set = |k: [i64; 2]| _mm_set_epi64x(k[1], k[0]);
+        // SAFETY: `i + 16 <= data.len()` at every call; loadu has no
+        // alignment demands
+        let load = |i: usize| unsafe { _mm_loadu_si128(data.as_ptr().add(i).cast()) };
+        let mut x = [load(0), load(16), load(32), load(48)];
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        let mut at = 64;
+        let k = set(K1K2);
+        while at + 64 <= data.len() {
+            for (j, lane) in x.iter_mut().enumerate() {
+                *lane = ahead(*lane, k, load(at + 16 * j));
+            }
+            at += 64;
+        }
+        let k = set(K3K4);
+        let mut r = ahead(ahead(ahead(x[0], k, x[1]), k, x[2]), k, x[3]);
+        while at < data.len() {
+            r = ahead(r, k, load(at));
+            at += 16;
+        }
+        // 128 → 64 bits, then 64 → 32 by Barrett reduction
+        let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+        r = _mm_xor_si128(_mm_srli_si128::<8>(r), _mm_clmulepi64_si128::<0x10>(r, k));
+        let k5 = _mm_set_epi64x(0, K5);
+        let folded = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(r, low32), k5);
+        r = _mm_xor_si128(_mm_srli_si128::<4>(r), folded);
+        let pm = set(POLY_MU);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(r, low32), pm);
+        let q = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), pm);
+        _mm_extract_epi32::<1>(_mm_xor_si128(r, q)) as u32
+    }
 }
 
 #[cfg(test)]
@@ -114,7 +198,9 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_changes_the_crc() {
-        let data = b"quadforest checkpoint shard".to_vec();
+        // 269 bytes: 256 folded by the carry-less kernel, a 13-byte tail
+        let mut data = b"quadforest checkpoint shard".repeat(10);
+        data.truncate(269);
         let base = crc32(&data);
         for i in 0..data.len() {
             for bit in 0..8 {
@@ -125,8 +211,53 @@ mod tests {
         }
     }
 
+    /// The fold on `data` as a whole CRC, when this CPU can run it — the
+    /// forced-scalar tier too, whose `crc32` never reaches it.
+    fn folded(data: &[u8]) -> Option<u32> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: both features were detected on this CPU just above
+            return Some(unsafe { clmul::fold(0xFFFF_FFFF, data) } ^ 0xFFFF_FFFF);
+        }
+        let _ = data; // read only on x86_64
+        None
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // 64..=320 takes the 64-byte loop 0–4 times, each time followed
+        // by 0–3 single 16-byte folds
+        #[test]
+        fn fold_equals_bytewise_at_every_length(
+            bytes in proptest::collection::vec(any::<u8>(), 320),
+        ) {
+            for len in (64..=bytes.len()).step_by(16) {
+                if let Some(got) = folded(&bytes[..len]) {
+                    prop_assert_eq!(got, crc32_bytewise(&bytes[..len]), "len {}", len);
+                }
+            }
+        }
+
+        // the fold's unaligned loads at every start offset of a 64-byte
+        // window, and the portable kernel on the long buffers `crc32`
+        // hands to the fold wherever the CPU has one
+        #[test]
+        fn fold_and_sliced_equal_bytewise_at_every_offset(
+            bytes in proptest::collection::vec(any::<u8>(), 1024..4096),
+        ) {
+            for off in 0..64 {
+                let from = &bytes[off..];
+                let want = crc32_bytewise(from);
+                prop_assert_eq!(sliced(0xFFFF_FFFF, from) ^ 0xFFFF_FFFF, want, "sliced, offset {}", off);
+                let body = &from[..from.len() & !15];
+                if let Some(got) = folded(body) {
+                    prop_assert_eq!(got, crc32_bytewise(body), "fold, offset {}", off);
+                }
+            }
+        }
 
         // every block-count / tail-length combination around the
         // 16-byte block: 0..=130 covers 0–8 whole blocks with every tail

@@ -8,10 +8,11 @@
 //! with `is_x86_feature_detected!`-based detection performed **once** per
 //! process and cached in a [`OnceLock`]. It is the one place the tier is
 //! decided: each dispatched entry point in [`crate::batch`] asks
-//! `dispatch` once per call, and the per-element Morton codecs in
-//! [`crate::morton`] ask `has_bmi2`; both then branch directly between
-//! an inner kernel compiled with `#[target_feature(enable = ...)]` and
-//! the portable scalar reference.
+//! `dispatch` once per call, the per-element Morton codecs in
+//! [`crate::morton`] ask `has_bmi2` and [`crate::crc::crc32`] asks
+//! `has_clmul` per buffer (the last two uncounted); each then branches
+//! directly between an inner kernel compiled with
+//! `#[target_feature(enable = ...)]` and the portable scalar reference.
 //!
 //! # Safety argument
 //!
@@ -44,6 +45,9 @@ pub(crate) struct Features {
     /// `pdep`/`pext` bit deposit/extract — the Morton codec in
     /// [`crate::morton::bmi2`].
     pub bmi2: bool,
+    /// `pclmulqdq` carry-less multiply with SSE4.1 — the CRC-32 fold in
+    /// [`crate::crc`].
+    pub clmul: bool,
 }
 
 #[cfg(all(target_arch = "x86_64", not(quadforest_force_scalar)))]
@@ -51,6 +55,8 @@ fn detect() -> Features {
     Features {
         avx2: std::arch::is_x86_feature_detected!("avx2"),
         bmi2: std::arch::is_x86_feature_detected!("bmi2"),
+        clmul: std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1"),
     }
 }
 
@@ -76,6 +82,12 @@ pub(crate) fn has_avx2() -> bool {
 #[inline]
 pub(crate) fn has_bmi2() -> bool {
     features().bmi2
+}
+
+/// True when the carry-less-multiply CRC-32 fold is active.
+#[inline]
+pub(crate) fn has_clmul() -> bool {
+    features().clmul
 }
 
 /// Human-readable summary of the active kernel tier, for benchmark
@@ -180,6 +192,7 @@ mod tests {
         assert_eq!(features(), features());
         assert_eq!(has_avx2(), features().avx2);
         assert_eq!(has_bmi2(), features().bmi2);
+        assert_eq!(has_clmul(), features().clmul);
     }
 
     #[test]
