@@ -110,3 +110,20 @@ fn supervisor_counters_reach_the_global_registry() {
         assert!(count("comm.peer_failures") > before.2, "{name}");
     }
 }
+
+/// A worker whose spawn record does not decode refuses to start: one
+/// line naming the variable and exit code 3, the code of a worker that
+/// cannot connect — not a panic, and not a run of the binary's own
+/// `main` either.
+#[test]
+fn a_malformed_spawn_record_exits_3_with_one_line() {
+    let out = std::process::Command::new(worker())
+        .arg("--help")
+        .env("QF_SOCKET_SPAWN", "zz")
+        .output()
+        .expect("run the worker binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert_eq!(stderr, "worker: QF_SOCKET_SPAWN is not lowercase hex\n");
+    assert!(out.stdout.is_empty());
+}

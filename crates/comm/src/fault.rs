@@ -360,8 +360,8 @@ impl FaultPlan {
 }
 
 // FaultPlans travel from the supervisor process to spawned rank
-// processes (hex-encoded in an environment variable), so the plan needs
-// a wire form. Field order matches declaration order.
+// processes (inside their spawn record), so the plan needs a wire
+// form. Field order matches declaration order.
 quadforest_core::wire!(struct FaultPlan {
     seed, delay_prob, delay_max, reorder_prob, panics, sigkills, stalls,
     net_delay_prob, net_delay_max, net_drop_prob, net_corrupt_prob, net_partial_prob,

@@ -94,11 +94,6 @@ impl RecoveryPolicy {
     }
 }
 
-// A RecoveryPolicy doubles as the TCP backend's *reconnect* schedule
-// and must travel to spawned rank processes (hex-encoded in an
-// environment variable), so it needs a wire form.
-quadforest_core::wire!(struct RecoveryPolicy { max_attempts, base_delay, max_delay, jitter_ppm });
-
 /// Options for [`run_with_recovery`]: the retry/backoff policy plus
 /// per-attempt world configuration.
 #[derive(Clone, Debug)]

@@ -491,11 +491,11 @@ mod tests {
     }
 
     /// One sample of every variant of the comm crate's wire types —
-    /// frames, errors, fault plans (every `NetDir`), recovery policies —
-    /// pinned as length and CRC-32 of the concatenated encodings.
+    /// frames, errors and fault plans (every `NetDir`) — pinned as
+    /// length and CRC-32 of the concatenated encodings.
     #[test]
     fn wire_codecs_are_pinned_byte_for_byte() {
-        use crate::{CommError, FaultPlan, NetDir, RecoveryPolicy};
+        use crate::{CommError, FaultPlan, NetDir};
         let mut bytes = Vec::new();
         for frame in sample_frames() {
             frame.encode(&mut bytes);
@@ -542,14 +542,7 @@ mod tests {
             .with_net_partition(1, NetDir::In, 6, Duration::from_millis(50))
             .with_net_partition(2, NetDir::Both, 7, Duration::from_millis(60))
             .encode(&mut bytes);
-        RecoveryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(3),
-            max_delay: Duration::from_secs(1),
-            jitter_ppm: 250_000,
-        }
-        .encode(&mut bytes);
-        assert_eq!((bytes.len(), crc32(&bytes)), (722, 0xF8EB_4523));
+        assert_eq!((bytes.len(), crc32(&bytes)), (686, 0x3EDA_9B24));
     }
 
     #[test]

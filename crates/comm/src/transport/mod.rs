@@ -36,6 +36,7 @@ use crate::{
     AbortRecord, Attempt, CollectiveNames, Comm, CommError, Mailbox, Msg, RankState, RunOptions,
     WorldError,
 };
+use process::LinkKind;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -217,12 +218,17 @@ pub fn try_run_program(
     args: &[u8],
     attempt: Attempt,
 ) -> Result<Vec<Vec<u8>>, WorldError> {
-    let job = process::Job {
+    let spawn = |link, heartbeat| process::Spawn {
+        link,
+        addr: String::new(),
+        rank: 0,
         size,
-        opts,
-        program: name,
-        args,
+        program: name.into(),
+        args: args.to_vec(),
+        recv_timeout: opts.recv_timeout,
+        heartbeat,
         attempt,
+        faults: opts.faults.clone(),
     };
     match backend {
         Backend::Threads => {
@@ -235,16 +241,19 @@ pub fn try_run_program(
             };
             crate::try_run_with(size, opts.clone(), move |c| f(&c, &ctx))
         }
-        Backend::Sockets(sock) => socket::run_world(&job, sock),
-        Backend::Tcp(tcp) => tcp::run_world(&job, tcp),
+        Backend::Sockets(sock) => {
+            socket::run_world(spawn(LinkKind::Unix, sock.heartbeat_interval), sock)
+        }
+        Backend::Tcp(tcp) => tcp::run_world(spawn(LinkKind::Tcp, tcp.heartbeat_interval), tcp),
     }
 }
 
 /// Worker-process hook: when the calling process was spawned as a
-/// socket- or TCP-backend rank (detected via an environment variable set
-/// by the supervisor), connect back, run the requested program from
-/// `registry`, report the outcome in-band, and **exit the process**.
-/// Returns normally — `false` — only when not a worker.
+/// socket- or TCP-backend rank (detected via the one environment
+/// variable the supervisor sets, `QF_SOCKET_SPAWN`), connect back, run
+/// the requested program from `registry`, report the outcome in-band,
+/// and **exit the process**. Returns normally — `false` — only when not
+/// a worker; a malformed `QF_SOCKET_SPAWN` exits with code 3.
 ///
 /// Call this first thing in `main()` of any binary used as a
 /// [`SocketOptions::worker`].

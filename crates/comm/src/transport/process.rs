@@ -5,9 +5,10 @@
 //! [`try_run_program`](crate::try_run_program)) spawns one worker per
 //! rank, routes every rank-to-rank message through itself, tracks
 //! liveness, and assembles the world's result. Workers learn their
-//! identity from environment variables, connect back, and run the named
-//! program against a [`Worker`] transport whose `deliver` sends
-//! Wire-encoded frames instead of pushing into a shared mailbox.
+//! identity from one [`Spawn`] record in one environment variable,
+//! connect back, and run the named program against a [`Worker`]
+//! transport whose `deliver` sends Wire-encoded frames instead of
+//! pushing into a shared mailbox.
 //!
 //! Everything in this module exists once. What the two process
 //! backends differ in is only *how a frame reaches the peer* — written
@@ -30,7 +31,7 @@ use super::{ProgramCtx, ProgramRegistry, SocketOptions};
 use crate::fault::FaultAction;
 use crate::{
     plock, world_result, AbortRecord, Attempt, CollectiveNames, Comm, CommError, FaultPlan,
-    Mailbox, Msg, Payload, RankError, RankFailure, RankState, RunOptions, Transport, WorldError,
+    Mailbox, Msg, Payload, RankError, RankFailure, RankState, Transport, WorldError,
 };
 use quadforest_core::Wire;
 use quadforest_telemetry as telemetry;
@@ -41,19 +42,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-// Environment contract between the supervisor and its worker processes.
-/// Link kind the worker must speak; its presence marks a worker process.
-pub(super) const ENV_LINK: &str = "QF_SOCKET_LINK";
-/// Where the supervisor listens (socket path or `host:port`).
-pub(super) const ENV_ADDR: &str = "QF_SOCKET_ADDR";
-const ENV_RANK: &str = "QF_SOCKET_RANK";
-const ENV_SIZE: &str = "QF_SOCKET_SIZE";
-const ENV_PROGRAM: &str = "QF_SOCKET_PROGRAM";
-const ENV_ARGS: &str = "QF_SOCKET_ARGS";
-const ENV_RECV_TIMEOUT_MS: &str = "QF_SOCKET_RECV_TIMEOUT_MS";
-const ENV_HEARTBEAT_MS: &str = "QF_SOCKET_HEARTBEAT_MS";
-const ENV_ATTEMPT: &str = "QF_SOCKET_ATTEMPT";
-const ENV_FAULTS: &str = "QF_SOCKET_FAULTS";
+/// The one environment variable of a worker process: its [`Spawn`]
+/// record, Wire-encoded and hex-armoured. Its presence marks a worker.
+const ENV_SPAWN: &str = "QF_SOCKET_SPAWN";
 
 /// Poll granularity for stop-flag checks inside blocking socket reads.
 pub(super) const READ_POLL: Duration = Duration::from_millis(25);
@@ -73,42 +64,66 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
+/// Lowercase hex only: anything else, or an odd length, is `None`.
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
+    let nibble = |c: u8| match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    };
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    (s.chunks_exact(2))
+        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
         .collect()
 }
 
-/// A required worker environment variable.
-fn env_str(key: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| panic!("worker env {key} missing"))
+/// The link a worker speaks to its supervisor.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum LinkKind {
+    /// Raw frames over a Unix socket ([`super::socket`]).
+    Unix,
+    /// The sequenced session over TCP ([`super::tcp`]).
+    Tcp,
 }
 
-/// A required numeric worker environment variable.
-fn env_num(key: &str) -> u64 {
-    env_str(key)
-        .parse()
-        .unwrap_or_else(|_| panic!("worker env {key} malformed"))
+quadforest_core::wire!(enum LinkKind { 0 => Unix, 1 => Tcp });
+
+/// The supervisor-to-worker contract: everything a worker process is
+/// told, declared once. The supervisor fills one in per world (`addr`
+/// once its link listens, `rank` per child) and passes it in
+/// [`ENV_SPAWN`]; the worker decodes it whole or refuses to start.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Spawn {
+    pub(super) link: LinkKind,
+    /// Where the supervisor listens (socket path or `host:port`).
+    pub(super) addr: String,
+    pub(super) rank: usize,
+    pub(super) size: usize,
+    pub(super) program: String,
+    pub(super) args: Vec<u8>,
+    pub(super) recv_timeout: Duration,
+    pub(super) heartbeat: Duration,
+    pub(super) attempt: Attempt,
+    pub(super) faults: Option<FaultPlan>,
 }
 
-/// A hex-encoded Wire value from the worker environment.
-fn wire_from_hex<T: Wire>(key: &str, hex: &str) -> T {
-    let bytes = hex_decode(hex).unwrap_or_else(|| panic!("worker env {key} is not hex"));
-    T::from_wire(&bytes).unwrap_or_else(|e| panic!("worker env {key} does not decode: {e}"))
-}
+quadforest_core::wire!(struct Attempt { index });
+quadforest_core::wire!(struct Spawn {
+    link, addr, rank, size, program, args, recv_timeout, heartbeat, attempt, faults,
+});
 
-/// What to run: the arguments of
-/// [`try_run_program`](crate::try_run_program) a process world needs.
-pub(crate) struct Job<'a> {
-    pub(crate) size: usize,
-    pub(crate) opts: &'a RunOptions,
-    pub(crate) program: &'a str,
-    pub(crate) args: &'a [u8],
-    pub(crate) attempt: Attempt,
+impl Spawn {
+    /// Decode the value of [`ENV_SPAWN`]: lowercase hex of exactly one
+    /// encoded record. The error completes "`QF_SOCKET_SPAWN` …".
+    fn from_env(value: &std::ffi::OsStr) -> Result<Spawn, String> {
+        let bytes = (value.to_str())
+            .and_then(hex_decode)
+            .ok_or("is not lowercase hex")?;
+        Spawn::from_wire(&bytes).map_err(|e| format!("does not decode: {e}"))
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -347,33 +362,19 @@ impl<L: Links> Supervisor<L> {
         }
     }
 
-    /// Spawn one worker process per rank with the environment contract
-    /// (`link_env` carries what is particular to the link kind).
-    fn spawn_workers(&self, job: &Job, opts: &SocketOptions, link_env: &[(&str, String)]) {
+    /// Spawn one worker process per rank, each with `spawn` for its
+    /// own rank.
+    fn spawn_workers(&self, spawn: &Spawn, opts: &SocketOptions) {
+        let mut spawn = spawn.clone();
         for rank in 0..self.size {
+            spawn.rank = rank;
             let mut cmd = Command::new(&opts.worker);
-            cmd.envs(link_env.iter().map(|(k, v)| (k, v)))
-                .env(ENV_RANK, rank.to_string())
-                .env(ENV_SIZE, self.size.to_string())
-                .env(ENV_PROGRAM, job.program)
-                .env(ENV_ARGS, hex_encode(job.args))
-                .env(
-                    ENV_RECV_TIMEOUT_MS,
-                    job.opts.recv_timeout.as_millis().to_string(),
-                )
-                .env(
-                    ENV_HEARTBEAT_MS,
-                    opts.heartbeat_interval.as_millis().max(1).to_string(),
-                )
-                .env(ENV_ATTEMPT, job.attempt.index.to_string())
+            cmd.env(ENV_SPAWN, hex_encode(&spawn.to_wire()))
                 .stdin(Stdio::null());
             // children dump their flight postmortems next to the
             // supervisor's (set_postmortem_dir only affects this process)
             if let Some(dir) = telemetry::flight::postmortem_dir() {
                 cmd.env(telemetry::flight::ENV_FLIGHT_DIR, &dir);
-            }
-            if let Some(plan) = &job.opts.faults {
-                cmd.env(ENV_FAULTS, hex_encode(&plan.to_wire()));
             }
             match cmd.spawn() {
                 Ok(child) => plock(&self.children)[rank] = Some(child),
@@ -472,28 +473,26 @@ impl<L: Links> Supervisor<L> {
     }
 }
 
-/// Run `job` across worker processes joined by `links`. `connect`
-/// waits until `deadline` ([`CONNECT_TIMEOUT`] from the spawn) for
-/// every worker's first connection and
-/// starts the link's threads (pushed onto the handle list, joined at
-/// teardown); it returns the ranks that never connected. Failure
-/// reporting matches the thread backend's
-/// [`try_run_with`](crate::try_run_with) in shape.
+/// Run `spawn`'s program across worker processes joined by `links`.
+/// `connect` waits until `deadline` ([`CONNECT_TIMEOUT`] from the spawn)
+/// for every worker's first connection and starts the link's threads
+/// (pushed onto the handle list, joined at teardown); it returns the
+/// ranks that never connected. Failure reporting matches the thread
+/// backend's [`try_run_with`](crate::try_run_with) in shape.
 pub(super) fn run_world<L: Links>(
-    job: &Job,
+    spawn: &Spawn,
     opts: &SocketOptions,
     links: L,
-    link_env: &[(&str, String)],
     connect: impl FnOnce(&Arc<Supervisor<L>>, Instant, &mut Vec<JoinHandle<()>>) -> Vec<usize>,
 ) -> Result<Vec<Vec<u8>>, WorldError> {
-    assert!(job.size > 0);
+    assert!(spawn.size > 0);
     telemetry::flight::arm();
-    let sup = Arc::new(Supervisor::new(job.size, links));
-    sup.spawn_workers(job, opts, link_env);
+    let sup = Arc::new(Supervisor::new(spawn.size, links));
+    sup.spawn_workers(spawn, opts);
     let mut threads = Vec::new();
     let missing = connect(&sup, Instant::now() + CONNECT_TIMEOUT, &mut threads);
     if missing.is_empty() {
-        sup.monitor_until_terminal(opts, job.opts.recv_timeout);
+        sup.monitor_until_terminal(opts, spawn.recv_timeout);
     }
 
     // teardown: retire links, stop the link's threads, reap children
@@ -526,9 +525,9 @@ pub(super) fn run_world<L: Links>(
 /// How a worker's frames reach the supervisor, and the supervisor's
 /// frames reach the worker: the child half of a link kind.
 pub(super) trait Uplink: Send + Sync + Sized + 'static {
-    /// Set the link up from the worker environment. A link with no
+    /// Set the link up from the worker's spawn record. A link with no
     /// session to establish connects here.
-    fn open(env: &WorkerEnv) -> Result<Self, String>;
+    fn open(spawn: &Spawn) -> Result<Self, String>;
     /// Start the link's threads (pushed onto `threads`, joined at exit)
     /// and return once the supervisor has accepted this rank. Incoming
     /// frames go to [`Worker::on_frame`].
@@ -538,39 +537,6 @@ pub(super) trait Uplink: Send + Sync + Sized + 'static {
     fn send(&self, frame: Frame) -> bool;
     /// The rank's terminal frame is sent: see it delivered, then close.
     fn close(&self) {}
-}
-
-/// What the supervisor told this worker through the environment.
-pub(super) struct WorkerEnv {
-    pub(super) rank: usize,
-    pub(super) addr: String,
-    pub(super) faults: Option<FaultPlan>,
-    size: usize,
-    program: String,
-    args: Vec<u8>,
-    recv_timeout: Duration,
-    heartbeat: Duration,
-    attempt: Attempt,
-}
-
-impl WorkerEnv {
-    fn from_env() -> Self {
-        WorkerEnv {
-            rank: env_num(ENV_RANK) as usize,
-            addr: env_str(ENV_ADDR),
-            faults: std::env::var(ENV_FAULTS)
-                .ok()
-                .map(|hex| wire_from_hex(ENV_FAULTS, &hex)),
-            size: env_num(ENV_SIZE) as usize,
-            program: env_str(ENV_PROGRAM),
-            args: hex_decode(&std::env::var(ENV_ARGS).unwrap_or_default()).expect("args hex"),
-            recv_timeout: Duration::from_millis(env_num(ENV_RECV_TIMEOUT_MS)),
-            heartbeat: Duration::from_millis(env_num(ENV_HEARTBEAT_MS).max(1)),
-            attempt: Attempt {
-                index: env_num(ENV_ATTEMPT) as usize,
-            },
-        }
-    }
 }
 
 /// The worker half of a process world: the rank's inbox, its local
@@ -733,11 +699,10 @@ impl<U: Uplink> Transport for Worker<U> {
     }
 }
 
-/// Parse the worker environment, connect, run the requested program,
-/// report the outcome in-band. Returns the process exit code.
-fn run_child<U: Uplink>(registry: &ProgramRegistry) -> i32 {
-    let env = WorkerEnv::from_env();
-    let rank = env.rank;
+/// Connect, run the requested program, report the outcome in-band.
+/// Returns the process exit code.
+fn run_child<U: Uplink>(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
+    let rank = spawn.rank;
 
     // Flight recorder: every worker records its own ring and, on a
     // clean failure, dumps it before reporting (a SIGKILLed worker
@@ -746,11 +711,11 @@ fn run_child<U: Uplink>(registry: &ProgramRegistry) -> i32 {
     telemetry::flight::set_thread_rank(rank as u32);
 
     let mut threads = Vec::new();
-    let started = U::open(&env).and_then(|up| {
+    let started = U::open(&spawn).and_then(|up| {
         let worker = Arc::new(Worker {
             rank,
-            size: env.size,
-            recv_timeout: env.recv_timeout,
+            size: spawn.size,
+            recv_timeout: spawn.recv_timeout,
             up,
             inbox: Mailbox::new(),
             aborts: AbortRecord::default(),
@@ -768,17 +733,17 @@ fn run_child<U: Uplink>(registry: &ProgramRegistry) -> i32 {
         Err(e) => {
             eprintln!(
                 "rank {rank}: cannot connect to supervisor at {}: {e}",
-                env.addr
+                spawn.addr
             );
             for t in threads {
                 let _ = t.join();
             }
-            return 3;
+            return CANNOT_START;
         }
     };
 
     // heartbeat thread: liveness beacon until silenced
-    let heartbeat = env.heartbeat;
+    let heartbeat = spawn.heartbeat.max(Duration::from_millis(1));
     let heartbeater = {
         let worker = Arc::clone(&worker);
         std::thread::Builder::new()
@@ -803,18 +768,18 @@ fn run_child<U: Uplink>(registry: &ProgramRegistry) -> i32 {
     let comm = Comm::new(
         rank,
         Arc::clone(&worker) as Arc<dyn Transport>,
-        env.faults.as_ref().map(|p| p.compile(rank)),
+        spawn.faults.as_ref().map(|p| p.compile(rank)),
     );
-    let f = registry.get(&env.program).unwrap_or_else(|| {
+    let f = registry.get(&spawn.program).unwrap_or_else(|| {
         panic!(
             "worker registry has no program '{}' (registered: {:?})",
-            env.program,
+            spawn.program,
             registry.names()
         )
     });
     let ctx = ProgramCtx {
-        args: env.args,
-        attempt: env.attempt,
+        args: spawn.args,
+        attempt: spawn.attempt,
     };
 
     let outcome = catch_unwind(AssertUnwindSafe(|| f(&comm, &ctx)));
@@ -856,15 +821,24 @@ fn run_child<U: Uplink>(registry: &ProgramRegistry) -> i32 {
     0
 }
 
+/// Exit code of a worker that cannot start: a malformed spawn record,
+/// or no connection to the supervisor.
+const CANNOT_START: i32 = 3;
+
 /// See [`crate::maybe_run_socket_child`].
 pub(super) fn maybe_run_child(registry: &ProgramRegistry) -> bool {
-    let Ok(link) = std::env::var(ENV_LINK) else {
+    let Some(value) = std::env::var_os(ENV_SPAWN) else {
         return false;
     };
-    let code = match link.as_str() {
-        super::socket::LINK => run_child::<super::socket::RawUplink>(registry),
-        super::tcp::LINK => run_child::<super::tcp::SessionUplink>(registry),
-        other => panic!("worker env {ENV_LINK} names an unknown link kind '{other}'"),
+    let code = match Spawn::from_env(&value) {
+        Ok(spawn) => match spawn.link {
+            LinkKind::Unix => run_child::<super::socket::RawUplink>(spawn, registry),
+            LinkKind::Tcp => run_child::<super::tcp::SessionUplink>(spawn, registry),
+        },
+        Err(e) => {
+            eprintln!("worker: {ENV_SPAWN} {e}");
+            CANNOT_START
+        }
     };
     std::process::exit(code);
 }
@@ -881,6 +855,53 @@ pub(super) mod tests {
         assert_eq!(hex_encode(&[0xFF, 0x00, 0x7A, 13]), "ff007a0d");
         assert_eq!(hex_decode("zz"), None);
         assert_eq!(hex_decode("abc"), None);
+        assert_eq!(hex_decode("a\u{e9}b"), None);
+        assert_eq!(hex_decode("+1"), None);
+    }
+
+    /// A record survives the environment exactly — a sub-millisecond
+    /// timeout, zero bytes in the arguments, a fault plan — and every
+    /// malformed value is an error, never a panic.
+    #[test]
+    fn spawn_record_roundtrips_and_rejects_malformed_values() {
+        let spawn = Spawn {
+            link: LinkKind::Tcp,
+            addr: "127.0.0.1:4242".into(),
+            rank: 3,
+            size: 5,
+            program: "ring".into(),
+            args: vec![0, 7, 0, 0],
+            recv_timeout: Duration::from_micros(500),
+            heartbeat: Duration::from_millis(50),
+            attempt: Attempt { index: 2 },
+            faults: Some(FaultPlan::new(9).with_sigkill_at(1, 4)),
+        };
+        let hex = hex_encode(&spawn.to_wire());
+        assert_eq!(Spawn::from_env(hex.as_ref()), Ok(spawn));
+        let mut bad_link = hex.clone();
+        bad_link.replace_range(..2, "09");
+        for (value, error) in [
+            ("zz", "is not lowercase hex"),
+            ("abc", "is not lowercase hex"),
+            ("+1", "is not lowercase hex"),
+            (
+                &(hex.clone() + "00"),
+                "does not decode: 1 trailing byte(s) after a complete value",
+            ),
+            (
+                &bad_link,
+                "does not decode: invalid encoding: LinkKind discriminant 9",
+            ),
+        ] {
+            assert_eq!(
+                Spawn::from_env(value.as_ref()),
+                Err(error.into()),
+                "{value}"
+            );
+        }
+        for truncated in ["", "00"] {
+            assert!(Spawn::from_env(truncated.as_ref()).is_err());
+        }
     }
 
     /// Several ranks past the heartbeat window in one sweep: the one

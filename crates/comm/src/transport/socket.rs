@@ -4,9 +4,10 @@
 //! frame is simply written to the stream and a broken stream *is* a
 //! dead peer: clean EOF, mid-frame EOF or a corrupt frame on a rank's
 //! connection declares that rank dead on the spot. The supervisor, the
-//! worker runtime and the liveness rules are [`super::process`]; this
-//! file is only how a frame reaches the peer — the listener and the
-//! connect, one reader and one writer thread per rank on the
+//! worker runtime, the liveness rules and the [`Spawn`] record a worker
+//! starts from are [`super::process`]; this file is only how a frame
+//! reaches the peer — the listener (its path is the record's `addr`)
+//! and the connect, one reader and one writer thread per rank on the
 //! supervisor, and the forwarding of `Msg` frames as the bytes that
 //! arrived.
 
@@ -14,10 +15,7 @@ use super::frame::{
     decode_raw, encode_frame, msg_route, read_frame, read_raw, read_wire_timeout, Frame,
     FrameError, HEADER_LEN,
 };
-use super::process::{
-    self, Job, Links, Supervisor, Uplink, Worker, WorkerEnv, CONNECT_TIMEOUT, ENV_ADDR, ENV_LINK,
-    READ_POLL,
-};
+use super::process::{self, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL};
 use super::SocketOptions;
 use crate::{plock, WorldError};
 use std::io::Write;
@@ -26,9 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The worker environment's name for this link kind.
-pub(super) const LINK: &str = "unix";
 
 // ----------------------------------------------------------------------
 // supervisor side
@@ -194,8 +189,12 @@ fn socket_path() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("quadforest-{}-{n}.sock", std::process::id()))
 }
 
-/// Run `job` across worker processes over a Unix domain socket.
-pub(crate) fn run_world(job: &Job, sock: &SocketOptions) -> Result<Vec<Vec<u8>>, WorldError> {
+/// Run `spawn`'s program across worker processes over a Unix domain
+/// socket, which the workers find at the record's `addr`.
+pub(crate) fn run_world(
+    mut spawn: Spawn,
+    sock: &SocketOptions,
+) -> Result<Vec<Vec<u8>>, WorldError> {
     let path = socket_path();
     let _ = std::fs::remove_file(&path);
     let listener =
@@ -203,15 +202,11 @@ pub(crate) fn run_world(job: &Job, sock: &SocketOptions) -> Result<Vec<Vec<u8>>,
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
-    let link_env = [
-        (ENV_LINK, LINK.to_string()),
-        (ENV_ADDR, path.display().to_string()),
-    ];
+    spawn.addr = path.display().to_string();
     let result = process::run_world(
-        job,
+        &spawn,
         sock,
-        RawLinks::new(job.size),
-        &link_env,
+        RawLinks::new(spawn.size),
         |sup, deadline, threads| accept_workers(&listener, sup, deadline, threads),
     );
     let _ = std::fs::remove_file(&path);
@@ -231,10 +226,10 @@ pub(super) struct RawUplink {
 impl Uplink for RawUplink {
     /// Connect with retry: the supervisor binds before spawning, but be
     /// tolerant of slow filesystems.
-    fn open(env: &WorkerEnv) -> Result<Self, String> {
+    fn open(spawn: &Spawn) -> Result<Self, String> {
         let deadline = Instant::now() + CONNECT_TIMEOUT;
         loop {
-            match UnixStream::connect(&env.addr) {
+            match UnixStream::connect(&spawn.addr) {
                 Ok(stream) => {
                     return Ok(RawUplink {
                         writer: Mutex::new(stream),

@@ -1,11 +1,13 @@
 //! The session link: a process world over TCP (multi-node capable).
 //!
-//! The supervisor, the worker runtime and the liveness rules are
-//! [`super::process`], exactly as on the Unix-socket backend; this file
-//! is only how a frame reaches the peer over TCP, which brings two
-//! problems Unix sockets never have: the wire can *lose or mangle
-//! bytes* (a flaky interconnect, or our deterministic chaos
-//! interposer), and a connection can *drop and come back*. The answer
+//! The supervisor, the worker runtime, the liveness rules and the
+//! [`Spawn`] record a worker starts from are [`super::process`], exactly
+//! as on the Unix-socket backend (here the record's `addr` is the
+//! listener's `host:port`); this file is only how a frame reaches the
+//! peer over TCP, which brings two problems Unix sockets never have:
+//! the wire can *lose or mangle bytes* (a flaky interconnect, or our
+//! deterministic chaos interposer), and a connection can *drop and come
+//! back*. The answer
 //! is a small reliable session layer on top of the CRC framing:
 //!
 //! * Every [`Frame`] travels inside a [`TcpPacket::Data`] envelope
@@ -47,10 +49,7 @@
 use super::frame::{
     encode_wire, encode_with, read_wire_stalling, read_wire_timeout, Frame, FrameError,
 };
-use super::process::{
-    self, Job, Links, Supervisor, Uplink, Worker, WorkerEnv, CONNECT_TIMEOUT, ENV_ADDR, ENV_LINK,
-    READ_POLL,
-};
+use super::process::{self, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL};
 use super::TcpOptions;
 use crate::fault::{NetFaults, WriteFault};
 use crate::{plock, RecoveryPolicy, WorldError};
@@ -63,9 +62,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The worker environment's name for this link kind.
-pub(super) const LINK: &str = "tcp";
 
 /// Reconnect schedule after a broken connection: bounded exponential
 /// backoff with deterministic jitter. When it is exhausted the rank
@@ -515,27 +511,21 @@ fn accept_loop(sup: &Arc<Supervisor<SessionLinks>>, listener: TcpListener) {
     }
 }
 
-/// Run `job` across worker processes over TCP. What it adds to the
-/// process world is the persistent accept loop that lets workers
-/// reconnect mid-run.
-pub(crate) fn run_world(job: &Job, tcp: &TcpOptions) -> Result<Vec<Vec<u8>>, WorldError> {
+/// Run `spawn`'s program across worker processes over TCP, the
+/// workers connecting to the listener's address in the record's
+/// `addr`. What it adds to the process world is the persistent accept
+/// loop that lets workers reconnect mid-run.
+pub(crate) fn run_world(mut spawn: Spawn, tcp: &TcpOptions) -> Result<Vec<Vec<u8>>, WorldError> {
     let listener = TcpListener::bind(("127.0.0.1", 0))
         .unwrap_or_else(|e| panic!("bind tcp listener on loopback: {e}"));
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
-    let link_env = [
-        (ENV_LINK, LINK.to_string()),
-        (
-            ENV_ADDR,
-            listener.local_addr().expect("listener addr").to_string(),
-        ),
-    ];
+    spawn.addr = listener.local_addr().expect("listener addr").to_string();
     process::run_world(
-        job,
+        &spawn,
         tcp,
-        SessionLinks((0..job.size).map(|_| Link::new()).collect()),
-        &link_env,
+        SessionLinks((0..spawn.size).map(|_| Link::new()).collect()),
         |sup, deadline, threads| {
             // initial connections AND reconnects
             let accept = Arc::clone(sup);
@@ -714,16 +704,16 @@ fn child_manager_loop(worker: &Worker<SessionUplink>) {
 }
 
 impl Uplink for SessionUplink {
-    fn open(env: &WorkerEnv) -> Result<Self, String> {
+    fn open(spawn: &Spawn) -> Result<Self, String> {
         Ok(SessionUplink {
-            rank: env.rank as u64,
-            addr: env.addr.clone(),
+            rank: spawn.rank as u64,
+            addr: spawn.addr.clone(),
             link: Link::new(),
-            chaos: env
+            chaos: spawn
                 .faults
                 .as_ref()
                 .filter(|p| p.net_is_active())
-                .map(|p| p.compile_net(env.rank)),
+                .map(|p| p.compile_net(spawn.rank)),
         })
     }
 

@@ -131,90 +131,57 @@ impl Connectivity {
 
     /// One tree, all faces physical boundary: the unit square / cube.
     pub fn unit(dim: u32) -> Self {
-        Self::new(dim, vec![vec![None; (2 * dim) as usize]])
+        Self::brick(dim, [1; 3], [false; 3])
     }
 
     /// One tree with all opposite faces identified: the fully periodic
     /// unit domain (each face connects to its opposite on the same tree).
     pub fn periodic(dim: u32) -> Self {
-        let nf = (2 * dim) as usize;
-        let mut faces = vec![vec![None; nf]; 1];
-        for f in 0..nf as u32 {
-            let axis = (f / 2) as usize;
-            let opp = f ^ 1;
-            // crossing face f: translate by -1 root (upper exit) or +1 (lower)
-            let mut translate = [0i32; 3];
-            translate[axis] = if f & 1 == 1 { -1 } else { 1 };
-            faces[0][f as usize] = Some(FaceConnection {
-                tree: 0,
-                face: opp,
-                transform: FaceTransform::axis_aligned(translate),
-            });
-        }
-        Self::new(dim, faces)
+        Self::brick(dim, [1; 3], [true; 3])
     }
 
     /// A `m × n` grid of trees in 2D, optionally periodic per axis —
     /// p4est's `brick` connectivity.
     pub fn brick2d(m: u32, n: u32, periodic_x: bool, periodic_y: bool) -> Self {
-        assert!(m > 0 && n > 0);
-        let id = |i: u32, j: u32| (j * m + i) as TreeId;
-        let dims = [m, n];
-        let periodic = [periodic_x, periodic_y];
-        let mut faces = vec![vec![None; 4]; (m * n) as usize];
-        for j in 0..n {
-            for i in 0..m {
-                let t = id(i, j);
-                let pos = [i, j];
-                for f in 0..4u32 {
-                    let axis = (f / 2) as usize;
-                    let up = f & 1 == 1;
-                    let neighbor_pos = brick_step(pos, axis, up, dims, periodic);
-                    let Some(np) = neighbor_pos else { continue };
-                    let nt = id(np[0], np[1]);
-                    let mut translate = [0i32; 3];
-                    translate[axis] = if up { -1 } else { 1 };
-                    faces[t as usize][f as usize] = Some(FaceConnection {
-                        tree: nt,
-                        face: f ^ 1,
-                        transform: FaceTransform::axis_aligned(translate),
-                    });
-                }
-            }
-        }
-        Self::new(2, faces)
+        Self::brick(2, [m, n, 1], [periodic_x, periodic_y, false])
     }
 
     /// A `m × n × p` grid of trees in 3D, optionally periodic per axis.
     pub fn brick3d(m: u32, n: u32, p: u32, periodic: [bool; 3]) -> Self {
-        assert!(m > 0 && n > 0 && p > 0);
-        let id = |i: u32, j: u32, k: u32| ((k * n + j) * m + i) as TreeId;
-        let dims = [m, n, p];
-        let mut faces = vec![vec![None; 6]; (m * n * p) as usize];
-        for k in 0..p {
-            for j in 0..n {
-                for i in 0..m {
-                    let t = id(i, j, k);
-                    let pos = [i, j, k];
-                    for f in 0..6u32 {
-                        let axis = (f / 2) as usize;
-                        let up = f & 1 == 1;
-                        let Some(np) = brick_step3(pos, axis, up, dims, periodic) else {
-                            continue;
-                        };
-                        let nt = id(np[0], np[1], np[2]);
-                        let mut translate = [0i32; 3];
-                        translate[axis] = if up { -1 } else { 1 };
-                        faces[t as usize][f as usize] = Some(FaceConnection {
-                            tree: nt,
-                            face: f ^ 1,
-                            transform: FaceTransform::axis_aligned(translate),
-                        });
-                    }
+        Self::brick(3, [m, n, p], periodic)
+    }
+
+    /// The `dims[0] × dims[1] × dims[2]` grid of trees behind every
+    /// constructor above (`dims[2] = 1` in 2D), tree `(i, j, k)` numbered
+    /// `(k·n + j)·m + i`. Face `f` steps along axis `f / 2`, upwards when
+    /// `f` is odd; past the end of an axis it wraps around when that axis
+    /// is periodic and is a physical boundary otherwise.
+    fn brick(dim: u32, dims: [u32; 3], periodic: [bool; 3]) -> Self {
+        assert!(dim == 2 || dim == 3, "dimension must be 2 or 3");
+        assert!(dims.iter().all(|&d| d > 0));
+        let [m, n, p] = dims;
+        let mut faces = Vec::with_capacity((m * n * p) as usize);
+        for pos in (0..p).flat_map(|k| (0..n).flat_map(move |j| (0..m).map(move |i| [i, j, k]))) {
+            let face = |f: u32| {
+                let (axis, up) = ((f / 2) as usize, f & 1 == 1);
+                let d = dims[axis];
+                if !periodic[axis] && pos[axis] == if up { d - 1 } else { 0 } {
+                    return None;
                 }
-            }
+                let mut next = pos;
+                next[axis] = (pos[axis] + if up { 1 } else { d - 1 }) % d;
+                // crossing face f: translate by -1 root (upper exit) or +1 (lower)
+                let mut translate = [0i32; 3];
+                translate[axis] = if up { -1 } else { 1 };
+                Some(FaceConnection {
+                    tree: (next[2] * n + next[1]) * m + next[0],
+                    face: f ^ 1,
+                    transform: FaceTransform::axis_aligned(translate),
+                })
+            };
+            faces.push((0..2 * dim).map(face).collect());
         }
-        Self::new(3, faces)
+        Self::new(dim, faces)
     }
 
     /// Two 2D trees glued along tree 0's `+x` face with a relative
@@ -327,58 +294,6 @@ impl Connectivity {
     }
 }
 
-fn brick_step(
-    pos: [u32; 2],
-    axis: usize,
-    up: bool,
-    dims: [u32; 2],
-    periodic: [bool; 2],
-) -> Option<[u32; 2]> {
-    let mut p = pos;
-    if up {
-        if p[axis] + 1 < dims[axis] {
-            p[axis] += 1;
-        } else if periodic[axis] {
-            p[axis] = 0;
-        } else {
-            return None;
-        }
-    } else if p[axis] > 0 {
-        p[axis] -= 1;
-    } else if periodic[axis] {
-        p[axis] = dims[axis] - 1;
-    } else {
-        return None;
-    }
-    Some(p)
-}
-
-fn brick_step3(
-    pos: [u32; 3],
-    axis: usize,
-    up: bool,
-    dims: [u32; 3],
-    periodic: [bool; 3],
-) -> Option<[u32; 3]> {
-    let mut p = pos;
-    if up {
-        if p[axis] + 1 < dims[axis] {
-            p[axis] += 1;
-        } else if periodic[axis] {
-            p[axis] = 0;
-        } else {
-            return None;
-        }
-    } else if p[axis] > 0 {
-        p[axis] -= 1;
-    } else if periodic[axis] {
-        p[axis] = dims[axis] - 1;
-    } else {
-        return None;
-    }
-    Some(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,6 +310,32 @@ mod tests {
         let exterior = q.face_neighbor(face).coords();
         let out = conn.transform.apply(exterior, q.side(), Q::len_at(0));
         (conn.tree, Q::from_coords(out, q.level()))
+    }
+
+    /// Every constructor built on the brick grid, rendered with `{:?}`
+    /// and pinned as (length, FNV-1a): no face table, tree numbering or
+    /// transform may move.
+    #[test]
+    fn brick_constructions_are_pinned() {
+        let (t, f) = (true, false);
+        let built = [
+            Connectivity::unit(2),
+            Connectivity::unit(3),
+            Connectivity::periodic(2),
+            Connectivity::periodic(3),
+            Connectivity::brick2d(3, 2, f, f),
+            Connectivity::brick2d(3, 2, t, f),
+            Connectivity::brick2d(1, 4, f, t),
+            Connectivity::brick2d(2, 2, t, t),
+            Connectivity::brick3d(2, 3, 2, [f; 3]),
+            Connectivity::brick3d(2, 3, 2, [t, f, t]),
+            Connectivity::brick3d(1, 1, 3, [f, t, t]),
+        ];
+        let text = format!("{built:?}");
+        let fnv = (text.bytes()).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((text.len(), fnv), (26543, 0x5d8a_167b_ce78_00a5));
     }
 
     #[test]

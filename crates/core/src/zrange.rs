@@ -94,8 +94,8 @@ pub fn locate_by(
     (key_at(i) >> shift == probe >> shift).then_some(i)
 }
 
-/// [`locate_by`] with a resumable cursor — the merge/gallop kernel
-/// behind batched point location over *sorted* probe streams.
+/// [`locate_by`] with a resumable cursor — the gallop behind the seek
+/// of [`leaves_in_box`], resumed from the last leaf after every jump.
 ///
 /// `hint` must be a lower bound on the probe's partition point (the
 /// first index whose key exceeds `probe`): every index below `hint`
@@ -106,7 +106,7 @@ pub fn locate_by(
 /// `O(log n)` binary search from scratch per probe, the cursor gallops
 /// (doubling steps) from the previous hit and binary-searches only the
 /// bracketed window: `O(log gap)` per probe, and cache-coherent left to
-/// right when the batch is Morton-sorted.
+/// right as the probes ascend.
 #[inline]
 pub fn locate_from(
     n: usize,
