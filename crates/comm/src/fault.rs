@@ -542,7 +542,7 @@ pub(crate) struct NetFaults {
     partitions: Vec<NetPartition>,
     /// Outbound data frames planned so far.
     out_data: AtomicU64,
-    /// net.chaos.* telemetry counters.
+    /// What the interposer did so far, per fault kind.
     pub delays: AtomicU64,
     pub drops_out: AtomicU64,
     pub drops_in: AtomicU64,
@@ -630,31 +630,6 @@ impl NetFaults {
             self.drops_in.fetch_add(1, Ordering::Relaxed);
         }
         dropped
-    }
-
-    /// Snapshot the chaos counters as `net.chaos.*` telemetry rows.
-    pub(crate) fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("net.chaos.delays", self.delays.load(Ordering::Relaxed)),
-            (
-                "net.chaos.drops_out",
-                self.drops_out.load(Ordering::Relaxed),
-            ),
-            ("net.chaos.drops_in", self.drops_in.load(Ordering::Relaxed)),
-            (
-                "net.chaos.corruptions",
-                self.corruptions.load(Ordering::Relaxed),
-            ),
-            ("net.chaos.partials", self.partials.load(Ordering::Relaxed)),
-            (
-                "net.chaos.resets",
-                self.resets_fired.load(Ordering::Relaxed),
-            ),
-            (
-                "net.chaos.partitions",
-                self.partitions_opened.load(Ordering::Relaxed),
-            ),
-        ]
     }
 }
 

@@ -385,16 +385,6 @@ pub(crate) fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Fr
     read_wire(stream, stop)
 }
 
-/// Like [`read_wire`], but with [`read_raw`]'s mid-frame progress
-/// deadline.
-pub(crate) fn read_wire_stalling<T: Wire>(
-    stream: &mut impl Read,
-    stop: &AtomicBool,
-    idle_limit: Duration,
-) -> Result<T, FrameError> {
-    decode_raw(&read_raw(stream, stop, Some(idle_limit))?)
-}
-
 /// Blocking wrapper used during connection handshakes: read one Wire
 /// message or give up after `timeout`.
 pub(crate) fn read_wire_timeout<T: Wire>(
@@ -922,7 +912,7 @@ mod tests {
             pos: 0,
         };
         let started = Instant::now();
-        let err = read_wire_stalling::<Frame>(&mut stream, &no_stop(), Duration::from_millis(50))
+        let err = read_raw(&mut stream, &no_stop(), Some(Duration::from_millis(50)))
             .expect_err("must not decode");
         assert_eq!(err, FrameError::Stalled { got: cut, wanted });
         assert!(
@@ -957,7 +947,7 @@ mod tests {
         };
         // 100 polls × 1 ms of pre-frame idle is far beyond the 5 ms
         // idle limit; only the stop flag may end the wait
-        let err = read_wire_stalling::<Frame>(&mut stream, &stop, Duration::from_millis(5))
+        let err = read_raw(&mut stream, &stop, Some(Duration::from_millis(5)))
             .expect_err("nothing to read");
         assert_eq!(err, FrameError::Stopped);
     }

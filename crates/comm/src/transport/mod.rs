@@ -28,6 +28,7 @@
 
 pub(crate) mod frame;
 pub(crate) mod process;
+mod session;
 pub(crate) mod socket;
 pub(crate) mod tcp;
 

@@ -148,10 +148,10 @@ pub(super) trait Links: Send + Sync + 'static {
 /// how it failed.
 type RankResult = Result<Vec<u8>, RankError>;
 
-/// Bump a counter in the process-global registry: supervisor threads
-/// have no per-rank recorder, so `telemetry::counter_add` is a no-op
-/// on them.
-fn count(name: &'static str) {
+/// Bump a counter in the process-global registry: supervisor and link
+/// threads have no per-rank recorder, so `telemetry::counter_add` is a
+/// no-op on them.
+pub(super) fn count(name: &'static str) {
     telemetry::global().counter(name).incr();
 }
 
@@ -757,7 +757,6 @@ fn run_child<U: Uplink>(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
                         op: worker.last_op.load(Ordering::Relaxed),
                         phase: plock(&worker.last_phase).to_string(),
                     });
-                    telemetry::counter_add("comm.heartbeat.sent", 1);
                     seq += 1;
                     std::thread::sleep(heartbeat);
                 }

@@ -7,22 +7,28 @@
 //! peer over TCP, which brings two problems Unix sockets never have:
 //! the wire can *lose or mangle bytes* (a flaky interconnect, or our
 //! deterministic chaos interposer), and a connection can *drop and come
-//! back*. The answer
-//! is a small reliable session layer on top of the CRC framing:
+//! back*. The answer is a small reliable session layer on top of the
+//! CRC framing. Its protocol is [`Session`] — sequence numbers, acks,
+//! the receive decision, the ping probe, pruning and replay, as pure
+//! data; this file is only its driver, the I/O that carries the
+//! decisions out:
 //!
 //! * Every [`Frame`] travels inside a [`TcpPacket::Data`] envelope
 //!   carrying a per-direction **sequence number** and a cumulative
 //!   **ack** (the sender's receive cursor). Receivers deliver in-order
-//!   exactly once: a duplicate is dropped, a gap breaks the link.
+//!   exactly once: a duplicate is dropped, a gap breaks the link. Both
+//!   ends read with the one [`Link::read_packets`] loop.
 //! * A broken link (gap, CRC mismatch, decode error, EOF, reset) is
-//!   *not* a failure — the worker reconnects with bounded exponential
-//!   backoff + deterministic jitter ([`RECONNECT`], the recovery
-//!   supervisor's own [`RecoveryPolicy`] machinery). The
+//!   *not* a failure — the worker's one link thread reconnects with
+//!   bounded exponential backoff + deterministic jitter ([`RECONNECT`],
+//!   the recovery supervisor's own [`RecoveryPolicy`] machinery). The
 //!   reconnect handshake (`Hello{resume}` / `HelloAck{resume}`)
 //!   exchanges receive cursors; both sides prune acked frames and
 //!   retransmit the rest, so the stream resumes with no loss and no
 //!   duplication. The supervisor counts each resumption in
-//!   `transport.reconnects`.
+//!   `transport.reconnects`, and gaps and read errors in
+//!   `comm.tcp.seq_gaps` / `comm.tcp.link_errors`, all in the process's
+//!   global registry (link threads have no per-rank recorder).
 //! * All writes to a link happen in sequence order under the link
 //!   lock, so the supervisor's periodic [`TcpPacket::Ping`] — which
 //!   carries its next send sequence — gives the worker a race-free gap
@@ -47,18 +53,19 @@
 //! [`RecoveryPolicy`]: crate::RecoveryPolicy
 
 use super::frame::{
-    encode_wire, encode_with, read_wire_stalling, read_wire_timeout, Frame, FrameError,
+    decode_raw, encode_wire, encode_with, read_raw, read_wire_timeout, Frame, FrameError,
 };
-use super::process::{self, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL};
+use super::process::{
+    self, count, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL,
+};
+use super::session::{Receipt, Session};
 use super::TcpOptions;
 use crate::fault::{NetFaults, WriteFault};
 use crate::{plock, RecoveryPolicy, WorldError};
 use quadforest_core::Wire;
-use quadforest_telemetry as telemetry;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -128,52 +135,33 @@ quadforest_core::wire!(enum TcpPacket {
     3 => Ping { ack, sent },
 });
 
-/// One direction-pair of session state for a link endpoint.
+/// One endpoint's link: the [`Session`] and the connection it runs on.
+#[derive(Default)]
 struct LinkState {
     /// The live connection, `None` while broken/reconnecting.
     stream: Option<TcpStream>,
     /// Bumped on every install *and* break, so a reader or writer that
     /// raced a reconnect cannot break the successor connection.
     epoch: u64,
-    /// Next sequence number to assign to an outbound frame.
-    send_seq: u64,
-    /// Sent but unacked frames, oldest first, for retransmission.
-    sent: VecDeque<(u64, Frame)>,
-    /// Receive cursor: next peer sequence number to deliver.
-    recv_next: u64,
-    /// Terminal: no reconnects, sends become queue-only no-ops.
+    session: Session,
+    /// Terminal: no reconnects, sends become no-ops.
     dead: bool,
     /// Whether this link ever completed a handshake.
     connected_once: bool,
 }
 
-/// A session-layer link endpoint: state + wakeup for reader/manager
-/// threads and drain waiters. Both ends of a connection run the same
-/// one; only the worker's has a chaos interposer to pass in.
+/// A session-layer link endpoint: state + wakeup for the handshake and
+/// drain waiters. Both ends of a connection run the same one; only the
+/// worker's has a chaos interposer to pass in.
+#[derive(Default)]
 struct Link {
     state: Mutex<LinkState>,
     cv: Condvar,
 }
 
 impl Link {
-    fn new() -> Self {
-        Link {
-            state: Mutex::new(LinkState {
-                stream: None,
-                epoch: 0,
-                send_seq: 0,
-                sent: VecDeque::new(),
-                recv_next: 0,
-                dead: false,
-                connected_once: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Block until `ready` holds of the state, re-checking at least
-    /// every `poll` (for conditions no wakeup announces: a stop flag, a
-    /// deadline).
+    /// every `poll` (for conditions no wakeup announces: a deadline).
     fn wait(
         &self,
         poll: Duration,
@@ -208,18 +196,6 @@ impl Link {
         self.break_link_locked(&mut st);
     }
 
-    /// Drop acked entries: everything below the peer's receive cursor.
-    fn prune_locked(&self, st: &mut LinkState, ack: u64) {
-        let mut pruned = false;
-        while st.sent.front().is_some_and(|(s, _)| *s < ack) {
-            st.sent.pop_front();
-            pruned = true;
-        }
-        if pruned {
-            self.cv.notify_all();
-        }
-    }
-
     /// Sequence, queue, and (when connected) write one frame. Writes
     /// happen under the state lock in sequence order — that ordering is
     /// what makes `Ping::sent` a sound gap probe. `chaos` is the
@@ -229,14 +205,13 @@ impl Link {
         if st.dead {
             return;
         }
-        let seq = st.send_seq;
-        // encode before any state moves: an over-cap frame panics here
-        let bytes = encode_with(|out| encode_data(seq, st.recv_next, &frame, out));
-        st.send_seq += 1;
+        let s = &st.session;
+        // encode before the session moves: an over-cap frame panics here
+        let bytes = encode_with(|out| encode_data(s.send_seq, s.recv_next, &frame, out));
         // disconnected: queued for retransmit (the chaos plan still
         // counts the frame)
         let intact = write_planned(st.stream.as_ref(), &bytes, is_data(&frame), chaos);
-        st.sent.push_back((seq, frame));
+        st.session.sequence(frame);
         if !intact {
             self.break_link_locked(&mut st);
         }
@@ -249,73 +224,89 @@ impl Link {
             return;
         };
         let bytes = encode_wire(&TcpPacket::Ping {
-            ack: st.recv_next,
-            sent: st.send_seq,
+            ack: st.session.recv_next,
+            sent: st.session.send_seq,
         });
         if stream.write_all(&bytes).is_err() {
             self.break_link_locked(&mut st);
         }
     }
 
-    /// The session receive decision for one `Data` packet read off the
-    /// connection of `epoch`: in order → deliver it exactly once; a
-    /// duplicate of something already delivered → drop; a gap (the wire
-    /// lost frames) → break the link, forcing a resync; a packet from a
-    /// connection a reconnect has superseded → ignore, `ack` included.
-    fn receive(&self, epoch: u64, seq: u64, ack: u64, frame: Frame) -> Option<Frame> {
+    /// Carry out the session's decision on one packet read off the
+    /// connection of `epoch`: return a `Data` frame to deliver, or break
+    /// the link on a gap — a `Data` past the receive cursor, or a `Ping`
+    /// whose `sent` is past it (the reconnect replay resynchronizes). A
+    /// packet from a connection a reconnect has superseded is ignored,
+    /// `ack` included.
+    fn on_packet(&self, epoch: u64, packet: TcpPacket) -> Option<Frame> {
         let mut st = plock(&self.state);
         if st.epoch != epoch {
             return None;
         }
-        self.prune_locked(&mut st, ack);
-        match seq.cmp(&st.recv_next) {
-            std::cmp::Ordering::Equal => {
-                st.recv_next += 1;
-                Some(frame)
-            }
-            std::cmp::Ordering::Greater => {
-                telemetry::counter_add("comm.tcp.seq_gaps", 1);
-                self.break_link_locked(&mut st);
-                None
-            }
-            std::cmp::Ordering::Less => None,
-        }
-    }
-
-    /// The supervisor's probe arrived on the worker's connection of
-    /// `epoch`: frames it wrote before this ping and we never saw were
-    /// lost on the wire.
-    fn on_ping(&self, epoch: u64, ack: u64, sent: u64) {
-        let mut st = plock(&self.state);
-        if st.epoch == epoch {
-            self.prune_locked(&mut st, ack);
-            if sent > st.recv_next {
-                telemetry::counter_add("comm.tcp.seq_gaps", 1);
-                self.break_link_locked(&mut st);
-            }
-        }
-    }
-
-    /// A read on the connection of `epoch` failed: break the link,
-    /// unless a reconnect already replaced that connection. Liveness
-    /// stays with the heartbeat window — this never declares a death.
-    fn read_failed(&self, epoch: u64, e: &FrameError) {
-        let mut st = plock(&self.state);
-        if st.epoch == epoch {
-            if !matches!(e, FrameError::Eof) {
-                telemetry::counter_add("comm.tcp.link_errors", 1);
-            }
+        let unacked = st.session.sent.len();
+        let (gap, frame) = match packet {
+            TcpPacket::Data { seq, ack, frame } => match st.session.receive(seq, ack) {
+                Receipt::Deliver => (false, Some(frame)),
+                Receipt::Duplicate => (false, None),
+                Receipt::Gap => (true, None),
+            },
+            TcpPacket::Ping { ack, sent } => (st.session.probe(ack, sent), None),
+            TcpPacket::Hello { .. } | TcpPacket::HelloAck { .. } => (false, None),
+        };
+        if gap {
+            count("comm.tcp.seq_gaps");
             self.break_link_locked(&mut st);
+        } else if st.session.sent.len() < unacked {
+            self.cv.notify_all(); // a drain waiter may be done
+        }
+        frame
+    }
+
+    /// Read packets off the connection of `epoch` until it breaks or
+    /// `stop` is set, handing each delivered frame to `deliver`; both
+    /// ends run it. The worker's in-direction `chaos` check runs before
+    /// any cursor moves, so a packet it eats looks exactly like a wire
+    /// loss and heals by retransmission. A failed read breaks the link
+    /// (unless a reconnect already replaced that connection) and never
+    /// declares a death: liveness stays with the heartbeat window.
+    fn read_packets(
+        &self,
+        mut stream: TcpStream,
+        epoch: u64,
+        stop: &AtomicBool,
+        chaos: Option<&NetFaults>,
+        mut deliver: impl FnMut(Frame),
+    ) {
+        loop {
+            let read = read_raw(&mut stream, stop, Some(FRAME_STALL));
+            match read.and_then(|raw| decode_raw::<TcpPacket>(&raw)) {
+                Ok(_) if chaos.is_some_and(|c| c.drop_inbound()) => {}
+                Ok(packet) => {
+                    if let Some(frame) = self.on_packet(epoch, packet) {
+                        deliver(frame);
+                    }
+                }
+                Err(FrameError::Stopped) => return,
+                Err(e) => {
+                    let mut st = plock(&self.state);
+                    if st.epoch == epoch {
+                        if !matches!(e, FrameError::Eof) {
+                            count("comm.tcp.link_errors");
+                        }
+                        self.break_link_locked(&mut st);
+                    }
+                    return;
+                }
+            }
         }
     }
 
     /// The tail of a (re)connection handshake, the same on both ends and
-    /// all under the state lock so no send interleaves: prune what the
-    /// peer's `Hello`/`HelloAck` says it has (`peer_resume`), supersede
-    /// the old connection, answer with a `HelloAck` (the accepting end
-    /// only), retransmit everything still unacked, install `stream`.
-    /// Returns the new epoch and whether this resumed an earlier
-    /// connection.
+    /// all under the state lock so no send interleaves: supersede the
+    /// old connection, answer with a `HelloAck` (the accepting end
+    /// only), replay what the peer's `Hello`/`HelloAck` cursor
+    /// (`peer_resume`) says it still needs, install `stream`. Returns
+    /// the new epoch and whether this resumed an earlier connection.
     fn install(
         &self,
         stream: TcpStream,
@@ -327,15 +318,14 @@ impl Link {
         if st.dead {
             return Err("link already retired".into());
         }
-        self.prune_locked(&mut st, peer_resume);
         self.break_link_locked(&mut st);
-        let recv_next = st.recv_next;
+        let recv_next = st.session.recv_next;
         let acked = !hello_ack || {
             let ack = encode_wire(&TcpPacket::HelloAck { resume: recv_next });
             (&stream).write_all(&ack).is_ok()
         };
         let replayed = acked
-            && st.sent.iter().all(|(seq, frame)| {
+            && st.session.resume(peer_resume).all(|(seq, frame)| {
                 let bytes = encode_with(|out| encode_data(*seq, recv_next, frame, out));
                 write_planned(Some(&stream), &bytes, is_data(frame), chaos)
             });
@@ -439,31 +429,6 @@ impl Links for SessionLinks {
     }
 }
 
-/// Reader for one accepted connection epoch. Exits when the stream
-/// errors, the epoch is superseded by a reconnect, or the world stops.
-fn sup_reader_loop(sup: &Supervisor<SessionLinks>, rank: usize, mut stream: TcpStream, epoch: u64) {
-    let link = &sup.links.0[rank];
-    loop {
-        match read_wire_stalling::<TcpPacket>(&mut stream, &sup.stop, FRAME_STALL) {
-            Ok(TcpPacket::Data { seq, ack, frame }) => {
-                if let Some(frame) = link.receive(epoch, seq, ack, frame) {
-                    let last = matches!(frame, Frame::Done { .. } | Frame::Failed { .. });
-                    sup.on_frame(rank, frame);
-                    if last {
-                        // ack promptly so the worker's terminal-frame
-                        // drain wait returns without waiting for the
-                        // next monitor sweep
-                        link.send_ping();
-                    }
-                }
-            }
-            Ok(_) => { /* Hello/HelloAck/Ping have no mid-stream meaning here */ }
-            Err(FrameError::Stopped) => return,
-            Err(e) => return link.read_failed(epoch, &e),
-        }
-    }
-}
-
 /// Handshake one accepted connection: identify the rank, exchange
 /// receive cursors, retransmit unacked frames, install the stream, and
 /// hand it to a fresh reader thread.
@@ -482,17 +447,29 @@ fn handshake_accept(
     if rank >= sup.size || sup.is_terminal(rank) {
         return None; // unknown or already-terminal rank: refuse resurrection
     }
-    let reader_stream = stream.try_clone().ok()?;
+    let reader = stream.try_clone().ok()?;
     let (epoch, resumed) = sup.links.0[rank].install(stream, resume, true, None).ok()?;
     if resumed {
-        telemetry::global().counter("transport.reconnects").incr();
+        count("transport.reconnects");
     }
     // a resumed connection proves the process is alive right now
     sup.beat(rank);
     let sup = Arc::clone(sup);
+    let read = move || {
+        let link = &sup.links.0[rank];
+        link.read_packets(reader, epoch, &sup.stop, None, |frame| {
+            let last = matches!(frame, Frame::Done { .. } | Frame::Failed { .. });
+            sup.on_frame(rank, frame);
+            if last {
+                // ack promptly so the worker's terminal-frame drain
+                // wait returns without waiting for the next sweep
+                link.send_ping();
+            }
+        });
+    };
     std::thread::Builder::new()
         .name(format!("tcp-read-{rank}-e{epoch}"))
-        .spawn(move || sup_reader_loop(&sup, rank, reader_stream, epoch))
+        .spawn(read)
         .ok()
 }
 
@@ -525,7 +502,7 @@ pub(crate) fn run_world(mut spawn: Spawn, tcp: &TcpOptions) -> Result<Vec<Vec<u8
     process::run_world(
         &spawn,
         tcp,
-        SessionLinks((0..spawn.size).map(|_| Link::new()).collect()),
+        SessionLinks((0..spawn.size).map(|_| Link::default()).collect()),
         |sup, deadline, threads| {
             // initial connections AND reconnects
             let accept = Arc::clone(sup);
@@ -565,8 +542,8 @@ pub(super) struct SessionUplink {
 
 impl SessionUplink {
     /// One connect + handshake + replay round. On success the stream
-    /// is installed and the reader picks it up.
-    fn try_connect(&self) -> Result<(), String> {
+    /// is installed; returns its read half and epoch.
+    fn try_connect(&self) -> Result<(TcpStream, u64), String> {
         let stream = TcpStream::connect(&self.addr).map_err(|e| e.to_string())?;
         let _ = stream.set_nodelay(true);
         stream
@@ -577,7 +554,7 @@ impl SessionUplink {
         // and the HelloAck timeout fails this attempt (backoff, retry)
         let hello = TcpPacket::Hello {
             rank: self.rank,
-            resume: plock(&self.link.state).recv_next,
+            resume: plock(&self.link.state).session.recv_next,
         };
         let chaos = self.chaos.as_ref();
         if !write_planned(Some(&stream), &encode_wire(&hello), false, chaos) {
@@ -592,7 +569,8 @@ impl SessionUplink {
         let TcpPacket::HelloAck { resume } = ack else {
             return Err("handshake: unexpected packet in place of HelloAck".into());
         };
-        self.link.install(stream, resume, false, chaos).map(drop)
+        let (epoch, _) = self.link.install(stream, resume, false, chaos)?;
+        Ok((rs, epoch))
     }
 }
 
@@ -604,101 +582,42 @@ fn mark_dead(worker: &Worker<SessionUplink>, reason: String) {
     worker.local_abort(usize::MAX, reason);
 }
 
-/// Persistent worker reader: waits for a live connection epoch, reads
-/// packets until it breaks, repeats. The in-direction chaos check runs
-/// *before* any cursor moves, so a chaos-dropped packet looks exactly
-/// like a wire loss and heals by retransmission.
-fn child_reader_loop(worker: &Worker<SessionUplink>) {
+/// The worker's one link thread: connect within the connect deadline,
+/// read packets until the link breaks, then reconnect on the
+/// [`RECONNECT`] schedule, which a success resets for the next outage.
+/// When either runs out the rank gives up and aborts locally.
+fn link_loop(worker: &Worker<SessionUplink>) {
     let up = &worker.up;
-    let stopped = || worker.stop.load(Ordering::Acquire);
-    loop {
-        let (mut stream, epoch) = {
-            let mut st = up.link.wait(Duration::from_millis(100), |st| {
-                st.stream.is_some() || st.dead || stopped()
-            });
-            if st.dead || stopped() {
-                return;
-            }
-            match st.stream.as_ref().expect("waited for it").try_clone() {
-                Ok(stream) => (stream, st.epoch),
-                Err(_) => {
-                    up.link.break_link_locked(&mut st);
-                    continue;
-                }
-            }
-        };
-        loop {
-            match read_wire_stalling(&mut stream, &worker.stop, FRAME_STALL) {
-                Ok(_) if up.chaos.as_ref().is_some_and(|c| c.drop_inbound()) => {
-                    // severed in-direction: the wire ate it
-                }
-                Ok(TcpPacket::Data { seq, ack, frame }) => {
-                    if let Some(frame) = up.link.receive(epoch, seq, ack, frame) {
-                        worker.on_frame(frame);
-                    }
-                }
-                Ok(TcpPacket::Ping { ack, sent }) => up.link.on_ping(epoch, ack, sent),
-                Ok(_) => {}
-                Err(FrameError::Stopped) => return,
-                Err(e) => {
-                    up.link.read_failed(epoch, &e);
-                    break; // back to waiting for the next epoch
-                }
-            }
-        }
-    }
-}
-
-/// Connection manager: initial connect within the connect deadline,
-/// then reconnect-with-backoff on every break until the reconnect
-/// schedule is exhausted (→ the rank gives up and aborts locally).
-fn child_manager_loop(worker: &Worker<SessionUplink>) {
-    let up = &worker.up;
-    let stopped = || worker.stop.load(Ordering::Acquire);
-    // initial connect: generous flat retry, like the raw link's
     let deadline = Instant::now() + CONNECT_TIMEOUT;
-    while let Err(e) = up.try_connect() {
-        if Instant::now() >= deadline {
-            return mark_dead(
-                worker,
-                format!(
-                    "cannot reach supervisor at {} within {CONNECT_TIMEOUT:?}: {e}",
-                    up.addr
-                ),
-            );
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    // steady state: sleep until the link breaks, then run the backoff
-    // schedule; a success resets the schedule for the next outage
-    loop {
-        let st = up.link.wait(Duration::from_millis(100), |st| {
-            st.stream.is_none() || st.dead || stopped()
-        });
-        if st.dead || stopped() {
-            return;
-        }
-        drop(st);
-        let mut reconnected = false;
-        for attempt in 0..RECONNECT.max_attempts {
-            if stopped() {
-                return;
+    let (mut connected, mut failures) = (false, 0);
+    while !worker.stop.load(Ordering::Acquire) && !plock(&up.link.state).dead {
+        match up.try_connect() {
+            Ok((stream, epoch)) => {
+                (connected, failures) = (true, 0);
+                let chaos = up.chaos.as_ref();
+                let deliver = |frame| worker.on_frame(frame);
+                up.link
+                    .read_packets(stream, epoch, &worker.stop, chaos, deliver);
             }
-            if up.try_connect().is_ok() {
-                telemetry::counter_add("comm.tcp.child_reconnects", 1);
-                reconnected = true;
-                break;
+            // initial connect: generous flat retry, like the raw link's
+            Err(e) if !connected => {
+                if Instant::now() >= deadline {
+                    let addr = &up.addr;
+                    let why = format!(
+                        "cannot reach supervisor at {addr} within {CONNECT_TIMEOUT:?}: {e}"
+                    );
+                    return mark_dead(worker, why);
+                }
+                std::thread::sleep(Duration::from_millis(10));
             }
-            std::thread::sleep(RECONNECT.backoff_for(attempt));
-        }
-        if !reconnected {
-            return mark_dead(
-                worker,
-                format!(
-                    "supervisor unreachable after {} reconnect attempts",
-                    RECONNECT.max_attempts
-                ),
-            );
+            Err(_) => {
+                std::thread::sleep(RECONNECT.backoff_for(failures));
+                failures += 1;
+                if failures == RECONNECT.max_attempts {
+                    let why = format!("supervisor unreachable after {failures} reconnect attempts");
+                    return mark_dead(worker, why);
+                }
+            }
         }
     }
 }
@@ -708,7 +627,7 @@ impl Uplink for SessionUplink {
         Ok(SessionUplink {
             rank: spawn.rank as u64,
             addr: spawn.addr.clone(),
-            link: Link::new(),
+            link: Link::default(),
             chaos: spawn
                 .faults
                 .as_ref()
@@ -718,19 +637,13 @@ impl Uplink for SessionUplink {
     }
 
     fn start(worker: &Arc<Worker<Self>>, threads: &mut Vec<JoinHandle<()>>) -> Result<(), String> {
-        let rank = worker.rank;
-        for (name, run) in [
-            ("manager", child_manager_loop as fn(&Worker<Self>)),
-            ("reader", child_reader_loop),
-        ] {
-            let worker = Arc::clone(worker);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rank-{rank}-{name}"))
-                    .spawn(move || run(&worker))
-                    .expect("spawn link thread"),
-            );
-        }
+        let link = Arc::clone(worker);
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("rank-{}-link", worker.rank))
+                .spawn(move || link_loop(&link))
+                .expect("spawn link thread"),
+        );
         // wait for the first handshake before touching the program
         let st = worker.up.link.wait(Duration::from_millis(100), |st| {
             st.connected_once || st.dead
@@ -743,24 +656,18 @@ impl Uplink for SessionUplink {
 
     fn send(&self, frame: Frame) -> bool {
         self.link.send_data(frame, self.chaos.as_ref());
-        true // queued; the reconnect manager owns giving up
+        true // queued; the link thread owns giving up
     }
 
     /// Drain: the terminal frame may have been chaos-dropped, and the
     /// next heartbeat's sequence gap is what reveals that — so this runs
-    /// while the heartbeat, reader, and manager threads are alive, until
-    /// everything queued has been acked (or a generous deadline passes).
+    /// while the heartbeat and link threads are alive, until everything
+    /// queued has been acked (or a generous deadline passes).
     fn close(&self) {
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         drop(self.link.wait(Duration::from_millis(50), |st| {
-            st.sent.is_empty() || st.dead || Instant::now() >= deadline
+            st.session.sent.is_empty() || st.dead || Instant::now() >= deadline
         }));
-        // surface the chaos interposer's activity in this process's registry
-        for (name, v) in self.chaos.iter().flat_map(|c| c.counters()) {
-            if v > 0 {
-                telemetry::counter_add(name, v);
-            }
-        }
         self.link.retire();
     }
 }
@@ -768,6 +675,7 @@ impl Uplink for SessionUplink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quadforest_telemetry as telemetry;
 
     #[test]
     fn tcp_packet_wire_roundtrip() {
@@ -834,36 +742,49 @@ mod tests {
     #[test]
     fn session_links_carry_the_supervisor_contract() {
         process::tests::check_supervisor_contract(
-            |size| SessionLinks((0..size).map(|_| Link::new()).collect()),
+            |size| SessionLinks((0..size).map(|_| Link::default()).collect()),
             // nobody is connected: everything sent waits for retransmit
             |links, rank| {
                 let st = plock(&links.0[rank].state);
-                st.sent.iter().map(|(_, frame)| frame.clone()).collect()
+                st.session
+                    .sent
+                    .iter()
+                    .map(|(_, frame)| frame.clone())
+                    .collect()
             },
         );
     }
 
-    /// The one receive decision, with no socket: a link at epoch 3
-    /// that expects sequence 5 and has 0..5 of its own unacked.
+    fn seq_gaps() -> u64 {
+        telemetry::global().counter("comm.tcp.seq_gaps").get()
+    }
+
+    /// The one packet decision, with no socket: a link at epoch 3 that
+    /// expects sequence 5 and has 0..5 of its own unacked.
     #[test]
     fn receive_decision_table() {
         struct Case {
             name: &'static str,
             epoch: u64,
-            seq: u64,
-            ack: u64,
+            packet: TcpPacket,
             delivered: bool,
             recv_next: u64,
-            /// The link was broken (which is what bumps the epoch).
+            /// The link was broken (which is what bumps the epoch), and
+            /// the gap counted.
             broke: bool,
             unacked: std::ops::Range<u64>,
         }
+        let frame = Frame::Hello { rank: 9 };
+        let data = |seq, ack| TcpPacket::Data {
+            seq,
+            ack,
+            frame: frame.clone(),
+        };
         let cases = [
             Case {
                 name: "in order: deliver, and prune on the carried ack",
                 epoch: 3,
-                seq: 5,
-                ack: 2,
+                packet: data(5, 2),
                 delivered: true,
                 recv_next: 6,
                 broke: false,
@@ -872,8 +793,7 @@ mod tests {
             Case {
                 name: "duplicate: drop (its ack still counts)",
                 epoch: 3,
-                seq: 4,
-                ack: 3,
+                packet: data(4, 3),
                 delivered: false,
                 recv_next: 5,
                 broke: false,
@@ -882,8 +802,7 @@ mod tests {
             Case {
                 name: "gap: break the link",
                 epoch: 3,
-                seq: 7,
-                ack: 2,
+                packet: data(7, 2),
                 delivered: false,
                 recv_next: 5,
                 broke: true,
@@ -892,8 +811,34 @@ mod tests {
             Case {
                 name: "stale epoch: ignore, ack included",
                 epoch: 2,
-                seq: 5,
-                ack: 4,
+                packet: data(5, 4),
+                delivered: false,
+                recv_next: 5,
+                broke: false,
+                unacked: 0..5,
+            },
+            Case {
+                name: "ping in step: prune, do not break",
+                epoch: 3,
+                packet: TcpPacket::Ping { ack: 2, sent: 5 },
+                delivered: false,
+                recv_next: 5,
+                broke: false,
+                unacked: 2..5,
+            },
+            Case {
+                name: "ping ahead of the cursor: frames were lost, break",
+                epoch: 3,
+                packet: TcpPacket::Ping { ack: 3, sent: 7 },
+                delivered: false,
+                recv_next: 5,
+                broke: true,
+                unacked: 3..5,
+            },
+            Case {
+                name: "stale-epoch ping: ignore",
+                epoch: 2,
+                packet: TcpPacket::Ping { ack: 4, sent: 7 },
                 delivered: false,
                 recv_next: 5,
                 broke: false,
@@ -902,61 +847,80 @@ mod tests {
         ];
         for case in cases {
             let name = case.name;
-            let link = Link::new();
+            let link = Link::default();
             {
                 let mut st = plock(&link.state);
                 st.epoch = 3;
-                st.recv_next = 5;
-                st.sent = (0..5).map(|seq| (seq, Frame::Hello { rank: 0 })).collect();
+                st.session.recv_next = 5;
+                st.session.send_seq = 5;
+                st.session.sent = (0..5).map(|seq| (seq, Frame::Hello { rank: 0 })).collect();
             }
-            let frame = Frame::Hello { rank: 9 };
-            let got = link.receive(case.epoch, case.seq, case.ack, frame.clone());
-            assert_eq!(got, case.delivered.then_some(frame), "{name}");
+            let gaps = seq_gaps();
+            let got = link.on_packet(case.epoch, case.packet);
+            assert_eq!(got, case.delivered.then(|| frame.clone()), "{name}");
+            // other tests count gaps concurrently: only a rise is exact
+            assert!(!case.broke || seq_gaps() > gaps, "{name}: gap not counted");
             let st = plock(&link.state);
-            assert_eq!(st.recv_next, case.recv_next, "{name}: receive cursor");
+            assert_eq!(
+                st.session.recv_next, case.recv_next,
+                "{name}: receive cursor"
+            );
             assert_eq!(st.epoch, 3 + case.broke as u64, "{name}: epoch");
-            let unacked: Vec<u64> = st.sent.iter().map(|(seq, _)| *seq).collect();
+            let unacked: Vec<u64> = st.session.sent.iter().map(|(seq, _)| *seq).collect();
             assert_eq!(unacked, case.unacked.collect::<Vec<_>>(), "{name}: unacked");
         }
     }
 
+    /// A gap on a supervisor-side link moves the process-global counter:
+    /// the supervisor's read threads have no per-rank recorder, so a
+    /// `telemetry::counter_add` there would be dropped.
     #[test]
-    fn prune_drops_only_acked_entries() {
-        let link = Link::new();
-        {
-            let mut st = plock(&link.state);
-            for seq in 0..5u64 {
-                st.sent.push_back((seq, Frame::Hello { rank: 0 }));
-            }
-            link.prune_locked(&mut st, 3);
-            let left: Vec<u64> = st.sent.iter().map(|(s, _)| *s).collect();
-            assert_eq!(left, vec![3, 4]);
-            link.prune_locked(&mut st, 3);
-            assert_eq!(st.sent.len(), 2);
-            link.prune_locked(&mut st, 100);
-            assert!(st.sent.is_empty());
-        }
+    fn supervisor_side_gaps_are_counted_globally() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+        let mut worker = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let reader = accepted.try_clone().unwrap();
+        reader.set_read_timeout(Some(READ_POLL)).unwrap();
+        let links = SessionLinks(vec![Link::default()]);
+        let link = &links.0[0];
+        let (epoch, _) = link.install(accepted, 0, false, None).expect("install");
+        // sequence 1 while the cursor expects 0: frame 0 was lost
+        let hello = Frame::Hello { rank: 0 };
+        worker
+            .write_all(&encode_with(|out| encode_data(1, 0, &hello, out)))
+            .unwrap();
+        let gaps = seq_gaps();
+        let stop = AtomicBool::new(false);
+        link.read_packets(reader, epoch, &stop, None, |f| panic!("delivered {f:?}"));
+        assert!(
+            seq_gaps() > gaps,
+            "the gap did not reach the global registry"
+        );
+        assert!(
+            plock(&link.state).stream.is_none(),
+            "the gap broke the link"
+        );
     }
 
     #[test]
     fn send_data_queues_while_disconnected() {
-        let link = Link::new();
+        let link = Link::default();
         link.send_data(Frame::Hello { rank: 1 }, None);
         link.send_data(Frame::Hello { rank: 1 }, None);
         let st = plock(&link.state);
-        assert_eq!(st.send_seq, 2);
-        let seqs: Vec<u64> = st.sent.iter().map(|(s, _)| *s).collect();
+        assert_eq!(st.session.send_seq, 2);
+        let seqs: Vec<u64> = st.session.sent.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![0, 1]);
     }
 
     #[test]
     fn dead_link_refuses_new_frames() {
-        let link = Link::new();
+        let link = Link::default();
         {
             let mut st = plock(&link.state);
             st.dead = true;
         }
         link.send_data(Frame::Hello { rank: 0 }, None);
-        assert_eq!(plock(&link.state).sent.len(), 0);
+        assert_eq!(plock(&link.state).session.sent.len(), 0);
     }
 }

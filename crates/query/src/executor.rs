@@ -430,7 +430,7 @@ mod tests {
         let exec = QueryExecutor::new(handle, 4);
         let root = MortonQuad::<2>::len_at(0);
         // The big-batch oracle: a hash scatter over the whole curve, so
-        // the sorted sweep crosses every part of the key array.
+        // one batch spans every bucket window of the tree's table.
         let points: Vec<(TreeId, [i32; 3])> = (0u64..2048)
             .map(|i| {
                 let h = i.wrapping_mul(0x9e3779b97f4a7c15);
