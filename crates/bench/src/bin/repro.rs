@@ -8,6 +8,7 @@
 //! repro --dim2                # the kernels on a 2D quadtree workload
 //! repro --chaos               # fault-injected forest pipeline
 //! repro --chaos --backend sockets   # every rank a real OS process
+//! repro --floor               # the socket message path against its floor
 //! repro --trace trace.json    # traced 4-rank pipeline (Chrome trace)
 //! repro --iters 5 --ranks 1,4,64,512
 //! ```
@@ -72,6 +73,7 @@ struct Opts {
     autovec: bool,
     dim2: bool,
     chaos: bool,
+    floor: bool,
     trace: Option<String>,
     iters: usize,
     ranks: Vec<usize>,
@@ -87,6 +89,7 @@ modes:
   --autovec        Contribution 5: manual AVX2 vs auto-vectorization, ablations A1-A3
   --dim2           the kernels on a 2D quadtree workload
   --chaos          forest pipeline under seeded fault injection
+  --floor          1 MB frames: direct and relayed socket pairs vs the sockets alltoallv
   --trace FILE     traced 4-rank pipeline; Chrome trace written to FILE
 options:
   --level L        uniform octree level of --mem (default 8)
@@ -115,6 +118,7 @@ fn parse_args() -> Opts {
         autovec: false,
         dim2: false,
         chaos: false,
+        floor: false,
         trace: None,
         iters: 3,
         ranks: RANKS.to_vec(),
@@ -148,6 +152,7 @@ fn parse_args() -> Opts {
             "--autovec" => opts.autovec = true,
             "--dim2" => opts.dim2 = true,
             "--chaos" => opts.chaos = true,
+            "--floor" => opts.floor = true,
             "--trace" => opts.trace = Some(value()),
             "--level" => opts.mem_level = parse_value(&flag, &value(), "an octree level"),
             "--iters" => {
@@ -186,7 +191,7 @@ fn parse_args() -> Opts {
         }
     }
     let no_mode = opts.figures.is_empty()
-        && !(opts.mem || opts.autovec || opts.dim2 || opts.chaos)
+        && !(opts.mem || opts.autovec || opts.dim2 || opts.chaos || opts.floor)
         && opts.trace.is_none();
     if no_mode {
         select_all(&mut opts);
@@ -722,6 +727,124 @@ fn run_chaos(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
+// --floor: the process message path against the socket floor
+// ---------------------------------------------------------------------------
+
+/// Timed rounds per `--floor` row, after as many untimed ones as warm-up
+/// for the sockets world.
+const FLOOR_ROUNDS: usize = 300;
+
+/// Write one frame: a `u32` length, then the bytes.
+fn floor_send(stream: &mut std::os::unix::net::UnixStream, frame: &[u8]) {
+    use std::io::Write;
+    stream
+        .write_all(&(frame.len() as u32).to_le_bytes())
+        .expect("write");
+    stream.write_all(frame).expect("write");
+}
+
+/// Read one whole frame into `buf`, reusing its capacity.
+fn floor_recv(stream: &mut std::os::unix::net::UnixStream, buf: &mut Vec<u8>) {
+    use std::io::Read;
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("read");
+    buf.resize(u32::from_le_bytes(len) as usize, 0);
+    stream.read_exact(buf).expect("read");
+}
+
+fn p50(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Where the time of one 1 MB message goes, as a floor each change can
+/// restate the gap against: a frame there and back between two threads
+/// over a `UnixStream` pair, the same through a relay that reads each
+/// frame whole and writes it on from the reading thread (the
+/// supervisor's shape), and the `Backend::Sockets` `alltoallv` of the
+/// same payload between two rank processes (each rank sends and
+/// receives 1 MB), with the minor page faults its slowest rank takes a
+/// round.
+fn run_floor() {
+    use quadforest_comm::{try_run_program, Attempt, Backend, RunOptions, SocketOptions};
+    use quadforest_core::Wire;
+    use std::os::unix::net::UnixStream;
+    const PATCHES: usize = 2000;
+    let len = PATCHES * quadforest_pde::PATCH_WIRE_BYTES;
+    println!("\n## The socket floor: {len}-byte messages, p50 of {FLOOR_ROUNDS} rounds\n");
+    println!("| path | p50 (ms) | minor faults / round |");
+    println!("|---|---|---|");
+
+    // `a` sends a frame and waits for it to come back from `b`
+    let there_and_back = |mut a: UnixStream, mut b: UnixStream| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut buf = Vec::new();
+                for _ in 0..FLOOR_ROUNDS {
+                    floor_recv(&mut b, &mut buf);
+                    floor_send(&mut b, &buf);
+                }
+            });
+            let (frame, mut back) = (vec![0xA5u8; len], Vec::new());
+            let times = (0..FLOOR_ROUNDS).map(|_| {
+                let t = std::time::Instant::now();
+                floor_send(&mut a, &frame);
+                floor_recv(&mut a, &mut back);
+                ms(t.elapsed())
+            });
+            p50(times.collect())
+        })
+    };
+    let pair = || UnixStream::pair().expect("socket pair");
+    let (a, b) = pair();
+    println!(
+        "| UnixStream pair, direct, there and back | {:.3} | |",
+        there_and_back(a, b)
+    );
+    let ((a, a_relay), (b, b_relay)) = (pair(), pair());
+    let relayed = std::thread::scope(|s| {
+        for (mut from, mut to) in [
+            (
+                a_relay.try_clone().expect("clone"),
+                b_relay.try_clone().expect("clone"),
+            ),
+            (b_relay, a_relay),
+        ] {
+            s.spawn(move || {
+                let mut buf = Vec::new();
+                for _ in 0..FLOOR_ROUNDS {
+                    floor_recv(&mut from, &mut buf);
+                    floor_send(&mut to, &buf);
+                }
+            });
+        }
+        there_and_back(a, b)
+    });
+    println!("| UnixStream pair, relayed by the reading thread, there and back | {relayed:.3} | |");
+
+    let me = std::env::current_exe().expect("current_exe names the rank worker");
+    let ranks = try_run_program(
+        &Backend::Sockets(SocketOptions::new(me)),
+        2,
+        &RunOptions::default(),
+        &quadforest_bench::transport::registry(),
+        "bulk-exchange",
+        &(20u64, FLOOR_ROUNDS as u64, PATCHES as u64).to_wire(),
+        Attempt::first(),
+    )
+    .unwrap_or_else(|e| panic!("sockets world failed: {e}"));
+    let ranks: Vec<(u64, Vec<f64>)> = (ranks.iter())
+        .map(|bytes| Wire::from_wire(bytes).expect("bulk-exchange result"))
+        .collect();
+    let slowest = (0..FLOOR_ROUNDS).map(|i| ranks.iter().map(|r| r.1[i]).fold(0.0, f64::max));
+    let faults = ranks.iter().map(|r| r.0).max().unwrap_or(0) as f64 / FLOOR_ROUNDS as f64;
+    println!(
+        "| Backend::Sockets alltoallv, 2 rank processes | {:.3} | {faults:.1} |",
+        p50(slowest.map(|s| s * 1e3).collect())
+    );
+}
+
+// ---------------------------------------------------------------------------
 // --trace: telemetry-instrumented pipeline with Chrome-trace export
 // ---------------------------------------------------------------------------
 
@@ -832,6 +955,9 @@ fn main() {
     }
     if opts.chaos {
         run_chaos(&opts);
+    }
+    if opts.floor {
+        run_floor();
     }
     if let Some(path) = &opts.trace {
         run_trace(path);

@@ -46,6 +46,7 @@ pub fn registry() -> ProgramRegistry {
         .register(PDE_ADVECTION, pde_advection)
         .register(CHATTER, chatter)
         .register("out-of-range", out_of_range)
+        .register("bulk-exchange", bulk_exchange)
 }
 
 /// Collective digest of one pipeline run: `(forest checksum, global
@@ -112,6 +113,64 @@ fn out_of_range(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
     }
     comm.try_barrier()?;
     Ok(Vec::new())
+}
+
+/// This process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, counted after the parenthesised command name.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
+    let fields = stat.rsplit_once(')').expect("stat has a command name").1;
+    let minflt = fields.split_whitespace().nth(10 - 3).expect("field 10");
+    minflt.parse().expect("a fault count")
+}
+
+/// `warmup` rounds, then `rounds` more, of one `alltoallv` of `patches`
+/// [`Patch`](quadforest_pde::Patch) values to every other rank, each
+/// received value checked. Returns the minor page faults this rank's
+/// process took over the `rounds` and each of their `alltoallv` times
+/// in seconds, as `(u64, Vec<f64>)`. Registered as `bulk-exchange`,
+/// with the arguments `(warmup, rounds, patches)`.
+fn bulk_exchange(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
+    use quadforest_pde::Patch;
+    let (warmup, rounds, patches) =
+        <(u64, u64, u64)>::from_wire(&ctx.args).map_err(|e| CommError::Frame {
+            detail: format!("bulk-exchange args: {e}"),
+        })?;
+    let mut times = Vec::with_capacity(rounds as usize);
+    let mut round = |k: u64| -> Result<(), CommError> {
+        let value = |src: usize, i: u64| (k + i + src as u64) as f64;
+        let outgoing = (0..comm.size())
+            .map(|dest| match dest == comm.rank() {
+                true => Vec::new(),
+                false => (0..patches)
+                    .map(|i| Patch::constant(value(comm.rank(), i)))
+                    .collect(),
+            })
+            .collect();
+        comm.try_barrier()?; // time the exchange, not the peer's building
+        let t = std::time::Instant::now();
+        let incoming: Vec<Vec<Patch>> = comm.try_alltoallv(outgoing)?;
+        times.push(t.elapsed().as_secs_f64());
+        for (src, got) in incoming
+            .iter()
+            .enumerate()
+            .filter(|&(src, _)| src != comm.rank())
+        {
+            let want = (0..patches).map(|i| Patch::constant(value(src, i)));
+            if got.len() as u64 != patches || !got.iter().cloned().eq(want) {
+                return Err(CommError::Frame {
+                    detail: format!("bulk-exchange round {k}: wrong values from rank {src}"),
+                });
+            }
+        }
+        Ok(())
+    };
+    (0..warmup).try_for_each(&mut round)?;
+    let before = minor_faults();
+    (warmup..warmup + rounds).try_for_each(&mut round)?;
+    let faults = minor_faults() - before;
+    times.drain(..warmup as usize);
+    Ok((faults, times).to_wire())
 }
 
 /// Rank-independent refine selector (callbacks must not depend on the

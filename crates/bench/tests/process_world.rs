@@ -111,6 +111,35 @@ fn supervisor_counters_reach_the_global_registry() {
     }
 }
 
+/// A steady exchange takes no fresh pages: once 20 warm-up rounds have
+/// sized its buffers, 200 rounds of a 1 MB `Vec<Patch>` `alltoallv`
+/// between two socket ranks cost each rank process fewer than 32 minor
+/// page faults a round. Each message is encoded into, relayed from and
+/// read into a reused buffer; a fresh 1 MB buffer alone faults in 256
+/// pages.
+#[test]
+fn a_steady_bulk_exchange_takes_no_fresh_pages() {
+    const ROUNDS: u64 = 200;
+    let backend = Backend::Sockets(SocketOptions::new(worker()));
+    let faults = try_run_program(
+        &backend,
+        2,
+        &RunOptions::default(),
+        &transport::registry(),
+        "bulk-exchange",
+        &(20u64, ROUNDS, 2000u64).to_wire(),
+        Attempt::first(),
+    )
+    .unwrap_or_else(|e| panic!("a healthy world was failed: {e}"));
+    for (rank, bytes) in faults.iter().enumerate() {
+        let (faults, _) = <(u64, Vec<f64>)>::from_wire(bytes).expect("fault count");
+        assert!(
+            faults < 32 * ROUNDS,
+            "rank {rank}: {faults} minor page faults over {ROUNDS} rounds"
+        );
+    }
+}
+
 /// A worker whose spawn record does not decode refuses to start: one
 /// line naming the variable and exit code 3, the code of a worker that
 /// cannot connect — not a panic, and not a run of the binary's own

@@ -82,6 +82,7 @@ fn help_lists_exactly_the_accepted_flags() {
         "--autovec",
         "--dim2",
         "--chaos",
+        "--floor",
         "--backend",
         "--trace",
         "--iters",

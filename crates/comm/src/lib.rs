@@ -114,8 +114,10 @@ pub(crate) enum Payload {
     Bytes {
         /// FNV-1a hash of the sender's `std::any::type_name`.
         type_tag: u64,
-        /// The Wire-encoded value.
+        /// The Wire-encoded value is `data[at..]`, in the frame buffer
+        /// it was encoded into or arrived in.
         data: Vec<u8>,
+        at: usize,
     },
 }
 
@@ -317,8 +319,8 @@ impl Transport for World {
         self.recv_timeout
     }
 
-    fn serializes(&self) -> bool {
-        false
+    fn frame_buffer(&self) -> Option<Vec<u8>> {
+        None
     }
 
     fn mailbox(&self, rank: usize) -> &Mailbox {
@@ -525,9 +527,10 @@ impl Comm {
     }
 
     /// Build the backend-appropriate payload (boxed value in-process,
-    /// Wire bytes cross-process) and hand it to `send_impl`. `bytes` is
-    /// the caller's telemetry size estimate for the local path; the
-    /// serialized path uses the exact encoded length instead.
+    /// Wire bytes cross-process, in the buffer the transport sends) and
+    /// hand it to `send_impl`. `bytes` is the caller's telemetry size
+    /// estimate for the local path; the serialized path uses the exact
+    /// encoded length instead.
     fn send_value<T: Wire + Send + 'static>(
         &self,
         dest: usize,
@@ -535,21 +538,14 @@ impl Comm {
         value: T,
         bytes: u64,
     ) -> Result<(), CommError> {
-        if self.transport.serializes() {
-            let data = value.to_wire();
-            let bytes = data.len() as u64;
-            self.send_impl(
-                dest,
-                tag,
-                Payload::Bytes {
-                    type_tag: wire_type_tag::<T>(),
-                    data,
-                },
-                bytes,
-            )
-        } else {
-            self.send_impl(dest, tag, Payload::Local(Box::new(value)), bytes)
-        }
+        let Some(mut data) = self.transport.frame_buffer() else {
+            return self.send_impl(dest, tag, Payload::Local(Box::new(value)), bytes);
+        };
+        let at = data.len();
+        value.encode(&mut data);
+        let bytes = (data.len() - at) as u64;
+        let type_tag = wire_type_tag::<T>();
+        self.send_impl(dest, tag, Payload::Bytes { type_tag, data, at }, bytes)
     }
 
     fn send_impl(
@@ -619,7 +615,7 @@ impl Comm {
             let mut parked = self.parked.borrow_mut();
             if let Some(pos) = parked.iter().position(|m| m.src == src && m.tag == tag) {
                 let msg = parked.remove(pos).unwrap();
-                return downcast_msg(msg);
+                return downcast_msg(&*self.transport, msg);
             }
         }
         let world = &*self.transport;
@@ -633,7 +629,7 @@ impl Comm {
                 if msg.src == src && msg.tag == tag {
                     drop(queue);
                     world.set_status(self.rank, RankState::Running);
-                    return downcast_msg(msg);
+                    return downcast_msg(world, msg);
                 }
                 self.parked.borrow_mut().push_back(msg);
             }
@@ -1038,7 +1034,9 @@ fn comm_panic(e: CommError) -> ! {
     }
 }
 
-fn downcast_msg<T: Wire + Send + 'static>(msg: Msg) -> Result<T, CommError> {
+/// Take the value out of a matched message; a decoded payload buffer
+/// goes back to the transport for reuse.
+fn downcast_msg<T: Wire + Send + 'static>(tr: &dyn Transport, msg: Msg) -> Result<T, CommError> {
     telemetry::counter_add("comm.msgs_recv", 1);
     telemetry::counter_add("comm.bytes_recv", msg.bytes);
     telemetry::flight::event(
@@ -1059,7 +1057,7 @@ fn downcast_msg<T: Wire + Send + 'static>(msg: Msg) -> Result<T, CommError> {
                     expected: std::any::type_name::<T>(),
                 })
         }
-        Payload::Bytes { type_tag, data } => {
+        Payload::Bytes { type_tag, data, at } => {
             if type_tag != wire_type_tag::<T>() {
                 return Err(CommError::TypeMismatch {
                     src,
@@ -1067,9 +1065,11 @@ fn downcast_msg<T: Wire + Send + 'static>(msg: Msg) -> Result<T, CommError> {
                     expected: std::any::type_name::<T>(),
                 });
             }
-            T::from_wire(&data).map_err(|e| CommError::Frame {
+            let value = T::from_wire(&data[at..]).map_err(|e| CommError::Frame {
                 detail: format!("payload from rank {src} tag={}: {e}", tag_display(tag)),
-            })
+            });
+            tr.recycle(data);
+            value
         }
     }
 }

@@ -12,7 +12,7 @@
 //! [`quadforest_core::crc`]). The payload is the Wire encoding of a
 //! [`Frame`] (Unix sockets) or of the TCP backend's packet envelope —
 //! the framing itself is generic over any [`Wire`] payload via
-//! [`encode_wire`] / [`read_wire`]. Decoding is strict and
+//! [`encode_wire`] / [`read_raw`]. Decoding is strict and
 //! hostile-input-safe: a length prefix above the cap is rejected
 //! *before* any allocation, a CRC mismatch or trailing bytes
 //! is a typed error, and EOF mid-frame is distinguished from clean EOF
@@ -99,8 +99,36 @@ pub(crate) enum Frame {
     RequestKill { rank: u64, op: u64 },
 }
 
-/// Wire discriminant of [`Frame::Msg`].
+/// Wire discriminants of [`Frame::Msg`] and [`Frame::Heartbeat`].
 const MSG: u8 = 1;
+pub(crate) const HEARTBEAT: u8 = 2;
+
+/// A [`Frame::Msg`] in a frame buffer: its six `u64` fields (`src`,
+/// `dst`, `tag`, `type_tag`, `bytes`, the data's length) start at
+/// `MSG_FIELDS`, its data at `MSG_DATA_AT`.
+const MSG_FIELDS: usize = HEADER_LEN + 1;
+pub(crate) const MSG_DATA_AT: usize = MSG_FIELDS + 6 * 8;
+
+/// Fill in the fields of a `Msg` whose data a sender encoded behind
+/// [`MSG_DATA_AT`] reserved bytes; `bytes` is the data's length.
+pub(crate) fn put_msg(frame: &mut [u8], src: u64, dst: u64, tag: u64, type_tag: u64) {
+    let bytes = (frame.len() - MSG_DATA_AT) as u64;
+    frame[HEADER_LEN] = MSG;
+    let fields = [src, dst, tag, type_tag, bytes, bytes];
+    for (at, v) in (MSG_FIELDS..).step_by(8).zip(fields) {
+        frame[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// `[src, dst, tag, type_tag, bytes]` of a `Msg` that [`check`] passed.
+pub(crate) fn msg_fields(frame: &[u8]) -> [u64; 5] {
+    let field = |i: usize| {
+        frame[MSG_FIELDS + 8 * i..][..8]
+            .try_into()
+            .expect("8 bytes")
+    };
+    [0, 1, 2, 3, 4].map(|i| u64::from_le_bytes(field(i)))
+}
 
 /// If `payload` is the encoding of a [`Frame::Msg`], check everything
 /// [`Frame::decode`] would check of it and return its `(src, dst)`,
@@ -132,7 +160,7 @@ pub(crate) fn msg_route(payload: &[u8]) -> Option<Result<(u64, u64), WireError>>
 quadforest_core::wire!(enum Frame {
     0 => Hello { rank },
     MSG => Msg { src, dst, tag, type_tag, bytes, data },
-    2 => Heartbeat { rank, seq, op, phase },
+    HEARTBEAT => Heartbeat { rank, seq, op, phase },
     3 => Abort { origin, reason },
     4 => Done { rank, result },
     5 => Failed { rank, panicked, reason, error },
@@ -205,27 +233,32 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Frame whatever `body` appends as `[len][guard][crc][payload]` ready
-/// to write. The payload is encoded straight behind the reserved
-/// header, which is patched in place once the length is known.
+/// Fill in the header of a frame buffer — [`HEADER_LEN`] reserved
+/// bytes, then the payload — so it is ready to write.
 ///
 /// Panics when the payload exceeds [`MAX_FRAME_LEN`]: no peer accepts
 /// such a frame, so the sending rank fails here, by name and size,
 /// through the abort protocol — not later as a "corrupt" frame.
-pub(crate) fn encode_with(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = vec![0u8; HEADER_LEN];
-    body(&mut out);
-    let payload_len = out.len() - HEADER_LEN;
+pub(crate) fn seal(frame: &mut [u8]) {
+    let payload_len = frame.len() - HEADER_LEN;
     let len = u32::try_from(payload_len)
         .ok()
         .filter(|&len| len <= MAX_FRAME_LEN)
         .unwrap_or_else(|| {
             panic!("message of {payload_len} bytes exceeds the frame cap of {MAX_FRAME_LEN} bytes")
         });
-    let crc = crc32(&out[HEADER_LEN..]);
-    out[0..4].copy_from_slice(&len.to_le_bytes());
-    out[4..8].copy_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
-    out[8..12].copy_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&frame[HEADER_LEN..]);
+    frame[0..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
+    frame[8..12].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Frame whatever `body` appends behind a reserved header, then
+/// [`seal`] it.
+pub(crate) fn encode_with(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0u8; HEADER_LEN];
+    body(&mut out);
+    seal(&mut out);
     out
 }
 
@@ -311,12 +344,12 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u32, u32), FrameError> {
     Ok((len, expected_crc))
 }
 
-/// Read one `[len][guard][crc][payload]` frame and return its bytes,
-/// header included, once the header guard, the [`MAX_FRAME_LEN`] cap on
-/// the length prefix (enforced *before* the buffer is allocated) and
-/// the payload CRC have all checked out. The payload is not decoded: a
-/// router forwards the returned bytes as they are. `stop` lets the
-/// owner retire the reader thread without closing the socket.
+/// Read one `[len][guard][crc][payload]` frame into `frame` (its
+/// capacity reused), header included, once the header guard, the
+/// [`MAX_FRAME_LEN`] cap on the length prefix (enforced *before* the
+/// buffer grows) and the payload CRC have all checked out. The payload
+/// is not decoded: a router forwards the bytes as they are. `stop` lets
+/// the owner retire the reader thread without closing the socket.
 ///
 /// With an `idle_limit`, once any byte of a frame has arrived the rest
 /// must keep arriving with gaps no longer than that, or the read fails
@@ -331,7 +364,8 @@ pub(crate) fn read_raw(
     stream: &mut impl Read,
     stop: &AtomicBool,
     idle_limit: Option<Duration>,
-) -> Result<Vec<u8>, FrameError> {
+    frame: &mut Vec<u8>,
+) -> Result<(), FrameError> {
     // `before` bytes of the frame preceded the buffer that fell short
     let fail = |before: usize, wanted: usize, (got, why): (usize, FillError)| match why {
         // EOF before any header byte is a clean close; anything later
@@ -352,7 +386,7 @@ pub(crate) fn read_raw(
     fill(stream, &mut header, stop, idle_limit, false).map_err(|e| fail(0, HEADER_LEN, e))?;
     let (len, expected_crc) = parse_header(&header)?;
     let wanted = HEADER_LEN + len as usize;
-    let mut frame = vec![0u8; wanted];
+    frame.resize(wanted, 0);
     frame[..HEADER_LEN].copy_from_slice(&header);
     fill(stream, &mut frame[HEADER_LEN..], stop, idle_limit, true)
         .map_err(|e| fail(HEADER_LEN, wanted, e))?;
@@ -363,7 +397,7 @@ pub(crate) fn read_raw(
             got: got_crc,
         });
     }
-    Ok(frame)
+    Ok(())
 }
 
 /// Decode the payload of a frame [`read_raw`] returned.
@@ -371,18 +405,16 @@ pub(crate) fn decode_raw<T: Wire>(frame: &[u8]) -> Result<T, FrameError> {
     T::from_wire(&frame[HEADER_LEN..]).map_err(|e| FrameError::Decode(e.to_string()))
 }
 
-/// Read and decode one frame whose payload is any Wire type, with no
-/// mid-frame deadline. See [`read_raw`].
-pub(crate) fn read_wire<T: Wire>(
-    stream: &mut impl Read,
-    stop: &AtomicBool,
-) -> Result<T, FrameError> {
-    decode_raw(&read_raw(stream, stop, None)?)
-}
-
-/// Read and decode one [`Frame`].
-pub(crate) fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Frame, FrameError> {
-    read_wire(stream, stop)
+/// Check a frame [`read_raw`] read as a [`Frame`]: `None` for a `Msg`,
+/// which [`msg_route`] checks as a decode would and leaves in the
+/// buffer ([`msg_fields`]); any other frame, decoded.
+pub(crate) fn check(frame: &[u8]) -> Result<Option<Frame>, FrameError> {
+    let Some(route) = msg_route(&frame[HEADER_LEN..]) else {
+        return decode_raw(frame).map(Some);
+    };
+    route
+        .map(|_| None)
+        .map_err(|e| FrameError::Decode(e.to_string()))
 }
 
 /// Blocking wrapper used during connection handshakes: read one Wire
@@ -408,21 +440,37 @@ pub(crate) fn read_wire_timeout<T: Wire>(
             self.inner.read(buf)
         }
     }
-    let stop = AtomicBool::new(false);
     let mut dr = DeadlineRead {
         inner: stream,
         deadline: Instant::now() + timeout,
     };
-    read_wire(&mut dr, &stop)
+    let mut frame = Vec::new();
+    read_raw(&mut dr, &AtomicBool::new(false), None, &mut frame)?;
+    decode_raw(&frame)
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use std::io::Cursor;
 
     fn no_stop() -> AtomicBool {
         AtomicBool::new(false)
+    }
+
+    /// Read and decode one Wire value.
+    fn read_wire<T: Wire>(stream: &mut impl Read, stop: &AtomicBool) -> Result<T, FrameError> {
+        let mut frame = Vec::new();
+        read_raw(stream, stop, None, &mut frame)?;
+        decode_raw(&frame)
+    }
+
+    /// Read and decode one [`Frame`].
+    pub(in crate::transport) fn read_frame(
+        stream: &mut impl Read,
+        stop: &AtomicBool,
+    ) -> Result<Frame, FrameError> {
+        read_wire(stream, stop)
     }
 
     /// Frame a raw payload by hand: correct header, arbitrary bytes.
@@ -845,6 +893,48 @@ mod tests {
         }
     }
 
+    // The send path frames a message once, in the buffer its value was
+    // encoded into, and the receive path reads it at fixed offsets:
+    // both must be the `Frame::Msg` codec exactly, on any route, tag,
+    // type and data (empty data included), and on any damaged payload
+    // `msg_route` still accepts.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn a_message_framed_once_is_the_msg_codec(
+            fields in proptest::collection::vec(proptest::prelude::any::<u64>(), 4),
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            pos in 0usize..160,
+            xor in 0u8..=255,
+            cut in 0usize..160,
+        ) {
+            let (src, dst, tag, type_tag) = (fields[0], fields[1], fields[2], fields[3]);
+            let mut sent = vec![0u8; MSG_DATA_AT];
+            sent.extend_from_slice(&data);
+            put_msg(&mut sent, src, dst, tag, type_tag);
+            seal(&mut sent);
+            let bytes = data.len() as u64;
+            let msg = Frame::Msg { src, dst, tag, type_tag, bytes, data };
+            proptest::prop_assert_eq!(&sent, &encode_frame(&msg));
+
+            let mut payload = sent[HEADER_LEN..].to_vec();
+            let pos = pos % payload.len();
+            payload[pos] ^= xor;
+            payload.truncate(cut.max(pos + 1));
+            let frame = encode_with(|out| out.extend_from_slice(&payload));
+            if let Some(Ok(_)) = msg_route(&payload) {
+                match Frame::from_wire(&payload) {
+                    Ok(Frame::Msg { src, dst, tag, type_tag, bytes, data }) => {
+                        proptest::prop_assert_eq!(msg_fields(&frame), [src, dst, tag, type_tag, bytes]);
+                        proptest::prop_assert_eq!(&frame[MSG_DATA_AT..], &data[..]);
+                        proptest::prop_assert!(matches!(check(&frame), Ok(None)));
+                    }
+                    other => proptest::prop_assert!(false, "decode says {:?}", other),
+                }
+            }
+        }
+    }
+
     /// A stream that yields some bytes and then blocks forever —
     /// the shape of a corrupted length prefix under the frame cap.
     struct StallingRead {
@@ -912,8 +1002,9 @@ mod tests {
             pos: 0,
         };
         let started = Instant::now();
-        let err = read_raw(&mut stream, &no_stop(), Some(Duration::from_millis(50)))
-            .expect_err("must not decode");
+        let limit = Some(Duration::from_millis(50));
+        let err =
+            read_raw(&mut stream, &no_stop(), limit, &mut Vec::new()).expect_err("must not decode");
         assert_eq!(err, FrameError::Stalled { got: cut, wanted });
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -947,8 +1038,9 @@ mod tests {
         };
         // 100 polls × 1 ms of pre-frame idle is far beyond the 5 ms
         // idle limit; only the stop flag may end the wait
-        let err = read_raw(&mut stream, &stop, Some(Duration::from_millis(5)))
-            .expect_err("nothing to read");
+        let limit = Some(Duration::from_millis(5));
+        let err =
+            read_raw(&mut stream, &stop, limit, &mut Vec::new()).expect_err("nothing to read");
         assert_eq!(err, FrameError::Stopped);
     }
 }

@@ -50,9 +50,11 @@ pub(crate) trait Transport: Send + Sync {
     fn size(&self) -> usize;
     /// Blocking-receive timeout configured for this world.
     fn recv_timeout(&self) -> Duration;
-    /// True when payloads cross a process boundary and must be
-    /// Wire-encoded by the sender (socket backend).
-    fn serializes(&self) -> bool;
+    /// Where a payload that crosses a process boundary is Wire-encoded:
+    /// a buffer already holding the frame header. `None`: values move.
+    fn frame_buffer(&self) -> Option<Vec<u8>>;
+    /// A received payload buffer has been decoded; keep it for reuse.
+    fn recycle(&self, _buf: Vec<u8>) {}
     /// The inbound queue `rank` blocks on.
     fn mailbox(&self, rank: usize) -> &Mailbox;
     /// Enqueue a message for `dest` (local push or socket frame).

@@ -8,7 +8,8 @@
 //! identity from one [`Spawn`] record in one environment variable,
 //! connect back, and run the named program against a [`Worker`]
 //! transport whose `deliver` sends Wire-encoded frames instead of
-//! pushing into a shared mailbox.
+//! pushing into a shared mailbox: a message is encoded into the buffer
+//! it is sent in and decoded in the buffer it arrived in.
 //!
 //! Everything in this module exists once. What the two process
 //! backends differ in is only *how a frame reaches the peer* — written
@@ -26,7 +27,7 @@
 //! [`run_with_recovery_program`](crate::run_with_recovery_program)
 //! rather than a wedged job.
 
-use super::frame::Frame;
+use super::frame::{check, msg_fields, put_msg, Frame, FrameError, HEADER_LEN, MSG_DATA_AT};
 use super::{ProgramCtx, ProgramRegistry, SocketOptions};
 use crate::fault::FaultAction;
 use crate::{
@@ -134,8 +135,8 @@ impl Spawn {
 /// process backends differ in. The supervisor routes, monitors and
 /// reports through this trait alone.
 pub(super) trait Links: Send + Sync + 'static {
-    /// Send `frame` to `rank`. Neither blocks on the peer nor fails: a
-    /// link that cannot deliver is the liveness monitor's business.
+    /// Send `frame` to `rank`. Never fails, and waits at most on a live
+    /// peer: a link that cannot deliver is the liveness monitor's business.
     fn send(&self, rank: usize, frame: Frame);
     /// `rank` gets no more traffic and cannot come back (it was
     /// declared dead, or the world is being torn down).
@@ -530,11 +531,12 @@ pub(super) trait Uplink: Send + Sync + Sized + 'static {
     fn open(spawn: &Spawn) -> Result<Self, String>;
     /// Start the link's threads (pushed onto `threads`, joined at exit)
     /// and return once the supervisor has accepted this rank. Incoming
-    /// frames go to [`Worker::on_frame`].
+    /// frames go to [`Worker::on_raw`] or [`Worker::on_frame`].
     fn start(worker: &Arc<Worker<Self>>, threads: &mut Vec<JoinHandle<()>>) -> Result<(), String>;
-    /// Send one frame to the supervisor. False when the connection is
-    /// gone for good.
-    fn send(&self, frame: Frame) -> bool;
+    /// Send one frame buffer (the payload behind [`HEADER_LEN`] bytes
+    /// for the link's header) to the supervisor; a link that keeps the
+    /// buffer takes it. False when the connection is gone for good.
+    fn send(&self, frame: &mut Vec<u8>) -> bool;
     /// The rank's terminal frame is sent: see it delivered, then close.
     fn close(&self) {}
 }
@@ -561,19 +563,70 @@ pub(super) struct Worker<U> {
     last_op: AtomicU64,
     /// Telemetry phase active at that op (`""` when none).
     last_phase: Mutex<&'static str>,
+    /// At most two spent buffers of at least [`REUSE_MIN`] bytes: one to
+    /// encode into and one to read into keep a steady exchange off
+    /// fresh pages.
+    spares: Mutex<Vec<Vec<u8>>>,
 }
 
+/// Below this a buffer comes from the allocator's free lists, not from
+/// fresh pages, and is not worth keeping.
+const REUSE_MIN: usize = 64 << 10;
+
 impl<U: Uplink> Worker<U> {
-    /// Send one frame to the supervisor. A lost connection means the
-    /// supervisor is gone; record a local abort so blocked receives
-    /// unwind instead of waiting out their full timeout.
+    /// Send one frame to the supervisor.
     fn send(&self, frame: Frame) {
-        if !self.up.send(frame) {
+        let mut buf = vec![0; HEADER_LEN];
+        frame.encode(&mut buf);
+        self.send_buf(buf);
+    }
+
+    /// Send a frame buffer, keep what the link leaves. A lost connection
+    /// means the supervisor is gone; record a local abort so blocked
+    /// receives unwind instead of waiting out their full timeout.
+    fn send_buf(&self, mut frame: Vec<u8>) {
+        let sent = self.up.send(&mut frame);
+        self.recycle(frame);
+        if !sent {
             self.local_abort(
                 usize::MAX,
                 "connection to supervisor lost (write failed)".into(),
             );
         }
+    }
+
+    /// A buffer to fill: a kept one when there is one.
+    pub(super) fn spare(&self) -> Vec<u8> {
+        plock(&self.spares).pop().unwrap_or_default()
+    }
+
+    /// A frame the reader read into `frame`: a big `Msg` goes into the
+    /// inbox in that buffer, the reader going on with a spare; a small
+    /// one is copied out, so it never holds a big buffer. Anything else
+    /// goes to [`Worker::on_frame`].
+    pub(super) fn on_raw(&self, frame: &mut Vec<u8>) -> Result<(), FrameError> {
+        let Some(decoded) = check(frame)? else {
+            let [src, _, tag, type_tag, bytes] = msg_fields(frame);
+            let data = match frame.len() >= REUSE_MIN {
+                true => std::mem::replace(frame, self.spare()),
+                false => frame.clone(),
+            };
+            self.push(src, tag, type_tag, bytes, data, MSG_DATA_AT);
+            return Ok(());
+        };
+        self.on_frame(decoded);
+        Ok(())
+    }
+
+    /// Put a message whose value is `data[at..]` into the inbox.
+    fn push(&self, src: u64, tag: u64, type_tag: u64, bytes: u64, data: Vec<u8>, at: usize) {
+        let (src, payload) = (src as usize, Payload::Bytes { type_tag, data, at });
+        self.inbox.push(Msg {
+            src,
+            tag,
+            payload,
+            bytes,
+        });
     }
 
     /// Record an abort locally and wake the (single) blocked receiver.
@@ -597,12 +650,7 @@ impl<U: Uplink> Worker<U> {
                 data,
             } => {
                 debug_assert_eq!(dst as usize, self.rank);
-                self.inbox.push(Msg {
-                    src: src as usize,
-                    tag,
-                    payload: Payload::Bytes { type_tag, data },
-                    bytes,
-                });
+                self.push(src, tag, type_tag, bytes, data, 0);
             }
             Frame::Abort { origin, reason } => self.local_abort(origin as usize, reason),
             _ => {}
@@ -619,8 +667,18 @@ impl<U: Uplink> Transport for Worker<U> {
         self.recv_timeout
     }
 
-    fn serializes(&self) -> bool {
-        true
+    fn frame_buffer(&self) -> Option<Vec<u8>> {
+        let mut buf = self.spare();
+        buf.clear();
+        buf.resize(MSG_DATA_AT, 0);
+        Some(buf)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        let mut spares = plock(&self.spares);
+        if buf.capacity() >= REUSE_MIN && spares.len() < 2 {
+            spares.push(buf);
+        }
     }
 
     fn mailbox(&self, rank: usize) -> &Mailbox {
@@ -635,14 +693,12 @@ impl<U: Uplink> Transport for Worker<U> {
             return;
         }
         match msg.payload {
-            Payload::Bytes { type_tag, data } => self.send(Frame::Msg {
-                src: msg.src as u64,
-                dst: dest as u64,
-                tag: msg.tag,
-                type_tag,
-                bytes: msg.bytes,
-                data,
-            }),
+            Payload::Bytes {
+                type_tag, mut data, ..
+            } => {
+                put_msg(&mut data, msg.src as u64, dest as u64, msg.tag, type_tag);
+                self.send_buf(data);
+            }
             Payload::Local(_) => {
                 unreachable!("a process world serializes every payload at send_value")
             }
@@ -725,6 +781,7 @@ fn run_child<U: Uplink>(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
             stop: AtomicBool::new(false),
             last_op: AtomicU64::new(u64::MAX),
             last_phase: Mutex::new(""),
+            spares: Mutex::new(Vec::new()),
         });
         U::start(&worker, &mut threads).map(|()| worker)
     });

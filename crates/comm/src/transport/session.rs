@@ -21,21 +21,32 @@ pub(super) enum Receipt {
     Gap,
 }
 
-/// One endpoint's session state, one direction-pair of a link.
-#[derive(Debug, Default)]
-pub(super) struct Session {
+/// One endpoint's session state, one direction-pair of a link. `F` is
+/// the form the endpoint holds its outbound frames in.
+#[derive(Debug)]
+pub(super) struct Session<F = Frame> {
     /// Next sequence number to assign to an outbound frame.
     pub(super) send_seq: u64,
     /// Sent but unacked frames, oldest first, for retransmission.
-    pub(super) sent: VecDeque<(u64, Frame)>,
+    pub(super) sent: VecDeque<(u64, F)>,
     /// Receive cursor: the next peer sequence number to deliver, and
     /// the cumulative ack every outbound packet carries.
     pub(super) recv_next: u64,
 }
 
-impl Session {
+impl<F> Default for Session<F> {
+    fn default() -> Self {
+        Session {
+            send_seq: 0,
+            sent: VecDeque::new(),
+            recv_next: 0,
+        }
+    }
+}
+
+impl<F> Session<F> {
     /// Number `frame` and queue it for retransmission until acked.
-    pub(super) fn sequence(&mut self, frame: Frame) -> u64 {
+    pub(super) fn sequence(&mut self, frame: F) -> u64 {
         let seq = self.send_seq;
         self.send_seq += 1;
         self.sent.push_back((seq, frame));
@@ -72,7 +83,7 @@ impl Session {
 
     /// A (re)connection handshake: the peer has delivered everything
     /// below `peer_resume`. Returns what it still needs, in order.
-    pub(super) fn resume(&mut self, peer_resume: u64) -> impl Iterator<Item = &(u64, Frame)> {
+    pub(super) fn resume(&mut self, peer_resume: u64) -> impl Iterator<Item = &(u64, F)> {
         self.prune(peer_resume);
         self.sent.iter()
     }

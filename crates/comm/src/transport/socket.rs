@@ -7,13 +7,14 @@
 //! worker runtime, the liveness rules and the [`Spawn`] record a worker
 //! starts from are [`super::process`]; this file is only how a frame
 //! reaches the peer — the listener (its path is the record's `addr`)
-//! and the connect, one reader and one writer thread per rank on the
-//! supervisor, and the forwarding of `Msg` frames as the bytes that
-//! arrived.
+//! and the connect, and one reader thread per rank on the supervisor,
+//! which writes a `Msg` on to its destination as the bytes that arrived.
+//! A message is in one buffer per process: the sender seals the buffer
+//! its value was encoded into, the supervisor's reader reuses one, and
+//! the destination decodes in the buffer it read into.
 
 use super::frame::{
-    decode_raw, encode_frame, msg_route, read_frame, read_raw, read_wire_timeout, Frame,
-    FrameError, HEADER_LEN,
+    check, encode_frame, msg_fields, read_raw, read_wire_timeout, seal, Frame, FrameError,
 };
 use super::process::{self, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL};
 use super::SocketOptions;
@@ -21,7 +22,7 @@ use crate::{plock, WorldError};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -29,64 +30,62 @@ use std::time::{Duration, Instant};
 // supervisor side
 // ----------------------------------------------------------------------
 
-/// Per-rank frame writers (fed by reader threads and the monitor;
-/// drained by one dedicated writer thread per rank — "per-peer writer
-/// threads"). `None` before the rank connected and once retired.
+/// The write half of each rank's connection, written under its lock by
+/// the reader that relays a message and by the monitor. `None` before
+/// the rank connected and once retired.
 pub(super) struct RawLinks {
-    writers: Vec<Mutex<Option<mpsc::Sender<Vec<u8>>>>>,
+    streams: Vec<Mutex<Option<UnixStream>>>,
 }
 
 impl RawLinks {
     fn new(size: usize) -> Self {
         RawLinks {
-            writers: (0..size).map(|_| Mutex::new(None)).collect(),
+            streams: (0..size).map(|_| Mutex::new(None)).collect(),
         }
     }
 
-    /// Queue a pre-encoded frame for `rank`'s writer thread.
-    fn forward(&self, rank: usize, bytes: Vec<u8>) {
-        if let Some(tx) = plock(&self.writers[rank]).as_ref() {
-            let _ = tx.send(bytes);
+    /// Write a sealed frame to `rank`. This cannot wedge the star: every
+    /// worker's reader drains its socket unconditionally into an
+    /// unbounded inbox, so the write waits only on a live reader, and
+    /// fails at once (EPIPE) on a dead process — left to that rank's own
+    /// reader, which sees the same dead connection.
+    fn write(&self, rank: usize, frame: &[u8]) {
+        if let Some(stream) = plock(&self.streams[rank]).as_mut() {
+            let _ = stream.write_all(frame);
         }
     }
 }
 
 impl Links for RawLinks {
     fn send(&self, rank: usize, frame: Frame) {
-        self.forward(rank, encode_frame(&frame));
+        self.write(rank, &encode_frame(&frame));
     }
 
     fn retire(&self, rank: usize) {
-        plock(&self.writers[rank]).take();
+        plock(&self.streams[rank]).take();
     }
 }
 
-/// Reader loop for one child connection: hands every frame to the
-/// supervisor, and turns an unexpected EOF or corrupt frame into a
-/// peer-death abort.
+/// Reader loop for one child connection: relays every `Msg`, hands
+/// every other frame to the supervisor, and turns an unexpected EOF or
+/// corrupt frame into a peer-death abort.
 ///
 /// A `Msg` frame is forwarded as the bytes that arrived, not decoded
 /// and rebuilt: the CRC has been verified over them, and
-/// [`msg_route`] checks the rest of what a decode would. The header
-/// CRC the destination verifies is therefore still the sender's.
+/// [`check`] checks the rest of what a decode would. The header CRC
+/// the destination verifies is therefore still the sender's.
 fn reader_loop(sup: &Supervisor<RawLinks>, rank: usize, stream: &mut UnixStream) {
+    let mut buf = Vec::new();
     loop {
-        let frame = match read_raw(stream, &sup.stop, None) {
-            Ok(raw) => match msg_route(&raw[HEADER_LEN..]) {
-                Some(Ok((src, dst))) => {
-                    if !sup.admit_msg(rank, src, dst) {
-                        return;
-                    }
-                    sup.links.forward(dst as usize, raw);
-                    continue;
+        match read_raw(stream, &sup.stop, None, &mut buf).and_then(|()| check(&buf)) {
+            Ok(None) => {
+                let [src, dst, ..] = msg_fields(&buf);
+                if !sup.admit_msg(rank, src, dst) {
+                    return;
                 }
-                Some(Err(e)) => Err(FrameError::Decode(e.to_string())),
-                None => decode_raw(&raw),
-            },
-            Err(e) => Err(e),
-        };
-        match frame {
-            Ok(frame) => sup.on_frame(rank, frame),
+                sup.links.write(dst as usize, &buf);
+            }
+            Ok(Some(frame)) => sup.on_frame(rank, frame),
             Err(FrameError::Stopped) => return,
             Err(e) => {
                 if !sup.is_terminal(rank) {
@@ -105,8 +104,8 @@ fn reader_loop(sup: &Supervisor<RawLinks>, rank: usize, stream: &mut UnixStream)
 }
 
 /// Accept one identified connection per rank until `deadline`, then
-/// start a writer and a reader thread for each. Returns the ranks that
-/// never connected.
+/// start a reader thread for each. Returns the ranks that never
+/// connected.
 fn accept_workers(
     listener: &UnixListener,
     sup: &Arc<Supervisor<RawLinks>>,
@@ -145,37 +144,26 @@ fn accept_workers(
         return (0..size).filter(|&r| streams[r].is_none()).collect();
     }
 
-    // Register EVERY rank's writer channel before spawning ANY reader
-    // thread: a reader immediately routes frames to peer writers via
-    // `forward`, which silently drops when the destination's channel is
-    // not yet registered — interleaving registration with reader spawns
-    // loses early frames to high ranks (a rare, load-dependent hang).
-    let mut halves = Vec::with_capacity(size);
-    for (rank, slot) in streams.into_iter().enumerate() {
-        let stream = slot.expect("all connected");
-        let write_half = stream.try_clone().expect("clone stream");
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-        *plock(&sup.links.writers[rank]) = Some(tx);
-        halves.push((rank, stream, write_half, rx));
-    }
-    for (rank, mut read_half, mut write_half, rx) in halves {
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("sock-write-{rank}"))
-                .spawn(move || {
-                    while let Ok(buf) = rx.recv() {
-                        if write_half.write_all(&buf).is_err() {
-                            return; // reader side reports the death
-                        }
-                    }
-                })
-                .expect("spawn writer"),
+    // Register EVERY rank's write half before spawning ANY reader
+    // thread: a reader immediately relays frames to peers, and a write
+    // to a rank not yet registered is silently dropped — interleaving
+    // registration with reader spawns loses early frames to high ranks
+    // (a rare, load-dependent hang).
+    for (slot, stream) in sup.links.streams.iter().zip(&streams) {
+        *plock(slot) = Some(
+            stream
+                .as_ref()
+                .expect("all connected")
+                .try_clone()
+                .expect("clone stream"),
         );
-        let sup = Arc::clone(sup);
+    }
+    for (rank, stream) in streams.into_iter().enumerate() {
+        let (sup, mut stream) = (Arc::clone(sup), stream.expect("all connected"));
         threads.push(
             std::thread::Builder::new()
                 .name(format!("sock-read-{rank}"))
-                .spawn(move || reader_loop(&sup, rank, &mut read_half))
+                .spawn(move || reader_loop(&sup, rank, &mut stream))
                 .expect("spawn reader"),
         );
     }
@@ -248,22 +236,27 @@ impl Uplink for RawUplink {
         stream
             .set_read_timeout(Some(READ_POLL))
             .map_err(|e| e.to_string())?;
-        if !worker.up.send(Frame::Hello {
+        let hello = encode_frame(&Frame::Hello {
             rank: worker.rank as u64,
-        }) {
+        });
+        if plock(&worker.up.writer).write_all(&hello).is_err() {
             return Err("connection closed before the Hello".into());
         }
         // reader thread: feeds the inbox, converts a lost supervisor
         // into an abort
         let name = format!("rank-{}-reader", worker.rank);
         let worker = Arc::clone(worker);
-        let reader = move || loop {
-            match read_frame(&mut stream, &worker.stop) {
-                Ok(frame) => worker.on_frame(frame),
-                Err(FrameError::Stopped) => return,
-                Err(e) => {
-                    worker.local_abort(usize::MAX, format!("connection to supervisor lost: {e}"));
-                    return;
+        let reader = move || {
+            let mut buf = Vec::new();
+            loop {
+                let read = read_raw(&mut stream, &worker.stop, None, &mut buf);
+                match read.and_then(|()| worker.on_raw(&mut buf)) {
+                    Ok(()) => {}
+                    Err(FrameError::Stopped) => return,
+                    Err(e) => {
+                        let why = format!("connection to supervisor lost: {e}");
+                        return worker.local_abort(usize::MAX, why);
+                    }
                 }
             }
         };
@@ -276,17 +269,21 @@ impl Uplink for RawUplink {
         Ok(())
     }
 
-    fn send(&self, frame: Frame) -> bool {
-        plock(&self.writer).write_all(&encode_frame(&frame)).is_ok()
+    /// Seal the frame in the buffer it was encoded into and write it.
+    fn send(&self, frame: &mut Vec<u8>) -> bool {
+        seal(frame);
+        plock(&self.writer).write_all(frame).is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::frame::encode_with;
+    use super::super::frame::{decode_raw, encode_with, msg_route, tests::read_frame, HEADER_LEN};
     use super::*;
     use crate::{CommError, RankError};
     use quadforest_core::Wire;
+    use std::io::Read;
+    use std::sync::atomic::AtomicBool;
 
     fn msg(src: u64, dst: u64) -> Frame {
         Frame::Msg {
@@ -317,19 +314,35 @@ mod tests {
         assert_eq!(encode_frame(&msg(0, 1)), MSG_0_TO_1);
     }
 
+    /// Every frame written to the peer of `stream` so far, as the bytes
+    /// that arrived.
+    fn written(stream: &mut UnixStream) -> Vec<Vec<u8>> {
+        stream.set_nonblocking(true).expect("nonblocking");
+        let mut bytes = Vec::new();
+        let _ = stream.read_to_end(&mut bytes); // `WouldBlock` once drained
+        let (mut rest, stop) = (bytes.as_slice(), AtomicBool::new(false));
+        let mut frames = Vec::new();
+        while !rest.is_empty() {
+            let mut frame = Vec::new();
+            read_raw(&mut rest, &stop, None, &mut frame).expect("a whole frame");
+            frames.push(frame);
+        }
+        frames
+    }
+
     /// Rank 0 of a two-rank world writes `stream` and hangs up; run the
     /// supervisor's reader over it. Returns the supervisor and every
-    /// frame it queued for rank 1's writer thread.
+    /// frame it wrote to rank 1.
     fn route(stream: &[u8]) -> (Supervisor<RawLinks>, Vec<Vec<u8>>) {
         let router = Supervisor::new(2, RawLinks::new(2));
-        let (tx, rx) = mpsc::channel();
-        *plock(&router.links.writers[1]) = Some(tx);
+        let (rank1, mut rank1_reads) = UnixStream::pair().expect("socket pair");
+        *plock(&router.links.streams[1]) = Some(rank1);
         let (mut ours, mut theirs) = UnixStream::pair().expect("socket pair");
         theirs.write_all(stream).expect("fits the socket buffer");
         drop(theirs);
         reader_loop(&router, 0, &mut ours);
         router.links.retire(1);
-        (router, rx.iter().collect())
+        (router, written(&mut rank1_reads))
     }
 
     /// The reader declared rank 0 dead for `reason`, and rank 1 was sent
@@ -359,17 +372,17 @@ mod tests {
         process::tests::check_supervisor_contract(
             |size| {
                 let links = RawLinks::new(size);
-                *inboxes.borrow_mut() = (links.writers.iter())
-                    .map(|writer| {
-                        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-                        *plock(writer) = Some(tx);
-                        rx
+                *inboxes.borrow_mut() = (links.streams.iter())
+                    .map(|slot| {
+                        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+                        *plock(slot) = Some(ours);
+                        theirs
                     })
                     .collect();
                 links
             },
             |_, rank| {
-                let queued = inboxes.borrow()[rank].try_iter().collect::<Vec<_>>();
+                let queued = written(&mut inboxes.borrow_mut()[rank]);
                 (queued.iter())
                     .map(|bytes| decode_raw(bytes).expect("a whole frame"))
                     .collect()

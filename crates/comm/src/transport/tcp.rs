@@ -54,6 +54,7 @@
 
 use super::frame::{
     decode_raw, encode_wire, encode_with, read_raw, read_wire_timeout, Frame, FrameError,
+    HEADER_LEN, HEARTBEAT,
 };
 use super::process::{
     self, count, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL,
@@ -121,11 +122,38 @@ const DATA: u8 = 2;
 /// The encoding of [`TcpPacket::Data`], from a borrowed frame: the send
 /// and replay paths frame what sits in the retransmit queue without
 /// cloning it into a packet first.
-fn encode_data(seq: u64, ack: u64, frame: &Frame, out: &mut Vec<u8>) {
+fn encode_data(seq: u64, ack: u64, frame: &impl Outbound, out: &mut Vec<u8>) {
     out.push(DATA);
     seq.encode(out);
     ack.encode(out);
-    frame.encode(out);
+    frame.put(out);
+}
+
+/// A frame as a link endpoint holds it for retransmit: the
+/// supervisor's as a value, a worker's in the frame buffer its rank
+/// encoded it into ([`Uplink::send`]), whose payload is appended as is.
+trait Outbound: Send + 'static {
+    /// Append the frame's Wire encoding.
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+impl Outbound for Frame {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.encode(out);
+    }
+}
+
+impl Outbound for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self[HEADER_LEN..]);
+    }
+}
+
+/// Whether a framed `Data` packet carries anything but a heartbeat:
+/// heartbeats do not count towards the chaos plan's scheduled (reset,
+/// partition) frame indices, so their cadence cannot shift them.
+fn is_data(packet: &[u8]) -> bool {
+    packet[HEADER_LEN + 17] != HEARTBEAT // behind DATA, seq, ack
 }
 
 quadforest_core::wire!(enum TcpPacket {
@@ -136,14 +164,13 @@ quadforest_core::wire!(enum TcpPacket {
 });
 
 /// One endpoint's link: the [`Session`] and the connection it runs on.
-#[derive(Default)]
-struct LinkState {
+struct LinkState<F> {
     /// The live connection, `None` while broken/reconnecting.
     stream: Option<TcpStream>,
     /// Bumped on every install *and* break, so a reader or writer that
     /// raced a reconnect cannot break the successor connection.
     epoch: u64,
-    session: Session,
+    session: Session<F>,
     /// Terminal: no reconnects, sends become no-ops.
     dead: bool,
     /// Whether this link ever completed a handshake.
@@ -153,20 +180,35 @@ struct LinkState {
 /// A session-layer link endpoint: state + wakeup for the handshake and
 /// drain waiters. Both ends of a connection run the same one; only the
 /// worker's has a chaos interposer to pass in.
-#[derive(Default)]
-struct Link {
-    state: Mutex<LinkState>,
+struct Link<F> {
+    state: Mutex<LinkState<F>>,
     cv: Condvar,
 }
 
-impl Link {
+impl<F> Default for Link<F> {
+    fn default() -> Self {
+        let state = LinkState {
+            stream: None,
+            epoch: 0,
+            session: Session::default(),
+            dead: false,
+            connected_once: false,
+        };
+        Link {
+            state: Mutex::new(state),
+            cv: Condvar::new(),
+        }
+    }
+}
+
+impl<F: Outbound> Link<F> {
     /// Block until `ready` holds of the state, re-checking at least
     /// every `poll` (for conditions no wakeup announces: a deadline).
     fn wait(
         &self,
         poll: Duration,
-        mut ready: impl FnMut(&LinkState) -> bool,
-    ) -> MutexGuard<'_, LinkState> {
+        mut ready: impl FnMut(&LinkState<F>) -> bool,
+    ) -> MutexGuard<'_, LinkState<F>> {
         let mut st = plock(&self.state);
         while !ready(&st) {
             st = self
@@ -180,7 +222,7 @@ impl Link {
 
     /// Sever the connection (if any) and wake waiters. The epoch bump
     /// invalidates every thread still holding the old connection.
-    fn break_link_locked(&self, st: &mut LinkState) {
+    fn break_link_locked(&self, st: &mut LinkState<F>) {
         if let Some(s) = st.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -200,7 +242,7 @@ impl Link {
     /// happen under the state lock in sequence order — that ordering is
     /// what makes `Ping::sent` a sound gap probe. `chaos` is the
     /// worker-side fault interposer (`None` on the supervisor).
-    fn send_data(&self, frame: Frame, chaos: Option<&NetFaults>) {
+    fn send_data(&self, frame: F, chaos: Option<&NetFaults>) {
         let mut st = plock(&self.state);
         if st.dead {
             return;
@@ -210,7 +252,7 @@ impl Link {
         let bytes = encode_with(|out| encode_data(s.send_seq, s.recv_next, &frame, out));
         // disconnected: queued for retransmit (the chaos plan still
         // counts the frame)
-        let intact = write_planned(st.stream.as_ref(), &bytes, is_data(&frame), chaos);
+        let intact = write_planned(st.stream.as_ref(), &bytes, is_data(&bytes), chaos);
         st.session.sequence(frame);
         if !intact {
             self.break_link_locked(&mut st);
@@ -277,9 +319,10 @@ impl Link {
         chaos: Option<&NetFaults>,
         mut deliver: impl FnMut(Frame),
     ) {
+        let mut raw = Vec::new();
         loop {
-            let read = read_raw(&mut stream, stop, Some(FRAME_STALL));
-            match read.and_then(|raw| decode_raw::<TcpPacket>(&raw)) {
+            let read = read_raw(&mut stream, stop, Some(FRAME_STALL), &mut raw);
+            match read.and_then(|()| decode_raw::<TcpPacket>(&raw)) {
                 Ok(_) if chaos.is_some_and(|c| c.drop_inbound()) => {}
                 Ok(packet) => {
                     if let Some(frame) = self.on_packet(epoch, packet) {
@@ -327,7 +370,7 @@ impl Link {
         let replayed = acked
             && st.session.resume(peer_resume).all(|(seq, frame)| {
                 let bytes = encode_with(|out| encode_data(*seq, recv_next, frame, out));
-                write_planned(Some(&stream), &bytes, is_data(frame), chaos)
+                write_planned(Some(&stream), &bytes, is_data(&bytes), chaos)
             });
         if !replayed {
             let _ = stream.shutdown(Shutdown::Both);
@@ -339,12 +382,6 @@ impl Link {
         self.cv.notify_all();
         Ok((st.epoch, resumed))
     }
-}
-
-/// Heartbeats do not count towards the chaos plan's scheduled (reset,
-/// partition) frame indices, so their cadence cannot shift them.
-fn is_data(frame: &Frame) -> bool {
-    !matches!(frame, Frame::Heartbeat { .. })
 }
 
 /// Write one framed packet through the chaos interposer's plan for it
@@ -411,7 +448,7 @@ fn apply_write_fault(stream: &TcpStream, bytes: &[u8], fault: &WriteFault) -> st
 /// frame, so a rank that is mid-reconnect still gets it after the
 /// handshake retransmit; pings go to terminal ranks too, so a finished
 /// worker's `Done` gets acked.
-pub(super) struct SessionLinks(Vec<Link>);
+pub(super) struct SessionLinks(Vec<Link<Frame>>);
 
 impl Links for SessionLinks {
     fn send(&self, rank: usize, frame: Frame) {
@@ -534,7 +571,7 @@ pub(crate) fn run_world(mut spawn: Spawn, tcp: &TcpOptions) -> Result<Vec<Vec<u8
 pub(super) struct SessionUplink {
     rank: u64,
     addr: String,
-    link: Link,
+    link: Link<Vec<u8>>,
     /// Deterministic network-chaos interposer; `None` when the fault
     /// plan has no network ops.
     chaos: Option<NetFaults>,
@@ -654,8 +691,11 @@ impl Uplink for SessionUplink {
         Ok(())
     }
 
-    fn send(&self, frame: Frame) -> bool {
-        self.link.send_data(frame, self.chaos.as_ref());
+    /// Sequence the frame buffer as it is: the payload is appended to
+    /// the `Data` envelope, and the buffer held for retransmit.
+    fn send(&self, frame: &mut Vec<u8>) -> bool {
+        self.link
+            .send_data(std::mem::take(frame), self.chaos.as_ref());
         true // queued; the link thread owns giving up
     }
 

@@ -26,12 +26,16 @@
 //! `String`, `&'static str`, arrays, `Duration`). A declared struct or
 //! enum gets its codec from one [`wire!`](crate::wire!) invocation that
 //! lists its fields and variants in wire order — the telemetry snapshot
-//! types below, and every frame, error, plan and manifest of the layers
-//! above. Only a type
-//! whose bytes are not its fields writes `encode`/`decode` by hand: the
-//! quadrant representations (their level + Morton-index normal form, in
-//! `quadrant`) and the solver's patch payloads — and `MetricEntry`,
+//! types below, and every frame, error, plan, manifest and solver patch
+//! of the layers above. Only a type whose bytes are not its fields
+//! writes `encode`/`decode` by hand: the quadrant representations (their
+//! level + Morton-index normal form, in `quadrant`) — and `MetricEntry`,
 //! whose decode also checks its value count against its kind.
+//!
+//! Fixed-width numbers move in bulk: a slice or array of them is one
+//! reservation (or one bounds check) and one loop, with the same bytes
+//! and the same errors as one call per element — the solver's
+//! `[f64; 64]` patches, a `comm_exchange` round's whole payload.
 
 use std::time::Duration;
 
@@ -163,6 +167,23 @@ pub trait Wire: Sized {
         Ok(out)
     }
 
+    /// Decode `N` values, back to back, into an array built in place (no
+    /// heap allocation). `[T; N]` goes through this, so a fixed-width
+    /// type overrides it with one bounds check and one loop.
+    fn decode_array<const N: usize>(r: &mut WireReader<'_>) -> Result<[Self; N], WireError> {
+        let mut failed = None;
+        let items = [(); N].map(|()| {
+            if failed.is_some() {
+                return None;
+            }
+            Self::decode(r).map_err(|e| failed = Some(e)).ok()
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(items.map(|item| item.expect("every element decoded"))),
+        }
+    }
+
     /// Decode a complete value from `bytes`, rejecting trailing input.
     fn from_wire(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
@@ -176,6 +197,28 @@ pub trait Wire: Sized {
     }
 }
 
+/// The bytes of `len` values `W` bytes wide, one chunk each. Short input
+/// fails as decoding them one by one would: on the first value that
+/// does not fit, with what is left of it.
+fn take_fixed<'a, const W: usize>(
+    r: &mut WireReader<'a>,
+    len: usize,
+) -> Result<impl Iterator<Item = [u8; W]> + 'a, WireError> {
+    let have = r.remaining();
+    let bytes = r
+        .take(len.saturating_mul(W))
+        .map_err(|_| WireError::Truncated {
+            needed: W,
+            have: have % W,
+        })?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| c.try_into().expect("W bytes")))
+}
+
+/// Fixed-width numbers: slices and arrays of them move in bulk — the
+/// output grown once or the input bounds-checked once, then one loop of
+/// fixed-size copies — never a call per element.
 macro_rules! impl_wire_int {
     ($($t:ty),* $(,)?) => {$(
         impl Wire for $t {
@@ -184,6 +227,25 @@ macro_rules! impl_wire_int {
             }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
                 Ok(<$t>::from_le_bytes(r.take_array()?))
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                const W: usize = std::mem::size_of::<$t>();
+                let start = out.len();
+                out.resize(start + std::mem::size_of_val(items), 0);
+                for (to, v) in out[start..].chunks_exact_mut(W).zip(items) {
+                    to.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            fn decode_vec(r: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                const W: usize = std::mem::size_of::<$t>();
+                Ok(take_fixed::<W>(r, len)?.map(<$t>::from_le_bytes).collect())
+            }
+            fn decode_array<const N: usize>(
+                r: &mut WireReader<'_>,
+            ) -> Result<[Self; N], WireError> {
+                const W: usize = std::mem::size_of::<$t>();
+                let mut values = take_fixed::<W>(r, N)?.map(<$t>::from_le_bytes);
+                Ok(std::array::from_fn(|_| values.next().expect("N values")))
             }
         }
     )*};
@@ -350,18 +412,7 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
                 have: r.remaining(),
             });
         }
-        // built in place: no heap allocation per array
-        let mut failed = None;
-        let items = [(); N].map(|()| {
-            if failed.is_some() {
-                return None;
-            }
-            T::decode(r).map_err(|e| failed = Some(e)).ok()
-        });
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(items.map(|item| item.expect("every element decoded"))),
-        }
+        T::decode_array(r)
     }
 }
 
@@ -648,6 +699,100 @@ mod tests {
             <[u8; 4]>::from_wire(&[1, 2, 3]),
             Err(WireError::Truncated { needed: 4, have: 3 })
         );
+    }
+
+    /// `Vec<T>` decoded the element-wise way: the prefix, then one
+    /// `decode` per element.
+    fn vec_one_by_one<T: Wire>(bytes: &[u8]) -> Result<Vec<T>, WireError> {
+        let mut r = WireReader::new(bytes);
+        let len = r.seq_len()?;
+        let values = (0..len)
+            .map(|_| T::decode(&mut r))
+            .collect::<Result<_, _>>()?;
+        match r.remaining() {
+            0 => Ok(values),
+            extra => Err(WireError::Trailing { extra }),
+        }
+    }
+
+    /// `[T; N]` decoded the element-wise way: the short-input check,
+    /// then one `decode` per element.
+    fn array_one_by_one<T: Wire, const N: usize>(bytes: &[u8]) -> Result<Vec<T>, WireError> {
+        let mut r = WireReader::new(bytes);
+        if r.remaining() < N {
+            let have = r.remaining();
+            return Err(WireError::Truncated { needed: N, have });
+        }
+        let values = (0..N)
+            .map(|_| T::decode(&mut r))
+            .collect::<Result<_, _>>()?;
+        match r.remaining() {
+            0 => Ok(values),
+            extra => Err(WireError::Trailing { extra }),
+        }
+    }
+
+    /// The bulk codecs of `T` against the element-wise ones on `values`:
+    /// the same bytes, and at every truncation point of a `Vec` and of
+    /// a `[T; 8]` the same values (compared by `key`) or the same error.
+    fn bulk_is_element_wise<T: Wire + Copy, K: PartialEq + std::fmt::Debug>(
+        values: &[T],
+        key: impl Fn(&T) -> K,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let keys = |v: Vec<T>| v.iter().map(&key).collect::<Vec<K>>();
+        let mut one_by_one = (values.len() as u64).to_wire();
+        for v in values {
+            v.encode(&mut one_by_one);
+        }
+        proptest::prop_assert_eq!(&values.to_vec().to_wire(), &one_by_one);
+        for cut in 0..=one_by_one.len() {
+            let bytes = &one_by_one[..cut];
+            let bulk = Vec::<T>::from_wire(bytes).map(keys);
+            proptest::prop_assert_eq!(bulk, vec_one_by_one::<T>(bytes).map(keys), "cut {}", cut);
+        }
+        let width = 8 * std::mem::size_of::<T>();
+        let array: Vec<u8> = one_by_one[8..]
+            .iter()
+            .copied()
+            .cycle()
+            .take(width)
+            .collect();
+        for cut in 0..=array.len() {
+            let bytes = &array[..cut];
+            let bulk = <[T; 8]>::from_wire(bytes).map(|a| keys(a.to_vec()));
+            let oracle = array_one_by_one::<T, 8>(bytes).map(keys);
+            proptest::prop_assert_eq!(bulk, oracle, "array cut {}", cut);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Bulk `f64` (any bit pattern: NaN payloads, −0.0, infinities)
+        /// and integer codecs are the element-wise ones, byte for byte
+        /// and error for error.
+        #[test]
+        fn bulk_fixed_width_codecs_are_the_element_wise_ones(
+            bits in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..24),
+            special in 0usize..6,
+        ) {
+            let mut floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let specials = [
+                -0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::from_bits(0x7FF0_0000_DEAD_BEEF),
+                0.0,
+            ];
+            let at = special % floats.len();
+            floats[at] = specials[special];
+            bulk_is_element_wise(&floats, |v| v.to_bits())?;
+            let ints: Vec<i32> = bits.iter().map(|&b| b as i32).collect();
+            bulk_is_element_wise(&ints, |v| *v)?;
+            let shorts: Vec<u16> = bits.iter().map(|&b| (b >> 7) as u16).collect();
+            bulk_is_element_wise(&shorts, |v| *v)?;
+            bulk_is_element_wise(&bits, |v| *v)?;
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
-use quadforest_core::wire::{Wire, WireError, WireReader};
 use quadforest_forest::DataMapper;
 
 /// Cells per patch side. Every leaf carries an `N × N` uniform patch
@@ -95,21 +94,8 @@ impl Patch {
     }
 }
 
-impl Wire for Patch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for c in &self.cells {
-            c.encode(out);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut cells = [0.0f64; PATCH_CELLS];
-        for c in cells.iter_mut() {
-            *c = f64::decode(r)?;
-        }
-        Ok(Patch { cells })
-    }
-}
+// The cells back to back: `[f64; PATCH_CELLS]` moves in bulk.
+quadforest_core::wire!(struct Patch { cells });
 
 /// The boundary data one leaf exposes to its neighbors: the patch's
 /// four edge strips. Shipped per ghost leaf through
@@ -123,25 +109,7 @@ pub struct PatchHalo {
     pub edges: [[f64; PATCH_N]; 4],
 }
 
-impl Wire for PatchHalo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for e in &self.edges {
-            for v in e {
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut edges = [[0.0f64; PATCH_N]; 4];
-        for e in edges.iter_mut() {
-            for v in e.iter_mut() {
-                *v = f64::decode(r)?;
-            }
-        }
-        Ok(PatchHalo { edges })
-    }
-}
+quadforest_core::wire!(struct PatchHalo { edges });
 
 /// The conservative patch mapper: piecewise-constant injection on
 /// refine (each child cell inherits the parent cell covering it),
@@ -195,6 +163,7 @@ impl<Q: Quadrant> DataMapper<Q, Patch> for PatchMapper {
 mod tests {
     use super::*;
     use quadforest_core::quadrant::StandardQuad;
+    use quadforest_core::Wire;
 
     type Q2 = StandardQuad<2>;
 
