@@ -348,13 +348,6 @@ impl FaultPlan {
             resets,
             partitions,
             out_data: AtomicU64::new(0),
-            delays: AtomicU64::new(0),
-            drops_out: AtomicU64::new(0),
-            drops_in: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-            partials: AtomicU64::new(0),
-            resets_fired: AtomicU64::new(0),
-            partitions_opened: AtomicU64::new(0),
         }
     }
 }
@@ -494,16 +487,16 @@ struct NetPartition {
 impl NetPartition {
     /// Arm the window if the outbound data-frame counter has reached
     /// `at_frame` (regardless of direction — the counter is the clock
-    /// for both). Returns `(window_open, newly_armed)`.
-    fn check(&self, frames_planned: u64) -> (bool, bool) {
+    /// for both). Returns whether the window is open.
+    fn check(&self, frames_planned: u64) -> bool {
         let mut opened = self.opened.lock().unwrap();
         match *opened {
-            Some(at) => (at.elapsed() < self.duration, false),
+            Some(at) => at.elapsed() < self.duration,
             None if frames_planned > self.at_frame => {
                 *opened = Some(Instant::now());
-                (true, true)
+                true
             }
-            None => (false, false),
+            None => false,
         }
     }
 }
@@ -526,7 +519,7 @@ pub(crate) struct WriteFault {
 }
 
 /// The compiled per-rank network-chaos stream, shared by all the TCP
-/// child's threads (`Sync`: `Mutex` RNG + atomic counters). Scheduled
+/// child's threads (`Sync`: `Mutex` RNG + an atomic frame counter). Scheduled
 /// faults (resets, partitions) key off the rank's outbound *data*-frame
 /// counter so heartbeat cadence cannot shift them; probabilistic faults
 /// hit every outbound frame, heartbeats included.
@@ -542,14 +535,6 @@ pub(crate) struct NetFaults {
     partitions: Vec<NetPartition>,
     /// Outbound data frames planned so far.
     out_data: AtomicU64,
-    /// What the interposer did so far, per fault kind.
-    pub delays: AtomicU64,
-    pub drops_out: AtomicU64,
-    pub drops_in: AtomicU64,
-    pub corruptions: AtomicU64,
-    pub partials: AtomicU64,
-    pub resets_fired: AtomicU64,
-    pub partitions_opened: AtomicU64,
 }
 
 impl NetFaults {
@@ -564,18 +549,9 @@ impl NetFaults {
         };
         let mut fault = WriteFault::default();
         for p in &self.partitions {
-            let (open, newly_armed) = p.check(planned);
-            if newly_armed {
-                self.partitions_opened.fetch_add(1, Ordering::Relaxed);
-            }
-            if open && p.dir.severs_out() {
-                fault.drop = true;
-            }
+            fault.drop |= p.check(planned) && p.dir.severs_out();
         }
-        if is_data && self.resets.contains(&(planned - 1)) {
-            fault.reset_after = true;
-            self.resets_fired.fetch_add(1, Ordering::Relaxed);
-        }
+        fault.reset_after = is_data && self.resets.contains(&(planned - 1));
         {
             let mut rng = self.rng.lock().unwrap();
             if coin(&mut rng, self.delay_prob) {
@@ -595,18 +571,6 @@ impl NetFaults {
                 fault.chunks = Some(2 + below(&mut rng, 3) as usize);
             }
         }
-        if fault.delay.is_some() {
-            self.delays.fetch_add(1, Ordering::Relaxed);
-        }
-        if fault.drop {
-            self.drops_out.fetch_add(1, Ordering::Relaxed);
-        }
-        if fault.corrupt_bit.is_some() {
-            self.corruptions.fetch_add(1, Ordering::Relaxed);
-        }
-        if fault.chunks.is_some() {
-            self.partials.fetch_add(1, Ordering::Relaxed);
-        }
         fault
     }
 
@@ -618,16 +582,8 @@ impl NetFaults {
         let planned = self.out_data.load(Ordering::Relaxed);
         let mut dropped = false;
         for p in &self.partitions {
-            let (open, newly_armed) = p.check(planned);
-            if newly_armed {
-                self.partitions_opened.fetch_add(1, Ordering::Relaxed);
-            }
-            if open && p.dir.severs_in() {
-                dropped = true;
-            }
-        }
-        if dropped {
-            self.drops_in.fetch_add(1, Ordering::Relaxed);
+            // every partition is checked: the check is what arms it
+            dropped |= p.check(planned) && p.dir.severs_in();
         }
         dropped
     }
@@ -766,14 +722,15 @@ mod tests {
         }
         // different ranks draw different wire faults
         let c = plan.compile_net(3);
-        let drops_a = (0..128).filter(|_| a.plan_write(64, true).drop).count();
-        let drops_c = (0..128).filter(|_| c.plan_write(64, true).drop).count();
-        let corrupt_a = a.corruptions.load(Ordering::Relaxed);
-        let corrupt_c = c.corruptions.load(Ordering::Relaxed);
-        assert!(
-            drops_a != drops_c || corrupt_a != corrupt_c,
-            "rank streams coincided exactly"
-        );
+        // (drops, corruptions) over 128 frames
+        let tally = |nf: &NetFaults| {
+            (0..128)
+                .map(|_| nf.plan_write(64, true))
+                .fold((0, 0), |(d, k), w| {
+                    (d + w.drop as u32, k + w.corrupt_bit.is_some() as u32)
+                })
+        };
+        assert_ne!(tally(&a), tally(&c), "rank streams coincided exactly");
     }
 
     #[test]
@@ -784,11 +741,11 @@ mod tests {
         for _ in 0..10 {
             assert!(!nf.plan_write(16, false).reset_after);
         }
-        assert!(!nf.plan_write(64, true).reset_after); // data frame 0
-        assert!(!nf.plan_write(64, true).reset_after); // data frame 1
-        assert!(nf.plan_write(64, true).reset_after); // data frame 2
-        assert!(!nf.plan_write(64, true).reset_after);
-        assert_eq!(nf.resets_fired.load(Ordering::Relaxed), 1);
+        // data frames 0..4: one reset, after frame 2
+        let fired: Vec<bool> = (0..4)
+            .map(|_| nf.plan_write(64, true).reset_after)
+            .collect();
+        assert_eq!(fired, [false, false, true, false]);
         // other ranks unaffected
         let other = plan.compile_net(0);
         for _ in 0..8 {
@@ -806,7 +763,8 @@ mod tests {
         assert!(!nf.drop_inbound());
         assert!(nf.plan_write(64, true).drop); // data frame 1 arms the window
         assert!(nf.drop_inbound()); // Both severs inbound too
-        assert_eq!(nf.partitions_opened.load(Ordering::Relaxed), 1);
+        let still_open = nf.plan_write(16, false).drop && nf.drop_inbound();
+        assert!(still_open, "one window, armed once, open both ways");
         std::thread::sleep(Duration::from_millis(40));
         assert!(!nf.plan_write(64, true).drop); // healed
         assert!(!nf.drop_inbound());
@@ -816,10 +774,10 @@ mod tests {
     fn out_only_partition_keeps_inbound_flowing() {
         let plan = FaultPlan::new(8).with_net_partition(0, NetDir::Out, 0, Duration::from_secs(60));
         let nf = plan.compile_net(0);
-        assert!(nf.plan_write(64, true).drop);
-        assert!(!nf.drop_inbound());
-        assert_eq!(nf.drops_in.load(Ordering::Relaxed), 0);
-        assert!(nf.drops_out.load(Ordering::Relaxed) >= 1);
+        for _ in 0..3 {
+            assert!(nf.plan_write(64, true).drop); // every outbound frame
+            assert!(!nf.drop_inbound()); // and no inbound one
+        }
     }
 
     /// Both fault streams, pinned: the first 256 decisions of the

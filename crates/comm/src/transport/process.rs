@@ -27,7 +27,7 @@
 //! [`run_with_recovery_program`](crate::run_with_recovery_program)
 //! rather than a wedged job.
 
-use super::frame::{check, msg_fields, put_msg, Frame, FrameError, HEADER_LEN, MSG_DATA_AT};
+use super::frame::{encode_frame, msg_fields, put_msg, Frame, HEADER_LEN, MSG_DATA_AT};
 use super::{ProgramCtx, ProgramRegistry, SocketOptions};
 use crate::fault::FaultAction;
 use crate::{
@@ -135,9 +135,12 @@ impl Spawn {
 /// process backends differ in. The supervisor routes, monitors and
 /// reports through this trait alone.
 pub(super) trait Links: Send + Sync + 'static {
-    /// Send `frame` to `rank`. Never fails, and waits at most on a live
-    /// peer: a link that cannot deliver is the liveness monitor's business.
-    fn send(&self, rank: usize, frame: Frame);
+    /// Send `frame` — a frame's payload behind [`HEADER_LEN`] bytes of
+    /// header — to `rank`. A link that writes frames as they are finds
+    /// the header sealed: it read the frame so, or [`encode_frame`] made
+    /// it. Never fails, and waits at most on a live peer: a link that
+    /// cannot deliver is the liveness monitor's business.
+    fn send(&self, rank: usize, frame: &[u8]);
     /// `rank` gets no more traffic and cannot come back (it was
     /// declared dead, or the world is being torn down).
     fn retire(&self, rank: usize);
@@ -230,14 +233,10 @@ impl<L: Links> Supervisor<L> {
         if !self.abort.record(origin, reason.clone()) {
             return;
         }
+        let origin = origin as u64;
+        let frame = encode_frame(&Frame::Abort { origin, reason });
         for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
-            self.links.send(
-                rank,
-                Frame::Abort {
-                    origin: origin as u64,
-                    reason: reason.clone(),
-                },
-            );
+            self.links.send(rank, &frame);
         }
     }
 
@@ -299,34 +298,36 @@ impl<L: Links> Supervisor<L> {
         self.peer_failed(rank, op, &phase, reason);
     }
 
-    /// Check the route of a `Msg` that arrived from `rank`. A rank may
-    /// only send as itself, to a rank that exists; anything else is a
-    /// corrupt sender, declared dead here (false: do not forward).
-    pub(super) fn admit_msg(&self, rank: usize, src: u64, dst: u64) -> bool {
+    /// One frame that arrived from `rank`, as its link read it, and what
+    /// [`check`](super::frame::check) made of it: the one entry point of
+    /// both links. A `Msg` (`None`) is relayed as the bytes that
+    /// arrived. A rank may only send as itself, to a rank that exists;
+    /// anything else is a corrupt sender, declared dead here (false: the
+    /// link has nothing more of it worth reading). Any other frame goes
+    /// to [`Supervisor::on_frame`].
+    pub(super) fn on_raw(&self, rank: usize, frame: &[u8], checked: Option<Frame>) -> bool {
+        if let Some(decoded) = checked {
+            self.on_frame(rank, decoded);
+            return true;
+        }
+        let [src, dst, ..] = msg_fields(frame);
         if src != rank as u64 || dst >= self.size as u64 {
-            self.declare_dead(
-                rank,
-                format!(
-                    "rank {rank} sent a corrupt route (src={src} dst={dst}, size {})",
-                    self.size
-                ),
-            );
+            let size = self.size;
+            let reason =
+                format!("rank {rank} sent a corrupt route (src={src} dst={dst}, size {size})");
+            self.declare_dead(rank, reason);
             return false;
         }
         self.progress();
+        self.links.send(dst as usize, frame);
         true
     }
 
-    /// Dispatch one frame that arrived from `rank`: route messages,
-    /// track heartbeats, convert Done/Failed frames into results, honor
-    /// abort and kill requests.
-    pub(super) fn on_frame(&self, rank: usize, frame: Frame) {
+    /// Dispatch one decoded frame that arrived from `rank`: track
+    /// heartbeats, convert Done/Failed frames into results, honor abort
+    /// and kill requests.
+    fn on_frame(&self, rank: usize, frame: Frame) {
         match frame {
-            Frame::Msg { src, dst, .. } => {
-                if self.admit_msg(rank, src, dst) {
-                    self.links.send(dst as usize, frame);
-                }
-            }
             Frame::Heartbeat { op, phase, .. } => {
                 count("comm.heartbeat.received");
                 self.beat(rank);
@@ -359,7 +360,9 @@ impl<L: Links> Supervisor<L> {
                     format!("fault injection: scheduled SIGKILL at comm op {op} on rank {rank}");
                 self.peer_failed(rank, op, &phase, reason);
             }
-            Frame::Hello { .. } => { /* a late Hello is a protocol violation; harmless */ }
+            // a late `Hello` is a protocol violation, harmless; a `Msg`
+            // never gets here, `on_raw` relays it
+            _ => {}
         }
     }
 
@@ -531,7 +534,7 @@ pub(super) trait Uplink: Send + Sync + Sized + 'static {
     fn open(spawn: &Spawn) -> Result<Self, String>;
     /// Start the link's threads (pushed onto `threads`, joined at exit)
     /// and return once the supervisor has accepted this rank. Incoming
-    /// frames go to [`Worker::on_raw`] or [`Worker::on_frame`].
+    /// frames go to [`Worker::on_raw`].
     fn start(worker: &Arc<Worker<Self>>, threads: &mut Vec<JoinHandle<()>>) -> Result<(), String>;
     /// Send one frame buffer (the payload behind [`HEADER_LEN`] bytes
     /// for the link's header) to the supervisor; a link that keeps the
@@ -600,33 +603,36 @@ impl<U: Uplink> Worker<U> {
         plock(&self.spares).pop().unwrap_or_default()
     }
 
-    /// A frame the reader read into `frame`: a big `Msg` goes into the
-    /// inbox in that buffer, the reader going on with a spare; a small
-    /// one is copied out, so it never holds a big buffer. Anything else
-    /// goes to [`Worker::on_frame`].
-    pub(super) fn on_raw(&self, frame: &mut Vec<u8>) -> Result<(), FrameError> {
-        let Some(decoded) = check(frame)? else {
-            let [src, _, tag, type_tag, bytes] = msg_fields(frame);
-            let data = match frame.len() >= REUSE_MIN {
-                true => std::mem::replace(frame, self.spare()),
-                false => frame.clone(),
-            };
-            self.push(src, tag, type_tag, bytes, data, MSG_DATA_AT);
-            return Ok(());
-        };
-        self.on_frame(decoded);
-        Ok(())
-    }
-
-    /// Put a message whose value is `data[at..]` into the inbox.
-    fn push(&self, src: u64, tag: u64, type_tag: u64, bytes: u64, data: Vec<u8>, at: usize) {
-        let (src, payload) = (src as usize, Payload::Bytes { type_tag, data, at });
-        self.inbox.push(Msg {
-            src,
-            tag,
-            payload,
-            bytes,
-        });
+    /// A frame the reader read into `frame`, starting at `at`, and what
+    /// [`check`](super::frame::check) made of it: the one entry point of
+    /// both links. A `Msg` (`None`) goes into the inbox: a big one in
+    /// that buffer, the reader going on with a spare; a small one copied
+    /// out, so the inbox never holds a big buffer. The supervisor sends
+    /// nothing else but an abort broadcast, which is honored.
+    pub(super) fn on_raw(&self, frame: &mut Vec<u8>, at: usize, checked: Option<Frame>) {
+        match checked {
+            None => {
+                let [src, _, tag, type_tag, bytes] = msg_fields(&frame[at..]);
+                let data = match frame.len() >= REUSE_MIN {
+                    true => std::mem::replace(frame, self.spare()),
+                    false => frame.clone(),
+                };
+                let payload = Payload::Bytes {
+                    type_tag,
+                    data,
+                    at: at + MSG_DATA_AT,
+                };
+                let src = src as usize;
+                self.inbox.push(Msg {
+                    src,
+                    tag,
+                    payload,
+                    bytes,
+                });
+            }
+            Some(Frame::Abort { origin, reason }) => self.local_abort(origin as usize, reason),
+            Some(_) => {}
+        }
     }
 
     /// Record an abort locally and wake the (single) blocked receiver.
@@ -635,26 +641,6 @@ impl<U: Uplink> Worker<U> {
         self.aborts.record(origin, reason);
         let _guard = plock(&self.inbox.queue);
         self.inbox.cv.notify_all();
-    }
-
-    /// A frame arrived from the supervisor: push a routed message into
-    /// the inbox, honor an abort broadcast. It sends nothing else.
-    pub(super) fn on_frame(&self, frame: Frame) {
-        match frame {
-            Frame::Msg {
-                src,
-                dst,
-                tag,
-                type_tag,
-                bytes,
-                data,
-            } => {
-                debug_assert_eq!(dst as usize, self.rank);
-                self.push(src, tag, type_tag, bytes, data, 0);
-            }
-            Frame::Abort { origin, reason } => self.local_abort(origin as usize, reason),
-            _ => {}
-        }
     }
 }
 
@@ -901,6 +887,7 @@ pub(super) fn maybe_run_child(registry: &ProgramRegistry) -> bool {
 
 #[cfg(test)]
 pub(super) mod tests {
+    use super::super::frame::check;
     use super::*;
 
     #[test]
@@ -966,7 +953,7 @@ pub(super) mod tests {
     fn the_longest_silent_rank_is_the_origin() {
         struct NoLinks;
         impl Links for NoLinks {
-            fn send(&self, _: usize, _: Frame) {}
+            fn send(&self, _: usize, _: &[u8]) {}
             fn retire(&self, _: usize) {}
         }
         let sup = Supervisor::new(3, NoLinks);
@@ -1034,7 +1021,8 @@ pub(super) mod tests {
     }
 
     /// What the supervisor does with each frame kind, checked over
-    /// whichever link kind the caller brings — the dispatch is shared,
+    /// whichever link kind the caller brings — every frame goes in
+    /// through [`Supervisor::on_raw`], the entry point both links call,
     /// so every row must hold on both. `new_links(size)` builds the
     /// links of a world nobody has connected to; `sent_to(links, rank)`
     /// lists the frames the supervisor has sent `rank` so far. A corrupt
@@ -1145,6 +1133,10 @@ pub(super) mod tests {
             },
         ];
         let counter = |name| telemetry::global().counter(name).get();
+        let feed = |sup: &Supervisor<L>, rank, frame: &Frame| {
+            let bytes = encode_frame(frame);
+            sup.on_raw(rank, &bytes, check(&bytes).expect("a whole frame"));
+        };
         for case in cases {
             let name = case.name;
             let before = (
@@ -1152,15 +1144,13 @@ pub(super) mod tests {
                 counter("comm.sigkill.injected"),
             );
             let sup = Supervisor::new(3, new_links(3));
-            sup.on_frame(
-                2,
-                Frame::Done {
-                    rank: 2,
-                    result: vec![2],
-                },
-            );
-            for frame in case.feed {
-                sup.on_frame(0, frame);
+            let done = Frame::Done {
+                rank: 2,
+                result: vec![2],
+            };
+            feed(&sup, 2, &done);
+            for frame in &case.feed {
+                feed(&sup, 0, frame);
             }
             let abort = sup.abort.get().map(|i| (i.origin, i.reason));
             assert_eq!(

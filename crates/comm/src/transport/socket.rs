@@ -13,9 +13,7 @@
 //! its value was encoded into, the supervisor's reader reuses one, and
 //! the destination decodes in the buffer it read into.
 
-use super::frame::{
-    check, encode_frame, msg_fields, read_raw, read_wire_timeout, seal, Frame, FrameError,
-};
+use super::frame::{check, encode_frame, read_raw, read_wire_timeout, seal, Frame, FrameError};
 use super::process::{self, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL};
 use super::SocketOptions;
 use crate::{plock, WorldError};
@@ -43,22 +41,18 @@ impl RawLinks {
             streams: (0..size).map(|_| Mutex::new(None)).collect(),
         }
     }
-
-    /// Write a sealed frame to `rank`. This cannot wedge the star: every
-    /// worker's reader drains its socket unconditionally into an
-    /// unbounded inbox, so the write waits only on a live reader, and
-    /// fails at once (EPIPE) on a dead process — left to that rank's own
-    /// reader, which sees the same dead connection.
-    fn write(&self, rank: usize, frame: &[u8]) {
-        if let Some(stream) = plock(&self.streams[rank]).as_mut() {
-            let _ = stream.write_all(frame);
-        }
-    }
 }
 
 impl Links for RawLinks {
-    fn send(&self, rank: usize, frame: Frame) {
-        self.write(rank, &encode_frame(&frame));
+    /// Write the sealed frame to `rank`. This cannot wedge the star:
+    /// every worker's reader drains its socket unconditionally into an
+    /// unbounded inbox, so the write waits only on a live reader, and
+    /// fails at once (EPIPE) on a dead process — left to that rank's own
+    /// reader, which sees the same dead connection.
+    fn send(&self, rank: usize, frame: &[u8]) {
+        if let Some(stream) = plock(&self.streams[rank]).as_mut() {
+            let _ = stream.write_all(frame);
+        }
     }
 
     fn retire(&self, rank: usize) {
@@ -66,9 +60,9 @@ impl Links for RawLinks {
     }
 }
 
-/// Reader loop for one child connection: relays every `Msg`, hands
-/// every other frame to the supervisor, and turns an unexpected EOF or
-/// corrupt frame into a peer-death abort.
+/// Reader loop for one child connection: hands every frame to
+/// [`Supervisor::on_raw`], and turns an unexpected EOF or corrupt frame
+/// into a peer-death abort.
 ///
 /// A `Msg` frame is forwarded as the bytes that arrived, not decoded
 /// and rebuilt: the CRC has been verified over them, and
@@ -78,14 +72,11 @@ fn reader_loop(sup: &Supervisor<RawLinks>, rank: usize, stream: &mut UnixStream)
     let mut buf = Vec::new();
     loop {
         match read_raw(stream, &sup.stop, None, &mut buf).and_then(|()| check(&buf)) {
-            Ok(None) => {
-                let [src, dst, ..] = msg_fields(&buf);
-                if !sup.admit_msg(rank, src, dst) {
+            Ok(checked) => {
+                if !sup.on_raw(rank, &buf, checked) {
                     return;
                 }
-                sup.links.write(dst as usize, &buf);
             }
-            Ok(Some(frame)) => sup.on_frame(rank, frame),
             Err(FrameError::Stopped) => return,
             Err(e) => {
                 if !sup.is_terminal(rank) {
@@ -250,8 +241,8 @@ impl Uplink for RawUplink {
             let mut buf = Vec::new();
             loop {
                 let read = read_raw(&mut stream, &worker.stop, None, &mut buf);
-                match read.and_then(|()| worker.on_raw(&mut buf)) {
-                    Ok(()) => {}
+                match read.and_then(|()| check(&buf)) {
+                    Ok(checked) => worker.on_raw(&mut buf, 0, checked),
                     Err(FrameError::Stopped) => return,
                     Err(e) => {
                         let why = format!("connection to supervisor lost: {e}");
@@ -277,7 +268,7 @@ impl Uplink for RawUplink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::frame::{decode_raw, encode_with, msg_route, tests::read_frame, HEADER_LEN};
     use super::*;
     use crate::{CommError, RankError};
@@ -298,7 +289,7 @@ mod tests {
 
     /// `msg(0, 1)` as the element-wise encoder framed it: header CRC
     /// from zlib, every field little-endian.
-    const MSG_0_TO_1: [u8; 65] = [
+    pub(in crate::transport) const MSG_0_TO_1: [u8; 65] = [
         53, 0, 0, 0, 0xEB, 0xC0, 0xFE, 0x5A, 0x2D, 0xD8, 0xAC, 0xEE, // len, guard, crc
         1,    // Msg
         0, 0, 0, 0, 0, 0, 0, 0, // src

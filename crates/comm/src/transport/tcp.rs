@@ -13,11 +13,16 @@
 //! data; this file is only its driver, the I/O that carries the
 //! decisions out:
 //!
-//! * Every [`Frame`] travels inside a [`TcpPacket::Data`] envelope
+//! * Every frame travels inside a [`TcpPacket::Data`] envelope
 //!   carrying a per-direction **sequence number** and a cumulative
 //!   **ack** (the sender's receive cursor). Receivers deliver in-order
 //!   exactly once: a duplicate is dropped, a gap breaks the link. Both
-//!   ends read with the one [`Link::read_packets`] loop.
+//!   ends hold the frame buffers they sent for retransmit, and read
+//!   with the one [`Link::read_packets`] loop, which takes `seq` and
+//!   `ack` at fixed offsets and checks the frame where it lies: a `Msg`
+//!   is never decoded into a [`Frame`], but relayed or delivered as the
+//!   bytes that arrived, through the same `on_raw` entry points the raw
+//!   link calls.
 //! * A broken link (gap, CRC mismatch, decode error, EOF, reset) is
 //!   *not* a failure — the worker's one link thread reconnects with
 //!   bounded exponential backoff + deterministic jitter ([`RECONNECT`],
@@ -53,7 +58,7 @@
 //! [`RecoveryPolicy`]: crate::RecoveryPolicy
 
 use super::frame::{
-    decode_raw, encode_wire, encode_with, read_raw, read_wire_timeout, Frame, FrameError,
+    check, decode_raw, encode_wire, encode_with, read_raw, read_wire_timeout, Frame, FrameError,
     HEADER_LEN, HEARTBEAT,
 };
 use super::process::{
@@ -119,41 +124,49 @@ enum TcpPacket {
 /// Wire discriminant of [`TcpPacket::Data`].
 const DATA: u8 = 2;
 
-/// The encoding of [`TcpPacket::Data`], from a borrowed frame: the send
-/// and replay paths frame what sits in the retransmit queue without
-/// cloning it into a packet first.
-fn encode_data(seq: u64, ack: u64, frame: &impl Outbound, out: &mut Vec<u8>) {
+/// Where a `Data` packet's frame starts in the packet's buffer: `DATA`,
+/// `seq` and `ack` lie between the packet's header and the frame's
+/// payload, so `packet[FRAME_AT..]` is a frame buffer (whose header
+/// bytes are not its own).
+const FRAME_AT: usize = 17;
+
+/// The encoding of [`TcpPacket::Data`] around a frame buffer: the send
+/// and replay paths frame what sits in the retransmit queue as it is.
+fn encode_data(seq: u64, ack: u64, frame: &[u8], out: &mut Vec<u8>) {
     out.push(DATA);
     seq.encode(out);
     ack.encode(out);
-    frame.put(out);
-}
-
-/// A frame as a link endpoint holds it for retransmit: the
-/// supervisor's as a value, a worker's in the frame buffer its rank
-/// encoded it into ([`Uplink::send`]), whose payload is appended as is.
-trait Outbound: Send + 'static {
-    /// Append the frame's Wire encoding.
-    fn put(&self, out: &mut Vec<u8>);
-}
-
-impl Outbound for Frame {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.encode(out);
-    }
-}
-
-impl Outbound for Vec<u8> {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self[HEADER_LEN..]);
-    }
+    out.extend_from_slice(&frame[HEADER_LEN..]);
 }
 
 /// Whether a framed `Data` packet carries anything but a heartbeat:
 /// heartbeats do not count towards the chaos plan's scheduled (reset,
 /// partition) frame indices, so their cadence cannot shift them.
 fn is_data(packet: &[u8]) -> bool {
-    packet[HEADER_LEN + 17] != HEARTBEAT // behind DATA, seq, ack
+    packet[HEADER_LEN + FRAME_AT] != HEARTBEAT
+}
+
+/// A packet as a reader takes it: a `Data` packet's `seq` and `ack`
+/// read at their offsets, its frame left in the buffer at [`FRAME_AT`];
+/// any other packet decoded.
+enum Inbound {
+    Data { seq: u64, ack: u64 },
+    Other(TcpPacket),
+}
+
+impl Inbound {
+    /// Take one packet [`read_raw`] read. A `Data` packet's frame is
+    /// [`check`]ed where it lies, so one that a decode would reject
+    /// breaks the link before the session moves; what the check made of
+    /// it comes back beside the packet (`None` beside any other packet).
+    fn parse(packet: &[u8]) -> Result<(Inbound, Option<Frame>), FrameError> {
+        if packet.len() < HEADER_LEN + FRAME_AT || packet[HEADER_LEN] != DATA {
+            return Ok((Inbound::Other(decode_raw(packet)?), None));
+        }
+        let field = |at: usize| u64::from_le_bytes(packet[at..at + 8].try_into().expect("8 bytes"));
+        let (seq, ack) = (field(HEADER_LEN + 1), field(HEADER_LEN + 9));
+        Ok((Inbound::Data { seq, ack }, check(&packet[FRAME_AT..])?))
+    }
 }
 
 quadforest_core::wire!(enum TcpPacket {
@@ -163,14 +176,16 @@ quadforest_core::wire!(enum TcpPacket {
     3 => Ping { ack, sent },
 });
 
-/// One endpoint's link: the [`Session`] and the connection it runs on.
-struct LinkState<F> {
+/// One endpoint's link: the [`Session`] over the frame buffers it sent,
+/// and the connection it runs on.
+#[derive(Default)]
+struct LinkState {
     /// The live connection, `None` while broken/reconnecting.
     stream: Option<TcpStream>,
     /// Bumped on every install *and* break, so a reader or writer that
     /// raced a reconnect cannot break the successor connection.
     epoch: u64,
-    session: Session<F>,
+    session: Session<Vec<u8>>,
     /// Terminal: no reconnects, sends become no-ops.
     dead: bool,
     /// Whether this link ever completed a handshake.
@@ -180,35 +195,20 @@ struct LinkState<F> {
 /// A session-layer link endpoint: state + wakeup for the handshake and
 /// drain waiters. Both ends of a connection run the same one; only the
 /// worker's has a chaos interposer to pass in.
-struct Link<F> {
-    state: Mutex<LinkState<F>>,
+#[derive(Default)]
+struct Link {
+    state: Mutex<LinkState>,
     cv: Condvar,
 }
 
-impl<F> Default for Link<F> {
-    fn default() -> Self {
-        let state = LinkState {
-            stream: None,
-            epoch: 0,
-            session: Session::default(),
-            dead: false,
-            connected_once: false,
-        };
-        Link {
-            state: Mutex::new(state),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-impl<F: Outbound> Link<F> {
+impl Link {
     /// Block until `ready` holds of the state, re-checking at least
     /// every `poll` (for conditions no wakeup announces: a deadline).
     fn wait(
         &self,
         poll: Duration,
-        mut ready: impl FnMut(&LinkState<F>) -> bool,
-    ) -> MutexGuard<'_, LinkState<F>> {
+        mut ready: impl FnMut(&LinkState) -> bool,
+    ) -> MutexGuard<'_, LinkState> {
         let mut st = plock(&self.state);
         while !ready(&st) {
             st = self
@@ -222,7 +222,7 @@ impl<F: Outbound> Link<F> {
 
     /// Sever the connection (if any) and wake waiters. The epoch bump
     /// invalidates every thread still holding the old connection.
-    fn break_link_locked(&self, st: &mut LinkState<F>) {
+    fn break_link_locked(&self, st: &mut LinkState) {
         if let Some(s) = st.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -238,11 +238,11 @@ impl<F: Outbound> Link<F> {
         self.break_link_locked(&mut st);
     }
 
-    /// Sequence, queue, and (when connected) write one frame. Writes
-    /// happen under the state lock in sequence order — that ordering is
-    /// what makes `Ping::sent` a sound gap probe. `chaos` is the
-    /// worker-side fault interposer (`None` on the supervisor).
-    fn send_data(&self, frame: F, chaos: Option<&NetFaults>) {
+    /// Sequence, queue, and (when connected) write one frame buffer.
+    /// Writes happen under the state lock in sequence order — that
+    /// ordering is what makes `Ping::sent` a sound gap probe. `chaos` is
+    /// the worker-side fault interposer (`None` on the supervisor).
+    fn send_data(&self, frame: Vec<u8>, chaos: Option<&NetFaults>) {
         let mut st = plock(&self.state);
         if st.dead {
             return;
@@ -275,25 +275,25 @@ impl<F: Outbound> Link<F> {
     }
 
     /// Carry out the session's decision on one packet read off the
-    /// connection of `epoch`: return a `Data` frame to deliver, or break
+    /// connection of `epoch`: true for a `Data` frame to deliver; break
     /// the link on a gap — a `Data` past the receive cursor, or a `Ping`
     /// whose `sent` is past it (the reconnect replay resynchronizes). A
     /// packet from a connection a reconnect has superseded is ignored,
     /// `ack` included.
-    fn on_packet(&self, epoch: u64, packet: TcpPacket) -> Option<Frame> {
+    fn on_packet(&self, epoch: u64, packet: Inbound) -> bool {
         let mut st = plock(&self.state);
         if st.epoch != epoch {
-            return None;
+            return false;
         }
         let unacked = st.session.sent.len();
-        let (gap, frame) = match packet {
-            TcpPacket::Data { seq, ack, frame } => match st.session.receive(seq, ack) {
-                Receipt::Deliver => (false, Some(frame)),
-                Receipt::Duplicate => (false, None),
-                Receipt::Gap => (true, None),
+        let (gap, deliver) = match packet {
+            Inbound::Data { seq, ack } => match st.session.receive(seq, ack) {
+                Receipt::Deliver => (false, true),
+                Receipt::Duplicate => (false, false),
+                Receipt::Gap => (true, false),
             },
-            TcpPacket::Ping { ack, sent } => (st.session.probe(ack, sent), None),
-            TcpPacket::Hello { .. } | TcpPacket::HelloAck { .. } => (false, None),
+            Inbound::Other(TcpPacket::Ping { ack, sent }) => (st.session.probe(ack, sent), false),
+            Inbound::Other(_) => (false, false),
         };
         if gap {
             count("comm.tcp.seq_gaps");
@@ -301,32 +301,33 @@ impl<F: Outbound> Link<F> {
         } else if st.session.sent.len() < unacked {
             self.cv.notify_all(); // a drain waiter may be done
         }
-        frame
+        deliver
     }
 
     /// Read packets off the connection of `epoch` until it breaks or
-    /// `stop` is set, handing each delivered frame to `deliver`; both
-    /// ends run it. The worker's in-direction `chaos` check runs before
-    /// any cursor moves, so a packet it eats looks exactly like a wire
-    /// loss and heals by retransmission. A failed read breaks the link
-    /// (unless a reconnect already replaced that connection) and never
-    /// declares a death: liveness stays with the heartbeat window.
+    /// `stop` is set, handing each delivered packet — its frame at
+    /// [`FRAME_AT`] — and what [`check`] made of the frame to `deliver`;
+    /// both ends run it. The worker's in-direction `chaos` check runs
+    /// before any cursor moves, so a packet it eats looks exactly like a
+    /// wire loss and heals by retransmission. A failed read breaks the
+    /// link (unless a reconnect already replaced that connection) and
+    /// never declares a death: liveness stays with the heartbeat window.
     fn read_packets(
         &self,
         mut stream: TcpStream,
         epoch: u64,
         stop: &AtomicBool,
         chaos: Option<&NetFaults>,
-        mut deliver: impl FnMut(Frame),
+        mut deliver: impl FnMut(&mut Vec<u8>, Option<Frame>),
     ) {
         let mut raw = Vec::new();
         loop {
             let read = read_raw(&mut stream, stop, Some(FRAME_STALL), &mut raw);
-            match read.and_then(|()| decode_raw::<TcpPacket>(&raw)) {
+            match read.and_then(|()| Inbound::parse(&raw)) {
                 Ok(_) if chaos.is_some_and(|c| c.drop_inbound()) => {}
-                Ok(packet) => {
-                    if let Some(frame) = self.on_packet(epoch, packet) {
-                        deliver(frame);
+                Ok((packet, checked)) => {
+                    if self.on_packet(epoch, packet) {
+                        deliver(&mut raw, checked);
                     }
                 }
                 Err(FrameError::Stopped) => return,
@@ -448,11 +449,13 @@ fn apply_write_fault(stream: &TcpStream, bytes: &[u8], fault: &WriteFault) -> st
 /// frame, so a rank that is mid-reconnect still gets it after the
 /// handshake retransmit; pings go to terminal ranks too, so a finished
 /// worker's `Done` gets acked.
-pub(super) struct SessionLinks(Vec<Link<Frame>>);
+pub(super) struct SessionLinks(Vec<Link>);
 
 impl Links for SessionLinks {
-    fn send(&self, rank: usize, frame: Frame) {
-        self.0[rank].send_data(frame, None);
+    /// Sequence a copy of the frame buffer, which the link holds for
+    /// retransmit.
+    fn send(&self, rank: usize, frame: &[u8]) {
+        self.0[rank].send_data(frame.to_vec(), None);
     }
 
     fn retire(&self, rank: usize) {
@@ -492,22 +495,27 @@ fn handshake_accept(
     // a resumed connection proves the process is alive right now
     sup.beat(rank);
     let sup = Arc::clone(sup);
-    let read = move || {
-        let link = &sup.links.0[rank];
-        link.read_packets(reader, epoch, &sup.stop, None, |frame| {
-            let last = matches!(frame, Frame::Done { .. } | Frame::Failed { .. });
-            sup.on_frame(rank, frame);
-            if last {
-                // ack promptly so the worker's terminal-frame drain
-                // wait returns without waiting for the next sweep
-                link.send_ping();
-            }
-        });
-    };
     std::thread::Builder::new()
         .name(format!("tcp-read-{rank}-e{epoch}"))
-        .spawn(read)
+        .spawn(move || read_rank(&sup, rank, reader, epoch))
         .ok()
+}
+
+/// The supervisor's reader of `rank`'s connection of `epoch`: every
+/// delivered frame goes to [`Supervisor::on_raw`], which relays a `Msg`
+/// as the bytes that arrived. (A corrupt route retires the link, which
+/// ends the read: `on_raw`'s verdict is not needed here.)
+fn read_rank(sup: &Supervisor<SessionLinks>, rank: usize, reader: TcpStream, epoch: u64) {
+    let link = &sup.links.0[rank];
+    link.read_packets(reader, epoch, &sup.stop, None, |raw, checked| {
+        let last = matches!(checked, Some(Frame::Done { .. } | Frame::Failed { .. }));
+        sup.on_raw(rank, &raw[FRAME_AT..], checked);
+        if last {
+            // ack promptly so the worker's terminal-frame drain
+            // wait returns without waiting for the next sweep
+            link.send_ping();
+        }
+    });
 }
 
 /// Persistent accept loop: workers connect here both at startup and on
@@ -571,7 +579,7 @@ pub(crate) fn run_world(mut spawn: Spawn, tcp: &TcpOptions) -> Result<Vec<Vec<u8
 pub(super) struct SessionUplink {
     rank: u64,
     addr: String,
-    link: Link<Vec<u8>>,
+    link: Link,
     /// Deterministic network-chaos interposer; `None` when the fault
     /// plan has no network ops.
     chaos: Option<NetFaults>,
@@ -632,7 +640,7 @@ fn link_loop(worker: &Worker<SessionUplink>) {
             Ok((stream, epoch)) => {
                 (connected, failures) = (true, 0);
                 let chaos = up.chaos.as_ref();
-                let deliver = |frame| worker.on_frame(frame);
+                let deliver = |raw: &mut Vec<u8>, checked| worker.on_raw(raw, FRAME_AT, checked);
                 up.link
                     .read_packets(stream, epoch, &worker.stop, chaos, deliver);
             }
@@ -714,8 +722,11 @@ impl Uplink for SessionUplink {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame::encode_frame;
+    use super::super::socket::tests::MSG_0_TO_1;
     use super::*;
     use quadforest_telemetry as telemetry;
+    use std::io::Read;
 
     #[test]
     fn tcp_packet_wire_roundtrip() {
@@ -754,7 +765,7 @@ mod tests {
             phase: "ghost".into(),
         };
         let mut data = Vec::new();
-        encode_data(41, 12, &frame, &mut data);
+        encode_data(41, 12, &encode_frame(&frame), &mut data);
         let packet = TcpPacket::Data {
             seq: 41,
             ack: 12,
@@ -789,7 +800,7 @@ mod tests {
                 st.session
                     .sent
                     .iter()
-                    .map(|(_, frame)| frame.clone())
+                    .map(|(_, frame)| decode_raw(frame).expect("a whole frame"))
                     .collect()
             },
         );
@@ -893,11 +904,14 @@ mod tests {
                 st.epoch = 3;
                 st.session.recv_next = 5;
                 st.session.send_seq = 5;
-                st.session.sent = (0..5).map(|seq| (seq, Frame::Hello { rank: 0 })).collect();
+                let hello = encode_frame(&Frame::Hello { rank: 0 });
+                st.session.sent = (0..5).map(|seq| (seq, hello.clone())).collect();
             }
             let gaps = seq_gaps();
-            let got = link.on_packet(case.epoch, case.packet);
-            assert_eq!(got, case.delivered.then(|| frame.clone()), "{name}");
+            let bytes = encode_wire(&case.packet);
+            let (packet, checked) = Inbound::parse(&bytes).expect("a whole packet");
+            let got = link.on_packet(case.epoch, packet).then_some(checked);
+            assert_eq!(got, case.delivered.then(|| Some(frame.clone())), "{name}");
             // other tests count gaps concurrently: only a rise is exact
             assert!(!case.broke || seq_gaps() > gaps, "{name}: gap not counted");
             let st = plock(&link.state);
@@ -925,13 +939,13 @@ mod tests {
         let link = &links.0[0];
         let (epoch, _) = link.install(accepted, 0, false, None).expect("install");
         // sequence 1 while the cursor expects 0: frame 0 was lost
-        let hello = Frame::Hello { rank: 0 };
+        let hello = encode_frame(&Frame::Hello { rank: 0 });
         worker
             .write_all(&encode_with(|out| encode_data(1, 0, &hello, out)))
             .unwrap();
         let gaps = seq_gaps();
         let stop = AtomicBool::new(false);
-        link.read_packets(reader, epoch, &stop, None, |f| panic!("delivered {f:?}"));
+        link.read_packets(reader, epoch, &stop, None, |_, f| panic!("delivered {f:?}"));
         assert!(
             seq_gaps() > gaps,
             "the gap did not reach the global registry"
@@ -942,11 +956,72 @@ mod tests {
         );
     }
 
+    /// Install one end of a loopback connection on `link`: returns the
+    /// other end, the link's read half and its epoch.
+    fn installed(link: &Link) -> (TcpStream, TcpStream, u64) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let reader = accepted.try_clone().unwrap();
+        reader.set_read_timeout(Some(READ_POLL)).unwrap();
+        let (epoch, _) = link.install(accepted, 0, false, None).expect("install");
+        (peer, reader, epoch)
+    }
+
+    /// A `Msg` relayed by the supervisor reaches rank 1 as the sender's
+    /// payload, byte for byte, behind the envelope: the session twin of
+    /// the raw link's `router_forwards_the_senders_bytes_verbatim`.
+    #[test]
+    fn supervisor_relays_the_senders_frame_bytes() {
+        let sup = Supervisor::new(2, SessionLinks((0..2).map(|_| Link::default()).collect()));
+        let (mut rank0, reader, epoch) = installed(&sup.links.0[0]);
+        let (mut rank1, _, _) = installed(&sup.links.0[1]);
+        let packet = encode_with(|out| encode_data(0, 0, &MSG_0_TO_1, out));
+        rank0.write_all(&packet).unwrap();
+        rank0.shutdown(Shutdown::Write).unwrap(); // the read ends at EOF
+        read_rank(&sup, 0, reader, epoch);
+        sup.links.retire(1); // EOF behind what rank 1 was sent
+        let mut bytes = Vec::new();
+        rank1.read_to_end(&mut bytes).unwrap();
+        let mut queued = Vec::new();
+        let stop = AtomicBool::new(false);
+        read_raw(&mut bytes.as_slice(), &stop, None, &mut queued).expect("a packet for rank 1");
+        assert_eq!(queued[HEADER_LEN], DATA);
+        assert_eq!(&queued[HEADER_LEN + FRAME_AT..], &MSG_0_TO_1[HEADER_LEN..]);
+        assert!(sup.abort.get().is_none());
+    }
+
+    /// A CRC-sound `Data` packet whose frame a decode would reject is a
+    /// read error: it breaks the link, counts in the process-global
+    /// registry, delivers nothing and leaves the receive cursor alone.
+    #[test]
+    fn an_undecodable_frame_breaks_the_link_before_the_cursor_moves() {
+        let link_errors = || telemetry::global().counter("comm.tcp.link_errors").get();
+        let mut long_data = MSG_0_TO_1; // claims 5 data bytes, holds 4
+        long_data[HEADER_LEN + 41] = 5;
+        let no_such_kind = encode_with(|out| out.push(250));
+        let no_frame = vec![0; HEADER_LEN];
+        for frame in [no_such_kind, long_data.to_vec(), no_frame] {
+            let link = Link::default();
+            let (mut peer, reader, epoch) = installed(&link);
+            let packet = encode_with(|out| encode_data(0, 0, &frame, out));
+            peer.write_all(&packet).unwrap();
+            let errors = link_errors();
+            let stop = AtomicBool::new(false);
+            link.read_packets(reader, epoch, &stop, None, |_, f| panic!("delivered {f:?}"));
+            // other tests count errors concurrently: only a rise is exact
+            assert!(link_errors() > errors, "the error was not counted");
+            let st = plock(&link.state);
+            assert!(st.stream.is_none(), "the error did not break the link");
+            assert_eq!(st.session.recv_next, 0, "the receive cursor moved");
+        }
+    }
+
     #[test]
     fn send_data_queues_while_disconnected() {
         let link = Link::default();
-        link.send_data(Frame::Hello { rank: 1 }, None);
-        link.send_data(Frame::Hello { rank: 1 }, None);
+        link.send_data(encode_frame(&Frame::Hello { rank: 1 }), None);
+        link.send_data(encode_frame(&Frame::Hello { rank: 1 }), None);
         let st = plock(&link.state);
         assert_eq!(st.session.send_seq, 2);
         let seqs: Vec<u64> = st.session.sent.iter().map(|(s, _)| *s).collect();
@@ -960,7 +1035,7 @@ mod tests {
             let mut st = plock(&link.state);
             st.dead = true;
         }
-        link.send_data(Frame::Hello { rank: 0 }, None);
+        link.send_data(encode_frame(&Frame::Hello { rank: 0 }), None);
         assert_eq!(plock(&link.state).session.sent.len(), 0);
     }
 }
