@@ -47,6 +47,7 @@ pub fn registry() -> ProgramRegistry {
         .register(CHATTER, chatter)
         .register("out-of-range", out_of_range)
         .register("bulk-exchange", bulk_exchange)
+        .register("exit-after-barrier", exit_after_barrier)
 }
 
 /// Collective digest of one pipeline run: `(forest checksum, global
@@ -110,6 +111,19 @@ fn out_of_range(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
             Some(2) => drop(comm.try_bcast(p, Some(0u8))?),
             _ => drop(comm.try_gather(p, 0u8)?),
         }
+    }
+    comm.try_barrier()?;
+    Ok(Vec::new())
+}
+
+/// One barrier, then rank 1's process exits with status 7 without
+/// reporting, while the others wait in a second barrier. Registered as
+/// `exit-after-barrier`; only for process backends (on threads the exit
+/// ends the caller's own process).
+fn exit_after_barrier(comm: &Comm, _ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
+    comm.try_barrier()?;
+    if comm.rank() == 1 {
+        std::process::exit(7);
     }
     comm.try_barrier()?;
     Ok(Vec::new())

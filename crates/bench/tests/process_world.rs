@@ -140,6 +140,40 @@ fn a_steady_bulk_exchange_takes_no_fresh_pages() {
     }
 }
 
+/// A rank process that exits without reporting is dead within one
+/// monitor sweep, by its exit, on both links: with the default options
+/// the heartbeat window alone would take 2 s, and a broken stream is
+/// only a link break that waits for a reconnect.
+#[test]
+fn an_exited_worker_is_dead_within_one_sweep() {
+    let backends = [
+        Backend::Sockets(SocketOptions::new(worker())),
+        Backend::Tcp(TcpOptions::new(worker())),
+    ];
+    for backend in backends {
+        let start = Instant::now();
+        let err = try_run_program(
+            &backend,
+            2,
+            &RunOptions::default(),
+            &transport::registry(),
+            "exit-after-barrier",
+            &[],
+            Attempt::first(),
+        )
+        .expect_err("an exited rank must fail the world");
+        let (name, took) = (backend.name(), start.elapsed());
+        assert_eq!(err.origin, 1, "{name}: {}", err.reason);
+        assert!(
+            err.reason
+                .contains("rank 1 process exited (exit status: 7)"),
+            "{name}: {}",
+            err.reason
+        );
+        assert!(took < Duration::from_secs(1), "{name}: took {took:?}");
+    }
+}
+
 /// A worker whose spawn record does not decode refuses to start: one
 /// line naming the variable and exit code 3, the code of a worker that
 /// cannot connect — not a panic, and not a run of the binary's own

@@ -1,11 +1,13 @@
-//! Network chaos on the TCP backend: the wire itself is the adversary.
+//! Network chaos on both process links: the wire itself is the
+//! adversary.
 //!
-//! The socket-backend chaos suite attacks message *scheduling* (delays,
+//! The parity chaos suite attacks message *scheduling* (delays,
 //! reordering, rank deaths). This suite attacks the *transport*:
 //! silently dropped frames, flipped bits, connection resets, and
 //! asymmetric partitions, all injected deterministically from a seeded
-//! [`FaultPlan`]. The contract under test is the TCP session layer's
-//! partition-tolerant liveness split:
+//! [`FaultPlan`]. Each case runs on TCP and, as its `_on_sockets` row,
+//! on a Unix socket: the same session runs over both. The contract
+//! under test is the session layer's partition-tolerant liveness split:
 //!
 //! * damage healed **within** the missed-heartbeat grace window —
 //!   reconnect, replay from the sequence/ack state, complete the
@@ -19,7 +21,7 @@ use quadforest_bench::transport::{
 };
 use quadforest_comm::{
     run_with_recovery_program, try_run_program, Attempt, Backend, CommError, FaultPlan, NetDir,
-    RankError, RecoveryOptions, RecoveryPolicy, RunOptions, TcpOptions,
+    RankError, RecoveryOptions, RecoveryPolicy, RunOptions, SocketOptions, TcpOptions,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,6 +39,14 @@ fn tcp_backend(grace: u32) -> Backend {
     o.heartbeat_interval = Duration::from_millis(25);
     o.heartbeat_grace = grace;
     Backend::Tcp(o)
+}
+
+/// The sockets backend with the same heartbeats and grace.
+fn sockets_backend(grace: u32) -> Backend {
+    let mut o = SocketOptions::new(worker());
+    o.heartbeat_interval = Duration::from_millis(25);
+    o.heartbeat_grace = grace;
+    Backend::Sockets(o)
 }
 
 /// A fresh scratch directory unique to this process + call site.
@@ -252,6 +262,116 @@ fn permanent_partition_escalates_to_peer_failed_and_recovers() {
     assert_eq!(
         recovered, baseline,
         "recovered forest must be leaf-identical to the fault-free run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery options with one fault plan for the first attempt.
+fn recovery_opts(plan: FaultPlan) -> RecoveryOptions {
+    RecoveryOptions {
+        policy: RecoveryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::from_millis(1),
+            ..RecoveryPolicy::default()
+        },
+        plans: vec![Some(plan)],
+        ..RecoveryOptions::default()
+    }
+}
+
+/// `partition_heal_within_grace_completes_with_zero_recovery_retries`
+/// over a Unix socket.
+#[test]
+fn partition_heal_within_grace_completes_with_zero_recovery_retries_on_sockets() {
+    const P: usize = 4;
+    const SEED: u64 = 0x9EA1;
+    let baseline = baseline_views(P, SEED, "heal-baseline-sockets");
+    let before = reconnects();
+    let dir = scratch_dir("heal-sockets");
+    let plan =
+        FaultPlan::new(SEED).with_net_partition(1, NetDir::Both, 3, Duration::from_millis(300));
+    let outcome = run_with_recovery_program(
+        &sockets_backend(80), // 2 s death window
+        P,
+        recovery_opts(plan),
+        &transport::registry(),
+        RECOVERY_PIPELINE,
+        &recovery_args(&dir, SEED),
+    )
+    .expect("a healed partition must not fail the world");
+    assert_eq!(outcome.attempts, 1, "a healed partition needs no retry");
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    let views: Vec<transport::RankView> = outcome.values.iter().map(|b| decode_view(b)).collect();
+    assert_eq!(views, baseline, "post-heal pipeline must be leaf-identical");
+    assert!(reconnects() > before, "the heal must have reconnected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `wire_corruption_self_heals_bit_identical` over a Unix socket.
+#[test]
+fn wire_corruption_self_heals_bit_identical_on_sockets() {
+    const P: usize = 4;
+    let reference = run_chaos_once(&Backend::Threads, P, None).expect("threads reference");
+    for seed in [7u64, 21] {
+        let plan = FaultPlan::new(seed)
+            .with_net_corruption(0.05)
+            .with_net_partial_writes(0.1)
+            .with_net_drops(0.02);
+        let chaotic = run_chaos_once(&sockets_backend(80), P, Some(plan))
+            .unwrap_or_else(|e| panic!("corrupted wire must self-heal, seed {seed}: {e}"));
+        assert_eq!(chaotic, reference, "digest diverged, seed {seed}");
+    }
+}
+
+/// `scheduled_reset_reconnects_and_completes` over a Unix socket.
+#[test]
+fn scheduled_reset_reconnects_and_completes_on_sockets() {
+    const P: usize = 4;
+    let before = reconnects();
+    let reference = run_chaos_once(&Backend::Threads, P, None).expect("threads reference");
+    let plan = FaultPlan::new(5).with_net_reset_at(1, 5);
+    let result = run_chaos_once(&sockets_backend(80), P, Some(plan))
+        .expect("a reset inside the grace window must not fail the world");
+    assert_eq!(result, reference, "digest diverged after connection reset");
+    assert!(reconnects() > before, "the reset must have reconnected");
+}
+
+/// `permanent_partition_escalates_to_peer_failed_and_recovers` over a
+/// Unix socket.
+#[test]
+fn permanent_partition_escalates_to_peer_failed_and_recovers_on_sockets() {
+    const P: usize = 4;
+    const SEED: u64 = 0xDEAD;
+    let baseline = baseline_views(P, SEED, "perm-baseline-sockets");
+    let dir = scratch_dir("perm-sockets");
+    let plan = FaultPlan::new(SEED).with_net_partition(1, NetDir::Out, 3, Duration::from_secs(30));
+    let outcome = run_with_recovery_program(
+        &sockets_backend(40), // 1 s death window
+        P,
+        recovery_opts(plan),
+        &transport::registry(),
+        RECOVERY_PIPELINE,
+        &recovery_args(&dir, SEED),
+    )
+    .expect("recovery must converge after the permanent partition");
+    assert_eq!(outcome.attempts, 2, "exactly one retry expected");
+    let death = &outcome.failures[0];
+    assert_eq!(death.origin, 1, "the partitioned rank must be the origin");
+    let origin = death.origin_failure().expect("origin failure recorded");
+    assert!(
+        matches!(
+            origin.error,
+            RankError::Failed(CommError::PeerFailed { rank: 1, .. })
+        ),
+        "{:?}",
+        origin.error
+    );
+    assert!(death.reason.contains("heartbeat"), "{}", death.reason);
+    let recovered: Vec<transport::RankView> =
+        outcome.values.iter().map(|b| decode_view(b)).collect();
+    assert_eq!(
+        recovered, baseline,
+        "recovered forest must be leaf-identical"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -64,9 +64,9 @@ pub enum CommError {
         /// The type the receiver asked for.
         expected: &'static str,
     },
-    /// A peer rank's *process* died (socket backend only): its
-    /// connection closed unexpectedly, it missed its heartbeat window,
-    /// or fault injection killed it with SIGKILL. The thread backend
+    /// A peer rank's *process* died (process backends only): it exited
+    /// without reporting, it missed its heartbeat window, or fault
+    /// injection killed it with SIGKILL. The thread backend
     /// never produces this — a dying thread always unwinds through the
     /// abort protocol first.
     PeerFailed {
@@ -75,8 +75,8 @@ pub enum CommError {
         /// How its death was detected.
         reason: String,
     },
-    /// A transport frame or payload could not be decoded (socket
-    /// backend only): bad length prefix, CRC mismatch, or bytes that
+    /// A transport frame or payload could not be decoded (process
+    /// backends only): bad length prefix, CRC mismatch, or bytes that
     /// fail [`Wire`](quadforest_core::Wire) decoding.
     Frame {
         /// What was wrong with the frame.

@@ -17,21 +17,21 @@
 //! injected faults only exercise timing freedom the real network has
 //! anyway, so correct programs must produce identical results.
 //!
-//! ## Network chaos (TCP backend)
+//! ## Network chaos (process backends)
 //!
 //! The `with_net_*` builders extend a plan with *wire-level* faults,
-//! applied by the TCP backend's deterministic chaos interposer at
-//! frame granularity inside each rank process: added latency/jitter,
-//! silent whole-frame drops, single-bit corruption (caught by the
-//! frame CRC), partial/chunked writes (stressing stream reassembly),
-//! scheduled hard connection resets, and
-//! asymmetric partitions ([`NetDir`]) that open at the Nth data frame
-//! and heal after a wall-clock duration. The thread and Unix-socket
-//! backends ignore network ops (their links cannot lose or corrupt
-//! bytes); everything else in the plan runs identically on all three.
-//! Because the TCP session layer retransmits across reconnects, a
-//! correct pipeline must still produce bit-identical results under any
-//! net-chaos plan whose partitions heal within the heartbeat window.
+//! applied by the process link's deterministic chaos interposer at
+//! frame granularity inside each rank process, over a Unix socket and
+//! TCP alike: added latency/jitter, silent whole-frame drops,
+//! single-bit corruption (caught by the frame CRC), partial/chunked
+//! writes (stressing stream reassembly), scheduled hard connection
+//! resets, and asymmetric partitions ([`NetDir`]) that open at the Nth
+//! data frame and heal after a wall-clock duration. The thread backend
+//! ignores network ops (it has no wire); everything else in the plan
+//! runs identically on all three. Because the session layer retransmits
+//! across reconnects, a correct pipeline must still produce
+//! bit-identical results under any net-chaos plan whose partitions heal
+//! within the heartbeat window.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,31 +99,32 @@ pub struct FaultPlan {
     /// index (0-based over that rank's communication operations).
     panics: Vec<(usize, u64)>,
     /// `(rank, op_index)`: rank is killed with SIGKILL at the index.
-    /// On the socket backend this is a *real* `kill -9` of the rank's
+    /// On a process backend this is a *real* `kill -9` of the rank's
     /// process (no unwinding, no destructors); on the thread backend it
     /// degrades to a scheduled panic, since threads cannot be killed.
     sigkills: Vec<(usize, u64)>,
     /// `(rank, op_index)`: rank freezes at the index — it stops
-    /// heartbeating and parks forever without exiting. On the socket
+    /// heartbeating and parks forever without exiting. On a process
     /// backend the supervisor must detect this via the missed-heartbeat
     /// window; on the thread backend it degrades to a scheduled panic.
     stalls: Vec<(usize, u64)>,
-    /// P(added latency) per written wire frame (TCP only), 1/65536ths.
+    /// P(added latency) per written wire frame (process backends only), 1/65536ths.
     net_delay_prob: u32,
     /// Maximum injected wire latency; uniform in [0, max].
     net_delay_max: Duration,
-    /// P(silent whole-frame drop) per written wire frame (TCP only).
+    /// P(silent whole-frame drop) per written wire frame (process backends only).
     net_drop_prob: u32,
-    /// P(single-bit corruption) per written wire frame (TCP only).
+    /// P(single-bit corruption) per written wire frame (process backends only).
     net_corrupt_prob: u32,
-    /// P(chunked/partial write) per written wire frame (TCP only).
+    /// P(chunked/partial write) per written wire frame (process backends only).
     net_partial_prob: u32,
     /// `(rank, frame_index)`: hard connection reset after the rank's
-    /// Nth outbound *data* frame (heartbeats not counted). TCP only.
+    /// Nth outbound *data* frame (heartbeats not counted). Process
+    /// backends only.
     net_resets: Vec<(usize, u64)>,
     /// `(rank, dir, frame_index, duration)`: an asymmetric partition
     /// opening at the rank's Nth outbound data frame and healing after
-    /// `duration` of wall clock. TCP only.
+    /// `duration` of wall clock. Process backends only.
     net_partitions: Vec<(usize, NetDir, u64, Duration)>,
 }
 
@@ -200,7 +201,7 @@ impl FaultPlan {
     }
 
     /// Schedule `rank` to be SIGKILLed when its communication-operation
-    /// counter reaches `op_index`. A real `kill -9` on the socket
+    /// counter reaches `op_index`. A real `kill -9` on a process
     /// backend (the process vanishes without unwinding); a scheduled
     /// panic on the thread backend, which cannot kill a single thread.
     pub fn with_sigkill_at(mut self, rank: usize, op_index: u64) -> Self {
@@ -210,7 +211,7 @@ impl FaultPlan {
 
     /// Schedule `rank` to freeze (stop heartbeating and park forever)
     /// when its communication-operation counter reaches `op_index`.
-    /// Exercises the missed-heartbeat detection path on the socket
+    /// Exercises the missed-heartbeat detection path on a process
     /// backend; degrades to a scheduled panic on the thread backend.
     pub fn with_stall_at(mut self, rank: usize, op_index: u64) -> Self {
         self.stalls.push((rank, op_index));
@@ -218,7 +219,7 @@ impl FaultPlan {
     }
 
     /// Delay each written wire frame with probability `prob`, by a
-    /// uniform duration in `[0, max]`. TCP backend only.
+    /// uniform duration in `[0, max]`. Process backends only.
     pub fn with_net_delays(mut self, prob: f64, max: Duration) -> Self {
         self.net_delay_prob = prob_to_fixed(prob);
         self.net_delay_max = max;
@@ -226,7 +227,7 @@ impl FaultPlan {
     }
 
     /// Silently drop each written wire frame with probability `prob`.
-    /// The TCP session layer must heal the gap by retransmission after
+    /// The session layer must heal the gap by retransmission after
     /// the receiver detects the missing sequence number.
     pub fn with_net_drops(mut self, prob: f64) -> Self {
         self.net_drop_prob = prob_to_fixed(prob);
@@ -269,7 +270,8 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan injects any *network* fault (TCP backend only).
+    /// True if the plan injects any *network* fault (process backends
+    /// only).
     pub(crate) fn net_is_active(&self) -> bool {
         self.net_delay_prob > 0
             || self.net_drop_prob > 0
@@ -307,11 +309,11 @@ impl FaultPlan {
         }
     }
 
-    /// Compile the per-rank *network* fault stream for the TCP chaos
+    /// Compile the per-rank *network* fault stream for the link's chaos
     /// interposer. Uses a different stream salt than [`compile`] so the
     /// wire-level faults are independent of the message-level ones, and
     /// a `Mutex`-backed RNG because the interposer is shared across the
-    /// rank's writer, reader, and heartbeat threads.
+    /// rank's link, rank and heartbeat threads.
     ///
     /// [`compile`]: FaultPlan::compile
     pub(crate) fn compile_net(&self, rank: usize) -> NetFaults {
@@ -367,7 +369,7 @@ quadforest_core::wire!(struct FaultPlan {
 pub(crate) enum FaultAction {
     /// Panic now (op index recorded for the message).
     Panic(u64),
-    /// Die by SIGKILL now (real on sockets, panic on threads).
+    /// Die by SIGKILL now (real on a process backend, panic on threads).
     Sigkill(u64),
     /// Freeze now: stop heartbeating and park forever.
     Stall(u64),
@@ -518,8 +520,8 @@ pub(crate) struct WriteFault {
     pub reset_after: bool,
 }
 
-/// The compiled per-rank network-chaos stream, shared by all the TCP
-/// child's threads (`Sync`: `Mutex` RNG + an atomic frame counter). Scheduled
+/// The compiled per-rank network-chaos stream, shared by all the
+/// worker's threads (`Sync`: `Mutex` RNG + an atomic frame counter). Scheduled
 /// faults (resets, partitions) key off the rank's outbound *data*-frame
 /// counter so heartbeat cadence cannot shift them; probabilistic faults
 /// hit every outbound frame, heartbeats included.

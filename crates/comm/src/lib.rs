@@ -124,7 +124,7 @@ pub(crate) enum Payload {
 /// FNV-1a over the type name: the cross-process analogue of a `TypeId`
 /// (which is not stable across binaries, let alone processes). Type
 /// *names* are stable for one compiled binary talking to itself, which
-/// is exactly the socket-backend topology (the supervisor re-executes
+/// is exactly the process-backend topology (the supervisor re-executes
 /// its own binary per rank).
 pub(crate) fn wire_type_tag<T: 'static>() -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -14,7 +14,7 @@
 //! [`run_with_recovery_program`] is the backend-generic variant: the
 //! same supervisor loop around a *named* program and a
 //! [`Backend`](crate::Backend), so recovery also restarts real rank
-//! **processes** on the socket backend — including after a `kill -9`,
+//! **processes** on a process backend — including after a `kill -9`,
 //! which no in-process supervisor can survive.
 //!
 //! Fault injection stays deterministic: [`RecoveryOptions::plans`]
@@ -255,11 +255,11 @@ where
 
 /// Backend-generic recovery: run registered program `name` on
 /// `backend` under the same supervisor loop as [`run_with_recovery`].
-/// On [`Backend::Sockets`] every retry spawns a **fresh set of rank
-/// processes** — the supervisor restarts real processes from the
-/// program's last good checkpoint, surviving even a `kill -9` that
-/// took a rank down without unwinding. Reconnection activity is
-/// counted in `comm.reconnect.attempts` (global registry).
+/// On [`Backend::Sockets`] and [`Backend::Tcp`] every retry spawns a
+/// **fresh set of rank processes** — the supervisor restarts real
+/// processes from the program's last good checkpoint, surviving even a
+/// `kill -9` that took a rank down without unwinding. Retries are counted in
+/// `recovery.retries`, like every supervised world's.
 pub fn run_with_recovery_program(
     backend: &Backend,
     size: usize,
@@ -269,13 +269,6 @@ pub fn run_with_recovery_program(
     args: &[u8],
 ) -> Result<RecoveryOutcome<Vec<u8>>, RecoveryError> {
     supervise(&opts, |index, run_opts| {
-        if index > 0 {
-            if let Backend::Sockets(_) | Backend::Tcp(_) = backend {
-                telemetry::global()
-                    .counter("comm.reconnect.attempts")
-                    .add(1);
-            }
-        }
         crate::try_run_program(
             backend,
             size,

@@ -1,5 +1,5 @@
-//! Length-prefixed, CRC-guarded frames for the socket and TCP
-//! transports.
+//! Length-prefixed, CRC-guarded frames for the process link, over a
+//! Unix socket or TCP alike.
 //!
 //! Wire layout of one frame:
 //!
@@ -9,9 +9,9 @@
 //!
 //! `len` counts only the payload; `crc` is CRC-32 of the payload (the
 //! same polynomial the checkpoint shards use, from
-//! [`quadforest_core::crc`]). The payload is the Wire encoding of a
-//! [`Frame`] (Unix sockets) or of the TCP backend's packet envelope —
-//! the framing itself is generic over any [`Wire`] payload via
+//! [`quadforest_core::crc`]). The payload is the Wire encoding of the
+//! session's packet envelope, most of which carry a [`Frame`] — the
+//! framing itself is generic over any [`Wire`] payload via
 //! [`encode_wire`] / [`read_raw`]. Decoding is strict and
 //! hostile-input-safe: a length prefix above the cap is rejected
 //! *before* any allocation, a CRC mismatch or trailing bytes
@@ -53,7 +53,7 @@ const LEN_GUARD: u32 = 0x5AFE_C0DE;
 /// Bytes of framing before the payload: len, len-guard, payload CRC.
 pub(crate) const HEADER_LEN: usize = 12;
 
-/// Everything that travels over a rank⇄supervisor socket.
+/// Everything that travels over a rank⇄supervisor link.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Frame {
     /// First frame on a connection: the child identifies its rank.
@@ -253,23 +253,12 @@ pub(crate) fn seal(frame: &mut [u8]) {
     frame[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Frame whatever `body` appends behind a reserved header, then
-/// [`seal`] it.
-pub(crate) fn encode_with(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+/// Encode any Wire value as one sealed frame.
+pub(crate) fn encode_wire<T: Wire>(value: &T) -> Vec<u8> {
     let mut out = vec![0u8; HEADER_LEN];
-    body(&mut out);
+    value.encode(&mut out);
     seal(&mut out);
     out
-}
-
-/// Encode any Wire value as one frame. See [`encode_with`].
-pub(crate) fn encode_wire<T: Wire>(value: &T) -> Vec<u8> {
-    encode_with(|out| value.encode(out))
-}
-
-/// Encode `frame` as `[len][guard][crc][payload]` ready to write.
-pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_wire(frame)
 }
 
 /// Why [`fill`] stopped early.
@@ -465,11 +454,22 @@ pub(super) mod tests {
         decode_raw(&frame)
     }
 
+    /// Frame whatever `body` appends behind a reserved header, then
+    /// [`seal`] it.
+    pub(in crate::transport) fn encode_with(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = vec![0u8; HEADER_LEN];
+        body(&mut out);
+        seal(&mut out);
+        out
+    }
+
+    /// Encode `frame` as `[len][guard][crc][payload]`.
+    pub(in crate::transport) fn encode_frame(frame: &Frame) -> Vec<u8> {
+        encode_wire(frame)
+    }
+
     /// Read and decode one [`Frame`].
-    pub(in crate::transport) fn read_frame(
-        stream: &mut impl Read,
-        stop: &AtomicBool,
-    ) -> Result<Frame, FrameError> {
+    fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Frame, FrameError> {
         read_wire(stream, stop)
     }
 
@@ -482,6 +482,64 @@ pub(super) mod tests {
         bytes.extend_from_slice(&crc32(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
         bytes
+    }
+
+    fn msg(src: u64, dst: u64) -> Frame {
+        Frame::Msg {
+            src,
+            dst,
+            tag: 0x77,
+            type_tag: 0xABCD,
+            bytes: 4,
+            data: vec![1, 2, 3, 4],
+        }
+    }
+
+    /// `msg(0, 1)` as the element-wise encoder framed it: header CRC
+    /// from zlib, every field little-endian.
+    pub(in crate::transport) const MSG_0_TO_1: [u8; 65] = [
+        53, 0, 0, 0, 0xEB, 0xC0, 0xFE, 0x5A, 0x2D, 0xD8, 0xAC, 0xEE, // len, guard, crc
+        1,    // Msg
+        0, 0, 0, 0, 0, 0, 0, 0, // src
+        1, 0, 0, 0, 0, 0, 0, 0, // dst
+        0x77, 0, 0, 0, 0, 0, 0, 0, // tag
+        0xCD, 0xAB, 0, 0, 0, 0, 0, 0, // type_tag
+        4, 0, 0, 0, 0, 0, 0, 0, // bytes
+        4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, // data
+    ];
+
+    #[test]
+    fn msg_frame_encoding_is_pinned_byte_for_byte() {
+        assert_eq!(encode_frame(&msg(0, 1)), MSG_0_TO_1);
+    }
+
+    // What the router checks of a `Msg` must equal a full decode: same
+    // verdict, same route, same error, on any damage to the payload.
+    proptest::proptest! {
+        #[test]
+        fn msg_route_agrees_with_a_full_decode(
+            pos in 0usize..53,
+            xor in 0u8..=255,
+            cut in 0usize..=53,
+            extra in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4),
+        ) {
+            let mut payload = MSG_0_TO_1[HEADER_LEN..].to_vec();
+            payload[pos] ^= xor;
+            payload.truncate(cut.max(pos + 1));
+            payload.extend_from_slice(&extra);
+            let full = Frame::from_wire(&payload);
+            match msg_route(&payload) {
+                None => {
+                    let is_msg = matches!(full, Ok(Frame::Msg { .. }));
+                    proptest::prop_assert!(!is_msg);
+                }
+                Some(Err(e)) => proptest::prop_assert_eq!(full, Err(e)),
+                Some(Ok(route)) => match full {
+                    Ok(Frame::Msg { src, dst, .. }) => proptest::prop_assert_eq!(route, (src, dst)),
+                    other => proptest::prop_assert!(false, "decode says {:?}", other),
+                },
+            }
+        }
     }
 
     fn sample_frames() -> Vec<Frame> {

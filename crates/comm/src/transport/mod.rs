@@ -11,13 +11,13 @@
 //!   move as boxed values, never serialized.
 //! * **processes** ([`process`]): one OS *process* per rank in a star
 //!   around a supervisor. Payloads are Wire-encoded into CRC-guarded
-//!   length-prefixed frames; liveness is tracked with heartbeats; a
-//!   dead process is a detectable, recoverable event instead of a
-//!   wedged world. The supervisor, the worker runtime and the
-//!   rank-local state exist once; [`Backend::Sockets`] and
-//!   [`Backend::Tcp`] differ only in the link that carries a frame —
-//!   raw over a Unix socket ([`socket`]), or through a
-//!   reconnect-and-replay session over TCP ([`tcp`]).
+//!   length-prefixed frames; liveness is tracked with heartbeats and
+//!   process exits; a dead process is a detectable, recoverable event
+//!   instead of a wedged world. The supervisor, the worker runtime, the
+//!   rank-local state and the link — a reconnect-and-replay session
+//!   ([`tcp`]) — exist once; [`Backend::Sockets`] and [`Backend::Tcp`]
+//!   differ only in the byte stream the session runs over, a Unix
+//!   socket or a loopback TCP connection.
 //!
 //! Because child processes cannot inherit closures, process worlds run
 //! *named programs* out of a [`ProgramRegistry`]: plain `fn` items
@@ -29,7 +29,6 @@
 pub(crate) mod frame;
 pub(crate) mod process;
 mod session;
-pub(crate) mod socket;
 pub(crate) mod tcp;
 
 use crate::fault::FaultAction;
@@ -88,9 +87,9 @@ pub(crate) trait Transport: Send + Sync {
 /// Configuration of both process-per-rank backends,
 /// [`Backend::Sockets`] and [`Backend::Tcp`]: the worker executable
 /// and the liveness window. What no caller varies is a constant: the
-/// 10 s a worker gets to connect back, the 256 MiB frame cap, and the
-/// TCP session's reconnect schedule (12 attempts, 10 → 500 ms
-/// exponential backoff, 20 % deterministic jitter).
+/// 10 s the supervisor waits for a worker's handshake, the 256 MiB
+/// frame cap, and the session's (re)connect schedule (12 attempts, 10 → 500 ms exponential
+/// backoff, 20 % deterministic jitter).
 #[derive(Clone, Debug)]
 pub struct SocketOptions {
     /// Executable spawned once per rank. Must call
@@ -105,9 +104,9 @@ pub struct SocketOptions {
     /// dead. The window is `heartbeat_interval * heartbeat_grace`;
     /// keep it generous — a rank busy in a long compute phase still
     /// heartbeats (the sender is a dedicated thread), but a loaded CI
-    /// machine can starve that thread for tens of milliseconds. On TCP
-    /// it is also the budget inside which a dropped connection may
-    /// reconnect and resume with **no** failure escalation.
+    /// machine can starve that thread for tens of milliseconds. It is
+    /// also the budget inside which a dropped connection may reconnect
+    /// and resume with **no** failure escalation.
     pub heartbeat_grace: u32,
 }
 
@@ -132,11 +131,12 @@ pub type TcpOptions = SocketOptions;
 pub enum Backend {
     /// One OS thread per rank in this process (the original simulator).
     Threads,
-    /// One OS process per rank, joined over Unix domain sockets.
+    /// One OS process per rank, joined to the supervisor over Unix
+    /// domain sockets.
     Sockets(SocketOptions),
-    /// One OS process per rank, joined over TCP (loopback by default;
-    /// the same wire protocol works across machines). Adds a reliable
-    /// session layer: sequence numbers, acks, and
+    /// One OS process per rank, joined to the supervisor over TCP on
+    /// `127.0.0.1`. Both process backends run the same reliable session
+    /// over their stream: sequence numbers, acks, and
     /// reconnect-with-backoff, so a transient connection loss inside
     /// the heartbeat window heals without any recovery escalation.
     Tcp(TcpOptions),
@@ -193,11 +193,6 @@ impl ProgramRegistry {
     pub(crate) fn get(&self, name: &str) -> Option<ProgramFn> {
         self.map.get(name).copied()
     }
-
-    /// Registered program names, sorted.
-    pub(crate) fn names(&self) -> Vec<&'static str> {
-        self.map.keys().copied().collect()
-    }
 }
 
 /// Run registered program `name` across `size` ranks on the chosen
@@ -207,11 +202,14 @@ impl ProgramRegistry {
 /// with the program wrapped as a closure. On [`Backend::Sockets`] and
 /// [`Backend::Tcp`] the supervisor spawns one worker process per rank
 /// and the same program (found by name in the worker's registry) runs
-/// against the process transport, over a Unix socket or a TCP session
-/// respectively. Failure reporting is identical in shape: a
+/// against the process transport, its session over a Unix socket or a
+/// TCP connection respectively. Failure reporting is identical in shape: a
 /// [`WorldError`] naming the origin rank and all collateral failures —
 /// plus, only possible with processes, origins of kind
 /// [`CommError::PeerFailed`] when a rank *process* died.
+///
+/// Panics, before any process is spawned, when `registry` has no
+/// program `name`.
 pub fn try_run_program(
     backend: &Backend,
     size: usize,
@@ -221,7 +219,19 @@ pub fn try_run_program(
     args: &[u8],
     attempt: Attempt,
 ) -> Result<Vec<Vec<u8>>, WorldError> {
-    let spawn = |link, heartbeat| process::Spawn {
+    let f = (registry.get(name)).unwrap_or_else(|| panic!("program '{name}' not in registry"));
+    let (link, proc_opts) = match backend {
+        Backend::Threads => {
+            let ctx = ProgramCtx {
+                args: args.to_vec(),
+                attempt,
+            };
+            return crate::try_run_with(size, opts.clone(), move |c| f(&c, &ctx));
+        }
+        Backend::Sockets(sock) => (LinkKind::Unix, sock),
+        Backend::Tcp(tcp) => (LinkKind::Tcp, tcp),
+    };
+    let spawn = process::Spawn {
         link,
         addr: String::new(),
         rank: 0,
@@ -229,26 +239,11 @@ pub fn try_run_program(
         program: name.into(),
         args: args.to_vec(),
         recv_timeout: opts.recv_timeout,
-        heartbeat,
+        heartbeat: proc_opts.heartbeat_interval,
         attempt,
         faults: opts.faults.clone(),
     };
-    match backend {
-        Backend::Threads => {
-            let f = registry
-                .get(name)
-                .unwrap_or_else(|| panic!("program '{name}' not in registry"));
-            let ctx = ProgramCtx {
-                args: args.to_vec(),
-                attempt,
-            };
-            crate::try_run_with(size, opts.clone(), move |c| f(&c, &ctx))
-        }
-        Backend::Sockets(sock) => {
-            socket::run_world(spawn(LinkKind::Unix, sock.heartbeat_interval), sock)
-        }
-        Backend::Tcp(tcp) => tcp::run_world(spawn(LinkKind::Tcp, tcp.heartbeat_interval), tcp),
-    }
+    process::run_world(spawn, proc_opts)
 }
 
 /// Worker-process hook: when the calling process was spawned as a
@@ -262,4 +257,36 @@ pub fn try_run_program(
 /// [`SocketOptions::worker`].
 pub fn maybe_run_socket_child(registry: &ProgramRegistry) -> bool {
     process::maybe_run_child(registry)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An unknown program name fails the call on every backend, by
+    /// name, before a worker is spawned: the worker named here does
+    /// not exist, so a spawn would panic with another message.
+    #[test]
+    fn an_unknown_program_fails_at_the_call_on_every_backend() {
+        let absent = SocketOptions::new("/nonexistent/quadforest-worker".into());
+        let backends = [
+            Backend::Threads,
+            Backend::Sockets(absent.clone()),
+            Backend::Tcp(absent),
+        ];
+        for backend in backends {
+            let call = std::panic::catch_unwind(|| {
+                let registry = ProgramRegistry::new();
+                let opts = RunOptions::default();
+                try_run_program(&backend, 2, &opts, &registry, "nope", &[], Attempt::first())
+            });
+            let payload = call.expect_err("an unknown program must panic");
+            assert_eq!(
+                crate::panic_message(payload),
+                "program 'nope' not in registry",
+                "{}",
+                backend.name()
+            );
+        }
+    }
 }

@@ -11,23 +11,24 @@
 //! pushing into a shared mailbox: a message is encoded into the buffer
 //! it is sent in and decoded in the buffer it arrived in.
 //!
-//! Everything in this module exists once. What the two process
-//! backends differ in is only *how a frame reaches the peer* — written
-//! raw to a Unix socket that cannot lose data ([`super::socket`]), or
-//! through a sequenced, reconnecting session over TCP, which can
-//! ([`super::tcp`]). That is the [`Links`] seam on the supervisor and
-//! the [`Uplink`] seam on the worker.
+//! Everything in this module exists once, and so does the link that
+//! carries a frame: a sequenced, reconnecting session
+//! ([`super::tcp`]). The two process backends differ only in the
+//! stream it runs over, a Unix socket or a TCP connection ([`LinkKind`]).
 //!
 //! Liveness: every worker heartbeats on a dedicated thread; the
-//! supervisor marks a rank dead after a configurable window of silence.
-//! Death — a lost raw link, missed heartbeats, or an injected SIGKILL —
-//! becomes a [`CommError::PeerFailed`] abort that unwinds every
-//! surviving rank, exactly like a panic does on the thread backend.
-//! That makes a `kill -9` a *recoverable input* to
+//! supervisor marks a rank dead after a configurable window of silence,
+//! or as soon as a sweep finds its process exited. Death — missed
+//! heartbeats, an exited process, or an injected SIGKILL — becomes a
+//! [`CommError::PeerFailed`] abort that unwinds every surviving rank,
+//! exactly like a panic does on the thread backend. That makes a
+//! `kill -9` a *recoverable input* to
 //! [`run_with_recovery_program`](crate::run_with_recovery_program)
-//! rather than a wedged job.
+//! rather than a wedged job. A broken stream is not a death: the link
+//! reconnects and replays.
 
-use super::frame::{encode_frame, msg_fields, put_msg, Frame, HEADER_LEN, MSG_DATA_AT};
+use super::frame::{msg_fields, put_msg, Frame, MSG_DATA_AT};
+use super::tcp::{self, packet, Link, Listener, Spares, Uplink, FRAME_AT};
 use super::{ProgramCtx, ProgramRegistry, SocketOptions};
 use crate::fault::FaultAction;
 use crate::{
@@ -37,10 +38,9 @@ use crate::{
 use quadforest_core::Wire;
 use quadforest_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The one environment variable of a worker process: its [`Spawn`]
@@ -50,9 +50,8 @@ const ENV_SPAWN: &str = "QF_SOCKET_SPAWN";
 /// Poll granularity for stop-flag checks inside blocking socket reads.
 pub(super) const READ_POLL: Duration = Duration::from_millis(25);
 
-/// How long the supervisor waits for every worker's first connection,
-/// and a worker for its connection to the supervisor. A constant: no
-/// caller varies it.
+/// How long the supervisor waits for every worker's first handshake,
+/// and a worker for its own. A constant: no caller varies it.
 pub(super) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 fn hex_encode(bytes: &[u8]) -> String {
@@ -81,12 +80,12 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-/// The link a worker speaks to its supervisor.
+/// The stream a worker's link to its supervisor runs over.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(super) enum LinkKind {
-    /// Raw frames over a Unix socket ([`super::socket`]).
+    /// A Unix domain socket ([`Backend::Sockets`](super::Backend::Sockets)).
     Unix,
-    /// The sequenced session over TCP ([`super::tcp`]).
+    /// A loopback TCP connection ([`Backend::Tcp`](super::Backend::Tcp)).
     Tcp,
 }
 
@@ -131,23 +130,6 @@ impl Spawn {
 // supervisor side
 // ----------------------------------------------------------------------
 
-/// How the supervisor's frames reach the ranks — the one thing the
-/// process backends differ in. The supervisor routes, monitors and
-/// reports through this trait alone.
-pub(super) trait Links: Send + Sync + 'static {
-    /// Send `frame` — a frame's payload behind [`HEADER_LEN`] bytes of
-    /// header — to `rank`. A link that writes frames as they are finds
-    /// the header sealed: it read the frame so, or [`encode_frame`] made
-    /// it. Never fails, and waits at most on a live peer: a link that
-    /// cannot deliver is the liveness monitor's business.
-    fn send(&self, rank: usize, frame: &[u8]);
-    /// `rank` gets no more traffic and cannot come back (it was
-    /// declared dead, or the world is being torn down).
-    fn retire(&self, rank: usize);
-    /// Called once per monitor sweep.
-    fn tick(&self) {}
-}
-
 /// One rank's terminal outcome: its Wire-encoded program result, or
 /// how it failed.
 type RankResult = Result<Vec<u8>, RankError>;
@@ -161,10 +143,14 @@ pub(super) fn count(name: &'static str) {
 
 /// Shared state of a process world's supervisor: the links, liveness
 /// bookkeeping, first-wins abort record, result slots, child processes.
-pub(super) struct Supervisor<L> {
+pub(super) struct Supervisor {
     pub(super) size: usize,
-    pub(super) links: L,
-    /// Raised at teardown; reader and accept threads poll it.
+    /// One link per rank. An abort travels sequenced like every frame,
+    /// so a rank that is mid-reconnect still gets it after the
+    /// handshake replay; a link is retired once its rank is dead.
+    pub(super) links: Vec<Link>,
+    /// Raised at teardown; reader threads poll it, the accept thread
+    /// reads it when woken.
     pub(super) stop: AtomicBool,
     last_beat: Vec<Mutex<Instant>>,
     /// Last liveness context heartbeated by each rank: (comm op index,
@@ -177,22 +163,20 @@ pub(super) struct Supervisor<L> {
     /// with an advanced comm-op index, or a routed `Msg` — in
     /// nanoseconds after `started`. What the silence backstop measures.
     last_progress: AtomicU64,
-    /// Rank reached a terminal state (Done, Failed, or declared dead).
-    terminal: Vec<AtomicBool>,
-    /// (Also read by the link modules' tests, like `abort`.)
+    /// Each rank's outcome, once it is terminal (Done, Failed, or
+    /// declared dead); `finished` wakes the monitor on each. (Also read
+    /// by the link module's tests, like `abort`.)
     pub(super) results: Mutex<Vec<Option<RankResult>>>,
+    finished: Condvar,
     pub(super) abort: AbortRecord,
     children: Mutex<Vec<Option<Child>>>,
-    /// Count of terminal ranks, guarded with `done_cv` for the monitor.
-    done: Mutex<usize>,
-    done_cv: Condvar,
 }
 
-impl<L: Links> Supervisor<L> {
-    pub(super) fn new(size: usize, links: L) -> Self {
+impl Supervisor {
+    pub(super) fn new(size: usize) -> Self {
         Supervisor {
             size,
-            links,
+            links: tcp::links(size),
             stop: AtomicBool::new(false),
             last_beat: (0..size).map(|_| Mutex::new(Instant::now())).collect(),
             last_ctx: (0..size)
@@ -200,17 +184,15 @@ impl<L: Links> Supervisor<L> {
                 .collect(),
             started: Instant::now(),
             last_progress: AtomicU64::new(0),
-            terminal: (0..size).map(|_| AtomicBool::new(false)).collect(),
             results: Mutex::new((0..size).map(|_| None).collect()),
+            finished: Condvar::new(),
             abort: AbortRecord::default(),
             children: Mutex::new((0..size).map(|_| None).collect()),
-            done: Mutex::new(0),
-            done_cv: Condvar::new(),
         }
     }
 
     pub(super) fn is_terminal(&self, rank: usize) -> bool {
-        self.terminal[rank].load(Ordering::Acquire)
+        plock(&self.results)[rank].is_some()
     }
 
     /// `rank`'s process has just proven itself alive (a heartbeat, or a
@@ -227,32 +209,26 @@ impl<L: Links> Supervisor<L> {
     }
 
     /// Record the first failure and broadcast it to every rank that is
-    /// still alive; later callers keep the original origin. (A session
-    /// link delivers the abort even to a rank that is mid-reconnect.)
+    /// still alive; later callers keep the original origin.
     fn record_abort(&self, origin: usize, reason: String) {
         if !self.abort.record(origin, reason.clone()) {
             return;
         }
         let origin = origin as u64;
-        let frame = encode_frame(&Frame::Abort { origin, reason });
+        let frame = Frame::Abort { origin, reason };
         for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
-            self.links.send(rank, &frame);
+            self.links[rank].send_data(packet(&frame), None);
         }
     }
 
     /// Move `rank` to a terminal state with `outcome` (first writer
-    /// wins) and wake the monitor if everyone is now terminal.
+    /// wins) and wake the monitor.
     fn finish(&self, rank: usize, outcome: RankResult) {
-        {
-            let mut results = plock(&self.results);
-            if results[rank].is_some() {
-                return;
-            }
+        let mut results = plock(&self.results);
+        if results[rank].is_none() {
             results[rank] = Some(outcome);
+            self.finished.notify_all();
         }
-        self.terminal[rank].store(true, Ordering::Release);
-        *plock(&self.done) += 1;
-        self.done_cv.notify_all();
     }
 
     /// `rank`'s process is dead, or about to be: leave the flight
@@ -261,8 +237,8 @@ impl<L: Links> Supervisor<L> {
     /// supervisor has no rank of its own), abort the world, mark the
     /// rank terminal, retire its link so a zombie cannot reconnect,
     /// then kill the process for certainty. The record must come
-    /// FIRST — killing first lets a reader thread observe the EOF and
-    /// race in a generic "process died" reason before the real one.
+    /// FIRST — killing first lets the monitor find the process exited
+    /// and race in a generic "process exited" reason before the real one.
     fn peer_failed(&self, rank: usize, op: u64, phase: &str, reason: String) {
         count("comm.peer_failures");
         if telemetry::flight::armed() {
@@ -279,7 +255,7 @@ impl<L: Links> Supervisor<L> {
             rank,
             Err(RankError::Failed(CommError::PeerFailed { rank, reason })),
         );
-        self.links.retire(rank);
+        self.links[rank].retire();
         if let Some(child) = plock(&self.children)[rank].as_mut() {
             let _ = child.kill();
         }
@@ -298,29 +274,25 @@ impl<L: Links> Supervisor<L> {
         self.peer_failed(rank, op, &phase, reason);
     }
 
-    /// One frame that arrived from `rank`, as its link read it, and what
-    /// [`check`](super::frame::check) made of it: the one entry point of
-    /// both links. A `Msg` (`None`) is relayed as the bytes that
-    /// arrived. A rank may only send as itself, to a rank that exists;
-    /// anything else is a corrupt sender, declared dead here (false: the
-    /// link has nothing more of it worth reading). Any other frame goes
-    /// to [`Supervisor::on_frame`].
-    pub(super) fn on_raw(&self, rank: usize, frame: &[u8], checked: Option<Frame>) -> bool {
+    /// One packet that arrived from `rank` — its frame at [`FRAME_AT`] —
+    /// and what [`check`](super::frame::check) made of the frame. A `Msg`
+    /// (`None`) is relayed in the buffer it arrived in, the reader going
+    /// on with a spare. A rank may only send as itself, to a rank that
+    /// exists; anything else is a corrupt sender, declared dead here. Any
+    /// other frame goes to [`Supervisor::on_frame`].
+    pub(super) fn on_raw(&self, rank: usize, packet: &mut Vec<u8>, checked: Option<Frame>) {
         if let Some(decoded) = checked {
-            self.on_frame(rank, decoded);
-            return true;
+            return self.on_frame(rank, decoded);
         }
-        let [src, dst, ..] = msg_fields(frame);
+        let [src, dst, ..] = msg_fields(&packet[FRAME_AT..]);
         if src != rank as u64 || dst >= self.size as u64 {
             let size = self.size;
             let reason =
                 format!("rank {rank} sent a corrupt route (src={src} dst={dst}, size {size})");
-            self.declare_dead(rank, reason);
-            return false;
+            return self.declare_dead(rank, reason);
         }
         self.progress();
-        self.links.send(dst as usize, frame);
-        true
+        self.links[dst as usize].relay(packet);
     }
 
     /// Dispatch one decoded frame that arrived from `rank`: track
@@ -390,10 +362,17 @@ impl<L: Links> Supervisor<L> {
         }
     }
 
+    /// `rank`'s process has exited, and its link has read up to the EOF
+    /// behind the last frame the process sent: how it exited.
+    fn exited(&self, rank: usize) -> Option<ExitStatus> {
+        let status = plock(&self.children)[rank].as_mut()?.try_wait().ok()??;
+        (!self.links[rank].is_up()).then_some(status)
+    }
+
     /// Liveness monitor and waiter in one: until every rank is
     /// terminal, sweep the non-terminal ranks twice per heartbeat
-    /// interval for a missed-heartbeat window, and enforce the silence
-    /// backstop.
+    /// interval for an exited process and a missed-heartbeat window,
+    /// and enforce the silence backstop.
     fn monitor_until_terminal(&self, opts: &SocketOptions, recv_timeout: Duration) {
         let window = opts
             .heartbeat_interval
@@ -406,19 +385,26 @@ impl<L: Links> Supervisor<L> {
         let backstop = recv_timeout.saturating_mul(2).saturating_add(window);
         self.progress(); // armed from now, not from before the workers connected
         let mut next_sweep = Instant::now() + sweep;
-        let mut done = plock(&self.done);
-        while *done < self.size {
+        let mut results = plock(&self.results);
+        while results.iter().any(Option::is_none) {
             let now = Instant::now();
             if now < next_sweep {
-                done = self
-                    .done_cv
-                    .wait_timeout(done, next_sweep - now)
+                results = self
+                    .finished
+                    .wait_timeout(results, next_sweep - now)
                     .unwrap_or_else(|p| p.into_inner())
                     .0;
                 continue;
             }
-            drop(done);
-            self.links.tick();
+            drop(results);
+            for link in &self.links {
+                link.send_ping();
+            }
+            for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
+                if let Some(status) = self.exited(rank) {
+                    self.declare_dead(rank, format!("rank {rank} process exited ({status})"));
+                }
+            }
             let progressed = Duration::from_nanos(self.last_progress.load(Ordering::Relaxed));
             let silent = self.started.elapsed().saturating_sub(progressed) > backstop;
             // Longest-silent first: when several ranks pass the window in
@@ -452,7 +438,7 @@ impl<L: Links> Supervisor<L> {
                 }
             }
             next_sweep = Instant::now() + sweep;
-            done = plock(&self.done);
+            results = plock(&self.results);
         }
     }
 
@@ -477,36 +463,42 @@ impl<L: Links> Supervisor<L> {
     }
 }
 
-/// Run `spawn`'s program across worker processes joined by `links`.
-/// `connect` waits until `deadline` ([`CONNECT_TIMEOUT`] from the spawn)
-/// for every worker's first connection and starts the link's threads
-/// (pushed onto the handle list, joined at teardown); it returns the
-/// ranks that never connected. Failure reporting matches the thread
-/// backend's [`try_run_with`](crate::try_run_with) in shape.
-pub(super) fn run_world<L: Links>(
-    spawn: &Spawn,
+/// Run `spawn`'s program across worker processes, each linked to the
+/// supervisor over the stream `spawn.link` names: a listener on a fresh
+/// address (the record's `addr`) accepts first connections and
+/// reconnections alike. Failure reporting matches the thread backend's
+/// [`try_run_with`](crate::try_run_with) in shape.
+pub(super) fn run_world(
+    mut spawn: Spawn,
     opts: &SocketOptions,
-    links: L,
-    connect: impl FnOnce(&Arc<Supervisor<L>>, Instant, &mut Vec<JoinHandle<()>>) -> Vec<usize>,
 ) -> Result<Vec<Vec<u8>>, WorldError> {
     assert!(spawn.size > 0);
     telemetry::flight::arm();
-    let sup = Arc::new(Supervisor::new(spawn.size, links));
-    sup.spawn_workers(spawn, opts);
-    let mut threads = Vec::new();
-    let missing = connect(&sup, Instant::now() + CONNECT_TIMEOUT, &mut threads);
+    let (listener, addr) = Listener::bind(spawn.link);
+    spawn.addr = addr;
+    let sup = Arc::new(Supervisor::new(spawn.size));
+    sup.spawn_workers(&spawn, opts);
+    let accept = Arc::clone(&sup);
+    let accepter = std::thread::Builder::new()
+        .name("link-accept".into())
+        .spawn(move || tcp::accept_loop(&accept, listener))
+        .expect("spawn accept");
+    // startup: wait for every rank's first handshake
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    let missing: Vec<usize> = (0..sup.size)
+        .filter(|&r| !sup.links[r].connects_by(deadline))
+        .collect();
     if missing.is_empty() {
         sup.monitor_until_terminal(opts, spawn.recv_timeout);
     }
 
-    // teardown: retire links, stop the link's threads, reap children
+    // teardown: retire links, stop the link threads, reap children
     sup.stop.store(true, Ordering::Release);
-    for rank in 0..sup.size {
-        sup.links.retire(rank);
+    for link in &sup.links {
+        link.retire();
     }
-    for t in threads {
-        let _ = t.join();
-    }
+    tcp::wake(spawn.link, &spawn.addr);
+    let _ = accepter.join();
     for child in plock(&sup.children).iter_mut().flatten() {
         let _ = child.kill(); // no-op for cleanly exited children
         let _ = child.wait(); // reap
@@ -526,33 +518,15 @@ pub(super) fn run_world<L: Links>(
 // worker (child) side
 // ----------------------------------------------------------------------
 
-/// How a worker's frames reach the supervisor, and the supervisor's
-/// frames reach the worker: the child half of a link kind.
-pub(super) trait Uplink: Send + Sync + Sized + 'static {
-    /// Set the link up from the worker's spawn record. A link with no
-    /// session to establish connects here.
-    fn open(spawn: &Spawn) -> Result<Self, String>;
-    /// Start the link's threads (pushed onto `threads`, joined at exit)
-    /// and return once the supervisor has accepted this rank. Incoming
-    /// frames go to [`Worker::on_raw`].
-    fn start(worker: &Arc<Worker<Self>>, threads: &mut Vec<JoinHandle<()>>) -> Result<(), String>;
-    /// Send one frame buffer (the payload behind [`HEADER_LEN`] bytes
-    /// for the link's header) to the supervisor; a link that keeps the
-    /// buffer takes it. False when the connection is gone for good.
-    fn send(&self, frame: &mut Vec<u8>) -> bool;
-    /// The rank's terminal frame is sent: see it delivered, then close.
-    fn close(&self) {}
-}
-
 /// The worker half of a process world: the rank's inbox, its local
 /// abort record and status, the liveness context its heartbeats carry,
 /// and the uplink. Implements [`Transport`] so the rank's `Comm` runs
 /// the exact same matching/collective/abort logic as on threads.
-pub(super) struct Worker<U> {
+pub(super) struct Worker {
     pub(super) rank: usize,
     size: usize,
     recv_timeout: Duration,
-    pub(super) up: U,
+    pub(super) up: Uplink,
     inbox: Mailbox,
     aborts: AbortRecord,
     collectives: CollectiveNames,
@@ -566,65 +540,31 @@ pub(super) struct Worker<U> {
     last_op: AtomicU64,
     /// Telemetry phase active at that op (`""` when none).
     last_phase: Mutex<&'static str>,
-    /// At most two spent buffers of at least [`REUSE_MIN`] bytes: one to
-    /// encode into and one to read into keep a steady exchange off
-    /// fresh pages.
-    spares: Mutex<Vec<Vec<u8>>>,
 }
 
-/// Below this a buffer comes from the allocator's free lists, not from
-/// fresh pages, and is not worth keeping.
-const REUSE_MIN: usize = 64 << 10;
-
-impl<U: Uplink> Worker<U> {
+impl Worker {
     /// Send one frame to the supervisor.
     fn send(&self, frame: Frame) {
-        let mut buf = vec![0; HEADER_LEN];
-        frame.encode(&mut buf);
-        self.send_buf(buf);
+        self.up.send(packet(&frame));
     }
 
-    /// Send a frame buffer, keep what the link leaves. A lost connection
-    /// means the supervisor is gone; record a local abort so blocked
-    /// receives unwind instead of waiting out their full timeout.
-    fn send_buf(&self, mut frame: Vec<u8>) {
-        let sent = self.up.send(&mut frame);
-        self.recycle(frame);
-        if !sent {
-            self.local_abort(
-                usize::MAX,
-                "connection to supervisor lost (write failed)".into(),
-            );
-        }
-    }
-
-    /// A buffer to fill: a kept one when there is one.
-    pub(super) fn spare(&self) -> Vec<u8> {
-        plock(&self.spares).pop().unwrap_or_default()
-    }
-
-    /// A frame the reader read into `frame`, starting at `at`, and what
-    /// [`check`](super::frame::check) made of it: the one entry point of
-    /// both links. A `Msg` (`None`) goes into the inbox: a big one in
-    /// that buffer, the reader going on with a spare; a small one copied
-    /// out, so the inbox never holds a big buffer. The supervisor sends
-    /// nothing else but an abort broadcast, which is honored.
-    pub(super) fn on_raw(&self, frame: &mut Vec<u8>, at: usize, checked: Option<Frame>) {
+    /// A packet the link read — its frame at [`FRAME_AT`] — and what
+    /// [`check`](super::frame::check) made of the frame. A `Msg`
+    /// (`None`) goes into the inbox: a big one in that buffer, the
+    /// reader going on with a spare; a small one copied out. The
+    /// supervisor sends nothing else but an abort broadcast, which is
+    /// honored.
+    pub(super) fn on_raw(&self, packet: &mut Vec<u8>, checked: Option<Frame>) {
         match checked {
             None => {
-                let [src, _, tag, type_tag, bytes] = msg_fields(&frame[at..]);
-                let data = match frame.len() >= REUSE_MIN {
-                    true => std::mem::replace(frame, self.spare()),
-                    false => frame.clone(),
-                };
+                let [src, _, tag, type_tag, bytes] = msg_fields(&packet[FRAME_AT..]);
                 let payload = Payload::Bytes {
                     type_tag,
-                    data,
-                    at: at + MSG_DATA_AT,
+                    data: Spares::take_packet(packet),
+                    at: FRAME_AT + MSG_DATA_AT,
                 };
-                let src = src as usize;
                 self.inbox.push(Msg {
-                    src,
+                    src: src as usize,
                     tag,
                     payload,
                     bytes,
@@ -644,7 +584,7 @@ impl<U: Uplink> Worker<U> {
     }
 }
 
-impl<U: Uplink> Transport for Worker<U> {
+impl Transport for Worker {
     fn size(&self) -> usize {
         self.size
     }
@@ -654,17 +594,14 @@ impl<U: Uplink> Transport for Worker<U> {
     }
 
     fn frame_buffer(&self) -> Option<Vec<u8>> {
-        let mut buf = self.spare();
+        let mut buf = self.up.link.spares.take();
         buf.clear();
-        buf.resize(MSG_DATA_AT, 0);
+        buf.resize(FRAME_AT + MSG_DATA_AT, 0);
         Some(buf)
     }
 
     fn recycle(&self, buf: Vec<u8>) {
-        let mut spares = plock(&self.spares);
-        if buf.capacity() >= REUSE_MIN && spares.len() < 2 {
-            spares.push(buf);
-        }
+        self.up.link.spares.put(buf);
     }
 
     fn mailbox(&self, rank: usize) -> &Mailbox {
@@ -682,8 +619,9 @@ impl<U: Uplink> Transport for Worker<U> {
             Payload::Bytes {
                 type_tag, mut data, ..
             } => {
-                put_msg(&mut data, msg.src as u64, dest as u64, msg.tag, type_tag);
-                self.send_buf(data);
+                let (src, dest) = (msg.src as u64, dest as u64);
+                put_msg(&mut data[FRAME_AT..], src, dest, msg.tag, type_tag);
+                self.up.send(data);
             }
             Payload::Local(_) => {
                 unreachable!("a process world serializes every payload at send_value")
@@ -743,7 +681,7 @@ impl<U: Uplink> Transport for Worker<U> {
 
 /// Connect, run the requested program, report the outcome in-band.
 /// Returns the process exit code.
-fn run_child<U: Uplink>(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
+fn run_child(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
     let rank = spawn.rank;
 
     // Flight recorder: every worker records its own ring and, on a
@@ -753,37 +691,30 @@ fn run_child<U: Uplink>(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
     telemetry::flight::set_thread_rank(rank as u32);
 
     let mut threads = Vec::new();
-    let started = U::open(&spawn).and_then(|up| {
-        let worker = Arc::new(Worker {
-            rank,
-            size: spawn.size,
-            recv_timeout: spawn.recv_timeout,
-            up,
-            inbox: Mailbox::new(),
-            aborts: AbortRecord::default(),
-            collectives: CollectiveNames::default(),
-            status: Mutex::new(RankState::Running),
-            hb_stop: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            last_op: AtomicU64::new(u64::MAX),
-            last_phase: Mutex::new(""),
-            spares: Mutex::new(Vec::new()),
-        });
-        U::start(&worker, &mut threads).map(|()| worker)
+    let worker = Arc::new(Worker {
+        rank,
+        size: spawn.size,
+        recv_timeout: spawn.recv_timeout,
+        up: Uplink::new(&spawn),
+        inbox: Mailbox::new(),
+        aborts: AbortRecord::default(),
+        collectives: CollectiveNames::default(),
+        status: Mutex::new(RankState::Running),
+        hb_stop: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
+        last_op: AtomicU64::new(u64::MAX),
+        last_phase: Mutex::new(""),
     });
-    let worker = match started {
-        Ok(worker) => worker,
-        Err(e) => {
-            eprintln!(
-                "rank {rank}: cannot connect to supervisor at {}: {e}",
-                spawn.addr
-            );
-            for t in threads {
-                let _ = t.join();
-            }
-            return CANNOT_START;
+    if let Err(e) = Uplink::start(&worker, &mut threads) {
+        eprintln!(
+            "rank {rank}: cannot connect to supervisor at {}: {e}",
+            spawn.addr
+        );
+        for t in threads {
+            let _ = t.join();
         }
-    };
+        return CANNOT_START;
+    }
 
     // heartbeat thread: liveness beacon until silenced
     let heartbeat = spawn.heartbeat.max(Duration::from_millis(1));
@@ -812,19 +743,18 @@ fn run_child<U: Uplink>(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
         Arc::clone(&worker) as Arc<dyn Transport>,
         spawn.faults.as_ref().map(|p| p.compile(rank)),
     );
-    let f = registry.get(&spawn.program).unwrap_or_else(|| {
-        panic!(
-            "worker registry has no program '{}' (registered: {:?})",
-            spawn.program,
-            registry.names()
-        )
-    });
     let ctx = ProgramCtx {
         args: spawn.args,
         attempt: spawn.attempt,
     };
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(&comm, &ctx)));
+    // the caller checked the name; a worker built with another registry
+    // reports its miss like any panic
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let program = &spawn.program;
+        let f = (registry.get(program))
+            .unwrap_or_else(|| panic!("worker registry has no program '{program}'"));
+        f(&comm, &ctx)
+    }));
     drop(comm); // flush any held (reordered) messages before reporting
     let failed = |panicked: bool, what: String, error: Option<CommError>| {
         let phase = telemetry::failure_phase()
@@ -873,10 +803,7 @@ pub(super) fn maybe_run_child(registry: &ProgramRegistry) -> bool {
         return false;
     };
     let code = match Spawn::from_env(&value) {
-        Ok(spawn) => match spawn.link {
-            LinkKind::Unix => run_child::<super::socket::RawUplink>(spawn, registry),
-            LinkKind::Tcp => run_child::<super::tcp::SessionUplink>(spawn, registry),
-        },
+        Ok(spawn) => run_child(spawn, registry),
         Err(e) => {
             eprintln!("worker: {ENV_SPAWN} {e}");
             CANNOT_START
@@ -951,12 +878,7 @@ pub(super) mod tests {
     /// silent longest is the abort origin, not the lowest index.
     #[test]
     fn the_longest_silent_rank_is_the_origin() {
-        struct NoLinks;
-        impl Links for NoLinks {
-            fn send(&self, _: usize, _: &[u8]) {}
-            fn retire(&self, _: usize) {}
-        }
-        let sup = Supervisor::new(3, NoLinks);
+        let sup = Supervisor::new(3);
         for (rank, quiet_ms) in [(0, 300), (1, 400), (2, 500)] {
             *plock(&sup.last_beat[rank]) = Instant::now() - Duration::from_millis(quiet_ms);
         }
@@ -1020,19 +942,15 @@ pub(super) mod tests {
         death: bool,
     }
 
-    /// What the supervisor does with each frame kind, checked over
-    /// whichever link kind the caller brings — every frame goes in
-    /// through [`Supervisor::on_raw`], the entry point both links call,
-    /// so every row must hold on both. `new_links(size)` builds the
-    /// links of a world nobody has connected to; `sent_to(links, rank)`
-    /// lists the frames the supervisor has sent `rank` so far. A corrupt
-    /// route, `Failed` and `RequestKill` each end rank 0 with the typed
-    /// outcome and abort the world in its name; an abort reaches only
-    /// ranks that are not terminal, and the first origin wins.
-    pub(in crate::transport) fn check_supervisor_contract<L: Links>(
-        new_links: impl Fn(usize) -> L,
-        sent_to: impl Fn(&L, usize) -> Vec<Frame>,
-    ) {
+    /// What the supervisor does with each frame kind, in a world nobody
+    /// has connected to: every frame goes in through
+    /// [`Supervisor::on_raw`], the entry point the link's readers call,
+    /// and what the supervisor sent a rank is what its link holds for
+    /// retransmit. A corrupt route, `Failed` and `RequestKill` each end
+    /// rank 0 with the typed outcome and abort the world in its name; an
+    /// abort reaches only ranks that are not terminal, and the first
+    /// origin wins.
+    pub(in crate::transport) fn check_supervisor_contract() {
         const WRONG_SRC: &str = "rank 0 sent a corrupt route (src=1 dst=1, size 3)";
         const WRONG_DST: &str = "rank 0 sent a corrupt route (src=0 dst=3, size 3)";
         const WRONG_SRC_AT_OP_4: &str = "rank 0 sent a corrupt route (src=1 dst=1, size 3); \
@@ -1133,9 +1051,10 @@ pub(super) mod tests {
             },
         ];
         let counter = |name| telemetry::global().counter(name).get();
-        let feed = |sup: &Supervisor<L>, rank, frame: &Frame| {
-            let bytes = encode_frame(frame);
-            sup.on_raw(rank, &bytes, check(&bytes).expect("a whole frame"));
+        let feed = |sup: &Supervisor, rank, frame: &Frame| {
+            let mut bytes = packet(frame);
+            let checked = check(&bytes[FRAME_AT..]).expect("a whole frame");
+            sup.on_raw(rank, &mut bytes, checked);
         };
         for case in cases {
             let name = case.name;
@@ -1143,7 +1062,7 @@ pub(super) mod tests {
                 counter("comm.peer_failures"),
                 counter("comm.sigkill.injected"),
             );
-            let sup = Supervisor::new(3, new_links(3));
+            let sup = Supervisor::new(3);
             let done = Frame::Done {
                 rank: 2,
                 result: vec![2],
@@ -1164,12 +1083,8 @@ pub(super) mod tests {
                 format!("{:?}", case.outcome),
                 "{name}: rank 0's outcome"
             );
-            assert_eq!(sent_to(&sup.links, 1), case.rank1_gets, "{name}: sent to 1");
-            assert_eq!(
-                sent_to(&sup.links, 2),
-                [],
-                "{name}: sent to terminal rank 2"
-            );
+            assert_eq!(sup.links[1].queued(), case.rank1_gets, "{name}: sent to 1");
+            assert_eq!(sup.links[2].queued(), [], "{name}: sent to terminal rank 2");
             // a death is counted where the supervising process can read it
             if case.death {
                 assert!(counter("comm.peer_failures") > before.0, "{name}");

@@ -1,77 +1,48 @@
-//! The session link: a process world over TCP (multi-node capable).
+//! The process link: a reliable session over a connected byte stream,
+//! a Unix socket ([`Backend::Sockets`]) or a TCP connection
+//! ([`Backend::Tcp`]) — the one thing the two backends differ in
+//! ([`Stream`], [`Listener`]). The supervisor, the worker runtime and
+//! the liveness rules are [`super::process`].
 //!
-//! The supervisor, the worker runtime, the liveness rules and the
-//! [`Spawn`] record a worker starts from are [`super::process`], exactly
-//! as on the Unix-socket backend (here the record's `addr` is the
-//! listener's `host:port`); this file is only how a frame reaches the
-//! peer over TCP, which brings two problems Unix sockets never have:
-//! the wire can *lose or mangle bytes* (a flaky interconnect, or our
-//! deterministic chaos interposer), and a connection can *drop and come
-//! back*. The answer is a small reliable session layer on top of the
-//! CRC framing. Its protocol is [`Session`] — sequence numbers, acks,
-//! the receive decision, the ping probe, pruning and replay, as pure
-//! data; this file is only its driver, the I/O that carries the
-//! decisions out:
+//! [`Session`] is the protocol, as pure data: every frame travels in a
+//! [`TcpPacket::Data`] envelope with a per-direction sequence number
+//! and a cumulative ack; a receiver delivers in order exactly once, and
+//! a gap breaks the link. This file is its driver. A broken link (gap,
+//! CRC mismatch, decode error, EOF, reset, stall) is not a failure: the
+//! worker's link thread reconnects on [`RECONNECT`]'s backoff, the
+//! `Hello` / `HelloAck` handshake swaps receive cursors, and both ends
+//! replay what the other lacks. Only the supervisor's liveness rules
+//! kill a rank. Resumptions, gaps and read errors count in
+//! `transport.reconnects`, `comm.tcp.seq_gaps` and
+//! `comm.tcp.link_errors` of the process's global registry.
 //!
-//! * Every frame travels inside a [`TcpPacket::Data`] envelope
-//!   carrying a per-direction **sequence number** and a cumulative
-//!   **ack** (the sender's receive cursor). Receivers deliver in-order
-//!   exactly once: a duplicate is dropped, a gap breaks the link. Both
-//!   ends hold the frame buffers they sent for retransmit, and read
-//!   with the one [`Link::read_packets`] loop, which takes `seq` and
-//!   `ack` at fixed offsets and checks the frame where it lies: a `Msg`
-//!   is never decoded into a [`Frame`], but relayed or delivered as the
-//!   bytes that arrived, through the same `on_raw` entry points the raw
-//!   link calls.
-//! * A broken link (gap, CRC mismatch, decode error, EOF, reset) is
-//!   *not* a failure — the worker's one link thread reconnects with
-//!   bounded exponential backoff + deterministic jitter ([`RECONNECT`],
-//!   the recovery supervisor's own [`RecoveryPolicy`] machinery). The
-//!   reconnect handshake (`Hello{resume}` / `HelloAck{resume}`)
-//!   exchanges receive cursors; both sides prune acked frames and
-//!   retransmit the rest, so the stream resumes with no loss and no
-//!   duplication. The supervisor counts each resumption in
-//!   `transport.reconnects`, and gaps and read errors in
-//!   `comm.tcp.seq_gaps` / `comm.tcp.link_errors`, all in the process's
-//!   global registry (link threads have no per-rank recorder).
-//! * All writes to a link happen in sequence order under the link
-//!   lock, so the supervisor's periodic [`TcpPacket::Ping`] — which
-//!   carries its next send sequence — gives the worker a race-free gap
-//!   probe even when supervisor→worker traffic is sparse: any `Data`
-//!   the ping's `sent` claims was written before it either already
-//!   arrived (TCP orders the stream) or was dropped on the wire.
+//! One buffer per hop: a frame buffer keeps [`FRAME_AT`] bytes of room
+//! behind its header, so a `Data` packet is the frame buffer, stamped
+//! and sealed in place, and the retransmit queue holds that buffer
+//! until it is acked, then hands it to the process's [`Spares`]. The
+//! supervisor relays a `Msg` in the buffer it read, restamped for the
+//! next hop ([`restamp`]). Writes leave in sequence order, one writer
+//! at a time, so the supervisor's [`TcpPacket::Ping`] (its next send
+//! sequence) is a sound gap probe.
 //!
-//! **Only the missed-heartbeat window kills a rank**: a read error
-//! breaks the link, it never declares anyone dead. A connection that
-//! drops and heals inside the window therefore resumes with **no**
-//! `PeerFailed` and no recovery attempt, while a true partition
-//! (reconnects exhausted, or the window elapsing with no resumed
-//! heartbeats) or a SIGKILL escalates to [`run_with_recovery_program`]
-//! exactly like sockets — including the flight-recorder postmortem
-//! naming the victim's last comm op. Wire corruption injected by the
-//! chaos interposer
-//! ([`FaultPlan::with_net_corruption`] and friends) is caught by the
-//! frame CRC and surfaces as a link break + retransmit, never a panic.
-//!
-//! [`run_with_recovery_program`]: crate::run_with_recovery_program
-//! [`FaultPlan::with_net_corruption`]: crate::FaultPlan::with_net_corruption
-//! [`RecoveryPolicy`]: crate::RecoveryPolicy
+//! [`Backend::Sockets`]: super::Backend::Sockets
+//! [`Backend::Tcp`]: super::Backend::Tcp
 
 use super::frame::{
-    check, decode_raw, encode_wire, encode_with, read_raw, read_wire_timeout, Frame, FrameError,
+    check, decode_raw, encode_wire, read_raw, read_wire_timeout, seal, Frame, FrameError,
     HEADER_LEN, HEARTBEAT,
 };
-use super::process::{
-    self, count, Links, Spawn, Supervisor, Uplink, Worker, CONNECT_TIMEOUT, READ_POLL,
-};
+use super::process::{count, LinkKind, Spawn, Supervisor, Worker, CONNECT_TIMEOUT, READ_POLL};
 use super::session::{Receipt, Session};
-use super::TcpOptions;
 use crate::fault::{NetFaults, WriteFault};
-use crate::{plock, RecoveryPolicy, WorldError};
+use crate::{plock, RecoveryPolicy};
+use quadforest_core::crc::crc32;
 use quadforest_core::Wire;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,18 +63,15 @@ const RECONNECT: RecoveryPolicy = RecoveryPolicy {
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long each side waits for the other half of the handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
-/// Mid-frame progress deadline on session reads. A frame's bytes are
-/// written back-to-back, so a gap this long inside one frame means a
-/// corrupted length prefix passed the cap check and the reader is
-/// waiting for payload that will never exist — break the link (the
-/// reconnect replay resynchronizes) instead of silently eating live
-/// heartbeats as bogus payload until the death window expires.
+/// Mid-frame progress deadline on session reads: a frame's bytes are
+/// written back-to-back, so a gap this long inside one means the
+/// connection went dark; the link breaks and the replay resynchronizes.
 const FRAME_STALL: Duration = Duration::from_millis(250);
 /// How long a finished worker waits for its terminal frame to be
 /// acked before giving up and exiting anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The TCP envelope around the socket backend's [`Frame`] protocol.
+/// The session envelope around the [`Frame`] protocol.
 #[derive(Clone, Debug, PartialEq)]
 enum TcpPacket {
     /// First packet on every (re)connection, worker → supervisor.
@@ -127,23 +95,64 @@ const DATA: u8 = 2;
 /// Where a `Data` packet's frame starts in the packet's buffer: `DATA`,
 /// `seq` and `ack` lie between the packet's header and the frame's
 /// payload, so `packet[FRAME_AT..]` is a frame buffer (whose header
-/// bytes are not its own).
-const FRAME_AT: usize = 17;
+/// bytes are not its own). A frame buffer keeps this much room in front
+/// of its header for them.
+pub(super) const FRAME_AT: usize = 17;
 
-/// The encoding of [`TcpPacket::Data`] around a frame buffer: the send
-/// and replay paths frame what sits in the retransmit queue as it is.
-fn encode_data(seq: u64, ack: u64, frame: &[u8], out: &mut Vec<u8>) {
-    out.push(DATA);
-    seq.encode(out);
-    ack.encode(out);
-    out.extend_from_slice(&frame[HEADER_LEN..]);
+/// A packet buffer holding `frame`, ready for [`Link::send_data`].
+pub(super) fn packet(frame: &Frame) -> Vec<u8> {
+    let mut packet = vec![0; FRAME_AT + HEADER_LEN];
+    frame.encode(&mut packet);
+    packet
 }
 
-/// Whether a framed `Data` packet carries anything but a heartbeat:
-/// heartbeats do not count towards the chaos plan's scheduled (reset,
-/// partition) frame indices, so their cadence cannot shift them.
+/// Stamp a packet buffer as [`TcpPacket::Data`] around the frame it
+/// holds at [`FRAME_AT`], and seal it.
+fn seal_data(packet: &mut [u8], seq: u64, ack: u64) {
+    packet[HEADER_LEN] = DATA;
+    packet[HEADER_LEN + 1..][..8].copy_from_slice(&seq.to_le_bytes());
+    packet[HEADER_LEN + 9..][..8].copy_from_slice(&ack.to_le_bytes());
+    seal(packet);
+}
+
+/// Restamp a sealed `Data` packet with another `seq` and `ack`, and
+/// mend its CRC without a pass over the payload: CRC-32 is linear, so
+/// the new CRC is the old one plus the CRC of the stamps' XOR carried
+/// across the `n` bytes behind them — a product with x^(8n) modulo the
+/// polynomial, as zlib's `crc32_combine` computes it.
+fn restamp(packet: &mut [u8], seq: u64, ack: u64) {
+    const POLY: u32 = 0xEDB8_8320; // bit-reflected: x^k is bit 31 - k
+    let mulmod = |a: u32, mut b: u32| {
+        let mut p = 0;
+        for k in 0..32 {
+            p ^= b & 0u32.wrapping_sub(a >> (31 - k) & 1);
+            b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+        }
+        p
+    };
+    let stamps = HEADER_LEN + 1..HEADER_LEN + FRAME_AT;
+    let mut delta: Vec<u8> = packet[stamps.clone()].to_vec();
+    let new = [seq.to_le_bytes(), ack.to_le_bytes()].concat();
+    delta.iter_mut().zip(&new).for_each(|(d, n)| *d ^= n);
+    packet[stamps].copy_from_slice(&new);
+    let (mut shift, mut x8) = (1 << 31, 1 << 23); // x^0 and x^8
+    let mut n = packet.len() - HEADER_LEN - FRAME_AT;
+    while n != 0 {
+        shift = if n & 1 == 1 { mulmod(x8, shift) } else { shift };
+        (x8, n) = (mulmod(x8, x8), n >> 1);
+    }
+    let linear = crc32(&delta) ^ crc32(&[0; 16]); // CRC without its offsets
+    let old = u32::from_le_bytes(packet[8..12].try_into().expect("4 bytes"));
+    let crc = old ^ mulmod(shift, linear);
+    packet[8..12].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Whether a framed packet is a `Data` packet carrying anything but a
+/// heartbeat: only those count towards the chaos plan's scheduled
+/// (reset, partition) frame indices, so the heartbeat cadence cannot
+/// shift them.
 fn is_data(packet: &[u8]) -> bool {
-    packet[HEADER_LEN + FRAME_AT] != HEARTBEAT
+    packet[HEADER_LEN] == DATA && packet[HEADER_LEN + FRAME_AT] != HEARTBEAT
 }
 
 /// A packet as a reader takes it: a `Data` packet's `seq` and `ack`
@@ -176,16 +185,183 @@ quadforest_core::wire!(enum TcpPacket {
     3 => Ping { ack, sent },
 });
 
-/// One endpoint's link: the [`Session`] over the frame buffers it sent,
+/// Below this a buffer comes from the allocator's free lists, not from
+/// fresh pages, and is not worth keeping.
+const REUSE_MIN: usize = 64 << 10;
+
+/// Spent buffers of at least [`REUSE_MIN`] bytes, at most four, kept to
+/// encode or read the next big message into, so a steady exchange takes
+/// no fresh pages. A buffer comes back when its peer acks it or its
+/// receiver has decoded it; a process's links share one.
+#[derive(Default)]
+pub(super) struct Spares(Mutex<Vec<Vec<u8>>>);
+
+impl Spares {
+    /// A buffer to fill: a kept one when there is one.
+    pub(super) fn take(&self) -> Vec<u8> {
+        plock(&self.0).pop().unwrap_or_default()
+    }
+
+    pub(super) fn put(&self, buf: Vec<u8>) {
+        let mut spares = plock(&self.0);
+        if buf.capacity() >= REUSE_MIN && spares.len() < 4 {
+            spares.push(buf);
+        }
+    }
+
+    /// `buf`, to hold in a queue: a small packet in a big buffer is
+    /// copied out and the buffer kept, so no queue holds a big buffer
+    /// for a few bytes.
+    fn keep(&self, buf: Vec<u8>) -> Vec<u8> {
+        if buf.len() >= REUSE_MIN || buf.capacity() < REUSE_MIN {
+            return buf;
+        }
+        let copy = buf.clone();
+        self.put(buf);
+        copy
+    }
+
+    /// The packet a reader read into `raw`, to hold in a queue or an
+    /// inbox: a big one in that buffer, which the reader replaces with
+    /// a spare before its next read; a small one copied out.
+    pub(super) fn take_packet(raw: &mut Vec<u8>) -> Vec<u8> {
+        match raw.len() >= REUSE_MIN {
+            true => std::mem::take(raw),
+            false => raw.clone(),
+        }
+    }
+}
+
+/// A connected stream of either kind.
+enum Stream {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Stream {
+    /// Short read polls (readers check their stop flag), bounded writes,
+    /// and no small-packet delay on TCP.
+    fn configured(self) -> io::Result<Stream> {
+        let (read, write) = (Some(READ_POLL), Some(WRITE_TIMEOUT));
+        match &self {
+            Stream::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
+            Stream::Tcp(s) => (s.set_nodelay(true))
+                .and(s.set_read_timeout(read))
+                .and(s.set_write_timeout(write)),
+        }?;
+        Ok(self)
+    }
+
+    fn connect(kind: LinkKind, addr: &str) -> io::Result<Stream> {
+        match kind {
+            LinkKind::Unix => Stream::Unix(UnixStream::connect(addr)?),
+            LinkKind::Tcp => Stream::Tcp(TcpStream::connect(addr)?),
+        }
+        .configured()
+    }
+
+    fn try_clone(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+        })
+    }
+
+    fn shutdown(&self) {
+        let _ = match self {
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for &Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => (&*s).read(buf),
+            Stream::Tcp(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => (&*s).write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Where the supervisor accepts its workers' connections and
+/// reconnections: a fresh socket path in the temp directory (removed
+/// with the listener), or an ephemeral port on `127.0.0.1`.
+pub(super) enum Listener {
+    Unix(UnixListener, PathBuf),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Listen on a fresh address of `kind`; returns the listener and
+    /// the address a worker connects to.
+    pub(super) fn bind(kind: LinkKind) -> (Listener, String) {
+        let listener = match kind {
+            LinkKind::Unix => {
+                static COUNTER: AtomicU64 = AtomicU64::new(0);
+                let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+                let name = format!("quadforest-{}-{n}.sock", std::process::id());
+                let path = std::env::temp_dir().join(name);
+                let _ = std::fs::remove_file(&path);
+                let l = UnixListener::bind(&path);
+                let l = l.unwrap_or_else(|e| panic!("bind socket {}: {e}", path.display()));
+                Listener::Unix(l, path)
+            }
+            LinkKind::Tcp => {
+                let l = TcpListener::bind(("127.0.0.1", 0));
+                let l = l.unwrap_or_else(|e| panic!("bind tcp listener on loopback: {e}"));
+                Listener::Tcp(l)
+            }
+        };
+        let addr = match &listener {
+            Listener::Unix(_, path) => path.display().to_string(),
+            Listener::Tcp(l) => l.local_addr().expect("listener addr").to_string(),
+        };
+        (listener, addr)
+    }
+
+    fn accept(&self) -> io::Result<Stream> {
+        match self {
+            Listener::Unix(l, _) => Stream::Unix(l.accept()?.0),
+            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
+        }
+        .configured()
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// One endpoint's link: the [`Session`] over the packet buffers it sent,
 /// and the connection it runs on.
 #[derive(Default)]
 struct LinkState {
-    /// The live connection, `None` while broken/reconnecting.
-    stream: Option<TcpStream>,
+    /// The live connection, `None` while broken/reconnecting. A writer
+    /// keeps a handle of its own while it writes outside the lock.
+    stream: Option<Arc<Stream>>,
     /// Bumped on every install *and* break, so a reader or writer that
     /// raced a reconnect cannot break the successor connection.
     epoch: u64,
-    session: Session<Vec<u8>>,
+    /// A queued packet is shared with the writer that is writing it.
+    session: Session<Arc<Vec<u8>>>,
     /// Terminal: no reconnects, sends become no-ops.
     dead: bool,
     /// Whether this link ever completed a handshake.
@@ -193,12 +369,32 @@ struct LinkState {
 }
 
 /// A session-layer link endpoint: state + wakeup for the handshake and
-/// drain waiters. Both ends of a connection run the same one; only the
-/// worker's has a chaos interposer to pass in.
+/// drain waiters, and the spares its acked buffers go back to. Both
+/// ends of a connection run the same one; only the worker's has a chaos
+/// interposer to pass in.
 #[derive(Default)]
-struct Link {
+pub(super) struct Link {
     state: Mutex<LinkState>,
+    /// The write turn on the stream: taken while the state lock is held
+    /// and kept, without it, until the write is done. So writes leave in
+    /// the order their packets were sequenced — what makes `Ping::sent`
+    /// a sound gap probe — and a reader's session step never waits for
+    /// a write.
+    turn: Mutex<()>,
     cv: Condvar,
+    pub(super) spares: Arc<Spares>,
+}
+
+/// The supervisor's links, one per rank, sharing one pool of spares: a
+/// buffer one rank's reader read is acked by the rank it was relayed to.
+pub(super) fn links(size: usize) -> Vec<Link> {
+    let spares = Arc::new(Spares::default());
+    (0..size)
+        .map(|_| Link {
+            spares: Arc::clone(&spares),
+            ..Link::default()
+        })
+        .collect()
 }
 
 impl Link {
@@ -224,7 +420,7 @@ impl Link {
     /// invalidates every thread still holding the old connection.
     fn break_link_locked(&self, st: &mut LinkState) {
         if let Some(s) = st.stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
+            s.shutdown();
         }
         st.epoch += 1;
         self.cv.notify_all();
@@ -232,45 +428,110 @@ impl Link {
 
     /// Terminal: sever the connection and refuse every later send and
     /// reconnect.
-    fn retire(&self) {
+    pub(super) fn retire(&self) {
         let mut st = plock(&self.state);
         st.dead = true;
         self.break_link_locked(&mut st);
     }
 
-    /// Sequence, queue, and (when connected) write one frame buffer.
-    /// Writes happen under the state lock in sequence order — that
-    /// ordering is what makes `Ping::sent` a sound gap probe. `chaos` is
-    /// the worker-side fault interposer (`None` on the supervisor).
-    fn send_data(&self, frame: Vec<u8>, chaos: Option<&NetFaults>) {
+    /// Whether a connection is installed.
+    pub(super) fn is_up(&self) -> bool {
+        plock(&self.state).stream.is_some()
+    }
+
+    /// Wait until the link's first handshake completes, the link is
+    /// retired, or `deadline` passes: whether it connected.
+    pub(super) fn connects_by(&self, deadline: Instant) -> bool {
+        let poll = Duration::from_millis(100);
+        let ready = |st: &LinkState| st.connected_once || st.dead || Instant::now() >= deadline;
+        self.wait(poll, ready).connected_once
+    }
+
+    /// Write `bytes` through the chaos plan (`chaos`: the worker's
+    /// interposer, `None` on the supervisor) on the connection `st`
+    /// holds, in its turn. A failed write breaks that connection,
+    /// unless a reconnect has already replaced it.
+    fn write_in_turn(
+        &self,
+        st: MutexGuard<'_, LinkState>,
+        bytes: &[u8],
+        chaos: Option<&NetFaults>,
+    ) {
+        let (stream, epoch) = (st.stream.clone(), st.epoch);
+        let turn = plock(&self.turn);
+        drop(st);
+        let intact = write_planned(stream.as_deref(), bytes, chaos);
+        drop(turn);
+        if !intact {
+            let mut st = plock(&self.state);
+            if st.epoch == epoch {
+                self.break_link_locked(&mut st);
+            }
+        }
+    }
+
+    /// Sequence, queue, and (when connected) write one packet buffer,
+    /// stamped and sealed in place.
+    pub(super) fn send_data(&self, packet: Vec<u8>, chaos: Option<&NetFaults>) {
+        self.sequence(self.spares.keep(packet), seal_data, chaos);
+    }
+
+    /// Relay a `Data` packet another link read into `raw`, its CRC
+    /// checked: restamped for this link in the buffer it was read into,
+    /// the reader going on with a spare.
+    pub(super) fn relay(&self, raw: &mut Vec<u8>) {
+        let packet = Spares::take_packet(raw);
+        // a small packet is cheaper to sum again than to mend
+        let stamp = if packet.len() >= REUSE_MIN {
+            restamp
+        } else {
+            seal_data
+        };
+        self.sequence(packet, stamp, None);
+    }
+
+    /// Sequence, queue, and (when connected) write a packet buffer that
+    /// `stamp` stamps with the next `seq` and the receive cursor.
+    fn sequence(&self, packet: Vec<u8>, stamp: fn(&mut [u8], u64, u64), chaos: Option<&NetFaults>) {
+        let mut packet = Arc::new(packet);
         let mut st = plock(&self.state);
         if st.dead {
             return;
         }
-        let s = &st.session;
-        // encode before the session moves: an over-cap frame panics here
-        let bytes = encode_with(|out| encode_data(s.send_seq, s.recv_next, &frame, out));
+        // seal before the session moves: an over-cap frame panics here
+        let unshared = Arc::get_mut(&mut packet).expect("a packet not yet queued");
+        stamp(unshared, st.session.send_seq, st.session.recv_next);
+        st.session.sequence(Arc::clone(&packet));
         // disconnected: queued for retransmit (the chaos plan still
         // counts the frame)
-        let intact = write_planned(st.stream.as_ref(), &bytes, is_data(&bytes), chaos);
-        st.session.sequence(frame);
-        if !intact {
-            self.break_link_locked(&mut st);
-        }
+        self.write_in_turn(st, &packet, chaos);
     }
 
     /// Supervisor-side probe: ack what we have, advertise what we sent.
-    fn send_ping(&self) {
-        let mut st = plock(&self.state);
-        let Some(mut stream) = st.stream.as_ref() else {
-            return;
-        };
-        let bytes = encode_wire(&TcpPacket::Ping {
-            ack: st.session.recv_next,
-            sent: st.session.send_seq,
-        });
-        if stream.write_all(&bytes).is_err() {
-            self.break_link_locked(&mut st);
+    pub(super) fn send_ping(&self) {
+        let st = plock(&self.state);
+        if st.stream.is_some() {
+            let bytes = encode_wire(&TcpPacket::Ping {
+                ack: st.session.recv_next,
+                sent: st.session.send_seq,
+            });
+            self.write_in_turn(st, &bytes, None);
+        }
+    }
+
+    /// Hand the buffers the peer's `ack` covers back to the spares
+    /// (the session's own prune then finds them gone); one a writer is
+    /// still writing is dropped by that writer.
+    fn reclaim(&self, session: &mut Session<Arc<Vec<u8>>>, ack: u64) {
+        let acked = session
+            .sent
+            .iter()
+            .take_while(|(seq, _)| *seq < ack)
+            .count();
+        for (_, packet) in session.sent.drain(..acked) {
+            if let Ok(buf) = Arc::try_unwrap(packet) {
+                self.spares.put(buf);
+            }
         }
     }
 
@@ -285,21 +546,28 @@ impl Link {
         if st.epoch != epoch {
             return false;
         }
-        let unacked = st.session.sent.len();
         let (gap, deliver) = match packet {
-            Inbound::Data { seq, ack } => match st.session.receive(seq, ack) {
-                Receipt::Deliver => (false, true),
-                Receipt::Duplicate => (false, false),
-                Receipt::Gap => (true, false),
-            },
-            Inbound::Other(TcpPacket::Ping { ack, sent }) => (st.session.probe(ack, sent), false),
+            Inbound::Data { seq, ack } => {
+                self.reclaim(&mut st.session, ack);
+                match st.session.receive(seq, ack) {
+                    Receipt::Deliver => (false, true),
+                    Receipt::Duplicate => (false, false),
+                    Receipt::Gap => (true, false),
+                }
+            }
+            Inbound::Other(TcpPacket::Ping { ack, sent }) => {
+                self.reclaim(&mut st.session, ack);
+                // the supervisor acks a terminal frame with a ping, so a
+                // drain waiter may be done (a wakeup per data packet
+                // would cost a syscall per message)
+                self.cv.notify_all();
+                (st.session.probe(ack, sent), false)
+            }
             Inbound::Other(_) => (false, false),
         };
         if gap {
             count("comm.tcp.seq_gaps");
             self.break_link_locked(&mut st);
-        } else if st.session.sent.len() < unacked {
-            self.cv.notify_all(); // a drain waiter may be done
         }
         deliver
     }
@@ -311,10 +579,10 @@ impl Link {
     /// before any cursor moves, so a packet it eats looks exactly like a
     /// wire loss and heals by retransmission. A failed read breaks the
     /// link (unless a reconnect already replaced that connection) and
-    /// never declares a death: liveness stays with the heartbeat window.
+    /// never declares a death: liveness stays with the supervisor.
     fn read_packets(
         &self,
-        mut stream: TcpStream,
+        stream: Stream,
         epoch: u64,
         stop: &AtomicBool,
         chaos: Option<&NetFaults>,
@@ -322,7 +590,11 @@ impl Link {
     ) {
         let mut raw = Vec::new();
         loop {
-            let read = read_raw(&mut stream, stop, Some(FRAME_STALL), &mut raw);
+            // a big packet left in the buffer it was read into
+            if raw.capacity() < REUSE_MIN {
+                raw = self.spares.take();
+            }
+            let read = read_raw(&mut &stream, stop, Some(FRAME_STALL), &mut raw);
             match read.and_then(|()| Inbound::parse(&raw)) {
                 Ok(_) if chaos.is_some_and(|c| c.drop_inbound()) => {}
                 Ok((packet, checked)) => {
@@ -330,7 +602,7 @@ impl Link {
                         deliver(&mut raw, checked);
                     }
                 }
-                Err(FrameError::Stopped) => return,
+                Err(FrameError::Stopped) => break,
                 Err(e) => {
                     let mut st = plock(&self.state);
                     if st.epoch == epoch {
@@ -339,10 +611,11 @@ impl Link {
                         }
                         self.break_link_locked(&mut st);
                     }
-                    return;
+                    break;
                 }
             }
         }
+        self.spares.put(raw);
     }
 
     /// The tail of a (re)connection handshake, the same on both ends and
@@ -351,9 +624,11 @@ impl Link {
     /// only), replay what the peer's `Hello`/`HelloAck` cursor
     /// (`peer_resume`) says it still needs, install `stream`. Returns
     /// the new epoch and whether this resumed an earlier connection.
+    /// A replayed packet goes out as it was sealed: the `ack` it carries
+    /// is older than the cursor, which a cumulative ack allows.
     fn install(
         &self,
-        stream: TcpStream,
+        stream: Stream,
         peer_resume: u64,
         hello_ack: bool,
         chaos: Option<&NetFaults>,
@@ -363,23 +638,23 @@ impl Link {
             return Err("link already retired".into());
         }
         self.break_link_locked(&mut st);
-        let recv_next = st.session.recv_next;
+        self.reclaim(&mut st.session, peer_resume);
         let acked = !hello_ack || {
-            let ack = encode_wire(&TcpPacket::HelloAck { resume: recv_next });
+            let ack = encode_wire(&TcpPacket::HelloAck {
+                resume: st.session.recv_next,
+            });
             (&stream).write_all(&ack).is_ok()
         };
         let replayed = acked
-            && st.session.resume(peer_resume).all(|(seq, frame)| {
-                let bytes = encode_with(|out| encode_data(*seq, recv_next, frame, out));
-                write_planned(Some(&stream), &bytes, is_data(&bytes), chaos)
-            });
+            && (st.session.resume(peer_resume))
+                .all(|(_, packet)| write_planned(Some(&stream), packet, chaos));
         if !replayed {
-            let _ = stream.shutdown(Shutdown::Both);
+            stream.shutdown();
             return Err("handshake replay failed".into());
         }
         let resumed = st.connected_once;
         st.connected_once = true;
-        st.stream = Some(stream);
+        st.stream = Some(Arc::new(stream));
         self.cv.notify_all();
         Ok((st.epoch, resumed))
     }
@@ -388,14 +663,9 @@ impl Link {
 /// Write one framed packet through the chaos interposer's plan for it
 /// (none on the supervisor). `reset_after` severs the link *after* the
 /// write. False when the link must be broken.
-fn write_planned(
-    stream: Option<&TcpStream>,
-    bytes: &[u8],
-    is_data: bool,
-    chaos: Option<&NetFaults>,
-) -> bool {
+fn write_planned(stream: Option<&Stream>, bytes: &[u8], chaos: Option<&NetFaults>) -> bool {
     let fault = chaos
-        .map(|c| c.plan_write(bytes.len(), is_data))
+        .map(|c| c.plan_write(bytes.len(), is_data(bytes)))
         .unwrap_or_default();
     stream.is_none_or(|s| apply_write_fault(s, bytes, &fault).is_ok() && !fault.reset_after)
 }
@@ -404,7 +674,7 @@ fn write_planned(
 /// decisions: delay, silent drop, single-bit corruption, chunked
 /// partial writes, bandwidth pacing. `reset_after` is left to the
 /// caller.
-fn apply_write_fault(stream: &TcpStream, bytes: &[u8], fault: &WriteFault) -> std::io::Result<()> {
+fn apply_write_fault(mut w: &Stream, bytes: &[u8], fault: &WriteFault) -> io::Result<()> {
     if let Some(d) = fault.delay {
         std::thread::sleep(d);
     }
@@ -420,7 +690,6 @@ fn apply_write_fault(stream: &TcpStream, bytes: &[u8], fault: &WriteFault) -> st
             }
             _ => bytes,
         };
-        let mut w = stream;
         match fault.chunks {
             Some(n) if buf.len() > 1 => {
                 let n = n.clamp(2, buf.len());
@@ -445,41 +714,11 @@ fn apply_write_fault(stream: &TcpStream, bytes: &[u8], fault: &WriteFault) -> st
 // supervisor side
 // ----------------------------------------------------------------------
 
-/// One session link per rank. An abort travels sequenced like every
-/// frame, so a rank that is mid-reconnect still gets it after the
-/// handshake retransmit; pings go to terminal ranks too, so a finished
-/// worker's `Done` gets acked.
-pub(super) struct SessionLinks(Vec<Link>);
-
-impl Links for SessionLinks {
-    /// Sequence a copy of the frame buffer, which the link holds for
-    /// retransmit.
-    fn send(&self, rank: usize, frame: &[u8]) {
-        self.0[rank].send_data(frame.to_vec(), None);
-    }
-
-    fn retire(&self, rank: usize) {
-        self.0[rank].retire();
-    }
-
-    fn tick(&self) {
-        for link in &self.0 {
-            link.send_ping();
-        }
-    }
-}
-
 /// Handshake one accepted connection: identify the rank, exchange
 /// receive cursors, retransmit unacked frames, install the stream, and
 /// hand it to a fresh reader thread.
-fn handshake_accept(
-    sup: &Arc<Supervisor<SessionLinks>>,
-    mut stream: TcpStream,
-) -> Option<JoinHandle<()>> {
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(READ_POLL)).ok()?;
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let hello = read_wire_timeout::<TcpPacket>(&mut stream, HANDSHAKE_TIMEOUT);
+fn handshake_accept(sup: &Arc<Supervisor>, stream: Stream) -> Option<JoinHandle<()>> {
+    let hello = read_wire_timeout::<TcpPacket>(&mut &stream, HANDSHAKE_TIMEOUT);
     let Ok(TcpPacket::Hello { rank, resume }) = hello else {
         return None; // not a worker (or its Hello was eaten by chaos)
     };
@@ -488,7 +727,7 @@ fn handshake_accept(
         return None; // unknown or already-terminal rank: refuse resurrection
     }
     let reader = stream.try_clone().ok()?;
-    let (epoch, resumed) = sup.links.0[rank].install(stream, resume, true, None).ok()?;
+    let (epoch, resumed) = sup.links[rank].install(stream, resume, true, None).ok()?;
     if resumed {
         count("transport.reconnects");
     }
@@ -496,35 +735,41 @@ fn handshake_accept(
     sup.beat(rank);
     let sup = Arc::clone(sup);
     std::thread::Builder::new()
-        .name(format!("tcp-read-{rank}-e{epoch}"))
+        .name(format!("link-read-{rank}-e{epoch}"))
         .spawn(move || read_rank(&sup, rank, reader, epoch))
         .ok()
 }
 
 /// The supervisor's reader of `rank`'s connection of `epoch`: every
-/// delivered frame goes to [`Supervisor::on_raw`], which relays a `Msg`
-/// as the bytes that arrived. (A corrupt route retires the link, which
-/// ends the read: `on_raw`'s verdict is not needed here.)
-fn read_rank(sup: &Supervisor<SessionLinks>, rank: usize, reader: TcpStream, epoch: u64) {
-    let link = &sup.links.0[rank];
+/// delivered packet goes to [`Supervisor::on_raw`], which relays a
+/// `Msg` in the buffer it arrived in. A terminal frame is acked at
+/// once, so the worker's drain wait ends without waiting for the next
+/// sweep. (A worker's reader never writes: it drains its stream
+/// unconditionally, which is what lets a supervisor reader block on a
+/// write to it.)
+fn read_rank(sup: &Supervisor, rank: usize, reader: Stream, epoch: u64) {
+    let link = &sup.links[rank];
     link.read_packets(reader, epoch, &sup.stop, None, |raw, checked| {
         let last = matches!(checked, Some(Frame::Done { .. } | Frame::Failed { .. }));
-        sup.on_raw(rank, &raw[FRAME_AT..], checked);
+        sup.on_raw(rank, raw, checked);
         if last {
-            // ack promptly so the worker's terminal-frame drain
-            // wait returns without waiting for the next sweep
             link.send_ping();
         }
     });
 }
 
 /// Persistent accept loop: workers connect here both at startup and on
-/// every reconnect. Joins the readers it started once the world stops.
-fn accept_loop(sup: &Arc<Supervisor<SessionLinks>>, listener: TcpListener) {
+/// every reconnect. Once the world stops, the connection [`wake`] makes
+/// ends it, and it joins the readers it started.
+pub(super) fn accept_loop(sup: &Arc<Supervisor>, listener: Listener) {
     let mut readers = Vec::new();
-    while !sup.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => readers.extend(handshake_accept(sup, stream)),
+    loop {
+        let accepted = listener.accept();
+        if sup.stop.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
+            Ok(stream) => readers.extend(handshake_accept(sup, stream)),
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -533,68 +778,46 @@ fn accept_loop(sup: &Arc<Supervisor<SessionLinks>>, listener: TcpListener) {
     }
 }
 
-/// Run `spawn`'s program across worker processes over TCP, the
-/// workers connecting to the listener's address in the record's
-/// `addr`. What it adds to the process world is the persistent accept
-/// loop that lets workers reconnect mid-run.
-pub(crate) fn run_world(mut spawn: Spawn, tcp: &TcpOptions) -> Result<Vec<Vec<u8>>, WorldError> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))
-        .unwrap_or_else(|e| panic!("bind tcp listener on loopback: {e}"));
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    spawn.addr = listener.local_addr().expect("listener addr").to_string();
-    process::run_world(
-        &spawn,
-        tcp,
-        SessionLinks((0..spawn.size).map(|_| Link::default()).collect()),
-        |sup, deadline, threads| {
-            // initial connections AND reconnects
-            let accept = Arc::clone(sup);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("tcp-accept".into())
-                    .spawn(move || accept_loop(&accept, listener))
-                    .expect("spawn accept"),
-            );
-            // startup: wait for every rank's first handshake
-            loop {
-                let missing: Vec<usize> = (0..sup.size)
-                    .filter(|&r| !plock(&sup.links.0[r].state).connected_once)
-                    .collect();
-                if missing.is_empty() || Instant::now() >= deadline {
-                    return missing;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        },
-    )
+/// Connect to the listener at `addr` once, so that a blocked
+/// [`accept_loop`] sees the world's stop flag.
+pub(super) fn wake(kind: LinkKind, addr: &str) {
+    let _ = Stream::connect(kind, addr);
 }
 
 // ----------------------------------------------------------------------
 // worker (child) side
 // ----------------------------------------------------------------------
 
-/// The worker's end of the session link, plus the chaos interposer.
-pub(super) struct SessionUplink {
+/// The worker's end of the link, plus the chaos interposer.
+pub(super) struct Uplink {
+    kind: LinkKind,
     rank: u64,
     addr: String,
-    link: Link,
+    pub(super) link: Link,
     /// Deterministic network-chaos interposer; `None` when the fault
     /// plan has no network ops.
     chaos: Option<NetFaults>,
 }
 
-impl SessionUplink {
+impl Uplink {
+    pub(super) fn new(spawn: &Spawn) -> Uplink {
+        Uplink {
+            kind: spawn.link,
+            rank: spawn.rank as u64,
+            addr: spawn.addr.clone(),
+            link: Link::default(),
+            chaos: spawn
+                .faults
+                .as_ref()
+                .filter(|p| p.net_is_active())
+                .map(|p| p.compile_net(spawn.rank)),
+        }
+    }
+
     /// One connect + handshake + replay round. On success the stream
     /// is installed; returns its read half and epoch.
-    fn try_connect(&self) -> Result<(TcpStream, u64), String> {
-        let stream = TcpStream::connect(&self.addr).map_err(|e| e.to_string())?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(READ_POLL))
-            .map_err(|e| e.to_string())?;
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    fn try_connect(&self) -> Result<(Stream, u64), String> {
+        let stream = Stream::connect(self.kind, &self.addr).map_err(|e| e.to_string())?;
         // raw Hello, chaos-interposed: a severed out-direction eats it
         // and the HelloAck timeout fails this attempt (backoff, retry)
         let hello = TcpPacket::Hello {
@@ -602,11 +825,11 @@ impl SessionUplink {
             resume: plock(&self.link.state).session.recv_next,
         };
         let chaos = self.chaos.as_ref();
-        if !write_planned(Some(&stream), &encode_wire(&hello), false, chaos) {
+        if !write_planned(Some(&stream), &encode_wire(&hello), chaos) {
             return Err("handshake: Hello write failed or reset".into());
         }
-        let mut rs = stream.try_clone().map_err(|e| e.to_string())?;
-        let ack = read_wire_timeout::<TcpPacket>(&mut rs, HANDSHAKE_TIMEOUT)
+        let rs = stream.try_clone().map_err(|e| e.to_string())?;
+        let ack = read_wire_timeout::<TcpPacket>(&mut &rs, HANDSHAKE_TIMEOUT)
             .map_err(|e| e.to_string())?;
         if chaos.is_some_and(|c| c.drop_inbound()) {
             return Err("chaos: inbound partition ate the handshake ack".into());
@@ -617,71 +840,13 @@ impl SessionUplink {
         let (epoch, _) = self.link.install(stream, resume, false, chaos)?;
         Ok((rs, epoch))
     }
-}
 
-/// Give up on the supervisor: the link is terminally dead, blocked
-/// receives unwind, and the heartbeat window on the other side
-/// escalates to the recovery supervisor.
-fn mark_dead(worker: &Worker<SessionUplink>, reason: String) {
-    worker.up.link.retire();
-    worker.local_abort(usize::MAX, reason);
-}
-
-/// The worker's one link thread: connect within the connect deadline,
-/// read packets until the link breaks, then reconnect on the
-/// [`RECONNECT`] schedule, which a success resets for the next outage.
-/// When either runs out the rank gives up and aborts locally.
-fn link_loop(worker: &Worker<SessionUplink>) {
-    let up = &worker.up;
-    let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let (mut connected, mut failures) = (false, 0);
-    while !worker.stop.load(Ordering::Acquire) && !plock(&up.link.state).dead {
-        match up.try_connect() {
-            Ok((stream, epoch)) => {
-                (connected, failures) = (true, 0);
-                let chaos = up.chaos.as_ref();
-                let deliver = |raw: &mut Vec<u8>, checked| worker.on_raw(raw, FRAME_AT, checked);
-                up.link
-                    .read_packets(stream, epoch, &worker.stop, chaos, deliver);
-            }
-            // initial connect: generous flat retry, like the raw link's
-            Err(e) if !connected => {
-                if Instant::now() >= deadline {
-                    let addr = &up.addr;
-                    let why = format!(
-                        "cannot reach supervisor at {addr} within {CONNECT_TIMEOUT:?}: {e}"
-                    );
-                    return mark_dead(worker, why);
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => {
-                std::thread::sleep(RECONNECT.backoff_for(failures));
-                failures += 1;
-                if failures == RECONNECT.max_attempts {
-                    let why = format!("supervisor unreachable after {failures} reconnect attempts");
-                    return mark_dead(worker, why);
-                }
-            }
-        }
-    }
-}
-
-impl Uplink for SessionUplink {
-    fn open(spawn: &Spawn) -> Result<Self, String> {
-        Ok(SessionUplink {
-            rank: spawn.rank as u64,
-            addr: spawn.addr.clone(),
-            link: Link::default(),
-            chaos: spawn
-                .faults
-                .as_ref()
-                .filter(|p| p.net_is_active())
-                .map(|p| p.compile_net(spawn.rank)),
-        })
-    }
-
-    fn start(worker: &Arc<Worker<Self>>, threads: &mut Vec<JoinHandle<()>>) -> Result<(), String> {
+    /// Start the link thread and return once the supervisor has
+    /// accepted this rank. Incoming frames go to [`Worker::on_raw`].
+    pub(super) fn start(
+        worker: &Arc<Worker>,
+        threads: &mut Vec<JoinHandle<()>>,
+    ) -> Result<(), String> {
         let link = Arc::clone(worker);
         threads.push(
             std::thread::Builder::new()
@@ -690,28 +855,24 @@ impl Uplink for SessionUplink {
                 .expect("spawn link thread"),
         );
         // wait for the first handshake before touching the program
-        let st = worker.up.link.wait(Duration::from_millis(100), |st| {
-            st.connected_once || st.dead
-        });
-        if st.dead {
-            return Err(format!("no handshake within {CONNECT_TIMEOUT:?}"));
+        match worker.up.link.connects_by(Instant::now() + CONNECT_TIMEOUT) {
+            true => Ok(()),
+            false => Err(format!("no handshake within {CONNECT_TIMEOUT:?}")),
         }
-        Ok(())
     }
 
-    /// Sequence the frame buffer as it is: the payload is appended to
-    /// the `Data` envelope, and the buffer held for retransmit.
-    fn send(&self, frame: &mut Vec<u8>) -> bool {
-        self.link
-            .send_data(std::mem::take(frame), self.chaos.as_ref());
-        true // queued; the link thread owns giving up
+    /// Sequence a packet buffer as it is: sealed in place, and held for
+    /// retransmit until the supervisor acks it. The link thread owns
+    /// giving up.
+    pub(super) fn send(&self, packet: Vec<u8>) {
+        self.link.send_data(packet, self.chaos.as_ref());
     }
 
     /// Drain: the terminal frame may have been chaos-dropped, and the
     /// next heartbeat's sequence gap is what reveals that — so this runs
     /// while the heartbeat and link threads are alive, until everything
     /// queued has been acked (or a generous deadline passes).
-    fn close(&self) {
+    pub(super) fn close(&self) {
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         drop(self.link.wait(Duration::from_millis(50), |st| {
             st.session.sent.is_empty() || st.dead || Instant::now() >= deadline
@@ -720,13 +881,65 @@ impl Uplink for SessionUplink {
     }
 }
 
+/// The worker's one link thread: connect, read packets until the link
+/// breaks, and connect again, on the [`RECONNECT`] schedule, which a
+/// success resets for the next outage. When it runs out the rank gives
+/// up: the link is retired, blocked receives unwind, and the liveness
+/// rules on the other side escalate to the recovery supervisor.
+fn link_loop(worker: &Worker) {
+    let up = &worker.up;
+    let mut failures = 0;
+    while !worker.stop.load(Ordering::Acquire) && !plock(&up.link.state).dead {
+        match up.try_connect() {
+            Ok((stream, epoch)) => {
+                failures = 0;
+                let chaos = up.chaos.as_ref();
+                let deliver = |raw: &mut Vec<u8>, checked| worker.on_raw(raw, checked);
+                up.link
+                    .read_packets(stream, epoch, &worker.stop, chaos, deliver);
+            }
+            Err(e) => {
+                std::thread::sleep(RECONNECT.backoff_for(failures));
+                failures += 1;
+                if failures == RECONNECT.max_attempts {
+                    up.link.retire();
+                    let why = format!(
+                        "supervisor at {} unreachable after {failures} attempts: {e}",
+                        up.addr
+                    );
+                    return worker.local_abort(usize::MAX, why);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::frame::encode_frame;
-    use super::super::socket::tests::MSG_0_TO_1;
+    use super::super::frame::tests::{encode_frame, encode_with, MSG_0_TO_1};
+    use super::super::process;
     use super::*;
+    use crate::{CommError, RankError};
     use quadforest_telemetry as telemetry;
-    use std::io::Read;
+
+    /// `Data { seq, ack }` around `frame` as the send path seals it, as
+    /// the payload behind the packet's header.
+    fn encode_data(seq: u64, ack: u64, frame: &[u8], out: &mut Vec<u8>) {
+        let mut packet = vec![0; FRAME_AT];
+        packet.extend_from_slice(frame);
+        seal_data(&mut packet, seq, ack);
+        out.extend_from_slice(&packet[HEADER_LEN..]);
+    }
+
+    impl Link {
+        /// Every frame this link holds for retransmit, decoded.
+        pub(in crate::transport) fn queued(&self) -> Vec<Frame> {
+            let st = plock(&self.state);
+            (st.session.sent.iter())
+                .map(|(_, packet)| decode_raw(&packet[FRAME_AT..]).expect("a whole frame"))
+                .collect()
+        }
+    }
 
     #[test]
     fn tcp_packet_wire_roundtrip() {
@@ -785,25 +998,34 @@ mod tests {
         assert_eq!((bytes.len(), crc), (98, 0x2104_55BB));
     }
 
+    /// A relayed packet's mended CRC is the one a full seal computes,
+    /// for any stamps and any length behind them.
+    #[test]
+    fn a_restamped_packet_is_sealed_as_a_fresh_one() {
+        for len in [0, 1, 15, 16, 17, 1000, 65_537, 1 << 20] {
+            let mut packet: Vec<u8> = (0..FRAME_AT + HEADER_LEN + len)
+                .map(|i| (i * 7 + len) as u8)
+                .collect();
+            seal_data(&mut packet, 3, 9);
+            let mut sealed = packet.clone();
+            for (seq, ack) in [(4, 9), (u64::MAX, 0), (1 << 40, 77)] {
+                restamp(&mut packet, seq, ack);
+                seal_data(&mut sealed, seq, ack);
+                assert_eq!(packet, sealed, "{len} bytes, seq {seq}, ack {ack}");
+            }
+        }
+    }
+
     #[test]
     fn bad_packet_discriminant_is_typed() {
         assert!(TcpPacket::from_wire(&[200]).is_err());
     }
 
+    /// Nobody is connected: everything the supervisor sends waits for
+    /// retransmit, where the contract reads it.
     #[test]
     fn session_links_carry_the_supervisor_contract() {
-        process::tests::check_supervisor_contract(
-            |size| SessionLinks((0..size).map(|_| Link::default()).collect()),
-            // nobody is connected: everything sent waits for retransmit
-            |links, rank| {
-                let st = plock(&links.0[rank].state);
-                st.session
-                    .sent
-                    .iter()
-                    .map(|(_, frame)| decode_raw(frame).expect("a whole frame"))
-                    .collect()
-            },
-        );
+        process::tests::check_supervisor_contract();
     }
 
     fn seq_gaps() -> u64 {
@@ -904,7 +1126,7 @@ mod tests {
                 st.epoch = 3;
                 st.session.recv_next = 5;
                 st.session.send_seq = 5;
-                let hello = encode_frame(&Frame::Hello { rank: 0 });
+                let hello = Arc::new(encode_frame(&Frame::Hello { rank: 0 }));
                 st.session.sent = (0..5).map(|seq| (seq, hello.clone())).collect();
             }
             let gaps = seq_gaps();
@@ -935,9 +1157,8 @@ mod tests {
         let (accepted, _) = listener.accept().expect("accept");
         let reader = accepted.try_clone().unwrap();
         reader.set_read_timeout(Some(READ_POLL)).unwrap();
-        let links = SessionLinks(vec![Link::default()]);
-        let link = &links.0[0];
-        let (epoch, _) = link.install(accepted, 0, false, None).expect("install");
+        let link = Link::default();
+        let (epoch, _) = (link.install(Stream::Tcp(accepted), 0, false, None)).expect("install");
         // sequence 1 while the cursor expects 0: frame 0 was lost
         let hello = encode_frame(&Frame::Hello { rank: 0 });
         worker
@@ -945,6 +1166,7 @@ mod tests {
             .unwrap();
         let gaps = seq_gaps();
         let stop = AtomicBool::new(false);
+        let reader = Stream::Tcp(reader);
         link.read_packets(reader, epoch, &stop, None, |_, f| panic!("delivered {f:?}"));
         assert!(
             seq_gaps() > gaps,
@@ -958,29 +1180,127 @@ mod tests {
 
     /// Install one end of a loopback connection on `link`: returns the
     /// other end, the link's read half and its epoch.
-    fn installed(link: &Link) -> (TcpStream, TcpStream, u64) {
+    fn installed(link: &Link) -> (TcpStream, Stream, u64) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
         let peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
-        let (accepted, _) = listener.accept().expect("accept");
+        let accepted = Stream::Tcp(listener.accept().expect("accept").0).configured();
+        let accepted = accepted.expect("configure");
         let reader = accepted.try_clone().unwrap();
-        reader.set_read_timeout(Some(READ_POLL)).unwrap();
         let (epoch, _) = link.install(accepted, 0, false, None).expect("install");
         (peer, reader, epoch)
     }
 
+    /// Every packet written to `stream` before it closed, as the frame
+    /// payloads of the `Data` packets.
+    fn data_frames(stream: &mut TcpStream) -> Vec<Vec<u8>> {
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).unwrap();
+        let (mut rest, stop) = (bytes.as_slice(), AtomicBool::new(false));
+        let mut frames = Vec::new();
+        while !rest.is_empty() {
+            let mut packet = Vec::new();
+            read_raw(&mut rest, &stop, None, &mut packet).expect("a whole packet");
+            assert_eq!(packet[HEADER_LEN], DATA);
+            frames.push(packet[HEADER_LEN + FRAME_AT..].to_vec());
+        }
+        frames
+    }
+
+    /// Rank 0 of a two-rank world sends `frames` and hangs up; the
+    /// supervisor reads them. Returns it and the frame payloads it sent
+    /// rank 1.
+    fn route(frames: &[&[u8]]) -> (Supervisor, Vec<Vec<u8>>) {
+        let sup = Supervisor::new(2);
+        let (mut rank0, reader, epoch) = installed(&sup.links[0]);
+        let (mut rank1, _, _) = installed(&sup.links[1]);
+        for (seq, frame) in frames.iter().enumerate() {
+            let packet = encode_with(|out| encode_data(seq as u64, 0, frame, out));
+            rank0.write_all(&packet).unwrap();
+        }
+        rank0.shutdown(Shutdown::Write).unwrap(); // the read ends at EOF
+        read_rank(&sup, 0, reader, epoch);
+        sup.links[1].retire(); // EOF behind what rank 1 was sent
+        let sent = data_frames(&mut rank1);
+        (sup, sent)
+    }
+
+    fn msg(src: u64, dst: u64) -> Frame {
+        Frame::Msg {
+            src,
+            dst,
+            tag: 0x77,
+            type_tag: 0xABCD,
+            bytes: 4,
+            data: vec![1, 2, 3, 4],
+        }
+    }
+
+    /// The supervisor declared rank 0 dead for `reason`, and rank 1 was
+    /// sent the abort and nothing else.
+    fn assert_dead_unforwarded(frame: &[u8], reason: &str) {
+        let (router, queued) = route(&[frame]);
+        let abort = router.abort.get().expect("world aborted");
+        assert_eq!((abort.origin, abort.reason.as_str()), (0, reason));
+        match &plock(&router.results)[0] {
+            Some(Err(RankError::Failed(CommError::PeerFailed { rank: 0, reason: r }))) => {
+                assert_eq!(r, reason)
+            }
+            other => panic!("rank 0 outcome: {other:?}"),
+        }
+        for payload in queued {
+            let frame = Frame::from_wire(&payload);
+            assert!(
+                matches!(frame, Ok(Frame::Abort { origin: 0, .. })),
+                "{frame:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn router_forwards_the_senders_bytes_verbatim() {
+        let other = encode_frame(&Frame::Msg {
+            src: 0,
+            dst: 1,
+            tag: 9,
+            type_tag: 1,
+            bytes: 0,
+            data: vec![0xA5; 3000],
+        });
+        let done = encode_frame(&Frame::Done {
+            rank: 0,
+            result: vec![7],
+        });
+        let (router, queued) = route(&[&MSG_0_TO_1[..], &other, &done]);
+        let payloads = [&MSG_0_TO_1[HEADER_LEN..], &other[HEADER_LEN..]].map(<[u8]>::to_vec);
+        assert_eq!(queued, payloads);
+        assert!(router.abort.get().is_none());
+        assert!(matches!(&plock(&router.results)[0], Some(Ok(r)) if r == &[7]));
+    }
+
+    #[test]
+    fn router_rejects_corrupt_routes_without_forwarding() {
+        assert_dead_unforwarded(
+            &encode_frame(&msg(1, 1)),
+            "rank 0 sent a corrupt route (src=1 dst=1, size 2)",
+        );
+        assert_dead_unforwarded(
+            &encode_frame(&msg(0, 2)),
+            "rank 0 sent a corrupt route (src=0 dst=2, size 2)",
+        );
+    }
+
     /// A `Msg` relayed by the supervisor reaches rank 1 as the sender's
-    /// payload, byte for byte, behind the envelope: the session twin of
-    /// the raw link's `router_forwards_the_senders_bytes_verbatim`.
+    /// payload, byte for byte, behind the envelope.
     #[test]
     fn supervisor_relays_the_senders_frame_bytes() {
-        let sup = Supervisor::new(2, SessionLinks((0..2).map(|_| Link::default()).collect()));
-        let (mut rank0, reader, epoch) = installed(&sup.links.0[0]);
-        let (mut rank1, _, _) = installed(&sup.links.0[1]);
+        let sup = Supervisor::new(2);
+        let (mut rank0, reader, epoch) = installed(&sup.links[0]);
+        let (mut rank1, _, _) = installed(&sup.links[1]);
         let packet = encode_with(|out| encode_data(0, 0, &MSG_0_TO_1, out));
         rank0.write_all(&packet).unwrap();
         rank0.shutdown(Shutdown::Write).unwrap(); // the read ends at EOF
         read_rank(&sup, 0, reader, epoch);
-        sup.links.retire(1); // EOF behind what rank 1 was sent
+        sup.links[1].retire(); // EOF behind what rank 1 was sent
         let mut bytes = Vec::new();
         rank1.read_to_end(&mut bytes).unwrap();
         let mut queued = Vec::new();
@@ -1020,8 +1340,8 @@ mod tests {
     #[test]
     fn send_data_queues_while_disconnected() {
         let link = Link::default();
-        link.send_data(encode_frame(&Frame::Hello { rank: 1 }), None);
-        link.send_data(encode_frame(&Frame::Hello { rank: 1 }), None);
+        link.send_data(packet(&Frame::Hello { rank: 1 }), None);
+        link.send_data(packet(&Frame::Hello { rank: 1 }), None);
         let st = plock(&link.state);
         assert_eq!(st.session.send_seq, 2);
         let seqs: Vec<u64> = st.session.sent.iter().map(|(s, _)| *s).collect();
@@ -1035,7 +1355,7 @@ mod tests {
             let mut st = plock(&link.state);
             st.dead = true;
         }
-        link.send_data(encode_frame(&Frame::Hello { rank: 0 }), None);
+        link.send_data(packet(&Frame::Hello { rank: 0 }), None);
         assert_eq!(plock(&link.state).session.sent.len(), 0);
     }
 }
