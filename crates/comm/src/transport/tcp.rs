@@ -36,7 +36,7 @@ use super::process::{count, LinkKind, Spawn, Supervisor, Worker, CONNECT_TIMEOUT
 use super::session::{Receipt, Session};
 use crate::fault::{NetFaults, WriteFault};
 use crate::{plock, RecoveryPolicy};
-use quadforest_core::crc::crc32;
+use quadforest_core::crc::{crc32, crc32_combine};
 use quadforest_core::Wire;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -115,35 +115,29 @@ fn seal_data(packet: &mut [u8], seq: u64, ack: u64) {
     seal(packet);
 }
 
+/// Below this many bytes behind the stamps a fresh seal is cheaper
+/// than mending the CRC (the crossover measured in EXPERIMENTS.md, "One
+/// process link").
+const RESTAMP_MIN: usize = 16 << 10;
+
 /// Restamp a sealed `Data` packet with another `seq` and `ack`, and
 /// mend its CRC without a pass over the payload: CRC-32 is linear, so
 /// the new CRC is the old one plus the CRC of the stamps' XOR carried
-/// across the `n` bytes behind them — a product with x^(8n) modulo the
-/// polynomial, as zlib's `crc32_combine` computes it.
+/// across the `n` bytes behind them ([`crc32_combine`], O(log n)). A
+/// short packet is sealed afresh.
 fn restamp(packet: &mut [u8], seq: u64, ack: u64) {
-    const POLY: u32 = 0xEDB8_8320; // bit-reflected: x^k is bit 31 - k
-    let mulmod = |a: u32, mut b: u32| {
-        let mut p = 0;
-        for k in 0..32 {
-            p ^= b & 0u32.wrapping_sub(a >> (31 - k) & 1);
-            b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
-        }
-        p
-    };
+    let n = packet.len() - HEADER_LEN - FRAME_AT;
+    if n < RESTAMP_MIN {
+        return seal_data(packet, seq, ack);
+    }
     let stamps = HEADER_LEN + 1..HEADER_LEN + FRAME_AT;
     let mut delta: Vec<u8> = packet[stamps.clone()].to_vec();
     let new = [seq.to_le_bytes(), ack.to_le_bytes()].concat();
     delta.iter_mut().zip(&new).for_each(|(d, n)| *d ^= n);
     packet[stamps].copy_from_slice(&new);
-    let (mut shift, mut x8) = (1 << 31, 1 << 23); // x^0 and x^8
-    let mut n = packet.len() - HEADER_LEN - FRAME_AT;
-    while n != 0 {
-        shift = if n & 1 == 1 { mulmod(x8, shift) } else { shift };
-        (x8, n) = (mulmod(x8, x8), n >> 1);
-    }
     let linear = crc32(&delta) ^ crc32(&[0; 16]); // CRC without its offsets
     let old = u32::from_le_bytes(packet[8..12].try_into().expect("4 bytes"));
-    let crc = old ^ mulmod(shift, linear);
+    let crc = old ^ crc32_combine(linear, 0, n);
     packet[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
@@ -375,11 +369,11 @@ struct LinkState {
 #[derive(Default)]
 pub(super) struct Link {
     state: Mutex<LinkState>,
-    /// The write turn on the stream: taken while the state lock is held
-    /// and kept, without it, until the write is done. So writes leave in
-    /// the order their packets were sequenced — what makes `Ping::sent`
-    /// a sound gap probe — and a reader's session step never waits for
-    /// a write.
+    /// The write turn on the stream: taken before the state lock and
+    /// kept, without it, until the write is done. So writes leave in the
+    /// order their packets were sequenced — what makes `Ping::sent` a
+    /// sound gap probe — and no one waits for a write while holding the
+    /// state: a reader's session step never waits on a writer.
     turn: Mutex<()>,
     cv: Condvar,
     pub(super) spares: Arc<Spares>,
@@ -449,16 +443,16 @@ impl Link {
 
     /// Write `bytes` through the chaos plan (`chaos`: the worker's
     /// interposer, `None` on the supervisor) on the connection `st`
-    /// holds, in its turn. A failed write breaks that connection,
-    /// unless a reconnect has already replaced it.
+    /// holds, in `turn`, which was taken before `st`: `st` is released
+    /// before the write, `turn` after it. A failed write breaks that
+    /// connection, unless a reconnect has already replaced it.
     fn write_in_turn(
         &self,
-        st: MutexGuard<'_, LinkState>,
+        (turn, st): (MutexGuard<'_, ()>, MutexGuard<'_, LinkState>),
         bytes: &[u8],
         chaos: Option<&NetFaults>,
     ) {
         let (stream, epoch) = (st.stream.clone(), st.epoch);
-        let turn = plock(&self.turn);
         drop(st);
         let intact = write_planned(stream.as_deref(), bytes, chaos);
         drop(turn);
@@ -480,20 +474,14 @@ impl Link {
     /// checked: restamped for this link in the buffer it was read into,
     /// the reader going on with a spare.
     pub(super) fn relay(&self, raw: &mut Vec<u8>) {
-        let packet = Spares::take_packet(raw);
-        // a small packet is cheaper to sum again than to mend
-        let stamp = if packet.len() >= REUSE_MIN {
-            restamp
-        } else {
-            seal_data
-        };
-        self.sequence(packet, stamp, None);
+        self.sequence(Spares::take_packet(raw), restamp, None);
     }
 
     /// Sequence, queue, and (when connected) write a packet buffer that
     /// `stamp` stamps with the next `seq` and the receive cursor.
     fn sequence(&self, packet: Vec<u8>, stamp: fn(&mut [u8], u64, u64), chaos: Option<&NetFaults>) {
         let mut packet = Arc::new(packet);
+        let turn = plock(&self.turn);
         let mut st = plock(&self.state);
         if st.dead {
             return;
@@ -504,18 +492,19 @@ impl Link {
         st.session.sequence(Arc::clone(&packet));
         // disconnected: queued for retransmit (the chaos plan still
         // counts the frame)
-        self.write_in_turn(st, &packet, chaos);
+        self.write_in_turn((turn, st), &packet, chaos);
     }
 
     /// Supervisor-side probe: ack what we have, advertise what we sent.
     pub(super) fn send_ping(&self) {
+        let turn = plock(&self.turn);
         let st = plock(&self.state);
         if st.stream.is_some() {
             let bytes = encode_wire(&TcpPacket::Ping {
                 ack: st.session.recv_next,
                 sent: st.session.send_seq,
             });
-            self.write_in_turn(st, &bytes, None);
+            self.write_in_turn((turn, st), &bytes, None);
         }
     }
 
@@ -881,14 +870,20 @@ impl Uplink {
     }
 }
 
-/// The worker's one link thread: connect, read packets until the link
-/// breaks, and connect again, on the [`RECONNECT`] schedule, which a
-/// success resets for the next outage. When it runs out the rank gives
-/// up: the link is retired, blocked receives unwind, and the liveness
-/// rules on the other side escalate to the recovery supervisor.
+/// The worker's one link thread: connect within [`CONNECT_TIMEOUT`],
+/// read packets until the link breaks, and connect again on the
+/// [`RECONNECT`] schedule, which a success resets for the next outage.
+/// When either runs out the rank gives up: the link is retired, blocked
+/// receives unwind, and the liveness rules on the other side escalate
+/// to the recovery supervisor.
 fn link_loop(worker: &Worker) {
     let up = &worker.up;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     let mut failures = 0;
+    let give_up = |why: String| {
+        up.link.retire();
+        worker.local_abort(usize::MAX, why);
+    };
     while !worker.stop.load(Ordering::Acquire) && !plock(&up.link.state).dead {
         match up.try_connect() {
             Ok((stream, epoch)) => {
@@ -898,16 +893,24 @@ fn link_loop(worker: &Worker) {
                 up.link
                     .read_packets(stream, epoch, &worker.stop, chaos, deliver);
             }
+            // the first connect: a flat retry until the deadline
+            Err(e) if !plock(&up.link.state).connected_once => {
+                if Instant::now() >= deadline {
+                    let addr = &up.addr;
+                    return give_up(format!(
+                        "cannot reach supervisor at {addr} within {CONNECT_TIMEOUT:?}: {e}"
+                    ));
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
             Err(e) => {
                 std::thread::sleep(RECONNECT.backoff_for(failures));
                 failures += 1;
                 if failures == RECONNECT.max_attempts {
-                    up.link.retire();
-                    let why = format!(
-                        "supervisor at {} unreachable after {failures} attempts: {e}",
-                        up.addr
-                    );
-                    return worker.local_abort(usize::MAX, why);
+                    let addr = &up.addr;
+                    return give_up(format!(
+                        "supervisor at {addr} unreachable after {failures} attempts: {e}"
+                    ));
                 }
             }
         }
@@ -1002,7 +1005,7 @@ mod tests {
     /// for any stamps and any length behind them.
     #[test]
     fn a_restamped_packet_is_sealed_as_a_fresh_one() {
-        for len in [0, 1, 15, 16, 17, 1000, 65_537, 1 << 20] {
+        for len in [0, 17, 1000, RESTAMP_MIN - 1, RESTAMP_MIN, 65_537, 1 << 20] {
             let mut packet: Vec<u8> = (0..FRAME_AT + HEADER_LEN + len)
                 .map(|i| (i * 7 + len) as u8)
                 .collect();
@@ -1335,6 +1338,48 @@ mod tests {
             assert!(st.stream.is_none(), "the error did not break the link");
             assert_eq!(st.session.recv_next, 0, "the receive cursor moved");
         }
+    }
+
+    /// A send blocked on a peer that does not read, and a second send
+    /// waiting for its turn behind it, leave the link's reader free: a
+    /// packet the peer writes meanwhile is delivered long before the
+    /// blocked write times out.
+    #[test]
+    fn a_reader_delivers_while_a_send_on_its_link_is_blocked() {
+        let link = Link::default();
+        let (ours, mut peer) = UnixStream::pair().expect("socket pair");
+        let ours = Stream::Unix(ours).configured().expect("configure");
+        let reader = ours.try_clone().unwrap();
+        let (epoch, _) = link.install(ours, 0, false, None).expect("install");
+        let big = Frame::Msg {
+            src: 0,
+            dst: 1,
+            tag: 0,
+            type_tag: 0,
+            bytes: 4 << 20,
+            data: vec![0; 4 << 20], // far more than the socket buffers hold
+        };
+        let (stop, (tx, rx)) = (AtomicBool::new(false), std::sync::mpsc::channel());
+        std::thread::scope(|s| {
+            s.spawn(|| link.send_data(packet(&big), None));
+            while plock(&link.state).session.send_seq == 0 {
+                std::thread::yield_now();
+            }
+            // a heartbeat due while the big write is blocked
+            s.spawn(|| link.send_data(packet(&Frame::Hello { rank: 0 }), None));
+            std::thread::sleep(Duration::from_millis(100));
+            s.spawn(|| {
+                link.read_packets(reader, epoch, &stop, None, |_, f| {
+                    let _ = tx.send(f);
+                })
+            });
+            let hello = encode_frame(&Frame::Hello { rank: 1 });
+            (peer.write_all(&encode_with(|out| encode_data(0, 0, &hello, out)))).unwrap();
+            let got = rx.recv_timeout(WRITE_TIMEOUT / 2);
+            stop.store(true, Ordering::Release);
+            let _ = peer.shutdown(Shutdown::Both); // the blocked write fails
+            assert_eq!(got, Ok(Some(Frame::Hello { rank: 1 })));
+        });
     }
 
     #[test]

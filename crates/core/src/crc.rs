@@ -20,6 +20,8 @@
 //! bytes of a block are looked up independently and XOR-folded (16 KiB
 //! of tables, built once). Both give the same value, so no stored
 //! checksum moves. Like the BMI2 codecs, the call is not counted.
+//! [`crc32_combine`] joins two CRCs without their bytes; the process
+//! link mends a relayed packet's CRC with it.
 //!
 //! **Why a hardware tier.** A process-backend message is summed three
 //! times per payload byte — the sender seals the frame, the router
@@ -36,9 +38,12 @@
 /// Number of lookup tables: bytes folded per loop iteration.
 const SLICES: usize = 16;
 
-/// Lazily built lookup tables for the reflected polynomial
-/// `0xEDB88320`: `t[0]` is the byte-at-a-time table, `t[k][b]` the CRC
-/// of byte `b` followed by `k` zero bytes.
+/// The polynomial, bit-reflected: x^k is bit 31 - k.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Lazily built lookup tables for [`POLY`]: `t[0]` is the
+/// byte-at-a-time table, `t[k][b]` the CRC of byte `b` followed by `k`
+/// zero bytes.
 fn tables() -> &'static [[u32; 256]; SLICES] {
     static TABLES: std::sync::OnceLock<[[u32; 256]; SLICES]> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
@@ -46,11 +51,7 @@ fn tables() -> &'static [[u32; 256]; SLICES] {
         for (i, entry) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             }
             *entry = c;
         }
@@ -75,6 +76,32 @@ pub fn crc32(data: &[u8]) -> u32 {
         rest = tail;
     }
     sliced(c, rest) ^ 0xFFFF_FFFF
+}
+
+/// CRC-32 of `a` followed by `b`, from `crc32(a)`, `crc32(b)` and
+/// `b.len()`, in O(log len) products (zlib's `crc32_combine`): `crc_a`
+/// carried across `len_b` bytes is a product with x^(8·len_b) modulo
+/// the polynomial, found by squaring.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // a · b modulo the polynomial, both bit-reflected
+    let multiply = |a: u32, mut b: u32| {
+        let mut p = 0;
+        for k in 0..32 {
+            p ^= b & 0u32.wrapping_sub(a >> (31 - k) & 1);
+            b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+        }
+        p
+    };
+    let (mut shift, mut x8, mut n) = (1 << 31, 1 << 23, len_b); // x^0 and x^8
+    while n != 0 {
+        shift = if n & 1 == 1 {
+            multiply(x8, shift)
+        } else {
+            shift
+        };
+        (x8, n) = (multiply(x8, x8), n >> 1);
+    }
+    multiply(shift, crc_a) ^ crc_b
 }
 
 /// The portable kernel: the running CRC state `c` advanced over `data`
@@ -194,6 +221,19 @@ mod tests {
             0x414F_A339
         );
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn combined_crcs_are_the_crc_of_the_concatenation() {
+        let data: Vec<u8> = (0..70_000u32).map(|i| (i * 31 + 7) as u8).collect();
+        for split in [0, 1, 16, 63, 64, 1000, 65_536, 70_000] {
+            let (a, b) = data.split_at(split);
+            for b in [b, &b[..b.len().min(17)]] {
+                let joined = [a, b].concat();
+                let combined = crc32_combine(crc32(a), crc32(b), b.len());
+                assert_eq!(combined, crc32(&joined), "{} + {} bytes", a.len(), b.len());
+            }
+        }
     }
 
     #[test]
