@@ -261,37 +261,31 @@ pub(crate) fn encode_wire<T: Wire>(value: &T) -> Vec<u8> {
     out
 }
 
-/// Why [`fill`] stopped early.
-enum FillError {
-    Eof,
-    Io(String),
-    Stopped,
-    Stalled,
-}
-
-/// Fill `buf` from `stream`, tolerating read timeouts (the socket has
-/// a short `read_timeout` so readers can poll `stop`). With an
+/// Fill `buf`, the bytes of a `wanted`-byte frame that follow its first
+/// `before`, from `stream`, tolerating read timeouts (the socket has a
+/// short `read_timeout` so readers can poll `stop`). With an
 /// `idle_limit`, gives up when the read makes no progress for that
-/// long: with `armed = false` the clock only starts once the first
-/// byte arrives (an idle link between frames is normal); with
-/// `armed = true` it runs from the first poll (a frame header just
-/// arrived, so its payload must be right behind it). On failure
-/// returns the byte count read so far.
+/// long once any byte of the frame is in: an idle link between frames
+/// is normal, but a payload must be right behind its header. EOF before
+/// the frame's first byte is a clean close; anything later is a
+/// mid-frame death.
 fn fill(
     stream: &mut impl Read,
     buf: &mut [u8],
     stop: &AtomicBool,
     idle_limit: Option<Duration>,
-    armed: bool,
-) -> Result<(), (usize, FillError)> {
+    (before, wanted): (usize, usize),
+) -> Result<(), FrameError> {
     let mut filled = 0;
     let mut last_progress = Instant::now();
     while filled < buf.len() {
+        let got = before + filled;
         if stop.load(Ordering::Relaxed) {
-            return Err((filled, FillError::Stopped));
+            return Err(FrameError::Stopped);
         }
         match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err((filled, FillError::Eof)),
+            Ok(0) if got == 0 => return Err(FrameError::Eof),
+            Ok(0) => return Err(FrameError::TruncatedEof { got, wanted }),
             Ok(n) => {
                 filled += n;
                 last_progress = Instant::now();
@@ -301,13 +295,11 @@ fn fill(
                     || e.kind() == std::io::ErrorKind::TimedOut
                     || e.kind() == std::io::ErrorKind::Interrupted =>
             {
-                if idle_limit
-                    .is_some_and(|limit| (armed || filled > 0) && last_progress.elapsed() > limit)
-                {
-                    return Err((filled, FillError::Stalled));
+                if idle_limit.is_some_and(|limit| got > 0 && last_progress.elapsed() > limit) {
+                    return Err(FrameError::Stalled { got, wanted });
                 }
             }
-            Err(e) => return Err((filled, FillError::Io(e.to_string()))),
+            Err(e) => return Err(FrameError::Io(e.to_string())),
         }
     }
     Ok(())
@@ -355,30 +347,19 @@ pub(crate) fn read_raw(
     idle_limit: Option<Duration>,
     frame: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
-    // `before` bytes of the frame preceded the buffer that fell short
-    let fail = |before: usize, wanted: usize, (got, why): (usize, FillError)| match why {
-        // EOF before any header byte is a clean close; anything later
-        // is a mid-frame death
-        FillError::Eof if before + got == 0 => FrameError::Eof,
-        FillError::Eof => FrameError::TruncatedEof {
-            got: before + got,
-            wanted,
-        },
-        FillError::Stalled => FrameError::Stalled {
-            got: before + got,
-            wanted,
-        },
-        FillError::Stopped => FrameError::Stopped,
-        FillError::Io(e) => FrameError::Io(e),
-    };
     let mut header = [0u8; HEADER_LEN];
-    fill(stream, &mut header, stop, idle_limit, false).map_err(|e| fail(0, HEADER_LEN, e))?;
+    fill(stream, &mut header, stop, idle_limit, (0, HEADER_LEN))?;
     let (len, expected_crc) = parse_header(&header)?;
     let wanted = HEADER_LEN + len as usize;
     frame.resize(wanted, 0);
     frame[..HEADER_LEN].copy_from_slice(&header);
-    fill(stream, &mut frame[HEADER_LEN..], stop, idle_limit, true)
-        .map_err(|e| fail(HEADER_LEN, wanted, e))?;
+    fill(
+        stream,
+        &mut frame[HEADER_LEN..],
+        stop,
+        idle_limit,
+        (HEADER_LEN, wanted),
+    )?;
     let got_crc = crc32(&frame[HEADER_LEN..]);
     if got_crc != expected_crc {
         return Err(FrameError::Crc {

@@ -18,12 +18,12 @@
 //!
 //! Liveness: every worker heartbeats on a dedicated thread; the
 //! supervisor marks a rank dead after a configurable window of silence,
-//! or as soon as a sweep finds its process exited. Death — missed
-//! heartbeats, an exited process, or an injected SIGKILL — becomes a
-//! [`CommError::PeerFailed`] abort that unwinds every surviving rank,
-//! exactly like a panic does on the thread backend. That makes a
-//! `kill -9` a *recoverable input* to
-//! [`run_with_recovery_program`](crate::run_with_recovery_program)
+//! or as soon as a sweep finds its process exited ([`liveness`], one
+//! pure decision per rank). Death — missed heartbeats, an exited
+//! process, or an injected SIGKILL — becomes a [`CommError::PeerFailed`]
+//! abort that unwinds every surviving rank, exactly like a panic does
+//! on the thread backend. That makes a `kill -9` a *recoverable input*
+//! to [`run_with_recovery_program`](crate::run_with_recovery_program)
 //! rather than a wedged job. A broken stream is not a death: the link
 //! reconnects and replays.
 
@@ -37,6 +37,7 @@ use crate::{
 };
 use quadforest_core::Wire;
 use quadforest_telemetry as telemetry;
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,13 +56,7 @@ pub(super) const READ_POLL: Duration = Duration::from_millis(25);
 pub(super) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(DIGITS[(b >> 4) as usize] as char);
-        s.push(DIGITS[(b & 0xF) as usize] as char);
-    }
-    s
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Lowercase hex only: anything else, or an odd length, is `None`.
@@ -362,27 +357,16 @@ impl Supervisor {
         }
     }
 
-    /// `rank`'s process has exited, and its link has read up to the EOF
-    /// behind the last frame the process sent: how it exited.
-    fn exited(&self, rank: usize) -> Option<ExitStatus> {
-        let status = plock(&self.children)[rank].as_mut()?.try_wait().ok()??;
-        (!self.links[rank].is_up()).then_some(status)
-    }
-
     /// Liveness monitor and waiter in one: until every rank is
-    /// terminal, sweep the non-terminal ranks twice per heartbeat
-    /// interval for an exited process and a missed-heartbeat window,
-    /// and enforce the silence backstop.
+    /// terminal, ping every link and ask [`liveness`] of each rank twice
+    /// per heartbeat interval.
     fn monitor_until_terminal(&self, opts: &SocketOptions, recv_timeout: Duration) {
-        let window = opts
-            .heartbeat_interval
-            .saturating_mul(opts.heartbeat_grace.max(1));
         let sweep = (opts.heartbeat_interval / 2).max(Duration::from_millis(5));
         // Workers enforce their own receive timeouts; the backstop only
         // catches a wedged protocol — every process alive and
         // heartbeating, none of them communicating. It bounds silence,
         // not lifetime: any comm progress re-arms it.
-        let backstop = recv_timeout.saturating_mul(2).saturating_add(window);
+        let backstop = recv_timeout.saturating_mul(2).saturating_add(window(opts));
         self.progress(); // armed from now, not from before the workers connected
         let mut next_sweep = Instant::now() + sweep;
         let mut results = plock(&self.results);
@@ -400,42 +384,33 @@ impl Supervisor {
             for link in &self.links {
                 link.send_ping();
             }
-            for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
-                if let Some(status) = self.exited(rank) {
-                    self.declare_dead(rank, format!("rank {rank} process exited ({status})"));
-                }
-            }
             let progressed = Duration::from_nanos(self.last_progress.load(Ordering::Relaxed));
-            let silent = self.started.elapsed().saturating_sub(progressed) > backstop;
-            // Longest-silent first: when several ranks pass the window in
-            // one sweep, the abort origin is the one that went quiet first.
-            let mut stale: Vec<(Duration, usize)> = (0..self.size)
-                .filter(|&r| !self.is_terminal(r))
-                .map(|r| (now.duration_since(*plock(&self.last_beat[r])), r))
-                .filter(|&(quiet, _)| quiet > window)
+            let stalled = self.started.elapsed().saturating_sub(progressed) > backstop;
+            // Longest-silent first within a rule: when several ranks pass
+            // the window in one sweep, the abort origin went quiet first.
+            let mut dead: Vec<_> = (0..self.size)
+                .filter_map(|rank| {
+                    // the exit before the link: a link seen down then is
+                    // one the exited process can no longer bring up
+                    let exited =
+                        (plock(&self.children)[rank].as_mut()).and_then(|c| c.try_wait().ok()?);
+                    let seen = Seen {
+                        terminal: self.is_terminal(rank),
+                        exited,
+                        link_up: self.links[rank].is_up(),
+                        quiet: plock(&self.last_beat[rank]).elapsed(),
+                        stalled,
+                    };
+                    let (death, reason) = liveness(rank, &seen, opts, backstop)?;
+                    Some((death, Reverse(seen.quiet), rank, reason))
+                })
                 .collect();
-            stale.sort_unstable_by_key(|&(quiet, rank)| (std::cmp::Reverse(quiet), rank));
-            for (_, rank) in stale {
-                count("comm.heartbeat.missed");
-                self.declare_dead(
-                    rank,
-                    format!(
-                        "rank {rank} missed its heartbeat window \
-                         ({}×{:?} with no beat)",
-                        opts.heartbeat_grace, opts.heartbeat_interval
-                    ),
-                );
-            }
-            if silent {
-                for rank in (0..self.size).filter(|&r| !self.is_terminal(r)) {
-                    self.declare_dead(
-                        rank,
-                        format!(
-                            "rank {rank} still running after {backstop:?} \
-                             without comm progress on any rank (supervisor backstop)"
-                        ),
-                    );
+            dead.sort_unstable();
+            for (death, _, rank, reason) in dead {
+                if death == Death::Missed {
+                    count("comm.heartbeat.missed");
                 }
+                self.declare_dead(rank, reason);
             }
             next_sweep = Instant::now() + sweep;
             results = plock(&self.results);
@@ -461,6 +436,67 @@ impl Supervisor {
                 .collect(),
         }
     }
+}
+
+/// A rank's missed-heartbeat window: `heartbeat_interval ×
+/// heartbeat_grace`.
+fn window(opts: &SocketOptions) -> Duration {
+    (opts.heartbeat_interval).saturating_mul(opts.heartbeat_grace.max(1))
+}
+
+/// What a monitor sweep read of one rank: the inputs of [`liveness`].
+struct Seen {
+    terminal: bool,
+    /// How its process exited, if it has.
+    exited: Option<ExitStatus>,
+    /// [`Link::is_up`], read after `exited`.
+    link_up: bool,
+    /// Time since its last heartbeat.
+    quiet: Duration,
+    /// No rank made comm progress for the backstop window.
+    stalled: bool,
+}
+
+/// Why a sweep declares a rank dead; a sweep declares in this order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Death {
+    Exited,
+    Missed,
+    Backstop,
+}
+
+/// The liveness rules of one rank, a pure function of what a sweep read
+/// (`backstop` the stall window): alive (`None`), or dead and why. A
+/// terminal rank is past them. An exit counts once the link is down:
+/// `on_packet` moves the receive cursor before `deliver` runs, so a
+/// ping can ack a `Done` the supervisor has not recorded yet and the
+/// worker exit on it — but the reader that read the `Done` records it
+/// before it returns, and until then the link is up.
+fn liveness(
+    rank: usize,
+    seen: &Seen,
+    opts: &SocketOptions,
+    backstop: Duration,
+) -> Option<(Death, String)> {
+    let (grace, interval) = (opts.heartbeat_grace, opts.heartbeat_interval);
+    let (death, why) = match seen.exited.filter(|_| !seen.link_up) {
+        _ if seen.terminal => return None,
+        Some(status) => match status.code() {
+            Some(code @ GAVE_UP) => (Death::Exited, format!("gave up reconnecting (exit code {code})")),
+            Some(code @ CANNOT_START) => (Death::Exited, format!("could not start (exit code {code})")),
+            _ => (Death::Exited, format!("process exited ({status})")),
+        },
+        None if seen.quiet > window(opts) => {
+            let why = format!("missed its heartbeat window ({grace}×{interval:?} with no beat)");
+            (Death::Missed, why)
+        }
+        None if seen.stalled => (
+            Death::Backstop,
+            format!("still running after {backstop:?} without comm progress on any rank (supervisor backstop)"),
+        ),
+        None => return None,
+    };
+    Some((death, format!("rank {rank} {why}")))
 }
 
 /// Run `spawn`'s program across worker processes, each linked to the
@@ -690,7 +726,6 @@ fn run_child(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
     telemetry::flight::arm();
     telemetry::flight::set_thread_rank(rank as u32);
 
-    let mut threads = Vec::new();
     let worker = Arc::new(Worker {
         rank,
         size: spawn.size,
@@ -705,14 +740,19 @@ fn run_child(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
         last_op: AtomicU64::new(u64::MAX),
         last_phase: Mutex::new(""),
     });
-    if let Err(e) = Uplink::start(&worker, &mut threads) {
-        eprintln!(
-            "rank {rank}: cannot connect to supervisor at {}: {e}",
-            spawn.addr
-        );
-        for t in threads {
-            let _ = t.join();
-        }
+    let link = {
+        let worker = Arc::clone(&worker);
+        std::thread::Builder::new()
+            .name(format!("rank-{rank}-link"))
+            .spawn(move || tcp::link_loop(&worker))
+            .expect("spawn link thread")
+    };
+    // wait for the first handshake before touching the program
+    if !worker.up.link.connects_by(Instant::now() + CONNECT_TIMEOUT) {
+        worker.stop.store(true, Ordering::Release);
+        let why = link.join().ok().and_then(Result::err);
+        let why = why.unwrap_or_else(|| format!("no handshake within {CONNECT_TIMEOUT:?}"));
+        eprintln!("rank {rank}: {why}");
         return CANNOT_START;
     }
 
@@ -787,15 +827,20 @@ fn run_child(spawn: Spawn, registry: &ProgramRegistry) -> i32 {
     worker.hb_stop.store(true, Ordering::Release);
     worker.stop.store(true, Ordering::Release);
     let _ = heartbeater.join();
-    for t in threads {
-        let _ = t.join();
+    match link.join() {
+        Ok(Err(why)) => {
+            eprintln!("rank {rank}: {why}");
+            GAVE_UP
+        }
+        _ => 0,
     }
-    0
 }
 
 /// Exit code of a worker that cannot start: a malformed spawn record,
 /// or no connection to the supervisor.
 const CANNOT_START: i32 = 3;
+/// Exit code of a worker whose link gave up reconnecting.
+const GAVE_UP: i32 = 4;
 
 /// See [`crate::maybe_run_socket_child`].
 pub(super) fn maybe_run_child(registry: &ProgramRegistry) -> bool {
@@ -891,6 +936,136 @@ pub(super) mod tests {
         let origin = sup.abort.get().map(|info| info.origin);
         assert_eq!(origin, Some(2));
         assert!((0..3).all(|r| sup.is_terminal(r)));
+    }
+
+    /// Every liveness rule of rank 1, as data: 100 ms heartbeats with a
+    /// grace of 2 (a 200 ms window) and a 5 s backstop.
+    #[test]
+    fn liveness_decision_table() {
+        use std::os::unix::process::ExitStatusExt;
+        let code = |code: i32| Some(ExitStatus::from_raw(code << 8));
+        let killed = Some(ExitStatus::from_raw(9));
+        let opts = SocketOptions {
+            heartbeat_interval: Duration::from_millis(100),
+            heartbeat_grace: 2,
+            ..SocketOptions::new("unused".into())
+        };
+        let [beat, window, silent] = [50, 200, 300].map(Duration::from_millis);
+        let seen = |terminal, exited, link_up, quiet, stalled| Seen {
+            terminal,
+            exited,
+            link_up,
+            quiet,
+            stalled,
+        };
+        const MISSED: &str = "rank 1 missed its heartbeat window (2×100ms with no beat)";
+        const STALLED: &str = "rank 1 still running after 5s without comm progress \
+                               on any rank (supervisor backstop)";
+        let rows = [
+            (
+                "running and beating",
+                seen(false, None, true, beat, false),
+                None,
+            ),
+            (
+                "quiet for exactly the window",
+                seen(false, None, true, window, false),
+                None,
+            ),
+            (
+                "terminal: past every rule",
+                seen(true, code(4), false, silent, true),
+                None,
+            ),
+            (
+                "exited, link still up: not yet",
+                seen(false, code(0), true, beat, false),
+                None,
+            ),
+            (
+                "exited 0, link down",
+                seen(false, code(0), false, beat, false),
+                Some((Death::Exited, "rank 1 process exited (exit status: 0)")),
+            ),
+            (
+                "exited 7",
+                seen(false, code(7), false, beat, false),
+                Some((Death::Exited, "rank 1 process exited (exit status: 7)")),
+            ),
+            (
+                "gave up reconnecting",
+                seen(false, code(GAVE_UP), false, beat, false),
+                Some((Death::Exited, "rank 1 gave up reconnecting (exit code 4)")),
+            ),
+            (
+                "could not start",
+                seen(false, code(CANNOT_START), false, beat, false),
+                Some((Death::Exited, "rank 1 could not start (exit code 3)")),
+            ),
+            (
+                "killed by a signal",
+                seen(false, killed, false, beat, false),
+                Some((Death::Exited, "rank 1 process exited (signal: 9 (SIGKILL))")),
+            ),
+            (
+                "silent past the window",
+                seen(false, None, true, silent, false),
+                Some((Death::Missed, MISSED)),
+            ),
+            (
+                "silent, link down",
+                seen(false, None, false, silent, false),
+                Some((Death::Missed, MISSED)),
+            ),
+            (
+                "exited and silent, link still up: the window",
+                seen(false, code(0), true, silent, false),
+                Some((Death::Missed, MISSED)),
+            ),
+            (
+                "no comm progress on any rank",
+                seen(false, None, true, beat, true),
+                Some((Death::Backstop, STALLED)),
+            ),
+            (
+                "silent and no progress: the window first",
+                seen(false, None, true, silent, true),
+                Some((Death::Missed, MISSED)),
+            ),
+            (
+                "gave up, silent and no progress: the exit first",
+                seen(false, code(GAVE_UP), false, silent, true),
+                Some((Death::Exited, "rank 1 gave up reconnecting (exit code 4)")),
+            ),
+        ];
+        for (name, seen, want) in rows {
+            let got = liveness(1, &seen, &opts, Duration::from_secs(5));
+            assert_eq!(got, want.map(|(d, r)| (d, r.to_string())), "{name}");
+        }
+    }
+
+    /// A worker whose supervisor is gone for good gives up once the
+    /// reconnect schedule runs out, and exits with its own code, not 0.
+    #[test]
+    fn a_worker_that_gives_up_exits_with_its_own_code() {
+        let (listener, addr) = Listener::bind(LinkKind::Unix);
+        let spawn = Spawn {
+            link: LinkKind::Unix,
+            addr,
+            rank: 0,
+            size: 2,
+            program: "wait".into(),
+            args: vec![],
+            recv_timeout: Duration::from_secs(60),
+            heartbeat: Duration::from_millis(20),
+            attempt: Attempt::first(),
+            faults: None,
+        };
+        let wait: super::super::ProgramFn = |comm, _| comm.try_recv::<u64>(1, 0).map(|_| vec![]);
+        let registry = ProgramRegistry::new().register("wait", wait);
+        let worker = std::thread::spawn(move || run_child(spawn, &registry));
+        tcp::tests::handshake_and_vanish(listener);
+        assert_eq!(worker.join().unwrap(), GAVE_UP);
     }
 
     fn msg(src: u64, dst: u64) -> Frame {

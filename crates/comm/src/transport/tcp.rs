@@ -10,9 +10,9 @@
 //! a gap breaks the link. This file is its driver. A broken link (gap,
 //! CRC mismatch, decode error, EOF, reset, stall) is not a failure: the
 //! worker's link thread reconnects on [`RECONNECT`]'s backoff, the
-//! `Hello` / `HelloAck` handshake swaps receive cursors, and both ends
-//! replay what the other lacks. Only the supervisor's liveness rules
-//! kill a rank. Resumptions, gaps and read errors count in
+//! `Hello` / `HelloAck` handshake swaps receive cursors, and each end's
+//! next write replays what the other lacks. Only the supervisor's
+//! liveness rules kill a rank. Resumptions, gaps and read errors count in
 //! `transport.reconnects`, `comm.tcp.seq_gaps` and
 //! `comm.tcp.link_errors` of the process's global registry.
 //!
@@ -21,9 +21,10 @@
 //! and sealed in place, and the retransmit queue holds that buffer
 //! until it is acked, then hands it to the process's [`Spares`]. The
 //! supervisor relays a `Msg` in the buffer it read, restamped for the
-//! next hop ([`restamp`]). Writes leave in sequence order, one writer
-//! at a time, so the supervisor's [`TcpPacket::Ping`] (its next send
-//! sequence) is a sound gap probe.
+//! next hop ([`restamp`]). Every sequenced packet and every ping leaves
+//! through the link's write turn, in sequence order, one writer at a
+//! time, a replay first, so the supervisor's [`TcpPacket::Ping`] (its
+//! next send sequence) is a sound gap probe.
 //!
 //! [`Backend::Sockets`]: super::Backend::Sockets
 //! [`Backend::Tcp`]: super::Backend::Tcp
@@ -38,6 +39,7 @@ use crate::fault::{NetFaults, WriteFault};
 use crate::{plock, RecoveryPolicy};
 use quadforest_core::crc::{crc32, crc32_combine};
 use quadforest_core::Wire;
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -303,7 +305,7 @@ impl Listener {
     /// Listen on a fresh address of `kind`; returns the listener and
     /// the address a worker connects to.
     pub(super) fn bind(kind: LinkKind) -> (Listener, String) {
-        let listener = match kind {
+        match kind {
             LinkKind::Unix => {
                 static COUNTER: AtomicU64 = AtomicU64::new(0);
                 let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -312,19 +314,16 @@ impl Listener {
                 let _ = std::fs::remove_file(&path);
                 let l = UnixListener::bind(&path);
                 let l = l.unwrap_or_else(|e| panic!("bind socket {}: {e}", path.display()));
-                Listener::Unix(l, path)
+                let addr = path.display().to_string();
+                (Listener::Unix(l, path), addr)
             }
             LinkKind::Tcp => {
                 let l = TcpListener::bind(("127.0.0.1", 0));
                 let l = l.unwrap_or_else(|e| panic!("bind tcp listener on loopback: {e}"));
-                Listener::Tcp(l)
+                let addr = l.local_addr().expect("listener addr").to_string();
+                (Listener::Tcp(l), addr)
             }
-        };
-        let addr = match &listener {
-            Listener::Unix(_, path) => path.display().to_string(),
-            Listener::Tcp(l) => l.local_addr().expect("listener addr").to_string(),
-        };
-        (listener, addr)
+        }
     }
 
     fn accept(&self) -> io::Result<Stream> {
@@ -354,6 +353,11 @@ struct LinkState {
     /// Bumped on every install *and* break, so a reader or writer that
     /// raced a reconnect cannot break the successor connection.
     epoch: u64,
+    /// What an install found the peer lacks, owed to its connection
+    /// ahead of the next write in turn.
+    owed: Vec<Arc<Vec<u8>>>,
+    /// Readers still on this link's connections (see [`Link::is_up`]).
+    readers: usize,
     /// A queued packet is shared with the writer that is writing it.
     session: Session<Arc<Vec<u8>>>,
     /// Terminal: no reconnects, sends become no-ops.
@@ -410,13 +414,15 @@ impl Link {
         st
     }
 
-    /// Sever the connection (if any) and wake waiters. The epoch bump
-    /// invalidates every thread still holding the old connection.
+    /// Sever the connection (if any), cancel its replay (the next install
+    /// owes it again) and wake waiters. The epoch bump invalidates every
+    /// thread still holding the old connection.
     fn break_link_locked(&self, st: &mut LinkState) {
         if let Some(s) = st.stream.take() {
             s.shutdown();
         }
         st.epoch += 1;
+        st.owed.clear();
         self.cv.notify_all();
     }
 
@@ -428,9 +434,11 @@ impl Link {
         self.break_link_locked(&mut st);
     }
 
-    /// Whether a connection is installed.
+    /// Whether a connection is installed or a reader is still on one:
+    /// once neither holds, every packet read off the link is delivered.
     pub(super) fn is_up(&self) -> bool {
-        plock(&self.state).stream.is_some()
+        let st = plock(&self.state);
+        st.stream.is_some() || st.readers > 0
     }
 
     /// Wait until the link's first handshake completes, the link is
@@ -441,20 +449,25 @@ impl Link {
         self.wait(poll, ready).connected_once
     }
 
-    /// Write `bytes` through the chaos plan (`chaos`: the worker's
-    /// interposer, `None` on the supervisor) on the connection `st`
-    /// holds, in `turn`, which was taken before `st`: `st` is released
-    /// before the write, `turn` after it. A failed write breaks that
+    /// The one way a packet leaves: write `bytes` through the chaos plan
+    /// (`chaos`: the worker's interposer, `None` on the supervisor) on
+    /// the connection `st` holds, in `turn`, which was taken before `st`:
+    /// `st` is released before the write, `turn` after it. The packets
+    /// an install owes go first, as they were sealed (an `ack` older than
+    /// the cursor is still a cumulative ack). A failed write breaks that
     /// connection, unless a reconnect has already replaced it.
     fn write_in_turn(
         &self,
-        (turn, st): (MutexGuard<'_, ()>, MutexGuard<'_, LinkState>),
+        (turn, mut st): (MutexGuard<'_, ()>, MutexGuard<'_, LinkState>),
         bytes: &[u8],
         chaos: Option<&NetFaults>,
     ) {
         let (stream, epoch) = (st.stream.clone(), st.epoch);
+        let owed = std::mem::take(&mut st.owed);
         drop(st);
-        let intact = write_planned(stream.as_deref(), bytes, chaos);
+        let intact = (owed.iter().map(|packet| packet.as_slice()))
+            .chain([bytes])
+            .all(|packet| write_planned(stream.as_deref(), packet, chaos));
         drop(turn);
         if !intact {
             let mut st = plock(&self.state);
@@ -577,6 +590,7 @@ impl Link {
         chaos: Option<&NetFaults>,
         mut deliver: impl FnMut(&mut Vec<u8>, Option<Frame>),
     ) {
+        plock(&self.state).readers += 1;
         let mut raw = Vec::new();
         loop {
             // a big packet left in the buffer it was read into
@@ -605,44 +619,26 @@ impl Link {
             }
         }
         self.spares.put(raw);
+        plock(&self.state).readers -= 1;
     }
 
-    /// The tail of a (re)connection handshake, the same on both ends and
-    /// all under the state lock so no send interleaves: supersede the
-    /// old connection, answer with a `HelloAck` (the accepting end
-    /// only), replay what the peer's `Hello`/`HelloAck` cursor
-    /// (`peer_resume`) says it still needs, install `stream`. Returns
-    /// the new epoch and whether this resumed an earlier connection.
-    /// A replayed packet goes out as it was sealed: the `ack` it carries
-    /// is older than the cursor, which a cumulative ack allows.
-    fn install(
-        &self,
-        stream: Stream,
-        peer_resume: u64,
-        hello_ack: bool,
-        chaos: Option<&NetFaults>,
-    ) -> Result<(u64, bool), String> {
+    /// The tail of a (re)connection handshake, the same on both ends,
+    /// once this end has written its `Hello` / `HelloAck`: supersede the
+    /// old connection, and owe `stream` what the peer's cursor
+    /// (`peer_resume`) says it still lacks, for the next write in turn
+    /// to send ([`Link::write_in_turn`]). Writes nothing, so it cannot
+    /// wait on the peer. Returns the new epoch and whether this resumed
+    /// an earlier connection.
+    fn install(&self, stream: Stream, peer_resume: u64) -> Result<(u64, bool), String> {
         let mut st = plock(&self.state);
         if st.dead {
             return Err("link already retired".into());
         }
         self.break_link_locked(&mut st);
-        self.reclaim(&mut st.session, peer_resume);
-        let acked = !hello_ack || {
-            let ack = encode_wire(&TcpPacket::HelloAck {
-                resume: st.session.recv_next,
-            });
-            (&stream).write_all(&ack).is_ok()
-        };
-        let replayed = acked
-            && (st.session.resume(peer_resume))
-                .all(|(_, packet)| write_planned(Some(&stream), packet, chaos));
-        if !replayed {
-            stream.shutdown();
-            return Err("handshake replay failed".into());
-        }
-        let resumed = st.connected_once;
-        st.connected_once = true;
+        st.owed = (st.session.resume(peer_resume))
+            .map(|(_, packet)| Arc::clone(packet))
+            .collect();
+        let resumed = std::mem::replace(&mut st.connected_once, true);
         st.stream = Some(Arc::new(stream));
         self.cv.notify_all();
         Ok((st.epoch, resumed))
@@ -667,34 +663,22 @@ fn apply_write_fault(mut w: &Stream, bytes: &[u8], fault: &WriteFault) -> io::Re
     if let Some(d) = fault.delay {
         std::thread::sleep(d);
     }
-    if !fault.drop {
-        let corrupted;
-        let buf: &[u8] = match fault.corrupt_bit {
-            Some(bit) if !bytes.is_empty() => {
-                let mut owned = bytes.to_vec();
-                let i = (bit / 8) % owned.len();
-                owned[i] ^= 1 << (bit % 8);
-                corrupted = owned;
-                &corrupted
-            }
-            _ => bytes,
-        };
-        match fault.chunks {
-            Some(n) if buf.len() > 1 => {
-                let n = n.clamp(2, buf.len());
-                let step = buf.len().div_ceil(n);
-                let mut off = 0;
-                while off < buf.len() {
-                    let end = (off + step).min(buf.len());
-                    w.write_all(&buf[off..end])?;
-                    off = end;
-                    if off < buf.len() {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                }
-            }
-            _ => w.write_all(buf)?,
+    if fault.drop || bytes.is_empty() {
+        return Ok(());
+    }
+    let mut buf = Cow::Borrowed(bytes);
+    if let Some(bit) = fault.corrupt_bit {
+        buf.to_mut()[(bit / 8) % bytes.len()] ^= 1 << (bit % 8);
+    }
+    let step = match fault.chunks {
+        Some(n) if buf.len() > 1 => buf.len().div_ceil(n.clamp(2, buf.len())),
+        _ => buf.len(),
+    };
+    for (i, chunk) in buf.chunks(step).enumerate() {
+        if i > 0 {
+            std::thread::sleep(Duration::from_micros(50));
         }
+        w.write_all(chunk)?;
     }
     Ok(())
 }
@@ -703,9 +687,10 @@ fn apply_write_fault(mut w: &Stream, bytes: &[u8], fault: &WriteFault) -> io::Re
 // supervisor side
 // ----------------------------------------------------------------------
 
-/// Handshake one accepted connection: identify the rank, exchange
-/// receive cursors, retransmit unacked frames, install the stream, and
-/// hand it to a fresh reader thread.
+/// Handshake one accepted connection: identify the rank, answer with
+/// this end's receive cursor, and hand the stream to a fresh reader
+/// thread, which installs it and reads: nothing is written to the
+/// worker before its reader runs.
 fn handshake_accept(sup: &Arc<Supervisor>, stream: Stream) -> Option<JoinHandle<()>> {
     let hello = read_wire_timeout::<TcpPacket>(&mut &stream, HANDSHAKE_TIMEOUT);
     let Ok(TcpPacket::Hello { rank, resume }) = hello else {
@@ -715,17 +700,24 @@ fn handshake_accept(sup: &Arc<Supervisor>, stream: Stream) -> Option<JoinHandle<
     if rank >= sup.size || sup.is_terminal(rank) {
         return None; // unknown or already-terminal rank: refuse resurrection
     }
-    let reader = stream.try_clone().ok()?;
-    let (epoch, resumed) = sup.links[rank].install(stream, resume, true, None).ok()?;
-    if resumed {
-        count("transport.reconnects");
-    }
-    // a resumed connection proves the process is alive right now
-    sup.beat(rank);
-    let sup = Arc::clone(sup);
+    // read before the install: a cursor behind costs duplicates, no loss
+    let ack = TcpPacket::HelloAck {
+        resume: plock(&sup.links[rank].state).session.recv_next,
+    };
+    (&stream).write_all(&encode_wire(&ack)).ok()?;
+    let (sup, reader) = (Arc::clone(sup), stream.try_clone().ok()?);
     std::thread::Builder::new()
-        .name(format!("link-read-{rank}-e{epoch}"))
-        .spawn(move || read_rank(&sup, rank, reader, epoch))
+        .name(format!("link-read-{rank}"))
+        .spawn(move || {
+            let Ok((epoch, resumed)) = sup.links[rank].install(stream, resume) else {
+                return;
+            };
+            if resumed {
+                count("transport.reconnects");
+            }
+            sup.beat(rank); // a resumed connection proves the process alive
+            read_rank(&sup, rank, reader, epoch);
+        })
         .ok()
 }
 
@@ -803,8 +795,8 @@ impl Uplink {
         }
     }
 
-    /// One connect + handshake + replay round. On success the stream
-    /// is installed; returns its read half and epoch.
+    /// One connect + handshake round. On success the stream is
+    /// installed; returns its read half and epoch.
     fn try_connect(&self) -> Result<(Stream, u64), String> {
         let stream = Stream::connect(self.kind, &self.addr).map_err(|e| e.to_string())?;
         // raw Hello, chaos-interposed: a severed out-direction eats it
@@ -826,28 +818,8 @@ impl Uplink {
         let TcpPacket::HelloAck { resume } = ack else {
             return Err("handshake: unexpected packet in place of HelloAck".into());
         };
-        let (epoch, _) = self.link.install(stream, resume, false, chaos)?;
+        let (epoch, _) = self.link.install(stream, resume)?;
         Ok((rs, epoch))
-    }
-
-    /// Start the link thread and return once the supervisor has
-    /// accepted this rank. Incoming frames go to [`Worker::on_raw`].
-    pub(super) fn start(
-        worker: &Arc<Worker>,
-        threads: &mut Vec<JoinHandle<()>>,
-    ) -> Result<(), String> {
-        let link = Arc::clone(worker);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("rank-{}-link", worker.rank))
-                .spawn(move || link_loop(&link))
-                .expect("spawn link thread"),
-        );
-        // wait for the first handshake before touching the program
-        match worker.up.link.connects_by(Instant::now() + CONNECT_TIMEOUT) {
-            true => Ok(()),
-            false => Err(format!("no handshake within {CONNECT_TIMEOUT:?}")),
-        }
     }
 
     /// Sequence a packet buffer as it is: sealed in place, and held for
@@ -873,16 +845,17 @@ impl Uplink {
 /// The worker's one link thread: connect within [`CONNECT_TIMEOUT`],
 /// read packets until the link breaks, and connect again on the
 /// [`RECONNECT`] schedule, which a success resets for the next outage.
-/// When either runs out the rank gives up: the link is retired, blocked
-/// receives unwind, and the liveness rules on the other side escalate
-/// to the recovery supervisor.
-fn link_loop(worker: &Worker) {
+/// When either runs out the rank gives up, and returns why: the link is
+/// retired, blocked receives unwind, and the process exits saying so.
+/// Incoming frames go to [`Worker::on_raw`].
+pub(super) fn link_loop(worker: &Worker) -> Result<(), String> {
     let up = &worker.up;
     let deadline = Instant::now() + CONNECT_TIMEOUT;
     let mut failures = 0;
     let give_up = |why: String| {
         up.link.retire();
-        worker.local_abort(usize::MAX, why);
+        worker.local_abort(usize::MAX, why.clone());
+        Err(why)
     };
     while !worker.stop.load(Ordering::Acquire) && !plock(&up.link.state).dead {
         match up.try_connect() {
@@ -915,10 +888,11 @@ fn link_loop(worker: &Worker) {
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::frame::tests::{encode_frame, encode_with, MSG_0_TO_1};
     use super::super::process;
     use super::*;
@@ -1161,7 +1135,7 @@ mod tests {
         let reader = accepted.try_clone().unwrap();
         reader.set_read_timeout(Some(READ_POLL)).unwrap();
         let link = Link::default();
-        let (epoch, _) = (link.install(Stream::Tcp(accepted), 0, false, None)).expect("install");
+        let (epoch, _) = (link.install(Stream::Tcp(accepted), 0)).expect("install");
         // sequence 1 while the cursor expects 0: frame 0 was lost
         let hello = encode_frame(&Frame::Hello { rank: 0 });
         worker
@@ -1181,6 +1155,16 @@ mod tests {
         );
     }
 
+    /// The supervisor's half of one handshake on `listener`, as for a
+    /// rank nothing was sent to; then the supervisor is gone for good.
+    pub(in crate::transport) fn handshake_and_vanish(listener: Listener) {
+        let stream = listener.accept().expect("a worker connects");
+        let hello = read_wire_timeout::<TcpPacket>(&mut &stream, Duration::from_secs(10));
+        assert!(matches!(hello, Ok(TcpPacket::Hello { .. })), "{hello:?}");
+        let ack = encode_wire(&TcpPacket::HelloAck { resume: 0 });
+        (&stream).write_all(&ack).unwrap();
+    }
+
     /// Install one end of a loopback connection on `link`: returns the
     /// other end, the link's read half and its epoch.
     fn installed(link: &Link) -> (TcpStream, Stream, u64) {
@@ -1189,7 +1173,7 @@ mod tests {
         let accepted = Stream::Tcp(listener.accept().expect("accept").0).configured();
         let accepted = accepted.expect("configure");
         let reader = accepted.try_clone().unwrap();
-        let (epoch, _) = link.install(accepted, 0, false, None).expect("install");
+        let (epoch, _) = link.install(accepted, 0).expect("install");
         (peer, reader, epoch)
     }
 
@@ -1350,7 +1334,7 @@ mod tests {
         let (ours, mut peer) = UnixStream::pair().expect("socket pair");
         let ours = Stream::Unix(ours).configured().expect("configure");
         let reader = ours.try_clone().unwrap();
-        let (epoch, _) = link.install(ours, 0, false, None).expect("install");
+        let (epoch, _) = link.install(ours, 0).expect("install");
         let big = Frame::Msg {
             src: 0,
             dst: 1,
@@ -1379,6 +1363,101 @@ mod tests {
             stop.store(true, Ordering::Release);
             let _ = peer.shutdown(Shutdown::Both); // the blocked write fails
             assert_eq!(got, Ok(Some(Frame::Hello { rank: 1 })));
+        });
+    }
+
+    /// Two ends that each queued more than the socket buffers hold,
+    /// installed across a pair: the installs write nothing, and once both
+    /// readers run, the next write in turn on each end — a ping on one,
+    /// a send on the other — replays its queue ahead of its own packet
+    /// while the other end reads, so both queues arrive at once.
+    #[test]
+    fn two_big_replays_across_a_pair_do_not_wedge() {
+        let big = |src: u64| Frame::Msg {
+            src,
+            dst: 1 - src,
+            tag: 0,
+            type_tag: 0,
+            bytes: 1 << 20,
+            data: vec![src as u8; 1 << 20],
+        };
+        let links = [Link::default(), Link::default()];
+        for (src, link) in links.iter().enumerate() {
+            link.send_data(packet(&big(src as u64)), None); // queued: not connected
+        }
+        let (a, b) = UnixStream::pair().expect("socket pair");
+        let probes = [&a, &b].map(|s| s.try_clone().unwrap());
+        let streams = [a, b].map(|s| Stream::Unix(s).configured().expect("configure"));
+        let readers = streams.each_ref().map(|s| s.try_clone().unwrap());
+        let epochs =
+            (links.iter().zip(streams)).map(|(link, s)| link.install(s, 0).expect("install"));
+        let epochs: Vec<u64> = epochs.map(|(epoch, _)| epoch).collect();
+        for probe in &probes {
+            // a read poll passes with nothing to read on either end
+            assert!((&*probe).read(&mut [0]).is_err(), "an install wrote");
+        }
+        let (stop, (tx, rx)) = (AtomicBool::new(false), std::sync::mpsc::channel());
+        std::thread::scope(|s| {
+            for (end, reader) in readers.into_iter().enumerate() {
+                let (link, epoch, tx, stop) = (&links[end], epochs[end], tx.clone(), &stop);
+                s.spawn(move || {
+                    link.read_packets(reader, epoch, stop, None, |raw, _| {
+                        let frame = decode_raw::<Frame>(&raw[FRAME_AT..]).expect("a frame");
+                        let _ = tx.send((end, frame));
+                    })
+                });
+            }
+            let start = Instant::now();
+            s.spawn(|| links[0].send_ping());
+            s.spawn(|| links[1].send_data(packet(&Frame::Hello { rank: 1 }), None));
+            let mut got = Vec::new();
+            while let Ok(delivered) = rx.recv_timeout(Duration::from_secs(1)) {
+                got.push(delivered);
+                if got.len() == 3 {
+                    break;
+                }
+            }
+            let took = start.elapsed();
+            stop.store(true, Ordering::Release);
+            got.sort_by_key(|(end, frame)| (*end, !matches!(frame, Frame::Msg { .. })));
+            let want = [(0, big(1)), (0, Frame::Hello { rank: 1 }), (1, big(0))];
+            assert!(got == want, "delivered {} of 3 in {took:?}", got.len());
+            assert!(took < Duration::from_secs(1), "both queues took {took:?}");
+        });
+    }
+
+    /// A link whose connection breaks while its reader is still
+    /// delivering stays up until that reader returns. `on_packet` moves
+    /// the receive cursor before `deliver` runs, so an ack can cover a
+    /// packet not yet delivered; the supervisor counts an exited
+    /// process dead only once its link is down
+    /// ([`process::liveness`]), so by then the packet was delivered.
+    #[test]
+    fn a_link_is_up_until_its_reader_has_delivered() {
+        let link = Link::default();
+        let (mut peer, reader, epoch) = installed(&link);
+        let hello = encode_frame(&Frame::Hello { rank: 1 });
+        (peer.write_all(&encode_with(|out| encode_data(0, 0, &hello, out)))).unwrap();
+        let stop = AtomicBool::new(false);
+        let (entered, delivering) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let (link, stop) = (&link, &stop);
+            let read = s.spawn(move || {
+                link.read_packets(reader, epoch, stop, None, |_, _| {
+                    entered.send(()).unwrap();
+                    let _ = released.recv();
+                })
+            });
+            delivering.recv().unwrap();
+            assert_eq!(plock(&link.state).session.recv_next, 1, "acked already");
+            // the process exits and a write to it fails: the link breaks
+            drop(peer);
+            link.break_link_locked(&mut plock(&link.state));
+            assert!(link.is_up(), "down while a packet is being delivered");
+            drop(release);
+            read.join().unwrap();
+            assert!(!link.is_up(), "up after its reader returned");
         });
     }
 
