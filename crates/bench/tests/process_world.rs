@@ -90,7 +90,7 @@ fn supervisor_counters_reach_the_global_registry() {
             count("comm.peer_failures"),
         );
         let opts = RunOptions {
-            faults: Some(FaultPlan::new(7).with_sigkill_at(2, 9)),
+            faults: Some(FaultPlan::new(7).with_sigkill_at(2, 8)),
             ..RunOptions::default()
         };
         let err = try_run_program(

@@ -132,13 +132,13 @@ fn chaos_digests_are_identical_across_backends() {
 #[test]
 fn scheduled_panic_death_is_reported_on_both_backends() {
     for backend in backends() {
-        let plan = FaultPlan::new(1).with_panic_at(2, 9);
+        let plan = FaultPlan::new(1).with_panic_at(2, 8);
         let err = run_chaos_once(&backend, 4, Some(plan))
             .expect_err("scheduled death must fail the world");
         assert_eq!(err.origin, 2, "wrong origin on {}", backend.name());
         assert!(
             err.reason
-                .contains("fault injection: scheduled panic at comm op 9"),
+                .contains("fault injection: scheduled panic at comm op 8"),
             "reason not preserved on {}: {}",
             backend.name(),
             err.reason
@@ -347,9 +347,9 @@ fn mid_pipeline_death_leaves_decodable_postmortem() {
     for backend in backends() {
         let victim = 2usize;
         let plan = match backend {
-            Backend::Threads => FaultPlan::new(SEED).with_panic_at(victim, 9),
+            Backend::Threads => FaultPlan::new(SEED).with_panic_at(victim, 8),
             Backend::Sockets(_) | Backend::Tcp(_) => {
-                FaultPlan::new(SEED).with_sigkill_at(victim, 9)
+                FaultPlan::new(SEED).with_sigkill_at(victim, 8)
             }
         };
         let err = run_chaos_once(&backend, 4, Some(plan))

@@ -690,7 +690,8 @@ fn apply_write_fault(mut w: &Stream, bytes: &[u8], fault: &WriteFault) -> io::Re
 /// Handshake one accepted connection: identify the rank, answer with
 /// this end's receive cursor, and hand the stream to a fresh reader
 /// thread, which installs it and reads: nothing is written to the
-/// worker before its reader runs.
+/// worker before its reader runs. Then this thread, never the reader,
+/// pings the link, so what the install owes leaves at once.
 fn handshake_accept(sup: &Arc<Supervisor>, stream: Stream) -> Option<JoinHandle<()>> {
     let hello = read_wire_timeout::<TcpPacket>(&mut &stream, HANDSHAKE_TIMEOUT);
     let Ok(TcpPacket::Hello { rank, resume }) = hello else {
@@ -705,20 +706,26 @@ fn handshake_accept(sup: &Arc<Supervisor>, stream: Stream) -> Option<JoinHandle<
         resume: plock(&sup.links[rank].state).session.recv_next,
     };
     (&stream).write_all(&encode_wire(&ack)).ok()?;
-    let (sup, reader) = (Arc::clone(sup), stream.try_clone().ok()?);
-    std::thread::Builder::new()
+    let (owner, reader) = (Arc::clone(sup), stream.try_clone().ok()?);
+    let (installed, reading) = std::sync::mpsc::channel();
+    let thread = std::thread::Builder::new()
         .name(format!("link-read-{rank}"))
         .spawn(move || {
-            let Ok((epoch, resumed)) = sup.links[rank].install(stream, resume) else {
+            let Ok((epoch, resumed)) = owner.links[rank].install(stream, resume) else {
                 return;
             };
             if resumed {
                 count("transport.reconnects");
             }
-            sup.beat(rank); // a resumed connection proves the process alive
-            read_rank(&sup, rank, reader, epoch);
+            owner.beat(rank); // a resumed connection proves the process alive
+            let _ = installed.send(());
+            read_rank(&owner, rank, reader, epoch);
         })
-        .ok()
+        .ok()?;
+    if reading.recv().is_ok() {
+        sup.links[rank].send_ping();
+    }
+    Some(thread)
 }
 
 /// The supervisor's reader of `rank`'s connection of `epoch`: every
@@ -1459,6 +1466,39 @@ pub(super) mod tests {
             read.join().unwrap();
             assert!(!link.is_up(), "up after its reader returned");
         });
+    }
+
+    /// A packet queued for a rank before its link was installed reaches
+    /// the worker once the handshake is done, with no further send or
+    /// ping: the accept thread writes what the install owes.
+    #[test]
+    fn an_owed_packet_leaves_with_the_handshake() {
+        for kind in [LinkKind::Unix, LinkKind::Tcp] {
+            let sup = Arc::new(Supervisor::new(1));
+            sup.links[0].send_data(packet(&Frame::Hello { rank: 0 }), None);
+            let (listener, addr) = Listener::bind(kind);
+            let accept = Arc::clone(&sup);
+            let accepting = std::thread::spawn(move || accept_loop(&accept, listener));
+            let worker = Stream::connect(kind, &addr).expect("connect");
+            let hello = TcpPacket::Hello { rank: 0, resume: 0 };
+            (&worker).write_all(&encode_wire(&hello)).unwrap();
+            let wait = Duration::from_secs(2);
+            let ack = read_wire_timeout::<TcpPacket>(&mut &worker, wait);
+            assert!(
+                matches!(ack, Ok(TcpPacket::HelloAck { .. })),
+                "{kind:?}: {ack:?}"
+            );
+            let owed = read_wire_timeout::<TcpPacket>(&mut &worker, wait);
+            let hello = Frame::Hello { rank: 0 };
+            assert!(
+                matches!(&owed, Ok(TcpPacket::Data { seq: 0, frame, .. }) if *frame == hello),
+                "{kind:?}: {owed:?}"
+            );
+            sup.stop.store(true, Ordering::Release);
+            drop(worker);
+            wake(kind, &addr);
+            accepting.join().unwrap();
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn axis_mask(a: u32, dim: u32) -> u64 {
 /// the upper half of the split axis, `load_0111` lowers `max` to its
 /// lower half; `bigmin` remembers the upper half's first key whenever
 /// `z` takes the lower one.
-pub(crate) fn next_in_box(z: u64, zmin: u64, zmax: u64, dim: u32) -> Option<u64> {
+pub fn next_in_box(z: u64, zmin: u64, zmax: u64, dim: u32) -> Option<u64> {
     if (0..dim).all(|a| {
         let m = axis_mask(a, dim);
         (zmin & m) <= (z & m) && (z & m) <= (zmax & m)

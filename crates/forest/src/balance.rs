@@ -255,11 +255,35 @@ fn close_families<Q: Quadrant>(
     steps
 }
 
-/// Merge `set[from..]` into the sorted `set[..from]`, deduplicating: the
-/// tail is LSD-radix-sorted into `scratch`, one counting pass per byte of
-/// `(tree, index)` that varies, then merged from the back.
+/// Keys per node up to which [`merge_tail`] reads the union off a bitmap
+/// (the crossover with the radix sort: EXPERIMENTS.md, "Dense closure levels").
+const DENSE_SPAN_PER_NODE: u128 = 64;
+
+/// Merge `set[from..]` into the sorted `set[..from]`, deduplicating: off
+/// a bitmap of the key span when it is dense (≤ [`DENSE_SPAN_PER_NODE`]
+/// keys per node), else the tail LSD-radix-sorted into `scratch` — a pass
+/// per byte of `(tree, index)` that varies — and merged from the back.
 fn merge_tail(set: &mut Vec<Node>, from: usize, scratch: &mut Vec<Node>) {
     let key = |n: &Node| (n.0 as u128) << 64 | n.1 as u128;
+    let (lo, hi) = set
+        .iter()
+        .map(key)
+        .fold((u128::MAX, 0), |(l, h), k| (l.min(k), h.max(k)));
+    if from < set.len() && hi - lo < DENSE_SPAN_PER_NODE * set.len() as u128 {
+        let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+        set.iter()
+            .map(|n| key(n) - lo)
+            .for_each(|k| bits[(k / 64) as usize] |= 1 << (k % 64));
+        set.clear();
+        for (w, mut word) in (0..).zip(bits) {
+            while word != 0 {
+                let k = lo + 64 * w + word.trailing_zeros() as u128;
+                set.push(((k >> 64) as u32, k as u64));
+                word &= word - 1;
+            }
+        }
+        return;
+    }
     let tail = &mut set[from..];
     let varying = tail.iter().fold(0, |v, n| v | (key(n) ^ key(&tail[0])));
     scratch.resize(tail.len(), (0, 0));
@@ -614,6 +638,46 @@ mod tests {
             merge_tail(&mut set, len, &mut scratch);
             assert_eq!(set, want, "len {len}");
         }
+        // both regimes: keys `spread` apart per node on average (dense
+        // up to `DENSE_SPAN_PER_NODE`), a span straddling the boundary
+        // of tree `tree` and the next, trees whose bytes vary (`hop`),
+        // and the tail in runs of one key
+        let mut regimes = [false; 2];
+        for (len, spread, tree, hop) in [
+            (0, 3, 7u32, 0u64),
+            (200, 1, 0, 0),
+            (900, 40, 0x0102_0304, 0),
+            (900, 63, 0xFFFF_FFFE, 0),
+            (900, 65, 0, 0),
+            (3000, 1u64 << 20, 0x0A0B_0C0D, 0),
+            (3000, 8, 0x0101_0101, 0x0101_0101),
+        ] {
+            let count = len + len / 2 + 1;
+            let span = (count as u64 * spread) as u128;
+            let base = (tree as u128) << 64 | (u64::MAX as u128 - span / 2);
+            let mut set: Vec<Node> = Vec::new();
+            while set.len() < count {
+                let r = xorshift(&mut rng);
+                let k = base + (r as u128 % span) + ((r >> 60) % 3 * hop) as u128 * (1 << 64);
+                let run = if set.len() < len {
+                    1
+                } else {
+                    1 + r as usize % 4
+                };
+                set.extend(std::iter::repeat_n(((k >> 64) as u32, k as u64), run));
+            }
+            set[..len].sort_unstable();
+            let mut want = set.clone();
+            want.sort_unstable();
+            want.dedup();
+            let key = |n: &Node| (n.0 as u128) << 64 | n.1 as u128;
+            let gap = key(&want[want.len() - 1]) - key(&want[0]);
+            let dense = gap < DENSE_SPAN_PER_NODE * set.len() as u128;
+            regimes[dense as usize] = true;
+            merge_tail(&mut set, len, &mut scratch);
+            assert_eq!(set, want, "len {len}, spread {spread}, tree {tree:#x}");
+        }
+        assert_eq!(regimes, [true; 2], "both the radix and the bitmap ran");
     }
 
     /// Does the sphere of radius 0.35 about (0.53, 0.45, 0.51) pass

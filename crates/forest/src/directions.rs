@@ -5,7 +5,7 @@
 //! (`neighbor_index`), the connectivity consulted only where the step
 //! leaves the tree (through [`neighbor_domain`]). Beyond that,
 //! [`neighbor_domain`] resolves a domain in coordinates only where its
-//! contact box is consumed: ghost requests and face iteration.
+//! contact box is consumed: cross-tree ghost contacts and face iteration.
 
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
@@ -201,28 +201,31 @@ pub(crate) fn neighbor_index<Q: Quadrant>(
     level: u8,
     offset: [i32; 3],
 ) -> Option<(u32, u64)> {
+    match step_index::<Q>(i, level, offset) {
+        Some(out) => Some((tree, out)),
+        None => neighbor_domain(conn, tree, &Q::from_morton(i, level), offset)
+            .map(|dom| (dom.tree, Q::from_coords(dom.coords, level).morton_index())),
+    }
+}
+
+/// [`neighbor_index`] inside the tree: `None` where the step leaves it.
+pub(crate) fn step_index<Q: Quadrant>(i: u64, level: u8, offset: [i32; 3]) -> Option<u64> {
     // a one at every x digit of a level-relative index
-    let x_digits = match Q::DIM {
-        2 => 0x5555_5555_5555_5555u64,
-        _ => 0x1249_2492_4924_9249u64,
-    };
+    let x_digits = [0x5555_5555_5555_5555u64, 0x1249_2492_4924_9249][Q::DIM as usize - 2];
     let digits = (1u64 << (Q::DIM * level as u32)) - 1;
     let mut out = i;
     for (a, &o) in offset.iter().enumerate().take(Q::DIM as usize) {
         let m = (x_digits << a) & digits;
         let own = out & m;
-        let stepped = match o {
-            0 => continue,
-            1 if own != m => ((own | !m) + 1) & m,
-            -1 if own != 0 => (own - 1) & m,
-            _ => {
-                return neighbor_domain(conn, tree, &Q::from_morton(i, level), offset)
-                    .map(|dom| (dom.tree, Q::from_coords(dom.coords, level).morton_index()))
-            }
-        };
-        out = (out & !m) | stepped;
+        out = (out & !m)
+            | match o {
+                0 => continue,
+                1 if own != m => ((own | !m) + 1) & m,
+                -1 if own != 0 => (own - 1) & m,
+                _ => return None,
+            };
     }
-    Some((tree, out))
+    Some(out)
 }
 
 #[cfg(test)]

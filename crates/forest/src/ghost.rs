@@ -3,31 +3,34 @@
 //! The ghost layer of a rank is the set of *remote* leaves whose closed
 //! domain touches the closed domain of at least one local leaf — p4est's
 //! `p4est_ghost_new` with `P4EST_CONNECT_FULL` (or `_FACE` for face-only
-//! adjacency). Construction is a two-round exchange:
+//! adjacency). Construction is one exchange, each owner finding its
+//! own *mirrors* — the local leaves another rank holds as ghosts:
 //!
-//! 1. **request**: every rank walks its leaves by a top-down search that
-//!    discards each subtree whose whole neighborhood it owns itself; a
-//!    *boundary* leaf the search reaches asks the owner ranks of each
-//!    same-size neighbor domain it does not own for the leaves touching
-//!    the contact region;
-//! 2. **reply**: owners answer with their matching leaves, each once and
-//!    in SFC order, and remember them as their *mirrors* for that rank;
-//!    the requester concatenates the answers into the ghost array.
+//! 1. a top-down search discards each subtree whose whole neighborhood
+//!    this rank owns; a *boundary* leaf the search reaches is a mirror
+//!    for each other owner of a same-size neighbor domain whose part of
+//!    the curve holds a maximum-level cell of that domain touching the
+//!    leaf (one BIGMIN step over the domain's contact layer);
+//! 2. one `alltoallv` ships each rank its mirrors, found in SFC order;
+//!    owners hold consecutive runs of the curve, so the replies
+//!    concatenated in rank order are the sorted ghost array.
 //!
 //! Mirrors and ghosts list the same leaves in the same order on both
 //! ends, so [`GhostLayer::exchange_data`] ships values only — no keys,
 //! no request round.
 //!
-//! The search steps to neighbors in key space, and only a domain another
-//! rank owns is resolved in coordinates, for the contact box its request
-//! carries (both in `directions`), so the algorithm is identical for
-//! every quadrant representation, including the sign-free raw-Morton
-//! layouts.
+//! The search steps to neighbors in key space, and the contact layer is
+//! a key box read off the domain's span; only a domain across a tree
+//! face is resolved in coordinates (both in `directions`), so the
+//! algorithm is identical for every quadrant representation, including
+//! the sign-free raw-Morton layouts.
 
-use crate::directions::{neighbor_domain, neighbor_index, offsets, Box3};
+use crate::directions::{neighbor_domain, neighbor_index, offsets, step_index};
 use crate::{index_span, key_span, Forest, SearchAction};
 use quadforest_comm::Comm;
+use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
+use quadforest_core::zrange::{next_in_box, point_key};
 
 /// A ghost quadrant: a remote leaf adjacent to the local domain.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -93,32 +96,33 @@ impl<Q: Quadrant> GhostLayer<Q> {
     }
 }
 
-/// A request for leaves of `tree` overlapping the domain anchored at
-/// `dom` (level `level`) whose closed domain intersects `contact`.
-type Request = (u32, [i32; 3], u8, Box3);
-
 impl<Q: Quadrant> Forest<Q> {
     /// Build the ghost layer (collective).
     pub fn ghost(&self, comm: &Comm, kind: crate::BalanceKind) -> GhostLayer<Q> {
         let _span = quadforest_telemetry::span("ghost");
 
-        // round 1: requests, from a top-down search that steps to every
-        // same-size neighbor domain in key space. It prunes each subtree
-        // whose own key span and that of each neighbor domain lie in this
-        // rank's range: a neighbor domain of any leaf below the node lies
-        // in the node or in one of those domains (`None` = no forest
-        // there), so none is remote. A leaf asks the owners of each
-        // domain not wholly its own rank's; only there does it resolve
-        // the domain in coordinates, for the contact box the owner
-        // filters with.
-        let offs = offsets(Q::DIM, kind.adjacency());
-        let conn = self.connectivity();
+        // mirrors, from a top-down search that steps to every same-size
+        // neighbor domain in key space. It prunes each subtree whose own
+        // key span and that of each neighbor domain lie in this rank's
+        // range: a neighbor domain of any leaf below the node lies in the
+        // node or in one of those domains (`None` = no forest there), so
+        // none is remote.
+        let (offs, conn) = (offsets(Q::DIM, kind.adjacency()), self.connectivity());
         let local = |tree: u32, (first, last): (u64, u64)| {
             self.is_local_position((tree, first)) && self.is_local_position((tree, last))
         };
-        let mut outgoing: Vec<Vec<Request>> = (0..self.size).map(|_| Vec::new()).collect();
+        // does rank `r` own a cell of `tree` in the key box `zmin..=zmax`?
+        let holds = |r: usize, tree: u32, (zmin, zmax): (u64, u64)| {
+            let (from, to) = (self.markers[r], self.markers[r + 1]);
+            let start = zmin.max(from.1 * (from.0 == tree) as u64);
+            next_in_box(start, zmin, zmax, Q::DIM).is_some_and(|z| (tree, z) < to)
+        };
+        let (mut mirrors, mut replies) = (vec![Vec::new(); self.size], vec![Vec::new(); self.size]);
+        // the search meets leaves in curve order: `at` is the next one's
+        // index in `leaves()` order, and each rank's mirrors come sorted
+        let mut at = 0;
         if self.size > 1 {
-            self.search(|t, node, _, is_leaf| {
+            self.search(|t, node, inside, is_leaf| {
                 let (i, level) = (node.morton_index(), node.level());
                 let mut interior = local(t, key_span(node));
                 for &off in &offs {
@@ -134,15 +138,19 @@ impl<Q: Quadrant> Forest<Q> {
                     }
                     interior = false;
                     if is_leaf {
-                        let dom = neighbor_domain(conn, t, node, off)
-                            .expect("neighbor_index resolved the same domain");
+                        let cells = contact_cells::<Q>(conn, t, node, span, off);
                         for r in self.owners_of_span(nt, span) {
-                            if r != self.rank {
-                                outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
+                            if r != self.rank
+                                && mirrors[r].last() != Some(&at)
+                                && holds(r, nt, cells)
+                            {
+                                mirrors[r].push(at);
+                                replies[r].push((t, *node));
                             }
                         }
                     }
                 }
+                at += inside.len() * (is_leaf || interior) as usize;
                 if interior {
                     SearchAction::Prune
                 } else {
@@ -150,50 +158,12 @@ impl<Q: Quadrant> Forest<Q> {
                 }
             });
         }
-        for reqs in &mut outgoing {
-            reqs.sort_unstable_by_key(|&(t, c, l, b)| (t, l, c, b.lo, b.hi));
-            reqs.dedup();
-        }
-        quadforest_telemetry::counter_add(
-            "forest.ghost.requests",
-            outgoing.iter().map(|v| v.len() as u64).sum(),
-        );
-        let incoming = comm.alltoallv(outgoing);
-
-        // round 2: replies — what a rank is told here is what it will be
-        // sent by every later `exchange_data`, so the matches are the
-        // mirrors; sorted, each owner's reply is a run of the SFC order
-        let first = self.tree_offsets();
-        let mut mirrors: Vec<Vec<usize>> = Vec::with_capacity(self.size);
-        let mut replies: Vec<Vec<(u32, Q)>> = Vec::with_capacity(self.size);
-        for reqs in incoming {
-            let mut hits: Vec<(u32, usize)> = Vec::new();
-            for (tree, coords, level, contact) in reqs {
-                let dom = Q::from_coords(coords, level);
-                for i in self.overlapping_range(tree, &dom) {
-                    if Box3::of_quad(&self.trees[tree as usize][i]).intersects(&contact, Q::DIM) {
-                        hits.push((tree, i));
-                    }
-                }
-            }
-            hits.sort_unstable();
-            hits.dedup();
-            replies.push(
-                hits.iter()
-                    .map(|&(t, i)| (t, self.trees[t as usize][i]))
-                    .collect(),
-            );
-            mirrors.push(hits.iter().map(|&(t, i)| first[t as usize] + i).collect());
-        }
-        // owners hold consecutive runs of the SFC order in rank order, so
-        // the concatenated replies are the sorted ghost array
+        let shipped = mirrors.iter().map(Vec::len).sum::<usize>();
+        quadforest_telemetry::counter_add("forest.ghost.mirrors", shipped as u64);
         let mut ghosts: Vec<GhostQuad<Q>> = Vec::new();
         for (owner, reply) in comm.alltoallv(replies).into_iter().enumerate() {
-            ghosts.extend(
-                reply
-                    .into_iter()
-                    .map(|(tree, quad)| GhostQuad { owner, tree, quad }),
-            );
+            let ghost = |(tree, quad)| GhostQuad { owner, tree, quad };
+            ghosts.extend(reply.into_iter().map(ghost));
         }
         debug_assert!(ghosts
             .windows(2)
@@ -206,6 +176,36 @@ impl<Q: Quadrant> Forest<Q> {
             local_count: self.local_count(),
         }
     }
+}
+
+/// The key box of the maximum-level cells of `node`'s neighbor domain
+/// along `off` (key span `zmin..=zmax`) that touch `node`: one layer on
+/// each axis the offset moves, read off the span — across a tree face,
+/// off the domain's contact box.
+fn contact_cells<Q: Quadrant>(
+    conn: &Connectivity,
+    tree: u32,
+    node: &Q,
+    (mut zmin, mut zmax): (u64, u64),
+    off: [i32; 3],
+) -> (u64, u64) {
+    if step_index::<Q>(node.morton_index(), node.level(), off).is_none() {
+        let dom = neighbor_domain(conn, tree, node, off).expect("a domain in the forest");
+        let (c, h, b) = (dom.coords, node.side(), dom.contact);
+        let lo = std::array::from_fn(|a| c[a].max(b.lo[a] - 1));
+        let hi = std::array::from_fn(|a| (c[a] + h - 1).min(b.hi[a]));
+        return (point_key(lo, Q::DIM), point_key(hi, Q::DIM));
+    }
+    let x_digits = [0x5555_5555_5555_5555, 0x1249_2492_4924_9249][Q::DIM as usize - 2];
+    for (a, &o) in off.iter().enumerate() {
+        let m = (x_digits << a) & (zmax - zmin);
+        match o {
+            1 => zmax &= !m,
+            -1 => zmin |= m,
+            _ => {}
+        }
+    }
+    (zmin, zmax)
 }
 
 impl<Q: Quadrant> GhostLayer<Q> {
@@ -267,14 +267,218 @@ impl<Q: Quadrant> GhostLayer<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directions::{neighbor_domain, Adjacency};
+    use crate::directions::{Adjacency, Box3};
     use crate::BalanceKind;
-    use quadforest_connectivity::Connectivity;
-    use quadforest_core::quadrant::{MortonQuad, StandardQuad};
+    use quadforest_core::quadrant::{AvxQuad, MortonQuad, StandardQuad};
     use std::sync::Arc;
 
     type Q2 = StandardQuad<2>;
     type Q3 = StandardQuad<3>;
+
+    /// The parent commit's two-round exchange, kept as the oracle of
+    /// [`Forest::ghost`]: a boundary leaf asks the owners of each remote
+    /// neighbor domain for their leaves touching the contact box, and
+    /// the owners' answers are both their mirrors and the ghosts.
+    fn two_round_ghost<Q: Quadrant>(
+        f: &Forest<Q>,
+        comm: &Comm,
+        kind: BalanceKind,
+    ) -> GhostLayer<Q> {
+        let (offs, conn) = (offsets(Q::DIM, kind.adjacency()), f.connectivity());
+        let local = |tree: u32, (first, last): (u64, u64)| {
+            f.is_local_position((tree, first)) && f.is_local_position((tree, last))
+        };
+        let mut outgoing: Vec<Vec<(u32, [i32; 3], u8, Box3)>> = vec![Vec::new(); f.size];
+        if f.size > 1 {
+            f.search(|t, node, _, is_leaf| {
+                let (i, level) = (node.morton_index(), node.level());
+                let mut interior = local(t, key_span(node));
+                for &off in &offs {
+                    if !(interior || is_leaf) {
+                        break;
+                    }
+                    let Some((nt, ni)) = neighbor_index::<Q>(conn, t, i, level, off) else {
+                        continue;
+                    };
+                    let span = index_span::<Q>(ni, level);
+                    if local(nt, span) {
+                        continue;
+                    }
+                    interior = false;
+                    if is_leaf {
+                        let dom = neighbor_domain(conn, t, node, off).unwrap();
+                        for r in f.owners_of_span(nt, span).filter(|&r| r != f.rank) {
+                            outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
+                        }
+                    }
+                }
+                if interior {
+                    SearchAction::Prune
+                } else {
+                    SearchAction::Continue
+                }
+            });
+        }
+        for reqs in &mut outgoing {
+            reqs.sort_unstable_by_key(|&(t, c, l, b)| (t, l, c, b.lo, b.hi));
+            reqs.dedup();
+        }
+        let first = f.tree_offsets();
+        let (mut mirrors, mut replies) = (Vec::new(), Vec::new());
+        for reqs in comm.alltoallv(outgoing) {
+            let mut hits: Vec<(u32, usize)> = Vec::new();
+            for (tree, coords, level, contact) in reqs {
+                let dom = Q::from_coords(coords, level);
+                for i in f.overlapping_range(tree, &dom) {
+                    if Box3::of_quad(&f.trees[tree as usize][i]).intersects(&contact, Q::DIM) {
+                        hits.push((tree, i));
+                    }
+                }
+            }
+            hits.sort_unstable();
+            hits.dedup();
+            let reply: Vec<(u32, Q)> = hits
+                .iter()
+                .map(|&(t, i)| (t, f.trees[t as usize][i]))
+                .collect();
+            replies.push(reply);
+            mirrors.push(hits.iter().map(|&(t, i)| first[t as usize] + i).collect());
+        }
+        let ghosts = (comm.alltoallv(replies).into_iter().enumerate())
+            .flat_map(|(owner, reply)| {
+                reply
+                    .into_iter()
+                    .map(move |(tree, quad)| GhostQuad { owner, tree, quad })
+            })
+            .collect();
+        GhostLayer {
+            ghosts,
+            mirrors,
+            local_count: f.local_count(),
+        }
+    }
+
+    fn mix(seed: u64, t: u32, q: u64, level: u8) -> u64 {
+        let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
+        for w in [t as u64, q, level as u64] {
+            h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            h ^= h >> 33;
+        }
+        h
+    }
+
+    /// One grid case: a seeded recursive refinement (steep level jumps,
+    /// never balanced), partitioned on even seeds; ghosts and mirrors
+    /// must be the two-round exchange's at both adjacencies.
+    fn is_the_two_round_exchange<Q: Quadrant>(conn: &Connectivity, ranks: usize, seed: u64) {
+        let max_level = if Q::DIM == 2 { 4 } else { 3 };
+        let conn = Arc::new(conn.clone());
+        quadforest_comm::run(ranks, move |comm| {
+            let mut f = Forest::<Q>::new_uniform(Arc::clone(&conn), &comm, 1);
+            f.refine(&comm, true, |t, q| {
+                q.level() < max_level && mix(seed, t, q.morton_abs(), q.level()) % 3 == 0
+            });
+            if seed % 2 == 0 {
+                f.partition(&comm);
+            }
+            for kind in [BalanceKind::Face, BalanceKind::Full] {
+                let (got, want) = (f.ghost(&comm, kind), two_round_ghost(&f, &comm, kind));
+                let what = format!("{} P={ranks} seed {seed} {kind:?}", Q::NAME);
+                assert_eq!(got.ghosts, want.ghosts, "{what}: ghosts");
+                assert_eq!(got.mirrors, want.mirrors, "{what}: mirrors");
+                let count = comm.allreduce_sum(got.len() as u64);
+                assert_eq!(count > 0, ranks > 1, "{what}");
+            }
+        });
+    }
+
+    /// A leaf one maximum-level cell away from the only cell another
+    /// rank holds in its neighbor domain is no mirror for that rank: the
+    /// contact is one cell thick. For each axis the lone cell is the last
+    /// of the `2^d` maximum-level cells next to the tree corner that is
+    /// low on that axis and high on the others, so that every other leaf
+    /// touching the leaf beside them on that axis comes earlier on the
+    /// curve — or, mirrored through the centre, the first of them, and
+    /// every other such leaf later. A filler path and the rank count put
+    /// a rank boundary right at it. The grid's meshes have no such leaf.
+    fn one_cell_past_the_contact_is_no_contact<Q: Quadrant>() {
+        let (top, root) = (Q::MAX_LEVEL, Q::len_at(0));
+        for (axis, mirrored) in (0..Q::DIM as usize).flat_map(|a| [(a, false), (a, true)]) {
+            let at_corner = |c: i32| if mirrored { root - 1 - c } else { c };
+            let lone: [i32; 3] = std::array::from_fn(|a| match a {
+                _ if a >= Q::DIM as usize => 0,
+                _ if a == axis => at_corner(3),
+                _ => at_corner(root - 1),
+            });
+            let filler = std::array::from_fn(|a| at_corner(0) * (a < Q::DIM as usize) as i32);
+            let build = move |comm: &Comm, depth: u8| {
+                let conn = Arc::new(Connectivity::unit(Q::DIM));
+                let mut f = Forest::<Q>::new_uniform(conn, comm, 0);
+                f.refine(comm, true, |_, q| {
+                    q.level() < top && q.contains_point(lone)
+                        || q.level() < depth && q.contains_point(filler)
+                });
+                f.partition(comm);
+                f
+            };
+            let start = (1..top).find_map(|depth| {
+                let all =
+                    quadforest_comm::run(1, move |comm| build(&comm, depth).gather_all(&comm));
+                let at = all[0].iter().position(|(_, q)| q.coords() == lone).unwrap();
+                let (n, cut) = (all[0].len(), at + mirrored as usize);
+                (2..=8)
+                    .find(|&p| (1..p).any(|r| n * r / p == cut))
+                    .map(|p| (depth, p))
+            });
+            let what = format!("{} axis {axis} mirrored {mirrored}", Q::NAME);
+            let (depth, ranks) = start.expect(&what);
+            quadforest_comm::run(ranks, move |comm| {
+                let f = build(&comm, depth);
+                for kind in [BalanceKind::Face, BalanceKind::Full] {
+                    let (got, want) = (f.ghost(&comm, kind), two_round_ghost(&f, &comm, kind));
+                    assert_eq!(got.mirrors, want.mirrors, "{what} {kind:?}");
+                    assert_eq!(got.ghosts, want.ghosts, "{what} {kind:?}");
+                }
+            });
+        }
+    }
+
+    /// The one-cell contact above for every representation, then the 9
+    /// connectivities of `balance_oracle.rs` × P ∈ {1, 2, 3, 4, 8} ×
+    /// face/full, representations in turn.
+    #[test]
+    fn ghost_is_the_two_round_exchange() {
+        one_cell_past_the_contact_is_no_contact::<Q2>();
+        one_cell_past_the_contact_is_no_contact::<MortonQuad<2>>();
+        one_cell_past_the_contact_is_no_contact::<AvxQuad<2>>();
+        one_cell_past_the_contact_is_no_contact::<Q3>();
+        one_cell_past_the_contact_is_no_contact::<MortonQuad<3>>();
+        one_cell_past_the_contact_is_no_contact::<AvxQuad<3>>();
+        let mut case = 0u64;
+        for conn in [
+            Connectivity::unit(2),
+            Connectivity::periodic(2),
+            Connectivity::brick2d(3, 2, false, false),
+            Connectivity::two_trees_2d(1),
+            Connectivity::two_trees_rotated_2d(),
+            Connectivity::unit(3),
+            Connectivity::periodic(3),
+            Connectivity::brick3d(2, 1, 2, [false; 3]),
+            Connectivity::two_trees_rotated_3d(),
+        ] {
+            for ranks in [1usize, 2, 3, 4, 8] {
+                match (conn.dim(), case % 3) {
+                    (2, 0) => is_the_two_round_exchange::<Q2>(&conn, ranks, case),
+                    (2, 1) => is_the_two_round_exchange::<MortonQuad<2>>(&conn, ranks, case),
+                    (2, _) => is_the_two_round_exchange::<AvxQuad<2>>(&conn, ranks, case),
+                    (_, 0) => is_the_two_round_exchange::<Q3>(&conn, ranks, case),
+                    (_, 1) => is_the_two_round_exchange::<MortonQuad<3>>(&conn, ranks, case),
+                    _ => is_the_two_round_exchange::<AvxQuad<3>>(&conn, ranks, case),
+                }
+                case += 1;
+            }
+        }
+    }
 
     /// Brute-force reference: gather everything everywhere and compute
     /// each rank's ghost layer by definition (closed-domain contact,
@@ -380,7 +584,7 @@ mod tests {
 
     /// Seeded adaptive forests that are *not* 2:1 balanced, partitioned
     /// or left as refined (at P = 16 most ranks then own nothing): the
-    /// boundary-leaf search must not lose a request on any of them.
+    /// boundary-leaf search must not lose a mirror on any of them.
     fn unbalanced_ghosts_match_reference<Q: Quadrant>(conn: Connectivity, max_level: u8) {
         let conn = Arc::new(conn);
         for (p, seed) in [(2usize, 1u64), (3, 2), (7, 3), (16, 4), (16, 5)] {

@@ -6,7 +6,7 @@
 //! callback sees every ancestor together with the range of local leaves
 //! it contains and decides whether to descend.
 
-use crate::{key_span, overlapping, Forest};
+use crate::Forest;
 use quadforest_connectivity::TreeId;
 use quadforest_core::quadrant::Quadrant;
 use quadforest_core::zrange;
@@ -34,27 +34,30 @@ impl<Q: Quadrant> Forest<Q> {
         }
     }
 
+    /// Visit `node`, whose subtree holds exactly the nonempty `inside`.
     fn search_node(
         &self,
         tree: TreeId,
         node: &Q,
-        leaves: &[Q],
+        inside: &[Q],
         visit: &mut impl FnMut(TreeId, &Q, &[Q], bool) -> SearchAction,
     ) {
-        // restrict to the leaves inside this node
-        let inside = &leaves[overlapping(leaves, key_span(node))];
-        if inside.is_empty() {
-            return;
-        }
         let is_leaf = inside.len() == 1 && inside[0] == *node;
         let action = visit(tree, node, inside, is_leaf);
         if is_leaf || action == SearchAction::Prune || node.level() >= Q::MAX_LEVEL {
             return;
         }
-        // a coarser-than-node leaf containing the node cannot occur: the
-        // range restriction guarantees inside ⊆ subtree(node)
+        // a leaf below a node that is not itself the leaf lies in one
+        // child: each child boundary cuts what is left of the slice once
+        let cells = 1u64 << (Q::DIM * (Q::MAX_LEVEL - node.level() - 1) as u32);
+        let mut rest = inside;
         for c in 0..Q::NUM_CHILDREN {
-            self.search_node(tree, &node.child(c), inside, visit);
+            let last = node.morton_abs() + (c as u64 + 1) * cells - 1;
+            let (here, after) = rest.split_at(rest.partition_point(|p| p.morton_abs() <= last));
+            if !here.is_empty() {
+                self.search_node(tree, &node.child(c), here, visit);
+            }
+            rest = after;
         }
     }
 

@@ -20,7 +20,7 @@ const SURFACE: [(&str, usize); 9] = [
     ("bench", 30),
     ("comm", 77),
     ("connectivity", 16),
-    ("core", 88),
+    ("core", 89),
     ("forest", 79),
     ("pde", 28),
     ("query", 34),
