@@ -37,28 +37,20 @@
 //! edge/corner offsets that exit through a single tree face); tree-edge
 //! and tree-corner connections are not modeled (see DESIGN.md).
 
-use crate::directions::{neighbor_index, offsets, Adjacency};
+use crate::directions::{neighbor_index, offsets};
 use crate::{index_span, overlapping, Forest};
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
 
-/// Which neighbor relations the 2:1 constraint covers.
+/// Which neighbor relations an algorithm considers: the 2:1 constraint
+/// of [`Forest::balance`], the adjacency of [`Forest::ghost`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BalanceKind {
     /// Faces only (p4est's `P4EST_CONNECT_FACE`).
     Face,
     /// Faces, edges (3D) and corners (`P4EST_CONNECT_FULL`).
     Full,
-}
-
-impl BalanceKind {
-    pub(crate) fn adjacency(self) -> Adjacency {
-        match self {
-            BalanceKind::Face => Adjacency::Face,
-            BalanceKind::Full => Adjacency::Full,
-        }
-    }
 }
 
 /// A node of the closure: `(tree, I_ℓ)`.
@@ -100,8 +92,8 @@ impl<Q: Quadrant> Forest<Q> {
             interior[level as usize].push((tree, i));
         }
         let mut scratch = Vec::new();
-        for (nodes, from) in interior.iter_mut().zip(from) {
-            merge_tail(nodes, from, &mut scratch);
+        for (level, (nodes, from)) in (0..).zip(interior.iter_mut().zip(from)) {
+            merge_tail(nodes, from, d * level, &mut scratch);
         }
 
         // rebuild: one forward cursor per level over the sorted sets
@@ -184,7 +176,7 @@ impl<Q: Quadrant> Forest<Q> {
             let up = &mut coarser[level - 1];
             let from = up.len();
             steps += close_families::<Q>(conn, &subs, (&finer[0], level as u8), up);
-            merge_tail(up, from, &mut scratch);
+            merge_tail(up, from, d * (level as u32 - 1), &mut scratch);
         }
         quadforest_telemetry::counter_add("forest.balance.neighbor_steps", steps);
         interior
@@ -195,7 +187,7 @@ impl<Q: Quadrant> Forest<Q> {
     /// rank is not looked at (the cross-rank property is what
     /// `tests/balance_oracle.rs` covers). Used by tests; collective-free.
     pub fn is_balanced_local(&self, kind: BalanceKind) -> Result<(), String> {
-        let offs = offsets(Q::DIM, kind.adjacency());
+        let offs = offsets(Q::DIM, kind);
         for (t, q) in self.leaves() {
             let level = q.level();
             if level < 2 {
@@ -228,7 +220,7 @@ impl<Q: Quadrant> Forest<Q> {
 fn sub_offsets<Q: Quadrant>(kind: BalanceKind) -> Vec<([i32; 3], u32)> {
     let outward = |o: [i32; 3], c| (0..3).all(|a| o[a] == 0 || (o[a] == 1) == (c >> a & 1 == 1));
     let children = |o| (0..Q::NUM_CHILDREN).fold(0, |m, c| m | (outward(o, c) as u32) << c);
-    let offs = offsets(Q::DIM, kind.adjacency());
+    let offs = offsets(Q::DIM, kind);
     offs.into_iter().map(|o| (o, children(o))).collect()
 }
 
@@ -259,12 +251,14 @@ fn close_families<Q: Quadrant>(
 /// (the crossover with the radix sort: EXPERIMENTS.md, "Dense closure levels").
 const DENSE_SPAN_PER_NODE: u128 = 64;
 
-/// Merge `set[from..]` into the sorted `set[..from]`, deduplicating: off
-/// a bitmap of the key span when it is dense (≤ [`DENSE_SPAN_PER_NODE`]
-/// keys per node), else the tail LSD-radix-sorted into `scratch` — a pass
-/// per byte of `(tree, index)` that varies — and merged from the back.
-fn merge_tail(set: &mut Vec<Node>, from: usize, scratch: &mut Vec<Node>) {
-    let key = |n: &Node| (n.0 as u128) << 64 | n.1 as u128;
+/// Merge `set[from..]` into the sorted `set[..from]`, deduplicating, over
+/// keys `(tree << s) | index` (`s = d·ℓ` at level `ℓ`: a level dense in
+/// each tree is dense in key space): off a bitmap of the key span when it
+/// is dense (≤ [`DENSE_SPAN_PER_NODE`] keys per node), else the tail
+/// LSD-radix-sorted into `scratch` — a pass per key byte that varies —
+/// and merged from the back.
+fn merge_tail(set: &mut Vec<Node>, from: usize, s: u32, scratch: &mut Vec<Node>) {
+    let key = |n: &Node| (n.0 as u128) << s | n.1 as u128;
     let (lo, hi) = set
         .iter()
         .map(key)
@@ -278,7 +272,7 @@ fn merge_tail(set: &mut Vec<Node>, from: usize, scratch: &mut Vec<Node>) {
         for (w, mut word) in (0..).zip(bits) {
             while word != 0 {
                 let k = lo + 64 * w + word.trailing_zeros() as u128;
-                set.push(((k >> 64) as u32, k as u64));
+                set.push(((k >> s) as u32, (k & ((1 << s) - 1)) as u64));
                 word &= word - 1;
             }
         }
@@ -574,7 +568,7 @@ mod tests {
     fn family_step_is_the_node_step<Q: Quadrant>(conn: &Connectivity) {
         let mut rng = 0x9E37_79B9_7F4A_7C15;
         for kind in [BalanceKind::Face, BalanceKind::Full] {
-            let (offs, subs) = (offsets(Q::DIM, kind.adjacency()), sub_offsets::<Q>(kind));
+            let (offs, subs) = (offsets(Q::DIM, kind), sub_offsets::<Q>(kind));
             for level in 1..=Q::MAX_LEVEL {
                 let nodes = random_nodes::<Q>(conn, level, &mut rng);
                 let (mut by_family, mut by_node) = (Vec::new(), Vec::new());
@@ -635,7 +629,7 @@ mod tests {
             let mut want = set.clone();
             want.sort_unstable();
             want.dedup();
-            merge_tail(&mut set, len, &mut scratch);
+            merge_tail(&mut set, len, 64, &mut scratch);
             assert_eq!(set, want, "len {len}");
         }
         // both regimes: keys `spread` apart per node on average (dense
@@ -674,10 +668,36 @@ mod tests {
             let gap = key(&want[want.len() - 1]) - key(&want[0]);
             let dense = gap < DENSE_SPAN_PER_NODE * set.len() as u128;
             regimes[dense as usize] = true;
-            merge_tail(&mut set, len, &mut scratch);
+            merge_tail(&mut set, len, 64, &mut scratch);
             assert_eq!(set, want, "len {len}, spread {spread}, tree {tree:#x}");
         }
         assert_eq!(regimes, [true; 2], "both the radix and the bitmap ran");
+
+        // a level dense in each of five trees: level 3 in 2D (64 nodes a
+        // tree), every third node seeded, random ones pushed in runs of
+        // one to four — dense keyed at `s = d·ℓ`, sparse at `s = 64`
+        let (level, trees) = (3u32, 5u32);
+        let cells = 1u64 << (2 * level);
+        let mut set: Vec<Node> = (0..trees)
+            .flat_map(|t| (0..cells).filter(|i| i % 3 == 0).map(move |i| (t, i)))
+            .collect();
+        let from = set.len();
+        while set.len() < from + 2 * (trees as u64 * cells) as usize {
+            let r = xorshift(&mut rng);
+            let node = ((r % trees as u64) as u32, (r >> 8) % cells);
+            set.extend(std::iter::repeat_n(node, 1 + (r >> 4) as usize % 4));
+        }
+        let mut want = set.clone();
+        want.sort_unstable();
+        want.dedup();
+        let span = |s: u32| {
+            let key = |n: &Node| (n.0 as u128) << s | n.1 as u128;
+            key(&want[want.len() - 1]) - key(&want[0])
+        };
+        assert!(span(2 * level) < DENSE_SPAN_PER_NODE * set.len() as u128);
+        assert!(span(64) >= DENSE_SPAN_PER_NODE * set.len() as u128);
+        merge_tail(&mut set, from, 2 * level, &mut scratch);
+        assert_eq!(set, want, "a dense level over {trees} trees");
     }
 
     /// Does the sphere of radius 0.35 about (0.53, 0.45, 0.51) pass
@@ -712,7 +732,7 @@ mod tests {
                 let conn = Arc::new(Connectivity::unit(3));
                 let mut f = Forest::<Q>::new_uniform(conn.clone(), &comm, 2);
                 f.refine(&comm, true, |_, q| q.level() < 6 && cuts_shell(q));
-                let offs = offsets(3, Adjacency::Face);
+                let offs = offsets(3, BalanceKind::Face);
                 let (mut families, mut node_steps) = (0, 0);
                 for (level, nodes) in f.close(BalanceKind::Face).iter().enumerate().skip(1) {
                     families += nodes

@@ -2,27 +2,19 @@
 //! and iteration. Exterior positions are never materialized as quadrants
 //! (the raw-Morton layouts carry no sign bits). A neighbor is found one
 //! way: in key space, a level-`ℓ` index stepped by a dilated ±1 per axis
-//! (`neighbor_index`), the connectivity consulted only where the step
-//! leaves the tree (through [`neighbor_domain`]). Beyond that,
-//! [`neighbor_domain`] resolves a domain in coordinates only where its
-//! contact box is consumed: cross-tree ghost contacts and face iteration.
+//! (`step_index`), the connectivity consulted only where the step leaves
+//! the tree (`neighbor_index`, through [`neighbor_domain`]). Beyond that,
+//! [`neighbor_domain`] resolves a domain in coordinates only for a ghost
+//! contact across a tree face.
 
+use crate::BalanceKind;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
 
-/// Which neighbor relations an algorithm considers.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Adjacency {
-    /// Across faces only.
-    Face,
-    /// Across faces, edges (3D) and corners.
-    Full,
-}
-
 /// Unit offsets `{-1,0,1}^d \ {0}` selecting same-size neighbor domains,
-/// filtered by the adjacency kind. Face offsets have exactly one nonzero
+/// filtered by the relation kind. Face offsets have exactly one nonzero
 /// component, edge offsets two, corner offsets `d`.
-pub fn offsets(dim: u32, kind: Adjacency) -> Vec<[i32; 3]> {
+pub fn offsets(dim: u32, kind: BalanceKind) -> Vec<[i32; 3]> {
     let mut out = Vec::new();
     let range = |_d: usize| -1i32..=1;
     for dz in if dim == 3 { range(2) } else { 0..=0 } {
@@ -30,8 +22,8 @@ pub fn offsets(dim: u32, kind: Adjacency) -> Vec<[i32; 3]> {
             for dx in range(0) {
                 let nz = (dx != 0) as u32 + (dy != 0) as u32 + (dz != 0) as u32;
                 let keep = match kind {
-                    Adjacency::Face => nz == 1,
-                    Adjacency::Full => nz >= 1,
+                    BalanceKind::Face => nz == 1,
+                    BalanceKind::Full => nz >= 1,
                 };
                 if keep {
                     out.push([dx, dy, dz]);
@@ -50,8 +42,6 @@ pub struct Box3 {
     /// Inclusive upper corner.
     pub hi: [i32; 3],
 }
-
-quadforest_core::wire!(struct Box3 { lo, hi });
 
 impl Box3 {
     /// Closed intersection test (shared boundary points count).
@@ -210,12 +200,10 @@ pub(crate) fn neighbor_index<Q: Quadrant>(
 
 /// [`neighbor_index`] inside the tree: `None` where the step leaves it.
 pub(crate) fn step_index<Q: Quadrant>(i: u64, level: u8, offset: [i32; 3]) -> Option<u64> {
-    // a one at every x digit of a level-relative index
-    let x_digits = [0x5555_5555_5555_5555u64, 0x1249_2492_4924_9249][Q::DIM as usize - 2];
     let digits = (1u64 << (Q::DIM * level as u32)) - 1;
     let mut out = i;
     for (a, &o) in offset.iter().enumerate().take(Q::DIM as usize) {
-        let m = (x_digits << a) & digits;
+        let m = axis_digits::<Q>(a, digits);
         let own = out & m;
         out = (out & !m)
             | match o {
@@ -228,6 +216,14 @@ pub(crate) fn step_index<Q: Quadrant>(i: u64, level: u8, offset: [i32; 3]) -> Op
     Some(out)
 }
 
+/// The digits of axis `a` among the whole digits `span` masks (an index's
+/// `2^{dℓ} − 1`, a key span's `last − first`): what Algorithm 8 steps, and
+/// all zero (all one) in a key on the span's lower (upper) face.
+pub(crate) fn axis_digits<Q: Quadrant>(a: usize, span: u64) -> u64 {
+    let x_digits = [0x5555_5555_5555_5555u64, 0x1249_2492_4924_9249][Q::DIM as usize - 2];
+    (x_digits << a) & span
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,10 +234,10 @@ mod tests {
 
     #[test]
     fn offset_counts() {
-        assert_eq!(offsets(2, Adjacency::Face).len(), 4);
-        assert_eq!(offsets(2, Adjacency::Full).len(), 8);
-        assert_eq!(offsets(3, Adjacency::Face).len(), 6);
-        assert_eq!(offsets(3, Adjacency::Full).len(), 26);
+        assert_eq!(offsets(2, BalanceKind::Face).len(), 4);
+        assert_eq!(offsets(2, BalanceKind::Full).len(), 8);
+        assert_eq!(offsets(3, BalanceKind::Face).len(), 6);
+        assert_eq!(offsets(3, BalanceKind::Full).len(), 26);
     }
 
     #[test]
@@ -329,7 +325,7 @@ mod tests {
             [0, 1, n / 2, n / 3, 2 * n / 3, n - 2, n - 1].map(|i| (i, l))
         });
         let nodes: Vec<(u64, u8)> = coarse.chain(fine).collect();
-        for kind in [Adjacency::Face, Adjacency::Full] {
+        for kind in [BalanceKind::Face, BalanceKind::Full] {
             for off in offsets(Q::DIM, kind) {
                 for tree in 0..conn.num_trees() as u32 {
                     for &(i, level) in &nodes {

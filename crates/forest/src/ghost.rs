@@ -19,18 +19,19 @@
 //! ends, so [`GhostLayer::exchange_data`] ships values only — no keys,
 //! no request round.
 //!
-//! The search steps to neighbors in key space, and the contact layer is
-//! a key box read off the domain's span; only a domain across a tree
-//! face is resolved in coordinates (both in `directions`), so the
+//! The search steps to neighbors in key space and reads the contact
+//! layer off the domain's span (`directions::axis_digits`); only a
+//! contact across a tree face is resolved in coordinates, so the
 //! algorithm is identical for every quadrant representation, including
 //! the sign-free raw-Morton layouts.
 
-use crate::directions::{neighbor_domain, neighbor_index, offsets, step_index};
+use crate::directions::{axis_digits, neighbor_domain, neighbor_index, offsets, step_index};
 use crate::{index_span, key_span, Forest, SearchAction};
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::Quadrant;
 use quadforest_core::zrange::{next_in_box, point_key};
+use std::ops::Range;
 
 /// A ghost quadrant: a remote leaf adjacent to the local domain.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -82,10 +83,9 @@ impl<Q: Quadrant> GhostLayer<Q> {
     }
 
     /// The index range in `ghosts` of the ghosts of `tree` whose subtree
-    /// range overlaps the quadrant `q` (i.e. ghosts equal to, contained
-    /// in, or containing `q`).
-    pub(crate) fn overlapping(&self, tree: u32, q: &Q) -> std::ops::Range<usize> {
-        let (first, last) = key_span(q);
+    /// overlaps the key span `(first, last)`, as
+    /// [`overlapping`](crate::overlapping) finds local leaves.
+    pub(crate) fn overlapping(&self, tree: u32, (first, last): (u64, u64)) -> Range<usize> {
         let lo = self
             .ghosts
             .partition_point(|g| (g.tree, key_span(&g.quad).1) < (tree, first));
@@ -107,7 +107,7 @@ impl<Q: Quadrant> Forest<Q> {
         // range: a neighbor domain of any leaf below the node lies in the
         // node or in one of those domains (`None` = no forest there), so
         // none is remote.
-        let (offs, conn) = (offsets(Q::DIM, kind.adjacency()), self.connectivity());
+        let (offs, conn) = (offsets(Q::DIM, kind), self.connectivity());
         let local = |tree: u32, (first, last): (u64, u64)| {
             self.is_local_position((tree, first)) && self.is_local_position((tree, last))
         };
@@ -196,9 +196,8 @@ fn contact_cells<Q: Quadrant>(
         let hi = std::array::from_fn(|a| (c[a] + h - 1).min(b.hi[a]));
         return (point_key(lo, Q::DIM), point_key(hi, Q::DIM));
     }
-    let x_digits = [0x5555_5555_5555_5555, 0x1249_2492_4924_9249][Q::DIM as usize - 2];
     for (a, &o) in off.iter().enumerate() {
-        let m = (x_digits << a) & (zmax - zmin);
+        let m = axis_digits::<Q>(a, zmax - zmin);
         match o {
             1 => zmax &= !m,
             -1 => zmin |= m,
@@ -267,7 +266,8 @@ impl<Q: Quadrant> GhostLayer<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directions::{Adjacency, Box3};
+    use crate::directions::Box3;
+    use crate::overlapping;
     use crate::BalanceKind;
     use quadforest_core::quadrant::{AvxQuad, MortonQuad, StandardQuad};
     use std::sync::Arc;
@@ -284,11 +284,12 @@ mod tests {
         comm: &Comm,
         kind: BalanceKind,
     ) -> GhostLayer<Q> {
-        let (offs, conn) = (offsets(Q::DIM, kind.adjacency()), f.connectivity());
+        let (offs, conn) = (offsets(Q::DIM, kind), f.connectivity());
         let local = |tree: u32, (first, last): (u64, u64)| {
             f.is_local_position((tree, first)) && f.is_local_position((tree, last))
         };
-        let mut outgoing: Vec<Vec<(u32, [i32; 3], u8, Box3)>> = vec![Vec::new(); f.size];
+        let mut outgoing: Vec<Vec<(u32, [i32; 3], u8, ([i32; 3], [i32; 3]))>> =
+            vec![Vec::new(); f.size];
         if f.size > 1 {
             f.search(|t, node, _, is_leaf| {
                 let (i, level) = (node.morton_index(), node.level());
@@ -308,7 +309,8 @@ mod tests {
                     if is_leaf {
                         let dom = neighbor_domain(conn, t, node, off).unwrap();
                         for r in f.owners_of_span(nt, span).filter(|&r| r != f.rank) {
-                            outgoing[r].push((dom.tree, dom.coords, dom.level, dom.contact));
+                            let contact = (dom.contact.lo, dom.contact.hi);
+                            outgoing[r].push((dom.tree, dom.coords, dom.level, contact));
                         }
                     }
                 }
@@ -320,16 +322,16 @@ mod tests {
             });
         }
         for reqs in &mut outgoing {
-            reqs.sort_unstable_by_key(|&(t, c, l, b)| (t, l, c, b.lo, b.hi));
+            reqs.sort_unstable_by_key(|&(t, c, l, b)| (t, l, c, b));
             reqs.dedup();
         }
         let first = f.tree_offsets();
         let (mut mirrors, mut replies) = (Vec::new(), Vec::new());
         for reqs in comm.alltoallv(outgoing) {
             let mut hits: Vec<(u32, usize)> = Vec::new();
-            for (tree, coords, level, contact) in reqs {
-                let dom = Q::from_coords(coords, level);
-                for i in f.overlapping_range(tree, &dom) {
+            for (tree, coords, level, (lo, hi)) in reqs {
+                let (dom, contact) = (Q::from_coords(coords, level), Box3 { lo, hi });
+                for i in overlapping(&f.trees[tree as usize], key_span(&dom)) {
                     if Box3::of_quad(&f.trees[tree as usize][i]).intersects(&contact, Q::DIM) {
                         hits.push((tree, i));
                     }
@@ -486,7 +488,7 @@ mod tests {
     fn reference_ghosts<Q: Quadrant>(
         f: &Forest<Q>,
         comm: &Comm,
-        adjacency: Adjacency,
+        adjacency: BalanceKind,
     ) -> Vec<(u32, [i32; 3], u8)> {
         let all: Vec<(usize, u32, Q)> = comm
             .allgather(
@@ -559,7 +561,7 @@ mod tests {
                 let g = f.ghost(&comm, BalanceKind::Full);
                 assert_eq!(
                     ghost_as_tuples(&g),
-                    reference_ghosts(&f, &comm, Adjacency::Full),
+                    reference_ghosts(&f, &comm, BalanceKind::Full),
                     "P = {p}"
                 );
             });
@@ -577,7 +579,7 @@ mod tests {
             let g = f.ghost(&comm, BalanceKind::Full);
             assert_eq!(
                 ghost_as_tuples(&g),
-                reference_ghosts(&f, &comm, Adjacency::Full)
+                reference_ghosts(&f, &comm, BalanceKind::Full)
             );
         });
     }
@@ -602,13 +604,10 @@ mod tests {
                 if seed % 2 == 0 {
                     f.partition(&comm);
                 }
-                for (kind, adjacency) in [
-                    (BalanceKind::Face, Adjacency::Face),
-                    (BalanceKind::Full, Adjacency::Full),
-                ] {
+                for kind in [BalanceKind::Face, BalanceKind::Full] {
                     assert_eq!(
                         ghost_as_tuples(&f.ghost(&comm, kind)),
-                        reference_ghosts(&f, &comm, adjacency),
+                        reference_ghosts(&f, &comm, kind),
                         "P = {p}, seed {seed}, {kind:?}"
                     );
                 }
@@ -640,7 +639,7 @@ mod tests {
             let gc = ghost_as_tuples(&f.ghost(&comm, BalanceKind::Full));
             assert!(gf.iter().all(|x| gc.contains(x)));
             assert!(gf.len() <= gc.len());
-            assert_eq!(gf, reference_ghosts(&f, &comm, Adjacency::Face));
+            assert_eq!(gf, reference_ghosts(&f, &comm, BalanceKind::Face));
         });
     }
 
@@ -653,7 +652,7 @@ mod tests {
             let g = f.ghost(&comm, BalanceKind::Face);
             assert_eq!(
                 ghost_as_tuples(&g),
-                reference_ghosts(&f, &comm, Adjacency::Face)
+                reference_ghosts(&f, &comm, BalanceKind::Face)
             );
             // the ghosts must live in the *other* tree and hug the
             // shared face
@@ -773,7 +772,7 @@ mod tests {
             let f = Forest::<Q2>::new_uniform(conn, &comm, 3);
             let g = f.ghost(&comm, BalanceKind::Full);
             for gq in &g.ghosts {
-                let hits = g.overlapping(gq.tree, &gq.quad);
+                let hits = g.overlapping(gq.tree, key_span(&gq.quad));
                 assert!(g.ghosts[hits].iter().any(|h| h.quad == gq.quad));
             }
         });

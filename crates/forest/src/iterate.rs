@@ -19,9 +19,14 @@
 //! equal-size pair of two local leaves is emitted by the leaf that comes
 //! first on the curve. A rank therefore emits every pair with a local
 //! side exactly once, and never a pair of two ghosts.
+//!
+//! The walk steps across a face in key space, as `balance` and `ghost`
+//! do (`directions::step_index`); only a step out of the tree consults
+//! the connectivity. A leaf overlapping the domain across touches the
+//! face it shows back when its keys' digits of that axis say so.
 
-use crate::directions::{neighbor_domain, Box3};
-use crate::{Forest, GhostLayer};
+use crate::directions::{axis_digits, neighbor_index, step_index};
+use crate::{index_span, key_span, overlapping, Forest, GhostLayer};
 use quadforest_core::quadrant::Quadrant;
 use std::cmp::Ordering;
 
@@ -71,27 +76,6 @@ pub enum Interface<Q: Quadrant> {
     Interior(FaceSide<Q>, FaceSide<Q>),
 }
 
-/// The face of the neighbor-tree domain through which `q` is seen, given
-/// that `q` sees the domain through its own face `f`. For intra-tree
-/// interfaces this is simply the opposite face; across a tree connection
-/// it is the connected face of the neighbor tree composed with the
-/// transform's axis mapping — derived here geometrically by comparing
-/// contact-box position within the domain.
-fn opposite_face(dim: u32, dom_coords: [i32; 3], dom_h: i32, contact: &Box3) -> u32 {
-    for (a, &dc) in dom_coords.iter().enumerate().take(dim as usize) {
-        if contact.lo[a] == contact.hi[a] {
-            // degenerate axis: the contact plane
-            return if contact.lo[a] == dc {
-                2 * a as u32
-            } else {
-                debug_assert_eq!(contact.lo[a], dc + dom_h);
-                2 * a as u32 + 1
-            };
-        }
-    }
-    unreachable!("face contact must be degenerate along exactly one axis")
-}
-
 /// Iterate all face interfaces involving local leaves, as pairs; see
 /// the module documentation for the one emission rule.
 pub fn iterate_faces<Q: Quadrant>(
@@ -102,6 +86,7 @@ pub fn iterate_faces<Q: Quadrant>(
     let conn = forest.connectivity();
     let first = forest.tree_offsets();
     for (i, (t, q)) in forest.leaves().enumerate() {
+        let (index, level) = (q.morton_index(), q.level());
         for f in 0..Q::NUM_FACES {
             let this = FaceSide {
                 tree: t,
@@ -111,24 +96,35 @@ pub fn iterate_faces<Q: Quadrant>(
             };
             let mut off = [0i32; 3];
             off[(f / 2) as usize] = if f & 1 == 1 { 1 } else { -1 };
-            let Some(dom) = neighbor_domain(conn, t, q, off) else {
+            // the domain across `f` and the face it shows back
+            let across = match step_index::<Q>(index, level, off) {
+                Some(n) => Some((t, n, f ^ 1)),
+                None => neighbor_index::<Q>(conn, t, index, level, off)
+                    .zip(conn.neighbor(t, f))
+                    .map(|((nt, n), c)| (nt, n, c.face)),
+            };
+            let Some((nt, n, face)) = across else {
                 visit(Interface::Boundary(this));
                 continue;
             };
-            // the leaves across the face — local leaves, then ghosts —
-            // overlap the same-size domain and touch the contact
-            let probe = Q::from_coords(dom.coords, dom.level);
-            let face = opposite_face(Q::DIM, dom.coords, probe.side(), &dom.contact);
-            let leaves = forest.tree_leaves(dom.tree);
-            let local = forest
-                .overlapping_range(dom.tree, &probe)
-                .map(|j| (leaves[j], LeafRef::Local(first[dom.tree as usize] + j)));
+            // a leaf overlapping the span (local leaves, then ghosts)
+            // touches a lower `face` when its first key's axis digits are
+            // all zero, an upper one when its last key's are all one
+            let span = index_span::<Q>(n, level);
+            let m = axis_digits::<Q>((face / 2) as usize, span.1 - span.0);
+            let touches = |quad: &Q| match key_span(quad) {
+                (first, _) if face & 1 == 0 => first & m == 0,
+                (_, last) => last & m == m,
+            };
+            let leaves = forest.tree_leaves(nt);
+            let local = overlapping(leaves, span)
+                .map(|j| (leaves[j], LeafRef::Local(first[nt as usize] + j)));
             let remote = ghost
-                .overlapping(dom.tree, &probe)
+                .overlapping(nt, span)
                 .map(|j| (ghost.ghosts[j].quad, LeafRef::Ghost(j)));
             for (quad, leaf) in local.chain(remote) {
                 let other = FaceSide {
-                    tree: dom.tree,
+                    tree: nt,
                     quad,
                     face,
                     leaf,
@@ -137,10 +133,10 @@ pub fn iterate_faces<Q: Quadrant>(
                     Ordering::Less => true,
                     Ordering::Greater => other.is_ghost(),
                     Ordering::Equal => {
-                        other.is_ghost() || (t, q.morton_abs()) < (dom.tree, quad.morton_abs())
+                        other.is_ghost() || (t, q.morton_abs()) < (nt, quad.morton_abs())
                     }
                 };
-                if emits && Box3::of_quad(&quad).intersects(&dom.contact, Q::DIM) {
+                if emits && touches(&quad) {
                     visit(Interface::Interior(this, other));
                 }
             }
@@ -151,6 +147,7 @@ pub fn iterate_faces<Q: Quadrant>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directions::{neighbor_domain, Box3};
     use crate::BalanceKind;
     use quadforest_connectivity::Connectivity;
     use quadforest_core::quadrant::{AvxQuad, MortonQuad, StandardQuad};
@@ -186,11 +183,10 @@ mod tests {
         // each seen through its face `face`
         let touching = |tree: u32, probe: &Q, contact: &Box3, face: u32, out: &mut Vec<_>| {
             let leaves = forest.tree_leaves(tree);
-            let local = forest
-                .overlapping_range(tree, probe)
+            let local = overlapping(leaves, key_span(probe))
                 .map(|i| (leaves[i], LeafRef::Local(first[tree as usize] + i)));
             let remote = ghost
-                .overlapping(tree, probe)
+                .overlapping(tree, key_span(probe))
                 .map(|i| (ghost.ghosts[i].quad, LeafRef::Ghost(i)));
             out.extend(
                 local
@@ -269,6 +265,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The face of the neighbor-tree domain through which `q` is seen, given
+    /// that `q` sees the domain through its own face `f`. For intra-tree
+    /// interfaces this is simply the opposite face; across a tree connection
+    /// it is the connected face of the neighbor tree composed with the
+    /// transform's axis mapping — derived here geometrically by comparing
+    /// contact-box position within the domain, for the oracle; the walk
+    /// reads `f ^ 1` or the connection's face.
+    fn opposite_face(dim: u32, dom_coords: [i32; 3], dom_h: i32, contact: &Box3) -> u32 {
+        for (a, &dc) in dom_coords.iter().enumerate().take(dim as usize) {
+            if contact.lo[a] == contact.hi[a] {
+                // degenerate axis: the contact plane
+                return if contact.lo[a] == dc {
+                    2 * a as u32
+                } else {
+                    debug_assert_eq!(contact.lo[a], dc + dom_h);
+                    2 * a as u32 + 1
+                };
+            }
+        }
+        unreachable!("face contact must be degenerate along exactly one axis")
     }
 
     /// The contact region in *our* tree frame: the face of `q` itself.

@@ -323,13 +323,6 @@ impl<Q: Quadrant> Forest<Q> {
         self.markers[self.rank] <= pos && pos < self.markers[self.rank + 1]
     }
 
-    /// Locate the local leaf that is, or contains, or descends from `q`:
-    /// returns the index range of local leaves of `tree` overlapping
-    /// `q`'s domain.
-    pub(crate) fn overlapping_range(&self, tree: TreeId, q: &Q) -> std::ops::Range<usize> {
-        overlapping(&self.trees[tree as usize], key_span(q))
-    }
-
     /// A position-independent checksum of the global leaf set, equal on
     /// every rank (used to verify partition invariance).
     pub fn checksum(&self, comm: &Comm) -> u64 {
@@ -537,7 +530,7 @@ mod tests {
             let f = Forest::<Q3>::new_uniform(conn, &comm, 3);
             // the subtree of a level-1 quadrant holds 4^... = 2^(3*2) leaves
             let anc = Q3::from_morton(3, 1);
-            let range = f.overlapping_range(0, &anc);
+            let range = overlapping(f.tree_leaves(0), key_span(&anc));
             assert_eq!(range.len(), 64);
             for q in &f.tree_leaves(0)[range] {
                 assert!(anc.is_ancestor_of(q));

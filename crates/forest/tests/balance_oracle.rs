@@ -12,13 +12,13 @@
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
-use quadforest_forest::directions::{neighbor_domain, offsets, Adjacency};
+use quadforest_forest::directions::{neighbor_domain, offsets};
 use quadforest_forest::{BalanceKind, Forest};
 use quadforest_telemetry::{self as telemetry, MetricKind};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-fn oracle_balance<Q: Quadrant>(f: &mut Forest<Q>, comm: &Comm, adjacency: Adjacency) {
+fn oracle_balance<Q: Quadrant>(f: &mut Forest<Q>, comm: &Comm, adjacency: BalanceKind) {
     loop {
         let all: HashSet<(u32, Q)> = f.gather_all(comm).into_iter().collect();
         let mut marked: HashSet<(u32, Q)> = HashSet::new();
@@ -76,11 +76,7 @@ fn check<Q: Quadrant>(
             f.partition(&comm);
         }
         let mut expected = f.clone();
-        let adjacency = match kind {
-            BalanceKind::Face => Adjacency::Face,
-            BalanceKind::Full => Adjacency::Full,
-        };
-        oracle_balance(&mut expected, &comm, adjacency);
+        oracle_balance(&mut expected, &comm, kind);
 
         let before = f.local_count();
         let split = f.balance(&comm, kind);

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use quadforest_comm::Comm;
 use quadforest_connectivity::Connectivity;
 use quadforest_core::quadrant::{AvxQuad, MortonQuad, Quadrant, StandardQuad};
-use quadforest_forest::directions::{neighbor_domain, offsets, Adjacency, Box3};
+use quadforest_forest::directions::{neighbor_domain, offsets, Box3};
 use quadforest_forest::{BalanceKind, Forest, GhostLayer};
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn global_leaves(views: Vec<Vec<(u32, [i32; 3], u8)>>) -> Vec<(u32, [i32; 3], u8
 fn oracle_ghosts<Q: Quadrant>(
     f: &Forest<Q>,
     comm: &Comm,
-    adjacency: Adjacency,
+    adjacency: BalanceKind,
 ) -> Vec<(u32, [i32; 3], u8)> {
     let all: Vec<(usize, u32, Q)> = comm
         .allgather(
@@ -119,13 +119,6 @@ fn ghost_tuples<Q: Quadrant>(g: &GhostLayer<Q>) -> Vec<(u32, [i32; 3], u8)> {
     v
 }
 
-fn adjacency_of(kind: BalanceKind) -> Adjacency {
-    match kind {
-        BalanceKind::Face => Adjacency::Face,
-        _ => Adjacency::Full,
-    }
-}
-
 /// This rank's ghost layer of `kind` matches the per-quadrant oracle,
 /// and its mirrors are its peers' ghosts (collective). Returns the
 /// number of ghosts.
@@ -133,7 +126,7 @@ fn check_ghosts<Q: Quadrant>(f: &Forest<Q>, comm: &Comm, kind: BalanceKind, what
     let ghost = f.ghost(comm, kind);
     assert_eq!(
         ghost_tuples(&ghost),
-        oracle_ghosts(f, comm, adjacency_of(kind)),
+        oracle_ghosts(f, comm, kind),
         "{what} {kind:?}: ghost layer diverges from the per-quadrant oracle"
     );
     // mirror/ghost symmetry: what this rank mirrors to rank s is, in

@@ -75,23 +75,6 @@ impl Patch {
         let cell_area = (h / PATCH_N as f64) * (h / PATCH_N as f64);
         self.sum() * cell_area
     }
-
-    /// The four one-cell-deep edge strips, indexed by face
-    /// (0 = −x, 1 = +x, 2 = −y, 3 = +y); strip entries run along the
-    /// tangential axis. The oracle of the strips the step's kernel
-    /// writes.
-    #[cfg(test)]
-    pub(crate) fn halo(&self) -> PatchHalo {
-        let n = PATCH_N;
-        PatchHalo {
-            edges: [
-                std::array::from_fn(|s| self.get(0, s)),
-                std::array::from_fn(|s| self.get(n - 1, s)),
-                std::array::from_fn(|s| self.get(s, 0)),
-                std::array::from_fn(|s| self.get(s, n - 1)),
-            ],
-        }
-    }
 }
 
 // The cells back to back: `[f64; PATCH_CELLS]` moves in bulk.
@@ -156,6 +139,25 @@ impl<Q: Quadrant> DataMapper<Q, Patch> for PatchMapper {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl Patch {
+    /// The four one-cell-deep edge strips, indexed by face
+    /// (0 = −x, 1 = +x, 2 = −y, 3 = +y); strip entries run along the
+    /// tangential axis. The oracle of the strips the step's kernel
+    /// writes.
+    pub(crate) fn halo(&self) -> PatchHalo {
+        let n = PATCH_N;
+        PatchHalo {
+            edges: [
+                std::array::from_fn(|s| self.get(0, s)),
+                std::array::from_fn(|s| self.get(n - 1, s)),
+                std::array::from_fn(|s| self.get(s, 0)),
+                std::array::from_fn(|s| self.get(s, n - 1)),
+            ],
+        }
     }
 }
 
