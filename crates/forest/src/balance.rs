@@ -19,19 +19,20 @@
 //!    §3.4). Those parents depend only on `P` and on the sides of `P` that
 //!    `p` touches, so each sibling *family* steps once from `P` along each
 //!    sub-offset a present child reaches (`directions::neighbor_index`: a
-//!    dilated ±1 on the index). The parents are radix-sorted and merged
-//!    into the next level's sorted seeds; a level is finished before the
-//!    next coarser one starts, so one pass closes the set.
+//!    dilated ±1 on the index). The parents are merged into the next
+//!    level's sorted seeds ([`merge_tail`], by the regime the tail's size
+//!    and span pick); a level is finished before the next coarser one
+//!    starts, so one pass closes the set.
 //! 3. **One exchange**: every rule has a single premise, so the closure
 //!    of a union is the union of the closures. Each rank closes its own
 //!    seeds over the *whole* forest and ships every node to the ranks
-//!    whose range its subtree overlaps; receivers merge the arrivals into
-//!    their sorted levels and are done — no second round, no convergence
-//!    reduction.
+//!    whose range its subtree overlaps; receivers merge the arrivals, a
+//!    small tail, into their sorted levels and are done — no second
+//!    round, no convergence reduction.
 //! 4. **Rebuild**: a depth-first walk in curve order meets each level's
-//!    indices in increasing order, so one forward cursor per level
-//!    decides "interior → split, else emit" for old leaves and their
-//!    new descendants alike.
+//!    indices in increasing order, so one plain forward cursor per level
+//!    decides "interior → split, else emit" for old leaves and their new
+//!    descendants alike; an exhausted cursor passes a family of leaves.
 //!
 //! Inter-tree constraints propagate across *face* connections (including
 //! edge/corner offsets that exit through a single tree face); tree-edge
@@ -56,6 +57,9 @@ pub enum BalanceKind {
 /// A node of the closure: `(tree, I_ℓ)`.
 type Node = (u32, u64);
 
+/// The node buffer and bitmap [`merge_tail`] reuses within one call.
+type Scratch = (Vec<Node>, Vec<u64>);
+
 impl<Q: Quadrant> Forest<Q> {
     /// 2:1-balance the forest (collective). Returns the number of leaves
     /// split on this rank.
@@ -63,7 +67,8 @@ impl<Q: Quadrant> Forest<Q> {
         let _span = quadforest_telemetry::span("balance");
         quadforest_telemetry::counter_add("forest.balance.rounds", 1);
         let d = Q::DIM;
-        let mut interior = self.close(kind);
+        let mut scratch = Scratch::default();
+        let mut interior = self.interior(kind, &mut scratch);
 
         // each level goes to every other rank its nodes' subtrees overlap;
         // the nodes wholly inside this rank's range are one run: skip it
@@ -91,36 +96,39 @@ impl<Q: Quadrant> Forest<Q> {
         for (tree, level, i) in comm.alltoallv(outgoing).into_iter().flatten() {
             interior[level as usize].push((tree, i));
         }
-        let mut scratch = Vec::new();
         for (level, (nodes, from)) in (0..).zip(interior.iter_mut().zip(from)) {
             merge_tail(nodes, from, d * level, &mut scratch);
         }
 
-        // rebuild: one forward cursor per level over the sorted sets
-        // decides every node the walk meets; the replacement of each
+        // rebuild: one plain forward cursor per level over the sorted
+        // sets decides every node the walk meets; the replacement of each
         // split leaf is collected in `fresh`
         let mut cursor = vec![0usize; interior.len()];
-        let mut is_interior = |level: u8, node: (u32, u64)| {
+        let is_interior = |cursor: &mut [usize], level: u8, node: Node| {
             let (set, c) = (&interior[level as usize], &mut cursor[level as usize]);
-            *c += set[*c..].iter().take_while(|n| **n < node).count();
-            set.get(*c) == Some(&node)
+            while *c < set.len() && set[*c] < node {
+                *c += 1;
+            }
+            *c < set.len() && set[*c] == node
         };
-        let mut split = 0;
-        let mut stack: Vec<(u8, u64)> = Vec::new();
-        let mut fresh: Vec<Q> = Vec::new();
-        let mut cuts: Vec<(usize, usize)> = Vec::new();
-        for (t, leaves) in self.trees.iter_mut().enumerate() {
+        let (mut split, mut stack, mut fresh, mut cuts) =
+            (0, Vec::new(), Vec::<Q>::new(), Vec::new());
+        for (t, leaves) in (0..).zip(self.trees.iter_mut()) {
             fresh.clear();
             cuts.clear();
-            for (at, q) in leaves.iter().enumerate() {
-                let (level, i) = (q.level(), q.morton_index());
-                if !is_interior(level, (t as u32, i)) {
-                    continue;
+            let mut at = 0;
+            while let Some(q) = leaves.get(at) {
+                // an exhausted level — most leaves sit at the finest, whose
+                // set is empty — passes the leaf's whole family
+                let (level, leaf) = (q.level(), at);
+                let spent = cursor[level as usize] == interior[level as usize].len();
+                at = if spent { family(leaves, at).1 } else { at + 1 };
+                if !spent && is_interior(&mut cursor, level, (t, q.morton_index())) {
+                    cuts.push((leaf, fresh.len()));
+                    stack.push((level, q.morton_index()));
                 }
-                cuts.push((at, fresh.len()));
-                stack.push((level, i));
                 while let Some((level, i)) = stack.pop() {
-                    if is_interior(level, (t as u32, i)) {
+                    if is_interior(&mut cursor, level, (t, i)) {
                         split += 1;
                         let children = (0..Q::NUM_CHILDREN as u64).rev();
                         stack.extend(children.map(|c| (level + 1, (i << d) | c)));
@@ -152,31 +160,32 @@ impl<Q: Quadrant> Forest<Q> {
 
     /// This rank's interior sets, sorted per level: the parents of its
     /// leaves, closed finest-first over the whole forest in key space.
-    fn close(&self, kind: BalanceKind) -> Vec<Vec<Node>> {
+    fn interior(&self, kind: BalanceKind, scratch: &mut Scratch) -> Vec<Vec<Node>> {
         let d = Q::DIM;
-        // seeded with the parent of every local leaf (one index per run
-        // of siblings); each level's seeds come out sorted
+        // seeded with the parent word of every run of sibling leaves, a
+        // family in one step; each level's seeds come out sorted (a parent
+        // repeated after a subdivided sibling merges away)
         let mut interior: Vec<Vec<Node>> = vec![Vec::new(); Q::MAX_LEVEL as usize + 1];
-        for (t, leaves) in self.trees.iter().enumerate() {
-            let mut prev = None;
-            for q in leaves {
-                let parent = (q.level(), q.morton_index() >> d);
-                if q.level() > 0 && prev != Some(parent) {
-                    interior[q.level() as usize - 1].push((t as u32, parent.1));
+        for (t, leaves) in (0..).zip(&self.trees) {
+            let (mut at, mut prev) = (0, u64::MAX);
+            while at < leaves.len() {
+                let (word, next) = family(leaves, at);
+                if word != prev && word & 31 > 0 {
+                    interior[(word & 31) as usize - 1].push((t, word >> 5));
                 }
-                prev = Some(parent);
+                (at, prev) = (next, word);
             }
         }
 
         // each finished level steps up one level per sibling family
         let (conn, subs) = (self.connectivity(), sub_offsets::<Q>(kind));
-        let (mut scratch, mut steps) = (Vec::new(), 0);
+        let mut steps = 0;
         for level in (1..=Q::MAX_LEVEL as usize).rev() {
             let (coarser, finer) = interior.split_at_mut(level);
             let up = &mut coarser[level - 1];
             let from = up.len();
             steps += close_families::<Q>(conn, &subs, (&finer[0], level as u8), up);
-            merge_tail(up, from, d * (level as u32 - 1), &mut scratch);
+            merge_tail(up, from, d * (level as u32 - 1), scratch);
         }
         quadforest_telemetry::counter_add("forest.balance.neighbor_steps", steps);
         interior
@@ -214,6 +223,21 @@ impl<Q: Quadrant> Forest<Q> {
     }
 }
 
+/// The packed parent word `I_{ℓ−1} · 32 + ℓ` of `leaves[at]`, equal
+/// exactly among siblings, and one past its sibling family when its later
+/// siblings are all leaves, else `at + 1`. They are when the leaf as many
+/// places on as there are later siblings has the same level: a subdivided
+/// sibling would fill more places than that, and the places up to it lie
+/// in the family's subtree (a tree's local leaves are one curve range).
+fn family<Q: Quadrant>(leaves: &[Q], at: usize) -> (u64, usize) {
+    let (q, last) = (&leaves[at], Q::NUM_CHILDREN as u64 - 1);
+    let (i, level) = (q.morton_index(), q.level());
+    let next = at + (last - (i & last)) as usize;
+    let whole = leaves.get(next).is_some_and(|p| p.level() == level);
+    let word = (i >> Q::DIM) << 5 | level as u64;
+    (word, if whole { next + 1 } else { at + 1 })
+}
+
 /// Each offset of `kind`, with the children (as bits) that reach the
 /// parent's neighbor domain along it: those on its outward side on every
 /// axis the offset moves (bit 1 for `+1`, bit 0 for `−1`).
@@ -240,7 +264,9 @@ fn close_families<Q: Quadrant>(
         up.push((tree, parent));
         let present = family.iter().fold(0, |m, n| m | child(n));
         for &(off, _) in subs.iter().filter(|(_, children)| present & children != 0) {
-            up.extend(neighbor_index::<Q>(conn, tree, parent, level - 1, off));
+            if let Some(node) = neighbor_index::<Q>(conn, tree, parent, level - 1, off) {
+                up.push(node);
+            }
             steps += 1;
         }
     }
@@ -251,57 +277,80 @@ fn close_families<Q: Quadrant>(
 /// (the crossover with the radix sort: EXPERIMENTS.md, "Dense closure levels").
 const DENSE_SPAN_PER_NODE: u128 = 64;
 
+/// A tail shorter than the sorted part over this factor is sorted on its
+/// own (EXPERIMENTS.md, "Balance at the cost of its closure").
+const SMALL_TAIL: usize = 8;
+
 /// Merge `set[from..]` into the sorted `set[..from]`, deduplicating, over
-/// keys `(tree << s) | index` (`s = d·ℓ` at level `ℓ`: a level dense in
-/// each tree is dense in key space): off a bitmap of the key span when it
-/// is dense (≤ [`DENSE_SPAN_PER_NODE`] keys per node), else the tail
-/// LSD-radix-sorted into `scratch` — a pass per key byte that varies —
-/// and merged from the back.
-fn merge_tail(set: &mut Vec<Node>, from: usize, s: u32, scratch: &mut Vec<Node>) {
-    let key = |n: &Node| (n.0 as u128) << s | n.1 as u128;
-    let (lo, hi) = set
-        .iter()
-        .map(key)
-        .fold((u128::MAX, 0), |(l, h), k| (l.min(k), h.max(k)));
-    if from < set.len() && hi - lo < DENSE_SPAN_PER_NODE * set.len() as u128 {
-        let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
-        set.iter()
-            .map(|n| key(n) - lo)
-            .for_each(|k| bits[(k / 64) as usize] |= 1 << (k % 64));
-        set.clear();
-        for (w, mut word) in (0..).zip(bits) {
-            while word != 0 {
-                let k = lo + 64 * w + word.trailing_zeros() as u128;
-                set.push(((k >> s) as u32, (k & ((1 << s) - 1)) as u64));
-                word &= word - 1;
-            }
-        }
+/// keys `(tree << s) | index` (`s = d·ℓ` at level `ℓ`). An empty tail
+/// returns at once (a closed level is duplicate-free), a tail
+/// under `1/SMALL_TAIL` of the set is sorted alone, a dense union (≤
+/// [`DENSE_SPAN_PER_NODE`] keys per node) is read off a bitmap in `u64`
+/// keys less the lowest, any other tail LSD-radix-sorted (a pass per key
+/// byte that varies); a sorted tail is merged from the back.
+fn merge_tail(set: &mut Vec<Node>, from: usize, s: u32, scratch: &mut Scratch) {
+    let (tail, sorted) = (&mut set[from..], &mut scratch.0);
+    if tail.is_empty() {
         return;
-    }
-    let tail = &mut set[from..];
-    let varying = tail.iter().fold(0, |v, n| v | (key(n) ^ key(&tail[0])));
-    scratch.resize(tail.len(), (0, 0));
-    let (mut src, mut dst, mut in_scratch) = (tail, &mut scratch[..], false);
-    for shift in (0..96).step_by(8).filter(|s| (varying >> s) as u8 != 0) {
-        let digit = |n: &Node| (key(n) >> shift) as u8 as usize;
-        let mut at = [0usize; 256];
-        src.iter().for_each(|n| at[digit(n)] += 1);
-        let mut sum = 0;
-        at.iter_mut().for_each(|a| (*a, sum) = (sum, sum + *a));
-        for n in src.iter() {
-            dst[at[digit(n)]] = *n;
-            at[digit(n)] += 1;
+    } else if tail.len() * SMALL_TAIL < from {
+        tail.sort_unstable();
+        sorted.clear();
+        sorted.extend_from_slice(tail);
+    } else {
+        // the sorted part's extremes are its ends: fold the tail only
+        let ends = [set[0], set[from.max(1) - 1]];
+        let (lo, hi) = (set[from..].iter().chain(&ends))
+            .fold((ends[0], ends[0]), |(l, h), &n| (l.min(n), h.max(n)));
+        let span = (((hi.0 - lo.0) as u128) << s | hi.1 as u128) - lo.1 as u128;
+        if span < DENSE_SPAN_PER_NODE * set.len() as u128 {
+            // every key less `lo` fits in 64 bits: exact modulo 2^64
+            let shl = |t: u32| ((t - lo.0) as u64).checked_shl(s).unwrap_or(0);
+            let key = |n: &Node| shl(n.0).wrapping_add(n.1).wrapping_sub(lo.1);
+            let bits = &mut scratch.1;
+            bits.clear();
+            bits.resize((span / 64 + 1) as usize, 0);
+            for k in set.iter().map(key) {
+                bits[(k / 64) as usize] |= 1 << (k % 64);
+            }
+            set.clear();
+            let mask = u64::MAX.checked_shr(64 - s).unwrap_or(0);
+            for (w, mut word) in (0..).zip(bits.iter().copied()) {
+                while word != 0 {
+                    let (k, carry) = lo.1.overflowing_add(64 * w + word.trailing_zeros() as u64);
+                    let tree = lo.0 + carry as u32 + k.checked_shr(s).unwrap_or(0) as u32;
+                    set.push((tree, k & mask));
+                    word &= word - 1;
+                }
+            }
+            return;
         }
-        (src, dst, in_scratch) = (dst, src, !in_scratch);
+        // `(tree << 64) | index` sorts as `(tree << s) | index` does
+        let key = |n: &Node| (n.0 as u128) << 64 | n.1 as u128;
+        let tail = &mut set[from..];
+        let varying = tail.iter().fold(0, |v, n| v | (key(n) ^ key(&tail[0])));
+        sorted.resize(tail.len(), (0, 0));
+        let (mut src, mut dst, mut in_sorted) = (tail, &mut sorted[..], false);
+        for shift in (0..96).step_by(8).filter(|s| (varying >> s) as u8 != 0) {
+            let digit = |n: &Node| (key(n) >> shift) as u8 as usize;
+            let mut at = [0usize; 256];
+            src.iter().for_each(|n| at[digit(n)] += 1);
+            let mut sum = 0;
+            at.iter_mut().for_each(|a| (*a, sum) = (sum, sum + *a));
+            for n in src.iter() {
+                dst[at[digit(n)]] = *n;
+                at[digit(n)] += 1;
+            }
+            (src, dst, in_sorted) = (dst, src, !in_sorted);
+        }
+        if !in_sorted {
+            dst.copy_from_slice(src);
+        }
     }
-    if !in_scratch {
-        dst.copy_from_slice(src);
-    }
-    let (mut a, mut b) = (from, scratch.len());
+    let (mut a, mut b) = (from, sorted.len());
     while b > 0 {
-        let take = a > 0 && set[a - 1] > scratch[b - 1];
+        let take = a > 0 && set[a - 1] > sorted[b - 1];
         (a, b) = (a - take as usize, b - !take as usize);
-        set[a + b] = if take { set[a] } else { scratch[b] };
+        set[a + b] = if take { set[a] } else { sorted[b] };
     }
     set.dedup();
 }
@@ -611,7 +660,7 @@ mod tests {
     #[test]
     fn merge_tail_is_sort_and_dedup() {
         let mut rng = 0x2545_F491_4F6C_DD1D;
-        let mut scratch = Vec::new();
+        let mut scratch = Scratch::default();
         for (len, wide) in [(0, true), (1, true), (2, false), (300, false), (5000, true)] {
             // few trees and few distinct indices, so keys repeat; `wide`
             // varies every byte (an even number of passes), else one
@@ -636,7 +685,7 @@ mod tests {
         // up to `DENSE_SPAN_PER_NODE`), a span straddling the boundary
         // of tree `tree` and the next, trees whose bytes vary (`hop`),
         // and the tail in runs of one key
-        let mut regimes = [false; 2];
+        let mut regimes = [false; 4];
         for (len, spread, tree, hop) in [
             (0, 3, 7u32, 0u64),
             (200, 1, 0, 0),
@@ -671,7 +720,61 @@ mod tests {
             merge_tail(&mut set, len, 64, &mut scratch);
             assert_eq!(set, want, "len {len}, spread {spread}, tree {tree:#x}");
         }
-        assert_eq!(regimes, [true; 2], "both the radix and the bitmap ran");
+        assert_eq!(regimes[..2], [true; 2], "both the radix and the bitmap ran");
+
+        // the empty tail, and tails small against the set (under one in
+        // `SMALL_TAIL`), at the boundary and one past it, over wide keys
+        // (the radix past the boundary) and narrow ones (the bitmap)
+        for (len, tail, wide) in [
+            (0, 0, true),
+            (500, 0, false),
+            (800, 1, true),
+            (800, 99, true),
+            (800, 100, true),
+            (800, 99, false),
+            (800, 100, false),
+            (64, 7, false),
+            (64, 8, false),
+        ] {
+            let mut key = || {
+                let r = xorshift(&mut rng);
+                let (t, i) = ((r % 3) as u32, (r >> 2) % 4000);
+                if wide {
+                    (t * 0x0101_0101, i.wrapping_mul(0x0102_0304_0506_0708))
+                } else {
+                    (7, i)
+                }
+            };
+            let mut set: Vec<Node> = (0..len + len / 4).map(|_| key()).collect();
+            set.sort_unstable();
+            set.dedup();
+            assert!(set.len() >= len);
+            set.truncate(len);
+            set.extend((0..tail).map(|_| key()));
+            if tail > 1 {
+                // a key the sorted part holds
+                set[len + tail - 1] = set[0];
+            }
+            let mut want = set.clone();
+            want.sort_unstable();
+            want.dedup();
+            let key = |n: &Node| (n.0 as u128) << 64 | n.1 as u128;
+            let regime = match tail {
+                0 => 2,
+                t if t * SMALL_TAIL < len => 3,
+                _ => {
+                    let gap = key(&want[want.len() - 1]) - key(&want[0]);
+                    (gap < DENSE_SPAN_PER_NODE * set.len() as u128) as usize
+                }
+            };
+            regimes[regime] = true;
+            merge_tail(&mut set, len, 64, &mut scratch);
+            assert_eq!(set, want, "len {len}, tail {tail}, wide {wide}");
+        }
+        assert_eq!(
+            regimes, [true; 4],
+            "the radix, the bitmap, the empty and the small tail ran"
+        );
 
         // a level dense in each of five trees: level 3 in 2D (64 nodes a
         // tree), every third node seeded, random ones pushed in runs of
@@ -771,5 +874,221 @@ mod tests {
             assert_eq!(n, 0);
             assert_eq!(f.checksum(&comm), before);
         });
+    }
+
+    impl<Q: Quadrant> Forest<Q> {
+        /// The interior sets with a scratch of their own.
+        fn close(&self, kind: BalanceKind) -> Vec<Vec<Node>> {
+            self.interior(kind, &mut Scratch::default())
+        }
+    }
+
+    /// The parent commit's `merge_tail`, kept as the oracle of
+    /// [`merge_tail`]: `u128` keys and a `lo`/`hi` fold over the whole set
+    /// on every call, a dense union re-emitted off a fresh bitmap, any
+    /// other tail radix-sorted, merged from the back and the whole set
+    /// deduplicated.
+    fn merge_tail_parent(set: &mut Vec<Node>, from: usize, s: u32, scratch: &mut Vec<Node>) {
+        let key = |n: &Node| (n.0 as u128) << s | n.1 as u128;
+        let (lo, hi) = set
+            .iter()
+            .map(key)
+            .fold((u128::MAX, 0), |(l, h), k| (l.min(k), h.max(k)));
+        if from < set.len() && hi - lo < DENSE_SPAN_PER_NODE * set.len() as u128 {
+            let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+            set.iter()
+                .map(|n| key(n) - lo)
+                .for_each(|k| bits[(k / 64) as usize] |= 1 << (k % 64));
+            set.clear();
+            for (w, mut word) in (0..).zip(bits) {
+                while word != 0 {
+                    let k = lo + 64 * w + word.trailing_zeros() as u128;
+                    set.push(((k >> s) as u32, (k & ((1 << s) - 1)) as u64));
+                    word &= word - 1;
+                }
+            }
+            return;
+        }
+        let tail = &mut set[from..];
+        let varying = tail.iter().fold(0, |v, n| v | (key(n) ^ key(&tail[0])));
+        scratch.resize(tail.len(), (0, 0));
+        let (mut src, mut dst, mut in_scratch) = (tail, &mut scratch[..], false);
+        for shift in (0..96).step_by(8).filter(|s| (varying >> s) as u8 != 0) {
+            let digit = |n: &Node| (key(n) >> shift) as u8 as usize;
+            let mut at = [0usize; 256];
+            src.iter().for_each(|n| at[digit(n)] += 1);
+            let mut sum = 0;
+            at.iter_mut().for_each(|a| (*a, sum) = (sum, sum + *a));
+            for n in src.iter() {
+                dst[at[digit(n)]] = *n;
+                at[digit(n)] += 1;
+            }
+            (src, dst, in_scratch) = (dst, src, !in_scratch);
+        }
+        if !in_scratch {
+            dst.copy_from_slice(src);
+        }
+        let (mut a, mut b) = (from, scratch.len());
+        while b > 0 {
+            let take = a > 0 && set[a - 1] > scratch[b - 1];
+            (a, b) = (a - take as usize, b - !take as usize);
+            set[a + b] = if take { set[a] } else { scratch[b] };
+        }
+        set.dedup();
+    }
+
+    /// The parent commit's balance, kept as the oracle of
+    /// [`Forest::balance`]: seeds by an `Option` compare into growing
+    /// levels, every merge by [`merge_tail_parent`], and a rebuild whose
+    /// cursor counts an iterator forward for every node it asks about.
+    fn balance_parent<Q: Quadrant>(f: &mut Forest<Q>, comm: &Comm, kind: BalanceKind) -> usize {
+        let d = Q::DIM;
+        let mut interior: Vec<Vec<Node>> = vec![Vec::new(); Q::MAX_LEVEL as usize + 1];
+        for (t, leaves) in f.trees.iter().enumerate() {
+            let mut prev = None;
+            for q in leaves {
+                let parent = (q.level(), q.morton_index() >> d);
+                if q.level() > 0 && prev != Some(parent) {
+                    interior[q.level() as usize - 1].push((t as u32, parent.1));
+                }
+                prev = Some(parent);
+            }
+        }
+        let (conn, subs) = (f.connectivity().clone(), sub_offsets::<Q>(kind));
+        let mut scratch = Vec::new();
+        for level in (1..=Q::MAX_LEVEL as usize).rev() {
+            let (coarser, finer) = interior.split_at_mut(level);
+            let up = &mut coarser[level - 1];
+            let from = up.len();
+            close_families::<Q>(&conn, &subs, (&finer[0], level as u8), up);
+            merge_tail_parent(up, from, d * (level as u32 - 1), &mut scratch);
+        }
+
+        let mut outgoing: Vec<Vec<(u32, u8, u64)>> = (0..f.size).map(|_| Vec::new()).collect();
+        let mine = &f.markers[f.rank..=f.rank + 1];
+        for (level, nodes) in (0..).zip(&interior) {
+            let lo = nodes.partition_point(|&(t, i)| (t, index_span::<Q>(i, level).0) < mine[0]);
+            let hi = nodes.partition_point(|&(t, i)| (t, index_span::<Q>(i, level).1) < mine[1]);
+            for &(tree, i) in nodes[..lo].iter().chain(&nodes[hi.max(lo)..]) {
+                for r in f.owners_of_span(tree, index_span::<Q>(i, level)) {
+                    if r != f.rank {
+                        outgoing[r].push((tree, level, i));
+                    }
+                }
+            }
+        }
+        let from: Vec<usize> = interior.iter().map(Vec::len).collect();
+        for (tree, level, i) in comm.alltoallv(outgoing).into_iter().flatten() {
+            interior[level as usize].push((tree, i));
+        }
+        for (level, (nodes, from)) in (0..).zip(interior.iter_mut().zip(from)) {
+            merge_tail_parent(nodes, from, d * level, &mut scratch);
+        }
+
+        let mut cursor = vec![0usize; interior.len()];
+        let mut is_interior = |level: u8, node: (u32, u64)| {
+            let (set, c) = (&interior[level as usize], &mut cursor[level as usize]);
+            *c += set[*c..].iter().take_while(|n| **n < node).count();
+            set.get(*c) == Some(&node)
+        };
+        let mut split = 0;
+        let mut stack: Vec<(u8, u64)> = Vec::new();
+        let mut fresh: Vec<Q> = Vec::new();
+        let mut cuts: Vec<(usize, usize)> = Vec::new();
+        for (t, leaves) in f.trees.iter_mut().enumerate() {
+            fresh.clear();
+            cuts.clear();
+            for (at, q) in leaves.iter().enumerate() {
+                let (level, i) = (q.level(), q.morton_index());
+                if !is_interior(level, (t as u32, i)) {
+                    continue;
+                }
+                cuts.push((at, fresh.len()));
+                stack.push((level, i));
+                while let Some((level, i)) = stack.pop() {
+                    if is_interior(level, (t as u32, i)) {
+                        split += 1;
+                        let children = (0..Q::NUM_CHILDREN as u64).rev();
+                        stack.extend(children.map(|c| (level + 1, (i << d) | c)));
+                    } else {
+                        fresh.push(Q::from_morton(i, level));
+                    }
+                }
+            }
+            let (mut from, mut done) = (leaves.len(), fresh.len());
+            let mut to = from - cuts.len() + done;
+            leaves.resize(to, Q::root());
+            for &(at, start) in cuts.iter().rev() {
+                to -= from - (at + 1);
+                leaves.copy_within(at + 1..from, to);
+                to -= done - start;
+                leaves[to..to + (done - start)].copy_from_slice(&fresh[start..done]);
+                (from, done) = (at, start);
+            }
+        }
+        f.refresh_global(comm);
+        split
+    }
+
+    /// Refine below `depth` where a hash of the leaf says so (3 in 16) and
+    /// along the path to one point off the centre: deep, scattered
+    /// ripples in every direction, the same at every rank count.
+    fn scattered<Q: Quadrant>(t: u32, q: &Q, depth: u8) -> bool {
+        let h = (t as u64) << 56 ^ q.morton_abs().rotate_left(17) ^ q.level() as u64;
+        let root = Q::len_at(0);
+        let point = [root / 3, root / 5, if Q::DIM == 3 { root / 7 } else { 0 }];
+        let hashed = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60 < 3;
+        q.level() < depth && (hashed || q.contains_point(point))
+    }
+
+    fn balance_is_the_parents<Q: Quadrant>(conns: &[Connectivity], base: u8, depth: u8) {
+        for p in [1, 2, 3] {
+            quadforest_comm::run(p, |comm| {
+                for conn in conns {
+                    for kind in [BalanceKind::Face, BalanceKind::Full] {
+                        let mut f = Forest::<Q>::new_uniform(Arc::new(conn.clone()), &comm, base);
+                        f.refine(&comm, true, |t, q| scattered(t, q, depth));
+                        let mut parent = f.clone();
+                        let split = f.balance(&comm, kind);
+                        let want = balance_parent(&mut parent, &comm, kind);
+                        let at =
+                            format!("{} {kind:?} P = {p}, {} trees", Q::NAME, conn.num_trees());
+                        assert_eq!(split, want, "{at}");
+                        assert_eq!(f.trees, parent.trees, "{at}");
+                        assert_eq!(f.global_count(), parent.global_count(), "{at}");
+                        assert!(
+                            comm.allreduce_sum(split as u64) > 0,
+                            "{at}: nothing to balance"
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    /// The balance against the parent commit's merge and rebuild (the
+    /// oracles above), leaf for leaf, over the three representations in
+    /// 2D and 3D, face and full, unit, periodic, brick and rotated
+    /// two-tree connectivities, at P = 1, 2, 3.
+    #[test]
+    fn balance_is_the_parents_merge_and_rebuild() {
+        let conns = [
+            Connectivity::unit(2),
+            Connectivity::periodic(2),
+            Connectivity::brick2d(3, 2, true, false),
+            Connectivity::two_trees_rotated_2d(),
+        ];
+        balance_is_the_parents::<Q2>(&conns, 2, 7);
+        balance_is_the_parents::<MortonQuad<2>>(&conns, 2, 7);
+        balance_is_the_parents::<AvxQuad<2>>(&conns, 2, 7);
+        let conns = [
+            Connectivity::unit(3),
+            Connectivity::periodic(3),
+            Connectivity::brick3d(2, 1, 2, [false, true, false]),
+            Connectivity::two_trees_rotated_3d(),
+        ];
+        balance_is_the_parents::<Q3>(&conns, 1, 5);
+        balance_is_the_parents::<MortonQuad<3>>(&conns, 1, 5);
+        balance_is_the_parents::<AvxQuad<3>>(&conns, 1, 5);
     }
 }

@@ -44,23 +44,6 @@ pub struct Box3 {
 }
 
 impl Box3 {
-    /// Closed intersection test (shared boundary points count).
-    #[inline]
-    pub fn intersects(&self, other: &Box3, dim: u32) -> bool {
-        (0..dim as usize).all(|a| self.lo[a] <= other.hi[a] && self.hi[a] >= other.lo[a])
-    }
-
-    /// The closed domain of a quadrant.
-    #[inline]
-    pub fn of_quad<Q: Quadrant>(q: &Q) -> Box3 {
-        let c = q.coords();
-        let h = q.side();
-        Box3 {
-            lo: c,
-            hi: [c[0] + h, c[1] + h, if Q::DIM == 3 { c[2] + h } else { 0 }],
-        }
-    }
-
     /// Transform the box across a tree face, mapping both corners as
     /// points (`h = 0` reflection) and reordering.
     pub(crate) fn transformed(
@@ -225,9 +208,28 @@ pub(crate) fn axis_digits<Q: Quadrant>(a: usize, span: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use quadforest_core::quadrant::StandardQuad;
+
+    /// The closed-box test of the `cfg(test)` oracles: a quadrant's
+    /// closed domain, and whether two closed boxes meet.
+    pub(crate) trait ClosedBox {
+        fn of_quad<Q: Quadrant>(q: &Q) -> Box3;
+        fn intersects(&self, other: &Box3, dim: u32) -> bool;
+    }
+
+    impl ClosedBox for Box3 {
+        fn of_quad<Q: Quadrant>(q: &Q) -> Box3 {
+            let (c, h) = (q.coords(), q.side());
+            let hi = [c[0] + h, c[1] + h, if Q::DIM == 3 { c[2] + h } else { 0 }];
+            Box3 { lo: c, hi }
+        }
+
+        fn intersects(&self, other: &Box3, dim: u32) -> bool {
+            (0..dim as usize).all(|a| self.lo[a] <= other.hi[a] && self.hi[a] >= other.lo[a])
+        }
+    }
 
     type Q2 = StandardQuad<2>;
     type Q3 = StandardQuad<3>;

@@ -266,6 +266,7 @@ impl<Q: Quadrant> GhostLayer<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directions::tests::ClosedBox;
     use crate::directions::Box3;
     use crate::overlapping;
     use crate::BalanceKind;

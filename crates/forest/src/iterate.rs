@@ -147,6 +147,7 @@ pub fn iterate_faces<Q: Quadrant>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directions::tests::ClosedBox;
     use crate::directions::{neighbor_domain, Box3};
     use crate::BalanceKind;
     use quadforest_connectivity::Connectivity;

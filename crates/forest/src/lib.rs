@@ -326,14 +326,14 @@ impl<Q: Quadrant> Forest<Q> {
     /// A position-independent checksum of the global leaf set, equal on
     /// every rank (used to verify partition invariance).
     pub fn checksum(&self, comm: &Comm) -> u64 {
-        let mut local: u64 = 0;
-        for (t, q) in self.leaves() {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for w in [t as u64, q.morton_abs(), q.level() as u64] {
-                h ^= w;
-                h = h.wrapping_mul(0x1000_0000_01b3);
+        let (mut local, prime) = (0u64, 0x1000_0000_01b3u64);
+        for (t, leaves) in self.trees.iter().enumerate() {
+            // FNV-1a of `(tree, key, level)`: the tree's step once a tree
+            let h = (0xcbf2_9ce4_8422_2325u64 ^ t as u64).wrapping_mul(prime);
+            for q in leaves {
+                let h = (h ^ q.morton_abs()).wrapping_mul(prime);
+                local = local.wrapping_add((h ^ q.level() as u64).wrapping_mul(prime));
             }
-            local = local.wrapping_add(h);
         }
         comm.allreduce(local, |a, b| a.wrapping_add(*b))
     }

@@ -19,6 +19,25 @@ use quadforest_forest::directions::{neighbor_domain, offsets, Box3};
 use quadforest_forest::{BalanceKind, Forest, GhostLayer};
 use std::sync::Arc;
 
+/// The closed-box test of the oracle: a quadrant's closed domain, and
+/// whether two closed boxes meet.
+trait ClosedBox {
+    fn of_quad<Q: Quadrant>(q: &Q) -> Box3;
+    fn intersects(&self, other: &Box3, dim: u32) -> bool;
+}
+
+impl ClosedBox for Box3 {
+    fn of_quad<Q: Quadrant>(q: &Q) -> Box3 {
+        let (c, h) = (q.coords(), q.side());
+        let hi = [c[0] + h, c[1] + h, if Q::DIM == 3 { c[2] + h } else { 0 }];
+        Box3 { lo: c, hi }
+    }
+
+    fn intersects(&self, other: &Box3, dim: u32) -> bool {
+        (0..dim as usize).all(|a| self.lo[a] <= other.hi[a] && self.hi[a] >= other.lo[a])
+    }
+}
+
 /// Rank-independent refine selector (callbacks must not depend on the
 /// rank, as in MPI practice).
 fn mix(seed: u64, t: u32, q_pos: u64, level: u8) -> u64 {
