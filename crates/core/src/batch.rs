@@ -96,8 +96,8 @@ pub fn tree_boundaries_all(soa: &QuadSoA, dim: u32, max_level: u8, out: [&mut [i
 }
 
 /// Space-filling-curve sort keys `(morton_abs << 6) | level` over the
-/// SoA array — the batch key extractor behind `linear::linearize`'s
-/// `sort_unstable_by_key`. Dispatches to the BMI2 `pdep` interleave when
+/// SoA array — the batch key extractor behind `linear::linearize`, which
+/// sorts these keys. Dispatches to the BMI2 `pdep` interleave when
 /// the CPU has it, independent of the AVX2 tier.
 pub fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
     if dispatch(Tier::Bmi2) {

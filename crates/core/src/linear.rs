@@ -26,73 +26,48 @@ pub fn is_linear<Q: Quadrant>(quads: &[Q]) -> bool {
 /// the set (keep the finest, as p4est's `p4est_linearize` does), also
 /// dropping duplicates.
 ///
-/// Implementation: extract the `(morton_abs << 6) | level` key of every
-/// quadrant once (batched through the runtime-dispatched SoA kernel for
-/// coordinate representations) and `sort_unstable_by_key` on the keys —
-/// integer key order is exactly `compare_sfc` order, and dedup plus the
-/// ancestor sweep run on the keys alone without touching the quadrants
-/// again.
+/// Implementation: the work runs on the `(morton_abs << 6) | level` keys
+/// alone (batched through the runtime-dispatched SoA kernel for
+/// coordinate representations), whose integer order is exactly
+/// `compare_sfc` order: the keys are sorted, swept once, and each kept
+/// one rebuilt over the consumed front of the input's buffer, so no
+/// output is allocated. Equal keys are equal quadrants, so the rebuild is
+/// exact; a `StandardQuad`'s payload comes back 0, the only value it has
+/// outside this crate.
 pub fn linearize<Q: Quadrant>(mut quads: Vec<Q>) -> Vec<Q> {
-    // In SFC order an ancestor immediately precedes its descendants, but
-    // several nested ancestors may chain; sweep backwards keeping the
-    // last (deepest-first-corner) of each nesting chain. Equal keys are
-    // equal quadrants (the key packs the full curve position and level),
-    // and `ka` is an ancestor-or-equal of `kb` exactly when its level is
-    // <= and its absolute index matches `kb`'s on the ancestor's aligned
-    // prefix — both checks run on the keys.
-    let dim = Q::DIM;
+    // In sorted key order every key between an ancestor and one of its
+    // descendants is itself a descendant-or-equal of that ancestor, so a
+    // key covered by any later key is covered by the next one: keep a
+    // key exactly when the next does not cover it (the finest of each
+    // nesting chain, the last of each run of duplicates). `ka` is an
+    // ancestor-or-equal of `kb` exactly when its level is <= and its
+    // absolute index matches `kb`'s on the ancestor's aligned prefix.
+    let dim = Q::DIM as u64;
     let max_level = Q::MAX_LEVEL as u64;
     let covered_by = |ka: u64, kb: u64| -> bool {
         let (la, lb) = (ka & 63, kb & 63);
-        la <= lb && (ka >> 6) == (kb >> 6) & !((1u64 << (dim as u64 * (max_level - la))) - 1)
+        la <= lb && (ka >> 6) == (kb >> 6) & !((1u64 << (dim * (max_level - la))) - 1)
     };
-    if Q::SFC_KEY_IS_IDENTITY {
-        // Key extraction is a re-reading of the stored word: sorting the
-        // quadrants directly moves half the bytes of the `(key, quad)`
-        // pair sort below, and the sweep re-derives each key for the
-        // price of a rotate. `sort_word` is the representation's
-        // cheapest monotone self-reading (one `rol` for raw Morton, vs
-        // the mask–shift–or trait packing), with the level in its low
-        // `SORT_WORD_LEVEL_BITS` — the ancestor check adjusts its shifts
-        // to that packing.
-        let lb = Q::SORT_WORD_LEVEL_BITS;
-        let covered_by_word = |wa: u64, wb: u64| -> bool {
-            let (la, lbv) = (wa & ((1u64 << lb) - 1), wb & ((1u64 << lb) - 1));
-            la <= lbv && (wa >> lb) == (wb >> lb) & !((1u64 << (dim as u64 * (max_level - la))) - 1)
-        };
-        quads.sort_unstable_by_key(Q::sort_word);
-        let mut kept: Vec<Q> = Vec::with_capacity(quads.len());
-        for q in quads.into_iter().rev() {
-            if let Some(last) = kept.last() {
-                if covered_by_word(q.sort_word(), last.sort_word()) {
-                    continue; // drop the duplicate or coarser copy
-                }
-            }
-            kept.push(q);
+    let mut keys = Q::sfc_keys(&quads);
+    keys.sort_unstable();
+    let mut kept = 0;
+    for (i, &k) in keys.iter().enumerate() {
+        if keys.get(i + 1).is_some_and(|&next| covered_by(k, next)) {
+            continue;
         }
-        kept.reverse();
-        return kept;
+        let level = k & 63;
+        quads[kept] = Q::from_morton((k >> 6) >> (dim * (max_level - level)), level as u8);
+        kept += 1;
     }
-    let keys = Q::sfc_keys(&quads);
-    let mut order: Vec<(u64, Q)> = keys.into_iter().zip(quads).collect();
-    order.sort_unstable_by_key(|&(k, _)| k);
-    let mut kept: Vec<(u64, Q)> = Vec::with_capacity(order.len());
-    for (k, q) in order.into_iter().rev() {
-        if let Some((lk, _)) = kept.last() {
-            if covered_by(k, *lk) {
-                continue; // drop the duplicate or coarser copy
-            }
-        }
-        kept.push((k, q));
-    }
-    kept.reverse();
-    kept.into_iter().map(|(_, q)| q).collect()
+    quads.truncate(kept);
+    quads
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quadrant::{AvxQuad, MortonQuad, StandardQuad};
+    use crate::wire::Wire;
 
     type Q2 = StandardQuad<2>;
 
@@ -118,46 +93,96 @@ mod tests {
         assert!(is_linear(&out));
     }
 
-    #[test]
-    fn identity_sort_word_path_matches_keyed_path() {
-        // the same scrambled multiset (duplicates, nested ancestor
-        // chains) linearized through the raw-Morton identity path (sorts
-        // rotated words) and the Standard keyed path must agree leaf for
-        // leaf — and the sort words themselves must order like the keys
-        let mut rng = 0x5DEE_CE66_D00D_F00Du64;
-        let mut ms: Vec<MortonQuad<2>> = Vec::new();
-        let mut ss: Vec<StandardQuad<2>> = Vec::new();
+    /// `ms` converted to `Q`, linearized, as `(morton_abs, level)`.
+    fn leaves<Q: Quadrant, const D: usize>(ms: &[MortonQuad<D>]) -> Vec<(u64, u8)> {
+        let qs = ms.iter().map(|m| Q::from_coords(m.coords(), m.level()));
+        let out = linearize(qs.collect());
+        out.iter().map(|q| (q.morton_abs(), q.level())).collect()
+    }
+
+    /// The same scrambled multiset (duplicates, nested ancestor chains)
+    /// in the three representations of dimension `D`, linearized: the
+    /// outputs must be the same leaves in the same order.
+    fn representations_agree<const D: usize>() {
+        let mut rng = 0x5DEE_CE66_D00D_F00Du64 ^ D as u64;
+        let mut ms: Vec<MortonQuad<D>> = Vec::new();
         for _ in 0..400 {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             let level = 1 + (rng >> 60) as u8 % 5;
-            let idx = (rng >> 7) % (1u64 << (2 * level as u32));
+            let idx = (rng >> 7) % (1u64 << (D as u32 * level as u32));
             ms.push(MortonQuad::from_morton(idx, level));
-            ss.push(StandardQuad::from_morton(idx, level));
             if rng % 5 == 0 {
                 ms.push(*ms.last().unwrap()); // duplicate
-                ss.push(*ss.last().unwrap());
                 ms.push(ms.last().unwrap().parent()); // nested ancestor
-                ss.push(ss.last().unwrap().parent());
             }
         }
-        let lm = linearize(ms.clone());
-        let ls = linearize(ss);
-        assert_eq!(lm.len(), ls.len());
-        for (m, s) in lm.iter().zip(&ls) {
-            assert_eq!(m.morton_abs(), s.morton_abs());
-            assert_eq!(m.level(), s.level());
+        let lm = leaves::<MortonQuad<D>, D>(&ms);
+        let ls = leaves::<StandardQuad<D>, D>(&ms);
+        let la = leaves::<AvxQuad<D>, D>(&ms);
+        assert!(
+            lm.len() > 100 && lm.len() < ms.len(),
+            "{} of {}",
+            lm.len(),
+            ms.len()
+        );
+        assert_eq!(lm, ls);
+        assert_eq!(lm, la);
+    }
+
+    #[test]
+    fn the_three_representations_linearize_alike() {
+        representations_agree::<2>();
+        representations_agree::<3>();
+    }
+
+    /// The output is rebuilt in the input's buffer: no allocation, and
+    /// the capacity never grows.
+    fn hands_back_the_input_buffer<Q: Quadrant>() {
+        let q = Q::root().child(1);
+        let mut input = vec![q.child(3), q, q.child(3), Q::root().child(2), q.child(0)];
+        input.reserve(11);
+        let (ptr, cap) = (input.as_ptr(), input.capacity());
+        let out = linearize(input);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.as_ptr(), ptr);
+        assert!(out.capacity() <= cap);
+    }
+
+    #[test]
+    fn linearize_reuses_the_input_allocation() {
+        hands_back_the_input_buffer::<StandardQuad<3>>();
+        hands_back_the_input_buffer::<MortonQuad<3>>();
+        hands_back_the_input_buffer::<AvxQuad<3>>();
+        hands_back_the_input_buffer::<Q2>();
+    }
+
+    #[test]
+    fn standard_payloads_are_zero_so_the_rebuild_is_exact() {
+        // linearize rebuilds each kept quadrant from its key, dropping
+        // the payload: that is exact because every way to make a
+        // `StandardQuad` outside this crate leaves the payload 0
+        // (`with_payload` is crate-private and `successor` only copies)
+        type S = StandardQuad<3>;
+        let q = S::from_morton(0o1234, 4);
+        let made = [
+            S::root(),
+            q,
+            S::from_coords(q.coords(), q.level()),
+            q.child(5),
+            q.parent(),
+            q.sibling(2),
+            q.successor(),
+            q.face_neighbor(1),
+            q.ancestor(1),
+            q.first_descendant(9),
+            q.last_descendant(9),
+            S::from_wire(&q.to_wire()).unwrap(),
+        ];
+        for m in made.iter().chain(&q.children()) {
+            assert_eq!(m.payload(), 0, "{m:?}");
         }
-        // sort_word is monotone in compare_sfc and packs the level low
-        for (a, b) in ms.iter().zip(ms.iter().skip(1)) {
-            assert_eq!(
-                a.sort_word().cmp(&b.sort_word()),
-                a.compare_sfc(b),
-                "{a:?} vs {b:?}"
-            );
-            let lbits = <MortonQuad<2> as Quadrant>::SORT_WORD_LEVEL_BITS;
-            assert_eq!(a.sort_word() & ((1 << lbits) - 1), a.level() as u64);
-            assert_eq!(a.sort_word() >> lbits, a.morton_abs());
-        }
+        let out = linearize(made.to_vec());
+        assert!(out.iter().all(|m| m.payload() == 0));
     }
 
     #[test]

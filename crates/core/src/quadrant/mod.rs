@@ -103,16 +103,6 @@ pub trait Quadrant:
     const NUM_FACES: u32 = 2 * Self::DIM;
     /// Short human-readable name used in benchmark tables.
     const NAME: &'static str;
-    /// True when [`Quadrant::sfc_key`] is (up to a constant-time mask /
-    /// shift) a re-reading of the stored word itself — the raw-Morton
-    /// representations, where the quadrant *is* its curve position.
-    /// `linear::linearize` uses this to sort the quadrant array
-    /// directly instead of materializing a separate `(key, quadrant)`
-    /// pair array: for an 8-byte quadrant whose key extraction is the
-    /// identity, the pair detour doubles the bytes moved by the sort
-    /// for nothing.
-    const SFC_KEY_IS_IDENTITY: bool = false;
-
     // -- construction --------------------------------------------------
 
     /// The root quadrant: the full unit tree, level 0.
@@ -248,33 +238,12 @@ pub trait Quadrant:
     /// comparison of keys is exactly [`compare_sfc`](Self::compare_sfc)
     /// (`morton_abs` needs at most 56 bits, the level at most 6, so the
     /// packing is lossless), and equal keys imply equal quadrants.
-    /// Extracting keys once and `sort_unstable_by_key`-ing beats a
-    /// comparator sort that re-derives the curve position `O(n log n)`
-    /// times — the keyed path behind `linear::linearize`.
+    /// `linear::linearize` sorts, sweeps and rebuilds from these keys
+    /// alone, one path for every representation.
     #[inline]
     fn sfc_key(&self) -> u64 {
         (self.morton_abs() << 6) | self.level() as u64
     }
-
-    /// Raw monotone sort word: any per-quadrant `u64` whose integer
-    /// order equals [`compare_sfc`](Self::compare_sfc) order and for
-    /// which equal words imply equal quadrants. Defaults to
-    /// [`sfc_key`](Self::sfc_key); representations whose stored word is
-    /// already curve-monotone (the raw-Morton layouts) override it with
-    /// a single rotate instead of the mask–shift–or repacking —
-    /// `linear::linearize`'s identity path re-derives the word `O(n log
-    /// n)` times inside the sort, so every saved instruction multiplies.
-    /// The level sits in the low [`SORT_WORD_LEVEL_BITS`](Self::SORT_WORD_LEVEL_BITS)
-    /// bits, `morton_abs` in the bits above.
-    #[inline]
-    fn sort_word(&self) -> u64 {
-        self.sfc_key()
-    }
-
-    /// Number of low bits of [`sort_word`](Self::sort_word) holding the
-    /// refinement level (6 in the default `(morton_abs << 6) | level`
-    /// packing; 8 for the rotated raw-Morton word).
-    const SORT_WORD_LEVEL_BITS: u32 = 6;
 
     /// Batch [`sfc_key`](Self::sfc_key) extraction. The default loops
     /// per quadrant; the coordinate-carrying representations override

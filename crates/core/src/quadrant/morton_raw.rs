@@ -81,14 +81,6 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
     const DIM: u32 = D as u32;
     const MAX_LEVEL: u8 = shared_max_level(D as u32);
     const NAME: &'static str = "morton";
-    /// The stored word *is* the curve position: the trait's
-    /// `(morton_abs << 6) | level` key is one mask-shift-or away from
-    /// it, so `linearize` sorts the 8-byte quadrants directly instead
-    /// of materializing 16-byte `(key, quad)` pairs.
-    const SFC_KEY_IS_IDENTITY: bool = true;
-    /// The rotated word keeps the level in the low 8 bits (the stored
-    /// level byte), not the trait default's 6.
-    const SORT_WORD_LEVEL_BITS: u32 = 8;
 
     #[inline]
     fn root() -> Self {
@@ -284,20 +276,12 @@ impl<const D: usize> Quadrant for MortonQuad<D> {
         }
     }
 
-    /// Plain integer comparison of the rotated words.
+    /// One rotate of each stored word — the curve index moves to the
+    /// high bits, the level byte to the low 8 — then a plain integer
+    /// comparison, instead of the trait default's two-key compare.
     #[inline]
     fn compare_sfc(&self, other: &Self) -> core::cmp::Ordering {
-        self.sort_word().cmp(&other.sort_word())
-    }
-
-    /// One rotate of the stored word — the curve index moves to the high
-    /// bits, the level byte to the low 8 — instead of the trait default's
-    /// mask–shift–or repack: the keyed-linearize sort re-derives this
-    /// word on every comparison, so the identity representation sorts on
-    /// the cheapest monotone reading of itself.
-    #[inline]
-    fn sort_word(&self) -> u64 {
-        self.word.rotate_left(8)
+        self.word.rotate_left(8).cmp(&other.word.rotate_left(8))
     }
 
     /// Prefix test on the raw words: `self` is an ancestor iff it is
