@@ -157,24 +157,57 @@ pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// One rank's inbound queue plus the condvar its owner blocks on.
+/// How long a receive yields its CPU, re-checking its mailbox and the
+/// abort flag between yields, before it parks on the condvar: a message
+/// that lands inside it costs no futex wake-up on either side. Chosen
+/// by the sweep in EXPERIMENTS.md, "Receive without sleeping".
+const SPIN: Duration = Duration::from_micros(50);
+
+/// A mailbox's messages, and how many receives sleep on its condvar.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    msgs: VecDeque<Msg>,
+    sleepers: usize,
+}
+
+/// One rank's inbound queue plus the condvar its owner parks on.
 pub(crate) struct Mailbox {
-    pub(crate) queue: Mutex<VecDeque<Msg>>,
+    pub(crate) queue: Mutex<Inbox>,
     pub(crate) cv: Condvar,
 }
 
 impl Mailbox {
     pub(crate) fn new() -> Self {
         Mailbox {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Inbox::default()),
             cv: Condvar::new(),
         }
     }
 
-    /// Enqueue a message and wake the owner if it is blocked.
+    /// Enqueue a message and wake the owner if it is parked; a spinning
+    /// owner sees the message on its next turn. An abort wakes the owner
+    /// whether or not it sleeps.
     pub(crate) fn push(&self, msg: Msg) {
-        plock(&self.queue).push_back(msg);
-        self.cv.notify_all();
+        let sleeping = {
+            let mut queue = plock(&self.queue);
+            queue.msgs.push_back(msg);
+            queue.sleepers > 0
+        };
+        // a sleeper counted under the lock is already waiting on `cv`
+        if sleeping {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Yield until `until`, until a message lands, or until the world
+    /// aborts, whichever comes first.
+    fn spin(&self, aborts: &AbortRecord, until: Instant) {
+        loop {
+            std::thread::yield_now();
+            if !plock(&self.queue).msgs.is_empty() || aborts.is_set() || Instant::now() >= until {
+                return;
+            }
+        }
     }
 }
 
@@ -620,40 +653,48 @@ impl Comm {
         }
         let world = &*self.transport;
         let started = Instant::now();
-        let deadline = started + world.recv_timeout();
+        let (spun, deadline) = (started + SPIN, started + world.recv_timeout());
         let mb = world.mailbox(self.rank);
+        // the parked count the published `Waiting` lists, once published
+        let mut published = None;
+        let running = |published: Option<usize>| {
+            if published.is_some() {
+                world.set_status(self.rank, RankState::Running);
+            }
+        };
         let mut queue = plock(&mb.queue);
         loop {
             // drain everything already delivered
-            while let Some(msg) = queue.pop_front() {
+            while let Some(msg) = queue.msgs.pop_front() {
                 if msg.src == src && msg.tag == tag {
                     drop(queue);
-                    world.set_status(self.rank, RankState::Running);
+                    running(published);
                     return downcast_msg(world, msg);
                 }
                 self.parked.borrow_mut().push_back(msg);
             }
             if world.aborts().is_set() {
                 drop(queue);
-                world.set_status(self.rank, RankState::Running);
+                running(published);
                 return Err(world.aborts().error());
             }
-            // publish what we are blocked on, for peers' diagnostics
-            world.set_status(
-                self.rank,
-                RankState::Waiting {
-                    src,
-                    tag,
-                    parked: self
-                        .parked
-                        .borrow()
-                        .iter()
-                        .map(|m| (m.src, m.tag))
-                        .collect(),
-                    coll_seq: self.coll_seq.get(),
-                    phase: telemetry::current_span(),
-                },
-            );
+            // publish what we are blocked on, for peers' diagnostics:
+            // once, and again only if the drain parked more
+            let parked = self.parked.borrow();
+            if published != Some(parked.len()) {
+                published = Some(parked.len());
+                world.set_status(
+                    self.rank,
+                    RankState::Waiting {
+                        src,
+                        tag,
+                        parked: parked.iter().map(|m| (m.src, m.tag)).collect(),
+                        coll_seq: self.coll_seq.get(),
+                        phase: telemetry::current_span(),
+                    },
+                );
+            }
+            drop(parked);
             let now = Instant::now();
             if now >= deadline {
                 drop(queue);
@@ -677,10 +718,20 @@ impl Comm {
                     diagnostic,
                 });
             }
+            // yield first; then back to the top, so the drain and the
+            // abort and deadline checks run again before the rank parks
+            if now < spun {
+                drop(queue);
+                mb.spin(world.aborts(), spun);
+                queue = plock(&mb.queue);
+                continue;
+            }
+            queue.sleepers += 1;
             queue = match mb.cv.wait_timeout(queue, deadline - now) {
                 Ok((q, _)) => q,
                 Err(poisoned) => poisoned.into_inner().0,
             };
+            queue.sleepers -= 1;
         }
     }
 
@@ -1642,6 +1693,87 @@ mod tests {
             assert_eq!(err.origin, 0, "{arg}");
             assert!(err.origin_panicked(), "{arg}: {}", err.reason);
             assert!(err.reason.contains(arg), "{arg}: {}", err.reason);
+        }
+    }
+
+    /// Busy-wait `d`: a sleep rounds up to the timer slack, far coarser
+    /// than the spin budget.
+    fn busy(d: Duration) {
+        let t = Instant::now();
+        while t.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// A push lands while the receiver spins, as it starts to park, or
+    /// once it sleeps: sends delayed 0–3× the spin budget behind the
+    /// receiver's ready signal. A push that missed a parked receiver
+    /// would leave it asleep until `recv_timeout`.
+    #[test]
+    fn a_receiver_is_woken_across_the_spin_budget() {
+        let opts = RunOptions {
+            recv_timeout: Duration::from_secs(5),
+            faults: None,
+        };
+        let rounds = 10_000u64;
+        let slowest = try_run_with(2, opts, |c| {
+            let mut slowest = Duration::ZERO;
+            for round in 0..rounds {
+                if c.rank() == 0 {
+                    c.try_recv::<()>(1, 1)?;
+                    busy(SPIN * (round % 7) as u32 / 2);
+                    c.try_send(1, 2, round)?;
+                } else {
+                    c.try_send(0, 1, ())?;
+                    let t = Instant::now();
+                    assert_eq!(c.try_recv::<u64>(0, 2)?, round);
+                    slowest = slowest.max(t.elapsed());
+                    let far_inside = Duration::from_secs(1);
+                    assert!(
+                        slowest < far_inside,
+                        "round {round}: a recv took {slowest:?}"
+                    );
+                }
+            }
+            Ok(slowest)
+        })
+        .unwrap();
+        assert!(slowest[1] >= SPIN, "no receive outlasted the spin budget");
+    }
+
+    /// An abort ends a receive at once, whether it lands before the
+    /// receive, while the receiver spins, or once it sleeps: one that
+    /// parked without looking at the flag again would sleep until
+    /// `recv_timeout`.
+    #[test]
+    fn an_abort_ends_a_spinning_or_parked_recv_at_once() {
+        for delay in [0, 1, 2, 3, 4, 8, 40, 400].map(|k| SPIN * k / 4) {
+            let opts = RunOptions {
+                recv_timeout: Duration::from_secs(5),
+                faults: None,
+            };
+            let start = Instant::now();
+            let err = try_run_with(2, opts, |c| {
+                if c.rank() == 0 {
+                    // `delay` after rank 1 starts its receive
+                    c.try_recv::<()>(1, 1)?;
+                    busy(delay);
+                    return Err(CommError::TypeMismatch {
+                        src: 1,
+                        tag: 0,
+                        expected: "nothing",
+                    });
+                }
+                c.try_send(0, 1, ())?;
+                c.try_recv::<u32>(0, 5)
+            })
+            .unwrap_err();
+            let took = start.elapsed();
+            assert_eq!(err.origin, 0, "{delay:?}");
+            assert!(
+                took < Duration::from_secs(2),
+                "abort after {delay:?} took {took:?}"
+            );
         }
     }
 

@@ -347,10 +347,24 @@ pub(crate) fn read_raw(
     idle_limit: Option<Duration>,
     frame: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
+    read_raw_into(stream, stop, idle_limit, frame, |_, _| {})
+}
+
+/// [`read_raw`], handing `fit` the buffer and the frame's whole length
+/// once the header has checked out and before the buffer grows: a
+/// reader can swap in a buffer that suits the frame.
+pub(crate) fn read_raw_into(
+    stream: &mut impl Read,
+    stop: &AtomicBool,
+    idle_limit: Option<Duration>,
+    frame: &mut Vec<u8>,
+    fit: impl FnOnce(&mut Vec<u8>, usize),
+) -> Result<(), FrameError> {
     let mut header = [0u8; HEADER_LEN];
     fill(stream, &mut header, stop, idle_limit, (0, HEADER_LEN))?;
     let (len, expected_crc) = parse_header(&header)?;
     let wanted = HEADER_LEN + len as usize;
+    fit(frame, wanted);
     frame.resize(wanted, 0);
     frame[..HEADER_LEN].copy_from_slice(&header);
     fill(

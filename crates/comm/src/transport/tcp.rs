@@ -19,7 +19,8 @@
 //! One buffer per hop: a frame buffer keeps [`FRAME_AT`] bytes of room
 //! behind its header, so a `Data` packet is the frame buffer, stamped
 //! and sealed in place, and the retransmit queue holds that buffer
-//! until it is acked, then hands it to the process's [`Spares`]. The
+//! until it is acked; whoever lets it go last, the ack or the writer,
+//! hands it to the process's [`Spares`]. The
 //! supervisor relays a `Msg` in the buffer it read, restamped for the
 //! next hop ([`restamp`]). Every sequenced packet and every ping leaves
 //! through the link's write turn, in sequence order, one writer at a
@@ -30,7 +31,7 @@
 //! [`Backend::Tcp`]: super::Backend::Tcp
 
 use super::frame::{
-    check, decode_raw, encode_wire, read_raw, read_wire_timeout, seal, Frame, FrameError,
+    check, decode_raw, encode_wire, read_raw_into, read_wire_timeout, seal, Frame, FrameError,
     HEADER_LEN, HEARTBEAT,
 };
 use super::process::{count, LinkKind, Spawn, Supervisor, Worker, CONNECT_TIMEOUT, READ_POLL};
@@ -187,8 +188,11 @@ const REUSE_MIN: usize = 64 << 10;
 
 /// Spent buffers of at least [`REUSE_MIN`] bytes, at most four, kept to
 /// encode or read the next big message into, so a steady exchange takes
-/// no fresh pages. A buffer comes back when its peer acks it or its
-/// receiver has decoded it; a process's links share one.
+/// no fresh pages. A sent packet is shared by the retransmit queue and
+/// the writer writing it: whoever drops the last reference — the ack's
+/// [`Link::reclaim`] or the writer, whichever comes second — puts the
+/// buffer back ([`Spares::release`]). A received one comes back when its
+/// receiver has decoded it. A process's links share one.
 #[derive(Default)]
 pub(super) struct Spares(Mutex<Vec<Vec<u8>>>);
 
@@ -202,6 +206,14 @@ impl Spares {
         let mut spares = plock(&self.0);
         if buf.capacity() >= REUSE_MIN && spares.len() < 4 {
             spares.push(buf);
+        }
+    }
+
+    /// Put `packet` back unless another reference is still out: of
+    /// every holder that releases it, exactly one gets the buffer.
+    fn release(&self, packet: Arc<Vec<u8>>) {
+        if let Some(buf) = Arc::into_inner(packet) {
+            self.put(buf);
         }
     }
 
@@ -422,7 +434,9 @@ impl Link {
             s.shutdown();
         }
         st.epoch += 1;
-        st.owed.clear();
+        for packet in st.owed.drain(..) {
+            self.spares.release(packet);
+        }
         self.cv.notify_all();
     }
 
@@ -469,6 +483,9 @@ impl Link {
             .chain([bytes])
             .all(|packet| write_planned(stream.as_deref(), packet, chaos));
         drop(turn);
+        for packet in owed {
+            self.spares.release(packet);
+        }
         if !intact {
             let mut st = plock(&self.state);
             if st.epoch == epoch {
@@ -506,6 +523,8 @@ impl Link {
         // disconnected: queued for retransmit (the chaos plan still
         // counts the frame)
         self.write_in_turn((turn, st), &packet, chaos);
+        // acked while it was written: the last reference is this one
+        self.spares.release(packet);
     }
 
     /// Supervisor-side probe: ack what we have, advertise what we sent.
@@ -523,7 +542,7 @@ impl Link {
 
     /// Hand the buffers the peer's `ack` covers back to the spares
     /// (the session's own prune then finds them gone); one a writer is
-    /// still writing is dropped by that writer.
+    /// still writing goes back when that writer lets it go.
     fn reclaim(&self, session: &mut Session<Arc<Vec<u8>>>, ack: u64) {
         let acked = session
             .sent
@@ -531,9 +550,7 @@ impl Link {
             .take_while(|(seq, _)| *seq < ack)
             .count();
         for (_, packet) in session.sent.drain(..acked) {
-            if let Ok(buf) = Arc::try_unwrap(packet) {
-                self.spares.put(buf);
-            }
+            self.spares.release(packet);
         }
     }
 
@@ -591,13 +608,17 @@ impl Link {
         mut deliver: impl FnMut(&mut Vec<u8>, Option<Frame>),
     ) {
         plock(&self.state).readers += 1;
+        // a big packet is read into a spare, a small one into a small
+        // buffer: a reader holds a spare only while a big packet is in it
+        let fit =
+            |raw: &mut Vec<u8>, len: usize| match (len >= REUSE_MIN, raw.capacity() >= REUSE_MIN) {
+                (true, false) => *raw = self.spares.take(),
+                (false, true) => self.spares.put(std::mem::take(raw)),
+                _ => {}
+            };
         let mut raw = Vec::new();
         loop {
-            // a big packet left in the buffer it was read into
-            if raw.capacity() < REUSE_MIN {
-                raw = self.spares.take();
-            }
-            let read = read_raw(&mut &stream, stop, Some(FRAME_STALL), &mut raw);
+            let read = read_raw_into(&mut &stream, stop, Some(FRAME_STALL), &mut raw, fit);
             match read.and_then(|()| Inbound::parse(&raw)) {
                 Ok(_) if chaos.is_some_and(|c| c.drop_inbound()) => {}
                 Ok((packet, checked)) => {
@@ -635,6 +656,7 @@ impl Link {
             return Err("link already retired".into());
         }
         self.break_link_locked(&mut st);
+        self.reclaim(&mut st.session, peer_resume);
         st.owed = (st.session.resume(peer_resume))
             .map(|(_, packet)| Arc::clone(packet))
             .collect();
@@ -900,6 +922,7 @@ pub(super) fn link_loop(worker: &Worker) -> Result<(), String> {
 
 #[cfg(test)]
 pub(super) mod tests {
+    use super::super::frame::read_raw;
     use super::super::frame::tests::{encode_frame, encode_with, MSG_0_TO_1};
     use super::super::process;
     use super::*;
@@ -1499,6 +1522,81 @@ pub(super) mod tests {
             wake(kind, &addr);
             accepting.join().unwrap();
         }
+    }
+
+    fn spares(link: &Link) -> usize {
+        plock(&link.spares.0).len()
+    }
+
+    /// An ack that arrives while the writer still writes its packet
+    /// leaves the buffer to the writer, which puts it back once the
+    /// write is done: no acked buffer is dropped.
+    #[test]
+    fn a_buffer_acked_mid_write_goes_back_to_the_spares() {
+        let link = Link::default();
+        let (ours, mut peer) = UnixStream::pair().expect("socket pair");
+        let ours = Stream::Unix(ours).configured().expect("configure");
+        let (epoch, _) = link.install(ours, 0).expect("install");
+        let big = packet(&Frame::Msg {
+            src: 0,
+            dst: 1,
+            tag: 0,
+            type_tag: 0,
+            bytes: 1 << 20,
+            data: vec![0; 1 << 20], // more than the socket buffers hold
+        });
+        let len = big.len();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| link.send_data(big, None));
+            while plock(&link.state).session.send_seq == 0 {
+                std::thread::yield_now();
+            }
+            // the write is blocked on the peer; the peer's ack arrives
+            let ping = Inbound::Other(TcpPacket::Ping { ack: 1, sent: 0 });
+            assert!(!link.on_packet(epoch, ping));
+            assert!(plock(&link.state).session.sent.is_empty(), "not acked");
+            assert_eq!(spares(&link), 0, "recycled while the writer holds it");
+            let mut read = vec![0; len];
+            peer.read_exact(&mut read).expect("the whole packet");
+            writer.join().unwrap();
+        });
+        assert_eq!(spares(&link), 1, "the acked buffer was dropped");
+    }
+
+    /// A reader takes a spare for a big packet only, and gives it back
+    /// when a small packet follows a big one it kept.
+    #[test]
+    fn a_reader_holds_a_spare_only_for_a_big_packet() {
+        let link = Link::default();
+        link.spares.put(Vec::with_capacity(REUSE_MIN));
+        let (mut peer, reader, epoch) = installed(&link);
+        let small = encode_frame(&Frame::Hello { rank: 1 });
+        let big = encode_frame(&Frame::Msg {
+            src: 0,
+            dst: 1,
+            tag: 0,
+            type_tag: 0,
+            bytes: REUSE_MIN as u64,
+            data: vec![0; REUSE_MIN],
+        });
+        let frames = [&small, &small, &big, &small, &small];
+        for (seq, frame) in frames.iter().enumerate() {
+            peer.write_all(&encode_with(|out| encode_data(seq as u64, 0, frame, out)))
+                .unwrap();
+        }
+        peer.shutdown(Shutdown::Write).unwrap(); // the read ends at EOF
+        let mut held = Vec::new();
+        let stop = AtomicBool::new(false);
+        link.read_packets(reader, epoch, &stop, None, |raw, _| {
+            held.push((
+                raw.len() >= REUSE_MIN,
+                raw.capacity() >= REUSE_MIN,
+                spares(&link),
+            ));
+        });
+        let (small, big) = ((false, false, 1), (true, true, 0));
+        assert_eq!(held, [small, small, big, small, small]);
+        assert_eq!(spares(&link), 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 pub use crate::scalar_ref::QuadSoA;
 
+use crate::quadrant::Quadrant;
 use crate::scalar_ref;
 use crate::simd::{dispatch, Tier};
 
@@ -106,6 +107,19 @@ pub fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
         return unsafe { bmi2_keys::sfc_keys_all(soa, dim, out) };
     }
     scalar_ref::sfc_keys_all(soa, dim, out)
+}
+
+/// [`sfc_keys_all`] read straight off the quadrants: one pass over
+/// their coordinates and levels, no SoA gathered first, dispatched and
+/// counted the same way. `sfc_keys` of the coordinate-carrying
+/// representations.
+pub(crate) fn sfc_keys_of<Q: Quadrant>(quads: &[Q]) -> Vec<u64> {
+    if dispatch(Tier::Bmi2) {
+        // SAFETY: `dispatch` confirmed BMI2 on the running CPU
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { bmi2_keys::sfc_keys_of(quads) };
+    }
+    quads.iter().map(Q::sfc_key).collect()
 }
 
 /// Maximum-level Morton probe keys for a batch of integer points — the
@@ -476,7 +490,22 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod bmi2_keys {
-    use super::QuadSoA;
+    use super::{QuadSoA, Quadrant};
+    use crate::morton::bmi2::{encode2, encode3};
+
+    #[target_feature(enable = "bmi2")]
+    pub(crate) fn sfc_keys_of<Q: Quadrant>(quads: &[Q]) -> Vec<u64> {
+        let mut keys = Vec::with_capacity(quads.len());
+        for q in quads {
+            let [x, y, z] = q.coords().map(|c| c as u32);
+            let abs = match Q::DIM {
+                2 => encode2(x, y),
+                _ => encode3(x, y, z),
+            };
+            keys.push((abs << 6) | q.level() as u64);
+        }
+        keys
+    }
 
     #[target_feature(enable = "bmi2")]
     pub(crate) fn sfc_keys_all(soa: &QuadSoA, dim: u32, out: &mut [u64]) {
@@ -518,7 +547,7 @@ mod bmi2_keys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadrant::{Quadrant, StandardQuad};
+    use crate::quadrant::{AvxQuad, Quadrant, StandardQuad};
     use crate::scalar_ref;
     use crate::workload;
 
@@ -640,6 +669,14 @@ mod tests {
         for (i, q) in quads2.iter().enumerate() {
             assert_eq!(keys2[i], (q.morton_abs() << 6) | q.level() as u64);
         }
+        // the AoS pass is the SoA kernel, on every tier and representation
+        assert_eq!(sfc_keys_of(&quads), keys);
+        assert_eq!(sfc_keys_of(&quads2), keys2);
+        let avx: Vec<_> = quads
+            .iter()
+            .map(|q| AvxQuad::<3>::from_coords(q.coords(), q.level()))
+            .collect();
+        assert_eq!(sfc_keys_of(&avx), keys);
     }
 
     #[test]

@@ -132,12 +132,9 @@ impl<const D: usize> Quadrant for AvxQuad<D> {
     }
 
     /// Coordinate-interleave shortcut (see `StandardQuad::sfc_keys`):
-    /// batch key extraction through the runtime-dispatched SoA kernel.
+    /// one runtime-dispatched pass over the coordinates.
     fn sfc_keys(quads: &[Self]) -> Vec<u64> {
-        let soa = crate::scalar_ref::QuadSoA::from_quads(quads);
-        let mut keys = vec![0u64; quads.len()];
-        crate::batch::sfc_keys_all(&soa, Self::DIM, &mut keys);
-        keys
+        crate::batch::sfc_keys_of(quads)
     }
 
     /// Algorithm 9 (`AVX_Child`): broadcast the child number, test its

@@ -247,8 +247,8 @@ pub trait Quadrant:
 
     /// Batch [`sfc_key`](Self::sfc_key) extraction. The default loops
     /// per quadrant; the coordinate-carrying representations override
-    /// it to route through the runtime-dispatched
-    /// [`crate::batch::sfc_keys_all`] SoA kernel.
+    /// it with one runtime-dispatched pass over their coordinates, the
+    /// interleave of [`crate::batch::sfc_keys_all`] without its SoA.
     fn sfc_keys(quads: &[Self]) -> Vec<u64> {
         quads.iter().map(Self::sfc_key).collect()
     }

@@ -135,13 +135,10 @@ impl<const D: usize> Quadrant for StandardQuad<D> {
 
     /// Coordinate-interleave shortcut: `encodeD` of the *absolute*
     /// coordinates equals `morton_abs` (bit spreading is linear in the
-    /// bit positions), so key extraction routes through the
-    /// runtime-dispatched SoA kernel — BMI2 `pdep` when available.
+    /// bit positions), so keys come in one runtime-dispatched pass over
+    /// the coordinates — BMI2 `pdep` when available.
     fn sfc_keys(quads: &[Self]) -> Vec<u64> {
-        let soa = crate::scalar_ref::QuadSoA::from_quads(quads);
-        let mut keys = vec![0u64; quads.len()];
-        crate::batch::sfc_keys_all(&soa, Self::DIM, &mut keys);
-        keys
+        crate::batch::sfc_keys_of(quads)
     }
 
     /// Algorithm 2 (`Standard_Child`).

@@ -45,12 +45,14 @@ const QUADRANT_METHODS: usize = 31;
 /// before face iteration stepped in key space, and 3,317 before balance's
 /// merge took a small-tail regime and its seed and rebuild a family of
 /// leaves in one step. Core read 4,194 before linearize became one
-/// key-space path.
+/// key-space path, and 4,121 before its keys came in one pass over the
+/// coordinates. Comm read 4,921 before a receive yielded before it
+/// parked and a link's acked buffers all went back to its spares.
 const LINES: [(&str, usize); 9] = [
     ("bench", 1_500),
-    ("comm", 4_921),
+    ("comm", 5_008),
     ("connectivity", 415),
-    ("core", 4_121),
+    ("core", 4_144),
     ("forest", 3_349),
     ("pde", 849),
     ("query", 836),
@@ -186,6 +188,34 @@ fn the_census_counts_items_not_fields() {
     ] {
         assert!(!is_pub_item(other), "{other}");
     }
+}
+
+/// The non-test lines of `source` that read the environment.
+fn env_reads(source: &str) -> Vec<&str> {
+    let reads = ["env::var", "var_os(", "env!("];
+    (source.lines())
+        .take_while(|l| !l.contains("#[cfg(test)]"))
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .filter(|l| reads.iter().any(|r| l.contains(r)))
+        .collect()
+}
+
+/// The communicator reads one environment variable, the spawn record
+/// that marks a worker process: its tuning (the receive spin budget,
+/// the link's timeouts and schedules) stays constants, not knobs.
+#[test]
+fn comm_reads_one_environment_variable() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/comm/src");
+    let texts = sources(&src);
+    let reads: Vec<&str> = texts.iter().flat_map(|t| env_reads(t)).collect();
+    assert!(
+        reads.len() == 1 && reads[0].contains("(ENV_SPAWN)"),
+        "crates/comm/src reads the environment other than through ENV_SPAWN: {reads:#?}"
+    );
+    assert_eq!(
+        env_reads("let v = std::env::var(\"X\");\n#[cfg(test)]\nenv!(\"Y\")"),
+        ["let v = std::env::var(\"X\");"]
+    );
 }
 
 #[test]
